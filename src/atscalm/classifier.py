@@ -18,7 +18,7 @@ import numpy as np
 from .audio_io import LABELS, ClassLabel, parse_label
 from .features import N_FEATURES
 from .nn import (Adam, LstmWeights, Tensor, bilstm_final, init_lstm,
-                 load_checkpoint, lstm_param_count, save_checkpoint, seeded_init)
+                 load_checkpoint, lstm_param_count, no_grad, save_checkpoint, seeded_init)
 from .nn.ops import dropout, linear, relu, softmax, softmax_crossentropy
 from .util import PipelineError, keyed_rng
 
@@ -90,7 +90,8 @@ class BiLstmClassifier:
         return linear(h, self.fc2_w, self.fc2_b)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(x, train=False).data)
+        with no_grad():
+            return softmax(self.forward(x, train=False).data)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)
@@ -253,6 +254,8 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], EvalR
             "acc": acc,
             "seconds": time.perf_counter() - tic,
         })
+        log.info("cam epoch %d/%d: loss %.6g, train acc %.4f",
+                 epoch + 1, cfg.epochs, history[-1]["loss"], acc)
     report = eval_report_from_predictions(y_test, model.predict(x_test))
     split_info = {
         "train_ids": [ids[i] for i in train_idx],

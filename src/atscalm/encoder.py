@@ -16,7 +16,7 @@ import numpy as np
 
 from . import augment, features
 from .audio_io import AudioClip, ClassLabel, CorpusManifest
-from .nn import Adam, Tensor, load_checkpoint, save_checkpoint, seeded_init
+from .nn import Adam, Tensor, load_checkpoint, no_grad, save_checkpoint, seeded_init
 from .nn.ops import (BatchNormState, add, batchnorm2d, conv2d, global_avg_pool,
                      linear, matmul, maxpool2d, mul, relu, scale, split, ssum, sub)
 from .util import PipelineError, keyed_rng
@@ -128,7 +128,8 @@ class AcousticEncoder:
 
     def embed(self, grids: list[np.ndarray]) -> np.ndarray:
         x = Tensor(np.stack(grids)[:, None, :, :])
-        return self.forward(x, train=False).data
+        with no_grad():
+            return self.forward(x, train=False).data
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {name: p.data for name, p in self.params.items()}

@@ -1,5 +1,12 @@
-"""LSTM cell built compositionally from the primitive ops, so gradients
-through time come from the same reverse-mode machinery as everything else.
+"""Bidirectional LSTM as one fused sequence op per direction.
+
+`lstm_final` runs a whole sequence in numpy and returns the final hidden
+state as a single graph node whose parents are the weights. It keeps only
+the activated gates and the c and h sequences, and its backward is
+hand-written backpropagation through time; each weight gradient is one
+matmul or sum over all T·B rows. The forward adds ``(x@wx + h@wh) + b``
+in the same order, and with the same sigmoid, as a cell composed from the
+primitive ops, so its output matches that cell bit for bit.
 
 Gate layout in the fused weight matrices is (input, forget, candidate,
 output) along the last axis.
@@ -13,8 +20,8 @@ import numpy as np
 
 from ..util import PipelineError
 from .init import seeded_init
-from .ops import add, concat, matmul, mul, sigmoid, split, tanh
-from .tensor import Tensor
+from .ops import _sigmoid, concat
+from .tensor import Tensor, grad_enabled
 
 
 @dataclass
@@ -47,42 +54,64 @@ def lstm_param_count(input_dim: int, hidden: int) -> int:
     return 4 * hidden * (input_dim + hidden + 1)
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights) -> tuple[Tensor, Tensor]:
-    """Single step: returns (h_t, c_t) for a batch.
+def lstm_final(xs: list[Tensor], w: LstmWeights, reverse: bool = False) -> Tensor:
+    """Final hidden state (B, H) of a run over the (B, D) steps ``xs`` from
+    a zero state; ``reverse`` runs the steps last to first.
 
-    x (B,D), h_prev/c_prev (B,H). c_t = sigm(f)*c + sigm(i)*tanh(g),
-    h_t = sigm(o)*tanh(c_t).
+    Gradients flow into ``w`` only, so no step may require grad.
     """
-    hid = w.hidden
-    if x.data.ndim != 2 or x.data.shape[1] != w.input_dim:
-        raise PipelineError(f"lstm_cell input {x.data.shape} does not match weights D={w.input_dim}")
-    if h_prev.data.shape != (x.data.shape[0], hid) or c_prev.data.shape != h_prev.data.shape:
-        raise PipelineError(
-            f"lstm_cell state shapes {h_prev.data.shape}/{c_prev.data.shape} "
-            f"do not match batch {x.data.shape[0]}, hidden {hid}"
-        )
-    z = add(add(matmul(x, w.wx), matmul(h_prev, w.wh)), w.b)
-    gi, gf, gg, go = split(z, [hid, hid, hid, hid], axis=1)
-    c_t = add(mul(sigmoid(gf), c_prev), mul(sigmoid(gi), tanh(gg)))
-    h_t = mul(sigmoid(go), tanh(c_t))
-    return h_t, c_t
-
-
-def lstm_run(xs: list[Tensor], w: LstmWeights, reverse: bool = False) -> tuple[Tensor, Tensor]:
-    """Run a sequence of (B,D) steps; returns the final (h, c)."""
     if not xs:
-        raise PipelineError("lstm_run needs at least one step")
+        raise PipelineError("lstm_final needs at least one step")
+    hid, dim = w.hidden, w.input_dim
     batch = xs[0].data.shape[0]
-    h = Tensor(np.zeros((batch, w.hidden)))
-    c = Tensor(np.zeros((batch, w.hidden)))
-    steps = reversed(xs) if reverse else xs
-    for x in steps:
-        h, c = lstm_cell(x, h, c, w)
-    return h, c
+    for x in xs:
+        if x.data.shape != (batch, dim):
+            raise PipelineError(f"lstm_final step {x.data.shape} does not match "
+                                f"batch {batch}, weights D={dim}")
+        if x.requires_grad:
+            raise PipelineError("lstm_final does not propagate gradients into its steps")
+    n_steps = len(xs)
+    params = (w.wx, w.wh, w.b)
+    need_grad = grad_enabled() and any(p.requires_grad for p in params)
+    x = np.stack([s.data for s in (xs[::-1] if reverse else xs)])   # (T,B,D)
+    h = np.zeros((n_steps + 1, batch, hid))
+    c = np.zeros((n_steps + 1, batch, hid))
+    # Activated gates per step, kept for backward; one reused slot otherwise.
+    gates = np.empty((n_steps if need_grad else 1, batch, 4 * hid))
+    for t in range(n_steps):
+        z = (x[t] @ w.wx.data + h[t] @ w.wh.data) + w.b.data
+        a = gates[t % len(gates)]
+        a[:, : 2 * hid] = _sigmoid(z[:, : 2 * hid])
+        a[:, 2 * hid : 3 * hid] = np.tanh(z[:, 2 * hid : 3 * hid])
+        a[:, 3 * hid :] = _sigmoid(z[:, 3 * hid :])
+        i, f, g, o = np.split(a, 4, axis=1)
+        c[t + 1] = f * c[t] + i * g
+        h[t + 1] = o * np.tanh(c[t + 1])
+    out = Tensor(h[-1].copy(), need_grad, params)
+
+    def backward():
+        gh = out.grad
+        gc = np.zeros_like(gh)
+        for t in range(n_steps - 1, -1, -1):
+            a = gates[t]
+            i, f, g, o = np.split(a, 4, axis=1)
+            tc = np.tanh(c[t + 1])
+            gc = gc + gh * o * (1.0 - tc * tc)
+            dz = (gc * g * i * (1.0 - i), gc * c[t] * f * (1.0 - f),
+                  gc * i * (1.0 - g * g), gh * tc * o * (1.0 - o))
+            gc = gc * f
+            for k, d in enumerate(dz):       # the gate slot now holds dL/dz
+                a[:, k * hid : (k + 1) * hid] = d
+            gh = a @ w.wh.data.T
+        dz = gates.reshape(n_steps * batch, 4 * hid)
+        w.wx.accumulate(x.reshape(n_steps * batch, dim).T @ dz)
+        w.wh.accumulate(h[:-1].reshape(n_steps * batch, hid).T @ dz)
+        w.b.accumulate(dz.sum(axis=0, keepdims=True))
+
+    out._backward = backward
+    return out
 
 
 def bilstm_final(xs: list[Tensor], fwd: LstmWeights, bwd: LstmWeights) -> Tensor:
     """Concatenated [forward final h, backward final h] -> (B, 2H)."""
-    hf, _ = lstm_run(xs, fwd, reverse=False)
-    hb, _ = lstm_run(xs, bwd, reverse=True)
-    return concat([hf, hb], axis=1)
+    return concat([lstm_final(xs, fwd), lstm_final(xs, bwd, reverse=True)], axis=1)

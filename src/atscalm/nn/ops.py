@@ -101,12 +101,9 @@ def relu(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp never overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a) -> Tensor:
@@ -203,7 +200,7 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
         g = out.grad
         gf = g.transpose(0, 2, 3, 1).reshape(n, ho * wo, o)
         if w.requires_grad:
-            dw = np.einsum("nlo,nlk->ok", gf, cols).reshape(w.data.shape)
+            dw = (gf.reshape(-1, o).T @ cols.reshape(-1, c * kh * kw)).reshape(w.data.shape)
             w.accumulate(dw)
         if b is not None and b.requires_grad:
             b.accumulate(g.sum(axis=(0, 2, 3)))

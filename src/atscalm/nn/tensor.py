@@ -1,22 +1,61 @@
-"""Minimal dense tensor with reverse-mode differentiation (float64)."""
+"""Minimal dense tensor with reverse-mode differentiation (float64).
+
+``backward`` releases the graph as it goes: once an interior node has
+passed its gradient on, its gradient, closure and parent links are
+dropped, so the graph is freed by reference counting alone. Only leaf
+tensors keep ``.grad``.
+"""
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
 from ..util import PipelineError
 
+_grad_mode = threading.local()
+
+
+def grad_enabled() -> bool:
+    return getattr(_grad_mode, "enabled", True)
+
+
+@contextmanager
+def no_grad():
+    """Build no graph in this thread: op results are plain values with no
+    parents and no backward closure. Leaf tensors keep their flag."""
+    prev = grad_enabled()
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "name", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None, name=None):
         self.data = np.asarray(data, dtype=np.float64)
+        if parents and not grad_enabled():
+            requires_grad, parents = False, ()
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = tuple(parents)
         self._backward = backward
         self.name = name
+
+    @property
+    def _backward(self):
+        return self._bw
+
+    @_backward.setter
+    def _backward(self, fn):
+        # A closure on a tensor that needs no gradient would never run and
+        # would only keep its inputs alive.
+        self._bw = fn if self.requires_grad else None
 
     @property
     def shape(self):
@@ -45,7 +84,8 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self, grad=None):
-        """Reverse accumulation from this node; visits each node once."""
+        """Reverse accumulation from this node; visits each node once and
+        releases it once its gradient has been passed on."""
         if not self.requires_grad:
             raise PipelineError("backward() on a tensor that does not require grad")
         topo: list[Tensor] = []
@@ -66,9 +106,13 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         self.grad = np.asarray(grad, dtype=np.float64)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward()
+            node.grad, node._backward, node._parents = None, None, ()
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""

@@ -1,0 +1,38 @@
+"""Reference LSTM composed from the primitive ops.
+
+Gradients through time come from the generic reverse-mode machinery, so
+this is the oracle the fused `atscalm.nn.lstm_final` is checked against.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from atscalm.nn import LstmWeights, Tensor
+from atscalm.nn.ops import add, concat, matmul, mul, sigmoid, split, tanh
+
+
+def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights) -> tuple[Tensor, Tensor]:
+    """Single step: c_t = sigm(f)*c + sigm(i)*tanh(g), h_t = sigm(o)*tanh(c_t)."""
+    hid = w.hidden
+    z = add(add(matmul(x, w.wx), matmul(h_prev, w.wh)), w.b)
+    gi, gf, gg, go = split(z, [hid, hid, hid, hid], axis=1)
+    c_t = add(mul(sigmoid(gf), c_prev), mul(sigmoid(gi), tanh(gg)))
+    h_t = mul(sigmoid(go), tanh(c_t))
+    return h_t, c_t
+
+
+def lstm_run(xs: list[Tensor], w: LstmWeights, reverse: bool = False) -> tuple[Tensor, Tensor]:
+    """Run a sequence of (B,D) steps from a zero state; returns the final (h, c)."""
+    batch = xs[0].data.shape[0]
+    h = Tensor(np.zeros((batch, w.hidden)))
+    c = Tensor(np.zeros((batch, w.hidden)))
+    for x in (reversed(xs) if reverse else xs):
+        h, c = lstm_cell(x, h, c, w)
+    return h, c
+
+
+def bilstm_final(xs: list[Tensor], fwd: LstmWeights, bwd: LstmWeights) -> Tensor:
+    hf, _ = lstm_run(xs, fwd)
+    hb, _ = lstm_run(xs, bwd, reverse=True)
+    return concat([hf, hb], axis=1)

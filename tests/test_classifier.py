@@ -1,6 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
+import lstm_oracle
+from atscalm import classifier
 from atscalm.audio_io import LABELS, ClassLabel
 from atscalm.classifier import (BiLstmClassifier, CamConfig, build_cam,
                                 cam_parameter_closed_form, class_weights,
@@ -144,6 +148,27 @@ class TestTraining:
         assert [(h["epoch"], h["loss"], h["acc"]) for h in h1] == \
                [(h["epoch"], h["loss"], h["acc"]) for h in h2]
         assert np.array_equal(r1.confusion, r2.confusion)
+
+    @pytest.mark.parametrize("mode", ["sequence", "single-step"])
+    def test_history_matches_composed_lstm(self, monkeypatch, mode):
+        rows = gaussian_rows(10, seed=6)
+        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.02, epochs=6, seed=2, mode=mode)
+        _, fused, fused_report, _ = train_cam(rows, cfg)
+        monkeypatch.setattr(classifier, "bilstm_final", lstm_oracle.bilstm_final)
+        _, composed, composed_report, _ = train_cam(rows, cfg)
+        for a, b in zip(fused, composed):
+            assert a["loss"] == pytest.approx(b["loss"], rel=1e-9, abs=0)
+            assert a["acc"] == b["acc"]
+        assert np.array_equal(fused_report.confusion, composed_report.confusion)
+
+    def test_logs_one_line_per_epoch(self, caplog):
+        cfg = CamConfig(hidden=4, fc_dim=4, batch=16, epochs=3, seed=1)
+        with caplog.at_level(logging.INFO, logger="atscalm.classifier"):
+            _, history, _, _ = train_cam(gaussian_rows(6, seed=7), cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "atscalm.classifier"]
+        assert len(lines) == 3
+        assert lines[-1].startswith("cam epoch 3/3:")
+        assert f"{history[-1]['loss']:.6g}" in lines[-1]
 
     def test_checkpoint_roundtrip(self, tmp_path):
         rows = gaussian_rows(8, seed=5)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from atscalm.nn import (LstmWeights, Tensor, bilstm_final, grad_check, init_lstm,
-                        lstm_cell, lstm_param_count, lstm_run, ops)
+                        lstm_final, lstm_param_count, no_grad, ops)
 from atscalm.util import PipelineError, keyed_rng
+from lstm_oracle import lstm_cell, lstm_run
 
 
 def zero_weights(d, h):
@@ -14,14 +15,15 @@ def zero_weights(d, h):
     )
 
 
+def steps(n_steps, batch, dim, key="x"):
+    return [Tensor(keyed_rng(key, t).normal(0, 1, (batch, dim))) for t in range(n_steps)]
+
+
 class TestLstmCell:
     def test_zero_weights_zero_output(self):
         w = zero_weights(3, 4)
-        x = Tensor(np.ones((2, 3)))
-        h = Tensor(np.zeros((2, 4)))
-        c = Tensor(np.zeros((2, 4)))
-        h2, c2 = lstm_cell(x, h, c, w)
-        assert np.all(h2.data == 0)
+        h = lstm_final([Tensor(np.ones((2, 3)))] * 3, w)
+        assert np.all(h.data == 0)
 
     def test_forget_gate_saturation_carries_cell(self):
         h_dim = 4
@@ -37,19 +39,60 @@ class TestLstmCell:
     def test_shape_mismatch(self):
         w = zero_weights(3, 4)
         with pytest.raises(PipelineError):
-            lstm_cell(Tensor(np.ones((2, 5))), Tensor(np.zeros((2, 4))),
-                      Tensor(np.zeros((2, 4))), w)
+            lstm_final([Tensor(np.ones((2, 5)))], w)
+        with pytest.raises(PipelineError):
+            lstm_final([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], w)
+        with pytest.raises(PipelineError):
+            lstm_final([], w)
+
+    def test_step_requiring_grad_rejected(self):
+        with pytest.raises(PipelineError):
+            lstm_final([Tensor(np.ones((2, 3)), requires_grad=True)], zero_weights(3, 4))
 
     def test_bptt_gradcheck_3_steps(self):
         w = init_lstm(3, 4, seed=("bptt", 0))
-        xs = [Tensor(keyed_rng("x", i).normal(0, 1, (2, 3))) for i in range(3)]
+        xs = steps(3, 2, 3)
         r = Tensor(keyed_rng("r", 9).normal(0, 1, (2, 4)))
+        assert grad_check(lambda: ops.ssum(ops.mul(lstm_final(xs, w), r)),
+                          [w.wx, w.wh, w.b]) < 1e-5
 
-        def f():
-            h, _ = lstm_run(xs, w)
-            return ops.ssum(ops.mul(h, r))
 
-        assert grad_check(f, [w.wx, w.wh, w.b]) < 1e-5
+class TestFusedAgainstOracle:
+    """The fused op against the cell composed from primitive ops."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n_steps,dim", [(6, 2), (1, 25)])
+    def test_gradcheck(self, reverse, n_steps, dim):
+        w = init_lstm(dim, 3, seed=("gc", n_steps, reverse))
+        xs = steps(n_steps, 2, dim)
+        r = Tensor(keyed_rng("r", 1).normal(0, 1, (2, 3)))
+        assert grad_check(lambda: ops.ssum(ops.mul(lstm_final(xs, w, reverse), r)),
+                          [w.wx, w.wh, w.b]) < 1e-5
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n_steps,dim", [(25, 1), (1, 25), (4, 3)])
+    def test_forward_bit_identical_and_grads_agree(self, reverse, n_steps, dim):
+        w = init_lstm(dim, 16, seed=("or", n_steps, reverse))
+        xs = steps(n_steps, 7, dim)
+        r = Tensor(keyed_rng("r", 2).normal(0, 1, (7, 16)))
+        grads = []
+        for h in (lstm_final(xs, w, reverse), lstm_run(xs, w, reverse)[0]):
+            for p in (w.wx, w.wh, w.b):
+                p.zero_grad()
+            ops.ssum(ops.mul(h, r)).backward()
+            grads.append((h.data, [p.grad.copy() for p in (w.wx, w.wh, w.b)]))
+        (h_fused, g_fused), (h_oracle, g_oracle) = grads
+        assert np.array_equal(h_fused, h_oracle)
+        for a, b in zip(g_fused, g_oracle):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_no_grad_builds_no_node(self):
+        w = init_lstm(2, 5, seed=("ng", 0))
+        xs = steps(4, 3, 2)
+        with no_grad():
+            h = lstm_final(xs, w)
+        assert not h.requires_grad and h._parents == () and h._backward is None
+        assert np.array_equal(h.data, lstm_run(xs, w)[0].data)
 
 
 class TestParamCount:

@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from atscalm.nn import Tensor, grad_check, ops
+from atscalm.nn import Tensor, grad_check, no_grad, ops
 from atscalm.nn.ops import BatchNormState
 from atscalm.util import PipelineError, keyed_rng
 
@@ -27,6 +30,15 @@ class TestElementwise:
         r = Tensor(rand((5, 3), 5))
         assert grad_check(lambda: ops.ssum(ops.mul(ops.sigmoid(x), r)), [x]) < 1e-8
         assert grad_check(lambda: ops.ssum(ops.mul(ops.tanh(x), r)), [x]) < 1e-8
+
+    def test_sigmoid_matches_two_branch_formula_exactly(self):
+        x = np.concatenate([rand(997, 8) * 30.0, [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf]])
+        pos = x >= 0
+        want = np.empty_like(x)
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(ops.sigmoid(Tensor(x)).data, want)
 
     def test_relu_grad_away_from_kink(self):
         vals = rand((4, 4), 6)
@@ -221,3 +233,48 @@ class TestReuseAccumulation:
         out = ops.add(ops.mul(x, x), x)   # x^2 + x -> d/dx = 2x + 1
         out.backward()
         assert x.grad[0] == pytest.approx(7.0)
+
+
+class TestNoGrad:
+    def test_op_result_has_no_graph(self):
+        x = Tensor(rand((2, 3), 40), requires_grad=True)
+        with no_grad():
+            y = ops.mul(ops.tanh(x), x)
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+        assert np.array_equal(y.data, np.tanh(x.data) * x.data)
+
+    def test_leaf_keeps_flag_and_mode_restored(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                leaf = Tensor(np.ones(2), requires_grad=True)
+                raise RuntimeError
+        assert leaf.requires_grad
+        y = ops.scale(leaf, 2.0)
+        assert y.requires_grad and y._backward is not None
+
+
+class TestGraphRelease:
+    def test_interior_freed_by_refcount_after_backward(self):
+        x = Tensor(rand((3, 4), 41), requires_grad=True)
+        gc.disable()
+        try:
+            mid = ops.tanh(x)
+            ref = weakref.ref(mid)
+            loss = ops.ssum(ops.mul(mid, mid))
+            del mid
+            loss.backward()
+            del loss
+            assert ref() is None
+        finally:
+            gc.enable()
+        t = np.tanh(x.data)
+        assert np.allclose(x.grad, 2.0 * t * (1.0 - t * t), rtol=0, atol=1e-15)
+
+    def test_interior_grads_dropped_leaf_grads_kept(self):
+        x = Tensor(rand((2, 2), 42), requires_grad=True)
+        mid = ops.relu(x)
+        loss = ops.ssum(mid)
+        loss.backward()
+        assert mid.grad is None and mid._parents == () and mid._backward is None
+        assert np.array_equal(x.grad, (x.data > 0).astype(float))
