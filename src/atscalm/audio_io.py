@@ -108,15 +108,21 @@ def load_wav(path: str) -> AudioClip:
     audio_format, n_ch, rate, _byte_rate, _block_align, bits = fmt
     if n_ch not in (1, 2):
         raise PipelineError(f"{path}: unsupported channel count {n_ch}")
-    if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise PipelineError(
             f"{path}: unsupported encoding (format={audio_format}, bits={bits}); "
             "expected PCM 16-bit or IEEE float 32-bit"
         )
+    frame_bytes = n_ch * bits // 8
+    if len(data) % frame_bytes:
+        raise PipelineError(
+            f"{path}: data chunk of {len(data)} bytes is not a whole number of "
+            f"{n_ch}-channel {bits}-bit frames"
+        )
+    if audio_format == 1:
+        raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    else:
+        raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
     if raw.size == 0:
         raise PipelineError(f"{path}: zero-length audio")
     if n_ch == 2:
@@ -191,7 +197,7 @@ def _entry_for(root: str, rel_path: str, label: ClassLabel) -> ManifestEntry:
             n_frames = size // max(1, n_ch * (bits // 8))
             break
         pos += 8 + size + (size & 1)
-    if rate is None or n_frames is None or n_frames == 0:
+    if not rate or not n_frames:
         raise PipelineError(f"{full}: cannot determine duration from header")
     return ManifestEntry(rel_path, label, n_frames / rate, int(rate))
 
@@ -268,6 +274,7 @@ def load_manifest(path: str) -> CorpusManifest:
 _RESAMPLE_HALF = 32      # 64 taps
 _RESAMPLE_BETA = 8.0
 _RESAMPLE_PHASES = 512   # kernel table resolution per unit tap offset
+_RESAMPLE_BLOCK = 1024   # outputs per tap block: (1024, 64) float64 is 512 KiB
 _kernel_cache: dict[float, np.ndarray] = {}
 
 
@@ -298,10 +305,16 @@ def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarr
     """Band-limited resampling: 64-tap Kaiser(beta=8) windowed sinc.
 
     Cutoff sits at min(src, dst)/2. Output length is round(N * dst/src).
+    Positions and kernel-table coordinates are computed for the whole
+    output at once; the taps are then applied _RESAMPLE_BLOCK outputs at a
+    time, each output's 64 input samples read as one row of a sliding
+    window view, so the per-block temporaries stay cache-sized.
     """
     x = np.asarray(x, dtype=np.float64)
-    if dst_rate <= 0:
-        raise PipelineError("target rate must be positive")
+    if not src_rate > 0:
+        raise PipelineError(f"source rate must be positive, got {src_rate}")
+    if not dst_rate > 0:
+        raise PipelineError(f"target rate must be positive, got {dst_rate}")
     if src_rate == dst_rate:
         return x.copy()
     ratio = dst_rate / src_rate
@@ -309,20 +322,20 @@ def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarr
     cutoff = min(1.0, ratio)  # normalized to source Nyquist
     half = _RESAMPLE_HALF
     table = _resample_kernel_table(cutoff)
-    out = np.empty(n_out)
-    ks = np.arange(2 * half)
+    pos = np.arange(n_out) / ratio
+    base = np.floor(pos).astype(np.int64)
+    fi = (pos - base) * _RESAMPLE_PHASES
+    fi0 = np.floor(fi).astype(np.int64)
+    w = (fi - fi0)[:, None]
     xp = np.concatenate([np.zeros(half), x, np.zeros(half + 1)])
-    for start in range(0, n_out, 65536):
-        idx = np.arange(start, min(start + 65536, n_out))
-        pos = idx / ratio
-        base = np.floor(pos).astype(np.int64)
-        frac = pos - base
-        fi = frac * _RESAMPLE_PHASES
-        fi0 = np.floor(fi).astype(np.int64)
-        w = (fi - fi0)[:, None]
-        kern = table[fi0] * (1.0 - w) + table[fi0 + 1] * w
-        tap_idx = base[:, None] + 1 + ks[None, :]   # offset by zero-pad margin
-        out[idx] = np.sum(kern * xp[tap_idx], axis=1)
+    # taps[b] = xp[b + 1 : b + 65], the inputs of an output whose position
+    # floors to b (shifted by the zero-pad margin)
+    taps = np.lib.stride_tricks.sliding_window_view(xp, 2 * half)[1:]
+    out = np.empty(n_out)
+    for s in range(0, n_out, _RESAMPLE_BLOCK):
+        e = s + _RESAMPLE_BLOCK
+        kern = table[fi0[s:e]] * (1.0 - w[s:e]) + table[fi0[s:e] + 1] * w[s:e]
+        out[s:e] = np.sum(kern * taps[base[s:e]], axis=1)
     return out
 
 

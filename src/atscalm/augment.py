@@ -2,6 +2,9 @@
 
 Four transforms: additive Gaussian noise, phase-vocoder time stretch,
 pitch shift (stretch + resample), and spectrogram frequency/time masking.
+The vocoder works on the one-sided STFT and handles all output frames at
+once: phases by a cumulative sum, synthesis by ``irfft`` and a blockwise
+overlap-add that keeps the frame-by-frame summation order.
 The pipeline derives every random draw from a counter-based RNG keyed by
 (seed, clip id, variant index), so augmented corpora are reproducible and
 order-independent.
@@ -62,30 +65,70 @@ def add_gaussian_noise(clip: AudioClip, sigma: float,
     return AudioClip(x.copy(), clip.rate, clip.label, clip.id)
 
 
-def _istft_ola(re: np.ndarray, im: np.ndarray, win: int, hop: int) -> np.ndarray:
-    """Overlap-add inverse with synthesis windowing and COLA normalization."""
+def _istft_ola(spec: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """Overlap-add inverse with synthesis windowing and COLA normalization.
+
+    ``spec`` holds one one-sided spectrum per row, (frames, win//2 + 1).
+    Each frame is cut into ceil(win/hop) hop-long blocks (the last one
+    zero-padded when hop does not divide win), and block j of every frame is
+    added in one strided step. Blocks run from last to first, so every
+    output sample sums its frames in ascending frame order, as a
+    frame-by-frame loop would.
+    """
     w = dsp.window("hann", win)
-    n_frames = re.shape[1]
+    n_frames = spec.shape[0]
+    n_blocks = -(-win // hop)
+    span = n_blocks * hop
+    frames = np.zeros((n_frames, span))
+    frames[:, :win] = np.fft.irfft(spec, n=win, axis=1) * w
+    wsq = np.zeros(span)
+    wsq[:win] = w * w
+    frames = frames.reshape(n_frames, n_blocks, hop)
+    wsq = wsq.reshape(n_blocks, hop)
+    out = np.zeros((n_frames + n_blocks - 1, hop))
+    norm = np.zeros((n_frames + n_blocks - 1, hop))
+    for j in range(n_blocks - 1, -1, -1):
+        out[j : j + n_frames] += frames[:, j]
+        norm[j : j + n_frames] += wsq[j]
     out_len = (n_frames - 1) * hop + win
-    out = np.zeros(out_len)
-    norm = np.zeros(out_len)
-    spec = re + 1j * im
-    frames = np.fft.ifft(spec, axis=0).real.T[:, :win]
-    for m in range(n_frames):
-        out[m * hop : m * hop + win] += frames[m] * w
-        norm[m * hop : m * hop + win] += w * w
-    return out / np.maximum(norm, 1e-8)
+    return out.reshape(-1)[:out_len] / np.maximum(norm.reshape(-1)[:out_len], 1e-8)
+
+
+def _vocoder_spectra(spec: np.ndarray, rate_factor: float, win: int, hop: int) -> np.ndarray:
+    """Synthesis spectra of the phase vocoder, one row per output frame.
+
+    ``spec`` is the one-sided analysis STFT, one row per frame. Output frame
+    k reads analysis position s_k = k * rate_factor: its magnitude is
+    interpolated between frames floor(s_k) and the next one, and its phase
+    is the first frame's phase plus the cumulative sum of the per-bin phase
+    advances (expected advance plus the wrapped deviation) of the steps
+    before it.
+    """
+    n_frames, n_bins = spec.shape
+    steps = np.arange(0.0, n_frames - 1, rate_factor)
+    i0 = np.floor(steps).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n_frames - 1)
+    frac = (steps - i0)[:, None]
+    expected = 2.0 * np.pi * hop * np.arange(n_bins) / win
+    mags = np.abs(spec)
+    phases = np.angle(spec)
+    mag = (1.0 - frac) * mags[i0] + frac * mags[i1]
+    dphi = phases[i1] - phases[i0] - expected
+    dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+    inc = expected + dphi
+    acc = np.cumsum(np.concatenate([phases[:1], inc[:-1]]), axis=0)
+    return mag * np.exp(1j * acc)
 
 
 def phase_vocoder(x: np.ndarray, rate_factor: float,
                   win: int = VOCODER_WIN, hop: int = VOCODER_HOP) -> np.ndarray:
     """Stretch a signal in time by 1/rate_factor without moving its pitch.
 
-    Per-bin phase accumulation with magnitude interpolation between frames.
-    The input is reflect-padded by half a window so every true sample has
-    full overlap-add coverage (partially covered edges otherwise blow up
-    under the synthesis-window normalization). Output is trimmed/padded to
-    exactly round(N / rate_factor) samples.
+    Per-bin phase accumulation with magnitude interpolation between frames,
+    on the one-sided STFT. The input is reflect-padded by half a window so
+    every true sample has full overlap-add coverage (partially covered edges
+    otherwise blow up under the synthesis-window normalization). Output is
+    trimmed/padded to exactly round(N / rate_factor) samples.
     """
     if rate_factor <= 0:
         raise PipelineError("stretch rate must be > 0")
@@ -98,24 +141,7 @@ def phase_vocoder(x: np.ndarray, rate_factor: float,
     pad = win // 2
     xp = np.pad(x, pad, mode="reflect")
     grid = dsp.stft(xp, win, hop, window_name="hann", n_fft=win)
-    spec = grid.re + 1j * grid.im
-    n_bins, n_frames = spec.shape
-    steps = np.arange(0.0, n_frames - 1, rate_factor)
-    expected = 2.0 * np.pi * hop * np.arange(n_bins) / win
-    mags = np.abs(spec)
-    phases = np.angle(spec)
-    out = np.empty((n_bins, steps.size), dtype=np.complex128)
-    acc = phases[:, 0].copy()
-    for k, s in enumerate(steps):
-        i0 = int(np.floor(s))
-        i1 = min(i0 + 1, n_frames - 1)
-        frac = s - i0
-        mag = (1.0 - frac) * mags[:, i0] + frac * mags[:, i1]
-        out[:, k] = mag * np.exp(1j * acc)
-        dphi = phases[:, i1] - phases[:, i0] - expected
-        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
-        acc += expected + dphi
-    y = _istft_ola(out.real, out.imag, win, hop)
+    y = _istft_ola(_vocoder_spectra(grid.spec.T, rate_factor, win, hop), win, hop)
     start = int(round(pad / rate_factor))
     y = y[start:]
     if y.size >= target_len:

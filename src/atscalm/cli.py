@@ -4,7 +4,7 @@ Every command reads inputs, never mutates them, and writes all artifacts
 under the output directory (``--out``, falling back to $SMSAT_OUT, then
 ``./out``). With a fixed ``--seed`` and ``--jobs 1`` the pipeline is a pure
 function of its inputs: rerunning a command reproduces its artifacts
-byte for byte (wall-clock columns excepted, see train-cam).
+byte for byte. Wall-clock times go to the log, never into artifacts.
 
 Exit codes: 0 success, 1 domain error, 2 usage/config error.
 """
@@ -274,9 +274,8 @@ def cmd_train_cam(args) -> int:
     ckpt = os.path.join(out, "cam.ckpt")
     cam_mod.save_cam(model, ckpt, split_info)
     hist_path = os.path.join(out, "cam_history.csv")
-    # the seconds column is wall-clock and not reproducible across runs
-    write_csv(hist_path, ["epoch", "loss", "acc", "seconds"],
-              [[h["epoch"], h["loss"], h["acc"], h["seconds"]] for h in history])
+    write_csv(hist_path, ["epoch", "loss", "acc"],
+              [[h["epoch"], h["loss"], h["acc"]] for h in history])
     report_path = os.path.join(out, "cam_heldout_eval.json")
     write_json(report_path, json_sanitize(report.to_dict()))
     _record_artifacts(out, "train-cam", [ckpt, hist_path, report_path])
@@ -344,8 +343,6 @@ def cmd_report(args) -> int:
         xs = np.array([float(r[0]) for r in rows])
         series = {}
         for j, name in enumerate(header[1:], start=1):
-            if name == "seconds":
-                continue
             series[name] = (xs, np.array([float(r[j]) for r in rows]))
         svg = plots.line_chart(series, os.path.basename(args.plot_history), header[0], "value")
         path = os.path.join(out, os.path.splitext(os.path.basename(args.plot_history))[0] + ".svg")

@@ -1,8 +1,9 @@
 """Deterministic spectral primitives.
 
 FFT wrapper with power-of-two padding, un-normalized DCT-II, analytic-signal
-envelope, STFT, window functions, and the Mel filterbank. Everything here is
-pure and reentrant; a built filterbank is immutable and can be shared.
+envelope, one-sided STFT, window functions, and the Mel filterbank.
+Everything here is pure and reentrant; a built filterbank is immutable and
+can be shared.
 """
 
 from __future__ import annotations
@@ -125,10 +126,15 @@ def window(name: str, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StftGrid:
-    """Complex STFT frames: (n_fft bins) x (frames), two-sided."""
+    """Complex STFT frames, one-sided: (n_fft//2 + 1 bins) x (frames).
 
-    re: np.ndarray
-    im: np.ndarray
+    ``spec`` is the transpose of the frame-major ``rfft`` result, so
+    ``spec.T`` is C-contiguous with one row per frame. Bin k sits at
+    k * rate / n_fft; the negative frequencies of a real signal are the
+    conjugates of these and are not stored.
+    """
+
+    spec: np.ndarray
     win_len: int
     hop: int
     n_fft: int
@@ -137,7 +143,7 @@ class StftGrid:
 
     @property
     def n_frames(self) -> int:
-        return self.re.shape[1]
+        return self.spec.shape[1]
 
 
 def stft(x, win_len: int, hop: int, window_name: str = "hann",
@@ -145,9 +151,10 @@ def stft(x, win_len: int, hop: int, window_name: str = "hann",
     """Short-time Fourier transform.
 
     Frame count is 1 + floor((N - win_len)/hop); each frame is windowed then
-    transformed at ``n_fft`` (default: next power of two >= win_len, matching
-    the fft() padding policy). No normalization is applied; the window name
-    and sizes are carried in the result metadata.
+    transformed with a real FFT at ``n_fft`` (default: next power of two >=
+    win_len, matching the fft() padding policy), keeping the n_fft//2 + 1
+    non-negative frequency bins. No normalization is applied; the window
+    name and sizes are carried in the result metadata.
     """
     x = np.asarray(x, dtype=np.float64)
     if hop < 1:
@@ -161,10 +168,8 @@ def stft(x, win_len: int, hop: int, window_name: str = "hann",
     w = window(window_name, win_len)
     frames = 1 + (x.size - win_len) // hop
     segs = np.lib.stride_tricks.sliding_window_view(x, win_len)[:: hop][:frames]
-    spec = np.fft.fft(segs * w, n=n_fft, axis=1).T
     return StftGrid(
-        re=np.ascontiguousarray(spec.real),
-        im=np.ascontiguousarray(spec.imag),
+        spec=np.fft.rfft(segs * w, n=n_fft, axis=1).T,
         win_len=win_len,
         hop=hop,
         n_fft=n_fft,

@@ -79,14 +79,13 @@ def _filterbank(params: FeatureParams, rate: float) -> dsp.MelFilterbank:
 def power_spectrogram(clip: AudioClip, params: FeatureParams) -> TimeFreqGrid:
     grid = dsp.stft(clip.samples, params.win, params.hop,
                     window_name=params.window_name, n_fft=params.n_fft, rate=clip.rate)
-    half = params.n_fft // 2 + 1
-    power = grid.re[:half] ** 2 + grid.im[:half] ** 2
+    power = grid.spec.real ** 2 + grid.spec.imag ** 2
     return TimeFreqGrid(
         values=power,
         kind="linear-power",
         rate=clip.rate,
         hop_s=params.hop / clip.rate,
-        bin_centers_hz=np.arange(half) * clip.rate / params.n_fft,
+        bin_centers_hz=np.arange(power.shape[0]) * clip.rate / params.n_fft,
     )
 
 

@@ -1,0 +1,94 @@
+"""Reference front end: the loop phase vocoder and the 65536-block resampler.
+
+These are the straightforward forms the vectorized code in
+`atscalm.augment` and `atscalm.audio_io` replaced. The two-sided vocoder
+runs its own full-length FFT STFT and synthesizes from all win bins, so it
+checks the one-sided pipeline end to end; the one-sided loops below take
+the same spectra as the vectorized code and must agree with it bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from atscalm import dsp
+from atscalm.audio_io import _RESAMPLE_HALF, _RESAMPLE_PHASES, _resample_kernel_table
+
+
+def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarray:
+    """64-tap windowed-sinc resampler gathering (65536, 64) tap blocks."""
+    x = np.asarray(x, dtype=np.float64)
+    if src_rate == dst_rate:
+        return x.copy()
+    ratio = dst_rate / src_rate
+    n_out = int(round(x.size * ratio))
+    half = _RESAMPLE_HALF
+    table = _resample_kernel_table(min(1.0, ratio))
+    out = np.empty(n_out)
+    ks = np.arange(2 * half)
+    xp = np.concatenate([np.zeros(half), x, np.zeros(half + 1)])
+    for start in range(0, n_out, 65536):
+        idx = np.arange(start, min(start + 65536, n_out))
+        pos = idx / ratio
+        base = np.floor(pos).astype(np.int64)
+        frac = pos - base
+        fi = frac * _RESAMPLE_PHASES
+        fi0 = np.floor(fi).astype(np.int64)
+        w = (fi - fi0)[:, None]
+        kern = table[fi0] * (1.0 - w) + table[fi0 + 1] * w
+        tap_idx = base[:, None] + 1 + ks[None, :]
+        out[idx] = np.sum(kern * xp[tap_idx], axis=1)
+    return out
+
+
+def vocoder_spectra_loop(spec: np.ndarray, rate_factor: float, win: int, hop: int) -> np.ndarray:
+    """Step-by-step phase accumulation over (bins, frames) spectra; returns (bins, steps)."""
+    n_bins, n_frames = spec.shape
+    steps = np.arange(0.0, n_frames - 1, rate_factor)
+    expected = 2.0 * np.pi * hop * np.arange(n_bins) / win
+    mags = np.abs(spec)
+    phases = np.angle(spec)
+    out = np.empty((n_bins, steps.size), dtype=np.complex128)
+    acc = phases[:, 0].copy()
+    for k, s in enumerate(steps):
+        i0 = int(np.floor(s))
+        i1 = min(i0 + 1, n_frames - 1)
+        frac = s - i0
+        mag = (1.0 - frac) * mags[:, i0] + frac * mags[:, i1]
+        out[:, k] = mag * np.exp(1j * acc)
+        dphi = phases[:, i1] - phases[:, i0] - expected
+        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+        acc += expected + dphi
+    return out
+
+
+def ola_loop(frames: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """Frame-by-frame overlap-add of (frames, win) time-domain frames."""
+    w = dsp.window("hann", win)
+    n_frames = frames.shape[0]
+    out_len = (n_frames - 1) * hop + win
+    out = np.zeros(out_len)
+    norm = np.zeros(out_len)
+    for m in range(n_frames):
+        out[m * hop : m * hop + win] += frames[m] * w
+        norm[m * hop : m * hop + win] += w * w
+    return out / np.maximum(norm, 1e-8)
+
+
+def phase_vocoder(x: np.ndarray, rate_factor: float, win: int = 1024, hop: int = 256) -> np.ndarray:
+    """The loop vocoder on the two-sided STFT, with the same padding and trim."""
+    x = np.asarray(x, dtype=np.float64)
+    target_len = int(round(x.size / rate_factor))
+    if rate_factor == 1.0:
+        return x.copy()[:target_len]
+    pad = win // 2
+    xp = np.pad(x, pad, mode="reflect")
+    n_frames = 1 + (xp.size - win) // hop
+    segs = np.lib.stride_tricks.sliding_window_view(xp, win)[::hop][:n_frames]
+    spec = np.fft.fft(segs * dsp.window("hann", win), n=win, axis=1).T
+    out = vocoder_spectra_loop(spec, rate_factor, win, hop)
+    y = ola_loop(np.fft.ifft(out, axis=0).real.T[:, :win], win, hop)
+    y = y[int(round(pad / rate_factor)):]
+    if y.size >= target_len:
+        return y[:target_len]
+    return np.concatenate([y, np.zeros(target_len - y.size)])

@@ -5,6 +5,7 @@ import wave
 import numpy as np
 import pytest
 
+import frontend_oracle
 from atscalm import audio_io as aio
 from atscalm.util import PipelineError, keyed_rng
 from atscalm.validation import peak_frequency
@@ -18,16 +19,21 @@ def write_pcm16(path, samples_int16, rate=16000, channels=1):
         fh.writeframes(np.asarray(samples_int16, dtype="<i2").tobytes())
 
 
-def write_float32(path, samples, rate=16000):
-    data = np.asarray(samples, dtype="<f4").tobytes()
+def write_riff(path, data, audio_format, channels, bits, rate=16000):
+    """A canonical 44-byte-header WAV around raw ``data`` bytes, taken as given."""
+    block = channels * bits // 8
     with open(path, "wb") as fh:
         fh.write(b"RIFF")
         fh.write(struct.pack("<I", 36 + len(data)))
         fh.write(b"WAVEfmt ")
-        fh.write(struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32))
+        fh.write(struct.pack("<IHHIIHH", 16, audio_format, channels, rate, rate * block, block, bits))
         fh.write(b"data")
         fh.write(struct.pack("<I", len(data)))
         fh.write(data)
+
+
+def write_float32(path, samples, rate=16000):
+    write_riff(path, np.asarray(samples, dtype="<f4").tobytes(), 3, 1, 32, rate)
 
 
 class TestLoadWav:
@@ -78,6 +84,14 @@ class TestLoadWav:
         path = tmp_path / "empty.wav"
         write_pcm16(path, np.zeros(0, dtype="<i2"))
         with pytest.raises(PipelineError):
+            aio.load_wav(str(path))
+
+    @pytest.mark.parametrize("channels,n_bytes", [(1, 101), (2, 202)])
+    def test_partial_frame_named(self, tmp_path, channels, n_bytes):
+        # an odd byte count (mono) or an odd sample count (stereo)
+        path = tmp_path / "partial.wav"
+        write_riff(path, bytes(n_bytes), 1, channels, 16)
+        with pytest.raises(PipelineError, match="partial.wav.*not a whole number"):
             aio.load_wav(str(path))
 
     def test_unsupported_encoding(self, tmp_path):
@@ -145,6 +159,12 @@ class TestManifest:
         with pytest.raises(PipelineError):
             aio.build_manifest(str(tmp_path))
 
+    def test_zero_rate_header_named(self, tmp_path):
+        self._mk_corpus(str(tmp_path))
+        write_riff(tmp_path / "Music" / "clip_0.wav", bytes(3200), 1, 1, 16, rate=0)
+        with pytest.raises(PipelineError, match="clip_0.wav: cannot determine duration"):
+            aio.build_manifest(str(tmp_path))
+
     def test_save_load_roundtrip(self, tmp_path):
         self._mk_corpus(str(tmp_path), per_class=2)
         man = aio.build_manifest(str(tmp_path))
@@ -158,6 +178,25 @@ class TestManifest:
 
 
 class TestResample:
+    @pytest.mark.parametrize("src,dst", [(0, 16000), (-8000, 16000), (16000, 0)])
+    def test_nonpositive_rate_named(self, src, dst):
+        bad = src if src <= 0 else dst
+        with pytest.raises(PipelineError, match=f"rate must be positive, got {bad}"):
+            aio.resample_signal(np.ones(100), src, dst)
+
+    @pytest.mark.parametrize("n,src,dst", [
+        (16000, 16000, 44100),                  # up
+        (44100, 44100, 16000),                  # down
+        (20000, 16000, 16001),                  # ratio near 1
+        (3001, 16000 * 2 ** (1.5 / 12), 16000),  # pitch-shift ratio, n_out off the block size
+        (70001, 16000, 16000 * 2 ** (-1 / 12)),  # more than one oracle block
+    ])
+    def test_bit_identical_to_block_oracle(self, n, src, dst):
+        x = keyed_rng("rs-oracle", n).normal(0, 0.3, n)
+        got = aio.resample_signal(x, src, dst)
+        assert got.size % aio._RESAMPLE_BLOCK != 0
+        assert np.array_equal(got, frontend_oracle.resample_signal(x, src, dst))
+
     def test_identity(self):
         clip = aio.AudioClip(keyed_rng("rs", 0).normal(0, 0.1, 1000), 16000)
         out = aio.resample(clip, 16000)

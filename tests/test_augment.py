@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import frontend_oracle
 from atscalm import audio_io as aio
 from atscalm import augment as aug
+from atscalm import dsp
 from atscalm.features import TimeFreqGrid
 from atscalm.util import PipelineError, keyed_rng
 from atscalm.validation import peak_frequency
@@ -73,6 +75,36 @@ class TestTimeStretch:
     def test_too_short_rejected(self):
         with pytest.raises(PipelineError):
             aug.time_stretch(aio.AudioClip(np.ones(100), 16000), 1.5)
+
+
+class TestVocoderOracle:
+    @pytest.mark.parametrize("win,hop", [(1024, 256), (1000, 300)])
+    @pytest.mark.parametrize("rate", [0.8, 1.25, 1 / 2 ** (1.7 / 12)])
+    def test_bit_identical_to_loops_on_same_spectra(self, win, hop, rate):
+        x = keyed_rng("pv-oracle", win).normal(0, 0.3, 12000)
+        grid = dsp.stft(np.pad(x, win // 2, mode="reflect"), win, hop, n_fft=win)
+        spectra = aug._vocoder_spectra(grid.spec.T, rate, win, hop)
+        loop = frontend_oracle.vocoder_spectra_loop(grid.spec, rate, win, hop)
+        assert np.array_equal(spectra, loop.T)
+        frames = np.fft.irfft(spectra, n=win, axis=1)
+        assert np.array_equal(aug._istft_ola(spectra, win, hop),
+                              frontend_oracle.ola_loop(frames, win, hop))
+
+    def test_pipeline_matches_two_sided_oracle(self, monkeypatch):
+        # the one-sided synthesis drops the mirrored bins, whose phases the
+        # two-sided loop accumulated separately; the difference stays far
+        # below one 16-bit step (2**-15)
+        clip = tone_clip(440)
+        clip.samples += keyed_rng("pv-pipe", 0).normal(0, 0.05, clip.samples.size)
+        cfg = aug.AugmentConfig(seed=4)
+        got = aug.augment_pipeline(clip, cfg)
+        monkeypatch.setattr(aug, "phase_vocoder", frontend_oracle.phase_vocoder)
+        monkeypatch.setattr(aug, "resample_signal", frontend_oracle.resample_signal)
+        want = aug.augment_pipeline(clip, cfg)
+        peak = np.max(np.abs(clip.samples))
+        for a, b in zip(got, want):
+            assert a.samples.size == b.samples.size
+            assert np.max(np.abs(a.samples - b.samples)) <= 1e-6 * peak
 
 
 class TestPitchShift:

@@ -52,6 +52,70 @@ class TestFeatures:
         assert run(["--out", out, "features", str(tmp_path / "nope.json")]) == 1
 
 
+def _tree_bytes(root):
+    """{relative path: file bytes} for every file under root."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            full = os.path.join(dirpath, name)
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
+    return out
+
+
+class TestAugment:
+    def test_rerun_byte_identical(self, tmp_path):
+        trees = []
+        for run_dir in ("a", "b"):
+            out = str(tmp_path / run_dir)
+            assert run(["--out", out, "--seed", "4", "synth", "--n", "1", "--duration", "1.0"]) == 0
+            manifest = os.path.join(out, "corpus", "manifest.json")
+            assert run(["--out", out, "--seed", "4", "augment", manifest]) == 0
+            trees.append(_tree_bytes(os.path.join(out, "augmented")))
+        assert len(trees[0]) == 3 * 5 + 1
+        assert "manifest.json" in trees[0]
+        assert trees[0] == trees[1]
+
+
+class TestBadInput:
+    def test_partial_frame_wav_validate_exits_1(self, tmp_path, caplog, capsys):
+        out = str(tmp_path / "out")
+        run(["--out", out, "--seed", "1", "synth", "--n", "1", "--duration", "1.0"])
+        corpus = os.path.join(out, "corpus")
+        bad = os.path.join(corpus, "Music", "clip_000.wav")
+        with open(bad, "rb") as fh:
+            blob = bytearray(fh.read())
+        # one stray byte in the data chunk: RIFF and data sizes both grow by 1
+        blob += b"\x00"
+        blob[4:8] = (int.from_bytes(blob[4:8], "little") + 1).to_bytes(4, "little")
+        blob[40:44] = (int.from_bytes(blob[40:44], "little") + 1).to_bytes(4, "little")
+        with open(bad, "wb") as fh:
+            fh.write(blob)
+        assert run(["--out", out, "validate", corpus]) == 1
+        assert "clip_000.wav" in caplog.text and "not a whole number" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestTrainCam:
+    def test_history_rerun_byte_identical(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"cam": {"hidden": 8, "fc_dim": 4, "batch": 16}}')
+        base = ["--config", str(cfg), "--seed", "6"]
+        hist = []
+        for run_dir in ("a", "b"):
+            out = str(tmp_path / run_dir)
+            assert run(base + ["--out", out, "synth", "--n", "2", "--duration", "1.0"]) == 0
+            assert run(base + ["--out", out, "features",
+                               os.path.join(out, "corpus", "manifest.json")]) == 0
+            assert run(base + ["--out", out, "train-cam", os.path.join(out, "features.csv"),
+                               "--epochs", "2"]) == 0
+            with open(os.path.join(out, "cam_history.csv"), "rb") as fh:
+                hist.append(fh.read())
+        assert hist[0].splitlines()[0] == b"epoch,loss,acc"
+        assert len(hist[0].splitlines()) == 3
+        assert hist[0] == hist[1]
+
+
 class TestReport:
     def test_print_default_config(self, capsys):
         assert run(["report", "--print-default-config"]) == 0

@@ -143,17 +143,21 @@ class TestStft:
 
     def test_rect_dc(self):
         grid = dsp.stft(np.ones(1024), 128, 64, window_name="rect")
-        mags = np.hypot(grid.re[0], grid.im[0])
+        mags = np.abs(grid.spec[0])
         assert np.allclose(mags, 128.0, atol=1e-9)
 
     def test_parseval_per_frame(self):
         x = keyed_rng("stft", 2).normal(0, 1, 2000)
         win_len, hop = 256, 100
         grid = dsp.stft(x, win_len, hop)
+        assert grid.spec.shape == (grid.n_fft // 2 + 1, grid.n_frames)
         w = dsp.window("hann", win_len)
+        # one-sided bins: DC and Nyquist once, every other bin for itself and its mirror
+        weights = np.full(grid.n_fft // 2 + 1, 2.0)
+        weights[0] = weights[-1] = 1.0
         for m in range(grid.n_frames):
             seg = x[m * hop : m * hop + win_len] * w
-            lhs = np.sum(grid.re[:, m] ** 2 + grid.im[:, m] ** 2) / grid.n_fft
+            lhs = np.sum(weights * np.abs(grid.spec[:, m]) ** 2) / grid.n_fft
             rhs = np.sum(seg**2)
             assert abs(lhs - rhs) / max(rhs, 1e-12) < 1e-6
 
@@ -163,7 +167,7 @@ class TestStft:
         grid = dsp.stft(x, win, win, window_name="rect")
         rec = []
         for m in range(grid.n_frames):
-            frame = np.fft.ifft(grid.re[:, m] + 1j * grid.im[:, m]).real[:win]
+            frame = np.fft.irfft(grid.spec[:, m], n=grid.n_fft)[:win]
             rec.append(frame)
         assert np.max(np.abs(np.concatenate(rec) - x)) < 1e-9
 

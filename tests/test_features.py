@@ -48,7 +48,8 @@ def mfcc_two_loop_oracle(clip, params):
     grid = dsp.stft(clip.samples, params.win, params.hop,
                     window_name=params.window_name, n_fft=params.n_fft, rate=clip.rate)
     half = params.n_fft // 2 + 1
-    power = grid.re[:half] ** 2 + grid.im[:half] ** 2
+    assert grid.spec.shape[0] == half
+    power = np.abs(grid.spec) ** 2
     fb = dsp.build_mel_filterbank(params.n_mels, params.n_fft, clip.rate,
                                   params.f_lo, params.f_hi)
     out = np.zeros((13, grid.n_frames))
