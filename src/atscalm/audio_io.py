@@ -8,11 +8,12 @@ is 16 kHz and downstream modules assume clips were resampled on ingest.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import os
 import struct
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,28 +81,32 @@ class AudioClip:
         return self.samples.size / self.rate
 
 
-def load_wav(path: str) -> AudioClip:
-    """Read a RIFF/WAVE file (PCM16 or float32, mono/stereo) as mono float."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise PipelineError(f"cannot read {path}: {exc}") from exc
-    if len(blob) < 12 or blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":
+def _read_header(fh, path: str) -> tuple[int, int, int, int, int, int]:
+    """Walk the RIFF chunks of an open WAV file up to its ``fmt `` and ``data``.
+
+    Returns (format, channels, rate, bits, data offset, data size). Only
+    chunk headers and the ``fmt `` body are read, and each chunk size is
+    checked against the file length, so no sample byte is touched.
+    """
+    file_len = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise PipelineError(f"{path}: not a RIFF/WAVE file")
     fmt = None
     data = None
     pos = 12
-    while pos + 8 <= len(blob):
-        cid = blob[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", blob, pos + 4)
-        body = blob[pos + 8 : pos + 8 + size]
+    while pos + 8 <= file_len and (fmt is None or data is None):
+        fh.seek(pos)
+        cid, size = struct.unpack("<4sI", fh.read(8))
+        if pos + 8 + size > file_len:
+            raise PipelineError(f"{path}: {cid!r} chunk of {size} bytes runs past the "
+                                f"end of the {file_len}-byte file")
         if cid == b"fmt ":
-            if len(body) < 16:
+            if size < 16:
                 raise PipelineError(f"{path}: truncated fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = struct.unpack("<HHIIHH", fh.read(16))
         elif cid == b"data":
-            data = body
+            data = (pos + 8, size)
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:
         raise PipelineError(f"{path}: missing fmt or data chunk")
@@ -113,22 +118,35 @@ def load_wav(path: str) -> AudioClip:
             f"{path}: unsupported encoding (format={audio_format}, bits={bits}); "
             "expected PCM 16-bit or IEEE float 32-bit"
         )
-    frame_bytes = n_ch * bits // 8
-    if len(data) % frame_bytes:
+    if rate == 0:
+        raise PipelineError(f"{path}: cannot determine duration: sample rate is 0")
+    if data[1] % (n_ch * bits // 8):
         raise PipelineError(
-            f"{path}: data chunk of {len(data)} bytes is not a whole number of "
+            f"{path}: data chunk of {data[1]} bytes is not a whole number of "
             f"{n_ch}-channel {bits}-bit frames"
         )
+    if data[1] == 0:
+        raise PipelineError(f"{path}: zero-length audio")
+    return audio_format, n_ch, rate, bits, *data
+
+
+def load_wav(path: str) -> AudioClip:
+    """Read a RIFF/WAVE file (PCM16 or float32, mono/stereo) as mono float."""
+    try:
+        with open(path, "rb") as fh:
+            audio_format, n_ch, rate, _bits, offset, size = _read_header(fh, path)
+            fh.seek(offset)
+            data = fh.read(size)
+    except OSError as exc:
+        raise PipelineError(f"cannot read {path}: {exc}") from exc
     if audio_format == 1:
         raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     else:
         raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    if raw.size == 0:
-        raise PipelineError(f"{path}: zero-length audio")
     if n_ch == 2:
         raw = raw.reshape(-1, 2).mean(axis=1)
     stem = os.path.splitext(os.path.basename(path))[0]
-    return AudioClip(samples=raw, rate=int(rate), id=stem)
+    return AudioClip(samples=raw, rate=rate, id=stem)
 
 
 def save_wav(clip: AudioClip, path: str) -> None:
@@ -160,12 +178,11 @@ class ManifestEntry:
 @dataclass
 class CorpusManifest:
     entries: list[ManifestEntry]
-    counts: dict[ClassLabel, int]
     root: str = "."      # directory entry paths are relative to
 
-    def __post_init__(self):
-        if sum(self.counts.values()) != len(self.entries):
-            raise PipelineError("manifest counts do not sum to the entry count")
+    @property
+    def counts(self) -> dict[ClassLabel, int]:
+        return {lab: sum(e.label == lab for e in self.entries) for lab in LABELS}
 
     def load_clip(self, entry: ManifestEntry, target_rate: int | None = None) -> AudioClip:
         clip = load_wav(os.path.join(self.root, entry.path))
@@ -180,37 +197,18 @@ def _entry_for(root: str, rel_path: str, label: ClassLabel) -> ManifestEntry:
     # header-only probe; full decode happens on demand via load_clip
     full = os.path.join(root, rel_path)
     with open(full, "rb") as fh:
-        blob = fh.read(64 * 1024)
-    if len(blob) < 12 or blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise PipelineError(f"{full}: not a RIFF/WAVE file")
-    pos = 12
-    rate = None
-    n_frames = None
-    bits = 16
-    n_ch = 1
-    while pos + 8 <= len(blob):
-        cid = blob[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", blob, pos + 4)
-        if cid == b"fmt ":
-            _, n_ch, rate, _, _, bits = struct.unpack_from("<HHIIHH", blob, pos + 8)
-        elif cid == b"data":
-            n_frames = size // max(1, n_ch * (bits // 8))
-            break
-        pos += 8 + size + (size & 1)
-    if not rate or not n_frames:
-        raise PipelineError(f"{full}: cannot determine duration from header")
-    return ManifestEntry(rel_path, label, n_frames / rate, int(rate))
+        _, n_ch, rate, bits, _, size = _read_header(fh, full)
+    return ManifestEntry(rel_path, label, size // (n_ch * bits // 8) / rate, rate)
 
 
-def build_manifest(root: str, class_dir_map: dict[ClassLabel, str] | None = None) -> CorpusManifest:
+def build_manifest(root: str,
+                   class_dir_map: dict[ClassLabel, str] = DEFAULT_CLASS_DIRS) -> CorpusManifest:
     """Scan ``root`` for per-class subdirectories of WAV files.
 
     Entries are sorted lexicographically by relative path so the manifest is
     deterministic across platforms. Subdirectories not named in the map are
     skipped with a warning.
     """
-    if class_dir_map is None:
-        class_dir_map = DEFAULT_CLASS_DIRS
     if not os.path.isdir(root):
         raise PipelineError(f"corpus root {root!r} does not exist")
     dir_to_label = {d: lab for lab, d in class_dir_map.items()}
@@ -233,10 +231,7 @@ def build_manifest(root: str, class_dir_map: dict[ClassLabel, str] | None = None
     if not entries:
         raise PipelineError(f"empty corpus under {root!r}")
     entries.sort(key=lambda e: e.path)
-    counts = {lab: 0 for lab in LABELS}
-    for e in entries:
-        counts[e.label] += 1
-    return CorpusManifest(entries=entries, counts=counts, root=root)
+    return CorpusManifest(entries=entries, root=root)
 
 
 def save_manifest(manifest: CorpusManifest, path: str) -> None:
@@ -250,7 +245,7 @@ def save_manifest(manifest: CorpusManifest, path: str) -> None:
             }
             for e in manifest.entries
         ],
-        "counts": {lab.value: manifest.counts.get(lab, 0) for lab in LABELS},
+        "counts": {lab.value: n for lab, n in manifest.counts.items()},
     }
     write_json(path, obj)
 
@@ -267,38 +262,37 @@ def load_manifest(path: str) -> CorpusManifest:
         )
         for item in obj["entries"]
     ]
-    counts = {parse_label(k): int(v) for k, v in obj["counts"].items()}
-    return CorpusManifest(entries=entries, counts=counts, root=root)
+    manifest = CorpusManifest(entries=entries, root=root)
+    stored = {parse_label(k): int(v) for k, v in obj["counts"].items()}
+    if any(stored.get(lab, 0) != n for lab, n in manifest.counts.items()):
+        raise PipelineError(f"{path}: stored class counts do not match the entries")
+    return manifest
 
 
 _RESAMPLE_HALF = 32      # 64 taps
 _RESAMPLE_BETA = 8.0
 _RESAMPLE_PHASES = 512   # kernel table resolution per unit tap offset
 _RESAMPLE_BLOCK = 1024   # outputs per tap block: (1024, 64) float64 is 512 KiB
-_kernel_cache: dict[float, np.ndarray] = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _resample_kernel_table(cutoff: float) -> np.ndarray:
     """(phases+1, 64) table of the Kaiser-windowed sinc at fractional offsets.
 
     Row p holds the 64 tap weights for fractional position p/phases; rows
     are linearly interpolated at lookup time (error ~1e-6 of peak).
     """
-    table = _kernel_cache.get(cutoff)
-    if table is None:
-        half = _RESAMPLE_HALF
-        fracs = np.arange(_RESAMPLE_PHASES + 1) / _RESAMPLE_PHASES
-        ks = np.arange(2 * half)
-        u = fracs[:, None] + (half - 1) - ks[None, :]
-        t = u / half
-        win = np.where(
-            np.abs(t) <= 1.0,
-            np.i0(_RESAMPLE_BETA * np.sqrt(np.maximum(0.0, 1.0 - t * t))) / np.i0(_RESAMPLE_BETA),
-            0.0,
-        )
-        table = cutoff * np.sinc(cutoff * u) * win
-        _kernel_cache[cutoff] = table
-    return table
+    half = _RESAMPLE_HALF
+    fracs = np.arange(_RESAMPLE_PHASES + 1) / _RESAMPLE_PHASES
+    ks = np.arange(2 * half)
+    u = fracs[:, None] + (half - 1) - ks[None, :]
+    t = u / half
+    win = np.where(
+        np.abs(t) <= 1.0,
+        np.i0(_RESAMPLE_BETA * np.sqrt(np.maximum(0.0, 1.0 - t * t))) / np.i0(_RESAMPLE_BETA),
+        0.0,
+    )
+    return cutoff * np.sinc(cutoff * u) * win
 
 
 def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarray:
@@ -340,12 +334,12 @@ def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarr
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    if target_rate <= 0:
-        raise PipelineError("target rate must be positive")
-    if target_rate == clip.rate:
-        return AudioClip(clip.samples.copy(), clip.rate, clip.label, clip.id)
     y = resample_signal(clip.samples, clip.rate, target_rate)
     return AudioClip(y, target_rate, clip.label, clip.id)
+
+
+# lower clamp of the synthetic envelope, keeping the analytic envelope well defined
+ENVELOPE_FLOOR = 0.1
 
 
 @dataclass
@@ -354,20 +348,22 @@ class SynthConfig:
     duration_s: float = 2.0
     seed: int = 0
     snr_db: float | None = None   # None = noise-free
-    rate: int = CANONICAL_RATE
-    envelope_floor: float = 0.1
+
+    def __post_init__(self):
+        if self.n_per_class < 1:
+            raise PipelineError("n_per_class must be >= 1")
 
 
-def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig) -> np.ndarray:
+def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig,
+                 rate: int = CANONICAL_RATE) -> np.ndarray:
     """One synthetic clip: slowly modulated tone at the class frequency.
 
     The envelope is 0.5 plus up to three sinusoids below 2 Hz, clamped to
-    the configured floor so the analytic envelope stays well defined; the
-    carrier starts at phase 0.
+    ENVELOPE_FLOOR; the carrier starts at phase 0.
     """
     rng = keyed_rng(cfg.seed, "synth", label.value, index)
-    n = int(round(cfg.duration_s * cfg.rate))
-    t = np.arange(n) / cfg.rate
+    n = int(round(cfg.duration_s * rate))
+    t = np.arange(n) / rate
     n_comp = int(rng.integers(1, 4))
     freqs = rng.uniform(0.2, 2.0, n_comp)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_comp)
@@ -376,7 +372,7 @@ def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig) -> np.ndarray:
     # class tone stays the dominant factor of variation across the corpus
     amps *= rng.uniform(0.1, 0.2) / amps.sum()
     env = 0.5 + sum(a * np.cos(2.0 * np.pi * f * t + p) for a, f, p in zip(amps, freqs, phases))
-    env = np.maximum(env, cfg.envelope_floor)
+    env = np.maximum(env, ENVELOPE_FLOOR)
     x = env * np.cos(2.0 * np.pi * CLASS_TONE_HZ[label] * t)
     if cfg.snr_db is not None:
         p_sig = float(np.mean(x * x))
@@ -386,28 +382,24 @@ def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig) -> np.ndarray:
 
 
 def synth_corpus(out_dir: str, cfg: SynthConfig,
-                 class_dir_map: dict[ClassLabel, str] | None = None) -> CorpusManifest:
+                 class_dir_map: dict[ClassLabel, str] = DEFAULT_CLASS_DIRS,
+                 rate: int = CANONICAL_RATE) -> CorpusManifest:
     """Generate a labeled synthetic corpus on disk plus its manifest.
 
     Pure function of the config: the same seed yields bit-identical WAV
     files and manifest.
     """
-    if cfg.n_per_class < 1:
-        raise PipelineError("n_per_class must be >= 1")
-    if class_dir_map is None:
-        class_dir_map = DEFAULT_CLASS_DIRS
     os.makedirs(out_dir, exist_ok=True)
     entries: list[ManifestEntry] = []
     for label in LABELS:
         sub = class_dir_map[label]
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
         for i in range(cfg.n_per_class):
-            x = synth_signal(label, i, cfg)
+            x = synth_signal(label, i, cfg, rate)
             rel = os.path.join(sub, f"clip_{i:03d}.wav")
-            save_wav(AudioClip(x, cfg.rate, label), os.path.join(out_dir, rel))
-            entries.append(ManifestEntry(rel, label, len(x) / cfg.rate, cfg.rate))
+            save_wav(AudioClip(x, rate, label), os.path.join(out_dir, rel))
+            entries.append(ManifestEntry(rel, label, len(x) / rate, rate))
     entries.sort(key=lambda e: e.path)
-    counts = {lab: cfg.n_per_class for lab in LABELS}
-    manifest = CorpusManifest(entries=entries, counts=counts, root=out_dir)
+    manifest = CorpusManifest(entries=entries, root=out_dir)
     save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest

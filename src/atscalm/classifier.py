@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .features import N_FEATURES
 from .nn import (Adam, LstmWeights, Tensor, bilstm_final, init_lstm,
                  load_checkpoint, lstm_param_count, no_grad, save_checkpoint, seeded_init)
 from .nn.ops import dropout, linear, relu, softmax, softmax_crossentropy
-from .util import PipelineError, keyed_rng
+from .util import PipelineError, dataclass_from_dict, keyed_rng
 
 log = logging.getLogger(__name__)
 
@@ -51,9 +51,9 @@ class CamConfig:
 
 
 class BiLstmClassifier:
-    def __init__(self, cfg: CamConfig, seed=None):
+    def __init__(self, cfg: CamConfig):
         self.cfg = cfg
-        seed = cfg.seed if seed is None else seed
+        seed = cfg.seed
         step_dim = 1 if cfg.mode == "sequence" else cfg.input_dim
         self.fwd = init_lstm(step_dim, cfg.hidden, (seed, "fwd"))
         self.bwd = init_lstm(step_dim, cfg.hidden, (seed, "bwd"))
@@ -103,16 +103,13 @@ class BiLstmClassifier:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, p in self.parameters().items():
-            if name not in arrays or arrays[name].shape != p.data.shape:
+        for name, current in self.state_arrays().items():
+            if name not in arrays or arrays[name].shape != current.shape:
                 raise PipelineError(f"checkpoint tensor {name} missing or wrong shape")
+        for name, p in self.parameters().items():
             p.data = arrays[name].copy()
         self.norm_mean = arrays["norm.mean"].copy()
         self.norm_std = arrays["norm.std"].copy()
-
-
-def build_cam(cfg: CamConfig, seed=None) -> BiLstmClassifier:
-    return BiLstmClassifier(cfg, seed)
 
 
 def count_cam_parameters(model: BiLstmClassifier) -> int:
@@ -272,8 +269,6 @@ def evaluate(model: BiLstmClassifier, rows) -> EvalReport:
 
 
 def save_cam(model: BiLstmClassifier, path: str, split_info: dict | None = None) -> None:
-    from dataclasses import asdict
-
     meta = {"kind": "cam", "config": asdict(model.cfg)}
     if split_info is not None:
         meta["split"] = split_info
@@ -284,7 +279,7 @@ def load_cam(path: str) -> tuple[BiLstmClassifier, dict]:
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != "cam":
         raise PipelineError(f"{path}: not a classifier checkpoint")
-    cfg = CamConfig(**meta["config"])
+    cfg = dataclass_from_dict(CamConfig, meta.get("config"), f"{path} config")
     model = BiLstmClassifier(cfg)
     model.load_state(arrays)
     return model, meta

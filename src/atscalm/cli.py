@@ -12,23 +12,23 @@ Exit codes: 0 success, 1 domain error, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import augment as aug_mod
 from . import classifier as cam_mod
 from . import embedding_eval, encoder, features, plots, stats, tsne, validation
-from .audio_io import (LABELS, AudioClip, CorpusManifest, build_manifest,
+from .audio_io import (LABELS, CorpusManifest, ManifestEntry, build_manifest,
                        load_manifest, parse_label, save_manifest, save_wav,
-                       synth_corpus, SynthConfig)
-from .config import (RunConfig, config_to_dict, default_config, load_config)
-from .encoder import EncoderConfig
+                       synth_corpus)
+from .config import RunConfig, load_config
 from .util import (ConfigError, PipelineError, ensure_dir, json_sanitize,
-                   read_json, write_csv, write_json)
+                   parallel_map, read_csv, read_json, write_csv, write_json)
 
 log = logging.getLogger("atscalm")
 
@@ -39,7 +39,7 @@ def _out_dir(args) -> str:
 
 
 def _config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.override_seed(args.seed)
     return cfg
@@ -53,18 +53,23 @@ def _record_artifacts(out: str, command: str, paths: list[str]) -> None:
     write_json(index_path, index)
 
 
+def _write_svg(path: str, svg: str) -> str:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(svg)
+    return path
+
+
 def cmd_synth(args) -> int:
     cfg = _config(args)
     out = _out_dir(args)
     corpus_dir = os.path.join(out, "corpus")
-    synth_cfg = SynthConfig(
+    synth_cfg = replace(
+        cfg.synth,
         n_per_class=args.n or cfg.synth.n_per_class,
         duration_s=args.duration or cfg.synth.duration_s,
-        seed=cfg.synth.seed,
         snr_db=cfg.synth.snr_db if args.snr_db is None else args.snr_db,
-        rate=cfg.rate,
     )
-    manifest = synth_corpus(corpus_dir, synth_cfg, cfg.class_dir_map())
+    manifest = synth_corpus(corpus_dir, synth_cfg, cfg.class_dir_map(), cfg.rate)
     produced = [os.path.join(corpus_dir, e.path) for e in manifest.entries]
     produced.append(os.path.join(corpus_dir, "manifest.json"))
     _record_artifacts(out, "synth", produced)
@@ -101,10 +106,8 @@ def cmd_validate(args) -> int:
             wave_svg, spec_svg = plots.validation_overlay(
                 clip.samples, theo, clip.rate, label.value)
             for suffix, svg in (("wave", wave_svg), ("spectrum", spec_svg)):
-                p = os.path.join(out, f"validation_{label.value}_{suffix}.svg")
-                with open(p, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(svg)
-                produced.append(p)
+                produced.append(_write_svg(
+                    os.path.join(out, f"validation_{label.value}_{suffix}.svg"), svg))
     _record_artifacts(out, "validate", produced)
     log.info("validation report at %s", json_path)
     return 0
@@ -121,22 +124,17 @@ def cmd_augment(args) -> int:
         clip = manifest.load_clip(entry, target_rate=cfg.rate)
         rel_orig = os.path.relpath(
             os.path.join(manifest.root, entry.path), aug_dir).replace(os.sep, "/")
-        entries.append((rel_orig, entry.label, clip.duration_s, clip.rate))
+        entries.append(ManifestEntry(rel_orig, entry.label, clip.duration_s, clip.rate))
         for var in aug_mod.augment_pipeline(clip, cfg.augment):
             rel = f"{os.path.splitext(entry.path)[0]}.aug{var.id.rsplit('aug', 1)[1]}.wav"
             full = os.path.join(aug_dir, rel)
             ensure_dir(os.path.dirname(full))
             save_wav(var, full)
-            entries.append((rel.replace(os.sep, "/"), entry.label, var.duration_s, var.rate))
+            entries.append(ManifestEntry(
+                rel.replace(os.sep, "/"), entry.label, var.duration_s, var.rate))
             produced.append(full)
-    from .audio_io import ManifestEntry
-
-    man_entries = sorted(
-        (ManifestEntry(p, lab, d, r) for p, lab, d, r in entries), key=lambda e: e.path)
-    counts = {lab: 0 for lab in LABELS}
-    for e in man_entries:
-        counts[e.label] += 1
-    aug_manifest = CorpusManifest(entries=man_entries, counts=counts, root=aug_dir)
+    entries.sort(key=lambda e: e.path)
+    aug_manifest = CorpusManifest(entries=entries, root=aug_dir)
     man_path = os.path.join(aug_dir, "manifest.json")
     save_manifest(aug_manifest, man_path)
     produced.append(man_path)
@@ -150,12 +148,7 @@ def _extract_rows(manifest: CorpusManifest, cfg: RunConfig, jobs: int):
         clip = manifest.load_clip(entry, target_rate=cfg.rate)
         return clip.id, entry.label.value, features.extract_features(clip, cfg.features)
 
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(work, manifest.entries))
-    return [work(e) for e in manifest.entries]
+    return parallel_map(work, manifest.entries, jobs)
 
 
 def cmd_features(args) -> int:
@@ -174,13 +167,8 @@ def cmd_train_encoder(args) -> int:
     cfg = _config(args)
     out = _out_dir(args)
     manifest = _load_corpus(args, cfg)
-    enc_cfg = EncoderConfig(
-        widths=cfg.encoder.widths, blocks=cfg.encoder.blocks,
-        proj_dim=cfg.encoder.proj_dim, width_scale=cfg.encoder.width_scale,
-        n_mels=cfg.features.n_mels, frames=cfg.encoder.frames,
-        uniformity_weight=cfg.encoder.uniformity_weight)
     model, history = encoder.train_encoder(
-        manifest, enc_cfg, cfg.augment, cfg.features,
+        manifest, cfg.encoder.architecture(), cfg.augment, cfg.features,
         epochs=args.epochs or cfg.encoder.epochs, lr=cfg.encoder.lr,
         seed=cfg.encoder.seed, batch_pairs=cfg.encoder.batch_pairs,
         val_fraction=cfg.encoder.val_fraction, target_rate=cfg.rate)
@@ -216,8 +204,6 @@ def cmd_embed(args) -> int:
 
 
 def _read_embeddings(path: str) -> list[encoder.Embedding]:
-    from .util import read_csv
-
     header, rows = read_csv(path)
     if header[:2] != ["id", "label"]:
         raise PipelineError(f"unexpected embeddings header in {path}")
@@ -251,10 +237,7 @@ def cmd_eval_embeddings(args) -> int:
             svg = plots.scatter_chart(
                 [(float(px), float(py), e.label.value) for e, (px, py) in zip(embs, y)],
                 "2-d embedding map")
-            svg_path = os.path.join(out, "tsne.svg")
-            with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(svg)
-            produced.append(svg_path)
+            produced.append(_write_svg(os.path.join(out, "tsne.svg"), svg))
     else:
         log.warning("fewer than 5 embeddings: skipping the 2-d projection")
     _record_artifacts(out, "eval-embeddings", produced)
@@ -267,8 +250,6 @@ def cmd_train_cam(args) -> int:
     rows = features.read_features_csv(args.features)
     cam_cfg = cfg.cam
     if args.epochs:
-        from dataclasses import replace
-
         cam_cfg = replace(cam_cfg, epochs=args.epochs)
     model, history, report, split_info = cam_mod.train_cam(rows, cam_cfg)
     ckpt = os.path.join(out, "cam.ckpt")
@@ -329,16 +310,11 @@ def cmd_calmness(args) -> int:
 
 def cmd_report(args) -> int:
     if args.print_default_config:
-        import json
-
-        print(json.dumps(json_sanitize(config_to_dict(default_config())),
-                         sort_keys=True, indent=2))
+        print(json.dumps(json_sanitize(asdict(RunConfig())), sort_keys=True, indent=2))
         return 0
     out = _out_dir(args)
     produced = []
     if args.plot_history:
-        from .util import read_csv
-
         header, rows = read_csv(args.plot_history)
         xs = np.array([float(r[0]) for r in rows])
         series = {}
@@ -346,19 +322,13 @@ def cmd_report(args) -> int:
             series[name] = (xs, np.array([float(r[j]) for r in rows]))
         svg = plots.line_chart(series, os.path.basename(args.plot_history), header[0], "value")
         path = os.path.join(out, os.path.splitext(os.path.basename(args.plot_history))[0] + ".svg")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-        produced.append(path)
+        produced.append(_write_svg(path, svg))
     if args.plot_tsne:
-        from .util import read_csv
-
         header, rows = read_csv(args.plot_tsne)
         svg = plots.scatter_chart(
             [(float(r[2]), float(r[3]), r[1]) for r in rows], "2-d embedding map")
         path = os.path.join(out, os.path.splitext(os.path.basename(args.plot_tsne))[0] + ".svg")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-        produced.append(path)
+        produced.append(_write_svg(path, svg))
     if not produced:
         print("nothing to do: pass --print-default-config, --plot-history, or --plot-tsne")
         return 2

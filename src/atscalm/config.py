@@ -1,43 +1,35 @@
 """Run configuration: one JSON document covering every pipeline stage.
 
-`default_config()` is the complete documented default; a config file may
-override any subset of keys. Unknown keys are rejected by name so typos
-fail loudly. A single top-level seed can be pushed into every nested
-stage with `override_seed`.
+`RunConfig()` is the complete documented default; a config file may
+override any subset of keys. Unknown keys and mistyped values are rejected
+by dotted key path so typos fail loudly. A single top-level seed can be
+pushed into every nested stage with `override_seed`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
-from .audio_io import CANONICAL_RATE, DEFAULT_CLASS_DIRS, LABELS, ClassLabel, parse_label
+from .audio_io import CANONICAL_RATE, DEFAULT_CLASS_DIRS, ClassLabel, SynthConfig, parse_label
 from .augment import AugmentConfig
 from .classifier import CamConfig
+from .encoder import EncoderConfig
 from .features import FeatureParams
-from .util import ConfigError
+from .util import ConfigError, dataclass_from_dict, read_json
 
 
 @dataclass
-class SynthSection:
-    n_per_class: int = 8
-    duration_s: float = 2.0
-    snr_db: float | None = None
-    seed: int = 0
+class EncoderSection(EncoderConfig):
+    """The encoder architecture plus its training schedule."""
 
-
-@dataclass
-class EncoderSection:
-    widths: tuple[int, ...] = (64, 128, 256, 512)
-    blocks: tuple[int, ...] = (2, 2, 2, 2)
-    proj_dim: int = 128
-    width_scale: float = 1.0
-    frames: int = 256
-    uniformity_weight: float = 0.0
     epochs: int = 30
     lr: float = 3e-3
     batch_pairs: int = 8
     val_fraction: float = 0.25
     seed: int = 0
+
+    def architecture(self) -> EncoderConfig:
+        return EncoderConfig(**{f.name: getattr(self, f.name) for f in fields(EncoderConfig)})
 
 
 @dataclass
@@ -59,7 +51,7 @@ class RunConfig:
     rate: int = CANONICAL_RATE
     class_dirs: dict[str, str] = field(
         default_factory=lambda: {lab.value: d for lab, d in DEFAULT_CLASS_DIRS.items()})
-    synth: SynthSection = field(default_factory=SynthSection)
+    synth: SynthConfig = field(default_factory=SynthConfig)
     features: FeatureParams = field(default_factory=FeatureParams)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     encoder: EncoderSection = field(default_factory=EncoderSection)
@@ -67,76 +59,27 @@ class RunConfig:
     tsne: TsneSection = field(default_factory=TsneSection)
     validation: ValidationSection = field(default_factory=ValidationSection)
 
+    def __post_init__(self):
+        self.class_dir_map()
+
     def class_dir_map(self) -> dict[ClassLabel, str]:
         return {parse_label(k): v for k, v in self.class_dirs.items()}
 
     def override_seed(self, seed: int) -> None:
         self.seed = seed
-        self.synth.seed = seed
-        self.augment.seed = seed
-        self.encoder.seed = seed
-        self.cam.seed = seed
-        self.tsne.seed = seed
-
-
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    out = asdict(cfg)
-    out["encoder"]["widths"] = list(cfg.encoder.widths)
-    out["encoder"]["blocks"] = list(cfg.encoder.blocks)
-    out["augment"]["stretch_range"] = list(cfg.augment.stretch_range)
-    return out
-
-
-def _apply(section, data: dict, path: str):
-    valid = {f.name for f in fields(section)}
-    for key, value in data.items():
-        if key not in valid:
-            raise ConfigError(f"unknown config key {path}{key!r}")
-        current = getattr(section, key)
-        if isinstance(current, tuple) and isinstance(value, list):
-            value = tuple(value)
-        setattr(section, key, value)
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if hasattr(section, "seed"):
+                section.seed = seed
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    cfg = RunConfig()
-    sections = {
-        "synth": cfg.synth,
-        "features": cfg.features,
-        "augment": cfg.augment,
-        "encoder": cfg.encoder,
-        "cam": cfg.cam,
-        "tsne": cfg.tsne,
-        "validation": cfg.validation,
-    }
-    for key, value in data.items():
-        if key in sections:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            _apply(sections[key], value, f"{key}.")
-        elif key == "class_dirs":
-            for name in value:
-                parse_label(name)
-            cfg.class_dirs = dict(value)
-        elif key in ("seed", "rate"):
-            setattr(cfg, key, int(value))
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    # re-run invariant checks that dataclass __post_init__ performed on defaults
-    AugmentConfig(**{f.name: getattr(cfg.augment, f.name) for f in fields(AugmentConfig)})
-    CamConfig(**{f.name: getattr(cfg.cam, f.name) for f in fields(CamConfig)})
-    return cfg
+    return dataclass_from_dict(RunConfig, data)
 
 
 def load_config(path: str) -> RunConfig:
-    from .util import read_json
-
     try:
         data = read_json(path)
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict(data)

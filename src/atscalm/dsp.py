@@ -1,7 +1,8 @@
 """Deterministic spectral primitives.
 
-FFT wrapper with power-of-two padding, un-normalized DCT-II, analytic-signal
-envelope, one-sided STFT, window functions, and the Mel filterbank.
+One-sided real FFT at a given transform size, un-normalized DCT-II,
+analytic-signal envelope, one-sided STFT, window functions, and the Mel
+filterbank.
 Everything here is pure and reentrant; a built filterbank is immutable and
 can be shared.
 """
@@ -21,49 +22,22 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Two-sided complex spectrum as separate real/imaginary sequences.
+def fft(x, n_fft: int) -> np.ndarray:
+    """One-sided DFT of a real sequence zero-padded to ``n_fft`` samples.
 
-    ``bin_hz`` is the frequency resolution rate / n_fft. ``n_orig`` records
-    the pre-padding input length; ``n_fft`` the (power-of-two) transform size.
-    """
-
-    re: np.ndarray
-    im: np.ndarray
-    bin_hz: float
-    n_orig: int
-    n_fft: int
-
-
-def fft(x, rate: float = 1.0) -> ComplexSpectrum:
-    """DFT of a real sequence, zero-padded to the next power of two.
-
-    Matches the direct O(N^2) DFT of the padded sequence to better than
-    1e-9 relative error (exercised by the test-suite oracle).
+    Returns the n_fft//2 + 1 non-negative frequency bins; at sample rate r
+    bin k sits at k * r / n_fft. Matches the direct O(N^2) DFT of the padded
+    sequence to better than 1e-9 relative error (exercised by the test-suite
+    oracle).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise PipelineError(f"fft expects a non-empty 1-d sequence, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise PipelineError("fft input contains non-finite values")
-    n_orig = x.size
-    n = next_pow2(n_orig)
-    if n != n_orig:
-        x = np.concatenate([x, np.zeros(n - n_orig)])
-    spec = np.fft.fft(x)
-    return ComplexSpectrum(
-        re=np.ascontiguousarray(spec.real),
-        im=np.ascontiguousarray(spec.imag),
-        bin_hz=float(rate) / n,
-        n_orig=n_orig,
-        n_fft=n,
-    )
-
-
-def magnitude(spec: ComplexSpectrum) -> np.ndarray:
-    """Element-wise sqrt(re^2 + im^2)."""
-    return np.hypot(spec.re, spec.im)
+    if n_fft < x.size:
+        raise PipelineError(f"n_fft {n_fft} is smaller than the {x.size}-sample signal")
+    return np.fft.rfft(x, n=n_fft)
 
 
 def dct2_matrix(m: int, n_out: int | None = None) -> np.ndarray:
@@ -152,7 +126,7 @@ def stft(x, win_len: int, hop: int, window_name: str = "hann",
 
     Frame count is 1 + floor((N - win_len)/hop); each frame is windowed then
     transformed with a real FFT at ``n_fft`` (default: next power of two >=
-    win_len, matching the fft() padding policy), keeping the n_fft//2 + 1
+    win_len), keeping the n_fft//2 + 1
     non-negative frequency bins. No normalization is applied; the window
     name and sizes are carried in the result metadata.
     """

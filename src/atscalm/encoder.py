@@ -10,7 +10,7 @@ distance loss.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .audio_io import AudioClip, ClassLabel, CorpusManifest
 from .nn import Adam, Tensor, load_checkpoint, no_grad, save_checkpoint, seeded_init
 from .nn.ops import (BatchNormState, add, batchnorm2d, conv2d, global_avg_pool,
                      linear, matmul, maxpool2d, mul, relu, scale, split, ssum, sub)
-from .util import PipelineError, keyed_rng
+from .util import PipelineError, dataclass_from_dict, keyed_rng, parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -32,7 +32,6 @@ class EncoderConfig:
     blocks: tuple[int, ...] = (2, 2, 2, 2)
     proj_dim: int = 128
     width_scale: float = 1.0
-    n_mels: int = 64
     frames: int = 256
     uniformity_weight: float = 0.0   # optional anti-collapse regularizer
 
@@ -139,20 +138,14 @@ class AcousticEncoder:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        for name, current in self.state_arrays().items():
+            if name not in arrays or arrays[name].shape != current.shape:
+                raise PipelineError(f"checkpoint tensor {name} missing or wrong shape")
         for name, p in self.params.items():
-            if name not in arrays:
-                raise PipelineError(f"checkpoint missing tensor {name}")
-            if arrays[name].shape != p.data.shape:
-                raise PipelineError(f"checkpoint tensor {name} has shape "
-                                    f"{arrays[name].shape}, expected {p.data.shape}")
             p.data = arrays[name].copy()
         for name, st in self.bn_states.items():
             st.mean = arrays[f"{name}.running_mean"].copy()
             st.var = arrays[f"{name}.running_var"].copy()
-
-
-def build_encoder(cfg: EncoderConfig, seed=0) -> AcousticEncoder:
-    return AcousticEncoder(cfg, seed)
 
 
 def count_parameters(model: AcousticEncoder) -> int:
@@ -160,15 +153,13 @@ def count_parameters(model: AcousticEncoder) -> int:
     return int(sum(p.data.size for p in model.params.values()))
 
 
-def count_flops(model: AcousticEncoder, input_hw: tuple[int, int] | None = None) -> int:
-    """2*MACs for conv and linear layers at the given input size, per sample.
+def count_flops(model: AcousticEncoder, input_hw: tuple[int, int]) -> int:
+    """2*MACs for conv and linear layers at an (n_mels, frames) input, per sample.
 
     Elementwise work (bn, relu, pooling) is not counted; this convention is
     reported alongside the number wherever it is surfaced.
     """
     cfg = model.cfg
-    if input_hw is None:
-        input_hw = (cfg.n_mels, cfg.frames)
     h, w = input_hw
 
     def conv_out(h, w, k, stride, pad):
@@ -268,8 +259,6 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
     train/val loss, train/val positive-pair cosine similarity, and the
     last train-batch embedding variance (collapse monitor).
     """
-    if feat_params is None:
-        feat_params = features.FeatureParams()
     if len(manifest.entries) < 2:
         raise PipelineError("encoder training needs at least 2 clips")
     clips = [manifest.load_clip(e, target_rate=target_rate) for e in manifest.entries]
@@ -332,13 +321,9 @@ def _uniformity_penalty(emb: Tensor) -> Tensor:
 
 def save_encoder(model: AcousticEncoder, path: str,
                  feat_params: features.FeatureParams | None = None) -> None:
-    from dataclasses import asdict
-
     meta = {"kind": "encoder", "config": asdict(model.cfg)}
     if feat_params is not None:
         meta["feature_params"] = asdict(feat_params)
-    meta["config"]["widths"] = list(model.cfg.widths)
-    meta["config"]["blocks"] = list(model.cfg.blocks)
     save_checkpoint(path, model.state_arrays(), meta)
 
 
@@ -346,10 +331,7 @@ def load_encoder(path: str) -> tuple[AcousticEncoder, dict]:
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != "encoder":
         raise PipelineError(f"{path}: not an encoder checkpoint")
-    c = dict(meta["config"])
-    c["widths"] = tuple(c["widths"])
-    c["blocks"] = tuple(c["blocks"])
-    cfg = EncoderConfig(**c)
+    cfg = dataclass_from_dict(EncoderConfig, meta.get("config"), f"{path} config")
     model = AcousticEncoder(cfg, seed=0)
     model.load_state(arrays)
     return model, meta
@@ -359,20 +341,13 @@ def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest,
                  feat_params: features.FeatureParams | None = None,
                  target_rate: int | None = 16000, jobs: int = 1) -> list[Embedding]:
     """Eval-mode embedding of every manifest entry, in manifest order."""
-    if feat_params is None:
-        feat_params = features.FeatureParams()
-    import concurrent.futures
 
     def work(entry):
         clip = manifest.load_clip(entry, target_rate=target_rate)
         grid = features.mel_spectrogram(clip, feat_params)
         return prepare_input(grid, model.cfg.frames), clip.id, clip.label
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            prepared = list(pool.map(work, manifest.entries))
-    else:
-        prepared = [work(e) for e in manifest.entries]
+    prepared = parallel_map(work, manifest.entries, jobs)
     out = []
     for start in range(0, len(prepared), 16):
         chunk = prepared[start : start + 16]

@@ -6,13 +6,14 @@ statistics: [mfcc_0..mfcc_12, zcr, rms, w1_mu, w1_sd, ..., w5_mu, w5_sd].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dsp
 from .audio_io import AudioClip
-from .util import PipelineError, write_csv
+from .util import PipelineError, read_csv, write_csv
 
 FEATURE_NAMES: tuple[str, ...] = tuple(
     [f"mfcc_{i}" for i in range(13)]
@@ -64,16 +65,8 @@ class TimeFreqGrid:
         return self.values.shape[1]
 
 
-_fb_cache: dict[tuple, dsp.MelFilterbank] = {}
-
-
-def _filterbank(params: FeatureParams, rate: float) -> dsp.MelFilterbank:
-    key = (params.n_mels, params.n_fft, rate, params.f_lo, params.f_hi)
-    fb = _fb_cache.get(key)
-    if fb is None:
-        fb = dsp.build_mel_filterbank(params.n_mels, params.n_fft, rate, params.f_lo, params.f_hi)
-        _fb_cache[key] = fb
-    return fb
+# a built filterbank is immutable, so one per parameter set is shared
+_filterbank = functools.lru_cache(maxsize=None)(dsp.build_mel_filterbank)
 
 
 def power_spectrogram(clip: AudioClip, params: FeatureParams) -> TimeFreqGrid:
@@ -94,7 +87,7 @@ def mel_spectrogram(clip: AudioClip, params: FeatureParams | None = None) -> Tim
     if params is None:
         params = FeatureParams()
     power = power_spectrogram(clip, params)
-    fb = _filterbank(params, clip.rate)
+    fb = _filterbank(params.n_mels, params.n_fft, clip.rate, params.f_lo, params.f_hi)
     mel = fb.weights @ power.values
     return TimeFreqGrid(
         values=np.log(mel + params.log_eps),
@@ -190,8 +183,6 @@ def write_features_csv(path: str, rows: list[tuple[str, str, np.ndarray]]) -> No
 
 
 def read_features_csv(path: str) -> list[tuple[str, str, np.ndarray]]:
-    from .util import read_csv
-
     header, raw = read_csv(path)
     expected = ["id", "label"] + list(FEATURE_NAMES)
     if header != expected:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import dsp
 from .util import PipelineError
 
 WIDTH, HEIGHT = 640, 480
@@ -83,9 +84,8 @@ def line_chart(series: dict[str, tuple[np.ndarray, np.ndarray]],
     return _document(body)
 
 
-def scatter_chart(points: list[tuple[float, float, str]], title: str,
-                  with_centroids: bool = True) -> str:
-    """(x, y, class_name) points colored per class, optional centroid crosses."""
+def scatter_chart(points: list[tuple[float, float, str]], title: str) -> str:
+    """(x, y, class_name) points colored per class, with centroid crosses."""
     if not points:
         raise PipelineError("scatter_chart needs at least one point")
     xs = np.array([p[0] for p in points], float)
@@ -101,13 +101,12 @@ def scatter_chart(points: list[tuple[float, float, str]], title: str,
         body.append(f'<circle cx="{_f(px)}" cy="{_f(py)}" r="3" fill="{color}" fill-opacity="0.7"/>')
     for i, cls in enumerate(classes):
         color = CLASS_COLORS.get(cls, PALETTE[i % len(PALETTE)])
-        if with_centroids:
-            sel = [p for p in points if p[2] == cls]
-            cx = MARGIN + (float(np.mean([p[0] for p in sel])) - x0) * kx
-            cy = HEIGHT - MARGIN + (float(np.mean([p[1] for p in sel])) - y0) * ky
-            body.append(f'<path d="M {_f(cx - 6)} {_f(cy)} L {_f(cx + 6)} {_f(cy)} '
-                        f'M {_f(cx)} {_f(cy - 6)} L {_f(cx)} {_f(cy + 6)}" '
-                        f'stroke="{color}" stroke-width="2.5" fill="none"/>')
+        sel = [p for p in points if p[2] == cls]
+        cx = MARGIN + (float(np.mean([p[0] for p in sel])) - x0) * kx
+        cy = HEIGHT - MARGIN + (float(np.mean([p[1] for p in sel])) - y0) * ky
+        body.append(f'<path d="M {_f(cx - 6)} {_f(cy)} L {_f(cx + 6)} {_f(cy)} '
+                    f'M {_f(cx)} {_f(cy - 6)} L {_f(cx)} {_f(cy + 6)}" '
+                    f'stroke="{color}" stroke-width="2.5" fill="none"/>')
         ly = MARGIN + 16 + 16 * i
         body.append(f'<circle cx="{WIDTH - MARGIN - 100}" cy="{ly - 4}" r="4" fill="{color}"/>')
         body.append(f'<text x="{WIDTH - MARGIN - 90}" y="{ly}" font-size="11">{cls}</text>')
@@ -117,19 +116,17 @@ def scatter_chart(points: list[tuple[float, float, str]], title: str,
 def validation_overlay(raw: np.ndarray, theoretical: np.ndarray, rate: float,
                        title: str, max_samples: int = 2000) -> tuple[str, str]:
     """(waveform SVG, spectrum SVG): recorded vs theoretical overlays."""
-    from . import dsp
-
     n = min(raw.size, max_samples)
     t = np.arange(n) / rate
     wave_svg = line_chart(
         {"recorded": (t, raw[:n]), "theoretical": (t, theoretical[:n])},
         title + " (waveform)", "seconds", "amplitude",
     )
-    m_raw = dsp.magnitude(dsp.fft(raw, rate=rate))
-    m_theo = dsp.magnitude(dsp.fft(theoretical, rate=rate))
-    half = m_raw.size // 2 + 1
-    bin_hz = rate / m_raw.size
-    show = min(half, int(200 / bin_hz) + 1)   # up to 200 Hz covers the class tones
+    n_fft = dsp.next_pow2(raw.size)
+    m_raw = np.abs(dsp.fft(raw, n_fft))
+    m_theo = np.abs(dsp.fft(theoretical, n_fft))
+    bin_hz = rate / n_fft
+    show = min(m_raw.size, int(200 / bin_hz) + 1)   # up to 200 Hz covers the class tones
     f = np.arange(show) * bin_hz
     spec_svg = line_chart(
         {"recorded": (f, m_raw[:show]), "theoretical": (f, m_theo[:show])},

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import LABELS, ClassLabel
-from .util import PipelineError, write_csv, write_json
+from .util import PipelineError, json_sanitize, write_csv, write_json
 
 ALPHA = 0.05
 
@@ -326,6 +326,4 @@ def write_calmness_csv(report: CalmnessReport, path: str) -> None:
 
 
 def write_calmness_json(report: CalmnessReport, path: str) -> None:
-    from .util import json_sanitize
-
     write_json(path, json_sanitize(report_to_dict(report)))

@@ -1,11 +1,16 @@
-"""Shared plumbing: keyed counter-based RNG, deterministic file writers."""
+"""Shared plumbing: keyed counter-based RNG, deterministic file writers,
+the ordered parallel map, and the dataclass-from-JSON constructor."""
 
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
-from typing import Iterable, Sequence
+import types
+import typing
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -94,3 +99,64 @@ def json_sanitize(obj):
         x = float(obj)
         return x if np.isfinite(x) else None
     return obj
+
+
+def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
+    """``[fn(x) for x in items]`` on up to ``jobs`` threads, in input order."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
+def dataclass_from_dict(cls, data, path: str = ""):
+    """Build dataclass ``cls`` from a JSON object; absent keys keep defaults.
+
+    Each value is checked against its field's annotation: ints are not
+    bools, a float field also takes an int, lists become tuples, ``X | None``
+    takes null, and a nested dataclass field is built the same way. An
+    unknown key, a mistyped value, or a failed ``__post_init__`` raises
+    ConfigError naming the dotted key path (``path`` prefixes it).
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path or 'document'} must be an object, got {data!r}")
+    hints = typing.get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
+        if key not in names:
+            raise ConfigError(f"unknown config key {where}")
+        kwargs[key] = _typed(hints[key], value, where)
+    try:
+        return cls(**kwargs)
+    except PipelineError as exc:
+        raise ConfigError(f"config {path or 'document'}: {exc}") from None
+
+
+def _typed(tp, value, where: str):
+    if dataclasses.is_dataclass(tp):
+        return dataclass_from_dict(tp, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _typed(tp, value, where)
+    if origin is tuple:
+        if isinstance(value, (list, tuple)):
+            kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(kinds) == len(value):
+                return tuple(_typed(k, v, f"{where}[{i}]")
+                             for i, (k, v) in enumerate(zip(kinds, value)))
+    elif origin is dict:
+        if isinstance(value, dict):
+            return {_typed(args[0], k, where): _typed(args[1], v, f"{where}.{k}")
+                    for k, v in value.items()}
+    elif isinstance(value, bool):
+        if tp is bool:
+            return value
+    elif isinstance(value, tp) or (tp is float and isinstance(value, int)):
+        return value
+    name = str(tp) if origin else tp.__name__
+    raise ConfigError(f"config key {where} must be {name}, got {value!r}")

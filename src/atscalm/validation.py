@@ -9,14 +9,13 @@ per-clip fields.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dsp
 from .audio_io import CLASS_TONE_HZ, LABELS, AudioClip, ClassLabel, CorpusManifest
-from .util import PipelineError, write_csv, write_json
+from .util import PipelineError, parallel_map, write_csv, write_json
 
 EDGE_TRIM = 0.05
 
@@ -97,20 +96,14 @@ def envelope_stats(clip: AudioClip, trim: float = EDGE_TRIM) -> tuple[float, flo
     return float(np.mean(env)), float(np.std(env)), energy
 
 
-def peak_frequency(x: np.ndarray, rate: float, n_fft: int | None = None) -> float:
-    """Frequency of the largest non-DC magnitude bin (one-sided)."""
-    spec = dsp.fft(x, rate=rate) if n_fft is None else _fft_at(x, rate, n_fft)
-    mag = dsp.magnitude(spec)[: spec.n_fft // 2 + 1]
+def peak_frequency(x: np.ndarray, rate: float) -> float:
+    """Frequency of the largest non-DC magnitude bin, the signal zero-padded
+    to the next power of two."""
+    n_fft = dsp.next_pow2(np.size(x))
+    mag = np.abs(dsp.fft(x, n_fft))
     if mag.size < 2:
         return 0.0
-    return float((1 + int(np.argmax(mag[1:]))) * spec.bin_hz)
-
-
-def _fft_at(x: np.ndarray, rate: float, n_fft: int) -> dsp.ComplexSpectrum:
-    if x.size > n_fft:
-        raise PipelineError("n_fft smaller than signal")
-    xp = np.concatenate([x, np.zeros(n_fft - x.size)])
-    return dsp.fft(xp, rate=rate)
+    return float((1 + int(np.argmax(mag[1:]))) * rate / n_fft)
 
 
 def validate_clip(clip: AudioClip, model: TheoreticalModel,
@@ -128,7 +121,6 @@ def validate_clip(clip: AudioClip, model: TheoreticalModel,
 
 
 def validate_corpus(manifest: CorpusManifest,
-                    models: dict[ClassLabel, TheoreticalModel] | None = None,
                     phase_search: bool = False,
                     target_rate: int | None = None,
                     jobs: int = 1) -> dict:
@@ -141,8 +133,7 @@ def validate_corpus(manifest: CorpusManifest,
     """
     if not manifest.entries:
         raise PipelineError("cannot validate an empty manifest")
-    if models is None:
-        models = default_models()
+    models = default_models()
 
     max_len = 0
     clips: list[AudioClip] = []
@@ -154,14 +145,9 @@ def validate_corpus(manifest: CorpusManifest,
 
     def work(clip: AudioClip):
         rec = validate_clip(clip, models[clip.label], phase_search=phase_search)
-        mag = dsp.magnitude(_fft_at(clip.samples, clip.rate, n_fft))
-        return rec, mag[: n_fft // 2 + 1], clip.rate
+        return rec, np.abs(dsp.fft(clip.samples, n_fft)), clip.rate
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, clips))
-    else:
-        results = [work(c) for c in clips]
+    results = parallel_map(work, clips, jobs)
 
     per_clip = [r[0] for r in results]
     per_class: dict[str, dict] = {}

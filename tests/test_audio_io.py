@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import wave
@@ -94,6 +95,31 @@ class TestLoadWav:
         with pytest.raises(PipelineError, match="partial.wav.*not a whole number"):
             aio.load_wav(str(path))
 
+    @pytest.mark.parametrize("cut", [30, 43])
+    def test_truncated_fmt_named(self, tmp_path, cut):
+        # the file ends inside the fmt chunk (30) or the data chunk header (43)
+        path = tmp_path / "short.wav"
+        write_pcm16(path, np.full(100, 7))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(PipelineError, match="short.wav"):
+            aio.load_wav(str(path))
+
+    def test_fmt_chunk_under_16_bytes_named(self, tmp_path):
+        path = tmp_path / "fmt8.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 28) + b"WAVEfmt " + struct.pack("<I", 8)
+                         + bytes(8) + b"data" + struct.pack("<I", 0))
+        with pytest.raises(PipelineError, match="fmt8.wav: truncated fmt chunk"):
+            aio.load_wav(str(path))
+
+    def test_data_past_end_named(self, tmp_path):
+        path = tmp_path / "long.wav"
+        write_riff(path, bytes(200), 1, 1, 16)
+        blob = bytearray(path.read_bytes())
+        blob[40:44] = struct.pack("<I", 400)   # declares twice the bytes present
+        path.write_bytes(bytes(blob))
+        with pytest.raises(PipelineError, match="long.wav.*runs past the end"):
+            aio.load_wav(str(path))
+
     def test_unsupported_encoding(self, tmp_path):
         path = tmp_path / "u8.wav"
         with wave.open(str(path), "wb") as fh:
@@ -164,6 +190,25 @@ class TestManifest:
         write_riff(tmp_path / "Music" / "clip_0.wav", bytes(3200), 1, 1, 16, rate=0)
         with pytest.raises(PipelineError, match="clip_0.wav: cannot determine duration"):
             aio.build_manifest(str(tmp_path))
+
+    def test_header_faults_named_by_probe(self, tmp_path):
+        self._mk_corpus(str(tmp_path))
+        bad = tmp_path / "Music" / "clip_0.wav"
+        bad.write_bytes(bad.read_bytes()[:30])   # cut inside the fmt chunk
+        with pytest.raises(PipelineError, match="clip_0.wav"):
+            aio.build_manifest(str(tmp_path))
+
+    def test_counts_derived_and_checked_on_load(self, tmp_path):
+        self._mk_corpus(str(tmp_path), per_class=2)
+        man = aio.build_manifest(str(tmp_path))
+        assert man.counts == {lab: 2 for lab in aio.LABELS}
+        path = tmp_path / "manifest.json"
+        aio.save_manifest(man, str(path))
+        obj = json.loads(path.read_text())
+        obj["counts"]["Music"], obj["counts"]["NormalSilence"] = 3, 1
+        path.write_text(json.dumps(obj))
+        with pytest.raises(PipelineError, match="counts do not match"):
+            aio.load_manifest(str(path))
 
     def test_save_load_roundtrip(self, tmp_path):
         self._mk_corpus(str(tmp_path), per_class=2)
@@ -250,7 +295,7 @@ class TestSynthCorpus:
         # rebuild the true envelope with the same keyed draws
         rng = keyed_rng(cfg.seed, "synth", label.value, 0)
         n = x.size
-        t = np.arange(n) / cfg.rate
+        t = np.arange(n) / aio.CANONICAL_RATE
         n_comp = int(rng.integers(1, 4))
         freqs = rng.uniform(0.2, 2.0, n_comp)
         phases = rng.uniform(0.0, 2.0 * np.pi, n_comp)
@@ -258,7 +303,7 @@ class TestSynthCorpus:
         amps *= rng.uniform(0.1, 0.2) / amps.sum()
         env = np.maximum(0.5 + sum(a * np.cos(2 * np.pi * f * t + p)
                                    for a, f, p in zip(amps, freqs, phases)),
-                         cfg.envelope_floor)
+                         aio.ENVELOPE_FLOOR)
         est = dsp.analytic_envelope(x)
         k = int(0.05 * n)
         rel = (np.sqrt(np.mean((est[k:-k] - env[k:-k]) ** 2))
@@ -273,4 +318,4 @@ class TestSynthCorpus:
 
             env = dsp.analytic_envelope(x)
             k = int(0.05 * x.size)
-            assert env[k:-k].min() > cfg.envelope_floor * 0.8
+            assert env[k:-k].min() > aio.ENVELOPE_FLOOR * 0.8

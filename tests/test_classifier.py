@@ -6,7 +6,7 @@ import pytest
 import lstm_oracle
 from atscalm import classifier
 from atscalm.audio_io import LABELS, ClassLabel
-from atscalm.classifier import (BiLstmClassifier, CamConfig, build_cam,
+from atscalm.classifier import (BiLstmClassifier, CamConfig,
                                 cam_parameter_closed_form, class_weights,
                                 count_cam_parameters, eval_report_from_predictions,
                                 evaluate, load_cam, save_cam, stratified_split,
@@ -73,26 +73,26 @@ class TestWeightedSampler:
 
 class TestModel:
     def test_output_is_distribution(self):
-        model = build_cam(CamConfig(hidden=8, fc_dim=4, seed=1))
+        model = BiLstmClassifier(CamConfig(hidden=8, fc_dim=4, seed=1))
         x = keyed_rng("m", 0).normal(0, 1, (6, 25))
         p = model.predict_proba(x)
         assert p.shape == (6, 3)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-9
 
     def test_eval_deterministic(self):
-        model = build_cam(CamConfig(hidden=8, fc_dim=4, seed=1))
+        model = BiLstmClassifier(CamConfig(hidden=8, fc_dim=4, seed=1))
         x = keyed_rng("m", 1).normal(0, 1, (4, 25))
         assert np.array_equal(model.predict_proba(x), model.predict_proba(x))
 
     def test_param_count_single_step(self):
         cfg = CamConfig(mode="single-step")
-        model = build_cam(cfg)
+        model = BiLstmClassifier(cfg)
         want = 4 * ((25 + 256 + 1) * 256) * 2 + (512 * 128 + 128) + (128 * 3 + 3)
         assert count_cam_parameters(model) == want == 643_587
 
     def test_param_count_sequence(self):
         cfg = CamConfig(mode="sequence")
-        model = build_cam(cfg)
+        model = BiLstmClassifier(cfg)
         want = 4 * ((1 + 256 + 1) * 256) * 2 + (512 * 128 + 128) + (128 * 3 + 3)
         assert count_cam_parameters(model) == want == cam_parameter_closed_form(cfg)
 
@@ -136,7 +136,7 @@ class TestTraining:
         model, history, _, _ = train_cam(rows, cfg)
         accs = [h["acc"] for h in history]
         assert max(accs) - min(accs) <= 0.02
-        fresh = build_cam(cfg)
+        fresh = BiLstmClassifier(cfg)
         for name, p in fresh.parameters().items():
             assert np.array_equal(model.parameters()[name].data, p.data)
 
@@ -211,6 +211,6 @@ class TestEvalReport:
         assert c0["recall"] == pytest.approx(2 / 3)
 
     def test_dimension_mismatch(self):
-        model = build_cam(CamConfig(hidden=8, fc_dim=4))
+        model = BiLstmClassifier(CamConfig(hidden=8, fc_dim=4))
         with pytest.raises(PipelineError):
             evaluate(model, [("x", "Music", np.zeros(10))])

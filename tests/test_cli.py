@@ -96,6 +96,116 @@ class TestBadInput:
         assert "Traceback" not in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("fault,message", [
+        (lambda b: b[:30], "runs past the end"),                     # cut inside fmt
+        (lambda b: b[:40] + (2 * int.from_bytes(b[40:44], "little")).to_bytes(4, "little")
+         + b[44:], "runs past the end"),                              # data past EOF
+        (lambda b: b[:16] + (8).to_bytes(4, "little") + b[20:], "truncated fmt chunk"),
+    ], ids=["cut-in-fmt", "data-past-eof", "fmt-of-8-bytes"])
+    def test_wav_header_fault_validate_exits_1(self, tmp_path, caplog, capsys, fault, message):
+        out = str(tmp_path / "out")
+        run(["--out", out, "--seed", "1", "synth", "--n", "1", "--duration", "1.0"])
+        corpus = os.path.join(out, "corpus")
+        bad = os.path.join(corpus, "Music", "clip_000.wav")
+        with open(bad, "rb") as fh:
+            blob = fh.read()
+        with open(bad, "wb") as fh:
+            fh.write(fault(blob))
+        assert run(["--out", out, "validate", corpus]) == 1
+        assert "clip_000.wav" in caplog.text and message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [lambda b: b[:10], lambda b: b[:-100]],
+                             ids=["first-10-bytes", "last-100-bytes-cut"])
+    def test_truncated_checkpoint_evaluate_exits_1(self, tiny_run, tmp_path, caplog, capsys,
+                                                   cut):
+        bad = tmp_path / "cut.ckpt"
+        with open(os.path.join(tiny_run, "cam.ckpt"), "rb") as fh:
+            bad.write_bytes(cut(fh.read()))
+        code = run(["--out", str(tmp_path / "out"), "evaluate",
+                    os.path.join(tiny_run, "features.csv"), "--checkpoint", str(bad)])
+        assert code == 1
+        assert "cut.ckpt" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+
+TINY_CONFIG = {"encoder": {"width_scale": 0.125, "epochs": 2, "frames": 64},
+               "cam": {"hidden": 16, "epochs": 2}}
+
+
+def _chain(out, jobs=1):
+    """All 11 commands on a tiny synthetic corpus, in dependency order."""
+    os.makedirs(out)
+    cfg = os.path.join(out, "tiny.json")
+    with open(cfg, "w") as fh:
+        json.dump(TINY_CONFIG, fh)
+    base = ["--config", cfg, "--seed", "3", "--jobs", str(jobs), "--out", out]
+    corpus = os.path.join(out, "corpus")
+    feats = os.path.join(out, "features.csv")
+    steps = [
+        ["synth", "--n", "2", "--duration", "1.0"],
+        ["validate", corpus, "--plot"],
+        ["augment", os.path.join(corpus, "manifest.json")],
+        ["features", os.path.join(corpus, "manifest.json")],
+        ["calmness", feats],
+        ["train-encoder", corpus],
+        ["embed", corpus, "--checkpoint", os.path.join(out, "encoder.ckpt")],
+        ["eval-embeddings", os.path.join(out, "embeddings.csv"), "--plot"],
+        ["train-cam", feats],
+        ["evaluate", feats, "--checkpoint", os.path.join(out, "cam.ckpt"), "--split", "test"],
+        ["report", "--plot-history", os.path.join(out, "cam_history.csv"),
+         "--plot-tsne", os.path.join(out, "tsne.csv")],
+    ]
+    for step in steps:
+        assert run(base + step) == 0, step
+
+
+def _artifacts(out, commands=None):
+    """{path: bytes} of every file artifacts.json lists for ``commands``."""
+    index = read_json(os.path.join(out, "artifacts.json"))
+    files = {}
+    for command, paths in index.items():
+        if commands is None or command in commands:
+            for p in paths:
+                with open(os.path.join(out, p), "rb") as fh:
+                    files[p] = fh.read()
+    return files
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("tiny") / "a")
+    _chain(out)
+    return out
+
+
+class TestEndToEnd:
+    def test_rerun_byte_identical(self, tiny_run, tmp_path):
+        assert len(read_json(os.path.join(tiny_run, "artifacts.json"))) == 11
+        again = str(tmp_path / "b")
+        _chain(again)
+        assert _artifacts(again) == _artifacts(tiny_run)
+
+    def test_jobs_2_matches_jobs_1(self, tiny_run, tmp_path):
+        out = str(tmp_path / "c")
+        base = ["--seed", "3", "--jobs", "2", "--out", out]
+        corpus = os.path.join(tiny_run, "corpus")
+        assert run(base + ["validate", corpus, "--plot"]) == 0
+        assert run(base + ["features", os.path.join(corpus, "manifest.json")]) == 0
+        assert run(base + ["embed", corpus, "--checkpoint",
+                           os.path.join(tiny_run, "encoder.ckpt")]) == 0
+        commands = ("validate", "features", "embed")
+        got = _artifacts(out, commands)
+        assert len(got) == 10
+        assert got == _artifacts(tiny_run, commands)
+
+    def test_evaluate_reproduces_heldout_report(self, tiny_run):
+        with open(os.path.join(tiny_run, "evaluation.json"), "rb") as fh:
+            evaluated = fh.read()
+        with open(os.path.join(tiny_run, "cam_heldout_eval.json"), "rb") as fh:
+            assert fh.read() == evaluated
+
+
 class TestTrainCam:
     def test_history_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -145,6 +255,20 @@ class TestConfigHandling:
         out = str(tmp_path / "out")
         assert run(["--config", str(cfg), "--out", out, "synth", "--n", "1"]) == 2
         assert "hiddden" in caplog.text
+
+    @pytest.mark.parametrize("doc,key", [
+        ('{"seed": "abc"}', "seed"),
+        ('{"cam": {"hidden": "8"}}', "cam.hidden"),
+        ('{"synth": {"n_per_class": "2"}}', "synth.n_per_class"),
+        ('{"encoder": {"widths": "abc"}}', "encoder.widths"),
+    ])
+    def test_mistyped_value_named_and_usage_exit(self, tmp_path, caplog, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        out = str(tmp_path / "out")
+        assert run(["--config", str(cfg), "--out", out, "synth", "--n", "1"]) == 2
+        assert f"config key {key} must be" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_config_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"

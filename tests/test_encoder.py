@@ -3,9 +3,8 @@ import pytest
 
 from atscalm import audio_io as aio
 from atscalm.augment import AugmentConfig
-from atscalm.encoder import (AcousticEncoder, EncoderConfig, build_encoder,
-                             contrastive_loss, count_flops, count_parameters,
-                             embed_corpus, load_encoder, mean_cosine_similarity,
+from atscalm.encoder import (AcousticEncoder, EncoderConfig, contrastive_loss,
+                             count_flops, count_parameters, embed_corpus, load_encoder, mean_cosine_similarity,
                              prepare_input, save_encoder, train_encoder)
 from atscalm.features import FeatureParams, TimeFreqGrid
 from atscalm.nn import Adam, Tensor
@@ -31,24 +30,24 @@ def layer_count_oracle(widths, blocks, proj_dim):
 
 class TestParameterCount:
     def test_full_size_exact(self):
-        model = build_encoder(EncoderConfig(), seed=0)
+        model = AcousticEncoder(EncoderConfig(), seed=0)
         assert count_parameters(model) == 11_235_904
 
     def test_width_scaled_matches_oracle(self):
         cfg = EncoderConfig(width_scale=1 / 8)
-        model = build_encoder(cfg, seed=0)
+        model = AcousticEncoder(cfg, seed=0)
         assert count_parameters(model) == layer_count_oracle(
             cfg.scaled_widths(), cfg.blocks, cfg.proj_dim)
 
     def test_backbone_plus_head_decomposition(self):
-        model = build_encoder(EncoderConfig(), seed=0)
+        model = AcousticEncoder(EncoderConfig(), seed=0)
         head = model.params["proj.w"].data.size + model.params["proj.b"].data.size
         assert head == 512 * 128 + 128 == 65_664
         assert count_parameters(model) - head == 11_170_240
 
     def test_same_seed_identical_init(self):
-        a = build_encoder(EncoderConfig(width_scale=1 / 8), seed=5)
-        b = build_encoder(EncoderConfig(width_scale=1 / 8), seed=5)
+        a = AcousticEncoder(EncoderConfig(width_scale=1 / 8), seed=5)
+        b = AcousticEncoder(EncoderConfig(width_scale=1 / 8), seed=5)
         for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
 
@@ -62,15 +61,15 @@ class TestParameterCount:
 class TestFlops:
     def test_linear_only_contribution(self):
         cfg = EncoderConfig()
-        a = count_flops(build_encoder(cfg, 0), (64, 256))
+        a = count_flops(AcousticEncoder(cfg, 0), (64, 256))
         assert a > 0
         # 512 -> 128 projection on one vector costs 2*512*128 = 131072
-        model = build_encoder(cfg, 0)
+        model = AcousticEncoder(cfg, 0)
         no_head = count_flops(model, (64, 256)) - 2 * 512 * 128
         assert no_head > 0
 
     def test_stem_weight_size(self):
-        model = build_encoder(EncoderConfig(), 0)
+        model = AcousticEncoder(EncoderConfig(), 0)
         assert model.params["stem.conv"].data.size == 64 * 1 * 7 * 7 == 3136
         assert (model.params["stem.bn.gamma"].data.size
                 + model.params["stem.bn.beta"].data.size) == 128
@@ -101,9 +100,9 @@ class TestContrastiveLoss:
     def test_one_adam_step_decreases_pair_loss(self):
         # frozen-stats forward: batch-2 train-mode batchnorm has knife-edge
         # curvature that defeats any fixed step size
-        cfg = EncoderConfig(width_scale=1 / 16, proj_dim=4, n_mels=8, frames=8)
+        cfg = EncoderConfig(width_scale=1 / 16, proj_dim=4, frames=8)
         for seed in range(20):
-            model = build_encoder(cfg, seed=seed)
+            model = AcousticEncoder(cfg, seed=seed)
             x = Tensor(keyed_rng("pair", seed).normal(0, 1, (2, 1, 8, 8)))
 
             def pair_loss():
@@ -150,7 +149,7 @@ class TestTrainEmbed:
         return aio.synth_corpus(str(root), aio.SynthConfig(n_per_class=2, duration_s=1.0, seed=4))
 
     def _cfg(self):
-        return EncoderConfig(width_scale=1 / 16, proj_dim=8, n_mels=16, frames=32)
+        return EncoderConfig(width_scale=1 / 16, proj_dim=8, frames=32)
 
     def _feat(self):
         return FeatureParams(n_mels=16)
@@ -163,7 +162,7 @@ class TestTrainEmbed:
     def test_lr_zero_leaves_parameters(self, corpus):
         model, _ = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
                                  epochs=2, lr=0.0, seed=4, batch_pairs=3)
-        fresh = build_encoder(self._cfg(), seed=4)
+        fresh = AcousticEncoder(self._cfg(), seed=4)
         for name in fresh.params:
             assert np.array_equal(model.params[name].data, fresh.params[name].data)
 
@@ -191,7 +190,7 @@ class TestTrainEmbed:
             assert np.array_equal(e1.vec, e2.vec)
 
     def test_needs_two_clips(self):
-        man = aio.CorpusManifest(entries=[], counts={lab: 0 for lab in aio.LABELS})
+        man = aio.CorpusManifest(entries=[])
         with pytest.raises(PipelineError):
             train_encoder(man, self._cfg(), self._aug(), self._feat(), epochs=1,
                           lr=1e-3, seed=0)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -83,4 +85,37 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMAGIC" + bytes(16))
         with pytest.raises(PipelineError):
+            load_checkpoint(str(path))
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), {"w": np.arange(40.0).reshape(5, 8)}, {"kind": "test"})
+        return path
+
+    @pytest.mark.parametrize("cut", [
+        lambda b: b[:10],        # inside the header length field
+        lambda b: b[:20],        # inside the header JSON
+        lambda b: b[:-100],      # inside the tensor payload
+    ], ids=["in-length", "in-json", "in-payload"])
+    def test_truncated_named(self, tmp_path, cut):
+        path = self._saved(tmp_path)
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(PipelineError, match="m.ckpt"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("old,new", [
+        (b'"nbytes":320', b'"nbytes":312'),      # nbytes disagrees with the shape
+        (b'"offset":0', b'"offset":9'),          # runs past the payload
+        (b'"shape":[5,8]', b'"shape":[5,-8]'),   # negative dimension
+        (b'"dtype":"<f8"', b'"dtype":"|O8"'),    # object dtype
+        (b'"tensors":[', b'"tensors":{'),        # not JSON any more
+    ], ids=["nbytes", "offset", "shape", "dtype", "json"])
+    def test_bad_index_named(self, tmp_path, old, new):
+        path = self._saved(tmp_path)
+        blob = path.read_bytes()
+        assert old in blob
+        blob = blob.replace(old, new)
+        hlen = len(blob) - 8 * 40 - 12
+        path.write_bytes(blob[:8] + struct.pack("<I", hlen) + blob[12:])
+        with pytest.raises(PipelineError, match="m.ckpt"):
             load_checkpoint(str(path))

@@ -101,7 +101,7 @@ class TestValidateCorpus:
             assert agg["env_mean"] == pytest.approx(rec["env_mean"])
 
     def test_empty_manifest_rejected(self):
-        man = aio.CorpusManifest(entries=[], counts={lab: 0 for lab in aio.LABELS})
+        man = aio.CorpusManifest(entries=[])
         with pytest.raises(PipelineError):
             val.validate_corpus(man)
 
