@@ -250,20 +250,35 @@ def save_manifest(manifest: CorpusManifest, path: str) -> None:
     write_json(path, obj)
 
 
+_ENTRY_TYPES = {"path": str, "label": str, "duration_s": (int, float), "rate": int}
+
+
+def _manifest_entry(i: int, item) -> ManifestEntry:
+    for key, tp in _ENTRY_TYPES.items():
+        value = item.get(key) if isinstance(item, dict) else None
+        if not isinstance(value, tp) or isinstance(value, bool):
+            raise PipelineError(f"entry {i} has no valid {key!r}: {item!r}")
+    return ManifestEntry(item["path"], parse_label(item["label"]),
+                         float(item["duration_s"]), item["rate"])
+
+
 def load_manifest(path: str) -> CorpusManifest:
-    obj = read_json(path)
-    root = os.path.dirname(os.path.abspath(path))
-    entries = [
-        ManifestEntry(
-            path=item["path"],
-            label=parse_label(item["label"]),
-            duration_s=float(item["duration_s"]),
-            rate=int(item["rate"]),
-        )
-        for item in obj["entries"]
-    ]
-    manifest = CorpusManifest(entries=entries, root=root)
-    stored = {parse_label(k): int(v) for k, v in obj["counts"].items()}
+    """Read a manifest written by save_manifest; a malformed document raises
+    PipelineError naming the file."""
+    try:
+        obj = read_json(path)
+    except ValueError as exc:
+        raise PipelineError(f"{path}: not a JSON manifest: {exc}") from None
+    if not (isinstance(obj, dict) and isinstance(obj.get("entries"), list)
+            and isinstance(obj.get("counts"), dict)):
+        raise PipelineError(f"{path}: a manifest is an object with an 'entries' list "
+                            "and a 'counts' object")
+    try:
+        entries = [_manifest_entry(i, item) for i, item in enumerate(obj["entries"])]
+        stored = {parse_label(k): v for k, v in obj["counts"].items()}
+    except PipelineError as exc:
+        raise PipelineError(f"{path}: {exc}") from None
+    manifest = CorpusManifest(entries=entries, root=os.path.dirname(os.path.abspath(path)))
     if any(stored.get(lab, 0) != n for lab, n in manifest.counts.items()):
         raise PipelineError(f"{path}: stored class counts do not match the entries")
     return manifest
@@ -387,8 +402,13 @@ def synth_corpus(out_dir: str, cfg: SynthConfig,
     """Generate a labeled synthetic corpus on disk plus its manifest.
 
     Pure function of the config: the same seed yields bit-identical WAV
-    files and manifest.
+    files and manifest. ``class_dir_map`` must name a directory for every
+    class.
     """
+    unmapped = [lab.value for lab in LABELS if lab not in class_dir_map]
+    if unmapped:
+        raise PipelineError(f"class_dirs names no directory for {', '.join(unmapped)}; "
+                            "synth writes every class")
     os.makedirs(out_dir, exist_ok=True)
     entries: list[ManifestEntry] = []
     for label in LABELS:

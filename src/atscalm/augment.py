@@ -28,7 +28,6 @@ VOCODER_HOP = 256
 @dataclass
 class AugmentConfig:
     noise_sigma_rel: float = 0.01       # sigma as a fraction of max|x|
-    noise_sigma_abs: float | None = None
     stretch_range: tuple[float, float] = (0.8, 1.25)
     pitch_range_semitones: float = 2.0
     freq_mask_max: int = 8              # mel bins
@@ -203,10 +202,7 @@ def make_variant(clip: AudioClip, cfg: AugmentConfig,
     r = float(rng.uniform(*cfg.stretch_range))
     k = cfg.pitch_range_semitones
     s = float(rng.uniform(-k, k)) if k > 0 else 0.0
-    if cfg.noise_sigma_abs is not None:
-        sigma = cfg.noise_sigma_abs
-    else:
-        sigma = cfg.noise_sigma_rel * float(np.max(np.abs(clip.samples)))
+    sigma = cfg.noise_sigma_rel * float(np.max(np.abs(clip.samples)))
     out = add_gaussian_noise(clip, sigma, rng)
     if r != 1.0:
         out = time_stretch(out, r, win=cfg.vocoder_win, hop=cfg.vocoder_hop)

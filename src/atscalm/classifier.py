@@ -1,7 +1,6 @@
 """BiLSTM affective-state classifier over the 25-dim feature vector.
 
-The default "sequence" mode walks the feature vector as a length-25
-sequence of scalars; "single-step" feeds the whole vector as one step.
+The BiLSTM walks the feature vector as a length-25 sequence of scalars.
 Class imbalance is handled by weighted random sampling with weights
 total/count_i. Inputs are z-scored with statistics fitted on the training
 split and stored in the checkpoint.
@@ -29,42 +28,36 @@ LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
 
 @dataclass
 class CamConfig:
-    input_dim: int = N_FEATURES
     hidden: int = 256
     fc_dim: int = 128
     dropout: float = 0.3
-    n_classes: int = 3
     lr: float = 0.005
     epochs: int = 350
     batch: int = 512
     seed: int = 0
-    mode: str = "sequence"        # "sequence" | "single-step"
     val_fraction: float = 0.2
 
     def __post_init__(self):
         if not (0.0 <= self.dropout < 1.0):
             raise PipelineError("dropout must be in [0, 1)")
-        if min(self.input_dim, self.hidden, self.fc_dim, self.n_classes) < 1:
+        if min(self.hidden, self.fc_dim) < 1:
             raise PipelineError("dims must be positive")
-        if self.mode not in ("sequence", "single-step"):
-            raise PipelineError(f"unknown mode {self.mode!r}")
 
 
 class BiLstmClassifier:
     def __init__(self, cfg: CamConfig):
         self.cfg = cfg
         seed = cfg.seed
-        step_dim = 1 if cfg.mode == "sequence" else cfg.input_dim
-        self.fwd = init_lstm(step_dim, cfg.hidden, (seed, "fwd"))
-        self.bwd = init_lstm(step_dim, cfg.hidden, (seed, "bwd"))
+        self.fwd = init_lstm(1, cfg.hidden, (seed, "fwd"))
+        self.bwd = init_lstm(1, cfg.hidden, (seed, "bwd"))
         self.fc1_w = seeded_init((2 * cfg.hidden, cfg.fc_dim), "kaiming-uniform",
                                  (seed, "fc1"), fan_in=2 * cfg.hidden)
         self.fc1_b = Tensor(np.zeros(cfg.fc_dim), requires_grad=True)
-        self.fc2_w = seeded_init((cfg.fc_dim, cfg.n_classes), "kaiming-uniform",
+        self.fc2_w = seeded_init((cfg.fc_dim, len(LABELS)), "kaiming-uniform",
                                  (seed, "fc2"), fan_in=cfg.fc_dim)
-        self.fc2_b = Tensor(np.zeros(cfg.n_classes), requires_grad=True)
-        self.norm_mean = np.zeros(cfg.input_dim)
-        self.norm_std = np.ones(cfg.input_dim)
+        self.fc2_b = Tensor(np.zeros(len(LABELS)), requires_grad=True)
+        self.norm_mean = np.zeros(N_FEATURES)
+        self.norm_std = np.ones(N_FEATURES)
 
     def parameters(self) -> dict[str, Tensor]:
         return {
@@ -75,12 +68,10 @@ class BiLstmClassifier:
         }
 
     def _steps(self, x: np.ndarray) -> list[Tensor]:
-        if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
-            raise PipelineError(f"expected (N, {self.cfg.input_dim}) features, got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != N_FEATURES:
+            raise PipelineError(f"expected (N, {N_FEATURES}) features, got {x.shape}")
         z = (x - self.norm_mean) / self.norm_std
-        if self.cfg.mode == "sequence":
-            return [Tensor(z[:, t : t + 1]) for t in range(self.cfg.input_dim)]
-        return [Tensor(z)]
+        return [Tensor(z[:, t : t + 1]) for t in range(N_FEATURES)]
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -117,9 +108,9 @@ def count_cam_parameters(model: BiLstmClassifier) -> int:
 
 
 def cam_parameter_closed_form(cfg: CamConfig) -> int:
-    step_dim = 1 if cfg.mode == "sequence" else cfg.input_dim
-    heads = (2 * cfg.hidden * cfg.fc_dim + cfg.fc_dim) + (cfg.fc_dim * cfg.n_classes + cfg.n_classes)
-    return 2 * lstm_param_count(step_dim, cfg.hidden) + heads
+    k = len(LABELS)
+    heads = (2 * cfg.hidden * cfg.fc_dim + cfg.fc_dim) + (cfg.fc_dim * k + k)
+    return 2 * lstm_param_count(1, cfg.hidden) + heads
 
 
 def class_weights(counts: dict[ClassLabel, int]) -> dict[ClassLabel, float]:

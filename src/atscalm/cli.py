@@ -23,12 +23,12 @@ import numpy as np
 from . import augment as aug_mod
 from . import classifier as cam_mod
 from . import embedding_eval, encoder, features, plots, stats, tsne, validation
-from .audio_io import (LABELS, CorpusManifest, ManifestEntry, build_manifest,
-                       load_manifest, parse_label, save_manifest, save_wav,
-                       synth_corpus)
+from .audio_io import (CLASS_TONE_HZ, LABELS, CorpusManifest, ManifestEntry,
+                       build_manifest, load_manifest, parse_label, save_manifest,
+                       save_wav, synth_corpus)
 from .config import RunConfig, load_config
 from .util import (ConfigError, PipelineError, ensure_dir, json_sanitize,
-                   parallel_map, read_csv, read_json, write_csv, write_json)
+                   parallel_map, read_float_csv, read_json, write_csv, write_json)
 
 log = logging.getLogger("atscalm")
 
@@ -88,21 +88,18 @@ def cmd_validate(args) -> int:
     cfg = _config(args)
     out = _out_dir(args)
     manifest = _load_corpus(args, cfg)
-    report = validation.validate_corpus(
-        manifest, phase_search=cfg.validation.phase_search,
-        target_rate=cfg.rate, jobs=args.jobs)
+    report = validation.validate_corpus(manifest, target_rate=cfg.rate, jobs=args.jobs)
     json_path = os.path.join(out, "validation.json")
     csv_path = os.path.join(out, "validation.csv")
     validation.write_validation_report(report, json_path, csv_path)
     produced = [json_path, csv_path]
     if args.plot:
-        models = validation.default_models()
         for label in LABELS:
             entry = next((e for e in manifest.entries if e.label == label), None)
             if entry is None:
                 continue
             clip = manifest.load_clip(entry, target_rate=cfg.rate)
-            theo = validation.reconstruct_theoretical(clip, models[label])
+            theo = validation.reconstruct_theoretical(clip, CLASS_TONE_HZ[label])
             wave_svg, spec_svg = plots.validation_overlay(
                 clip.samples, theo, clip.rate, label.value)
             for suffix, svg in (("wave", wave_svg), ("spectrum", spec_svg)):
@@ -204,14 +201,9 @@ def cmd_embed(args) -> int:
 
 
 def _read_embeddings(path: str) -> list[encoder.Embedding]:
-    header, rows = read_csv(path)
-    if header[:2] != ["id", "label"]:
-        raise PipelineError(f"unexpected embeddings header in {path}")
-    return [
-        encoder.Embedding(
-            vec=np.array([float(v) for v in r[2:]]), clip_id=r[0], label=parse_label(r[1]))
-        for r in rows
-    ]
+    _, keys, values = read_float_csv(path, ["id", "label"])
+    return [encoder.Embedding(vec=vec, clip_id=cid, label=parse_label(lab))
+            for (cid, lab), vec in zip(keys, values)]
 
 
 def cmd_eval_embeddings(args) -> int:
@@ -315,18 +307,17 @@ def cmd_report(args) -> int:
     out = _out_dir(args)
     produced = []
     if args.plot_history:
-        header, rows = read_csv(args.plot_history)
-        xs = np.array([float(r[0]) for r in rows])
-        series = {}
-        for j, name in enumerate(header[1:], start=1):
-            series[name] = (xs, np.array([float(r[j]) for r in rows]))
+        header, _, values = read_float_csv(args.plot_history, [])
+        series = {name: (values[:, 0], values[:, j]) for j, name in enumerate(header[1:], start=1)}
         svg = plots.line_chart(series, os.path.basename(args.plot_history), header[0], "value")
         path = os.path.join(out, os.path.splitext(os.path.basename(args.plot_history))[0] + ".svg")
         produced.append(_write_svg(path, svg))
     if args.plot_tsne:
-        header, rows = read_csv(args.plot_tsne)
+        _, keys, values = read_float_csv(args.plot_tsne, ["id", "label"])
+        if values.shape[1] < 2:
+            raise PipelineError(f"{args.plot_tsne}: expected x and y columns after id,label")
         svg = plots.scatter_chart(
-            [(float(r[2]), float(r[3]), r[1]) for r in rows], "2-d embedding map")
+            [(x, y, lab) for (_, lab), (x, y) in zip(keys, values[:, :2])], "2-d embedding map")
         path = os.path.join(out, os.path.splitext(os.path.basename(args.plot_tsne))[0] + ".svg")
         produced.append(_write_svg(path, svg))
     if not produced:

@@ -41,11 +41,6 @@ class TsneSection:
 
 
 @dataclass
-class ValidationSection:
-    phase_search: bool = False
-
-
-@dataclass
 class RunConfig:
     seed: int = 0
     rate: int = CANONICAL_RATE
@@ -57,7 +52,6 @@ class RunConfig:
     encoder: EncoderSection = field(default_factory=EncoderSection)
     cam: CamConfig = field(default_factory=CamConfig)
     tsne: TsneSection = field(default_factory=TsneSection)
-    validation: ValidationSection = field(default_factory=ValidationSection)
 
     def __post_init__(self):
         self.class_dir_map()

@@ -18,7 +18,7 @@ from . import augment, features
 from .audio_io import AudioClip, ClassLabel, CorpusManifest
 from .nn import Adam, Tensor, load_checkpoint, no_grad, save_checkpoint, seeded_init
 from .nn.ops import (BatchNormState, add, batchnorm2d, conv2d, global_avg_pool,
-                     linear, matmul, maxpool2d, mul, relu, scale, split, ssum, sub)
+                     linear, maxpool2d, mul, relu, scale, split, ssum, sub)
 from .util import PipelineError, dataclass_from_dict, keyed_rng, parallel_map
 
 log = logging.getLogger(__name__)
@@ -33,7 +33,6 @@ class EncoderConfig:
     proj_dim: int = 128
     width_scale: float = 1.0
     frames: int = 256
-    uniformity_weight: float = 0.0   # optional anti-collapse regularizer
 
     def __post_init__(self):
         if len(self.widths) != len(self.blocks):
@@ -286,8 +285,6 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
             emb = model.forward(x, train=True)
             p1, p2 = split(emb, [len(batch), len(batch)], axis=0)
             loss = contrastive_loss(p1, p2)
-            if cfg.uniformity_weight > 0.0:
-                loss = add(loss, scale(_uniformity_penalty(emb), cfg.uniformity_weight))
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -309,14 +306,6 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
             "emb_variance": emb_var,
         })
     return model, history
-
-
-def _uniformity_penalty(emb: Tensor) -> Tensor:
-    # -mean squared distance to the batch mean; pushes embeddings apart
-    n = emb.data.shape[0]
-    mean = matmul(Tensor(np.ones((1, n)) / n), emb)
-    d = sub(emb, mean)
-    return scale(ssum(mul(d, d)), -1.0 / n)
 
 
 def save_encoder(model: AcousticEncoder, path: str,

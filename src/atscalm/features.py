@@ -13,12 +13,15 @@ import numpy as np
 
 from . import dsp
 from .audio_io import AudioClip
-from .util import PipelineError, read_csv, write_csv
+from .util import PipelineError, read_float_csv, write_csv
+
+N_MFCC = 13
+WAVELET_LEVELS = 5
 
 FEATURE_NAMES: tuple[str, ...] = tuple(
-    [f"mfcc_{i}" for i in range(13)]
+    [f"mfcc_{i}" for i in range(N_MFCC)]
     + ["zcr", "rms"]
-    + [f"w{j}_{s}" for j in range(1, 6) for s in ("mu", "sd")]
+    + [f"w{j}_{s}" for j in range(1, WAVELET_LEVELS + 1) for s in ("mu", "sd")]
 )
 
 N_FEATURES = len(FEATURE_NAMES)  # 25
@@ -32,11 +35,7 @@ class FeatureParams:
     n_mels: int = 64
     f_lo: float = 0.0
     f_hi: float = 8000.0
-    window_name: str = "hann"
     log_eps: float = 1e-10
-    wavelet: str = "haar"        # or "db4"
-    wavelet_levels: int = 5
-    n_mfcc: int = 13
 
 
 @dataclass
@@ -70,8 +69,7 @@ _filterbank = functools.lru_cache(maxsize=None)(dsp.build_mel_filterbank)
 
 
 def power_spectrogram(clip: AudioClip, params: FeatureParams) -> TimeFreqGrid:
-    grid = dsp.stft(clip.samples, params.win, params.hop,
-                    window_name=params.window_name, n_fft=params.n_fft, rate=clip.rate)
+    grid = dsp.stft(clip.samples, params.win, params.hop, n_fft=params.n_fft, rate=clip.rate)
     power = grid.spec.real ** 2 + grid.spec.imag ** 2
     return TimeFreqGrid(
         values=power,
@@ -103,7 +101,7 @@ def mfcc13(clip: AudioClip, params: FeatureParams | None = None) -> np.ndarray:
     if params is None:
         params = FeatureParams()
     logmel = mel_spectrogram(clip, params)
-    basis = dsp.dct2_matrix(params.n_mels, params.n_mfcc)
+    basis = dsp.dct2_matrix(params.n_mels, N_MFCC)
     return np.mean(basis @ logmel.values, axis=1)
 
 
@@ -119,46 +117,27 @@ def rms(clip: AudioClip) -> float:
     return float(np.sqrt(np.mean(clip.samples ** 2)))
 
 
-_DB4_LO = np.array([1.0 + np.sqrt(3.0), 3.0 + np.sqrt(3.0),
-                    3.0 - np.sqrt(3.0), 1.0 - np.sqrt(3.0)]) / (4.0 * np.sqrt(2.0))
-_DB4_HI = np.array([_DB4_LO[3], -_DB4_LO[2], _DB4_LO[1], -_DB4_LO[0]])
-
-
-def _dwt_step(x: np.ndarray, wavelet: str) -> tuple[np.ndarray, np.ndarray]:
+def _haar_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # symmetric padding to even length: repeat the final sample
     if x.size % 2 == 1:
         x = np.append(x, x[-1])
-    if wavelet == "haar":
-        approx = (x[0::2] + x[1::2]) / np.sqrt(2.0)
-        detail = (x[0::2] - x[1::2]) / np.sqrt(2.0)
-        return approx, detail
-    if wavelet == "db4":
-        xp = np.concatenate([x, x[-2:][::-1]])  # extend so every pair sees 4 taps
-        approx = sum(_DB4_LO[k] * xp[k : k + x.size : 2] for k in range(4))
-        detail = sum(_DB4_HI[k] * xp[k : k + x.size : 2] for k in range(4))
-        return approx, detail
-    raise PipelineError(f"unknown wavelet {wavelet!r}")
+    approx = (x[0::2] + x[1::2]) / np.sqrt(2.0)
+    detail = (x[0::2] - x[1::2]) / np.sqrt(2.0)
+    return approx, detail
 
 
-def wavelet_details(x: np.ndarray, levels: int, wavelet: str = "haar") -> list[np.ndarray]:
-    """Detail coefficient vectors d_1..d_levels of a multi-level DWT."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size < 2 ** levels:
-        raise PipelineError(f"need at least 2^{levels} samples for a {levels}-level transform")
-    details = []
-    approx = x
-    for _ in range(levels):
-        approx, detail = _dwt_step(approx, wavelet)
-        details.append(detail)
-    return details
-
-
-def wavelet_stats(clip: AudioClip, levels: int = 5, wavelet: str = "haar") -> np.ndarray:
-    """[mean_1, std_1, ..., mean_L, std_L] of detail coefficients (population std)."""
-    out = np.empty(2 * levels)
-    for j, d in enumerate(wavelet_details(clip.samples, levels, wavelet)):
-        out[2 * j] = np.mean(d)
-        out[2 * j + 1] = np.std(d)
+def wavelet_stats(clip: AudioClip) -> np.ndarray:
+    """[mean_1, std_1, ..., mean_L, std_L] (population std) of the detail
+    coefficients d_1..d_L of an L = WAVELET_LEVELS level Haar transform."""
+    approx = clip.samples
+    if approx.size < 2 ** WAVELET_LEVELS:
+        raise PipelineError(f"need at least 2^{WAVELET_LEVELS} samples for a "
+                            f"{WAVELET_LEVELS}-level transform")
+    out = np.empty(2 * WAVELET_LEVELS)
+    for j in range(WAVELET_LEVELS):
+        approx, detail = _haar_step(approx)
+        out[2 * j] = np.mean(detail)
+        out[2 * j + 1] = np.std(detail)
     return out
 
 
@@ -166,14 +145,7 @@ def extract_features(clip: AudioClip, params: FeatureParams | None = None) -> np
     """The full 25-vector in the FEATURE_NAMES order."""
     if params is None:
         params = FeatureParams()
-    vec = np.concatenate([
-        mfcc13(clip, params),
-        [zcr(clip), rms(clip)],
-        wavelet_stats(clip, params.wavelet_levels, params.wavelet),
-    ])
-    if vec.size != N_FEATURES:
-        raise PipelineError(f"feature vector has {vec.size} entries, expected {N_FEATURES}")
-    return vec
+    return np.concatenate([mfcc13(clip, params), [zcr(clip), rms(clip)], wavelet_stats(clip)])
 
 
 def write_features_csv(path: str, rows: list[tuple[str, str, np.ndarray]]) -> None:
@@ -183,8 +155,7 @@ def write_features_csv(path: str, rows: list[tuple[str, str, np.ndarray]]) -> No
 
 
 def read_features_csv(path: str) -> list[tuple[str, str, np.ndarray]]:
-    header, raw = read_csv(path)
-    expected = ["id", "label"] + list(FEATURE_NAMES)
-    if header != expected:
+    header, keys, values = read_float_csv(path, ["id", "label"])
+    if header[2:] != list(FEATURE_NAMES):
         raise PipelineError(f"unexpected features header in {path}: {header[:4]}...")
-    return [(r[0], r[1], np.array([float(v) for v in r[2:]], dtype=np.float64)) for r in raw]
+    return [(cid, lab, vec) for (cid, lab), vec in zip(keys, values)]

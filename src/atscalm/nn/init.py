@@ -9,8 +9,8 @@ from .tensor import Tensor
 
 
 def seeded_init(shape, scheme: str, seed, fan_in: int | None = None,
-                r: float | None = None, requires_grad: bool = True) -> Tensor:
-    """Deterministic per (shape, scheme, seed).
+                r: float | None = None) -> Tensor:
+    """A trainable tensor, deterministic per (shape, scheme, seed).
 
     - "kaiming-uniform": U(-b, b) with b = sqrt(6 / fan_in), the uniform
       distribution whose std matches sqrt(2 / fan_in).
@@ -28,4 +28,4 @@ def seeded_init(shape, scheme: str, seed, fan_in: int | None = None,
         bound = float(r)
     else:
         raise PipelineError(f"unknown init scheme {scheme!r}")
-    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=requires_grad)
+    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)

@@ -39,14 +39,14 @@ class LstmWeights:
         return self.wx.data.shape[0]
 
 
-def init_lstm(input_dim: int, hidden: int, seed, forget_bias: float = 1.0) -> LstmWeights:
-    """Uniform(-r, r) with r = 1/sqrt(hidden); forget-gate bias raised to
+def init_lstm(input_dim: int, hidden: int, seed) -> LstmWeights:
+    """Uniform(-r, r) with r = 1/sqrt(hidden); forget-gate bias set to 1 to
     keep early memory open (standard trainability tweak)."""
     r = 1.0 / np.sqrt(hidden)
     wx = seeded_init((input_dim, 4 * hidden), "uniform", (seed, "wx"), r=r)
     wh = seeded_init((hidden, 4 * hidden), "uniform", (seed, "wh"), r=r)
     b = np.zeros((1, 4 * hidden))
-    b[0, hidden : 2 * hidden] = forget_bias
+    b[0, hidden : 2 * hidden] = 1.0
     return LstmWeights(wx=wx, wh=wh, b=Tensor(b, requires_grad=True))
 
 

@@ -4,7 +4,7 @@ whose closure accumulates gradients into its parents."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,18 +258,20 @@ def global_avg_pool(x) -> Tensor:
     return out
 
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 @dataclass
 class BatchNormState:
     """Running statistics; arrays are plain buffers, not parameters."""
 
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @classmethod
-    def for_channels(cls, c: int, momentum: float = 0.1, eps: float = 1e-5):
-        return cls(mean=np.zeros(c), var=np.ones(c), momentum=momentum, eps=eps)
+    def for_channels(cls, c: int):
+        return cls(mean=np.zeros(c), var=np.ones(c))
 
 
 def batchnorm2d(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
@@ -286,11 +288,11 @@ def batchnorm2d(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
     if train:
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        state.mean = (1.0 - state.momentum) * state.mean + state.momentum * mu
-        state.var = (1.0 - state.momentum) * state.var + state.momentum * var
+        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
+        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
     else:
         mu, var = state.mean, state.var
-    inv = 1.0 / np.sqrt(var + state.eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
     y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
     rg = x.requires_grad or gamma.requires_grad or beta.requires_grad

@@ -35,17 +35,16 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "name", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(), backward=None, name=None):
+    def __init__(self, data, requires_grad: bool = False, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         if parents and not grad_enabled():
             requires_grad, parents = False, ()
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = tuple(parents)
-        self._backward = backward
-        self.name = name
+        self._bw = None
 
     @property
     def _backward(self):
@@ -115,8 +114,7 @@ class Tensor:
             node.grad, node._backward, node._parents = None, None, ()
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def as_tensor(x) -> Tensor:

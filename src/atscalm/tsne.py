@@ -13,6 +13,8 @@ import numpy as np
 from .util import PipelineError, keyed_rng
 
 _P_FLOOR = 1e-12
+# momentum 0.5 for the first 250 iterations, 0.8 after
+_MOMENTUM_EARLY, _MOMENTUM_LATE, _MOMENTUM_SWITCH = 0.5, 0.8, 250
 
 
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
@@ -89,10 +91,9 @@ def kl_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def tsne(x: np.ndarray, perplexity: float = 10.0, lr: float = 100.0,
-         iters: int = 500, seed: int = 0, init: np.ndarray | None = None,
-         momentum_early: float = 0.5, momentum_late: float = 0.8,
-         momentum_switch: int = 250) -> tuple[np.ndarray, list[float]]:
-    """Gradient descent on the KL objective; returns (Y, KL history).
+         iters: int = 500, seed: int = 0) -> tuple[np.ndarray, list[float]]:
+    """Gradient descent with momentum on the KL objective from a seeded
+    N(0, 1e-4^2) start; returns (Y, KL history).
 
     The history holds the cost at every iteration including the initial
     configuration.
@@ -100,17 +101,12 @@ def tsne(x: np.ndarray, perplexity: float = 10.0, lr: float = 100.0,
     x = np.asarray(x, dtype=np.float64)
     p = perplexity_affinities(x, perplexity)
     n = x.shape[0]
-    if init is not None:
-        y = np.array(init, dtype=np.float64, copy=True)
-        if y.shape != (n, 2):
-            raise PipelineError(f"init must be (n, 2), got {y.shape}")
-    else:
-        y = keyed_rng("tsne", seed).normal(0.0, 1e-4, (n, 2))
+    y = keyed_rng("tsne", seed).normal(0.0, 1e-4, (n, 2))
     vel = np.zeros_like(y)
     history = [kl_divergence(p, y)]
     for it in range(iters):
         g = kl_grad(p, y)
-        mom = momentum_early if it < momentum_switch else momentum_late
+        mom = _MOMENTUM_EARLY if it < _MOMENTUM_SWITCH else _MOMENTUM_LATE
         vel = mom * vel - lr * g
         y = y + vel
         y = y - y.mean(axis=0)

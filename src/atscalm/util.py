@@ -70,14 +70,47 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
             fh.write("\n")
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+def _csv_lines(path: str) -> list[tuple[int, list[str]]]:
+    """(1-based line number, cells) of every non-blank line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(n, ln.rstrip("\n").split(",")) for n, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise PipelineError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise PipelineError(f"empty CSV: {path}")
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows
+    return lines
+
+
+def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    lines = _csv_lines(path)
+    return lines[0][1], [cells for _, cells in lines[1:]]
+
+
+def read_float_csv(path: str, keys: Sequence[str]) -> tuple[list[str], list[list[str]], np.ndarray]:
+    """A CSV whose header starts with the ``keys`` columns and whose other
+    cells are numbers: (header, key cells per row, (rows, other columns) floats).
+
+    A header without the key columns, a row whose width differs from the
+    header, or a cell that is not a number raises PipelineError naming the
+    file, line and column.
+    """
+    (_, header), *body = _csv_lines(path)
+    n_keys = len(keys)
+    if header[:n_keys] != list(keys):
+        raise PipelineError(f"{path}: header must start with {','.join(keys)}, got {header[:n_keys]}")
+    values = np.empty((len(body), len(header) - n_keys))
+    for i, (line, cells) in enumerate(body):
+        if len(cells) != len(header):
+            raise PipelineError(f"{path} line {line}: {len(cells)} cells, "
+                                f"the header has {len(header)}")
+        for j in range(n_keys, len(header)):
+            try:
+                values[i, j - n_keys] = float(cells[j])
+            except ValueError:
+                raise PipelineError(f"{path} line {line}, column {header[j]}: "
+                                    f"{cells[j]!r} is not a number") from None
+    return header, [cells[:n_keys] for _, cells in body], values
 
 
 def ensure_dir(path: str) -> str:

@@ -1,8 +1,8 @@
 """Corpus validation against per-class theoretical tone models.
 
 For each clip: extract the analytic envelope, rebuild the signal as
-envelope * cos(2*pi*f_c*t + phi) at the class tone frequency, and score the
-match with RMSE. Envelope mean/std (edge-trimmed), total energy, and the
+envelope * cos(2*pi*f_c*t) at the class tone frequency f_c of
+CLASS_TONE_HZ, and score the match with RMSE. Envelope mean/std (edge-trimmed), total energy, and the
 spectral peak round out the record; per-class aggregates mirror the
 per-clip fields.
 """
@@ -14,24 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .audio_io import CLASS_TONE_HZ, LABELS, AudioClip, ClassLabel, CorpusManifest
+from .audio_io import CLASS_TONE_HZ, LABELS, AudioClip, CorpusManifest
 from .util import PipelineError, parallel_map, write_csv, write_json
 
 EDGE_TRIM = 0.05
-
-
-@dataclass(frozen=True)
-class TheoreticalModel:
-    f_c_hz: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.f_c_hz <= 0:
-            raise PipelineError(f"characteristic frequency must be positive, got {self.f_c_hz}")
-
-
-def default_models() -> dict[ClassLabel, TheoreticalModel]:
-    return {label: TheoreticalModel(f_c) for label, f_c in CLASS_TONE_HZ.items()}
 
 
 @dataclass
@@ -55,32 +41,15 @@ def rmse(x, y) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
-def reconstruct_theoretical(clip: AudioClip, model: TheoreticalModel,
-                            phase_search: bool = False) -> np.ndarray:
-    """Envelope-modulated cosine at the model's class frequency.
-
-    With ``phase_search`` the phase maximizing correlation with the clip is
-    picked from a 32-point grid; the default keeps phi fixed for
-    reproducibility.
-    """
-    if model.f_c_hz >= clip.rate / 2:
+def reconstruct_theoretical(clip: AudioClip, f_c_hz: float) -> np.ndarray:
+    """The clip's analytic envelope times a zero-phase cosine at ``f_c_hz``."""
+    if f_c_hz >= clip.rate / 2:
         raise PipelineError(
-            f"f_c {model.f_c_hz} Hz is not below Nyquist for rate {clip.rate}"
+            f"f_c {f_c_hz} Hz is not below Nyquist for rate {clip.rate}"
         )
     env = dsp.analytic_envelope(clip.samples)
     t = np.arange(clip.samples.size) / clip.rate
-    omega = 2.0 * np.pi * model.f_c_hz
-    if not phase_search:
-        return env * np.cos(omega * t + model.phase)
-    best = None
-    best_corr = -np.inf
-    for phi in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
-        cand = env * np.cos(omega * t + phi)
-        corr = float(np.dot(cand, clip.samples))
-        if corr > best_corr:
-            best_corr = corr
-            best = cand
-    return best
+    return env * np.cos(2.0 * np.pi * f_c_hz * t)
 
 
 def _interior(x: np.ndarray, trim: float = EDGE_TRIM) -> np.ndarray:
@@ -106,9 +75,8 @@ def peak_frequency(x: np.ndarray, rate: float) -> float:
     return float((1 + int(np.argmax(mag[1:]))) * rate / n_fft)
 
 
-def validate_clip(clip: AudioClip, model: TheoreticalModel,
-                  phase_search: bool = False) -> ValidationRecord:
-    theo = reconstruct_theoretical(clip, model, phase_search=phase_search)
+def validate_clip(clip: AudioClip, f_c_hz: float) -> ValidationRecord:
+    theo = reconstruct_theoretical(clip, f_c_hz)
     env_mean, env_std, energy = envelope_stats(clip)
     return ValidationRecord(
         clip_id=clip.id,
@@ -121,10 +89,9 @@ def validate_clip(clip: AudioClip, model: TheoreticalModel,
 
 
 def validate_corpus(manifest: CorpusManifest,
-                    phase_search: bool = False,
                     target_rate: int | None = None,
                     jobs: int = 1) -> dict:
-    """Per-clip records plus per-class aggregates.
+    """Per-clip records against each clip's class tone, plus per-class aggregates.
 
     Aggregation is the mean of the per-clip values; the class spectral peak
     comes from the class-mean magnitude spectrum at a shared FFT size.
@@ -133,7 +100,6 @@ def validate_corpus(manifest: CorpusManifest,
     """
     if not manifest.entries:
         raise PipelineError("cannot validate an empty manifest")
-    models = default_models()
 
     max_len = 0
     clips: list[AudioClip] = []
@@ -144,7 +110,7 @@ def validate_corpus(manifest: CorpusManifest,
     n_fft = dsp.next_pow2(max_len)
 
     def work(clip: AudioClip):
-        rec = validate_clip(clip, models[clip.label], phase_search=phase_search)
+        rec = validate_clip(clip, CLASS_TONE_HZ[clip.label])
         return rec, np.abs(dsp.fft(clip.samples, n_fft)), clip.rate
 
     results = parallel_map(work, clips, jobs)

@@ -179,6 +179,11 @@ class TestManifest:
         man = aio.build_manifest(str(tmp_path))
         assert len(man.entries) == 3
 
+    def test_partial_class_map(self, tmp_path):
+        self._mk_corpus(str(tmp_path))
+        man = aio.build_manifest(str(tmp_path), {aio.ClassLabel.MUSIC: "Music"})
+        assert [e.label for e in man.entries] == [aio.ClassLabel.MUSIC]
+
     def test_empty_corpus(self, tmp_path):
         for sub in aio.DEFAULT_CLASS_DIRS.values():
             os.makedirs(tmp_path / sub)

@@ -84,14 +84,8 @@ class TestModel:
         x = keyed_rng("m", 1).normal(0, 1, (4, 25))
         assert np.array_equal(model.predict_proba(x), model.predict_proba(x))
 
-    def test_param_count_single_step(self):
-        cfg = CamConfig(mode="single-step")
-        model = BiLstmClassifier(cfg)
-        want = 4 * ((25 + 256 + 1) * 256) * 2 + (512 * 128 + 128) + (128 * 3 + 3)
-        assert count_cam_parameters(model) == want == 643_587
-
     def test_param_count_sequence(self):
-        cfg = CamConfig(mode="sequence")
+        cfg = CamConfig()
         model = BiLstmClassifier(cfg)
         want = 4 * ((1 + 256 + 1) * 256) * 2 + (512 * 128 + 128) + (128 * 3 + 3)
         assert count_cam_parameters(model) == want == cam_parameter_closed_form(cfg)
@@ -149,10 +143,9 @@ class TestTraining:
                [(h["epoch"], h["loss"], h["acc"]) for h in h2]
         assert np.array_equal(r1.confusion, r2.confusion)
 
-    @pytest.mark.parametrize("mode", ["sequence", "single-step"])
-    def test_history_matches_composed_lstm(self, monkeypatch, mode):
+    def test_history_matches_composed_lstm(self, monkeypatch):
         rows = gaussian_rows(10, seed=6)
-        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.02, epochs=6, seed=2, mode=mode)
+        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.02, epochs=6, seed=2)
         _, fused, fused_report, _ = train_cam(rows, cfg)
         monkeypatch.setattr(classifier, "bilstm_final", lstm_oracle.bilstm_final)
         _, composed, composed_report, _ = train_cam(rows, cfg)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from atscalm.cli import main
-from atscalm.features import read_features_csv
+from atscalm.features import FEATURE_NAMES, read_features_csv
 from atscalm.util import read_json
+from tiny_chain import run_chain
 
 
 def run(args):
@@ -77,6 +78,61 @@ class TestAugment:
         assert trees[0] == trees[1]
 
 
+FEATURES_HEADER = ",".join(["id", "label", *FEATURE_NAMES])
+ROW = "a,Music," + ",".join(["0.5"] * len(FEATURE_NAMES))
+
+# Keys the config schema rejects; `validation` is no section at all, so its
+# case below names the section.
+REMOVED_KEYS = [("features", "n_mfcc", 13), ("features", "wavelet_levels", 5),
+                ("features", "wavelet", "haar"), ("features", "window_name", "hann"),
+                ("cam", "input_dim", 25), ("cam", "n_classes", 3), ("cam", "mode", "sequence"),
+                ("encoder", "uniformity_weight", 0.0), ("augment", "noise_sigma_abs", None)]
+
+# (files to write, command, exit code, message); {d} is the directory they are in.
+BAD_INPUT = {
+    "manifest-not-json": ({"m.json": "not json"}, ["validate", "{d}/m.json"], 1,
+                          "m.json: not a JSON manifest"),
+    "manifest-not-object": ({"m.json": "[]"}, ["validate", "{d}/m.json"], 1,
+                            "m.json: a manifest is an object"),
+    "manifest-no-counts": ({"m.json": '{"entries": []}'}, ["validate", "{d}/m.json"], 1,
+                           "m.json: a manifest is an object"),
+    "manifest-entries-object": ({"m.json": '{"entries": {}, "counts": {}}'},
+                                ["validate", "{d}/m.json"], 1, "m.json: a manifest is an object"),
+    "manifest-entry-no-label": ({"m.json": '{"entries": [{"path": "x.wav"}], "counts": {}}'},
+                                ["validate", "{d}/m.json"], 1,
+                                "m.json: entry 0 has no valid 'label'"),
+    "manifest-entry-rate-string": (
+        {"m.json": '{"entries": [{"path": "x.wav", "label": "Music", "duration_s": 1.0, '
+                   '"rate": "16000"}], "counts": {"Music": 1}}'},
+        ["validate", "{d}/m.json"], 1, "m.json: entry 0 has no valid 'rate'"),
+    "class-dirs-partial": ({"c.json": '{"class_dirs": {"Music": "M"}}'},
+                           ["--config", "{d}/c.json", "synth", "--n", "1"], 1,
+                           "class_dirs names no directory for SpiritualMeditation, NormalSilence"),
+    "features-not-a-number": ({"f.csv": f"{FEATURES_HEADER}\n{ROW.replace('0.5', 'x', 1)}\n"},
+                              ["calmness", "{d}/f.csv"], 1, "f.csv line 2, column mfcc_0: 'x'"),
+    "features-short-row": ({"f.csv": f"{FEATURES_HEADER}\n{ROW}\na,Music,1\n"},
+                           ["calmness", "{d}/f.csv"], 1, "f.csv line 3: 3 cells, the header has 27"),
+    "features-not-utf8": ({"f.csv": b"\xff\xfe"}, ["calmness", "{d}/f.csv"], 1,
+                          "f.csv: not UTF-8 text"),
+    "embeddings-not-a-number": ({"e.csv": "id,label,e0\na,Music,1\nb,Music,y\n"},
+                                ["eval-embeddings", "{d}/e.csv"], 1, "e.csv line 3, column e0: 'y'"),
+    "embeddings-header": ({"e.csv": "e0,e1\n1,2\n"}, ["eval-embeddings", "{d}/e.csv"], 1,
+                          "e.csv: header must start with id,label"),
+    "tsne-no-y-column": ({"t.csv": "id,label,x\na,Music,1\n"}, ["report", "--plot-tsne", "{d}/t.csv"],
+                         1, "t.csv: expected x and y columns"),
+    "history-not-a-number": ({"h.csv": "epoch,loss\n1,0.5\n2,nope\n"},
+                             ["report", "--plot-history", "{d}/h.csv"], 1,
+                             "h.csv line 3, column loss: 'nope'"),
+    **{f"removed-{section}.{key}": ({"c.json": json.dumps({section: {key: value}})},
+                                    ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
+                                    f"unknown config key {section}.{key}")
+       for section, key, value in REMOVED_KEYS},
+    "removed-validation.phase_search": ({"c.json": '{"validation": {"phase_search": false}}'},
+                                        ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
+                                        "unknown config key validation"),
+}
+
+
 class TestBadInput:
     def test_partial_frame_wav_validate_exits_1(self, tmp_path, caplog, capsys):
         out = str(tmp_path / "out")
@@ -115,6 +171,20 @@ class TestBadInput:
         assert "clip_000.wav" in caplog.text and message in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("files,argv,code,message", list(BAD_INPUT.values()),
+                             ids=list(BAD_INPUT))
+    def test_bad_input_named_without_traceback(self, tmp_path, caplog, capsys,
+                                               files, argv, code, message):
+        for name, content in files.items():
+            if isinstance(content, str):
+                content = content.encode()
+            (tmp_path / name).write_bytes(content)
+        d = str(tmp_path)
+        args = ["--out", os.path.join(d, "out")] + [a.replace("{d}", d) for a in argv]
+        assert run(args) == code
+        assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("cut", [lambda b: b[:10], lambda b: b[:-100]],
                              ids=["first-10-bytes", "last-100-bytes-cut"])
     def test_truncated_checkpoint_evaluate_exits_1(self, tiny_run, tmp_path, caplog, capsys,
@@ -127,37 +197,6 @@ class TestBadInput:
         assert code == 1
         assert "cut.ckpt" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
-
-
-TINY_CONFIG = {"encoder": {"width_scale": 0.125, "epochs": 2, "frames": 64},
-               "cam": {"hidden": 16, "epochs": 2}}
-
-
-def _chain(out, jobs=1):
-    """All 11 commands on a tiny synthetic corpus, in dependency order."""
-    os.makedirs(out)
-    cfg = os.path.join(out, "tiny.json")
-    with open(cfg, "w") as fh:
-        json.dump(TINY_CONFIG, fh)
-    base = ["--config", cfg, "--seed", "3", "--jobs", str(jobs), "--out", out]
-    corpus = os.path.join(out, "corpus")
-    feats = os.path.join(out, "features.csv")
-    steps = [
-        ["synth", "--n", "2", "--duration", "1.0"],
-        ["validate", corpus, "--plot"],
-        ["augment", os.path.join(corpus, "manifest.json")],
-        ["features", os.path.join(corpus, "manifest.json")],
-        ["calmness", feats],
-        ["train-encoder", corpus],
-        ["embed", corpus, "--checkpoint", os.path.join(out, "encoder.ckpt")],
-        ["eval-embeddings", os.path.join(out, "embeddings.csv"), "--plot"],
-        ["train-cam", feats],
-        ["evaluate", feats, "--checkpoint", os.path.join(out, "cam.ckpt"), "--split", "test"],
-        ["report", "--plot-history", os.path.join(out, "cam_history.csv"),
-         "--plot-tsne", os.path.join(out, "tsne.csv")],
-    ]
-    for step in steps:
-        assert run(base + step) == 0, step
 
 
 def _artifacts(out, commands=None):
@@ -175,7 +214,7 @@ def _artifacts(out, commands=None):
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("tiny") / "a")
-    _chain(out)
+    run_chain(out)
     return out
 
 
@@ -183,7 +222,7 @@ class TestEndToEnd:
     def test_rerun_byte_identical(self, tiny_run, tmp_path):
         assert len(read_json(os.path.join(tiny_run, "artifacts.json"))) == 11
         again = str(tmp_path / "b")
-        _chain(again)
+        run_chain(again)
         assert _artifacts(again) == _artifacts(tiny_run)
 
     def test_jobs_2_matches_jobs_1(self, tiny_run, tmp_path):

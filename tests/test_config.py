@@ -24,9 +24,9 @@ def test_overrides_keep_other_defaults():
     ({"synth": {"n_per_class": 0}}, "config synth: n_per_class"),
     ({"augment": {"stretch_range": [2.0, 1.0]}}, "config augment: invalid stretch range"),
     ({"augment": {"stretch_range": [1.0]}}, "config key augment.stretch_range must be"),
-    ({"cam": {"mode": "both"}}, "config cam: unknown mode"),
+    ({"cam": {"dropout": 1.0}}, "config cam: dropout must be in"),
     ({"class_dirs": {"Silence": "x"}}, "unknown class label 'Silence'"),
-    ({"validation": {"phase_search": 1}}, "config key validation.phase_search must be bool"),
+    ({"synth": {"n_per_class": True}}, "config key synth.n_per_class must be int"),
     ({"rate": True}, "config key rate must be int"),
     ({"features": []}, "config features must be an object"),
     ([], "config document must be an object"),

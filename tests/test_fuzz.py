@@ -1,4 +1,5 @@
-"""Fuzzed bad input: WAV bytes, checkpoint bytes and config JSON.
+"""Fuzzed bad input: WAV bytes, checkpoint bytes, features.csv bytes and
+config JSON.
 
 The contract: in-process, a malformed input raises PipelineError (or its
 ConfigError subclass) and nothing else; through the CLI it exits 0, 1 or 2
@@ -112,6 +113,20 @@ class TestCheckpointFuzz:
                          os.path.join(tiny, "features.csv"), "--checkpoint", path,
                          "--split", "test"])
         assert code in (0, 1, 2)
+
+
+class TestFeaturesCsvFuzz:
+    @settings(FUZZ, max_examples=30)
+    @given(st.data())
+    def test_calmness_and_train_cam_exit_code(self, tiny, data):
+        blob = _read(os.path.join(tiny, "features.csv"))
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "features.csv")
+            with open(path, "wb") as fh:
+                fh.write(_mutated(data, blob, blob.index(b"\n") + 1))
+            base = ["--config", os.path.join(tiny, "cfg.json"), "--out", os.path.join(root, "out")]
+            for command in ("calmness", "train-cam"):
+                assert main(base + [command, path]) in (0, 1, 2)
 
 
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 600), st.floats(),

@@ -122,6 +122,6 @@ class TestBiLstm:
         assert np.array_equal(a.wh.data, b.wh.data)
 
     def test_forget_bias_initialized(self):
-        w = init_lstm(4, 6, seed=0, forget_bias=1.0)
+        w = init_lstm(4, 6, seed=0)
         assert np.all(w.b.data[0, 6:12] == 1.0)
         assert np.all(w.b.data[0, :6] == 0.0)

@@ -3,8 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from atscalm.nn import Adam, Tensor, adam_step, load_checkpoint, save_checkpoint, seeded_init
-from atscalm.nn.optim import AdamState
+from atscalm.nn import Adam, Tensor, load_checkpoint, save_checkpoint, seeded_init
 from atscalm.util import PipelineError, keyed_rng
 
 
@@ -12,17 +11,16 @@ class TestAdam:
     def test_first_step_magnitude(self):
         p = Tensor(np.zeros(10), requires_grad=True)
         p.grad = np.ones(10)
-        state = AdamState()
-        adam_step({"p": p}, state, lr=0.005)
+        Adam({"p": p}, lr=0.005).step()
         assert np.max(np.abs(p.data + 0.005)) < 1e-6
 
     def test_zero_grad_no_change(self):
         p = Tensor(keyed_rng("adam", 0).normal(0, 1, 6), requires_grad=True)
         before = p.data.copy()
-        state = AdamState()
-        adam_step({"p": p}, state, lr=0.1)
+        opt = Adam({"p": p}, lr=0.1)
+        opt.step()
         assert np.array_equal(p.data, before)
-        assert state.step_count == 1
+        assert opt.step_count == 1
 
     def test_two_runs_identical(self):
         def run():

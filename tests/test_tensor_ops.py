@@ -135,7 +135,7 @@ class TestBatchNorm:
         state.var = np.array([4.0, 0.25])
         out = ops.batchnorm2d(x, gamma, beta, state, train=False)
         want = (x.data - state.mean[None, :, None, None]) / np.sqrt(
-            state.var[None, :, None, None] + state.eps)
+            state.var[None, :, None, None] + ops.BN_EPS)
         assert np.allclose(out.data, want)
 
     def test_train_grad(self):

@@ -84,9 +84,3 @@ class TestDescent:
         assert len(h1) == 51
         assert np.array_equal(y1, y2)
         assert h1 == h2
-
-    def test_explicit_init_respected(self):
-        x = keyed_rng("init", 5).normal(0, 1, (8, 3))
-        init = keyed_rng("init", 6).normal(0, 1e-4, (8, 2))
-        y, h = tsne.tsne(x, perplexity=4, lr=0.0, iters=3, init=init)
-        assert np.allclose(y, init - init.mean(axis=0))

@@ -35,35 +35,25 @@ class TestRmse:
 class TestReconstruct:
     def test_matched_tone(self):
         clip = tone_clip(25.0)
-        model = val.TheoreticalModel(25.0)
-        theo = val.reconstruct_theoretical(clip, model)
+        theo = val.reconstruct_theoretical(clip, 25.0)
         k = int(0.05 * clip.samples.size)
         err = np.sqrt(np.mean((theo[k:-k] - clip.samples[k:-k]) ** 2))
         assert err < 1e-2
 
     def test_zero_clip_fails_nonempty_but_reconstruction_zero(self):
         clip = aio.AudioClip(np.zeros(4096), 16000)
-        theo = val.reconstruct_theoretical(clip, val.TheoreticalModel(25.0))
+        theo = val.reconstruct_theoretical(clip, 25.0)
         assert np.all(theo == 0)
 
     def test_mismatched_frequency_moves_peak(self):
         clip = tone_clip(25.0)
-        theo = val.reconstruct_theoretical(clip, val.TheoreticalModel(30.0))
+        theo = val.reconstruct_theoretical(clip, 30.0)
         assert abs(val.peak_frequency(theo, clip.rate) - 30.0) < 1.0
 
     def test_above_nyquist_rejected(self):
         clip = tone_clip(25.0, duration=0.1)
         with pytest.raises(PipelineError):
-            val.reconstruct_theoretical(clip, val.TheoreticalModel(9000.0))
-
-    def test_phase_search_recovers_shifted_tone(self):
-        rate = 16000
-        t = np.arange(2 * rate) / rate
-        clip = aio.AudioClip(np.cos(2 * np.pi * 25 * t + 1.1), rate)
-        plain = val.reconstruct_theoretical(clip, val.TheoreticalModel(25.0))
-        searched = val.reconstruct_theoretical(clip, val.TheoreticalModel(25.0),
-                                               phase_search=True)
-        assert val.rmse(clip.samples, searched) < val.rmse(clip.samples, plain)
+            val.reconstruct_theoretical(clip, 9000.0)
 
 
 class TestEnvelopeStats:
@@ -115,9 +105,8 @@ class TestValidateCorpus:
 class TestScaleInvariance:
     def test_rmse_scales_linearly_with_amplitude(self):
         clip = tone_clip(25.0, amp=0.4)
-        model = val.TheoreticalModel(25.0)
-        base = val.rmse(clip.samples, val.reconstruct_theoretical(clip, model))
+        base = val.rmse(clip.samples, val.reconstruct_theoretical(clip, 25.0))
         alpha = 2.5
         scaled = aio.AudioClip(alpha * clip.samples, clip.rate)
-        got = val.rmse(scaled.samples, val.reconstruct_theoretical(scaled, model))
+        got = val.rmse(scaled.samples, val.reconstruct_theoretical(scaled, 25.0))
         assert got == pytest.approx(alpha * base, abs=1e-9)

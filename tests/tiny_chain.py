@@ -1,0 +1,37 @@
+"""All 11 CLI commands on a tiny config: the end-to-end tests run this chain,
+and so does the check that every layer the benchmark traces is still reached."""
+
+import json
+import os
+
+from atscalm.cli import main
+
+TINY_CONFIG = {"encoder": {"width_scale": 0.125, "epochs": 2, "frames": 64},
+               "cam": {"hidden": 16, "epochs": 2}}
+
+
+def run_chain(out, jobs=1):
+    """All 11 commands on a tiny synthetic corpus, in dependency order."""
+    os.makedirs(out)
+    cfg = os.path.join(out, "tiny.json")
+    with open(cfg, "w") as fh:
+        json.dump(TINY_CONFIG, fh)
+    base = ["--config", cfg, "--seed", "3", "--jobs", str(jobs), "--out", out]
+    corpus = os.path.join(out, "corpus")
+    feats = os.path.join(out, "features.csv")
+    steps = [
+        ["synth", "--n", "2", "--duration", "1.0"],
+        ["validate", corpus, "--plot"],
+        ["augment", os.path.join(corpus, "manifest.json")],
+        ["features", os.path.join(corpus, "manifest.json")],
+        ["calmness", feats],
+        ["train-encoder", corpus],
+        ["embed", corpus, "--checkpoint", os.path.join(out, "encoder.ckpt")],
+        ["eval-embeddings", os.path.join(out, "embeddings.csv"), "--plot"],
+        ["train-cam", feats],
+        ["evaluate", feats, "--checkpoint", os.path.join(out, "cam.ckpt"), "--split", "test"],
+        ["report", "--plot-history", os.path.join(out, "cam_history.csv"),
+         "--plot-tsne", os.path.join(out, "tsne.csv")],
+    ]
+    for step in steps:
+        assert main(base + step) == 0, step
