@@ -32,12 +32,6 @@ class ClassLabel(str, enum.Enum):
 
 LABELS = (ClassLabel.SPIRITUAL_MEDITATION, ClassLabel.MUSIC, ClassLabel.NORMAL_SILENCE)
 
-SHORT_CODE = {
-    ClassLabel.SPIRITUAL_MEDITATION: "SM",
-    ClassLabel.MUSIC: "M",
-    ClassLabel.NORMAL_SILENCE: "NS",
-}
-
 # Per-class characteristic tone frequency (Hz) used by the synthetic corpus
 # and the theoretical reconstruction.
 CLASS_TONE_HZ = {

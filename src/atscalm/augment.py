@@ -21,6 +21,8 @@ from .audio_io import AudioClip, resample_signal
 from .features import TimeFreqGrid
 from .util import PipelineError, keyed_rng
 
+# The vocoder window must cover at least one period of the lowest tone of
+# interest, or the vocoder smears it into broadband artifacts.
 VOCODER_WIN = 1024
 VOCODER_HOP = 256
 
@@ -34,10 +36,6 @@ class AugmentConfig:
     time_mask_max: int = 20             # frames
     variants_per_clip: int = 5
     seed: int = 0
-    # window must cover at least one period of the lowest tone of interest,
-    # or the vocoder smears it into broadband artifacts
-    vocoder_win: int = VOCODER_WIN
-    vocoder_hop: int = VOCODER_HOP
 
     def __post_init__(self):
         a, b = self.stretch_range
@@ -53,13 +51,10 @@ class AugmentConfig:
             raise PipelineError("noise sigma must be >= 0")
 
 
-def add_gaussian_noise(clip: AudioClip, sigma: float,
-                       rng: np.random.Generator | int = 0) -> AudioClip:
+def add_gaussian_noise(clip: AudioClip, sigma: float, rng: np.random.Generator) -> AudioClip:
     """x' = x + N(0, sigma^2), element-wise i.i.d."""
     if sigma < 0:
         raise PipelineError("sigma must be >= 0")
-    if not isinstance(rng, np.random.Generator):
-        rng = keyed_rng("noise", rng)
     x = clip.samples if sigma == 0 else clip.samples + rng.normal(0.0, sigma, clip.samples.size)
     return AudioClip(x.copy(), clip.rate, clip.label, clip.id)
 
@@ -74,7 +69,7 @@ def _istft_ola(spec: np.ndarray, win: int, hop: int) -> np.ndarray:
     output sample sums its frames in ascending frame order, as a
     frame-by-frame loop would.
     """
-    w = dsp.window("hann", win)
+    w = dsp.hann(win)
     n_frames = spec.shape[0]
     n_blocks = -(-win // hop)
     span = n_blocks * hop
@@ -119,8 +114,7 @@ def _vocoder_spectra(spec: np.ndarray, rate_factor: float, win: int, hop: int) -
     return mag * np.exp(1j * acc)
 
 
-def phase_vocoder(x: np.ndarray, rate_factor: float,
-                  win: int = VOCODER_WIN, hop: int = VOCODER_HOP) -> np.ndarray:
+def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
     """Stretch a signal in time by 1/rate_factor without moving its pitch.
 
     Per-bin phase accumulation with magnitude interpolation between frames,
@@ -131,6 +125,7 @@ def phase_vocoder(x: np.ndarray, rate_factor: float,
     """
     if rate_factor <= 0:
         raise PipelineError("stretch rate must be > 0")
+    win, hop = VOCODER_WIN, VOCODER_HOP
     x = np.asarray(x, dtype=np.float64)
     if x.size < win:
         raise PipelineError(f"clip of {x.size} samples is shorter than one vocoder window ({win})")
@@ -139,7 +134,7 @@ def phase_vocoder(x: np.ndarray, rate_factor: float,
         return x.copy()[:target_len]
     pad = win // 2
     xp = np.pad(x, pad, mode="reflect")
-    grid = dsp.stft(xp, win, hop, window_name="hann", n_fft=win)
+    grid = dsp.stft(xp, win, hop, n_fft=win)
     y = _istft_ola(_vocoder_spectra(grid.spec.T, rate_factor, win, hop), win, hop)
     start = int(round(pad / rate_factor))
     y = y[start:]
@@ -148,15 +143,13 @@ def phase_vocoder(x: np.ndarray, rate_factor: float,
     return np.concatenate([y, np.zeros(target_len - y.size)])
 
 
-def time_stretch(clip: AudioClip, rate_factor: float,
-                 win: int = VOCODER_WIN, hop: int = VOCODER_HOP) -> AudioClip:
+def time_stretch(clip: AudioClip, rate_factor: float) -> AudioClip:
     """Speed the clip up by ``rate_factor`` (output length ~= N / rate_factor)."""
-    y = phase_vocoder(clip.samples, rate_factor, win=win, hop=hop)
+    y = phase_vocoder(clip.samples, rate_factor)
     return AudioClip(y, clip.rate, clip.label, clip.id)
 
 
-def pitch_shift(clip: AudioClip, semitones: float,
-                win: int = VOCODER_WIN, hop: int = VOCODER_HOP) -> AudioClip:
+def pitch_shift(clip: AudioClip, semitones: float) -> AudioClip:
     """Scale all frequencies by 2^(semitones/12), preserving duration.
 
     Time-stretch to length N * 2^(s/12) (pitch untouched), then resample
@@ -165,7 +158,7 @@ def pitch_shift(clip: AudioClip, semitones: float,
     if semitones == 0.0:
         return AudioClip(clip.samples.copy(), clip.rate, clip.label, clip.id)
     factor = 2.0 ** (semitones / 12.0)
-    stretched = phase_vocoder(clip.samples, 1.0 / factor, win=win, hop=hop)
+    stretched = phase_vocoder(clip.samples, 1.0 / factor)
     y = resample_signal(stretched, clip.rate * factor, clip.rate)
     n = clip.samples.size
     if y.size >= n:
@@ -176,13 +169,11 @@ def pitch_shift(clip: AudioClip, semitones: float,
 
 
 def spec_mask(grid: TimeFreqGrid, f_max: int, t_max: int,
-              rng: np.random.Generator | int = 0) -> TimeFreqGrid:
+              rng: np.random.Generator) -> TimeFreqGrid:
     """Blank one frequency band (width U{0..f_max}) and one time span
     (width U{0..t_max}) to the grid's floor value."""
     if f_max > grid.n_bins or t_max > grid.n_frames:
         raise PipelineError("mask maxima exceed grid shape")
-    if not isinstance(rng, np.random.Generator):
-        rng = keyed_rng("mask", rng)
     values = grid.values.copy()
     floor = float(values.min())
     fw = int(rng.integers(0, f_max + 1)) if f_max > 0 else 0
@@ -193,7 +184,7 @@ def spec_mask(grid: TimeFreqGrid, f_max: int, t_max: int,
         values[f0 : f0 + fw, :] = floor
     if tw > 0:
         values[:, t0 : t0 + tw] = floor
-    return TimeFreqGrid(values, grid.kind, grid.rate, grid.hop_s, grid.bin_centers_hz.copy())
+    return TimeFreqGrid(values)
 
 
 def make_variant(clip: AudioClip, cfg: AugmentConfig,
@@ -205,9 +196,9 @@ def make_variant(clip: AudioClip, cfg: AugmentConfig,
     sigma = cfg.noise_sigma_rel * float(np.max(np.abs(clip.samples)))
     out = add_gaussian_noise(clip, sigma, rng)
     if r != 1.0:
-        out = time_stretch(out, r, win=cfg.vocoder_win, hop=cfg.vocoder_hop)
+        out = time_stretch(out, r)
     if s != 0.0:
-        out = pitch_shift(out, s, win=cfg.vocoder_win, hop=cfg.vocoder_hop)
+        out = pitch_shift(out, s)
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .audio_io import LABELS, ClassLabel, parse_label
 from .features import N_FEATURES
 from .nn import (Adam, LstmWeights, Tensor, bilstm_final, init_lstm,
-                 load_checkpoint, lstm_param_count, no_grad, save_checkpoint, seeded_init)
+                 load_checkpoint, no_grad, save_checkpoint, seeded_init)
 from .nn.ops import dropout, linear, relu, softmax, softmax_crossentropy
 from .util import PipelineError, dataclass_from_dict, keyed_rng
 
@@ -105,12 +105,6 @@ class BiLstmClassifier:
 
 def count_cam_parameters(model: BiLstmClassifier) -> int:
     return int(sum(p.data.size for p in model.parameters().values()))
-
-
-def cam_parameter_closed_form(cfg: CamConfig) -> int:
-    k = len(LABELS)
-    heads = (2 * cfg.hidden * cfg.fc_dim + cfg.fc_dim) + (cfg.fc_dim * k + k)
-    return 2 * lstm_param_count(1, cfg.hidden) + heads
 
 
 def class_weights(counts: dict[ClassLabel, int]) -> dict[ClassLabel, float]:

@@ -6,6 +6,10 @@ under the output directory (``--out``, falling back to $SMSAT_OUT, then
 function of its inputs: rerunning a command reproduces its artifacts
 byte for byte. Wall-clock times go to the log, never into artifacts.
 
+Every CSV artifact has a header row, ',' between cells, RFC 4180 minimal
+quoting (a cell holding ',', '"' or a newline is quoted, with '"'
+doubled) and LF line ends; the CSV readers take the same dialect.
+
 Exit codes: 0 success, 1 domain error, 2 usage/config error.
 """
 

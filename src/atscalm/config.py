@@ -2,8 +2,8 @@
 
 `RunConfig()` is the complete documented default; a config file may
 override any subset of keys. Unknown keys and mistyped values are rejected
-by dotted key path so typos fail loudly. A single top-level seed can be
-pushed into every nested stage with `override_seed`.
+by dotted key path so typos fail loudly. Each seeded section carries its
+own ``seed``; `override_seed` (the CLI's ``--seed``) sets all of them.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class TsneSection:
 
 @dataclass
 class RunConfig:
-    seed: int = 0
     rate: int = CANONICAL_RATE
     class_dirs: dict[str, str] = field(
         default_factory=lambda: {lab.value: d for lab, d in DEFAULT_CLASS_DIRS.items()})
@@ -60,7 +59,6 @@ class RunConfig:
         return {parse_label(k): v for k, v in self.class_dirs.items()}
 
     def override_seed(self, seed: int) -> None:
-        self.seed = seed
         for f in fields(self):
             section = getattr(self, f.name)
             if hasattr(section, "seed"):

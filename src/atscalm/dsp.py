@@ -1,7 +1,7 @@
 """Deterministic spectral primitives.
 
-One-sided real FFT at a given transform size, un-normalized DCT-II,
-analytic-signal envelope, one-sided STFT, window functions, and the Mel
+One-sided real FFT at a given transform size, un-normalized DCT-II basis,
+analytic-signal envelope, one-sided STFT, the Hann window, and the Mel
 filterbank.
 Everything here is pure and reentrant; a built filterbank is immutable and
 can be shared.
@@ -55,12 +55,6 @@ def dct2_matrix(m: int, n_out: int | None = None) -> np.ndarray:
     return np.cos(np.pi / m * ks * ms)
 
 
-def dct2(x) -> np.ndarray:
-    """Un-normalized DCT-II: c_n = sum_m x(m) cos(pi/M (m+0.5) n)."""
-    x = np.asarray(x, dtype=np.float64)
-    return dct2_matrix(x.size) @ x
-
-
 def analytic_signal(x) -> np.ndarray:
     """Analytic signal via the frequency-domain method at native length.
 
@@ -89,13 +83,9 @@ def analytic_envelope(x) -> np.ndarray:
     return np.abs(analytic_signal(x))
 
 
-def window(name: str, n: int) -> np.ndarray:
-    """'hann' (periodic) or 'rect'."""
-    if name == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    if name == "rect":
-        return np.ones(n)
-    raise PipelineError(f"unknown window {name!r}")
+def hann(n: int) -> np.ndarray:
+    """Periodic Hann window of ``n`` samples."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
 @dataclass(frozen=True)
@@ -109,26 +99,20 @@ class StftGrid:
     """
 
     spec: np.ndarray
-    win_len: int
-    hop: int
     n_fft: int
-    rate: float
-    window_name: str
 
     @property
     def n_frames(self) -> int:
         return self.spec.shape[1]
 
 
-def stft(x, win_len: int, hop: int, window_name: str = "hann",
-         n_fft: int | None = None, rate: float = 1.0) -> StftGrid:
+def stft(x, win_len: int, hop: int, n_fft: int | None = None) -> StftGrid:
     """Short-time Fourier transform.
 
-    Frame count is 1 + floor((N - win_len)/hop); each frame is windowed then
-    transformed with a real FFT at ``n_fft`` (default: next power of two >=
-    win_len), keeping the n_fft//2 + 1
-    non-negative frequency bins. No normalization is applied; the window
-    name and sizes are carried in the result metadata.
+    Frame count is 1 + floor((N - win_len)/hop); each frame is Hann-windowed
+    then transformed with a real FFT at ``n_fft`` (default: next power of
+    two >= win_len), keeping the n_fft//2 + 1 non-negative frequency bins.
+    No normalization is applied.
     """
     x = np.asarray(x, dtype=np.float64)
     if hop < 1:
@@ -139,17 +123,9 @@ def stft(x, win_len: int, hop: int, window_name: str = "hann",
         n_fft = next_pow2(win_len)
     if n_fft < win_len:
         raise PipelineError("n_fft must be >= win_len")
-    w = window(window_name, win_len)
     frames = 1 + (x.size - win_len) // hop
     segs = np.lib.stride_tricks.sliding_window_view(x, win_len)[:: hop][:frames]
-    return StftGrid(
-        spec=np.fft.rfft(segs * w, n=n_fft, axis=1).T,
-        win_len=win_len,
-        hop=hop,
-        n_fft=n_fft,
-        rate=float(rate),
-        window_name=window_name,
-    )
+    return StftGrid(spec=np.fft.rfft(segs * hann(win_len), n=n_fft, axis=1).T, n_fft=n_fft)
 
 
 def mel_scale(f):

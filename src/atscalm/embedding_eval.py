@@ -29,10 +29,6 @@ class ClassGeometry:
     intra_sq_mean: dict[str, float]             # mean ||x - c||^2 over members
     n_per_class: dict[str, int]
 
-    def inter(self, a: str, b: str) -> float:
-        key = (a, b) if (a, b) in self.inter_sq else (b, a)
-        return float(np.sqrt(self.inter_sq[key]))
-
 
 def class_geometry(embeddings: list[Embedding]) -> ClassGeometry:
     """Centroids plus squared inter/intra distances.

@@ -7,7 +7,7 @@ statistics: [mfcc_0..mfcc_12, zcr, rms, w1_mu, w1_sd, ..., w5_mu, w5_sd].
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +40,9 @@ class FeatureParams:
 
 @dataclass
 class TimeFreqGrid:
-    """Real-valued (bins x frames) grid with axis metadata."""
+    """Real-valued (bins x frames) grid."""
 
     values: np.ndarray
-    kind: str                    # "linear-power" | "log-mel"
-    rate: float
-    hop_s: float
-    bin_centers_hz: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -69,15 +65,8 @@ _filterbank = functools.lru_cache(maxsize=None)(dsp.build_mel_filterbank)
 
 
 def power_spectrogram(clip: AudioClip, params: FeatureParams) -> TimeFreqGrid:
-    grid = dsp.stft(clip.samples, params.win, params.hop, n_fft=params.n_fft, rate=clip.rate)
-    power = grid.spec.real ** 2 + grid.spec.imag ** 2
-    return TimeFreqGrid(
-        values=power,
-        kind="linear-power",
-        rate=clip.rate,
-        hop_s=params.hop / clip.rate,
-        bin_centers_hz=np.arange(power.shape[0]) * clip.rate / params.n_fft,
-    )
+    grid = dsp.stft(clip.samples, params.win, params.hop, n_fft=params.n_fft)
+    return TimeFreqGrid(grid.spec.real ** 2 + grid.spec.imag ** 2)
 
 
 def mel_spectrogram(clip: AudioClip, params: FeatureParams | None = None) -> TimeFreqGrid:
@@ -86,14 +75,7 @@ def mel_spectrogram(clip: AudioClip, params: FeatureParams | None = None) -> Tim
         params = FeatureParams()
     power = power_spectrogram(clip, params)
     fb = _filterbank(params.n_mels, params.n_fft, clip.rate, params.f_lo, params.f_hi)
-    mel = fb.weights @ power.values
-    return TimeFreqGrid(
-        values=np.log(mel + params.log_eps),
-        kind="log-mel",
-        rate=clip.rate,
-        hop_s=params.hop / clip.rate,
-        bin_centers_hz=fb.center_hz.copy(),
-    )
+    return TimeFreqGrid(np.log(fb.weights @ power.values + params.log_eps))
 
 
 def mfcc13(clip: AudioClip, params: FeatureParams | None = None) -> np.ndarray:

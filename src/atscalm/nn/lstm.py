@@ -50,10 +50,6 @@ def init_lstm(input_dim: int, hidden: int, seed) -> LstmWeights:
     return LstmWeights(wx=wx, wh=wh, b=Tensor(b, requires_grad=True))
 
 
-def lstm_param_count(input_dim: int, hidden: int) -> int:
-    return 4 * hidden * (input_dim + hidden + 1)
-
-
 def lstm_final(xs: list[Tensor], w: LstmWeights, reverse: bool = False) -> Tensor:
     """Final hidden state (B, H) of a run over the (B, D) steps ``xs`` from
     a zero state; ``reverse`` runs the steps last to first.

@@ -106,30 +106,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    y = _sigmoid(a.data)
-    out = Tensor(y, a.requires_grad, (a,))
-
-    def backward():
-        a.accumulate(out.grad * y * (1.0 - y))
-
-    out._backward = backward
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.tanh(a.data)
-    out = Tensor(y, a.requires_grad, (a,))
-
-    def backward():
-        a.accumulate(out.grad * (1.0 - y * y))
-
-    out._backward = backward
-    return out
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     rg = any(t.requires_grad for t in tensors)
@@ -172,8 +148,8 @@ def split(a, sizes, axis: int = 0) -> list[Tensor]:
     return outs
 
 
-def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-d cross-correlation: x (N,C,H,W), w (O,C,kh,kw), optional bias (O,)."""
+def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
+    """2-d cross-correlation without bias: x (N,C,H,W), w (O,C,kh,kw)."""
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
         raise PipelineError(f"conv2d shape mismatch: x {x.data.shape}, w {w.data.shape}")
@@ -189,12 +165,7 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
     wf = w.data.reshape(o, -1)
     y = (cols @ wf.T).transpose(0, 2, 1).reshape(n, o, ho, wo)
-    if b is not None:
-        b = as_tensor(b)
-        y = y + b.data[None, :, None, None]
-    parents = (x, w) if b is None else (x, w, b)
-    rg = any(p.requires_grad for p in parents)
-    out = Tensor(y, rg, parents)
+    out = Tensor(y, x.requires_grad or w.requires_grad, (x, w))
 
     def backward():
         g = out.grad
@@ -202,8 +173,6 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
         if w.requires_grad:
             dw = (gf.reshape(-1, o).T @ cols.reshape(-1, c * kh * kw)).reshape(w.data.shape)
             w.accumulate(dw)
-        if b is not None and b.requires_grad:
-            b.accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             dcols = (gf @ wf).reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
             dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))

@@ -28,7 +28,6 @@ ORDER = (ClassLabel.SPIRITUAL_MEDITATION, ClassLabel.NORMAL_SILENCE, ClassLabel.
 CODES = {ClassLabel.SPIRITUAL_MEDITATION: "SM",
          ClassLabel.NORMAL_SILENCE: "NS",
          ClassLabel.MUSIC: "M"}
-CODE_TO_LABEL = {v: k for k, v in CODES.items()}
 PAIRS = (("SM", "M"), ("SM", "NS"), ("M", "NS"))
 
 _BETACF_MAX_ITER = 300

@@ -4,6 +4,7 @@ the ordered parallel map, and the dataclass-from-JSON constructor."""
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import dataclasses
 import hashlib
 import json
@@ -55,31 +56,34 @@ def read_json(path: str):
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """CSV with ',' separator, '.' decimal, LF endings, header always present."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header))
-        fh.write("\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, (float, np.floating)):
-                    cells.append(fmt_float(cell))
-                else:
-                    cells.append(str(cell))
-            fh.write(",".join(cells))
-            fh.write("\n")
+    """RFC 4180 CSV: ',' separator, minimal quoting, LF line ends, a header
+    row; floats in their `fmt_float` form."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt_float(c) if isinstance(c, (float, np.floating)) else c for c in row]
+                         for row in rows)
 
 
 def _csv_lines(path: str) -> list[tuple[int, list[str]]]:
-    """(1-based line number, cells) of every non-blank line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(n, ln.rstrip("\n").split(",")) for n, ln in enumerate(fh, 1) if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise PipelineError(f"{path}: not UTF-8 text: {exc}") from None
-    if not lines:
+    """(1-based line number where the record starts, cells) of every
+    non-blank record."""
+    records = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, strict=True)
+        line = 1
+        try:
+            for cells in reader:
+                if cells:
+                    records.append((line, cells))
+                line = reader.line_num + 1
+        except UnicodeDecodeError as exc:
+            raise PipelineError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise PipelineError(f"{path} line {line}: {exc}") from None
+    if not records:
         raise PipelineError(f"empty CSV: {path}")
-    return lines
+    return records
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:

@@ -64,7 +64,7 @@ def vocoder_spectra_loop(spec: np.ndarray, rate_factor: float, win: int, hop: in
 
 def ola_loop(frames: np.ndarray, win: int, hop: int) -> np.ndarray:
     """Frame-by-frame overlap-add of (frames, win) time-domain frames."""
-    w = dsp.window("hann", win)
+    w = dsp.hann(win)
     n_frames = frames.shape[0]
     out_len = (n_frames - 1) * hop + win
     out = np.zeros(out_len)
@@ -85,7 +85,7 @@ def phase_vocoder(x: np.ndarray, rate_factor: float, win: int = 1024, hop: int =
     xp = np.pad(x, pad, mode="reflect")
     n_frames = 1 + (xp.size - win) // hop
     segs = np.lib.stride_tricks.sliding_window_view(xp, win)[::hop][:n_frames]
-    spec = np.fft.fft(segs * dsp.window("hann", win), n=win, axis=1).T
+    spec = np.fft.fft(segs * dsp.hann(win), n=win, axis=1).T
     out = vocoder_spectra_loop(spec, rate_factor, win, hop)
     y = ola_loop(np.fft.ifft(out, axis=0).real.T[:, :win], win, hop)
     y = y[int(round(pad / rate_factor)):]

@@ -2,6 +2,8 @@
 
 Gradients through time come from the generic reverse-mode machinery, so
 this is the oracle the fused `atscalm.nn.lstm_final` is checked against.
+The sigmoid and tanh ops exist only for it; the fused op applies the same
+`_sigmoid` and `np.tanh` to its gates directly.
 """
 
 from __future__ import annotations
@@ -9,7 +11,37 @@ from __future__ import annotations
 import numpy as np
 
 from atscalm.nn import LstmWeights, Tensor
-from atscalm.nn.ops import add, concat, matmul, mul, sigmoid, split, tanh
+from atscalm.nn.ops import _sigmoid, add, concat, matmul, mul, split
+from atscalm.nn.tensor import as_tensor
+
+
+def sigmoid(a) -> Tensor:
+    a = as_tensor(a)
+    y = _sigmoid(a.data)
+    out = Tensor(y, a.requires_grad, (a,))
+
+    def backward():
+        a.accumulate(out.grad * y * (1.0 - y))
+
+    out._backward = backward
+    return out
+
+
+def tanh(a) -> Tensor:
+    a = as_tensor(a)
+    y = np.tanh(a.data)
+    out = Tensor(y, a.requires_grad, (a,))
+
+    def backward():
+        a.accumulate(out.grad * (1.0 - y * y))
+
+    out._backward = backward
+    return out
+
+
+def lstm_param_count(input_dim: int, hidden: int) -> int:
+    """Closed-form size of one direction's wx, wh and b."""
+    return 4 * hidden * (input_dim + hidden + 1)
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights) -> tuple[Tensor, Tensor]:

@@ -6,14 +6,20 @@ import pytest
 import lstm_oracle
 from atscalm import classifier
 from atscalm.audio_io import LABELS, ClassLabel
-from atscalm.classifier import (BiLstmClassifier, CamConfig,
-                                cam_parameter_closed_form, class_weights,
+from atscalm.classifier import (BiLstmClassifier, CamConfig, class_weights,
                                 count_cam_parameters, eval_report_from_predictions,
                                 evaluate, load_cam, save_cam, stratified_split,
                                 train_cam, weighted_sampler)
 from atscalm.util import PipelineError, keyed_rng
 
 SM, M, NS = LABELS
+
+
+def cam_parameter_closed_form(cfg: CamConfig) -> int:
+    """Two LSTM directions over scalar steps, then fc1 and fc2 with biases."""
+    k = len(LABELS)
+    heads = (2 * cfg.hidden * cfg.fc_dim + cfg.fc_dim) + (cfg.fc_dim * k + k)
+    return 2 * lstm_oracle.lstm_param_count(1, cfg.hidden) + heads
 
 
 def gaussian_rows(n_per_class=20, sigma=0.3, seed=0):

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from atscalm.classifier import load_cam
 from atscalm.cli import main
 from atscalm.features import FEATURE_NAMES, read_features_csv
 from atscalm.util import read_json
@@ -64,6 +65,30 @@ def _tree_bytes(root):
     return out
 
 
+class TestCommaInClipName:
+    def test_chain_keeps_ids_with_commas(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"cam": {"hidden": 8, "fc_dim": 4, "batch": 16}}')
+        out = str(tmp_path / "out")
+        base = ["--config", str(cfg), "--seed", "2", "--out", out]
+        assert run(base + ["synth", "--n", "3", "--duration", "1.0"]) == 0
+        corpus = os.path.join(out, "corpus")
+        music = os.path.join(corpus, "Music")
+        os.rename(os.path.join(music, "clip_000.wav"), os.path.join(music, "a,b.wav"))
+        feats = os.path.join(out, "features.csv")
+        assert run(base + ["features", corpus]) == 0
+        assert run(base + ["calmness", feats]) == 0
+        assert run(base + ["train-cam", feats, "--epochs", "1"]) == 0
+        assert run(base + ["evaluate", feats, "--checkpoint", os.path.join(out, "cam.ckpt"),
+                           "--split", "test"]) == 0
+        ids = [cid for cid, _, _ in read_features_csv(feats)]
+        assert len(ids) == 9 and sum("a,b" in cid for cid in ids) == 1
+        split = load_cam(os.path.join(out, "cam.ckpt"))[1]["split"]
+        assert sorted(split["train_ids"] + split["test_ids"]) == sorted(ids)
+        evaluation = read_json(os.path.join(out, "evaluation.json"))
+        assert int(np.sum(evaluation["confusion"])) == len(split["test_ids"])
+
+
 class TestAugment:
     def test_rerun_byte_identical(self, tmp_path):
         trees = []
@@ -86,7 +111,8 @@ ROW = "a,Music," + ",".join(["0.5"] * len(FEATURE_NAMES))
 REMOVED_KEYS = [("features", "n_mfcc", 13), ("features", "wavelet_levels", 5),
                 ("features", "wavelet", "haar"), ("features", "window_name", "hann"),
                 ("cam", "input_dim", 25), ("cam", "n_classes", 3), ("cam", "mode", "sequence"),
-                ("encoder", "uniformity_weight", 0.0), ("augment", "noise_sigma_abs", None)]
+                ("encoder", "uniformity_weight", 0.0), ("augment", "noise_sigma_abs", None),
+                ("augment", "vocoder_win", 1024), ("augment", "vocoder_hop", 256)]
 
 # (files to write, command, exit code, message); {d} is the directory they are in.
 BAD_INPUT = {
@@ -114,6 +140,12 @@ BAD_INPUT = {
                            ["calmness", "{d}/f.csv"], 1, "f.csv line 3: 3 cells, the header has 27"),
     "features-not-utf8": ({"f.csv": b"\xff\xfe"}, ["calmness", "{d}/f.csv"], 1,
                           "f.csv: not UTF-8 text"),
+    "features-unterminated-quote": ({"f.csv": f"{FEATURES_HEADER}\n{ROW}\n\"b,Music\n"},
+                                    ["calmness", "{d}/f.csv"], 1,
+                                    "f.csv line 3: unexpected end of data"),
+    "features-field-over-csv-limit": ({"f.csv": f"{FEATURES_HEADER}\n{'a' * 131073}{ROW[1:]}\n"},
+                                      ["calmness", "{d}/f.csv"], 1,
+                                      "f.csv line 2: field larger than field limit (131072)"),
     "embeddings-not-a-number": ({"e.csv": "id,label,e0\na,Music,1\nb,Music,y\n"},
                                 ["eval-embeddings", "{d}/e.csv"], 1, "e.csv line 3, column e0: 'y'"),
     "embeddings-header": ({"e.csv": "e0,e1\n1,2\n"}, ["eval-embeddings", "{d}/e.csv"], 1,
@@ -130,6 +162,8 @@ BAD_INPUT = {
     "removed-validation.phase_search": ({"c.json": '{"validation": {"phase_search": false}}'},
                                         ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
                                         "unknown config key validation"),
+    "removed-seed": ({"c.json": '{"seed": 1}'}, ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
+                     "unknown config key seed"),
 }
 
 
@@ -296,7 +330,7 @@ class TestConfigHandling:
         assert "hiddden" in caplog.text
 
     @pytest.mark.parametrize("doc,key", [
-        ('{"seed": "abc"}', "seed"),
+        ('{"rate": "abc"}', "rate"),
         ('{"cam": {"hidden": "8"}}', "cam.hidden"),
         ('{"synth": {"n_per_class": "2"}}', "synth.n_per_class"),
         ('{"encoder": {"widths": "abc"}}', "encoder.widths"),

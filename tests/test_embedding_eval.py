@@ -28,7 +28,7 @@ class TestGeometry:
         embs = embs_from({SM: [[0.0, 0.0]], M: [[3.0, 4.0]]})
         geom = class_geometry(embs)
         assert geom.inter_sq[(SM.value, M.value)] == pytest.approx(25.0)
-        assert geom.inter(SM.value, M.value) == pytest.approx(5.0)
+        assert geometry_report(embs)["inter_class"][0]["distance"] == pytest.approx(5.0)
 
     def test_identical_classes_zero(self):
         same = [[1.0, 1.0], [2.0, 2.0]]

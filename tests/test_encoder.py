@@ -122,7 +122,7 @@ class TestContrastiveLoss:
 class TestPrepareInput:
     def _grid(self, frames):
         vals = keyed_rng("grid", frames).normal(0, 1, (8, frames))
-        return TimeFreqGrid(vals, "log-mel", 16000, 0.01)
+        return TimeFreqGrid(vals)
 
     def test_exact(self):
         g = self._grid(16)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from atscalm.nn import (LstmWeights, Tensor, bilstm_final, grad_check, init_lstm,
-                        lstm_final, lstm_param_count, no_grad, ops)
+from atscalm.nn import LstmWeights, Tensor, bilstm_final, init_lstm, lstm_final, no_grad, ops
 from atscalm.util import PipelineError, keyed_rng
-from lstm_oracle import lstm_cell, lstm_run
+from gradcheck import grad_check
+from lstm_oracle import lstm_cell, lstm_param_count, lstm_run
 
 
 def zero_weights(d, h):

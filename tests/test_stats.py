@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from atscalm import stats
 from atscalm.audio_io import LABELS, ClassLabel
-from atscalm.util import PipelineError, keyed_rng
+from atscalm.util import PipelineError, keyed_rng, read_csv
 
 SM, M, NS = LABELS
 
@@ -154,6 +154,36 @@ class TestWelch:
         assert df1 == pytest.approx(df2, abs=1e-9)
 
 
+def _scipy_draws():
+    """Three groups of unequal size and spread per draw, at three effect
+    sizes. p is computed as 1 - cdf, so its relative error grows as p falls;
+    these draws keep p above about 1e-4."""
+    for shift in (0.0, 0.3, 0.6):
+        for seed in range(10):
+            rng = keyed_rng("scipy", shift, seed)
+            yield [rng.normal(m, s, n) for m, s, n in
+                   ((0.0, 1.0, 12), (shift, 1.5, 15), (2 * shift, 0.7, 9))]
+
+
+class TestScipyOracle:
+    def test_anova_matches_f_oneway(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for groups in _scipy_draws():
+            f, p = stats.anova_oneway(groups)
+            want = scipy_stats.f_oneway(*groups)
+            assert f == pytest.approx(want.statistic, rel=1e-12)
+            assert p == pytest.approx(want.pvalue, rel=1e-12)
+
+    def test_welch_matches_ttest_ind_unequal_var(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for a, b, c in _scipy_draws():
+            for x, y in ((a, b), (a, c), (b, c)):
+                t, _, p = stats.welch_t(x, y)
+                want = scipy_stats.ttest_ind(x, y, equal_var=False)
+                assert t == pytest.approx(want.statistic, rel=1e-12)
+                assert p == pytest.approx(want.pvalue, rel=1e-12)
+
+
 class TestCalmest:
     def test_table_rows(self):
         assert stats.calmest_per_feature(
@@ -260,3 +290,13 @@ class TestCalmnessReport:
         data = json.load(open(json_path))
         assert len(data["features"]) == 4
         assert data["vote"]["tally"] == report.tally
+
+    def test_csv_rows_keep_header_width_when_result_has_commas(self, tmp_path):
+        report = stats.calmness_report(self._groups(shift_c=3.0), [f"f{i}" for i in range(4)])
+        assert all(r.result == "SM vs M diff, M vs NS diff" for r in report.rows)
+        csv_path = str(tmp_path / "calm.csv")
+        stats.write_calmness_csv(report, csv_path)
+        header, rows = read_csv(csv_path)
+        assert header == stats.CSV_HEADER
+        assert [len(row) for row in rows] == [11] * 4
+        assert [row[-1] for row in rows] == [r.result for r in report.rows]

@@ -1,0 +1,16 @@
+from hypothesis import given, settings, strategies as st
+
+from atscalm.util import read_csv, write_csv
+
+# Cells mix letters with the characters RFC 4180 quoting exists for.
+CELL = st.text(alphabet=st.sampled_from('ab1 ,"\n'), max_size=8)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(CELL, min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_write_then_read_returns_the_same_cells(tmp_path_factory, table):
+    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+    header, *rows = table
+    write_csv(path, header, rows)
+    assert read_csv(path) == (header, rows)
