@@ -42,6 +42,9 @@ class CamConfig:
             raise PipelineError("dropout must be in [0, 1)")
         if min(self.hidden, self.fc_dim) < 1:
             raise PipelineError("dims must be positive")
+        for key in ("epochs", "batch"):
+            if getattr(self, key) < 1:
+                raise PipelineError(f"{key} must be >= 1")
 
 
 class BiLstmClassifier:

@@ -1,16 +1,25 @@
 """Command-line entry point wiring the whole pipeline.
 
-Every command reads inputs, never mutates them, and writes all artifacts
-under the output directory (``--out``, falling back to $SMSAT_OUT, then
-``./out``). With a fixed ``--seed`` and ``--jobs 1`` the pipeline is a pure
-function of its inputs: rerunning a command reproduces its artifacts
-byte for byte. Wall-clock times go to the log, never into artifacts.
+`main` is the one runner. It resolves the config once: the ``--config``
+file, then the command's flags (each sets one ``section.key`` through the
+same schema), then ``--seed``. It creates the one output directory
+(``--out``, else $SMSAT_OUT, else ``./out``) and calls ``cmd(args, cfg,
+out)``. A command reads its inputs, never mutates them, and returns the
+files it wrote; `main` lists them under the command's name in
+``artifacts.json``. ``report --print-default-config`` is answered before
+all this and creates nothing.
+
+With a fixed ``--seed`` and ``--jobs 1`` the pipeline is a pure function
+of its inputs: rerunning a command reproduces its artifacts byte for
+byte. Wall-clock times go to the log, never into artifacts.
 
 Every CSV artifact has a header row, ',' between cells, RFC 4180 minimal
 quoting (a cell holding ',', '"' or a newline is quoted, with '"'
 doubled) and LF line ends; the CSV readers take the same dialect.
 
-Exit codes: 0 success, 1 domain error, 2 usage/config error.
+Exit codes: 0 success, 1 domain error (bad input data, I/O), 2 usage or
+config error, including a flag value the config schema rejects. Either
+error is logged as one named line on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,60 +46,27 @@ from .util import (ConfigError, PipelineError, ensure_dir, json_sanitize,
 log = logging.getLogger("atscalm")
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get("SMSAT_OUT") or "out"
-    return ensure_dir(out)
-
-
-def _config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.override_seed(args.seed)
-    return cfg
-
-
-def _record_artifacts(out: str, command: str, paths: list[str]) -> None:
-    """Per-command list of produced files (paths relative to the out dir)."""
-    index_path = os.path.join(out, "artifacts.json")
-    index = read_json(index_path) if os.path.exists(index_path) else {}
-    index[command] = sorted(os.path.relpath(p, out).replace(os.sep, "/") for p in paths)
-    write_json(index_path, index)
-
-
 def _write_svg(path: str, svg: str) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
     return path
 
 
-def cmd_synth(args) -> int:
-    cfg = _config(args)
-    out = _out_dir(args)
+def cmd_synth(args, cfg: RunConfig, out: str) -> list[str]:
     corpus_dir = os.path.join(out, "corpus")
-    synth_cfg = replace(
-        cfg.synth,
-        n_per_class=args.n or cfg.synth.n_per_class,
-        duration_s=args.duration or cfg.synth.duration_s,
-        snr_db=cfg.synth.snr_db if args.snr_db is None else args.snr_db,
-    )
-    manifest = synth_corpus(corpus_dir, synth_cfg, cfg.class_dir_map(), cfg.rate)
-    produced = [os.path.join(corpus_dir, e.path) for e in manifest.entries]
-    produced.append(os.path.join(corpus_dir, "manifest.json"))
-    _record_artifacts(out, "synth", produced)
+    manifest = synth_corpus(corpus_dir, cfg.synth, cfg.class_dir_map(), cfg.rate)
     log.info("synthesized %d clips under %s", len(manifest.entries), corpus_dir)
-    return 0
+    return [os.path.join(corpus_dir, e.path) for e in manifest.entries] + [
+        os.path.join(corpus_dir, "manifest.json")]
 
 
 def _load_corpus(args, cfg: RunConfig) -> CorpusManifest:
-    path = args.corpus
-    if os.path.isdir(path):
-        return build_manifest(path, cfg.class_dir_map())
-    return load_manifest(path)
+    if os.path.isdir(args.corpus):
+        return build_manifest(args.corpus, cfg.class_dir_map())
+    return load_manifest(args.corpus)
 
 
-def cmd_validate(args) -> int:
-    cfg = _config(args)
-    out = _out_dir(args)
+def cmd_validate(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     report = validation.validate_corpus(manifest, target_rate=cfg.rate, jobs=args.jobs)
     json_path = os.path.join(out, "validation.json")
@@ -109,14 +85,11 @@ def cmd_validate(args) -> int:
             for suffix, svg in (("wave", wave_svg), ("spectrum", spec_svg)):
                 produced.append(_write_svg(
                     os.path.join(out, f"validation_{label.value}_{suffix}.svg"), svg))
-    _record_artifacts(out, "validate", produced)
     log.info("validation report at %s", json_path)
-    return 0
+    return produced
 
 
-def cmd_augment(args) -> int:
-    cfg = _config(args)
-    out = _out_dir(args)
+def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     aug_dir = ensure_dir(os.path.join(out, "augmented"))
     entries = []
@@ -139,55 +112,41 @@ def cmd_augment(args) -> int:
     man_path = os.path.join(aug_dir, "manifest.json")
     save_manifest(aug_manifest, man_path)
     produced.append(man_path)
-    _record_artifacts(out, "augment", produced)
     log.info("wrote %d augmented files under %s", len(produced) - 1, aug_dir)
-    return 0
+    return produced
 
 
-def _extract_rows(manifest: CorpusManifest, cfg: RunConfig, jobs: int):
+def cmd_features(args, cfg: RunConfig, out: str) -> list[str]:
+    manifest = _load_corpus(args, cfg)
+
     def work(entry):
         clip = manifest.load_clip(entry, target_rate=cfg.rate)
         return clip.id, entry.label.value, features.extract_features(clip, cfg.features)
 
-    return parallel_map(work, manifest.entries, jobs)
-
-
-def cmd_features(args) -> int:
-    cfg = _config(args)
-    out = _out_dir(args)
-    manifest = _load_corpus(args, cfg)
-    rows = _extract_rows(manifest, cfg, args.jobs)
+    rows = parallel_map(work, manifest.entries, args.jobs)
     path = os.path.join(out, "features.csv")
     features.write_features_csv(path, rows)
-    _record_artifacts(out, "features", [path])
     log.info("wrote %d feature rows to %s", len(rows), path)
-    return 0
+    return [path]
 
 
-def cmd_train_encoder(args) -> int:
-    cfg = _config(args)
-    out = _out_dir(args)
+def cmd_train_encoder(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     model, history = encoder.train_encoder(
         manifest, cfg.encoder.architecture(), cfg.augment, cfg.features,
-        epochs=args.epochs or cfg.encoder.epochs, lr=cfg.encoder.lr,
+        epochs=cfg.encoder.epochs, lr=cfg.encoder.lr,
         seed=cfg.encoder.seed, batch_pairs=cfg.encoder.batch_pairs,
         val_fraction=cfg.encoder.val_fraction, target_rate=cfg.rate)
     ckpt = os.path.join(out, "encoder.ckpt")
     encoder.save_encoder(model, ckpt, cfg.features)
     hist_path = os.path.join(out, "encoder_history.csv")
-    write_csv(hist_path,
-              ["epoch", "train_loss", "val_loss", "train_cossim", "val_cossim"],
-              [[h["epoch"], h["train_loss"], h["val_loss"], h["train_cossim"], h["val_cossim"]]
-               for h in history])
-    _record_artifacts(out, "train-encoder", [ckpt, hist_path])
+    columns = ["epoch", "train_loss", "val_loss", "train_cossim", "val_cossim"]
+    write_csv(hist_path, columns, [[h[c] for c in columns] for h in history])
     log.info("final val cosine similarity %.4f", history[-1]["val_cossim"])
-    return 0
+    return [ckpt, hist_path]
 
 
-def cmd_embed(args) -> int:
-    cfg = _config(args)
-    out = _out_dir(args)
+def cmd_embed(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     model, meta = encoder.load_encoder(args.checkpoint)
     stored = meta.get("feature_params")
@@ -196,12 +155,10 @@ def cmd_embed(args) -> int:
     embs = encoder.embed_corpus(model, manifest, cfg.features,
                                 target_rate=cfg.rate, jobs=args.jobs)
     path = os.path.join(out, "embeddings.csv")
-    d = model.cfg.proj_dim
-    write_csv(path, ["id", "label"] + [f"e{i}" for i in range(d)],
+    write_csv(path, ["id", "label"] + [f"e{i}" for i in range(model.cfg.proj_dim)],
               [[e.clip_id, e.label.value] + [float(v) for v in e.vec] for e in embs])
-    _record_artifacts(out, "embed", [path])
     log.info("wrote %d embeddings to %s", len(embs), path)
-    return 0
+    return [path]
 
 
 def _read_embeddings(path: str) -> list[encoder.Embedding]:
@@ -210,9 +167,7 @@ def _read_embeddings(path: str) -> list[encoder.Embedding]:
             for (cid, lab), vec in zip(keys, values)]
 
 
-def cmd_eval_embeddings(args) -> int:
-    cfg = _config(args)
-    out = _out_dir(args)
+def cmd_eval_embeddings(args, cfg: RunConfig, out: str) -> list[str]:
     embs = _read_embeddings(args.embeddings)
     geo_path = os.path.join(out, "embedding_geometry.json")
     write_json(geo_path, json_sanitize(embedding_eval.geometry_report(embs)))
@@ -236,33 +191,24 @@ def cmd_eval_embeddings(args) -> int:
             produced.append(_write_svg(os.path.join(out, "tsne.svg"), svg))
     else:
         log.warning("fewer than 5 embeddings: skipping the 2-d projection")
-    _record_artifacts(out, "eval-embeddings", produced)
-    return 0
+    return produced
 
 
-def cmd_train_cam(args) -> int:
-    cfg = _config(args)
-    out = _out_dir(args)
+def cmd_train_cam(args, cfg: RunConfig, out: str) -> list[str]:
     rows = features.read_features_csv(args.features)
-    cam_cfg = cfg.cam
-    if args.epochs:
-        cam_cfg = replace(cam_cfg, epochs=args.epochs)
-    model, history, report, split_info = cam_mod.train_cam(rows, cam_cfg)
+    model, history, report, split_info = cam_mod.train_cam(rows, cfg.cam)
     ckpt = os.path.join(out, "cam.ckpt")
     cam_mod.save_cam(model, ckpt, split_info)
     hist_path = os.path.join(out, "cam_history.csv")
-    write_csv(hist_path, ["epoch", "loss", "acc"],
-              [[h["epoch"], h["loss"], h["acc"]] for h in history])
+    columns = ["epoch", "loss", "acc"]
+    write_csv(hist_path, columns, [[h[c] for c in columns] for h in history])
     report_path = os.path.join(out, "cam_heldout_eval.json")
     write_json(report_path, json_sanitize(report.to_dict()))
-    _record_artifacts(out, "train-cam", [ckpt, hist_path, report_path])
     log.info("held-out accuracy %.4f", report.overall_accuracy)
-    return 0
+    return [ckpt, hist_path, report_path]
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _config(args)
-    out = _out_dir(args)
+def cmd_evaluate(args, cfg: RunConfig, out: str) -> list[str]:
     rows = features.read_features_csv(args.features)
     model, meta = cam_mod.load_cam(args.checkpoint)
     if args.split != "all":
@@ -278,14 +224,11 @@ def cmd_evaluate(args) -> int:
     conf_path = os.path.join(out, "confusion.csv")
     write_csv(conf_path, ["true\\pred"] + [lab.value for lab in LABELS],
               [[lab.value] + report.confusion[i].tolist() for i, lab in enumerate(LABELS)])
-    _record_artifacts(out, "evaluate", [json_path, conf_path])
     log.info("overall accuracy %.4f on %d rows", report.overall_accuracy, len(rows))
-    return 0
+    return [json_path, conf_path]
 
 
-def cmd_calmness(args) -> int:
-    cfg = _config(args)
-    out = _out_dir(args)
+def cmd_calmness(args, cfg: RunConfig, out: str) -> list[str]:
     rows = features.read_features_csv(args.features)
     groups = {}
     for lab in LABELS:
@@ -298,17 +241,15 @@ def cmd_calmness(args) -> int:
     csv_path = os.path.join(out, "calmness.csv")
     stats.write_calmness_json(report, json_path)
     stats.write_calmness_csv(report, csv_path)
-    _record_artifacts(out, "calmness", [json_path, csv_path])
     log.info("calmest class by majority vote: %s (tally %s)",
              report.calmest_overall, report.tally)
-    return 0
+    return [json_path, csv_path]
 
 
-def cmd_report(args) -> int:
-    if args.print_default_config:
-        print(json.dumps(json_sanitize(asdict(RunConfig())), sort_keys=True, indent=2))
-        return 0
-    out = _out_dir(args)
+def cmd_report(args, cfg: RunConfig, out: str) -> list[str]:
+    if not (args.plot_history or args.plot_tsne):
+        raise ConfigError("nothing to do: pass --print-default-config, --plot-history, "
+                          "or --plot-tsne")
     produced = []
     if args.plot_history:
         header, _, values = read_float_csv(args.plot_history, [])
@@ -324,11 +265,7 @@ def cmd_report(args) -> int:
             [(x, y, lab) for (_, lab), (x, y) in zip(keys, values[:, :2])], "2-d embedding map")
         path = os.path.join(out, os.path.splitext(os.path.basename(args.plot_tsne))[0] + ".svg")
         produced.append(_write_svg(path, svg))
-    if not produced:
-        print("nothing to do: pass --print-default-config, --plot-history, or --plot-tsne")
-        return 2
-    _record_artifacts(out, "report", produced)
-    return 0
+    return produced
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,11 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default $SMSAT_OUT or ./out)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    # A command flag whose dest is a dotted config key overrides that key;
+    # left unset, it is absent from the namespace (SUPPRESS).
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
-    p.add_argument("--n", type=int, default=None, help="clips per class")
-    p.add_argument("--duration", type=float, default=None, help="seconds per clip")
-    p.add_argument("--snr-db", type=float, default=None, help="additive noise SNR")
+    p.add_argument("--n", type=int, dest="synth.n_per_class", default=argparse.SUPPRESS,
+                   help="clips per class")
+    p.add_argument("--duration", type=float, dest="synth.duration_s", default=argparse.SUPPRESS,
+                   help="seconds per clip")
+    p.add_argument("--snr-db", type=float, dest="synth.snr_db", default=argparse.SUPPRESS,
+                   help="additive noise SNR")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("validate", help="envelope/RMSE/spectral validation report")
@@ -366,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-encoder", help="contrastive encoder training")
     p.add_argument("corpus")
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int, dest="encoder.epochs", default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_train_encoder)
 
     p = sub.add_parser("embed", help="embed a corpus with a trained encoder")
@@ -381,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-cam", help="train the BiLSTM classifier on features")
     p.add_argument("features", help="features.csv")
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int, dest="cam.epochs", default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_train_cam)
 
     p = sub.add_parser("evaluate", help="classification metrics for a checkpoint")
@@ -406,20 +348,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    if args.command == "report" and args.print_default_config:
+        print(json.dumps(json_sanitize(asdict(RunConfig())), sort_keys=True, indent=2))
+        return 0
     try:
-        return args.func(args)
+        overrides = {key: value for key, value in vars(args).items() if "." in key}
+        cfg = load_config(args.config, overrides, args.seed)
+        out = ensure_dir(args.out or os.environ.get("SMSAT_OUT") or "out")
+        paths = args.func(args, cfg, out)
+        index_path = os.path.join(out, "artifacts.json")
+        index = read_json(index_path) if os.path.exists(index_path) else {}
+        index[args.command] = sorted(os.path.relpath(p, out).replace(os.sep, "/") for p in paths)
+        write_json(index_path, index)
+        return 0
     except ConfigError as exc:
         log.error("%s", exc)
         return 2
-    except PipelineError as exc:
-        log.error("%s", exc)
-        return 1
-    except OSError as exc:
+    except (PipelineError, OSError) as exc:
         log.error("%s", exc)
         return 1
 

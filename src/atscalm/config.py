@@ -1,9 +1,12 @@
 """Run configuration: one JSON document covering every pipeline stage.
 
 `RunConfig()` is the complete documented default; a config file may
-override any subset of keys. Unknown keys and mistyped values are rejected
-by dotted key path so typos fail loudly. Each seeded section carries its
-own ``seed``; `override_seed` (the CLI's ``--seed``) sets all of them.
+override any subset of keys. Unknown keys and mistyped or out-of-range
+values are rejected by dotted key path so typos fail loudly. `load_config`
+resolves a run's config in one order: the defaults, then the file (checked
+as written), then the command's flag overrides (``section.key`` paths,
+checked by the same schema), then the seed. Each seeded section carries
+its own ``seed``; `override_seed` (the CLI's ``--seed``) sets all of them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .augment import AugmentConfig
 from .classifier import CamConfig
 from .encoder import EncoderConfig
 from .features import FeatureParams
-from .util import ConfigError, dataclass_from_dict, read_json
+from .util import ConfigError, PipelineError, dataclass_from_dict, read_json
 
 
 @dataclass
@@ -27,6 +30,12 @@ class EncoderSection(EncoderConfig):
     batch_pairs: int = 8
     val_fraction: float = 0.25
     seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        for key in ("epochs", "batch_pairs"):
+            if getattr(self, key) < 1:
+                raise PipelineError(f"{key} must be >= 1")
 
     def architecture(self) -> EncoderConfig:
         return EncoderConfig(**{f.name: getattr(self, f.name) for f in fields(EncoderConfig)})
@@ -69,9 +78,18 @@ def config_from_dict(data: dict) -> RunConfig:
     return dataclass_from_dict(RunConfig, data)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str | None, overrides: dict, seed: int | None) -> RunConfig:
+    """The file at ``path`` (defaults if None), checked as written, then the
+    ``{"section.key": value}`` overrides, then ``seed`` on every seeded section."""
     try:
-        data = read_json(path)
+        data = read_json(path) if path else {}
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    return config_from_dict(data)
+    config_from_dict(data)
+    for key, value in overrides.items():
+        section, leaf = key.split(".")
+        data.setdefault(section, {})[leaf] = value
+    cfg = config_from_dict(data)
+    if seed is not None:
+        cfg.override_seed(seed)
+    return cfg

@@ -155,33 +155,25 @@ def count_parameters(model: AcousticEncoder) -> int:
 def count_flops(model: AcousticEncoder, input_hw: tuple[int, int]) -> int:
     """2*MACs for conv and linear layers at an (n_mels, frames) input, per sample.
 
-    Elementwise work (bn, relu, pooling) is not counted; this convention is
-    reported alongside the number wherever it is surfaced.
+    Walks the built model's weights, so only the kernel, stride and pad of
+    each conv live here. Elementwise work (bn, relu, pooling) is not
+    counted; this convention is reported alongside the number wherever it
+    is surfaced.
     """
-    cfg = model.cfg
-    h, w = input_hw
+    def conv(w: Tensor, hw, stride: int, pad: int):
+        k = w.data.shape[-1]
+        ho, wo = ((d + 2 * pad - k) // stride + 1 for d in hw)
+        return 2 * w.data.size * ho * wo, (ho, wo)
 
-    def conv_out(h, w, k, stride, pad):
-        return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
-
-    total = 0
-    widths = cfg.scaled_widths()
-    h, w = conv_out(h, w, 7, 2, 3)
-    total += 2 * widths[0] * 1 * 7 * 7 * h * w
-    h, w = conv_out(h, w, 3, 2, 1)
-    c_in = widths[0]
-    for si, (c_out, n_blocks) in enumerate(zip(widths, cfg.blocks)):
-        for bi in range(n_blocks):
-            stride = 2 if (si > 0 and bi == 0) else 1
-            ho, wo = conv_out(h, w, 3, stride, 1)
-            total += 2 * c_out * c_in * 9 * ho * wo
-            total += 2 * c_out * c_out * 9 * ho * wo
-            if stride != 1 or c_in != c_out:
-                total += 2 * c_out * c_in * 1 * ho * wo
-            h, w = ho, wo
-            c_in = c_out
-    total += 2 * c_in * cfg.proj_dim
-    return int(total)
+    total, hw = conv(model.stem_w, input_hw, 2, 3)
+    hw = tuple((d + 2 - 3) // 2 + 1 for d in hw)   # 3x3 stride-2 max pool, pad 1
+    for block in model.blocks:
+        flops, out_hw = conv(block.w1, hw, block.stride, 1)
+        total += flops + conv(block.w2, out_hw, 1, 1)[0]
+        if block.down_w is not None:
+            total += conv(block.down_w, hw, block.stride, 0)[0]
+        hw = out_hw
+    return int(total + 2 * model.proj_w.data.size)
 
 
 def contrastive_loss(p1: Tensor, p2: Tensor) -> Tensor:

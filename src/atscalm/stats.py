@@ -1,7 +1,7 @@
 """Group statistics for the calmness analysis.
 
 One-way ANOVA, Welch two-sample t-tests with Satterthwaite degrees of
-freedom, the Student-t and F CDFs via a continued-fraction regularized
+freedom, their p-values as upper tails of a continued-fraction regularized
 incomplete beta, the lowest-mean "calmest class" rule, and the per-feature
 report with a majority-vote verdict.
 
@@ -87,27 +87,9 @@ def betainc(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def t_cdf(x: float, df: float) -> float:
-    """Student-t cumulative distribution."""
-    if df <= 0:
-        raise PipelineError("t_cdf needs df > 0")
-    if x == 0.0:
-        return 0.5
-    ib = betainc(df / 2.0, 0.5, df / (df + x * x))
-    return 1.0 - 0.5 * ib if x > 0 else 0.5 * ib
-
-
-def f_cdf(x: float, d1: float, d2: float) -> float:
-    """F-distribution cumulative distribution."""
-    if d1 <= 0 or d2 <= 0:
-        raise PipelineError("f_cdf needs d1, d2 > 0")
-    if x <= 0.0:
-        return 0.0
-    return betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
-
-
 def anova_oneway(groups) -> tuple[float, float]:
-    """(F, p) with df (k-1, N-k).
+    """(F, p) with df (k-1, N-k); p is the F upper tail, taken straight from
+    the incomplete beta so that it keeps its relative precision when small.
 
     Raises on a degenerate layout: any group smaller than 2 or zero
     within-group variance everywhere.
@@ -128,16 +110,17 @@ def anova_oneway(groups) -> tuple[float, float]:
     if ms_within == 0.0:
         raise PipelineError("degenerate ANOVA: zero within-group variance in every group")
     f_stat = (ss_between / df_b) / ms_within
-    return float(f_stat), float(1.0 - f_cdf(f_stat, df_b, df_w))
+    return float(f_stat), float(betainc(df_w / 2.0, df_b / 2.0, df_w / (df_w + df_b * f_stat)))
 
 
 def welch_t(a, b) -> tuple[float, float, float]:
     """(t, df, p) for the unequal-variance two-sample test.
 
     t = (mean_a - mean_b)/sqrt(s_a^2/n_a + s_b^2/n_b) with sample variances;
-    df by Welch-Satterthwaite; two-sided p. Zero pooled standard error with
-    equal means is undefined and raises; with unequal means the statistic
-    is infinite and p = 0.
+    df by Welch-Satterthwaite; the two-sided p = I_{df/(df+t^2)}(df/2, 1/2)
+    comes straight from the incomplete beta. Zero pooled standard error
+    with equal means is undefined and raises; with unequal means the
+    statistic is infinite and p = 0.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -153,8 +136,8 @@ def welch_t(a, b) -> tuple[float, float, float]:
         return math.copysign(math.inf, diff), math.nan, 0.0
     t_stat = diff / math.sqrt(se_sq)
     df = se_sq ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    p = 2.0 * (1.0 - t_cdf(abs(t_stat), df))
-    return float(t_stat), float(df), float(min(max(p, 0.0), 1.0))
+    p = betainc(df / 2.0, 0.5, df / (df + t_stat * t_stat))
+    return float(t_stat), float(df), float(p)
 
 
 def calmest_per_feature(means: dict[str, float]) -> tuple[str, bool]:

@@ -57,12 +57,15 @@ def read_json(path: str):
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """RFC 4180 CSV: ',' separator, minimal quoting, LF line ends, a header
-    row; floats in their `fmt_float` form."""
+    row; floats in their `fmt_float` form. A row holding a '\\r' has every
+    cell quoted, since minimal quoting leaves a lone '\\r' bare and the
+    reader would end the record there."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([fmt_float(c) if isinstance(c, (float, np.floating)) else c for c in row]
-                         for row in rows)
+        minimal = csv.writer(fh, lineterminator="\n")
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in [header, *rows]:
+            cells = [fmt_float(c) if isinstance(c, (float, np.floating)) else c for c in row]
+            (quote_all if any("\r" in str(c) for c in cells) else minimal).writerow(cells)
 
 
 def _csv_lines(path: str) -> list[tuple[int, list[str]]]:

@@ -1,14 +1,21 @@
 import json
 import os
+import subprocess
+import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from atscalm.classifier import load_cam
 from atscalm.cli import main
+from atscalm.config import RunConfig
 from atscalm.features import FEATURE_NAMES, read_features_csv
-from atscalm.util import read_json
+from atscalm.util import json_sanitize, read_json
 from tiny_chain import run_chain
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(args):
@@ -114,6 +121,10 @@ REMOVED_KEYS = [("features", "n_mfcc", 13), ("features", "wavelet_levels", 5),
                 ("encoder", "uniformity_weight", 0.0), ("augment", "noise_sigma_abs", None),
                 ("augment", "vocoder_win", 1024), ("augment", "vocoder_hop", 256)]
 
+# Counts the schema bounds; a 0 there used to train nothing or end in a traceback.
+ZERO_KEYS = [("encoder", "epochs", ">= 1"), ("encoder", "batch_pairs", ">= 1"),
+             ("cam", "epochs", ">= 1"), ("cam", "batch", ">= 1"), ("synth", "duration_s", "> 0")]
+
 # (files to write, command, exit code, message); {d} is the directory they are in.
 BAD_INPUT = {
     "manifest-not-json": ({"m.json": "not json"}, ["validate", "{d}/m.json"], 1,
@@ -164,6 +175,17 @@ BAD_INPUT = {
                                         "unknown config key validation"),
     "removed-seed": ({"c.json": '{"seed": 1}'}, ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
                      "unknown config key seed"),
+    **{f"zero-{section}.{key}": ({"c.json": json.dumps({section: {key: 0}})},
+                                 ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
+                                 f"config {section}: {key} must be {bound}")
+       for section, key, bound in ZERO_KEYS},
+    "flag-synth-n-zero": ({}, ["synth", "--n", "0"], 2, "config synth: n_per_class must be >= 1"),
+    "flag-synth-duration-zero": ({}, ["synth", "--duration", "0"], 2,
+                                 "config synth: duration_s must be > 0"),
+    "flag-train-encoder-epochs-zero": ({}, ["train-encoder", "{d}", "--epochs", "0"], 2,
+                                       "config encoder: epochs must be >= 1"),
+    "flag-train-cam-epochs-zero": ({}, ["train-cam", "{d}/f.csv", "--epochs", "0"], 2,
+                                   "config cam: epochs must be >= 1"),
 }
 
 
@@ -272,6 +294,14 @@ class TestEndToEnd:
         assert len(got) == 10
         assert got == _artifacts(tiny_run, commands)
 
+    def test_artifacts_index_lists_every_written_file(self, tiny_run):
+        listed = {p for paths in read_json(os.path.join(tiny_run, "artifacts.json")).values()
+                  for p in paths}
+        written = {os.path.relpath(os.path.join(root, name), tiny_run).replace(os.sep, "/")
+                   for root, _, names in os.walk(tiny_run) for name in names}
+        assert written - listed == {"artifacts.json", "tiny.json"}
+        assert listed <= written
+
     def test_evaluate_reproduces_heldout_report(self, tiny_run):
         with open(os.path.join(tiny_run, "evaluation.json"), "rb") as fh:
             evaluated = fh.read()
@@ -317,8 +347,30 @@ class TestReport:
         assert run(["--out", out, "report", "--plot-history", hist]) == 0
         assert os.path.exists(os.path.join(out, "h.svg"))
 
+    def test_print_default_config_creates_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SMSAT_OUT", raising=False)
+        assert run(["report", "--print-default-config"]) == 0
+        assert os.listdir(tmp_path) == []
+        want = json.dumps(json_sanitize(asdict(RunConfig())), sort_keys=True, indent=2)
+        assert capsys.readouterr().out == want + "\n"
+
+    def test_config_checked(self, tmp_path, caplog):
+        (tmp_path / "c.json").write_text('{"cam": {"hiddden": 8}}')
+        (tmp_path / "h.csv").write_text("epoch,loss\n1,0.5\n")
+        assert run(["--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"),
+                    "report", "--plot-history", str(tmp_path / "h.csv")]) == 2
+        assert "unknown config key cam.hiddden" in caplog.text
+
     def test_no_action_is_usage_error(self, tmp_path):
-        assert run(["--out", str(tmp_path), "report"]) == 2
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "atscalm.cli", "--out", str(tmp_path), "report"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "ERROR atscalm: nothing to do" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestConfigHandling:

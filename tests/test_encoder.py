@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from atscalm import audio_io as aio
+from atscalm import encoder as encoder_mod
 from atscalm.augment import AugmentConfig
 from atscalm.encoder import (AcousticEncoder, EncoderConfig, contrastive_loss,
                              count_flops, count_parameters, embed_corpus, load_encoder, mean_cosine_similarity,
                              prepare_input, save_encoder, train_encoder)
 from atscalm.features import FeatureParams, TimeFreqGrid
 from atscalm.nn import Adam, Tensor
-from atscalm.nn.ops import split
+from atscalm.nn.ops import conv2d, split
 from atscalm.util import PipelineError, keyed_rng
 
 
@@ -67,6 +68,26 @@ class TestFlops:
         model = AcousticEncoder(cfg, 0)
         no_head = count_flops(model, (64, 256)) - 2 * 512 * 128
         assert no_head > 0
+
+    @pytest.mark.parametrize("cfg,hw", [
+        (EncoderConfig(), (64, 64)),
+        (EncoderConfig(width_scale=0.125), (40, 101)),
+        (EncoderConfig(widths=(8, 8, 16), blocks=(1, 3, 2), proj_dim=4), (64, 256)),
+    ], ids=["default", "width-0.125", "widths-8-8-16"])
+    def test_matches_traced_forward(self, monkeypatch, cfg, hw):
+        """count_flops equals the conv FLOPs of one real forward pass, taken
+        from the shapes conv2d sees, plus the projection head."""
+        model = AcousticEncoder(cfg, 0)
+        traced = []
+
+        def counted(x, w, **kw):
+            y = conv2d(x, w, **kw)
+            traced.append(2 * w.data.size * y.data.shape[2] * y.data.shape[3])
+            return y
+
+        monkeypatch.setattr(encoder_mod, "conv2d", counted)
+        model.forward(Tensor(np.zeros((1, 1) + hw)))
+        assert count_flops(model, hw) == sum(traced) + 2 * model.proj_w.data.size
 
     def test_stem_weight_size(self):
         model = AcousticEncoder(EncoderConfig(), 0)
