@@ -361,8 +361,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_per_class < 1:
             raise PipelineError("n_per_class must be >= 1")
-        if not 0 < self.duration_s < np.inf:
-            raise PipelineError("duration_s must be > 0 and finite")
+        if self.duration_s <= 0:
+            raise PipelineError("duration_s must be > 0")
 
 
 def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig,

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import LABELS, ClassLabel, parse_label
 from .features import N_FEATURES
-from .nn import (Adam, LstmWeights, Tensor, bilstm_final, init_lstm,
-                 load_checkpoint, no_grad, save_checkpoint, seeded_init)
+from .nn import (Adam, Tensor, bilstm_final, init_lstm, load_model, no_grad, save_model,
+                 seeded_init)
 from .nn.ops import dropout, linear, relu, softmax, softmax_crossentropy
-from .util import PipelineError, dataclass_from_dict, keyed_rng
+from .util import PipelineError, keyed_rng
 
 log = logging.getLogger(__name__)
 
@@ -48,40 +48,37 @@ class CamConfig:
 
 
 class BiLstmClassifier:
+    """A model under the `atscalm.nn.checkpoint` contract: ``params`` and
+    ``buffers`` (the input z-score mean and std)."""
+
     def __init__(self, cfg: CamConfig):
         self.cfg = cfg
-        seed = cfg.seed
-        self.fwd = init_lstm(1, cfg.hidden, (seed, "fwd"))
-        self.bwd = init_lstm(1, cfg.hidden, (seed, "bwd"))
-        self.fc1_w = seeded_init((2 * cfg.hidden, cfg.fc_dim), "kaiming-uniform",
-                                 (seed, "fc1"), fan_in=2 * cfg.hidden)
-        self.fc1_b = Tensor(np.zeros(cfg.fc_dim), requires_grad=True)
-        self.fc2_w = seeded_init((cfg.fc_dim, len(LABELS)), "kaiming-uniform",
-                                 (seed, "fc2"), fan_in=cfg.fc_dim)
-        self.fc2_b = Tensor(np.zeros(len(LABELS)), requires_grad=True)
-        self.norm_mean = np.zeros(N_FEATURES)
-        self.norm_std = np.ones(N_FEATURES)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "fwd.wx": self.fwd.wx, "fwd.wh": self.fwd.wh, "fwd.b": self.fwd.b,
-            "bwd.wx": self.bwd.wx, "bwd.wh": self.bwd.wh, "bwd.b": self.bwd.b,
-            "fc1.w": self.fc1_w, "fc1.b": self.fc1_b,
-            "fc2.w": self.fc2_w, "fc2.b": self.fc2_b,
-        }
+        self.fwd = init_lstm(1, cfg.hidden, (cfg.seed, "fwd"))
+        self.bwd = init_lstm(1, cfg.hidden, (cfg.seed, "bwd"))
+        self.params: dict[str, Tensor] = {
+            f"{d}.{k}": getattr(w, k)
+            for d, w in (("fwd", self.fwd), ("bwd", self.bwd)) for k in ("wx", "wh", "b")}
+        for name, (n_in, n_out) in (("fc1", (2 * cfg.hidden, cfg.fc_dim)),
+                                    ("fc2", (cfg.fc_dim, len(LABELS)))):
+            self.params[f"{name}.w"] = seeded_init((n_in, n_out), "kaiming-uniform",
+                                                   (cfg.seed, name), fan_in=n_in)
+            self.params[f"{name}.b"] = Tensor(np.zeros(n_out), requires_grad=True)
+        self.norm_mean, self.norm_std = Tensor(np.zeros(N_FEATURES)), Tensor(np.ones(N_FEATURES))
+        self.buffers: dict[str, Tensor] = {"norm.mean": self.norm_mean, "norm.std": self.norm_std}
 
     def _steps(self, x: np.ndarray) -> list[Tensor]:
         if x.ndim != 2 or x.shape[1] != N_FEATURES:
             raise PipelineError(f"expected (N, {N_FEATURES}) features, got {x.shape}")
-        z = (x - self.norm_mean) / self.norm_std
+        z = (x - self.norm_mean.data) / self.norm_std.data
         return [Tensor(z[:, t : t + 1]) for t in range(N_FEATURES)]
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
+        p = self.params
         h = bilstm_final(self._steps(x), self.fwd, self.bwd)
-        h = relu(linear(h, self.fc1_w, self.fc1_b))
+        h = relu(linear(h, p["fc1.w"], p["fc1.b"]))
         h = dropout(h, self.cfg.dropout, train, rng)
-        return linear(h, self.fc2_w, self.fc2_b)
+        return linear(h, p["fc2.w"], p["fc2.b"])
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         with no_grad():
@@ -89,26 +86,6 @@ class BiLstmClassifier:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {name: p.data for name, p in self.parameters().items()}
-        out["norm.mean"] = self.norm_mean
-        out["norm.std"] = self.norm_std
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, current in self.state_arrays().items():
-            if name not in arrays or arrays[name].shape != current.shape:
-                raise PipelineError(f"checkpoint tensor {name} missing or wrong shape")
-        for name, p in self.parameters().items():
-            p.data = arrays[name].copy()
-        self.norm_mean = arrays["norm.mean"].copy()
-        self.norm_std = arrays["norm.std"].copy()
-
-
-def count_cam_parameters(model: BiLstmClassifier) -> int:
-    return int(sum(p.data.size for p in model.parameters().values()))
-
 
 def class_weights(counts: dict[ClassLabel, int]) -> dict[ClassLabel, float]:
     """weight_i = total / count_i."""
@@ -211,13 +188,13 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], EvalR
         raise PipelineError("a class is absent from the training split")
 
     model = BiLstmClassifier(cfg)
-    model.norm_mean = x_train.mean(axis=0)
-    model.norm_std = np.maximum(x_train.std(axis=0), 1e-8)
+    model.norm_mean.data = x_train.mean(axis=0)
+    model.norm_std.data = np.maximum(x_train.std(axis=0), 1e-8)
 
     counts = {LABELS[i]: int(np.sum(y_train == i)) for i in range(len(LABELS))}
     weights = class_weights(counts)
     train_labels = [LABELS[i] for i in y_train]
-    opt = Adam(model.parameters(), cfg.lr)
+    opt = Adam(model.params, cfg.lr)
     n_batches = max(1, int(np.ceil(len(train_idx) / cfg.batch)))
     history = []
     for epoch in range(cfg.epochs):
@@ -256,18 +233,9 @@ def evaluate(model: BiLstmClassifier, rows) -> EvalReport:
     return eval_report_from_predictions(labels, model.predict(x))
 
 
-def save_cam(model: BiLstmClassifier, path: str, split_info: dict | None = None) -> None:
-    meta = {"kind": "cam", "config": asdict(model.cfg)}
-    if split_info is not None:
-        meta["split"] = split_info
-    save_checkpoint(path, model.state_arrays(), meta)
+def save_cam(model: BiLstmClassifier, path: str, split_info: dict) -> None:
+    save_model(model, path, "cam", split=split_info)
 
 
 def load_cam(path: str) -> tuple[BiLstmClassifier, dict]:
-    arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != "cam":
-        raise PipelineError(f"{path}: not a classifier checkpoint")
-    cfg = dataclass_from_dict(CamConfig, meta.get("config"), f"{path} config")
-    model = BiLstmClassifier(cfg)
-    model.load_state(arrays)
-    return model, meta
+    return load_model(path, "cam", CamConfig, BiLstmClassifier)

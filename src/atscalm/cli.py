@@ -17,9 +17,9 @@ Every CSV artifact has a header row, ',' between cells, RFC 4180 minimal
 quoting (a cell holding ',', '"' or a newline is quoted, with '"'
 doubled) and LF line ends; the CSV readers take the same dialect.
 
-Exit codes: 0 success, 1 domain error (bad input data, I/O), 2 usage or
-config error, including a flag value the config schema rejects. Either
-error is logged as one named line on stderr.
+Exit codes: 0 success, 1 domain error (bad input data, I/O, an allocation
+that does not fit), 2 usage or config error, including a flag value the
+config schema rejects. Either error is logged as one named line on stderr.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ log = logging.getLogger("atscalm")
 def _write_svg(path: str, svg: str) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
+    return path
+
+
+def _write_history(path: str, history: list[dict]) -> str:
+    """One row per epoch, one column per key the trainer returns, in its order."""
+    write_csv(path, list(history[0]), [list(h.values()) for h in history])
     return path
 
 
@@ -139,9 +145,7 @@ def cmd_train_encoder(args, cfg: RunConfig, out: str) -> list[str]:
         val_fraction=cfg.encoder.val_fraction, target_rate=cfg.rate)
     ckpt = os.path.join(out, "encoder.ckpt")
     encoder.save_encoder(model, ckpt, cfg.features)
-    hist_path = os.path.join(out, "encoder_history.csv")
-    columns = ["epoch", "train_loss", "val_loss", "train_cossim", "val_cossim"]
-    write_csv(hist_path, columns, [[h[c] for c in columns] for h in history])
+    hist_path = _write_history(os.path.join(out, "encoder_history.csv"), history)
     log.info("final val cosine similarity %.4f", history[-1]["val_cossim"])
     return [ckpt, hist_path]
 
@@ -199,9 +203,7 @@ def cmd_train_cam(args, cfg: RunConfig, out: str) -> list[str]:
     model, history, report, split_info = cam_mod.train_cam(rows, cfg.cam)
     ckpt = os.path.join(out, "cam.ckpt")
     cam_mod.save_cam(model, ckpt, split_info)
-    hist_path = os.path.join(out, "cam_history.csv")
-    columns = ["epoch", "loss", "acc"]
-    write_csv(hist_path, columns, [[h[c] for c in columns] for h in history])
+    hist_path = _write_history(os.path.join(out, "cam_history.csv"), history)
     report_path = os.path.join(out, "cam_heldout_eval.json")
     write_json(report_path, json_sanitize(report.to_dict()))
     log.info("held-out accuracy %.4f", report.overall_accuracy)
@@ -368,6 +370,9 @@ def main(argv=None) -> int:
         return 2
     except (PipelineError, OSError) as exc:
         log.error("%s", exc)
+        return 1
+    except MemoryError as exc:
+        log.error("%s: %s", type(exc).__name__, exc)
         return 1
 
 

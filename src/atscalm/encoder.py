@@ -10,16 +10,17 @@ distance loss.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import augment, features
 from .audio_io import AudioClip, ClassLabel, CorpusManifest
-from .nn import Adam, Tensor, load_checkpoint, no_grad, save_checkpoint, seeded_init
-from .nn.ops import (BatchNormState, add, batchnorm2d, conv2d, global_avg_pool,
-                     linear, maxpool2d, mul, relu, scale, split, ssum, sub)
-from .util import PipelineError, dataclass_from_dict, keyed_rng, parallel_map
+from .nn import Adam, Tensor, load_model, no_grad, save_model, seeded_init
+from .nn.ops import (add, batchnorm2d, conv2d, global_avg_pool, linear, maxpool2d, mul,
+                     relu, scale, split, ssum, sub)
+from .util import PipelineError, keyed_rng, parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -65,24 +66,24 @@ class _Block:
             self.down_bn = model._bn(f"{name}.down_bn", c_out)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        y = batchnorm2d(conv2d(x, self.w1, stride=self.stride, pad=1),
-                        self.bn1[0], self.bn1[1], self.bn1[2], train)
-        y = relu(y)
-        y = batchnorm2d(conv2d(y, self.w2, stride=1, pad=1),
-                        self.bn2[0], self.bn2[1], self.bn2[2], train)
+        y = relu(batchnorm2d(conv2d(x, self.w1, stride=self.stride, pad=1), *self.bn1, train))
+        y = batchnorm2d(conv2d(y, self.w2, stride=1, pad=1), *self.bn2, train)
         if self.down_w is None:
             skip = x
         else:
             skip = batchnorm2d(conv2d(x, self.down_w, stride=self.stride, pad=0),
-                               self.down_bn[0], self.down_bn[1], self.down_bn[2], train)
+                               *self.down_bn, train)
         return relu(add(y, skip))
 
 
 class AcousticEncoder:
+    """A model under the `atscalm.nn.checkpoint` contract: ``params`` and
+    ``buffers`` (each batchnorm's running mean, then its running var)."""
+
     def __init__(self, cfg: EncoderConfig, seed=0):
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
-        self.bn_states: dict[str, BatchNormState] = {}
+        self.buffers: dict[str, Tensor] = {}
         widths = cfg.scaled_widths()
         self.stem_w = self._param("stem.conv", (widths[0], 1, 7, 7), seed)
         self.stem_bn = self._bn("stem.bn", widths[0])
@@ -94,30 +95,25 @@ class AcousticEncoder:
                 self.blocks.append(_Block(self, f"stage{si}.block{bi}", c_in, c_out, stride, seed))
                 c_in = c_out
         self.proj_w = self._param("proj.w", (c_in, cfg.proj_dim), seed, fan_in=c_in)
-        self.proj_b = Tensor(np.zeros(cfg.proj_dim), requires_grad=True)
-        self.params["proj.b"] = self.proj_b
+        self.proj_b = self.params["proj.b"] = Tensor(np.zeros(cfg.proj_dim), requires_grad=True)
 
     def _param(self, name: str, shape, seed, fan_in=None) -> Tensor:
-        t = seeded_init(shape, "kaiming-uniform", (seed, name), fan_in=fan_in)
-        self.params[name] = t
+        t = self.params[name] = seeded_init(shape, "kaiming-uniform", (seed, name), fan_in=fan_in)
         return t
 
-    def _bn(self, name: str, c: int):
-        gamma = Tensor(np.ones(c), requires_grad=True)
-        beta = Tensor(np.zeros(c), requires_grad=True)
-        state = BatchNormState.for_channels(c)
-        self.params[f"{name}.gamma"] = gamma
-        self.params[f"{name}.beta"] = beta
-        self.bn_states[name] = state
-        return gamma, beta, state
+    def _bn(self, name: str, c: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        """(gamma, beta, running mean, running var), the trailing arguments of batchnorm2d."""
+        gamma = self.params[f"{name}.gamma"] = Tensor(np.ones(c), requires_grad=True)
+        beta = self.params[f"{name}.beta"] = Tensor(np.zeros(c), requires_grad=True)
+        mean = self.buffers[f"{name}.running_mean"] = Tensor(np.zeros(c))
+        var = self.buffers[f"{name}.running_var"] = Tensor(np.ones(c))
+        return gamma, beta, mean, var
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         """(N, 1, n_mels, frames) -> (N, proj_dim)."""
         if x.data.ndim != 4 or x.data.shape[1] != 1:
             raise PipelineError(f"encoder expects (N,1,mels,frames), got {x.data.shape}")
-        y = batchnorm2d(conv2d(x, self.stem_w, stride=2, pad=3),
-                        self.stem_bn[0], self.stem_bn[1], self.stem_bn[2], train)
-        y = relu(y)
+        y = relu(batchnorm2d(conv2d(x, self.stem_w, stride=2, pad=3), *self.stem_bn, train))
         y = maxpool2d(y, kernel=3, stride=2, pad=1)
         for block in self.blocks:
             y = block.forward(y, train)
@@ -128,29 +124,6 @@ class AcousticEncoder:
         x = Tensor(np.stack(grids)[:, None, :, :])
         with no_grad():
             return self.forward(x, train=False).data
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {name: p.data for name, p in self.params.items()}
-        for name, st in self.bn_states.items():
-            out[f"{name}.running_mean"] = st.mean
-            out[f"{name}.running_var"] = st.var
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, current in self.state_arrays().items():
-            if name not in arrays or arrays[name].shape != current.shape:
-                raise PipelineError(f"checkpoint tensor {name} missing or wrong shape")
-        for name, p in self.params.items():
-            p.data = arrays[name].copy()
-        for name, st in self.bn_states.items():
-            st.mean = arrays[f"{name}.running_mean"].copy()
-            st.var = arrays[f"{name}.running_var"].copy()
-
-
-def count_parameters(model: AcousticEncoder) -> int:
-    """Trainable parameters only; batchnorm running stats are buffers."""
-    return int(sum(p.data.size for p in model.params.values()))
-
 
 def count_flops(model: AcousticEncoder, input_hw: tuple[int, int]) -> int:
     """2*MACs for conv and linear layers at an (n_mels, frames) input, per sample.
@@ -248,7 +221,9 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
 
     Returns the trained model and a history with one row per epoch:
     train/val loss, train/val positive-pair cosine similarity, and the
-    last train-batch embedding variance (collapse monitor).
+    last train-batch embedding variance (collapse monitor). The history
+    holds no wall-clock value; each epoch's elapsed time goes to the INFO
+    log line instead.
     """
     if len(manifest.entries) < 2:
         raise PipelineError("encoder training needs at least 2 clips")
@@ -265,6 +240,7 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
     history = []
     warned = False
     for epoch in range(epochs):
+        tic = time.perf_counter()
         perm = keyed_rng(seed, "order", epoch).permutation(len(train_clips))
         losses = []
         cossims = []
@@ -297,25 +273,18 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
             "val_cossim": val_cos,
             "emb_variance": emb_var,
         })
+        log.info("encoder epoch %d/%d: train loss %.6g, val loss %.6g, emb variance %.3g (%.2f s)",
+                 epoch + 1, epochs, history[-1]["train_loss"], val_loss, emb_var,
+                 time.perf_counter() - tic)
     return model, history
 
 
-def save_encoder(model: AcousticEncoder, path: str,
-                 feat_params: features.FeatureParams | None = None) -> None:
-    meta = {"kind": "encoder", "config": asdict(model.cfg)}
-    if feat_params is not None:
-        meta["feature_params"] = asdict(feat_params)
-    save_checkpoint(path, model.state_arrays(), meta)
+def save_encoder(model: AcousticEncoder, path: str, feat_params: features.FeatureParams) -> None:
+    save_model(model, path, "encoder", feature_params=asdict(feat_params))
 
 
 def load_encoder(path: str) -> tuple[AcousticEncoder, dict]:
-    arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != "encoder":
-        raise PipelineError(f"{path}: not an encoder checkpoint")
-    cfg = dataclass_from_dict(EncoderConfig, meta.get("config"), f"{path} config")
-    model = AcousticEncoder(cfg, seed=0)
-    model.load_state(arrays)
-    return model, meta
+    return load_model(path, "encoder", EncoderConfig, AcousticEncoder)
 
 
 def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest,

@@ -1,16 +1,58 @@
-"""Flat binary checkpoint: JSON header + named little-endian float64 payloads."""
+"""The model contract and its flat binary checkpoint.
+
+A model has a dataclass ``cfg`` and two named dicts of Tensors, each in
+registration order: ``params``, the trainable set, and ``buffers``, the
+non-trainable state. Its state is ``params`` then ``buffers``. `save_model`
+writes it under a header holding ``kind`` and ``config``; `load_model`
+checks both before restoring any tensor. `count_parameters` counts
+``params`` only. The file is a JSON header, then named little-endian
+float64 payloads.
+"""
 
 from __future__ import annotations
 
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
-from ..util import PipelineError
+from ..util import PipelineError, dataclass_from_dict
 
 MAGIC = b"ATSNN001"
+
+
+def state_arrays(model) -> dict[str, np.ndarray]:
+    return {name: t.data for name, t in (*model.params.items(), *model.buffers.items())}
+
+
+def load_state(model, arrays: dict[str, np.ndarray]) -> None:
+    tensors = {**model.params, **model.buffers}
+    for name, t in tensors.items():
+        if name not in arrays or arrays[name].shape != t.data.shape:
+            raise PipelineError(f"checkpoint tensor {name} missing or wrong shape")
+    for name, t in tensors.items():
+        t.data = arrays[name].copy()
+
+
+def count_parameters(model) -> int:
+    return int(sum(p.data.size for p in model.params.values()))
+
+
+def save_model(model, path: str, kind: str, **meta) -> None:
+    """``meta`` adds header entries next to ``kind`` and ``config``."""
+    save_checkpoint(path, state_arrays(model), {"kind": kind, "config": asdict(model.cfg), **meta})
+
+
+def load_model(path: str, kind: str, config_cls, build):
+    """(``build(config)`` with the stored state, header) of a ``kind`` checkpoint."""
+    arrays, meta = load_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise PipelineError(f"{path}: not {'an' if kind[0] in 'aeiou' else 'a'} {kind} checkpoint")
+    model = build(dataclass_from_dict(config_cls, meta.get("config"), f"{path} config"))
+    load_state(model, arrays)
+    return model, meta
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], meta: dict) -> None:

@@ -4,8 +4,6 @@ whose closure accumulates gradients into its parents."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..util import PipelineError
@@ -231,36 +229,23 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-@dataclass
-class BatchNormState:
-    """Running statistics; arrays are plain buffers, not parameters."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    @classmethod
-    def for_channels(cls, c: int):
-        return cls(mean=np.zeros(c), var=np.ones(c))
-
-
-def batchnorm2d(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
+def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool) -> Tensor:
     """Channel-wise normalization over (N,H,W); biased batch variance.
 
-    Train mode normalizes with the batch statistics and updates the running
-    buffers; eval mode applies the frozen running statistics.
+    Train mode normalizes with the batch statistics and updates the
+    ``running_mean`` and ``running_var`` buffers; eval mode applies them.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4 or gamma.data.shape != (x.data.shape[1],):
         raise PipelineError(f"batchnorm2d shape mismatch: x {x.data.shape}, gamma {gamma.data.shape}")
     axes = (0, 2, 3)
-    m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
     if train:
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
-        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
+        running_mean.data = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mu
+        running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * var
     else:
-        mu, var = state.mean, state.var
+        mu, var = running_mean.data, running_var.data
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
     y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]

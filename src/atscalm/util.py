@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import types
 import typing
 from typing import Callable, Iterable, Sequence
@@ -153,10 +154,11 @@ def dataclass_from_dict(cls, data, path: str = ""):
     """Build dataclass ``cls`` from a JSON object; absent keys keep defaults.
 
     Each value is checked against its field's annotation: ints are not
-    bools, a float field also takes an int, lists become tuples, ``X | None``
-    takes null, and a nested dataclass field is built the same way. An
-    unknown key, a mistyped value, or a failed ``__post_init__`` raises
-    ConfigError naming the dotted key path (``path`` prefixes it).
+    bools, a float field also takes an int and rejects NaN, infinities and
+    ints beyond the float range, lists become tuples, ``X | None`` takes
+    null, and a nested dataclass field is built the same way. An unknown
+    key, a mistyped value, or a failed ``__post_init__`` raises ConfigError
+    naming the dotted key path (``path`` prefixes it).
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config {path or 'document'} must be an object, got {data!r}")
@@ -197,6 +199,8 @@ def _typed(tp, value, where: str):
         if tp is bool:
             return value
     elif isinstance(value, tp) or (tp is float and isinstance(value, int)):
+        if tp is float and not abs(value) <= sys.float_info.max:   # NaN fails too
+            raise ConfigError(f"config key {where} must be finite, got {value!r}")
         return value
     name = str(tp) if origin else tp.__name__
     raise ConfigError(f"config key {where} must be {name}, got {value!r}")

@@ -7,9 +7,9 @@ import lstm_oracle
 from atscalm import classifier
 from atscalm.audio_io import LABELS, ClassLabel
 from atscalm.classifier import (BiLstmClassifier, CamConfig, class_weights,
-                                count_cam_parameters, eval_report_from_predictions,
-                                evaluate, load_cam, save_cam, stratified_split,
-                                train_cam, weighted_sampler)
+                                eval_report_from_predictions, evaluate, load_cam, save_cam,
+                                stratified_split, train_cam, weighted_sampler)
+from atscalm.nn import count_parameters
 from atscalm.util import PipelineError, keyed_rng
 
 SM, M, NS = LABELS
@@ -94,7 +94,7 @@ class TestModel:
         cfg = CamConfig()
         model = BiLstmClassifier(cfg)
         want = 4 * ((1 + 256 + 1) * 256) * 2 + (512 * 128 + 128) + (128 * 3 + 3)
-        assert count_cam_parameters(model) == want == cam_parameter_closed_form(cfg)
+        assert count_parameters(model) == want == cam_parameter_closed_form(cfg)
 
     def test_logit_shift_invariance(self):
         from atscalm.nn.ops import softmax
@@ -137,8 +137,8 @@ class TestTraining:
         accs = [h["acc"] for h in history]
         assert max(accs) - min(accs) <= 0.02
         fresh = BiLstmClassifier(cfg)
-        for name, p in fresh.parameters().items():
-            assert np.array_equal(model.parameters()[name].data, p.data)
+        for name, p in fresh.params.items():
+            assert np.array_equal(model.params[name].data, p.data)
 
     def test_same_seed_identical_history(self):
         rows = gaussian_rows(8, seed=4)

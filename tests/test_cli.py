@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from atscalm import cli
 from atscalm.classifier import load_cam
 from atscalm.cli import main
 from atscalm.config import RunConfig
@@ -186,6 +188,18 @@ BAD_INPUT = {
                                        "config encoder: epochs must be >= 1"),
     "flag-train-cam-epochs-zero": ({}, ["train-cam", "{d}/f.csv", "--epochs", "0"], 2,
                                    "config cam: epochs must be >= 1"),
+    # JSON's NaN and Infinity and argparse's float("nan") used to pass the schema.
+    "nan-cam.lr": ({"c.json": '{"cam": {"lr": NaN}}'}, ["--config", "{d}/c.json", "synth", "--n", "1"],
+                   2, "config key cam.lr must be finite, got nan"),
+    "infinity-augment.noise_sigma_rel": (
+        {"c.json": '{"augment": {"noise_sigma_rel": Infinity}}'},
+        ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
+        "config key augment.noise_sigma_rel must be finite, got inf"),
+    "flag-synth-snr-db-nan": ({}, ["synth", "--n", "1", "--snr-db", "nan"], 2,
+                              "config key synth.snr_db must be finite, got nan"),
+    "int-beyond-float-cam.lr": ({"c.json": '{"cam": {"lr": 1%s}}' % ("0" * 400)},
+                                ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
+                                "config key cam.lr must be finite, got 1000"),
 }
 
 
@@ -254,6 +268,29 @@ class TestBadInput:
         assert "cut.ckpt" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["evaluate", "{run}/features.csv", "--checkpoint", "{run}/encoder.ckpt"],
+         "encoder.ckpt: not a cam checkpoint"),
+        (["embed", "{run}/corpus", "--checkpoint", "{run}/cam.ckpt"],
+         "cam.ckpt: not an encoder checkpoint"),
+    ], ids=["evaluate-encoder-ckpt", "embed-cam-ckpt"])
+    def test_checkpoint_of_other_kind_exits_1(self, tiny_run, tmp_path, caplog, capsys,
+                                              argv, message):
+        code = run(["--out", str(tmp_path / "out")] + [a.replace("{run}", tiny_run) for a in argv])
+        assert code == 1
+        assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_memory_error_exits_1_on_one_line(self, tmp_path, monkeypatch, caplog, capsys):
+        def exhausted(args, cfg, out):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_synth", exhausted)
+        assert run(["--out", str(tmp_path / "out"), "synth"]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["MemoryError: Unable to allocate 7.28 TiB for an array"]
+        assert "Traceback" not in capsys.readouterr().err
+
 
 def _artifacts(out, commands=None):
     """{path: bytes} of every file artifacts.json lists for ``commands``."""
@@ -301,6 +338,15 @@ class TestEndToEnd:
                    for root, _, names in os.walk(tiny_run) for name in names}
         assert written - listed == {"artifacts.json", "tiny.json"}
         assert listed <= written
+
+    def test_histories_hold_every_trainer_key(self, tiny_run):
+        for name, header in (("encoder_history.csv", "epoch,train_loss,val_loss,train_cossim,"
+                                                     "val_cossim,emb_variance"),
+                             ("cam_history.csv", "epoch,loss,acc")):
+            with open(os.path.join(tiny_run, name), encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            assert lines[0] == header
+            assert len(lines) == 1 + 2   # the tiny config trains 2 epochs
 
     def test_evaluate_reproduces_heldout_report(self, tiny_run):
         with open(os.path.join(tiny_run, "evaluation.json"), "rb") as fh:

@@ -1,14 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
 
 from atscalm import audio_io as aio
 from atscalm import encoder as encoder_mod
 from atscalm.augment import AugmentConfig
-from atscalm.encoder import (AcousticEncoder, EncoderConfig, contrastive_loss,
-                             count_flops, count_parameters, embed_corpus, load_encoder, mean_cosine_similarity,
-                             prepare_input, save_encoder, train_encoder)
+from atscalm.encoder import (AcousticEncoder, EncoderConfig, contrastive_loss, count_flops,
+                             embed_corpus, load_encoder, mean_cosine_similarity, prepare_input,
+                             save_encoder, train_encoder)
 from atscalm.features import FeatureParams, TimeFreqGrid
-from atscalm.nn import Adam, Tensor
+from atscalm.nn import Adam, Tensor, count_parameters
 from atscalm.nn.ops import conv2d, split
 from atscalm.util import PipelineError, keyed_rng
 
@@ -193,6 +195,16 @@ class TestTrainEmbed:
         _, h2 = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
                               epochs=2, lr=1e-3, seed=4, batch_pairs=3)
         assert h1 == h2
+
+    def test_logs_one_line_per_epoch(self, corpus, caplog):
+        with caplog.at_level(logging.INFO, logger="atscalm.encoder"):
+            _, history = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
+                                       epochs=2, lr=1e-3, seed=4, batch_pairs=3)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "atscalm.encoder" and r.levelno == logging.INFO]
+        assert len(lines) == 2
+        assert lines[-1].startswith("encoder epoch 2/2:")
+        assert f"{history[-1]['train_loss']:.6g}" in lines[-1]
 
     def test_embed_corpus_shapes_and_determinism(self, corpus, tmp_path):
         model, _ = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),

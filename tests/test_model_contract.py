@@ -1,0 +1,83 @@
+"""The model contract of ``atscalm.nn.checkpoint``, held by both networks:
+``params`` then ``buffers`` in registration order, and one state path for
+the checkpoint."""
+
+import numpy as np
+import pytest
+
+from atscalm.classifier import BiLstmClassifier, CamConfig, load_cam, save_cam
+from atscalm.encoder import AcousticEncoder, EncoderConfig, load_encoder, save_encoder
+from atscalm.features import FeatureParams
+from atscalm.nn import load_checkpoint
+from atscalm.nn.checkpoint import load_state, state_arrays
+from atscalm.util import PipelineError, keyed_rng
+
+MODELS = {
+    "encoder": (lambda: AcousticEncoder(EncoderConfig(width_scale=1 / 16, proj_dim=8), seed=1),
+                lambda model, path: save_encoder(model, path, FeatureParams()), load_encoder),
+    "cam": (lambda: BiLstmClassifier(CamConfig(hidden=4, fc_dim=4, seed=1)),
+            lambda model, path: save_cam(model, path, {"train_ids": ["a"], "test_ids": ["b"]}),
+            load_cam),
+}
+
+
+@pytest.fixture(params=list(MODELS))
+def kind(request):
+    return request.param
+
+
+def _randomized(model):
+    """Every tensor of the model set to distinct values, so a roundtrip that
+    restores a wrong or stale tensor shows."""
+    for i, t in enumerate([*model.params.values(), *model.buffers.values()]):
+        t.data = keyed_rng("contract", i).uniform(0.5, 1.5, t.data.shape)
+    return model
+
+
+def test_checkpoint_holds_params_then_buffers(kind, tmp_path):
+    build, save, _ = MODELS[kind]
+    model = build()
+    path = str(tmp_path / "m.ckpt")
+    save(model, path)
+    arrays, meta = load_checkpoint(path)
+    assert list(arrays) == [*model.params, *model.buffers]
+    assert meta["kind"] == kind
+
+
+def test_encoder_buffers_pair_each_batchnorm():
+    model = MODELS["encoder"][0]()
+    norms = [name.removesuffix(".gamma") for name in model.params if name.endswith(".gamma")]
+    assert norms[0] == "stem.bn"
+    assert list(model.buffers) == [f"{bn}.{stat}" for bn in norms
+                                   for stat in ("running_mean", "running_var")]
+
+
+def test_cam_registration_order():
+    model = MODELS["cam"][0]()
+    assert list(model.params) == ["fwd.wx", "fwd.wh", "fwd.b", "bwd.wx", "bwd.wh", "bwd.b",
+                                  "fc1.w", "fc1.b", "fc2.w", "fc2.b"]
+    assert list(model.buffers) == ["norm.mean", "norm.std"]
+
+
+def test_roundtrip_restores_params_and_buffers(kind, tmp_path):
+    build, save, load = MODELS[kind]
+    model = _randomized(build())
+    path = str(tmp_path / "m.ckpt")
+    save(model, path)
+    back, _ = load(path)
+    want, got = state_arrays(model), state_arrays(back)
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[name], want[name]) for name in want)
+
+
+def test_load_state_names_a_missing_or_misshapen_tensor(kind):
+    model = MODELS[kind][0]()
+    arrays = dict(state_arrays(model))
+    last = list(model.buffers)[-1]
+    arrays[last] = np.zeros(arrays[last].size + 1)
+    with pytest.raises(PipelineError, match=f"checkpoint tensor {last} missing or wrong shape"):
+        load_state(model, arrays)
+    del arrays[last]
+    with pytest.raises(PipelineError, match=f"checkpoint tensor {last} missing"):
+        load_state(model, arrays)
+

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from atscalm.nn import Tensor, no_grad, ops
-from atscalm.nn.ops import BatchNormState
 from atscalm.util import PipelineError, keyed_rng
 from gradcheck import grad_check
 from lstm_oracle import sigmoid, tanh
@@ -124,20 +123,16 @@ class TestBatchNorm:
     def test_train_normalizes(self):
         x = Tensor(rand((8, 4, 6, 6), 21) * 3 + 1)
         gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
-        state = BatchNormState.for_channels(4)
-        out = ops.batchnorm2d(x, gamma, beta, state, train=True)
+        out = ops.batchnorm2d(x, gamma, beta, Tensor(np.zeros(4)), Tensor(np.ones(4)), train=True)
         assert np.max(np.abs(out.data.mean(axis=(0, 2, 3)))) < 1e-3
         assert np.max(np.abs(out.data.var(axis=(0, 2, 3)) - 1.0)) < 1e-3
 
     def test_eval_uses_frozen_stats(self):
         x = Tensor(rand((4, 2, 3, 3), 22))
         gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
-        state = BatchNormState.for_channels(2)
-        state.mean = np.array([1.0, -1.0])
-        state.var = np.array([4.0, 0.25])
-        out = ops.batchnorm2d(x, gamma, beta, state, train=False)
-        want = (x.data - state.mean[None, :, None, None]) / np.sqrt(
-            state.var[None, :, None, None] + ops.BN_EPS)
+        mean, var = np.array([1.0, -1.0]), np.array([4.0, 0.25])
+        out = ops.batchnorm2d(x, gamma, beta, Tensor(mean), Tensor(var), train=False)
+        want = (x.data - mean[None, :, None, None]) / np.sqrt(var[None, :, None, None] + ops.BN_EPS)
         assert np.allclose(out.data, want)
 
     def test_train_grad(self):
@@ -147,8 +142,8 @@ class TestBatchNorm:
         r = Tensor(rand((3, 4, 5, 5), 25))
 
         def f():
-            state = BatchNormState.for_channels(4)
-            return ops.ssum(ops.mul(ops.batchnorm2d(x, gamma, beta, state, True), r))
+            mean, var = Tensor(np.zeros(4)), Tensor(np.ones(4))
+            return ops.ssum(ops.mul(ops.batchnorm2d(x, gamma, beta, mean, var, True), r))
 
         assert grad_check(f, [x, gamma, beta]) < 1e-6
 
