@@ -4,12 +4,15 @@ A 4-stage residual convolutional backbone (7x7 stride-2 stem into four
 stages of two batchnorm blocks each) followed by global average pooling and
 a linear projection head. Training pulls together the embeddings of two
 independently augmented views of the same clip with a plain mean squared
-distance loss.
+distance loss. A view is drawn from a center crop of the clip that is just
+long enough to keep ``frames`` mel frames at the largest stretch rate, so
+a long clip costs a view no more than a short one.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -189,11 +192,27 @@ class Embedding:
 
 
 def _augmented_view(clip: AudioClip, aug_cfg: augment.AugmentConfig,
-                    feat_params: features.FeatureParams, enc_cfg: EncoderConfig,
+                    feat_params: features.FeatureParams | None, enc_cfg: EncoderConfig,
                     seed, epoch: int, view: int) -> np.ndarray:
+    """One training view: crop the clip, draw a variant, log-mel, mask, fit to ``frames``.
+
+    The clip is first center-cropped to the samples that ``frames`` mel
+    frames span, ((frames - 1) * hop + win), times the largest stretch rate,
+    plus two vocoder windows of margin for the vocoder's edges. A stretch by
+    r shortens the signal by 1/r and a pitch shift keeps its length, so at
+    every drawn rate the variant still spans at least ``frames`` frames and
+    `prepare_input` crops it, never pads it. A clip no longer than the
+    window is used whole. The noise sigma follows the cropped samples' peak.
+    """
+    params = feat_params or features.FeatureParams()
+    span = (enc_cfg.frames - 1) * params.hop + params.win
+    window = math.ceil(span * aug_cfg.stretch_range[1]) + 2 * augment.VOCODER_WIN
+    if clip.samples.size > window:
+        start = (clip.samples.size - window) // 2
+        clip = AudioClip(clip.samples[start : start + window], clip.rate, clip.label, clip.id)
     rng = keyed_rng(seed, "enc-view", clip.id, epoch, view)
     var = augment.make_variant(clip, aug_cfg, rng)
-    grid = features.mel_spectrogram(var, feat_params)
+    grid = features.mel_spectrogram(var, params)
     grid = augment.spec_mask(grid, aug_cfg.freq_mask_max, aug_cfg.time_mask_max,
                              keyed_rng(seed, "enc-mask", clip.id, epoch, view))
     return prepare_input(grid, enc_cfg.frames)

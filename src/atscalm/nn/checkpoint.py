@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -28,12 +29,14 @@ def state_arrays(model) -> dict[str, np.ndarray]:
 
 
 def load_state(model, arrays: dict[str, np.ndarray]) -> None:
+    """Adopt ``arrays`` as the model's state, without copying them: pass
+    arrays that nothing else holds, such as `load_checkpoint` returns."""
     tensors = {**model.params, **model.buffers}
     for name, t in tensors.items():
         if name not in arrays or arrays[name].shape != t.data.shape:
             raise PipelineError(f"checkpoint tensor {name} missing or wrong shape")
     for name, t in tensors.items():
-        t.data = arrays[name].copy()
+        t.data = arrays[name]
 
 
 def count_parameters(model) -> int:
@@ -81,39 +84,49 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
 
     The magic, the header length and JSON, and each tensor's dtype, shape
     and byte range are checked against the file before any array is built;
-    a file that fails a check raises PipelineError naming it.
+    a file that fails a check raises PipelineError naming it. Each tensor
+    is read straight from the file into its own array, so the payload is
+    held once.
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_checkpoint(fh, path, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
         raise PipelineError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_checkpoint(fh, path: str, size: int) -> tuple[dict[str, np.ndarray], dict]:
     start = len(MAGIC) + 4
-    if len(blob) < start or blob[: len(MAGIC)] != MAGIC:
+    head = fh.read(start)
+    if len(head) < start or head[: len(MAGIC)] != MAGIC:
         raise PipelineError(f"{path}: not a checkpoint file")
-    (hlen,) = struct.unpack_from("<I", blob, len(MAGIC))
-    if start + hlen > len(blob):
+    (hlen,) = struct.unpack_from("<I", head, len(MAGIC))
+    if start + hlen > size:
         raise PipelineError(f"{path}: {hlen}-byte header runs past the end of the "
-                            f"{len(blob)}-byte file")
+                            f"{size}-byte file")
     try:
-        header = json.loads(blob[start : start + hlen].decode("utf-8"))
+        header = json.loads(fh.read(hlen).decode("utf-8"))
         meta, index = header["meta"], header["tensors"]
         specs = [(e["name"], e["dtype"], e["shape"], e["offset"], e["nbytes"]) for e in index]
     except (ValueError, KeyError, TypeError) as exc:
         raise PipelineError(f"{path}: malformed checkpoint header ({exc})") from None
     if not isinstance(meta, dict):
         raise PipelineError(f"{path}: checkpoint meta is not an object")
-    payload = memoryview(blob)[start + hlen :]
-    tensors = {}
+    payload = size - start - hlen
     for name, dtype, shape, offset, nbytes in specs:
         if not (isinstance(name, str) and dtype == "<f8" and isinstance(shape, list)
                 and all(_is_count(v) for v in (offset, nbytes, *shape))):
             raise PipelineError(f"{path}: malformed index entry for tensor {name!r}")
-        if nbytes != 8 * math.prod(shape) or offset + nbytes > len(payload):
+        if nbytes != 8 * math.prod(shape) or offset + nbytes > payload:
             raise PipelineError(f"{path}: tensor {name!r} of shape {shape} claims bytes "
-                                f"{offset}..{offset + nbytes} of a {len(payload)}-byte payload")
-        arr = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=offset)
-        tensors[name] = arr.reshape(shape).astype(np.float64)
+                                f"{offset}..{offset + nbytes} of a {payload}-byte payload")
+    tensors = {}
+    for name, _, shape, offset, nbytes in specs:
+        arr = np.empty(shape, dtype="<f8")
+        fh.seek(start + hlen + offset)
+        if fh.readinto(arr) != nbytes:
+            raise PipelineError(f"{path}: tensor {name!r} was cut short while reading")
+        tensors[name] = arr
     return tensors, meta
 
 

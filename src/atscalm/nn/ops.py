@@ -147,7 +147,8 @@ def split(a, sizes, axis: int = 0) -> list[Tensor]:
 
 
 def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-d cross-correlation without bias: x (N,C,H,W), w (O,C,kh,kw)."""
+    """2-d cross-correlation without bias: x (N,C,H,W), w (O,C,kh,kw). The
+    im2col columns are (C*kh*kw, N*Ho*Wo), so each pass is one 2-d GEMM."""
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
         raise PipelineError(f"conv2d shape mismatch: x {x.data.shape}, w {w.data.shape}")
@@ -160,24 +161,21 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]          # (N,C,Ho,Wo,kh,kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo)
     wf = w.data.reshape(o, -1)
-    y = (cols @ wf.T).transpose(0, 2, 1).reshape(n, o, ho, wo)
+    y = (wf @ cols).reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
     out = Tensor(y, x.requires_grad or w.requires_grad, (x, w))
 
     def backward():
-        g = out.grad
-        gf = g.transpose(0, 2, 3, 1).reshape(n, ho * wo, o)
+        g2 = out.grad.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
         if w.requires_grad:
-            dw = (gf.reshape(-1, o).T @ cols.reshape(-1, c * kh * kw)).reshape(w.data.shape)
-            w.accumulate(dw)
+            w.accumulate((g2 @ cols.T).reshape(w.data.shape))
         if x.requires_grad:
-            dcols = (gf @ wf).reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-            dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, i, j]
-            x.accumulate(dxp[:, :, pad : pad + h, pad : pad + wd] if pad else dxp)
+            dcols = (wf.T @ g2).reshape(c, kh, kw, n, ho, wo)
+            dxp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad))
+            for i, j in np.ndindex(kh, kw):
+                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, i, j]
+            x.accumulate(dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3))
 
     out._backward = backward
     return out

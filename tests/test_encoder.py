@@ -1,18 +1,22 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from atscalm import audio_io as aio
+from atscalm import augment
 from atscalm import encoder as encoder_mod
-from atscalm.augment import AugmentConfig
-from atscalm.encoder import (AcousticEncoder, EncoderConfig, contrastive_loss, count_flops,
-                             embed_corpus, load_encoder, mean_cosine_similarity, prepare_input,
-                             save_encoder, train_encoder)
-from atscalm.features import FeatureParams, TimeFreqGrid
+from atscalm.augment import VOCODER_WIN, AugmentConfig
+from atscalm.config import config_from_dict
+from atscalm.encoder import (AcousticEncoder, EncoderConfig, _augmented_view, contrastive_loss,
+                             count_flops, embed_corpus, load_encoder, mean_cosine_similarity,
+                             prepare_input, save_encoder, train_encoder)
+from atscalm.features import FeatureParams, TimeFreqGrid, mel_spectrogram
 from atscalm.nn import Adam, Tensor, count_parameters
 from atscalm.nn.ops import conv2d, split
 from atscalm.util import PipelineError, keyed_rng
+from tiny_chain import DURATION_S, TINY_CONFIG
 
 
 def layer_count_oracle(widths, blocks, proj_dim):
@@ -162,6 +166,75 @@ class TestPrepareInput:
         assert out.shape == (8, 16)
         assert np.all(out[:, :3] == g.values.min())
         assert np.array_equal(out[:, 3:13], g.values)
+
+
+class TestAugmentedView:
+    """Crop-first views: a clip longer than the crop window is center-cropped
+    before its variant is drawn."""
+
+    FRAMES = 64
+    # ((frames - 1) * hop + win) * max stretch + 2 vocoder windows, at the
+    # default 160/400 hop and window.
+    WINDOW = math.ceil(((FRAMES - 1) * 160 + 400) * 1.25) + 2 * VOCODER_WIN
+
+    @staticmethod
+    def _clip(n, rate=16000):
+        t = np.arange(n) / rate
+        x = np.sin(2 * np.pi * 220.0 * t) + 0.1 * keyed_rng("view", n).normal(0, 1, n)
+        return aio.AudioClip(x, rate, aio.ClassLabel.MUSIC, f"c{n}")
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Sizes of the clips make_variant receives, and frame counts of the
+        grids prepare_input receives."""
+        seen = {"samples": [], "frames": []}
+        make_variant, prepare = augment.make_variant, encoder_mod.prepare_input
+
+        def variant(clip, cfg, rng):
+            seen["samples"].append(clip.samples.size)
+            return make_variant(clip, cfg, rng)
+
+        def prep(grid, frames):
+            seen["frames"].append(grid.n_frames)
+            return prepare(grid, frames)
+
+        monkeypatch.setattr(augment, "make_variant", variant)
+        monkeypatch.setattr(encoder_mod, "prepare_input", prep)
+        return seen
+
+    @pytest.mark.parametrize("n", [WINDOW + 1, 32000])
+    def test_long_clip_keeps_frames_at_largest_stretch_and_pitch(self, monkeypatch, n):
+        aug = AugmentConfig(stretch_range=(1.25, 1.25), pitch_range_semitones=2.0)
+        shift = augment.pitch_shift
+        monkeypatch.setattr(augment, "pitch_shift",
+                            lambda clip, s: shift(clip, math.copysign(2.0, s)))
+        seen = self._record(monkeypatch)
+        for view in range(4):
+            _augmented_view(self._clip(n), aug, FeatureParams(), EncoderConfig(frames=self.FRAMES),
+                            0, 0, view)
+        assert seen["samples"] == [self.WINDOW] * 4
+        assert min(seen["frames"]) >= self.FRAMES      # prepare_input never pads
+
+    def test_short_clip_view_is_uncropped(self, monkeypatch):
+        clip, aug, params = self._clip(self.WINDOW - 3000), AugmentConfig(), FeatureParams()
+        rng = keyed_rng(7, "enc-view", clip.id, 1, 0)
+        grid = mel_spectrogram(augment.make_variant(clip, aug, rng), params)
+        grid = augment.spec_mask(grid, aug.freq_mask_max, aug.time_mask_max,
+                                 keyed_rng(7, "enc-mask", clip.id, 1, 0))
+        want = prepare_input(grid, self.FRAMES)
+        seen = self._record(monkeypatch)
+        got = _augmented_view(clip, aug, params, EncoderConfig(frames=self.FRAMES), 7, 1, 0)
+        assert seen["samples"] == [clip.samples.size]
+        assert np.array_equal(got, want)
+
+    def test_tiny_chain_takes_the_crop_path(self, monkeypatch):
+        """So the chain's rerun and --jobs tests cover the crop."""
+        cfg = config_from_dict(TINY_CONFIG)
+        clip = self._clip(int(DURATION_S * cfg.rate), cfg.rate)
+        seen = self._record(monkeypatch)
+        _augmented_view(clip, cfg.augment, cfg.features, cfg.encoder.architecture(), 3, 0, 0)
+        assert seen["samples"][0] < clip.samples.size
+        assert seen["frames"][0] >= cfg.encoder.frames
 
 
 class TestTrainEmbed:

@@ -2,6 +2,8 @@
 ``params`` then ``buffers`` in registration order, and one state path for
 the checkpoint."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,22 @@ def test_load_state_names_a_missing_or_misshapen_tensor(kind):
     with pytest.raises(PipelineError, match=f"checkpoint tensor {last} missing"):
         load_state(model, arrays)
 
+
+
+def test_load_checkpoint_holds_the_payload_once(tmp_path):
+    """Loading a default-width encoder checkpoint (85.8 MB of tensors) peaks
+    at no more than 1.15x its payload: each tensor is read into its own
+    array, with no whole-file buffer beside them."""
+    model = AcousticEncoder(EncoderConfig(), seed=0)
+    path = str(tmp_path / "enc.ckpt")
+    save_encoder(model, path, FeatureParams())
+    payload = sum(a.nbytes for a in state_arrays(model).values())
+    del model
+    tracemalloc.start()
+    try:
+        arrays, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in arrays.values()) == payload
+    assert peak <= 1.15 * payload, f"peak {peak / 1e6:.1f} MB for a {payload / 1e6:.1f} MB payload"

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from atscalm.nn import Tensor, no_grad, ops
 from atscalm.util import PipelineError, keyed_rng
+from conv_oracle import conv2d_reference
 from gradcheck import grad_check
 from lstm_oracle import sigmoid, tanh
 
@@ -92,6 +94,61 @@ class TestConv2d:
     def test_channel_mismatch(self):
         with pytest.raises(PipelineError):
             ops.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+
+    # Every conv kind of the encoder: the 7x7/2 stem on one channel, the
+    # 3x3/1 and 3x3/2 block convs, the 1x1/2 downsample and a stage3-like
+    # 2x8 map. Odd sizes make the stride-2 windows skip the last row/column.
+    ENCODER_CONVS = {
+        "stem": ((2, 1, 16, 23), (4, 1, 7, 7), 2, 3),
+        "3x3/1": ((2, 3, 6, 10), (5, 3, 3, 3), 1, 1),
+        "3x3/2": ((2, 3, 7, 10), (4, 3, 3, 3), 2, 1),
+        "1x1/2": ((2, 3, 7, 10), (4, 3, 1, 1), 2, 0),
+        "stage3": ((3, 6, 2, 8), (6, 6, 3, 3), 1, 1),
+    }
+
+    @staticmethod
+    def _run(x, w, g, stride, pad):
+        """Forward conv2d, then backward with ``g`` as its output gradient."""
+        y = ops.conv2d(x, w, stride=stride, pad=pad)
+        ops.ssum(ops.mul(y, Tensor(g))).backward()
+        return y
+
+    @pytest.mark.parametrize("kind", sorted(ENCODER_CONVS))
+    def test_matches_tap_loop_oracle(self, kind):
+        xs, ws, stride, pad = self.ENCODER_CONVS[kind]
+        x = Tensor(rand(xs, 40), requires_grad=True)
+        w = Tensor(rand(ws, 41), requires_grad=True)
+        g = rand(ops.conv2d(x.data, w.data, stride=stride, pad=pad).data.shape, 42)
+        y = self._run(x, w, g, stride, pad)
+        for got, want in zip((y.data, x.grad, w.grad), conv2d_reference(x.data, w.data, g, stride, pad)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_input_without_grad_gets_none(self):
+        xs, ws, stride, pad = self.ENCODER_CONVS["stem"]
+        x = Tensor(rand(xs, 43))
+        w = Tensor(rand(ws, 44), requires_grad=True)
+        g = rand(ops.conv2d(x, w, stride=stride, pad=pad).data.shape, 45)
+        self._run(x, w, g, stride, pad)
+        assert x.grad is None
+        dw_ref = conv2d_reference(x.data, w.data, g, stride, pad)[2]
+        assert np.max(np.abs(w.grad - dw_ref)) <= 1e-12 * np.max(np.abs(dw_ref))
+
+    def test_stage3_backward_peak_memory(self):
+        """One forward and backward of the widest encoder conv (N=8, C=O=512,
+        2x8 map, 3x3) stays below 60 MB of new allocations. Its dW is 18.9 MB
+        and is copied once into ``w.grad``; a per-sample (N, O, C*3*3) dW
+        stack would be 151 MB on its own."""
+        x = Tensor(rand((8, 512, 2, 8), 46), requires_grad=True)
+        w = Tensor(rand((512, 512, 3, 3), 47), requires_grad=True)
+        g = rand((8, 512, 2, 8), 48)
+        tracemalloc.start()
+        try:
+            self._run(x, w, g, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6, f"conv2d forward+backward peaked at {peak / 1e6:.1f} MB"
 
 
 class TestMaxPool:

@@ -6,6 +6,7 @@ import os
 
 from atscalm.cli import main
 
+DURATION_S = 1.0
 TINY_CONFIG = {"encoder": {"width_scale": 0.125, "epochs": 2, "frames": 64},
                "cam": {"hidden": 16, "epochs": 2}}
 
@@ -20,7 +21,7 @@ def run_chain(out, jobs=1):
     corpus = os.path.join(out, "corpus")
     feats = os.path.join(out, "features.csv")
     steps = [
-        ["synth", "--n", "2", "--duration", "1.0"],
+        ["synth", "--n", "2", "--duration", str(DURATION_S)],
         ["validate", corpus, "--plot"],
         ["augment", os.path.join(corpus, "manifest.json")],
         ["features", os.path.join(corpus, "manifest.json")],
