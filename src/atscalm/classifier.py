@@ -205,9 +205,9 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], EvalR
         for b in range(n_batches):
             sel = draws[b * cfg.batch : (b + 1) * cfg.batch]
             rng = keyed_rng(cfg.seed, "dropout", epoch, b)
+            opt.zero_grad()
             loss, _ = softmax_crossentropy(
                 model.forward(x_train[sel], train=True, rng=rng), y_train[sel])
-            opt.zero_grad()
             loss.backward()
             opt.step()
             losses.append(loss.item())

@@ -269,10 +269,10 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
             views = [_augmented_view(c, aug_cfg, feat_params, cfg, seed, epoch, 0) for c in batch]
             views += [_augmented_view(c, aug_cfg, feat_params, cfg, seed, epoch, 1) for c in batch]
             x = Tensor(np.stack(views)[:, None, :, :])
+            opt.zero_grad()
             emb = model.forward(x, train=True)
             p1, p2 = split(emb, [len(batch), len(batch)], axis=0)
             loss = contrastive_loss(p1, p2)
-            opt.zero_grad()
             loss.backward()
             opt.step()
             losses.append(loss.item())

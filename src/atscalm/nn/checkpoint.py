@@ -4,9 +4,11 @@ A model has a dataclass ``cfg`` and two named dicts of Tensors, each in
 registration order: ``params``, the trainable set, and ``buffers``, the
 non-trainable state. Its state is ``params`` then ``buffers``. `save_model`
 writes it under a header holding ``kind`` and ``config``; `load_model`
-checks both before restoring any tensor. `count_parameters` counts
-``params`` only. The file is a JSON header, then named little-endian
-float64 payloads.
+checks both before restoring any tensor, and builds the model without
+initialising it, so the loaded state is the only copy. `count_parameters`
+counts ``params`` only. The file is a JSON header, then named
+little-endian float64 payloads; both save and load move each tensor
+between its own array and the file, so neither holds the state twice.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ..util import PipelineError, dataclass_from_dict
+from .init import no_init
 
 MAGIC = b"ATSNN001"
 
@@ -49,34 +52,45 @@ def save_model(model, path: str, kind: str, **meta) -> None:
 
 
 def load_model(path: str, kind: str, config_cls, build):
-    """(``build(config)`` with the stored state, header) of a ``kind`` checkpoint."""
+    """(``build(config)`` with the stored state, header) of a ``kind`` checkpoint.
+
+    The model is built under `no_init`, so its seeded parameters are
+    zero-byte placeholders until `load_state`, which requires every tensor,
+    replaces them with the loaded arrays.
+    """
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
         raise PipelineError(f"{path}: not {'an' if kind[0] in 'aeiou' else 'a'} {kind} checkpoint")
-    model = build(dataclass_from_dict(config_cls, meta.get("config"), f"{path} config"))
+    cfg = dataclass_from_dict(config_cls, meta.get("config"), f"{path} config")
+    with no_init():
+        model = build(cfg)
     load_state(model, arrays)
     return model, meta
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], meta: dict) -> None:
+    """Write ``tensors`` under a header holding ``meta``.
+
+    The index is computed from each array's byte count, then each array is
+    written straight from its own memory. A C-contiguous little-endian
+    float64 array, as every model tensor is, is not copied, so saving a
+    model holds no second state.
+    """
+    arrays = {name: np.ascontiguousarray(arr, dtype="<f8") for name, arr in tensors.items()}
     index = []
-    payloads = []
     offset = 0
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        blob = arr.tobytes()
+    for name, arr in arrays.items():
         index.append({"name": name, "dtype": "<f8", "shape": list(arr.shape),
-                      "offset": offset, "nbytes": len(blob)})
-        payloads.append(blob)
-        offset += len(blob)
+                      "offset": offset, "nbytes": arr.nbytes})
+        offset += arr.nbytes
     header = json.dumps({"meta": meta, "tensors": index},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for blob in payloads:
-            fh.write(blob)
+        for arr in arrays.values():
+            fh.write(arr)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:

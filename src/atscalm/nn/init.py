@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..util import PipelineError, keyed_rng
 from .tensor import Tensor
+
+_init_mode = threading.local()
+
+
+@contextmanager
+def no_init():
+    """Draw nothing in this thread: `seeded_init` returns a read-only
+    zero-byte placeholder of the right shape, for a model whose state is
+    about to be replaced, as `load_model` does."""
+    prev = getattr(_init_mode, "enabled", True)
+    _init_mode.enabled = False
+    try:
+        yield
+    finally:
+        _init_mode.enabled = prev
 
 
 def seeded_init(shape, scheme: str, seed, fan_in: int | None = None,
@@ -17,7 +35,6 @@ def seeded_init(shape, scheme: str, seed, fan_in: int | None = None,
     - "uniform": U(-r, r).
     """
     shape = tuple(int(s) for s in shape)
-    rng = keyed_rng("init", scheme, seed, shape)
     if scheme == "kaiming-uniform":
         if fan_in is None:
             fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
@@ -28,4 +45,7 @@ def seeded_init(shape, scheme: str, seed, fan_in: int | None = None,
         bound = float(r)
     else:
         raise PipelineError(f"unknown init scheme {scheme!r}")
-    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+    if not getattr(_init_mode, "enabled", True):
+        return Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
+    return Tensor(keyed_rng("init", scheme, seed, shape).uniform(-bound, bound, shape),
+                  requires_grad=True)

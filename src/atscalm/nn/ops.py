@@ -146,9 +146,24 @@ def split(a, sizes, axis: int = 0) -> list[Tensor]:
     return outs
 
 
+def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """The im2col matrix of ``x`` (N,C,H,W): (C*kh*kw, N*Ho*Wo), one
+    strided copy."""
+    n, c = x.shape[:2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]          # (N,C,Ho,Wo,kh,kw)
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
+
+
 def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation without bias: x (N,C,H,W), w (O,C,kh,kw). The
-    im2col columns are (C*kh*kw, N*Ho*Wo), so each pass is one 2-d GEMM."""
+    im2col columns are (C*kh*kw, N*Ho*Wo), so each pass is one 2-d GEMM.
+
+    The columns are kh*kw times the size of ``x``, so the backward closure
+    does not keep them: it rebuilds them from ``x``, which the graph holds
+    as a parent anyway, for the dW GEMM and drops them before dx.
+    """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
         raise PipelineError(f"conv2d shape mismatch: x {x.data.shape}, w {w.data.shape}")
@@ -158,18 +173,14 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     wo = (wd + 2 * pad - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise PipelineError(f"conv2d output would be empty for input {x.data.shape}, kernel {w.data.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]          # (N,C,Ho,Wo,kh,kw)
-    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo)
     wf = w.data.reshape(o, -1)
-    y = (wf @ cols).reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
+    y = (wf @ _columns(x.data, kh, kw, stride, pad)).reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
     out = Tensor(y, x.requires_grad or w.requires_grad, (x, w))
 
     def backward():
         g2 = out.grad.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
         if w.requires_grad:
-            w.accumulate((g2 @ cols.T).reshape(w.data.shape))
+            w.accumulate((g2 @ _columns(x.data, kh, kw, stride, pad).T).reshape(w.data.shape))
         if x.requires_grad:
             dcols = (wf.T @ g2).reshape(c, kh, kw, n, ho, wo)
             dxp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad))

@@ -18,7 +18,14 @@ class Adam:
         self.step_count = 0
 
     def step(self):
-        """One update over the named parameters; missing grads count as zero."""
+        """One update over the named parameters; missing grads count as zero.
+
+        ``m``, ``v`` and ``p.data`` are updated in place, so each parameter's
+        array keeps its identity and a step allocates two scratch arrays of
+        one parameter's size. Every operation is the one of the textbook form
+        ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``, in the same order, so
+        the results are bit-identical to it.
+        """
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t
@@ -28,11 +35,21 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+            m, v = self.m[name], self.v[name]
+            a = np.multiply(g, 1.0 - BETA1)      # m = BETA1 * m + (1 - BETA1) * g
+            m *= BETA1
+            m += a
+            np.multiply(g, 1.0 - BETA2, out=a)   # v = BETA2 * v + (1 - BETA2) * g * g
+            a *= g
+            v *= BETA2
+            v += a
+            np.divide(m, bc1, out=a)             # p -= lr * m_hat / (sqrt(v_hat) + EPS)
+            a *= self.lr
+            b = np.divide(v, bc2)
+            np.sqrt(b, out=b)
+            b += EPS
+            a /= b
+            p.data -= a
 
     def zero_grad(self):
         for p in self.params.values():

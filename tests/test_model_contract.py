@@ -2,7 +2,8 @@
 ``params`` then ``buffers`` in registration order, and one state path for
 the checkpoint."""
 
-import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ import pytest
 from atscalm.classifier import BiLstmClassifier, CamConfig, load_cam, save_cam
 from atscalm.encoder import AcousticEncoder, EncoderConfig, load_encoder, save_encoder
 from atscalm.features import FeatureParams
-from atscalm.nn import load_checkpoint
+from atscalm.nn import load_checkpoint, save_checkpoint
 from atscalm.nn.checkpoint import load_state, state_arrays
 from atscalm.util import PipelineError, keyed_rng
+from memtrace import traced_peak
 
 MODELS = {
     "encoder": (lambda: AcousticEncoder(EncoderConfig(width_scale=1 / 16, proj_dim=8), seed=1),
@@ -85,20 +87,64 @@ def test_load_state_names_a_missing_or_misshapen_tensor(kind):
 
 
 
-def test_load_checkpoint_holds_the_payload_once(tmp_path):
-    """Loading a default-width encoder checkpoint (85.8 MB of tensors) peaks
-    at no more than 1.15x its payload: each tensor is read into its own
-    array, with no whole-file buffer beside them."""
+@pytest.fixture(scope="module")
+def default_encoder_ckpt(tmp_path_factory):
+    """(path, state bytes) of a default-width encoder checkpoint: 90.0 MB
+    (85.8 MiB) of tensors."""
     model = AcousticEncoder(EncoderConfig(), seed=0)
-    path = str(tmp_path / "enc.ckpt")
+    path = str(tmp_path_factory.mktemp("default") / "enc.ckpt")
     save_encoder(model, path, FeatureParams())
-    payload = sum(a.nbytes for a in state_arrays(model).values())
-    del model
-    tracemalloc.start()
-    try:
-        arrays, _ = load_checkpoint(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return path, sum(a.nbytes for a in state_arrays(model).values())
+
+
+def test_load_checkpoint_holds_the_payload_once(default_encoder_ckpt):
+    """Loading a default-width encoder checkpoint peaks at no more than
+    1.15x its payload: each tensor is read into its own array, with no
+    whole-file buffer beside them."""
+    path, payload = default_encoder_ckpt
+    (arrays, _), peak, _ = traced_peak(lambda: load_checkpoint(path))
     assert sum(a.nbytes for a in arrays.values()) == payload
     assert peak <= 1.15 * payload, f"peak {peak / 1e6:.1f} MB for a {payload / 1e6:.1f} MB payload"
+
+
+def test_load_encoder_builds_no_second_state(default_encoder_ckpt):
+    """`load_encoder` peaks at no more than 1.15x the payload: the model is
+    built without initialising it, so the loaded arrays are its only state,
+    and each is writable and owns its data."""
+    path, payload = default_encoder_ckpt
+    (model, _), peak, _ = traced_peak(lambda: load_encoder(path))
+    assert peak <= 1.15 * payload, f"peak {peak / 1e6:.1f} MB for a {payload / 1e6:.1f} MB payload"
+    arrays = state_arrays(model)
+    assert sum(a.nbytes for a in arrays.values()) == payload
+    assert all(a.flags.owndata and a.flags.writeable for a in arrays.values())
+
+
+def test_save_checkpoint_writes_each_tensor_in_place(default_encoder_ckpt, tmp_path):
+    """Saving a default-width encoder allocates at most 0.15x its payload:
+    each tensor is written from its own memory, with no byte copy of the
+    state beside it."""
+    first, payload = default_encoder_ckpt
+    model, _ = load_encoder(first)
+    path = tmp_path / "again.ckpt"
+    _, peak, _ = traced_peak(lambda: save_encoder(model, str(path), FeatureParams()))
+    assert peak <= 0.15 * payload, f"peak {peak / 1e6:.1f} MB for a {payload / 1e6:.1f} MB payload"
+    assert path.read_bytes() == Path(first).read_bytes()
+
+
+def test_load_model_names_a_truncated_or_misshapen_checkpoint(tmp_path):
+    """A skeleton built without initialising cannot hide a bad file: a
+    truncated payload and a tensor of the wrong shape both raise their
+    named error."""
+    build, save, load = MODELS["encoder"]
+    model = build()
+    path = tmp_path / "m.ckpt"
+    save(model, str(path))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8])
+    with pytest.raises(PipelineError, match="m.ckpt: tensor .* claims bytes"):
+        load(str(path))
+    wider = AcousticEncoder(EncoderConfig(width_scale=1 / 8, proj_dim=8), seed=1)
+    save_checkpoint(str(path), state_arrays(wider),
+                    {"kind": "encoder", "config": asdict(model.cfg)})
+    with pytest.raises(PipelineError, match="checkpoint tensor stem.conv missing or wrong shape"):
+        load(str(path))

@@ -1,9 +1,13 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from adam_oracle import adam_steps
 from atscalm.nn import Adam, Tensor, load_checkpoint, save_checkpoint, seeded_init
+from atscalm.nn.checkpoint import MAGIC
+from atscalm.nn.init import no_init
 from atscalm.util import PipelineError, keyed_rng
 
 
@@ -33,6 +37,28 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
+    def test_matches_out_of_place_oracle_bit_for_bit(self):
+        """Three steps over a matrix, a vector and a parameter that never
+        gets a gradient; grads span 1e-12..1e3 so rounding differences
+        would show. Every ``p.data`` keeps its identity."""
+        rng = keyed_rng("adam", "oracle")
+        shapes = {"w": (5, 7), "b": (7,), "frozen": (3,)}
+        params = {name: Tensor(rng.normal(0, 1, shape), requires_grad=True)
+                  for name, shape in shapes.items()}
+        start = {name: p.data.copy() for name, p in params.items()}
+        ids = {name: id(p.data) for name, p in params.items()}
+        grads = [{name: rng.normal(0, 1, shape) * 10.0 ** rng.uniform(-12, 3, shape)
+                  for name, shape in shapes.items() if name != "frozen"} for _ in range(3)]
+        opt = Adam(params, lr=3e-3)
+        for step in grads:
+            for name, p in params.items():
+                p.grad = step.get(name)
+            opt.step()
+        want = adam_steps(start, grads, lr=3e-3)
+        for name, p in params.items():
+            assert id(p.data) == ids[name], name
+            assert p.data.tobytes() == want[name].tobytes(), name
+
 
 class TestSeededInit:
     def test_deterministic(self):
@@ -54,6 +80,17 @@ class TestSeededInit:
     def test_unknown_scheme(self):
         with pytest.raises(PipelineError):
             seeded_init((3,), "xavier", 0)
+
+    def test_no_init_gives_zero_byte_placeholders(self):
+        with no_init():
+            t = seeded_init((64, 32, 3, 3), "kaiming-uniform", 0)
+            with pytest.raises(PipelineError):
+                seeded_init((3,), "xavier", 0)
+        assert t.shape == (64, 32, 3, 3) and t.requires_grad
+        assert t.data.strides == (0, 0, 0, 0) and not t.data.flags.writeable
+        after = seeded_init((5, 7), "kaiming-uniform", ("k", 3))
+        assert np.array_equal(after.data, seeded_init((5, 7), "kaiming-uniform", ("k", 3)).data)
+        assert np.any(after.data != 0.0)
 
 
 class TestCheckpoint:
@@ -78,6 +115,27 @@ class TestCheckpoint:
         save_checkpoint(p1, tensors, {"x": 1})
         save_checkpoint(p2, tensors, {"x": 1})
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_bytes_are_the_concatenated_payloads(self, tmp_path):
+        """The file is MAGIC, the header length, the header and each tensor's
+        ``tobytes()`` in order, also for inputs that must be converted: a
+        transposed view, float32, big-endian and a 0-d scalar."""
+        rng = keyed_rng("ckpt", 1)
+        tensors = {"t": rng.normal(0, 1, (4, 6)).T, "f32": np.arange(5, dtype=np.float32),
+                   "be": np.arange(3.0).astype(">f8"), "scalar": np.array(2.5)}
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), tensors, {"x": 1})
+        index, blobs, offset = [], [], 0
+        for name, arr in tensors.items():
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            blobs.append(arr.tobytes())
+            index.append({"name": name, "dtype": "<f8", "shape": list(arr.shape),
+                          "offset": offset, "nbytes": len(blobs[-1])})
+            offset += len(blobs[-1])
+        header = json.dumps({"meta": {"x": 1}, "tensors": index},
+                            sort_keys=True, separators=(",", ":")).encode("utf-8")
+        want = MAGIC + struct.pack("<I", len(header)) + header + b"".join(blobs)
+        assert path.read_bytes() == want
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -1,5 +1,4 @@
 import gc
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,6 +9,7 @@ from atscalm.util import PipelineError, keyed_rng
 from conv_oracle import conv2d_reference
 from gradcheck import grad_check
 from lstm_oracle import sigmoid, tanh
+from memtrace import traced_peak
 
 
 def rand(shape, key):
@@ -142,13 +142,17 @@ class TestConv2d:
         x = Tensor(rand((8, 512, 2, 8), 46), requires_grad=True)
         w = Tensor(rand((512, 512, 3, 3), 47), requires_grad=True)
         g = rand((8, 512, 2, 8), 48)
-        tracemalloc.start()
-        try:
-            self._run(x, w, g, 1, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: self._run(x, w, g, 1, 1))
         assert peak < 60e6, f"conv2d forward+backward peaked at {peak / 1e6:.1f} MB"
+
+    def test_forward_keeps_no_columns(self):
+        """A grad-requiring forward (N=8, C=O=64, 16x64 map, 3x3 pad 1) keeps
+        no more than its output and 1 MB: the 37.7 MB im2col columns are
+        rebuilt in backward, not held by its closure."""
+        x = Tensor(rand((8, 64, 16, 64), 49), requires_grad=True)
+        w = Tensor(rand((64, 64, 3, 3), 50), requires_grad=True)
+        y, _, held = traced_peak(lambda: ops.conv2d(x, w, stride=1, pad=1))
+        assert held <= y.data.nbytes + 1e6, f"forward keeps {held / 1e6:.1f} MB"
 
 
 class TestMaxPool:
