@@ -284,12 +284,14 @@ _RESAMPLE_PHASES = 512   # kernel table resolution per unit tap offset
 _RESAMPLE_BLOCK = 1024   # outputs per tap block: (1024, 64) float64 is 512 KiB
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _resample_kernel_table(cutoff: float) -> np.ndarray:
     """(phases+1, 64) table of the Kaiser-windowed sinc at fractional offsets.
 
     Row p holds the 64 tap weights for fractional position p/phases; rows
-    are linearly interpolated at lookup time (error ~1e-6 of peak).
+    are linearly interpolated at lookup time (error ~1e-6 of peak). Each
+    pitch shift down draws a new cutoff, so the cache is bounded: a table
+    takes a few ms to build, against tens of ms for the resample using it.
     """
     half = _RESAMPLE_HALF
     fracs = np.arange(_RESAMPLE_PHASES + 1) / _RESAMPLE_PHASES

@@ -2,8 +2,10 @@
 
 The BiLSTM walks the feature vector as a length-25 sequence of scalars.
 Class imbalance is handled by weighted random sampling with weights
-total/count_i. Inputs are z-scored with statistics fitted on the training
-split and stored in the checkpoint.
+total/count_i. A sampled batch repeats rows, and the BiLSTM has no noise
+in it, so training runs it once per distinct drawn row and expands its
+output to the batch before dropout. Inputs are z-scored with statistics
+fitted on the training split and stored in the checkpoint.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .audio_io import LABELS, ClassLabel, parse_label
 from .features import N_FEATURES
 from .nn import (Adam, Tensor, bilstm_final, init_lstm, load_model, no_grad, save_model,
                  seeded_init)
-from .nn.ops import dropout, linear, relu, softmax, softmax_crossentropy
+from .nn.ops import dropout, gather, linear, relu, softmax, softmax_crossentropy
 from .util import PipelineError, keyed_rng
 
 log = logging.getLogger(__name__)
@@ -66,16 +68,24 @@ class BiLstmClassifier:
         self.norm_mean, self.norm_std = Tensor(np.zeros(N_FEATURES)), Tensor(np.ones(N_FEATURES))
         self.buffers: dict[str, Tensor] = {"norm.mean": self.norm_mean, "norm.std": self.norm_std}
 
-    def _steps(self, x: np.ndarray) -> list[Tensor]:
+    def _steps(self, x: np.ndarray) -> np.ndarray:
+        """The z-scored rows as a (25, N, 1) sequence of scalar steps."""
         if x.ndim != 2 or x.shape[1] != N_FEATURES:
             raise PipelineError(f"expected (N, {N_FEATURES}) features, got {x.shape}")
         z = (x - self.norm_mean.data) / self.norm_std.data
-        return [Tensor(z[:, t : t + 1]) for t in range(N_FEATURES)]
+        return np.ascontiguousarray(z.T)[:, :, None]
 
     def forward(self, x: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+                rng: np.random.Generator | None = None,
+                rows: np.ndarray | None = None) -> Tensor:
+        """Logits for the rows of ``x``, or, given ``rows``, for ``x[rows]``:
+        the BiLSTM then runs once per row of ``x`` and its output is
+        gathered to ``rows`` before the head, so dropout draws one mask row
+        per output row."""
         p = self.params
         h = bilstm_final(self._steps(x), self.fwd, self.bwd)
+        if rows is not None:
+            h = gather(h, rows)
         h = relu(linear(h, p["fc1.w"], p["fc1.b"]))
         h = dropout(h, self.cfg.dropout, train, rng)
         return linear(h, p["fc2.w"], p["fc2.b"])
@@ -175,6 +185,11 @@ def stratified_split(labels: np.ndarray, val_fraction: float, seed) -> tuple[np.
 def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], EvalReport, dict]:
     """Train on a stratified split of feature rows (id, label, vec25).
 
+    Each batch draws ``cfg.batch`` rows with replacement. The BiLSTM runs
+    once per distinct drawn row, and its output is expanded to the batch's
+    rows before dropout; duplicates would give it identical outputs, so
+    this changes the gradients only by summation order.
+
     History rows: epoch, loss (mean over the epoch's batches), train-set
     accuracy; they hold no wall-clock value, so a fixed seed reproduces them
     exactly. Each epoch's elapsed time goes to the INFO log line instead.
@@ -204,10 +219,11 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], EvalR
         losses = []
         for b in range(n_batches):
             sel = draws[b * cfg.batch : (b + 1) * cfg.batch]
+            uniq, inv = np.unique(sel, return_inverse=True)
             rng = keyed_rng(cfg.seed, "dropout", epoch, b)
             opt.zero_grad()
             loss, _ = softmax_crossentropy(
-                model.forward(x_train[sel], train=True, rng=rng), y_train[sel])
+                model.forward(x_train[uniq], train=True, rng=rng, rows=inv), y_train[sel])
             loss.backward()
             opt.step()
             losses.append(loss.item())

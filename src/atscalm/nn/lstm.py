@@ -1,12 +1,13 @@
 """Bidirectional LSTM as one fused sequence op per direction.
 
-`lstm_final` runs a whole sequence in numpy and returns the final hidden
-state as a single graph node whose parents are the weights. It keeps only
-the activated gates and the c and h sequences, and its backward is
-hand-written backpropagation through time; each weight gradient is one
-matmul or sum over all T·B rows. The forward adds ``(x@wx + h@wh) + b``
-in the same order, and with the same sigmoid, as a cell composed from the
-primitive ops, so its output matches that cell bit for bit.
+`lstm_final` runs a whole (T, B, D) sequence in numpy and returns the
+final hidden state as a single graph node whose parents are the weights.
+It keeps only the activated gates and the c and h sequences, and its
+backward is hand-written backpropagation through time; each weight
+gradient is one matmul or sum over all T·B rows. The forward adds
+``(x@wx + h@wh) + b`` in the same order, and with the same sigmoid, as a
+cell composed from the primitive ops, so its output matches that cell bit
+for bit.
 
 Gate layout in the fused weight matrices is (input, forget, candidate,
 output) along the last axis.
@@ -50,26 +51,21 @@ def init_lstm(input_dim: int, hidden: int, seed) -> LstmWeights:
     return LstmWeights(wx=wx, wh=wh, b=Tensor(b, requires_grad=True))
 
 
-def lstm_final(xs: list[Tensor], w: LstmWeights, reverse: bool = False) -> Tensor:
-    """Final hidden state (B, H) of a run over the (B, D) steps ``xs`` from
-    a zero state; ``reverse`` runs the steps last to first.
+def lstm_final(xs: np.ndarray, w: LstmWeights, reverse: bool = False) -> Tensor:
+    """Final hidden state (B, H) of a run over the (T, B, D) steps ``xs``
+    from a zero state; ``reverse`` runs the steps last to first.
 
-    Gradients flow into ``w`` only, so no step may require grad.
+    ``xs`` is plain data: gradients flow into ``w`` only.
     """
-    if not xs:
-        raise PipelineError("lstm_final needs at least one step")
+    if xs.ndim != 3 or xs.shape[0] == 0:
+        raise PipelineError(f"lstm_final needs (T, B, D) steps with T >= 1, got {xs.shape}")
     hid, dim = w.hidden, w.input_dim
-    batch = xs[0].data.shape[0]
-    for x in xs:
-        if x.data.shape != (batch, dim):
-            raise PipelineError(f"lstm_final step {x.data.shape} does not match "
-                                f"batch {batch}, weights D={dim}")
-        if x.requires_grad:
-            raise PipelineError("lstm_final does not propagate gradients into its steps")
-    n_steps = len(xs)
+    n_steps, batch = xs.shape[:2]
+    if xs.shape[2] != dim:
+        raise PipelineError(f"lstm_final steps have D={xs.shape[2]}, weights D={dim}")
     params = (w.wx, w.wh, w.b)
     need_grad = grad_enabled() and any(p.requires_grad for p in params)
-    x = np.stack([s.data for s in (xs[::-1] if reverse else xs)])   # (T,B,D)
+    x = np.ascontiguousarray(xs[::-1] if reverse else xs)
     h = np.zeros((n_steps + 1, batch, hid))
     c = np.zeros((n_steps + 1, batch, hid))
     # Activated gates per step, kept for backward; one reused slot otherwise.
@@ -108,6 +104,6 @@ def lstm_final(xs: list[Tensor], w: LstmWeights, reverse: bool = False) -> Tenso
     return out
 
 
-def bilstm_final(xs: list[Tensor], fwd: LstmWeights, bwd: LstmWeights) -> Tensor:
+def bilstm_final(xs: np.ndarray, fwd: LstmWeights, bwd: LstmWeights) -> Tensor:
     """Concatenated [forward final h, backward final h] -> (B, 2H)."""
     return concat([lstm_final(xs, fwd), lstm_final(xs, bwd, reverse=True)], axis=1)

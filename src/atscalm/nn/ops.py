@@ -1,6 +1,6 @@
-"""Differentiable operator set: elementwise, matmul, conv2d, pooling,
-batchnorm, dropout, softmax cross-entropy. Each op returns a new Tensor
-whose closure accumulates gradients into its parents."""
+"""Differentiable operator set: elementwise, matmul, row gather, conv2d,
+pooling, batchnorm, dropout, softmax cross-entropy. Each op returns a new
+Tensor whose closure accumulates gradients into its parents."""
 
 from __future__ import annotations
 
@@ -100,8 +100,9 @@ def relu(a) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp never overflows.
+    # e <= 1, so the numerator max(e, x >= 0) is 1 where x >= 0 and e below.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -117,6 +118,22 @@ def concat(tensors, axis: int = 0) -> Tensor:
             sl[axis] = slice(offset, offset + n)
             t.accumulate(out.grad[tuple(sl)])
             offset += n
+
+    out._backward = backward
+    return out
+
+
+def gather(a, index) -> Tensor:
+    """Rows ``a[index]`` of a 2-d ``a``; a row may be taken many times or
+    never. Backward scatter-adds each output row's gradient into its source
+    row."""
+    a = as_tensor(a)
+    out = Tensor(a.data[index], a.requires_grad, (a,))
+
+    def backward():
+        g = np.zeros_like(a.data)
+        np.add.at(g, index, out.grad)
+        a.accumulate(g)
 
     out._backward = backward
     return out

@@ -54,17 +54,17 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights) -> tupl
     return h_t, c_t
 
 
-def lstm_run(xs: list[Tensor], w: LstmWeights, reverse: bool = False) -> tuple[Tensor, Tensor]:
-    """Run a sequence of (B,D) steps from a zero state; returns the final (h, c)."""
-    batch = xs[0].data.shape[0]
+def lstm_run(xs: np.ndarray, w: LstmWeights, reverse: bool = False) -> tuple[Tensor, Tensor]:
+    """Run the (T,B,D) steps ``xs`` from a zero state; returns the final (h, c)."""
+    batch = xs.shape[1]
     h = Tensor(np.zeros((batch, w.hidden)))
     c = Tensor(np.zeros((batch, w.hidden)))
-    for x in (reversed(xs) if reverse else xs):
-        h, c = lstm_cell(x, h, c, w)
+    for x in (xs[::-1] if reverse else xs):
+        h, c = lstm_cell(Tensor(x), h, c, w)
     return h, c
 
 
-def bilstm_final(xs: list[Tensor], fwd: LstmWeights, bwd: LstmWeights) -> Tensor:
+def bilstm_final(xs: np.ndarray, fwd: LstmWeights, bwd: LstmWeights) -> Tensor:
     hf, _ = lstm_run(xs, fwd)
     hb, _ = lstm_run(xs, bwd, reverse=True)
     return concat([hf, hb], axis=1)

@@ -247,6 +247,14 @@ class TestResample:
         assert got.size % aio._RESAMPLE_BLOCK != 0
         assert np.array_equal(got, frontend_oracle.resample_signal(x, src, dst))
 
+    def test_kernel_table_cache_is_bounded(self):
+        cache = aio._resample_kernel_table
+        assert cache.cache_info().maxsize is not None
+        x = np.ones(64)
+        for k in range(cache.cache_info().maxsize + 4):
+            aio.resample_signal(x, 16000, 15000 - 100 * k)
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
     def test_identity(self):
         clip = aio.AudioClip(keyed_rng("rs", 0).normal(0, 0.1, 1000), 16000)
         out = aio.resample(clip, 16000)

@@ -9,8 +9,10 @@ from atscalm.audio_io import LABELS, ClassLabel
 from atscalm.classifier import (BiLstmClassifier, CamConfig, class_weights,
                                 eval_report_from_predictions, evaluate, load_cam, save_cam,
                                 stratified_split, train_cam, weighted_sampler)
-from atscalm.nn import count_parameters
+from atscalm.nn import Adam, count_parameters
+from atscalm.nn.ops import softmax_crossentropy
 from atscalm.util import PipelineError, keyed_rng
+from memtrace import traced_peak
 
 SM, M, NS = LABELS
 
@@ -31,6 +33,38 @@ def gaussian_rows(n_per_class=20, sigma=0.3, seed=0):
             rows.append((f"{lab.value}_{i}", lab.value,
                          centers[ci] + rng.normal(0, sigma, 25)))
     return rows
+
+
+def full_batch_reference(rows, cfg: CamConfig):
+    """`train_cam`'s loop with the BiLSTM run on every drawn row, repeats
+    included: (history, held-out confusion)."""
+    _, labels, x = classifier._rows_to_arrays(rows)
+    train_idx, test_idx = stratified_split(labels, cfg.val_fraction, cfg.seed)
+    x_train, y_train = x[train_idx], labels[train_idx]
+    model = BiLstmClassifier(cfg)
+    model.norm_mean.data = x_train.mean(axis=0)
+    model.norm_std.data = np.maximum(x_train.std(axis=0), 1e-8)
+    weights = class_weights({lab: int(np.sum(y_train == i)) for i, lab in enumerate(LABELS)})
+    opt = Adam(model.params, cfg.lr)
+    n_batches = -(-len(train_idx) // cfg.batch)
+    history = []
+    for epoch in range(cfg.epochs):
+        draws = weighted_sampler([LABELS[i] for i in y_train], weights, n_batches * cfg.batch,
+                                 (cfg.seed, epoch))
+        losses = []
+        for b in range(n_batches):
+            sel = draws[b * cfg.batch : (b + 1) * cfg.batch]
+            opt.zero_grad()
+            logits = model.forward(x_train[sel], train=True,
+                                   rng=keyed_rng(cfg.seed, "dropout", epoch, b))
+            loss, _ = softmax_crossentropy(logits, y_train[sel])
+            loss.backward()
+            opt.step()
+            losses.append(loss.item())
+        history.append({"loss": float(np.mean(losses)),
+                        "acc": float(np.mean(model.predict(x_train) == y_train))})
+    confusion = eval_report_from_predictions(labels[test_idx], model.predict(x[test_idx])).confusion
+    return history, confusion
 
 
 DESK_CFG = CamConfig(hidden=16, fc_dim=8, batch=16, lr=0.02, epochs=12, seed=3)
@@ -159,6 +193,24 @@ class TestTraining:
             assert a["loss"] == pytest.approx(b["loss"], rel=1e-9, abs=0)
             assert a["acc"] == b["acc"]
         assert np.array_equal(fused_report.confusion, composed_report.confusion)
+
+    @pytest.mark.parametrize("batch", [16, 64])
+    def test_matches_full_batch_reference(self, batch):
+        rows = gaussian_rows(10, sigma=1.0, seed=8)
+        cfg = CamConfig(hidden=8, fc_dim=4, batch=batch, lr=0.02, epochs=8, seed=4)
+        _, history, report, _ = train_cam(rows, cfg)
+        ref_history, ref_confusion = full_batch_reference(rows, cfg)
+        for a, b in zip(history, ref_history, strict=True):
+            assert a["loss"] == pytest.approx(b["loss"], rel=1e-9, abs=0)
+            assert a["acc"] == b["acc"]
+        assert np.array_equal(report.confusion, ref_confusion)
+
+    def test_default_epoch_runs_the_lstm_per_distinct_row(self):
+        # 9 training rows, 512 draws: the BiLSTM's gates and states for the
+        # whole batch alone would be about 300 MB.
+        rows = gaussian_rows(4, seed=9)
+        _, peak, _ = traced_peak(lambda: train_cam(rows, CamConfig(epochs=1)))
+        assert peak <= 64e6
 
     def test_logs_one_line_per_epoch(self, caplog):
         cfg = CamConfig(hidden=4, fc_dim=4, batch=16, epochs=3, seed=1)

@@ -16,13 +16,13 @@ def zero_weights(d, h):
 
 
 def steps(n_steps, batch, dim, key="x"):
-    return [Tensor(keyed_rng(key, t).normal(0, 1, (batch, dim))) for t in range(n_steps)]
+    return np.stack([keyed_rng(key, t).normal(0, 1, (batch, dim)) for t in range(n_steps)])
 
 
 class TestLstmCell:
     def test_zero_weights_zero_output(self):
         w = zero_weights(3, 4)
-        h = lstm_final([Tensor(np.ones((2, 3)))] * 3, w)
+        h = lstm_final(np.ones((3, 2, 3)), w)
         assert np.all(h.data == 0)
 
     def test_forget_gate_saturation_carries_cell(self):
@@ -38,16 +38,12 @@ class TestLstmCell:
 
     def test_shape_mismatch(self):
         w = zero_weights(3, 4)
-        with pytest.raises(PipelineError):
-            lstm_final([Tensor(np.ones((2, 5)))], w)
-        with pytest.raises(PipelineError):
-            lstm_final([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], w)
-        with pytest.raises(PipelineError):
-            lstm_final([], w)
-
-    def test_step_requiring_grad_rejected(self):
-        with pytest.raises(PipelineError):
-            lstm_final([Tensor(np.ones((2, 3)), requires_grad=True)], zero_weights(3, 4))
+        with pytest.raises(PipelineError, match="D=5, weights D=3"):
+            lstm_final(np.ones((1, 2, 5)), w)
+        with pytest.raises(PipelineError, match="T >= 1"):
+            lstm_final(np.ones((0, 2, 3)), w)
+        with pytest.raises(PipelineError, match="T >= 1"):
+            lstm_final(np.ones((2, 3)), w)
 
     def test_bptt_gradcheck_3_steps(self):
         w = init_lstm(3, 4, seed=("bptt", 0))
@@ -109,7 +105,7 @@ class TestBiLstm:
     def test_reversal_swaps_direction_roles(self):
         fwd = init_lstm(2, 3, seed=("f", 1))
         bwd = init_lstm(2, 3, seed=("b", 1))
-        xs = [Tensor(keyed_rng("seq", i).normal(0, 1, (2, 2))) for i in range(5)]
+        xs = steps(5, 2, 2, key="seq")
         out = bilstm_final(xs, fwd, bwd).data
         out_rev_swapped = bilstm_final(xs[::-1], bwd, fwd).data
         swapped = np.concatenate([out_rev_swapped[:, 3:], out_rev_swapped[:, :3]], axis=1)

@@ -35,13 +35,14 @@ class TestElementwise:
         assert grad_check(lambda: ops.ssum(ops.mul(tanh(x), r)), [x]) < 1e-8
 
     def test_sigmoid_matches_two_branch_formula_exactly(self):
-        x = np.concatenate([rand(997, 8) * 30.0, [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf]])
+        x = np.concatenate([rand(997, 8) * 30.0,
+                            [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]])
         pos = x >= 0
         want = np.empty_like(x)
         want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         want[~pos] = ex / (1.0 + ex)
-        assert np.array_equal(ops._sigmoid(x), want)
+        assert np.array_equal(ops._sigmoid(x), want, equal_nan=True)
 
     def test_relu_grad_away_from_kink(self):
         vals = rand((4, 4), 6)
@@ -279,6 +280,15 @@ class TestConcatSplit:
             return ops.add(ops.ssum(ops.mul(a, r1)), ops.ssum(ops.mul(b, r2)))
 
         assert grad_check(f, [x]) < 1e-8
+
+    def test_gather_grad_with_repeated_and_unused_rows(self):
+        x = Tensor(rand((4, 3), 38), requires_grad=True)
+        index = np.array([2, 0, 2, 2, 3, 0])        # row 1 is never taken
+        r = Tensor(rand((6, 3), 39))
+        assert np.array_equal(ops.gather(x, index).data, x.data[index])
+        assert grad_check(lambda: ops.ssum(ops.mul(ops.gather(x, index), r)), [x]) < 1e-8
+        assert np.array_equal(x.grad[1], np.zeros(3))
+        assert np.allclose(x.grad[2], r.data[[0, 2, 3]].sum(axis=0), rtol=1e-15, atol=0)
 
     def test_split_sizes_must_cover(self):
         with pytest.raises(PipelineError):
