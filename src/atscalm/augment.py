@@ -1,7 +1,8 @@
 """Waveform and spectrogram augmentations.
 
-Four transforms: additive Gaussian noise, phase-vocoder time stretch,
-pitch shift (stretch + resample), and spectrogram frequency/time masking.
+Three transforms: additive Gaussian noise, a combined time stretch and
+pitch shift (one phase-vocoder pass, then one resample), and spectrogram
+frequency/time masking.
 The vocoder works on the one-sided STFT and handles all output frames at
 once: phases by a cumulative sum, synthesis by ``irfft`` and a blockwise
 overlap-add that keeps the frame-by-frame summation order.
@@ -143,24 +144,21 @@ def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
     return np.concatenate([y, np.zeros(target_len - y.size)])
 
 
-def time_stretch(clip: AudioClip, rate_factor: float) -> AudioClip:
-    """Speed the clip up by ``rate_factor`` (output length ~= N / rate_factor)."""
-    y = phase_vocoder(clip.samples, rate_factor)
-    return AudioClip(y, clip.rate, clip.label, clip.id)
+def pitch_shift(clip: AudioClip, semitones: float, stretch: float = 1.0) -> AudioClip:
+    """Scale all frequencies by f = 2^(semitones/12) and speed the clip up by
+    ``stretch``, in one vocoder pass; the output has round(N / stretch) samples.
 
-
-def pitch_shift(clip: AudioClip, semitones: float) -> AudioClip:
-    """Scale all frequencies by 2^(semitones/12), preserving duration.
-
-    Time-stretch to length N * 2^(s/12) (pitch untouched), then resample
-    back to N samples, which multiplies frequencies by the factor.
+    The vocoder changes the length by f / stretch (pitch untouched), and
+    resampling from rate * f back to rate scales the length by 1/f and
+    multiplies every frequency by f. At 0 semitones the vocoder alone
+    stretches the clip.
     """
     if semitones == 0.0:
-        return AudioClip(clip.samples.copy(), clip.rate, clip.label, clip.id)
+        return AudioClip(phase_vocoder(clip.samples, stretch), clip.rate, clip.label, clip.id)
     factor = 2.0 ** (semitones / 12.0)
-    stretched = phase_vocoder(clip.samples, 1.0 / factor)
-    y = resample_signal(stretched, clip.rate * factor, clip.rate)
-    n = clip.samples.size
+    y = resample_signal(phase_vocoder(clip.samples, stretch / factor),
+                        clip.rate * factor, clip.rate)
+    n = int(round(clip.samples.size / stretch))
     if y.size >= n:
         y = y[:n]
     else:
@@ -195,10 +193,8 @@ def make_variant(clip: AudioClip, cfg: AugmentConfig,
     s = float(rng.uniform(-k, k)) if k > 0 else 0.0
     sigma = cfg.noise_sigma_rel * float(np.max(np.abs(clip.samples)))
     out = add_gaussian_noise(clip, sigma, rng)
-    if r != 1.0:
-        out = time_stretch(out, r)
-    if s != 0.0:
-        out = pitch_shift(out, s)
+    if r != 1.0 or s != 0.0:
+        out = pitch_shift(out, s, r)
     return out
 
 

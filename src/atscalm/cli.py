@@ -98,13 +98,13 @@ def cmd_validate(args, cfg: RunConfig, out: str) -> list[str]:
 def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     aug_dir = ensure_dir(os.path.join(out, "augmented"))
-    entries = []
-    produced = []
-    for entry in manifest.entries:
+
+    def work(entry):
         clip = manifest.load_clip(entry, target_rate=cfg.rate)
         rel_orig = os.path.relpath(
             os.path.join(manifest.root, entry.path), aug_dir).replace(os.sep, "/")
-        entries.append(ManifestEntry(rel_orig, entry.label, clip.duration_s, clip.rate))
+        entries = [ManifestEntry(rel_orig, entry.label, clip.duration_s, clip.rate)]
+        written = []
         for var in aug_mod.augment_pipeline(clip, cfg.augment):
             rel = f"{os.path.splitext(entry.path)[0]}.aug{var.id.rsplit('aug', 1)[1]}.wav"
             full = os.path.join(aug_dir, rel)
@@ -112,8 +112,13 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
             save_wav(var, full)
             entries.append(ManifestEntry(
                 rel.replace(os.sep, "/"), entry.label, var.duration_s, var.rate))
-            produced.append(full)
-    entries.sort(key=lambda e: e.path)
+            written.append(full)
+        return entries, written
+
+    results = parallel_map(work, manifest.entries, args.jobs)
+    entries = sorted((e for clip_entries, _ in results for e in clip_entries),
+                     key=lambda e: e.path)
+    produced = [path for _, written in results for path in written]
     aug_manifest = CorpusManifest(entries=entries, root=aug_dir)
     man_path = os.path.join(aug_dir, "manifest.json")
     save_manifest(aug_manifest, man_path)

@@ -41,7 +41,7 @@ class TestNoise:
 class TestTimeStretch:
     def test_identity_rate(self):
         clip = tone_clip(440)
-        out = aug.time_stretch(clip, 1.0)
+        out = aug.pitch_shift(clip, 0.0, 1.0)
         assert out.samples.size == clip.samples.size
         n = min(out.samples.size, clip.samples.size)
         corr = np.corrcoef(out.samples[:n], clip.samples[:n])[0, 1]
@@ -49,12 +49,12 @@ class TestTimeStretch:
 
     def test_half_duration(self):
         clip = tone_clip(440, duration=2.0)
-        out = aug.time_stretch(clip, 2.0)
+        out = aug.pitch_shift(clip, 0.0, 2.0)
         assert abs(out.samples.size - 16000) <= aug.VOCODER_HOP
 
     def test_tone_preserved_under_stretch(self):
         clip = tone_clip(440)
-        out = aug.time_stretch(clip, 0.8)
+        out = aug.pitch_shift(clip, 0.0, 0.8)
         assert abs(peak_frequency(out.samples, 16000) - 440.0) < 1.0
         assert out.rate == clip.rate
 
@@ -62,8 +62,8 @@ class TestTimeStretch:
         # resynthesis re-anchors the absolute phase, so compare at the
         # cross-correlation peak over a small lag window
         clip = tone_clip(300, duration=2.0)
-        down = aug.time_stretch(clip, 1.25)
-        back = aug.time_stretch(down, 1 / 1.25)
+        down = aug.pitch_shift(clip, 0.0, 1.25)
+        back = aug.pitch_shift(down, 0.0, 1 / 1.25)
         n = min(back.samples.size, clip.samples.size)
         k = 2048
         corr = max(
@@ -74,7 +74,7 @@ class TestTimeStretch:
 
     def test_too_short_rejected(self):
         with pytest.raises(PipelineError):
-            aug.time_stretch(aio.AudioClip(np.ones(100), 16000), 1.5)
+            aug.pitch_shift(aio.AudioClip(np.ones(100), 16000), 0.0, 1.5)
 
 
 class TestVocoderOracle:
@@ -127,6 +127,35 @@ class TestPitchShift:
         out = aug.pitch_shift(clip, 3.0)
         assert out.samples.size == clip.samples.size
         assert out.rate == clip.rate
+
+    @pytest.mark.parametrize("stretch,semitones", [(0.8, 2.0), (1.25, -2.0)])
+    def test_stretch_and_shift_in_one_pass(self, stretch, semitones):
+        clip = tone_clip(440)
+        out = aug.pitch_shift(clip, semitones, stretch)
+        assert out.samples.size == round(clip.samples.size / stretch)
+        want = 440.0 * 2 ** (semitones / 12)
+        assert abs(peak_frequency(out.samples, 16000) - want) < 1.0
+
+    @pytest.mark.parametrize("pitch_range", [2.0, 0.0])
+    def test_make_variant_runs_one_vocoder_pass(self, monkeypatch, pitch_range):
+        calls = {"phase_vocoder": 0, "resample_signal": 0}
+
+        def counted(name):
+            fn = getattr(aug, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(aug, name, counted(name))
+        cfg = aug.AugmentConfig(pitch_range_semitones=pitch_range)
+        for k in range(4):
+            before = dict(calls)
+            aug.make_variant(tone_clip(440), cfg, keyed_rng("one-pass", k))
+            assert calls["phase_vocoder"] - before["phase_vocoder"] == 1
+            assert calls["resample_signal"] - before["resample_signal"] == (pitch_range > 0)
 
 
 class TestSpecMask:

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -321,14 +322,18 @@ class TestEndToEnd:
     def test_jobs_2_matches_jobs_1(self, tiny_run, tmp_path):
         out = str(tmp_path / "c")
         base = ["--seed", "3", "--jobs", "2", "--out", out]
-        corpus = os.path.join(tiny_run, "corpus")
+        # the augmented manifest lists the originals relative to itself, so
+        # the corpus sits where the chain's does
+        corpus = os.path.join(out, "corpus")
+        shutil.copytree(os.path.join(tiny_run, "corpus"), corpus)
         assert run(base + ["validate", corpus, "--plot"]) == 0
+        assert run(base + ["augment", os.path.join(corpus, "manifest.json")]) == 0
         assert run(base + ["features", os.path.join(corpus, "manifest.json")]) == 0
         assert run(base + ["embed", corpus, "--checkpoint",
                            os.path.join(tiny_run, "encoder.ckpt")]) == 0
-        commands = ("validate", "features", "embed")
+        commands = ("validate", "augment", "features", "embed")
         got = _artifacts(out, commands)
-        assert len(got) == 10
+        assert len(got) == 10 + 31   # augment: 6 clips x 5 variants and the manifest
         assert got == _artifacts(tiny_run, commands)
 
     def test_artifacts_index_lists_every_written_file(self, tiny_run):

@@ -225,8 +225,8 @@ class TestAugmentedView:
     def test_long_clip_keeps_frames_at_largest_stretch_and_pitch(self, monkeypatch, n):
         aug = AugmentConfig(stretch_range=(1.25, 1.25), pitch_range_semitones=2.0)
         shift = augment.pitch_shift
-        monkeypatch.setattr(augment, "pitch_shift",
-                            lambda clip, s: shift(clip, math.copysign(2.0, s)))
+        monkeypatch.setattr(augment, "pitch_shift", lambda clip, s, stretch=1.0:
+                            shift(clip, math.copysign(2.0, s), stretch))
         seen = self._record(monkeypatch)
         for view in range(4):
             _augmented_view(self._clip(n), aug, FeatureParams(), EncoderConfig(frames=self.FRAMES),
