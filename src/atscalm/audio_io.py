@@ -284,14 +284,13 @@ _RESAMPLE_PHASES = 512   # kernel table resolution per unit tap offset
 _RESAMPLE_BLOCK = 1024   # outputs per tap block: (1024, 64) float64 is 512 KiB
 
 
-@functools.lru_cache(maxsize=8)
-def _resample_kernel_table(cutoff: float) -> np.ndarray:
-    """(phases+1, 64) table of the Kaiser-windowed sinc at fractional offsets.
+@functools.cache
+def _resample_window() -> tuple[np.ndarray, np.ndarray]:
+    """(u, window): the kernel table's tap offsets and its Kaiser window.
 
-    Row p holds the 64 tap weights for fractional position p/phases; rows
-    are linearly interpolated at lookup time (error ~1e-6 of peak). Each
-    pitch shift down draws a new cutoff, so the cache is bounded: a table
-    takes a few ms to build, against tens of ms for the resample using it.
+    Neither depends on the cutoff, so they are built once, on first use
+    rather than at import (``np.i0`` over the table is most of a table's
+    cost).
     """
     half = _RESAMPLE_HALF
     fracs = np.arange(_RESAMPLE_PHASES + 1) / _RESAMPLE_PHASES
@@ -303,6 +302,19 @@ def _resample_kernel_table(cutoff: float) -> np.ndarray:
         np.i0(_RESAMPLE_BETA * np.sqrt(np.maximum(0.0, 1.0 - t * t))) / np.i0(_RESAMPLE_BETA),
         0.0,
     )
+    return u, win
+
+
+@functools.lru_cache(maxsize=8)
+def _resample_kernel_table(cutoff: float) -> np.ndarray:
+    """(phases+1, 64) table of the Kaiser-windowed sinc at fractional offsets.
+
+    Row p holds the 64 tap weights for fractional position p/phases; rows
+    are linearly interpolated at lookup time (error ~1e-6 of peak). Each
+    pitch shift down draws a new cutoff, so the cache is bounded: a table
+    takes under a ms to build, against tens of ms for the resample using it.
+    """
+    u, win = _resample_window()
     return cutoff * np.sinc(cutoff * u) * win
 
 

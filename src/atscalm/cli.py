@@ -35,7 +35,7 @@ import numpy as np
 
 from . import augment as aug_mod
 from . import classifier as cam_mod
-from . import embedding_eval, encoder, features, plots, stats, tsne, validation
+from . import dsp, embedding_eval, encoder, features, plots, stats, tsne, validation
 from .audio_io import (CLASS_TONE_HZ, LABELS, CorpusManifest, ManifestEntry,
                        build_manifest, load_manifest, parse_label, save_manifest,
                        save_wav, synth_corpus)
@@ -85,7 +85,8 @@ def cmd_validate(args, cfg: RunConfig, out: str) -> list[str]:
             if entry is None:
                 continue
             clip = manifest.load_clip(entry, target_rate=cfg.rate)
-            theo = validation.reconstruct_theoretical(clip, CLASS_TONE_HZ[label])
+            theo = validation.reconstruct_theoretical(
+                clip, dsp.analytic_envelope(clip.samples), CLASS_TONE_HZ[label])
             wave_svg, spec_svg = plots.validation_overlay(
                 clip.samples, theo, clip.rate, label.value)
             for suffix, svg in (("wave", wave_svg), ("spectrum", spec_svg)):

@@ -152,10 +152,9 @@ def split(a, sizes, axis: int = 0) -> list[Tensor]:
         piece = Tensor(a.data[sl].copy(), a.requires_grad, (a,))
 
         def backward(piece=piece, sl=sl):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                a.grad[sl] += piece.grad
+            g = np.zeros_like(a.data)
+            g[sl] = piece.grad
+            a.accumulate(g)
 
         piece._backward = backward
         outs.append(piece)

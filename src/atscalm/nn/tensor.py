@@ -75,10 +75,13 @@ class Tensor:
         self.grad = None
 
     def accumulate(self, g: np.ndarray):
+        """Add ``g`` to ``.grad``. A first gradient is stored as is, not
+        copied: no op writes into a gradient array, neither into ``.grad``
+        (a sum makes a new one) nor into an array it has passed here."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
             self.grad = self.grad + g
 

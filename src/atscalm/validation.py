@@ -41,13 +41,12 @@ def rmse(x, y) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
-def reconstruct_theoretical(clip: AudioClip, f_c_hz: float) -> np.ndarray:
-    """The clip's analytic envelope times a zero-phase cosine at ``f_c_hz``."""
+def reconstruct_theoretical(clip: AudioClip, env: np.ndarray, f_c_hz: float) -> np.ndarray:
+    """The clip's analytic envelope ``env`` times a zero-phase cosine at ``f_c_hz``."""
     if f_c_hz >= clip.rate / 2:
         raise PipelineError(
             f"f_c {f_c_hz} Hz is not below Nyquist for rate {clip.rate}"
         )
-    env = dsp.analytic_envelope(clip.samples)
     t = np.arange(clip.samples.size) / clip.rate
     return env * np.cos(2.0 * np.pi * f_c_hz * t)
 
@@ -57,10 +56,11 @@ def _interior(x: np.ndarray, trim: float = EDGE_TRIM) -> np.ndarray:
     return x[k : x.size - k] if x.size - 2 * k >= 1 else x
 
 
-def envelope_stats(clip: AudioClip, trim: float = EDGE_TRIM) -> tuple[float, float, float]:
-    """(env_mean, env_std, energy): envelope stats over the trimmed interior,
-    energy = sum(x^2) over the full clip."""
-    env = _interior(dsp.analytic_envelope(clip.samples), trim)
+def envelope_stats(clip: AudioClip, env: np.ndarray,
+                   trim: float = EDGE_TRIM) -> tuple[float, float, float]:
+    """(env_mean, env_std, energy): stats of the clip's analytic envelope
+    ``env`` over the trimmed interior, energy = sum(x^2) over the full clip."""
+    env = _interior(env, trim)
     energy = float(np.sum(clip.samples ** 2))
     return float(np.mean(env)), float(np.std(env)), energy
 
@@ -76,8 +76,11 @@ def peak_frequency(x: np.ndarray, rate: float) -> float:
 
 
 def validate_clip(clip: AudioClip, f_c_hz: float) -> ValidationRecord:
-    theo = reconstruct_theoretical(clip, f_c_hz)
-    env_mean, env_std, energy = envelope_stats(clip)
+    """One record; the analytic envelope (a full-length FFT pair) is computed
+    once and feeds both the reconstruction and the envelope stats."""
+    env = dsp.analytic_envelope(clip.samples)
+    theo = reconstruct_theoretical(clip, env, f_c_hz)
+    env_mean, env_std, energy = envelope_stats(clip, env)
     return ValidationRecord(
         clip_id=clip.id,
         rmse=rmse(clip.samples, theo),

@@ -3,8 +3,12 @@
 These are the straightforward forms the vectorized code in
 `atscalm.augment` and `atscalm.audio_io` replaced. The two-sided vocoder
 runs its own full-length FFT STFT and synthesizes from all win bins, so it
-checks the one-sided pipeline end to end; the one-sided loops below take
-the same spectra as the vectorized code and must agree with it bit for bit.
+checks the one-sided pipeline end to end. The one-sided loops below take
+the same spectra as the vectorized code. The overlap-add loop must agree
+with it bit for bit. The angle-form spectra loop accumulates phases as
+angles and takes cos/sin of them, so it carries that rounding (about
+eps * max|phase|); the wrapped loop keeps every angle in [-pi, pi] and is
+the accurate reference.
 """
 
 from __future__ import annotations
@@ -59,6 +63,35 @@ def vocoder_spectra_loop(spec: np.ndarray, rate_factor: float, win: int, hop: in
         dphi = phases[:, i1] - phases[:, i0] - expected
         dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
         acc += expected + dphi
+    return out
+
+
+def _wrap(phase: np.ndarray) -> np.ndarray:
+    return phase - 2.0 * np.pi * np.round(phase / (2.0 * np.pi))
+
+
+def vocoder_spectra_wrapped_loop(spec: np.ndarray, rate_factor: float) -> np.ndarray:
+    """The angle-form loop with every phase kept in [-pi, pi].
+
+    The expected advance cancels modulo 2*pi, so each step adds the wrapped
+    frame-to-frame phase difference and wraps the sum again: cos/sin only
+    ever see small arguments, and the result stays within ~1e-13 of the
+    peak of an extended-precision evaluation. Same layout as
+    `vocoder_spectra_loop`.
+    """
+    n_bins, n_frames = spec.shape
+    steps = np.arange(0.0, n_frames - 1, rate_factor)
+    mags = np.abs(spec)
+    phases = np.angle(spec)
+    out = np.empty((n_bins, steps.size), dtype=np.complex128)
+    acc = phases[:, 0].copy()
+    for k, s in enumerate(steps):
+        i0 = int(np.floor(s))
+        i1 = min(i0 + 1, n_frames - 1)
+        frac = s - i0
+        mag = (1.0 - frac) * mags[:, i0] + frac * mags[:, i1]
+        out[:, k] = mag * np.exp(1j * acc)
+        acc = _wrap(acc + _wrap(phases[:, i1] - phases[:, i0]))
     return out
 
 

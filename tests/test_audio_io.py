@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import wave
 
 import numpy as np
@@ -250,6 +252,23 @@ class TestResample:
         want = frontend_oracle.resample_signal(x, src, dst)
         assert got.size == want.size
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("cutoff", [0.8, 0.9, 0.95, 1.0])
+    def test_kernel_table_equals_direct_formula(self, cutoff):
+        half, beta = aio._RESAMPLE_HALF, aio._RESAMPLE_BETA
+        fracs = np.arange(aio._RESAMPLE_PHASES + 1) / aio._RESAMPLE_PHASES
+        u = fracs[:, None] + (half - 1) - np.arange(2 * half)[None, :]
+        t = u / half
+        win = np.where(np.abs(t) <= 1.0,
+                       np.i0(beta * np.sqrt(np.maximum(0.0, 1.0 - t * t))) / np.i0(beta), 0.0)
+        want = cutoff * np.sinc(cutoff * u) * win
+        assert np.array_equal(aio._resample_kernel_table(cutoff), want)
+
+    def test_kernel_window_not_built_at_import(self):
+        code = ("import atscalm.audio_io as a; "
+                "assert a._resample_window.cache_info().currsize == 0")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_kernel_table_cache_is_bounded(self):
         cache = aio._resample_kernel_table

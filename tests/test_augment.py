@@ -20,6 +20,7 @@ class TestNoise:
         clip = tone_clip(440)
         out = aug.add_gaussian_noise(clip, 0.0, keyed_rng("n", 1))
         assert np.array_equal(out.samples, clip.samples)
+        assert not np.shares_memory(out.samples, clip.samples)
 
     def test_same_seed_identical(self):
         clip = tone_clip(440)
@@ -81,14 +82,55 @@ class TestVocoderOracle:
     @pytest.mark.parametrize("win,hop", [(1024, 256), (1000, 300)])
     @pytest.mark.parametrize("rate", [0.8, 1.25, 1 / 2 ** (1.7 / 12)])
     def test_bit_identical_to_loops_on_same_spectra(self, win, hop, rate):
+        # the angle-form loop takes cos/sin of phases that reach ~4.7e4 rad
+        # here, so it carries eps * 4.7e4 ~ 1e-11 of rounding; 1e-9 bounds it
         x = keyed_rng("pv-oracle", win).normal(0, 0.3, 12000)
         grid = dsp.stft(np.pad(x, win // 2, mode="reflect"), win, hop, n_fft=win)
-        spectra = aug._vocoder_spectra(grid.spec.T, rate, win, hop)
+        spectra = aug._vocoder_spectra(grid.spec.T, rate)
         loop = frontend_oracle.vocoder_spectra_loop(grid.spec, rate, win, hop)
-        assert np.array_equal(spectra, loop.T)
+        assert spectra.shape == loop.T.shape
+        assert np.max(np.abs(spectra - loop.T)) <= 1e-9 * np.max(np.abs(loop))
         frames = np.fft.irfft(spectra, n=win, axis=1)
         assert np.array_equal(aug._istft_ola(spectra, win, hop),
                               frontend_oracle.ola_loop(frames, win, hop))
+
+    @pytest.mark.parametrize("rate", [0.742, 0.896, 1.403])
+    def test_within_1e12_of_wrapped_phase_reference(self, rate):
+        # the angle form reads 2.1e-11 to 8.2e-11 of the peak here, the
+        # phasor form about 5e-15
+        clip = tone_clip(440, duration=10.0)
+        clip.samples += keyed_rng("pv-exact", 0).normal(0, 0.05, clip.samples.size)
+        win, hop = aug.VOCODER_WIN, aug.VOCODER_HOP
+        grid = dsp.stft(np.pad(clip.samples, win // 2, mode="reflect"), win, hop, n_fft=win)
+        got = aug._vocoder_spectra(grid.spec.T, rate)
+        ref = frontend_oracle.vocoder_spectra_wrapped_loop(grid.spec, rate).T
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(got[:, -1].imag == 0.0)   # the Nyquist bin stays real
+
+    @pytest.mark.parametrize("rate", [0.8, 1.25])
+    def test_digital_silence_has_no_nan(self, rate):
+        win, hop = aug.VOCODER_WIN, aug.VOCODER_HOP
+        x = np.zeros(16000)
+        x[6000:9000] = keyed_rng("pv-silence", 0).normal(0, 0.3, 3000)
+        grid = dsp.stft(np.pad(x, win // 2, mode="reflect"), win, hop, n_fft=win)
+        assert np.sum(np.all(grid.spec == 0, axis=0)) >= 20   # whole frames of exact zeros
+        got = aug._vocoder_spectra(grid.spec.T, rate)
+        loop = frontend_oracle.vocoder_spectra_loop(grid.spec, rate, win, hop).T
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - loop)) <= 1e-9 * np.max(np.abs(loop))
+        assert np.all(np.isfinite(aug.phase_vocoder(x, rate)))
+
+    def test_last_position_rounded_onto_the_last_frame(self):
+        # np.arange(0, 21, 0.7) ends at 21.0 == n_frames - 1, which has no
+        # next frame to interpolate towards
+        spec = np.fft.rfft(keyed_rng("pv-edge", 0).normal(0, 1, (22, 64)), axis=1)
+        steps = np.arange(0.0, 21, 0.7)
+        assert steps[-1] == 21.0
+        got = aug._vocoder_spectra(spec, 0.7)
+        ref = frontend_oracle.vocoder_spectra_wrapped_loop(spec.T, 0.7).T
+        assert got.shape == (steps.size, 33)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_pipeline_matches_two_sided_oracle(self, monkeypatch):
         # the one-sided synthesis drops the mirrored bins, whose phases the

@@ -302,6 +302,26 @@ class TestReuseAccumulation:
         out.backward()
         assert x.grad[0] == pytest.approx(7.0)
 
+    def test_first_gradient_stored_without_copy(self):
+        t = Tensor(np.zeros(3), requires_grad=True)
+        g = np.ones(3)
+        t.accumulate(g)
+        assert t.grad is g
+        t.accumulate(g)
+        assert t.grad is not g
+        assert np.array_equal(g, np.ones(3))
+        assert np.array_equal(t.grad, np.full(3, 2.0))
+
+    def test_split_does_not_write_into_a_stored_gradient(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        held = np.ones(4)
+        x.accumulate(held)
+        a, b = ops.split(x, [2, 2])
+        a.backward(np.full(2, 3.0))
+        b.backward(np.full(2, 5.0))
+        assert np.array_equal(held, np.ones(4))
+        assert np.array_equal(x.grad, [4.0, 4.0, 6.0, 6.0])
+
 
 class TestNoGrad:
     def test_op_result_has_no_graph(self):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atscalm import audio_io as aio
+from atscalm import dsp
 from atscalm import validation as val
 from atscalm.util import PipelineError, keyed_rng
 
@@ -10,6 +11,10 @@ from atscalm.util import PipelineError, keyed_rng
 def tone_clip(f_hz, duration=2.0, rate=16000, amp=1.0, label=None):
     t = np.arange(int(duration * rate)) / rate
     return aio.AudioClip(amp * np.cos(2 * np.pi * f_hz * t), rate, label, f"tone{f_hz}")
+
+
+def env(clip):
+    return dsp.analytic_envelope(clip.samples)
 
 
 class TestRmse:
@@ -35,40 +40,43 @@ class TestRmse:
 class TestReconstruct:
     def test_matched_tone(self):
         clip = tone_clip(25.0)
-        theo = val.reconstruct_theoretical(clip, 25.0)
+        theo = val.reconstruct_theoretical(clip, env(clip), 25.0)
         k = int(0.05 * clip.samples.size)
         err = np.sqrt(np.mean((theo[k:-k] - clip.samples[k:-k]) ** 2))
         assert err < 1e-2
 
     def test_zero_clip_fails_nonempty_but_reconstruction_zero(self):
         clip = aio.AudioClip(np.zeros(4096), 16000)
-        theo = val.reconstruct_theoretical(clip, 25.0)
+        theo = val.reconstruct_theoretical(clip, env(clip), 25.0)
         assert np.all(theo == 0)
 
     def test_mismatched_frequency_moves_peak(self):
         clip = tone_clip(25.0)
-        theo = val.reconstruct_theoretical(clip, 30.0)
+        theo = val.reconstruct_theoretical(clip, env(clip), 30.0)
         assert abs(val.peak_frequency(theo, clip.rate) - 30.0) < 1.0
 
     def test_above_nyquist_rejected(self):
         clip = tone_clip(25.0, duration=0.1)
         with pytest.raises(PipelineError):
-            val.reconstruct_theoretical(clip, 9000.0)
+            val.reconstruct_theoretical(clip, env(clip), 9000.0)
 
 
 class TestEnvelopeStats:
     def test_unit_tone(self):
-        mean, std, energy = val.envelope_stats(tone_clip(100.0, duration=1.0))
+        clip = tone_clip(100.0, duration=1.0)
+        mean, std, energy = val.envelope_stats(clip, env(clip))
         assert mean == pytest.approx(1.0, abs=1e-3)
         assert std < 1e-3
         assert energy == pytest.approx(8000.0, rel=1e-3)
 
     def test_zero_clip(self):
-        mean, std, energy = val.envelope_stats(aio.AudioClip(np.zeros(1000), 16000))
+        clip = aio.AudioClip(np.zeros(1000), 16000)
+        mean, std, energy = val.envelope_stats(clip, env(clip))
         assert (mean, std, energy) == (0.0, 0.0, 0.0)
 
     def test_constant_envelope_iff_zero_std(self):
-        mean, std, _ = val.envelope_stats(tone_clip(440.0, duration=1.0))
+        clip = tone_clip(440.0, duration=1.0)
+        mean, std, _ = val.envelope_stats(clip, env(clip))
         assert std < 1e-9 or std < 1e-3  # interior envelope of a pure tone is constant
 
 
@@ -95,6 +103,19 @@ class TestValidateCorpus:
         with pytest.raises(PipelineError):
             val.validate_corpus(man)
 
+    def test_one_envelope_per_clip(self, tmp_path, monkeypatch):
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=4))
+        calls = []
+        envelope = dsp.analytic_envelope
+
+        def counted(x):
+            calls.append(x.size)
+            return envelope(x)
+
+        monkeypatch.setattr(dsp, "analytic_envelope", counted)
+        val.validate_corpus(man)
+        assert len(calls) == len(man.entries)
+
     def test_jobs_order_independent(self, tmp_path):
         man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=3))
         r1 = val.validate_corpus(man, jobs=1)
@@ -105,8 +126,8 @@ class TestValidateCorpus:
 class TestScaleInvariance:
     def test_rmse_scales_linearly_with_amplitude(self):
         clip = tone_clip(25.0, amp=0.4)
-        base = val.rmse(clip.samples, val.reconstruct_theoretical(clip, 25.0))
+        base = val.rmse(clip.samples, val.reconstruct_theoretical(clip, env(clip), 25.0))
         alpha = 2.5
         scaled = aio.AudioClip(alpha * clip.samples, clip.rate)
-        got = val.rmse(scaled.samples, val.reconstruct_theoretical(scaled, 25.0))
+        got = val.rmse(scaled.samples, val.reconstruct_theoretical(scaled, env(scaled), 25.0))
         assert got == pytest.approx(alpha * base, abs=1e-9)
