@@ -184,7 +184,8 @@ def spec_mask(grid: TimeFreqGrid, f_max: int, t_max: int,
     """Blank one frequency band (width U{0..f_max}) and one time span
     (width U{0..t_max}) to the grid's floor value."""
     if f_max > grid.n_bins or t_max > grid.n_frames:
-        raise PipelineError("mask maxima exceed grid shape")
+        raise PipelineError(f"mask maxima ({f_max} bins, {t_max} frames) exceed the grid shape "
+                            f"({grid.n_bins} bins, {grid.n_frames} frames)")
     values = grid.values.copy()
     floor = float(values.min())
     fw = int(rng.integers(0, f_max + 1)) if f_max > 0 else 0

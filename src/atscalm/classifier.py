@@ -221,7 +221,6 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], EvalR
             sel = draws[b * cfg.batch : (b + 1) * cfg.batch]
             uniq, inv = np.unique(sel, return_inverse=True)
             rng = keyed_rng(cfg.seed, "dropout", epoch, b)
-            opt.zero_grad()
             loss, _ = softmax_crossentropy(
                 model.forward(x_train[uniq], train=True, rng=rng, rows=inv), y_train[sel])
             loss.backward()

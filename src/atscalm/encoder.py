@@ -21,8 +21,8 @@ import numpy as np
 from . import augment, features
 from .audio_io import AudioClip, ClassLabel, CorpusManifest
 from .nn import Adam, Tensor, load_model, no_grad, save_model, seeded_init
-from .nn.ops import (add, batchnorm2d, conv2d, global_avg_pool, linear, maxpool2d, mul,
-                     relu, scale, split, ssum, sub)
+from .nn.ops import (batchnorm2d, conv2d, global_avg_pool, linear, maxpool2d, mul, scale,
+                     split, ssum, sub)
 from .util import PipelineError, keyed_rng, parallel_map
 
 log = logging.getLogger(__name__)
@@ -47,13 +47,17 @@ class EncoderConfig:
             raise PipelineError("stage widths must be non-decreasing")
         if self.proj_dim < 2:
             raise PipelineError("projection dim must be >= 2")
+        if self.frames < 1:
+            raise PipelineError(f"frames must be >= 1, got {self.frames}")
 
     def scaled_widths(self) -> tuple[int, ...]:
         return tuple(max(1, int(round(w * self.width_scale))) for w in self.widths)
 
 
 class _Block:
-    """conv3x3-bn-relu-conv3x3-bn plus identity or 1x1-downsample skip."""
+    """conv3x3-bn-relu-conv3x3-bn plus identity or 1x1-downsample skip, then
+    relu. The second batchnorm adds the skip and applies the relu itself, so
+    the block's tail holds one array, not three."""
 
     def __init__(self, model: "AcousticEncoder", name: str, c_in: int, c_out: int,
                  stride: int, seed):
@@ -69,14 +73,15 @@ class _Block:
             self.down_bn = model._bn(f"{name}.down_bn", c_out)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        y = relu(batchnorm2d(conv2d(x, self.w1, stride=self.stride, pad=1), *self.bn1, train))
-        y = batchnorm2d(conv2d(y, self.w2, stride=1, pad=1), *self.bn2, train)
+        y = batchnorm2d(conv2d(x, self.w1, stride=self.stride, pad=1), *self.bn1, train,
+                        relu=True)
+        y = conv2d(y, self.w2, stride=1, pad=1)
         if self.down_w is None:
             skip = x
         else:
             skip = batchnorm2d(conv2d(x, self.down_w, stride=self.stride, pad=0),
                                *self.down_bn, train)
-        return relu(add(y, skip))
+        return batchnorm2d(y, *self.bn2, train, skip=skip, relu=True)
 
 
 class AcousticEncoder:
@@ -116,7 +121,7 @@ class AcousticEncoder:
         """(N, 1, n_mels, frames) -> (N, proj_dim)."""
         if x.data.ndim != 4 or x.data.shape[1] != 1:
             raise PipelineError(f"encoder expects (N,1,mels,frames), got {x.data.shape}")
-        y = relu(batchnorm2d(conv2d(x, self.stem_w, stride=2, pad=3), *self.stem_bn, train))
+        y = batchnorm2d(conv2d(x, self.stem_w, stride=2, pad=3), *self.stem_bn, train, relu=True)
         y = maxpool2d(y, kernel=3, stride=2, pad=1)
         for block in self.blocks:
             y = block.forward(y, train)
@@ -269,7 +274,6 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
             views = [_augmented_view(c, aug_cfg, feat_params, cfg, seed, epoch, 0) for c in batch]
             views += [_augmented_view(c, aug_cfg, feat_params, cfg, seed, epoch, 1) for c in batch]
             x = Tensor(np.stack(views)[:, None, :, :])
-            opt.zero_grad()
             emb = model.forward(x, train=True)
             p1, p2 = split(emb, [len(batch), len(batch)], axis=0)
             loss = contrastive_loss(p1, p2)

@@ -1,6 +1,13 @@
 """Differentiable operator set: elementwise, matmul, row gather, conv2d,
-pooling, batchnorm, dropout, softmax cross-entropy. Each op returns a new
-Tensor whose closure accumulates gradients into its parents."""
+pooling, batchnorm with a fused residual add and relu, dropout, softmax
+cross-entropy. Each op returns a new Tensor whose closure accumulates
+gradients into its parents.
+
+A closure keeps only what its backward cannot rebuild from the arrays the
+graph already holds: conv2d rebuilds its im2col columns and batchnorm its
+normalized input, maxpool2d keeps one int8 tap index per output, and the
+relu that batchnorm applies reads its mask off the output.
+"""
 
 from __future__ import annotations
 
@@ -209,6 +216,14 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
 
 
 def maxpool2d(x, kernel: int = 3, stride: int = 2, pad: int = 1) -> Tensor:
+    """Max over each kernel x kernel window; a tie goes to the first tap.
+
+    The closure keeps only the int8 tap index of each output. Backward adds
+    each tap's share of the gradient into that tap's strided plane of the
+    padded input, last tap first: an input position then receives its
+    contributions in ascending output order, the order of an ``np.add.at``
+    scatter, so the sums are the same to the bit.
+    """
     x = as_tensor(x)
     n, c, h, w = x.data.shape
     ho = (h + 2 * pad - kernel) // stride + 1
@@ -218,17 +233,15 @@ def maxpool2d(x, kernel: int = 3, stride: int = 2, pad: int = 1) -> Tensor:
     windows = windows[:, :, ::stride, ::stride].reshape(n, c, ho, wo, kernel * kernel)
     arg = np.argmax(windows, axis=-1)
     y = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    arg = arg.astype(np.int8 if kernel * kernel <= 127 else np.int64)
     out = Tensor(y, x.requires_grad, (x,))
 
     def backward():
-        if not x.requires_grad:
-            return
-        di, dj = np.unravel_index(arg, (kernel, kernel))
-        ni, ci, hi, wi = np.indices((n, c, ho, wo))
-        rows = hi * stride + di
-        cols = wi * stride + dj
         dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-        np.add.at(dxp, (ni, ci, rows, cols), out.grad)
+        for k in reversed(range(kernel * kernel)):
+            i, j = divmod(k, kernel)
+            plane = dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            plane += np.where(arg == k, out.grad, 0.0)
         x.accumulate(dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp)
 
     out._backward = backward
@@ -254,15 +267,31 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool) -> Tensor:
+def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
+                skip=None, relu: bool = False) -> Tensor:
     """Channel-wise normalization over (N,H,W); biased batch variance.
 
     Train mode normalizes with the batch statistics and updates the
     ``running_mean`` and ``running_var`` buffers; eval mode applies them.
+    When asked, ``skip`` is added to ``gamma * xhat + beta`` and a relu is
+    applied in place, so a residual tail (batchnorm, add, relu) is one graph
+    node that holds one array, its output, and keeps no ``xhat``.
+
+    Backward recomputes ``xhat`` from ``x``, which the graph holds as a
+    parent, with the forward's expression, and takes the relu mask from the
+    output (``out > 0`` exactly where its input was). The results are the
+    ones of ``relu(add(batchnorm2d(...), skip))`` bit for bit.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4 or gamma.data.shape != (x.data.shape[1],):
         raise PipelineError(f"batchnorm2d shape mismatch: x {x.data.shape}, gamma {gamma.data.shape}")
+    parents = (x, gamma, beta)
+    if skip is not None:
+        skip = as_tensor(skip)
+        if skip.data.shape != x.data.shape:
+            raise PipelineError(f"batchnorm2d skip {skip.data.shape} does not match "
+                                f"x {x.data.shape}")
+        parents += (skip,)
     axes = (0, 2, 3)
     if train:
         mu = x.data.mean(axis=axes)
@@ -271,23 +300,38 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool) -> Tenso
         running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * var
     else:
         mu, var = running_mean.data, running_var.data
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
-    y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    rg = x.requires_grad or gamma.requires_grad or beta.requires_grad
-    out = Tensor(y, rg, (x, gamma, beta))
+    mu = mu[None, :, None, None]
+    inv = (1.0 / np.sqrt(var + BN_EPS))[None, :, None, None]
+    y = (x.data - mu) * inv
+    y *= gamma.data[None, :, None, None]
+    y += beta.data[None, :, None, None]
+    if skip is not None:
+        # Not in place: the sum takes the memory layout an unfused add would
+        # give it, so backward's channel sums add in the same order.
+        y = y + skip.data
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    out = Tensor(y, any(p.requires_grad for p in parents), parents)
 
     def backward():
-        g = out.grad
-        gamma.accumulate((g * xhat).sum(axis=axes))
+        g = out.grad * (out.data > 0.0) if relu else out.grad   # subgradient 0 at the kink
+        if skip is not None:
+            skip.accumulate(g)
+        xhat = (x.data - mu) * inv
+        gx = g * xhat
+        gamma.accumulate(gx.sum(axis=axes))
         beta.accumulate(g.sum(axis=axes))
         if not x.requires_grad:
             return
-        gi = gamma.data[None, :, None, None] * inv[None, :, None, None]
+        gi = gamma.data[None, :, None, None] * inv
         if train:
-            mean_g = g.mean(axis=axes)[None, :, None, None]
-            mean_gx = (g * xhat).mean(axis=axes)[None, :, None, None]
-            x.accumulate(gi * (g - mean_g - xhat * mean_gx))
+            mean_gx = gx.mean(axis=axes)[None, :, None, None]
+            del gx
+            dx = g - g.mean(axis=axes)[None, :, None, None]
+            xhat *= mean_gx
+            dx -= xhat
+            dx *= gi
+            x.accumulate(dx)
         else:
             x.accumulate(gi * g)
 

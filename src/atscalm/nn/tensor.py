@@ -71,9 +71,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate(self, g: np.ndarray):
         """Add ``g`` to ``.grad``. A first gradient is stored as is, not
         copied: no op writes into a gradient array, neither into ``.grad``

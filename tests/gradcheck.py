@@ -14,7 +14,7 @@ from atscalm.nn import Tensor
 def grad_check(f, params: list[Tensor], eps: float = 1e-5) -> float:
     """Max over all elements of |analytic - numeric| / max(1, |a|, |n|)."""
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = f()
     assert np.isfinite(loss.data), "non-finite loss in grad_check"
     loss.backward()

@@ -54,7 +54,6 @@ def full_batch_reference(rows, cfg: CamConfig):
         losses = []
         for b in range(n_batches):
             sel = draws[b * cfg.batch : (b + 1) * cfg.batch]
-            opt.zero_grad()
             logits = model.forward(x_train[sel], train=True,
                                    rng=keyed_rng(cfg.seed, "dropout", epoch, b))
             loss, _ = softmax_crossentropy(logits, y_train[sel])

@@ -1,9 +1,11 @@
+import io
 import json
 import logging
 import os
 import shutil
 import subprocess
 import sys
+import wave
 from dataclasses import asdict
 
 import numpy as np
@@ -126,7 +128,26 @@ REMOVED_KEYS = [("features", "n_mfcc", 13), ("features", "wavelet_levels", 5),
 
 # Counts the schema bounds; a 0 there used to train nothing or end in a traceback.
 ZERO_KEYS = [("encoder", "epochs", ">= 1"), ("encoder", "batch_pairs", ">= 1"),
+             ("encoder", "frames", ">= 1"),
              ("cam", "epochs", ">= 1"), ("cam", "batch", ">= 1"), ("synth", "duration_s", "> 0")]
+
+def _tone_wav(seconds=1.0, rate=16000):
+    """A mono 16-bit WAV of a 440 Hz tone, as bytes."""
+    t = np.arange(int(seconds * rate)) / rate
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(rate)
+        wav.writeframes(np.rint(16384 * np.sin(2 * np.pi * 440.0 * t)).astype("<i2").tobytes())
+    return buf.getvalue()
+
+
+TWO_CLIPS = {"m.json": json.dumps({"entries": [{"path": f"{c}.wav", "label": "Music",
+                                                "duration_s": 0.15, "rate": 16000}
+                                               for c in "ab"],
+                                   "counts": {"Music": 2}}),
+             "a.wav": _tone_wav(0.15), "b.wav": _tone_wav(0.15)}
 
 # (files to write, command, exit code, message); {d} is the directory they are in.
 BAD_INPUT = {
@@ -182,6 +203,15 @@ BAD_INPUT = {
                                  ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
                                  f"config {section}: {key} must be {bound}")
        for section, key, bound in ZERO_KEYS},
+    "negative-encoder.frames": ({"c.json": '{"encoder": {"frames": -3}}'},
+                                ["--config", "{d}/c.json", "train-encoder", "{d}"], 2,
+                                "config encoder: frames must be >= 1, got -3"),
+    # A view of a 0.15-s clip has fewer mel frames than the 20 that the
+    # default time mask may blank; the error names both sizes.
+    "encoder-frames-below-time-mask": (
+        {**TWO_CLIPS, "c.json": '{"encoder": {"frames": 8, "width_scale": 0.125}}'},
+        ["--config", "{d}/c.json", "train-encoder", "{d}/m.json", "--epochs", "1"], 1,
+        "mask maxima (8 bins, 20 frames) exceed the grid shape (64 bins, 13 frames)"),
     "flag-synth-n-zero": ({}, ["synth", "--n", "0"], 2, "config synth: n_per_class must be >= 1"),
     "flag-synth-duration-zero": ({}, ["synth", "--duration", "0"], 2,
                                  "config synth: duration_s must be > 0"),

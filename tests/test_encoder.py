@@ -140,7 +140,6 @@ class TestContrastiveLoss:
 
             before = pair_loss()
             opt = Adam(model.params, lr=1e-3)
-            opt.zero_grad()
             before.backward()
             opt.step()
             after = pair_loss()
@@ -150,9 +149,10 @@ class TestContrastiveLoss:
 class TestTrainStepMemory:
     def test_full_width_step_holds_no_columns(self):
         """A default-width forward and backward on one pair of 64x256 views
-        peaks within 70 MB above its 89.9 MB of gradients (50 MB here). If
-        the conv closures held their im2col columns, the 67 MB of them would
-        be alive at once at the start of backward (110 MB above)."""
+        peaks within 70 MB above its 89.9 MB of gradients (30 MB here, 49 MB
+        with unfused batchnorm tails). If the conv closures held their
+        im2col columns, the 67 MB of them would be alive at once at the
+        start of backward (83 MB above)."""
         model = AcousticEncoder(EncoderConfig(), seed=0)
         x = Tensor(keyed_rng("step", 0).normal(0, 1, (2, 1, 64, 256)))
 
@@ -163,6 +163,17 @@ class TestTrainStepMemory:
         _, peak, _ = traced_peak(step)
         grads = sum(p.grad.nbytes for p in model.params.values())
         assert peak <= grads + 70e6, f"peak {peak / 1e6:.1f} MB, gradients {grads / 1e6:.1f} MB"
+
+    def test_train_forward_holds_each_activation_once(self):
+        """The graph of a default-width train-mode forward on one pair of
+        64x256 views holds 27.4 MB: each conv output and each fused
+        batchnorm output. With a separate add and relu after each batchnorm,
+        and ``xhat`` kept for backward, it held 57.2 MB."""
+        model = AcousticEncoder(EncoderConfig(), seed=0)
+        x = Tensor(keyed_rng("step", 0).normal(0, 1, (2, 1, 64, 256)))
+        emb, _, held = traced_peak(lambda: model.forward(x, train=True))
+        assert emb.requires_grad
+        assert held <= 40e6, f"the forward graph holds {held / 1e6:.1f} MB"
 
 
 class TestPrepareInput:

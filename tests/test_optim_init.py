@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from adam_oracle import adam_steps
+from atscalm.encoder import AcousticEncoder, EncoderConfig
 from atscalm.nn import Adam, Tensor, load_checkpoint, save_checkpoint, seeded_init
 from atscalm.nn.checkpoint import MAGIC
 from atscalm.nn.init import no_init
+from atscalm.nn.optim import CHUNK
 from atscalm.util import PipelineError, keyed_rng
+from memtrace import traced_peak
 
 
 class TestAdam:
@@ -58,6 +61,43 @@ class TestAdam:
         for name, p in params.items():
             assert id(p.data) == ids[name], name
             assert p.data.tobytes() == want[name].tobytes(), name
+
+
+    def test_chunked_params_match_oracle_bit_for_bit(self):
+        """Parameters of several chunks with a partial last one, one of them
+        without a gradient, over two steps."""
+        rng = keyed_rng("adam", "chunks")
+        shapes = {"w": (3, CHUNK + 5), "frozen": (2 * CHUNK + 1,)}
+        params = {name: Tensor(rng.normal(0, 1, shape), requires_grad=True)
+                  for name, shape in shapes.items()}
+        start = {name: p.data.copy() for name, p in params.items()}
+        grads = [{"w": rng.normal(0, 1, shapes["w"]) * 10.0 ** rng.uniform(-12, 3, shapes["w"])}
+                 for _ in range(2)]
+        opt = Adam(params, lr=1e-3)
+        for step in grads:
+            params["w"].grad = step["w"]
+            opt.step()
+        want = adam_steps(start, grads, lr=1e-3)
+        for name, p in params.items():
+            assert p.data.tobytes() == want[name].tobytes(), name
+
+    def test_step_consumes_gradients_in_chunk_sized_scratch(self):
+        """One first step over the default encoder's parameters leaves every
+        ``.grad`` None, and it never holds more than ``m`` and ``v`` plus
+        the largest parameter and 1 MB. Two scratch arrays of one
+        parameter's size overshoot that by 17 MB."""
+        model = AcousticEncoder(EncoderConfig(), seed=0)
+        for p in model.params.values():
+            p.grad = np.full_like(p.data, 1e-3)
+        _, peak, held = traced_peak(Adam(model.params, lr=1e-3).step)
+        assert all(p.grad is None for p in model.params.values())
+        largest = max(p.data.nbytes for p in model.params.values())
+        assert peak - held <= largest + 1e6, f"peak {(peak - held) / 1e6:.1f} MB above the end"
+
+    def test_non_contiguous_parameter_named(self):
+        p = Tensor(np.zeros((4, 6))[:, ::2], requires_grad=True)
+        with pytest.raises(PipelineError, match="Adam parameter q"):
+            Adam({"q": p}, lr=0.1).step()
 
 
 class TestSeededInit:

@@ -6,6 +6,7 @@ import pytest
 
 from atscalm.nn import Tensor, no_grad, ops
 from atscalm.util import PipelineError, keyed_rng
+from bn_pool_oracle import maxpool2d_grad_reference, residual_tail_reference
 from conv_oracle import conv2d_reference
 from gradcheck import grad_check
 from lstm_oracle import sigmoid, tanh
@@ -169,6 +170,30 @@ class TestMaxPool:
         err = grad_check(lambda: ops.ssum(ops.mul(ops.maxpool2d(x, 3, 2, 1), r)), [x])
         assert err < 1e-6
 
+    # Ties as relu and rounding make them: zeros, and values drawn from a
+    # handful of levels, so a window often holds its maximum twice.
+    SHAPES = [((n, c, h, w), kernel, stride, pad, ties)
+              for n, c, h, w, kernel, stride, pad in [
+                  (1, 1, 4, 4, 3, 2, 1), (2, 3, 7, 9, 3, 2, 1), (1, 2, 8, 8, 2, 2, 0),
+                  (2, 2, 5, 6, 3, 1, 1), (3, 1, 9, 5, 3, 2, 0), (1, 4, 16, 33, 3, 2, 1),
+                  (2, 1, 6, 6, 2, 1, 0), (1, 2, 10, 7, 3, 3, 1), (2, 2, 11, 13, 3, 2, 1),
+                  (1, 3, 32, 64, 3, 2, 1)]
+              for ties in ("relu", "levels")]
+
+    @pytest.mark.parametrize("shape,kernel,stride,pad,ties", SHAPES)
+    def test_backward_bit_identical_to_scatter(self, shape, kernel, stride, pad, ties):
+        rng = keyed_rng("pool", shape, kernel, stride, pad, ties)
+        if ties == "relu":
+            vals = np.maximum(rng.normal(0, 1, shape), 0.0)
+        else:
+            vals = rng.integers(0, 3, shape) * 0.1
+        x = Tensor(vals, requires_grad=True)
+        out = ops.maxpool2d(x, kernel, stride, pad)
+        g = rng.normal(0, 1, out.data.shape) * 10.0 ** rng.uniform(-8, 8, out.data.shape)
+        out.backward(g)
+        want = maxpool2d_grad_reference(vals, g, kernel, stride, pad)
+        assert x.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+
 
 class TestGlobalAvgPool:
     def test_constant_map(self):
@@ -208,6 +233,76 @@ class TestBatchNorm:
             return ops.ssum(ops.mul(ops.batchnorm2d(x, gamma, beta, mean, var, True), r))
 
         assert grad_check(f, [x, gamma, beta]) < 1e-6
+
+
+class TestFusedResidualTail:
+    """The fused batchnorm, skip add and relu against the unfused graph."""
+
+    @staticmethod
+    def _inputs(key, skip, shape=(3, 4, 5, 6)):
+        """x in the (C, N, H, W)-major layout conv2d returns; the skip, when
+        asked, in NCHW or in that layout (an identity or a downsample skip)."""
+        rng = keyed_rng("fused", key)
+        n, c, h, w = shape
+        x = rng.normal(0.3, 2.0, (c, n, h, w)).transpose(1, 0, 2, 3)
+        gamma = rng.uniform(0.5, 1.5, c)
+        beta = rng.normal(0, 0.5, c)
+        mean, var = rng.normal(0, 0.3, c), rng.uniform(0.5, 2.0, c)
+        s = None
+        if skip == "nchw":
+            s = rng.normal(0, 1, shape)
+        elif skip == "conv":
+            s = rng.normal(0, 1, (c, n, h, w)).transpose(1, 0, 2, 3)
+        g = rng.normal(0, 1, (c, n, h, w)).transpose(1, 0, 2, 3)   # as conv2d backward passes it
+        return x, gamma, beta, mean, var, s, g
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+    @pytest.mark.parametrize("skip", [None, "nchw", "conv"],
+                             ids=["no-skip", "skip-nchw", "skip-conv"])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_bit_identical_to_unfused(self, train, skip, relu):
+        """Large enough that the channel sums of backward would round
+        differently if the fused output took another memory layout."""
+        x, gamma, beta, mean, var, s, g = self._inputs((train, skip, relu), skip, (8, 3, 16, 32))
+        results = []
+        for op in (ops.batchnorm2d, residual_tail_reference):
+            leaves = [Tensor(a, requires_grad=True)
+                      for a in (x, gamma, beta) + ((s,) if skip else ())]
+            buffers = Tensor(mean.copy()), Tensor(var.copy())
+            out = op(*leaves[:3], *buffers, train, skip=leaves[3] if skip else None, relu=relu)
+            out.backward(g)
+            results.append([out.data] + [t.grad for t in leaves] + [b.data for b in buffers])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_relu_zeroes_the_gradient_where_the_output_is_zero(self):
+        x, gamma, beta, mean, var, s, g = self._inputs("mask", "nchw")
+        skip = Tensor(s, requires_grad=True)
+        out = ops.batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), Tensor(mean),
+                              Tensor(var), False, skip=skip, relu=True)
+        assert np.any(out.data == 0.0) and np.all(out.data >= 0.0)
+        out.backward(g)
+        assert np.array_equal(skip.grad, g * (out.data > 0.0))
+
+    def test_skip_relu_grad(self):
+        x = Tensor(rand((3, 4, 5, 5), 60), requires_grad=True)
+        gamma = Tensor(keyed_rng("bn", 2).uniform(0.5, 1.5, 4), requires_grad=True)
+        beta = Tensor(rand((4,), 61) * 0.1, requires_grad=True)
+        skip = Tensor(rand((3, 4, 5, 5), 62), requires_grad=True)
+        r = Tensor(rand((3, 4, 5, 5), 63))
+
+        def f():
+            mean, var = Tensor(np.zeros(4)), Tensor(np.ones(4))
+            out = ops.batchnorm2d(x, gamma, beta, mean, var, True, skip=skip, relu=True)
+            return ops.ssum(ops.mul(out, r))
+
+        assert grad_check(f, [x, gamma, beta, skip]) < 1e-6
+
+    def test_skip_shape_mismatch_named(self):
+        x = Tensor(rand((2, 3, 4, 4), 64))
+        with pytest.raises(PipelineError, match="skip"):
+            ops.batchnorm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), Tensor(np.zeros(3)),
+                            Tensor(np.ones(3)), True, skip=Tensor(np.zeros((2, 3, 4, 5))))
 
 
 class TestDropout:
