@@ -11,7 +11,11 @@ all this and creates nothing.
 
 With a fixed ``--seed`` and ``--jobs 1`` the pipeline is a pure function
 of its inputs: rerunning a command reproduces its artifacts byte for
-byte. Wall-clock times go to the log, never into artifacts.
+byte. Wall-clock times go to the log, never into artifacts. The promise
+assumes the same BLAS thread count (``OPENBLAS_NUM_THREADS`` and the like,
+read once when numpy is imported): a GEMM may order its sums by how it
+splits the work between threads, and five epochs of the default CAM end
+with different weights at 1 and at 2 OpenBLAS threads.
 
 Every CSV artifact has a header row, ',' between cells, RFC 4180 minimal
 quoting (a cell holding ',', '"' or a newline is quoted, with '"'

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from .audio_io import CANONICAL_RATE, DEFAULT_CLASS_DIRS, ClassLabel, SynthConfig, parse_label
 from .augment import AugmentConfig
 from .classifier import CamConfig
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, shortest_view_frames
 from .features import FeatureParams
 from .util import ConfigError, PipelineError, dataclass_from_dict, read_json
 
@@ -63,6 +63,13 @@ class RunConfig:
 
     def __post_init__(self):
         self.class_dir_map()
+        least = shortest_view_frames(self.encoder.frames, self.features,
+                                     self.augment.stretch_range[1])
+        if least < self.augment.time_mask_max:
+            raise PipelineError(
+                f"encoder.frames {self.encoder.frames}: the shortest training view has "
+                f"{least} mel frames, fewer than augment.time_mask_max "
+                f"({self.augment.time_mask_max})")
 
     def class_dir_map(self) -> dict[ClassLabel, str]:
         return {parse_label(k): v for k, v in self.class_dirs.items()}

@@ -196,22 +196,34 @@ class Embedding:
     label: ClassLabel
 
 
+def _view_window(frames: int, params: features.FeatureParams, stretch_max: float) -> int:
+    """Samples a training view's clip is center-cropped to: the span of
+    ``frames`` mel frames, ((frames - 1) * hop + win), times the largest
+    stretch rate, plus two vocoder windows of margin for the vocoder's edges."""
+    span = (frames - 1) * params.hop + params.win
+    return math.ceil(span * stretch_max) + 2 * augment.VOCODER_WIN
+
+
+def shortest_view_frames(frames: int, params: features.FeatureParams, stretch_max: float) -> int:
+    """Mel frames of the shortest view a clip longer than `_view_window` gives:
+    a stretch by ``stretch_max`` leaves round(window / stretch_max) samples."""
+    n = int(round(_view_window(frames, params, stretch_max) / stretch_max))
+    return 1 + (n - params.win) // params.hop
+
+
 def _augmented_view(clip: AudioClip, aug_cfg: augment.AugmentConfig,
                     feat_params: features.FeatureParams | None, enc_cfg: EncoderConfig,
                     seed, epoch: int, view: int) -> np.ndarray:
     """One training view: crop the clip, draw a variant, log-mel, mask, fit to ``frames``.
 
-    The clip is first center-cropped to the samples that ``frames`` mel
-    frames span, ((frames - 1) * hop + win), times the largest stretch rate,
-    plus two vocoder windows of margin for the vocoder's edges. A stretch by
+    The clip is first center-cropped to `_view_window` samples. A stretch by
     r shortens the signal by 1/r and a pitch shift keeps its length, so at
     every drawn rate the variant still spans at least ``frames`` frames and
     `prepare_input` crops it, never pads it. A clip no longer than the
     window is used whole. The noise sigma follows the cropped samples' peak.
     """
     params = feat_params or features.FeatureParams()
-    span = (enc_cfg.frames - 1) * params.hop + params.win
-    window = math.ceil(span * aug_cfg.stretch_range[1]) + 2 * augment.VOCODER_WIN
+    window = _view_window(enc_cfg.frames, params, aug_cfg.stretch_range[1])
     if clip.samples.size > window:
         start = (clip.samples.size - window) // 2
         clip = AudioClip(clip.samples[start : start + window], clip.rate, clip.label, clip.id)

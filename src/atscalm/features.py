@@ -37,6 +37,10 @@ class FeatureParams:
     f_hi: float = 8000.0
     log_eps: float = 1e-10
 
+    def __post_init__(self):
+        if self.win < 1 or self.hop < 1:
+            raise PipelineError(f"win and hop must be >= 1, got win {self.win}, hop {self.hop}")
+
 
 @dataclass
 class TimeFreqGrid:

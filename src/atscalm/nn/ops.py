@@ -4,9 +4,13 @@ cross-entropy. Each op returns a new Tensor whose closure accumulates
 gradients into its parents.
 
 A closure keeps only what its backward cannot rebuild from the arrays the
-graph already holds: conv2d rebuilds its im2col columns and batchnorm its
-normalized input, maxpool2d keeps one int8 tap index per output, and the
-relu that batchnorm applies reads its mask off the output.
+graph already holds. conv2d, maxpool2d and batchnorm2d keep nothing beyond
+their parents and output: conv2d rebuilds its im2col columns, maxpool2d
+its first-maximum tap index, batchnorm2d its normalized input, and the
+relu that batchnorm applies reads its mask off the output. No op makes a
+temporary of kh*kw times an activation's size: conv2d builds its columns
+in sample tiles of at most TILE_BYTES, and maxpool2d takes a running
+maximum over strided views of its padded input.
 """
 
 from __future__ import annotations
@@ -169,23 +173,47 @@ def split(a, sizes, axis: int = 0) -> list[Tensor]:
     return outs
 
 
-def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """The im2col matrix of ``x`` (N,C,H,W): (C*kh*kw, N*Ho*Wo), one
-    strided copy."""
+# Bytes of im2col columns built at once. Below glibc's 32 MiB mmap ceiling,
+# so a freed tile's pages are reused by the next one instead of being
+# mapped, faulted and zeroed again.
+TILE_BYTES = 16 * 2**20
+
+
+def _columns(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int) -> np.ndarray:
+    """The im2col matrix of ``x`` (N,C,H,W) zero-padded by ``ph`` rows and
+    ``pw`` columns: (C*kh*kw, N*Ho*Wo), one strided copy."""
     n, c = x.shape[:2]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]          # (N,C,Ho,Wo,kh,kw)
     return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
 
 
-def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-d cross-correlation without bias: x (N,C,H,W), w (O,C,kh,kw). The
-    im2col columns are (C*kh*kw, N*Ho*Wo), so each pass is one 2-d GEMM.
+def _tiles(n: int, sample_bytes: int) -> list[tuple[int, int]]:
+    """The fewest sample ranges [a, b) covering ``n`` samples whose columns,
+    at ``sample_bytes`` per sample, stay within TILE_BYTES (one sample at
+    least), as equal as can be: no tile is a small GEMM next to a big one."""
+    k = max(1, -(-n // max(1, TILE_BYTES // sample_bytes)))
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
-    The columns are kh*kw times the size of ``x``, so the backward closure
-    does not keep them: it rebuilds them from ``x``, which the graph holds
-    as a parent anyway, for the dW GEMM and drops them before dx.
+
+def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
+    """2-d cross-correlation without bias: x (N,C,H,W), w (O,C,kh,kw).
+
+    Each pass is a GEMM against im2col columns, (C*kh*kw, samples*Ho*Wo),
+    built TILE_BYTES worth of samples at a time, so no pass holds the
+    column matrix of the whole batch. A forward tile fills its own range of
+    the output's GEMM columns; on the encoder's shapes the output is the
+    one of a single untiled GEMM bit for bit. The output is a (N,O,Ho,Wo)
+    view of a channel-major (O,N,Ho,Wo) array.
+
+    The closure keeps nothing beyond its parents. Backward rebuilds the
+    columns of ``x`` tile by tile and sums the tiles' dW GEMMs. For a
+    stride-1 conv whose map is large next to its kernel, dx is the
+    correlation of ``out.grad``, padded by kernel-1-pad, with the flipped,
+    channel-swapped kernel: one GEMM per tile of the gradient's columns,
+    with no scatter. Otherwise each tile of the gradient is multiplied by
+    the kernel and added into the padded dx tap by tap.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
@@ -196,51 +224,102 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     wo = (wd + 2 * pad - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise PipelineError(f"conv2d output would be empty for input {x.data.shape}, kernel {w.data.shape}")
+    m = ho * wo
     wf = w.data.reshape(o, -1)
-    y = (wf @ _columns(x.data, kh, kw, stride, pad)).reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
-    out = Tensor(y, x.requires_grad or w.requires_grad, (x, w))
+    tiles = _tiles(n, wf.shape[1] * m * 8)
+    y = np.empty((o, n * m))
+    for a, b in tiles:
+        np.matmul(wf, _columns(x.data[a:b], kh, kw, stride, pad, pad), out=y[:, a * m : b * m])
+    out = Tensor(y.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), x.requires_grad or w.requires_grad,
+                 (x, w))
 
     def backward():
-        g2 = out.grad.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+        def grad_tile(a: int, b: int) -> np.ndarray:
+            """(O, (b-a)*Ho*Wo) of samples a..b of ``out.grad``: a view when
+            the gradient is channel-major, else a copy of one tile."""
+            return out.grad[a:b].transpose(1, 0, 2, 3).reshape(o, (b - a) * m)
+
         if w.requires_grad:
-            w.accumulate((g2 @ _columns(x.data, kh, kw, stride, pad).T).reshape(w.data.shape))
-        if x.requires_grad:
-            dcols = (wf.T @ g2).reshape(c, kh, kw, n, ho, wo)
+            dw = None
+            for a, b in tiles:
+                part = grad_tile(a, b) @ _columns(x.data[a:b], kh, kw, stride, pad, pad).T
+                dw = part if dw is None else np.add(dw, part, out=dw)
+            w.accumulate(dw.reshape(w.data.shape))
+        if not x.requires_grad:
+            return
+        # The flipped kernel is a copy of w. On the encoder's 3x3 convs it
+        # beats the scatter from about 4*C <= N*H*W; stage3's 2x8 maps are
+        # below that.
+        if stride == 1 and pad < min(kh, kw) and 4 * c <= n * h * wd:
+            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            dx = np.empty((c, n * h * wd))
+            for a, b in _tiles(n, wt.shape[1] * h * wd * 8):
+                np.matmul(wt, _columns(out.grad[a:b], kh, kw, 1, kh - 1 - pad, kw - 1 - pad),
+                          out=dx[:, a * h * wd : b * h * wd])
+            dx = dx.reshape(c, n, h, wd)
+        else:
             dxp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad))
-            for i, j in np.ndindex(kh, kw):
-                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, i, j]
-            x.accumulate(dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3))
+            for a, b in tiles:
+                dcols = (wf.T @ grad_tile(a, b)).reshape(c, kh, kw, b - a, ho, wo)
+                for i, j in np.ndindex(kh, kw):
+                    tap = dxp[:, a:b, i : i + stride * ho : stride, j : j + stride * wo : stride]
+                    tap += dcols[:, i, j]
+                del dcols                      # before the next tile's is made
+            dx = dxp[:, :, pad : pad + h, pad : pad + wd]
+        x.accumulate(dx.transpose(1, 0, 2, 3))
 
     out._backward = backward
     return out
 
 
 def maxpool2d(x, kernel: int = 3, stride: int = 2, pad: int = 1) -> Tensor:
-    """Max over each kernel x kernel window; a tie goes to the first tap.
+    """Max over each kernel x kernel window of x (N,C,H,W), padded with
+    -inf; a tie goes to the first tap.
 
-    The closure keeps only the int8 tap index of each output. Backward adds
-    each tap's share of the gradient into that tap's strided plane of the
-    padded input, last tap first: an input position then receives its
+    The forward is a running ``np.maximum`` over the kernel*kernel strided
+    tap planes of the padded input: no window copy and no index. The
+    closure keeps nothing beyond its parent and output. Backward pads the
+    input again and recomputes each output's first maximal tap, from the
+    last tap down to the first, by comparing each plane with the output.
+    It then adds each tap's share of the gradient into that tap's plane of
+    the padded dx, last tap first: an input position receives its
     contributions in ascending output order, the order of an ``np.add.at``
     scatter, so the sums are the same to the bit.
     """
     x = as_tensor(x)
+    if x.data.ndim != 4:
+        raise PipelineError(f"maxpool2d expects NCHW, got {x.data.shape}")
     n, c, h, w = x.data.shape
     ho = (h + 2 * pad - kernel) // stride + 1
     wo = (w + 2 * pad - kernel) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf) if pad else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride].reshape(n, c, ho, wo, kernel * kernel)
-    arg = np.argmax(windows, axis=-1)
-    y = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    arg = arg.astype(np.int8 if kernel * kernel <= 127 else np.int64)
+    if ho < 1 or wo < 1:
+        raise PipelineError(f"maxpool2d output would be empty for input {x.data.shape}, "
+                            f"kernel {kernel}, stride {stride}, pad {pad}")
+
+    def taps(a: np.ndarray) -> list[np.ndarray]:
+        """The strided (N,C,Ho,Wo) plane of padded ``a`` that each tap reads."""
+        return [a[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+                for i, j in np.ndindex(kernel, kernel)]
+
+    def input_taps() -> list[np.ndarray]:
+        return taps(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                           constant_values=-np.inf) if pad else x.data)
+
+    planes = input_taps()
+    y = np.array(planes[0], order="C")
+    for plane in planes[1:]:
+        np.maximum(y, plane, out=y)
     out = Tensor(y, x.requires_grad, (x,))
 
     def backward():
+        planes = input_taps()
+        last = len(planes) - 1
+        arg = np.full(out.data.shape, last, dtype=np.int8 if last <= 127 else np.int64)
+        for k in reversed(range(last)):
+            np.copyto(arg, k, where=planes[k] == out.data)
+        del planes
         dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-        for k in reversed(range(kernel * kernel)):
-            i, j = divmod(k, kernel)
-            plane = dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+        for k, plane in reversed(list(enumerate(taps(dxp)))):
             plane += np.where(arg == k, out.grad, 0.0)
         x.accumulate(dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp)
 
@@ -293,16 +372,20 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
                                 f"x {x.data.shape}")
         parents += (skip,)
     axes = (0, 2, 3)
+    count = x.data.size // x.data.shape[1]
     if train:
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        d = x.data - mu[None, :, None, None]
+        var = (d * d).sum(axis=axes) / count       # x.var(axes), bit for bit
         running_mean.data = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mu
         running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * var
     else:
         mu, var = running_mean.data, running_var.data
+        d = x.data - mu[None, :, None, None]
     mu = mu[None, :, None, None]
     inv = (1.0 / np.sqrt(var + BN_EPS))[None, :, None, None]
-    y = (x.data - mu) * inv
+    y = d                                          # this call's own array
+    y *= inv
     y *= gamma.data[None, :, None, None]
     y += beta.data[None, :, None, None]
     if skip is not None:
@@ -318,16 +401,17 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
         if skip is not None:
             skip.accumulate(g)
         xhat = (x.data - mu) * inv
-        gx = g * xhat
-        gamma.accumulate(gx.sum(axis=axes))
-        beta.accumulate(g.sum(axis=axes))
+        gx_sum, g_sum = (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        gamma.accumulate(gx_sum)
+        beta.accumulate(g_sum)
         if not x.requires_grad:
             return
         gi = gamma.data[None, :, None, None] * inv
         if train:
-            mean_gx = gx.mean(axis=axes)[None, :, None, None]
-            del gx
-            dx = g - g.mean(axis=axes)[None, :, None, None]
+            # The sums were handed on as gradients, so divide into new arrays:
+            # equal to gx.mean(axes) and g.mean(axes) bit for bit.
+            mean_gx = (gx_sum / count)[None, :, None, None]
+            dx = g - (g_sum / count)[None, :, None, None]
             xhat *= mean_gx
             dx -= xhat
             dx *= gi

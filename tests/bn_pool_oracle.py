@@ -3,9 +3,11 @@
 `batchnorm2d_reference` is the plain batchnorm whose closure keeps
 ``xhat``; `residual_tail_reference` composes it with `ops.add` and
 `ops.relu` as separate graph nodes. The fused `atscalm.nn.ops.batchnorm2d`
-is checked against the composition bit for bit. `maxpool2d_grad_reference`
-scatters the pooled gradient with ``np.add.at`` over full index arrays, the
-formula the tap loop of `ops.maxpool2d` replaces.
+is checked against the composition bit for bit. `maxpool2d_reference`
+takes each window's maximum with ``np.argmax`` over a copy of every
+window, and `maxpool2d_grad_reference` scatters the pooled gradient with
+``np.add.at`` over full index arrays: the formulas that the running
+maximum and the tap loop of `ops.maxpool2d` replace.
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ def residual_tail_reference(x, gamma, beta, running_mean, running_var, train: bo
     if skip is not None:
         y = ops.add(y, skip)
     return ops.relu(y) if relu else y
+
+
+def maxpool2d_reference(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
+    """``maxpool2d(x)``: each window copied out whole, then its first maximum
+    taken by ``np.argmax``."""
+    n, c, h, w = x.shape
+    ho = (h + 2 * pad - kernel) // stride + 1
+    wo = (w + 2 * pad - kernel) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride].reshape(n, c, ho, wo, kernel * kernel)
+    return np.take_along_axis(windows, np.argmax(windows, axis=-1)[..., None], axis=-1)[..., 0]
 
 
 def maxpool2d_grad_reference(x: np.ndarray, g: np.ndarray, kernel: int, stride: int,

@@ -30,10 +30,20 @@ def test_overrides_keep_other_defaults():
     ({"rate": True}, "config key rate must be int"),
     ({"features": []}, "config features must be an object"),
     ([], "config document must be an object"),
+    ({"encoder": {"frames": 9}}, "encoder.frames 9: the shortest training view has 19 mel frames"),
+    ({"encoder": {"frames": 64}, "augment": {"time_mask_max": 75}},
+     "encoder.frames 64: the shortest training view has 74 mel frames"),
+    ({"features": {"hop": 0}}, "config features: win and hop must be >= 1"),
 ])
 def test_every_section_checked(doc, named):
     with pytest.raises(ConfigError, match=named):
         config_from_dict(doc)
+
+
+def test_shortest_view_as_long_as_the_time_mask_passes():
+    assert config_from_dict({"encoder": {"frames": 10}}).encoder.frames == 10
+    cfg = config_from_dict({"encoder": {"frames": 64}, "augment": {"time_mask_max": 74}})
+    assert cfg.augment.time_mask_max == 74
 
 
 def test_override_seed_reaches_every_seeded_section():

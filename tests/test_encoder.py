@@ -11,7 +11,7 @@ from atscalm.augment import VOCODER_WIN, AugmentConfig
 from atscalm.config import config_from_dict
 from atscalm.encoder import (AcousticEncoder, EncoderConfig, _augmented_view, contrastive_loss,
                              count_flops, embed_corpus, load_encoder, mean_cosine_similarity,
-                             prepare_input, save_encoder, train_encoder)
+                             prepare_input, save_encoder, shortest_view_frames, train_encoder)
 from atscalm.features import FeatureParams, TimeFreqGrid, mel_spectrogram
 from atscalm.nn import Adam, Tensor, count_parameters
 from atscalm.nn.ops import conv2d, split
@@ -244,6 +244,8 @@ class TestAugmentedView:
                             0, 0, view)
         assert seen["samples"] == [self.WINDOW] * 4
         assert min(seen["frames"]) >= self.FRAMES      # prepare_input never pads
+        # every view is stretched by the largest rate: the config check's count
+        assert seen["frames"] == [shortest_view_frames(self.FRAMES, FeatureParams(), 1.25)] * 4
 
     def test_short_clip_view_is_uncropped(self, monkeypatch):
         clip, aug, params = self._clip(self.WINDOW - 3000), AugmentConfig(), FeatureParams()

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 
 from atscalm.nn import Tensor, no_grad, ops
 from atscalm.util import PipelineError, keyed_rng
-from bn_pool_oracle import maxpool2d_grad_reference, residual_tail_reference
+from bn_pool_oracle import (maxpool2d_grad_reference, maxpool2d_reference,
+                            residual_tail_reference)
 from conv_oracle import conv2d_reference
 from gradcheck import grad_check
 from lstm_oracle import sigmoid, tanh
@@ -106,6 +109,8 @@ class TestConv2d:
         "3x3/2": ((2, 3, 7, 10), (4, 3, 3, 3), 2, 1),
         "1x1/2": ((2, 3, 7, 10), (4, 3, 1, 1), 2, 0),
         "stage3": ((3, 6, 2, 8), (6, 6, 3, 3), 1, 1),
+        # A deep kernel on a small map: a stride-1 dx by the tap scatter.
+        "3x3/1-deep": ((2, 16, 2, 3), (8, 16, 3, 3), 1, 1),
     }
 
     @staticmethod
@@ -147,6 +152,26 @@ class TestConv2d:
         _, peak, _ = traced_peak(lambda: self._run(x, w, g, 1, 1))
         assert peak < 60e6, f"conv2d forward+backward peaked at {peak / 1e6:.1f} MB"
 
+    def test_tiled_forward_equals_single_sample_forwards(self):
+        """Tiles split only the GEMM's columns: a batch that takes three tiles
+        gives, byte for byte, the outputs of one forward per sample."""
+        x = rand((8, 64, 16, 64), 51)
+        w = rand((64, 64, 3, 3), 52)
+        assert len(ops._tiles(8, 64 * 9 * 16 * 64 * 8)) == 3
+        got = ops.conv2d(x, w, stride=1, pad=1).data
+        want = np.concatenate([ops.conv2d(x[i : i + 1], w, stride=1, pad=1).data for i in range(8)])
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_stage0_peak_below_one_column_matrix(self):
+        """Forward and backward of a stage0 conv (N=8, C=O=64, 16x64 map, 3x3
+        pad 1) peak below the 37.7 MB that its untiled im2col columns take."""
+        x = Tensor(rand((8, 64, 16, 64), 53), requires_grad=True)
+        w = Tensor(rand((64, 64, 3, 3), 54), requires_grad=True)
+        g = rand((8, 64, 16, 64), 55)
+        columns = 64 * 9 * 8 * 16 * 64 * 8
+        _, peak, _ = traced_peak(lambda: ops.conv2d(x, w, stride=1, pad=1).backward(g))
+        assert peak < columns, f"conv2d forward+backward peaked at {peak / 1e6:.1f} MB"
+
     def test_forward_keeps_no_columns(self):
         """A grad-requiring forward (N=8, C=O=64, 16x64 map, 3x3 pad 1) keeps
         no more than its output and 1 MB: the 37.7 MB im2col columns are
@@ -180,19 +205,60 @@ class TestMaxPool:
                   (1, 3, 32, 64, 3, 2, 1)]
               for ties in ("relu", "levels")]
 
-    @pytest.mark.parametrize("shape,kernel,stride,pad,ties", SHAPES)
-    def test_backward_bit_identical_to_scatter(self, shape, kernel, stride, pad, ties):
+    @staticmethod
+    def _tied(shape, kernel, stride, pad, ties):
         rng = keyed_rng("pool", shape, kernel, stride, pad, ties)
         if ties == "relu":
-            vals = np.maximum(rng.normal(0, 1, shape), 0.0)
-        else:
-            vals = rng.integers(0, 3, shape) * 0.1
+            return rng, np.maximum(rng.normal(0, 1, shape), 0.0)
+        return rng, rng.integers(0, 3, shape) * 0.1
+
+    @pytest.mark.parametrize("shape,kernel,stride,pad,ties", SHAPES)
+    def test_backward_bit_identical_to_scatter(self, shape, kernel, stride, pad, ties):
+        rng, vals = self._tied(shape, kernel, stride, pad, ties)
         x = Tensor(vals, requires_grad=True)
         out = ops.maxpool2d(x, kernel, stride, pad)
         g = rng.normal(0, 1, out.data.shape) * 10.0 ** rng.uniform(-8, 8, out.data.shape)
         out.backward(g)
         want = maxpool2d_grad_reference(vals, g, kernel, stride, pad)
         assert x.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("train", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("shape,kernel,stride,pad,ties", SHAPES)
+    def test_forward_bit_identical_to_window_argmax(self, shape, kernel, stride, pad, ties, train):
+        _, vals = self._tied(shape, kernel, stride, pad, ties)
+        want = maxpool2d_reference(vals, kernel, stride, pad)
+        with no_grad() if not train else contextlib.nullcontext():
+            out = ops.maxpool2d(Tensor(vals, requires_grad=True), kernel, stride, pad)
+        assert out.requires_grad == train
+        assert out.data.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _stem_output():
+        """A relu'd stem output (N=4, 64 channels, 32x128), channel-major as
+        batchnorm returns it."""
+        return np.maximum(rand((64, 4, 32, 128), 19), 0.0).transpose(1, 0, 2, 3)
+
+    def test_no_grad_forward_allocates_output_and_padded_input_only(self):
+        vals = self._stem_output()
+        with no_grad():
+            out, peak, _ = traced_peak(lambda: ops.maxpool2d(Tensor(vals), 3, 2, 1))
+        padded = vals.nbytes // (32 * 128) * (34 * 130)
+        # and numpy's ufunc buffers: 8192 elements per operand
+        assert peak <= out.data.nbytes + padded + 128 * 1024, f"peaked at {peak / 1e6:.1f} MB"
+
+    def test_forward_keeps_no_index(self):
+        x = Tensor(self._stem_output(), requires_grad=True)
+        out, _, held = traced_peak(lambda: ops.maxpool2d(x, 3, 2, 1))
+        assert held <= out.data.nbytes + 1e6, f"forward keeps {held / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("shape,message", [
+        ((4, 5, 6), "maxpool2d expects NCHW, got (4, 5, 6)"),
+        ((1, 1, 1, 1, 1), "maxpool2d expects NCHW"),
+        ((1, 2, 1, 5), "maxpool2d output would be empty for input (1, 2, 1, 5), kernel 3"),
+    ])
+    def test_bad_input_named(self, shape, message):
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            ops.maxpool2d(Tensor(np.zeros(shape)), 3, 2, 0)
 
 
 class TestGlobalAvgPool:
