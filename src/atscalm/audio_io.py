@@ -322,13 +322,13 @@ def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarr
     """Band-limited resampling: 64-tap Kaiser(beta=8) windowed sinc.
 
     Cutoff sits at min(src, dst)/2. Output length is round(N * dst/src).
-    Positions and kernel-table coordinates are computed for the whole
-    output at once; the taps are then applied _RESAMPLE_BLOCK outputs at a
-    time, each output's 64 input samples read as one row of a sliding
-    window view, so the per-block temporaries stay cache-sized. Each output
-    takes the dot products of its inputs with the two kernel-table rows
-    around its fractional position and interpolates between them, which
-    equals applying the interpolated kernel without building it.
+    Outputs are made _RESAMPLE_BLOCK at a time: a block computes its own
+    positions and kernel-table coordinates, then reads each output's 64
+    input samples as one row of a sliding window view, so no temporary
+    grows with the signal and the per-block ones stay cache-sized. Each
+    output takes the dot products of its inputs with the two kernel-table
+    rows around its fractional position and interpolates between them,
+    which equals applying the interpolated kernel without building it.
     """
     x = np.asarray(x, dtype=np.float64)
     if not src_rate > 0:
@@ -342,22 +342,22 @@ def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarr
     cutoff = min(1.0, ratio)  # normalized to source Nyquist
     half = _RESAMPLE_HALF
     table = _resample_kernel_table(cutoff)
-    pos = np.arange(n_out) / ratio
-    base = np.floor(pos).astype(np.int64)
-    fi = (pos - base) * _RESAMPLE_PHASES
-    fi0 = np.floor(fi).astype(np.int64)
-    w = fi - fi0
     xp = np.concatenate([np.zeros(half), x, np.zeros(half + 1)])
     # taps[b] = xp[b + 1 : b + 65], the inputs of an output whose position
     # floors to b (shifted by the zero-pad margin)
     taps = np.lib.stride_tricks.sliding_window_view(xp, 2 * half)[1:]
     out = np.empty(n_out)
     for s in range(0, n_out, _RESAMPLE_BLOCK):
-        e = s + _RESAMPLE_BLOCK
-        rows = taps[base[s:e]]
-        lo = np.einsum("ij,ij->i", table[fi0[s:e]], rows)
-        hi = np.einsum("ij,ij->i", table[fi0[s:e] + 1], rows)
-        out[s:e] = lo * (1.0 - w[s:e]) + hi * w[s:e]
+        e = min(s + _RESAMPLE_BLOCK, n_out)
+        pos = np.arange(s, e) / ratio
+        base = np.floor(pos).astype(np.int64)
+        fi = (pos - base) * _RESAMPLE_PHASES
+        fi0 = np.floor(fi).astype(np.int64)
+        w = fi - fi0
+        rows = taps[base]
+        lo = np.einsum("ij,ij->i", table[fi0], rows)
+        hi = np.einsum("ij,ij->i", table[fi0 + 1], rows)
+        out[s:e] = lo * (1.0 - w) + hi * w
     return out
 
 

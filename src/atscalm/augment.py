@@ -3,16 +3,21 @@
 Three transforms: additive Gaussian noise, a combined time stretch and
 pitch shift (one phase-vocoder pass, then one resample), and spectrogram
 frequency/time masking.
-The vocoder works on the one-sided STFT and handles all output frames at
-once: phases as a running product of unit phasors, synthesis by ``irfft``
-and a blockwise overlap-add that keeps the frame-by-frame summation order.
+The vocoder works on the one-sided STFT and streams its output frames in
+blocks of at most BLOCK_FRAMES: each block takes the STFT of only the
+samples it reads, extends the running product of unit phasors from the
+previous block's last frame (the carry row), synthesizes by ``irfft`` and
+overlap-adds into the one output buffer in ascending frame order. Memory
+beyond the clip and the output stays bounded however long the clip is,
+and the output equals a whole-array pass bit for bit.
 The pipeline derives every random draw from a counter-based RNG keyed by
 (seed, clip id, variant index), so augmented corpora are reproducible and
-order-independent.
+order-independent; it yields the variants one at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +25,17 @@ import numpy as np
 from . import dsp
 from .audio_io import AudioClip, resample_signal
 from .features import TimeFreqGrid
-from .util import PipelineError, keyed_rng
+from .util import PipelineError, even_ranges, keyed_rng
 
 # The vocoder window must cover at least one period of the lowest tone of
 # interest, or the vocoder smears it into broadband artifacts.
 VOCODER_WIN = 1024
 VOCODER_HOP = 256
+# Most output frames the vocoder synthesizes per block. The frames are split
+# into the fewest blocks as even as can be, so with at least 5 here every
+# block has three frames or more. Chosen by the measured time and peak RSS of
+# the augment and train-encoder stages; see CHANGES.md.
+BLOCK_FRAMES = 64
 
 
 @dataclass
@@ -53,17 +63,23 @@ class AugmentConfig:
 
 
 def add_gaussian_noise(clip: AudioClip, sigma: float, rng: np.random.Generator) -> AudioClip:
-    """x' = x + N(0, sigma^2), element-wise i.i.d."""
+    """x' = x + N(0, sigma^2), element-wise i.i.d.
+
+    The clip is added into the drawn noise, so the result is the one array
+    made; addition commutes, so it equals x + noise bit for bit.
+    """
     if sigma < 0:
         raise PipelineError("sigma must be >= 0")
     if sigma == 0:
         x = clip.samples.copy()      # the result must not alias the input
     else:
-        x = clip.samples + rng.normal(0.0, sigma, clip.samples.size)
+        x = rng.normal(0.0, sigma, clip.samples.size)
+        x += clip.samples
     return AudioClip(x, clip.rate, clip.label, clip.id)
 
 
-def _istft_ola(spec: np.ndarray, win: int, hop: int) -> np.ndarray:
+def _istft_ola(spec: np.ndarray, win: int, hop: int,
+               out: np.ndarray | None = None, first: int = 0) -> np.ndarray | None:
     """Overlap-add inverse with synthesis windowing and COLA normalization.
 
     ``spec`` holds one one-sided spectrum per row, (frames, win//2 + 1).
@@ -72,27 +88,44 @@ def _istft_ola(spec: np.ndarray, win: int, hop: int) -> np.ndarray:
     added in one strided step. Blocks run from last to first, so every
     output sample sums its frames in ascending frame order, as a
     frame-by-frame loop would.
+
+    Called on whole spectra, it returns the signal. ``phase_vocoder`` calls
+    it once per block of frames, in ascending frame order: ``out`` is the
+    (frames + ceil(win/hop) - 1, hop) sum buffer of the whole signal, and
+    the rows of ``spec`` are its frames ``first``, ``first`` + 1, ... Each
+    call adds its frames into ``out`` and returns None, except the one that
+    adds the last frame: it divides by the window-square sum of the whole
+    signal and returns the signal.
     """
     w = dsp.hann(win)
     n_frames = spec.shape[0]
     n_blocks = -(-win // hop)
+    if out is None:
+        out = np.zeros((n_frames + n_blocks - 1, hop))
+    total = out.shape[0] - n_blocks + 1
     span = n_blocks * hop
     frames = np.zeros((n_frames, span))
     frames[:, :win] = np.fft.irfft(spec, n=win, axis=1) * w
+    frames = frames.reshape(n_frames, n_blocks, hop)
+    for j in range(n_blocks - 1, -1, -1):
+        out[first + j : first + n_frames + j] += frames[:, j]
+    if first + n_frames < total:
+        return None
     wsq = np.zeros(span)
     wsq[:win] = w * w
-    frames = frames.reshape(n_frames, n_blocks, hop)
     wsq = wsq.reshape(n_blocks, hop)
-    out = np.zeros((n_frames + n_blocks - 1, hop))
-    norm = np.zeros((n_frames + n_blocks - 1, hop))
+    norm = np.zeros(out.shape)
     for j in range(n_blocks - 1, -1, -1):
-        out[j : j + n_frames] += frames[:, j]
-        norm[j : j + n_frames] += wsq[j]
-    out_len = (n_frames - 1) * hop + win
-    return out.reshape(-1)[:out_len] / np.maximum(norm.reshape(-1)[:out_len], 1e-8)
+        norm[j : j + total] += wsq[j]
+    out_len = (total - 1) * hop + win
+    np.maximum(norm, 1e-8, out=norm)
+    # a new array, not ``out`` divided in place: that shifted glibc's heap
+    # layout and cost train-encoder 20 MB of peak RSS (CHANGES.md)
+    return out.reshape(-1)[:out_len] / norm.reshape(-1)[:out_len]
 
 
-def _vocoder_spectra(spec: np.ndarray, rate_factor: float) -> np.ndarray:
+def _vocoder_spectra(spec: np.ndarray, rate_factor: float,
+                     steps: np.ndarray | None = None, carry: list | None = None) -> np.ndarray:
     """Synthesis spectra of the phase vocoder, one row per output frame.
 
     ``spec`` is the one-sided analysis STFT, one row per frame. Output frame
@@ -104,14 +137,33 @@ def _vocoder_spectra(spec: np.ndarray, rate_factor: float) -> np.ndarray:
     Phases are carried as unit phasors u = spec / |spec|, never as angles.
     The angle form's advance from frame i to i + 1, the expected advance
     plus the wrapped deviation from it, equals the phase difference minus
-    a multiple of 2*pi, so its phasor is exactly u[i+1] * conj(u[i]).
+    a multiple of 2*pi, so its phasor is exactly conj(u[i]) * u[i+1].
     Row k is then u[0] times the running product of the advances of the
     steps before it. No cos/sin runs on an accumulated phase of ~1e5 rad,
     where float64 loses ~1e-11 of the peak. A zero bin gets u = 1, which
     matches the angle form's ``np.angle(0) == 0``.
+
+    The advance is computed as ``conj(u[i]) * u[i+1]``, in that operand
+    order, because complex multiplication is not bit-symmetric. It is the
+    order in which numpy's temporary elision evaluated the whole-array
+    ``u[1:] * u[:-1].conj()`` of earlier versions once that temporary
+    reached 256 KiB (clips of 8,192 samples and more); written out, it
+    holds for every clip length and every block size.
+
+    Called on whole spectra, the positions are all of
+    arange(0, frames - 1, rate_factor). ``phase_vocoder`` calls it once
+    per block of output frames, on the analysis frames the block reads:
+    ``steps`` then holds the positions, counted from the first row of
+    ``spec``, and ``carry`` is a list holding the running phasor of the
+    frame before the block, empty before the first block. That phasor is
+    row 0 of the block's running product and is left out of the result,
+    and the list then holds the phasor of the block's last frame. Blocks
+    have at least three frames (see BLOCK_FRAMES): ``np.multiply.accumulate``
+    takes another loop on exactly two rows, which rounds differently.
     """
     n_frames, n_bins = spec.shape
-    steps = np.arange(0.0, n_frames - 1, rate_factor)
+    if steps is None:
+        steps = np.arange(0.0, n_frames - 1, rate_factor)
     i0 = np.floor(steps).astype(np.int64)
     # arange may round its last position up to n_frames - 1 itself
     i1 = np.minimum(i0 + 1, n_frames - 1)
@@ -119,13 +171,24 @@ def _vocoder_spectra(spec: np.ndarray, rate_factor: float) -> np.ndarray:
     mags = np.abs(spec)
     unit = np.ones(spec.shape, dtype=np.complex128)
     np.divide(spec, mags, out=unit, where=mags > 0)
-    advance = unit[1:] * unit[:-1].conj()
+    advance = np.multiply(np.conj(unit[:-1]), unit[1:])
     out = np.empty((steps.size, n_bins), dtype=np.complex128)
-    out[:1] = unit[:1]
+    out[0] = carry[0] if carry else unit[i0[0]]
     out[1:] = advance[i0[:-1]]
     np.multiply.accumulate(out, axis=0, out=out)
+    head = 0
+    if carry is not None:
+        head = len(carry)
+        carry[:] = [out[-1].copy()]
     out *= (1.0 - frac) * mags[i0] + frac * mags[i1]
-    return out
+    return out[head:]
+
+
+def _reflected(x: np.ndarray, start: int, stop: int, pad: int) -> np.ndarray:
+    """``np.pad(x, pad, mode="reflect")[start:stop]`` without the padded copy
+    (pad < x.size)."""
+    last = x.size - 1
+    return x[last - np.abs(last - np.abs(np.arange(start - pad, stop - pad)))]
 
 
 def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
@@ -136,6 +199,16 @@ def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
     every true sample has full overlap-add coverage (partially covered edges
     otherwise blow up under the synthesis-window normalization). Output is
     trimmed/padded to exactly round(N / rate_factor) samples.
+
+    The output frames are synthesized at most BLOCK_FRAMES at a time: apart
+    from the output's sum buffer and the normalized output made from it,
+    nothing grows with the clip. Each block takes ``dsp.stft`` of only the
+    padded samples its analysis frames span (read from ``x`` without a
+    padded copy), forms its spectra with the previous block's last running
+    phasor as the carry row (see ``_vocoder_spectra``), and overlap-adds
+    them into the sum buffer. FFTs are row-independent and each output
+    sample still sums its frames in ascending order, so the result is the
+    one of a whole-array pass bit for bit.
     """
     if rate_factor <= 0:
         raise PipelineError("stretch rate must be > 0")
@@ -147,9 +220,17 @@ def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
     if rate_factor == 1.0:
         return x.copy()[:target_len]
     pad = win // 2
-    xp = np.pad(x, pad, mode="reflect")
-    grid = dsp.stft(xp, win, hop, n_fft=win)
-    y = _istft_ola(_vocoder_spectra(grid.spec.T, rate_factor), win, hop)
+    n_frames = 1 + x.size // hop    # frames of the padded signal, x.size + win samples
+    steps = np.arange(0.0, n_frames - 1, rate_factor)
+    i0 = np.floor(steps).astype(np.int64)
+    ola = np.zeros((steps.size + -(-win // hop) - 1, hop))
+    carry: list = []
+    for a, b in even_ranges(steps.size, BLOCK_FRAMES):
+        k = a - 1 if a else 0    # a carried block starts at the previous block's last frame
+        lo, hi = i0[k], min(i0[b - 1] + 1, n_frames - 1)
+        grid = dsp.stft(_reflected(x, lo * hop, hi * hop + win, pad), win, hop, n_fft=win)
+        y = _istft_ola(_vocoder_spectra(grid.spec.T, rate_factor, steps[k:b] - lo, carry),
+                       win, hop, ola, a)
     start = int(round(pad / rate_factor))
     y = y[start:]
     if y.size >= target_len:
@@ -212,12 +293,14 @@ def make_variant(clip: AudioClip, cfg: AugmentConfig,
     return out
 
 
-def augment_pipeline(clip: AudioClip, cfg: AugmentConfig) -> list[AudioClip]:
-    """``variants_per_clip`` independent variants, deterministic per (cfg.seed, clip.id)."""
-    variants = []
+def augment_pipeline(clip: AudioClip, cfg: AugmentConfig) -> Iterator[AudioClip]:
+    """``variants_per_clip`` independent variants, deterministic per (cfg.seed, clip.id).
+
+    They are yielded one at a time, so a caller that writes each one out
+    and drops it holds one variant, not a clip's whole set.
+    """
     for k in range(cfg.variants_per_clip):
-        rng = keyed_rng(cfg.seed, clip.id, k)
-        var = make_variant(clip, cfg, rng)
+        var = make_variant(clip, cfg, keyed_rng(cfg.seed, clip.id, k))
         var.id = f"{clip.id}.aug{k}"
-        variants.append(var)
-    return variants
+        yield var
+        del var   # not alive while the next one is made

@@ -118,6 +118,7 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
             entries.append(ManifestEntry(
                 rel.replace(os.sep, "/"), entry.label, var.duration_s, var.rate))
             written.append(full)
+            del var   # not alive while the next variant is made
         return entries, written
 
     results = parallel_map(work, manifest.entries, args.jobs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..util import PipelineError
+from ..util import PipelineError, even_ranges
 from .tensor import Tensor, as_tensor, unbroadcast
 
 
@@ -193,8 +193,7 @@ def _tiles(n: int, sample_bytes: int) -> list[tuple[int, int]]:
     """The fewest sample ranges [a, b) covering ``n`` samples whose columns,
     at ``sample_bytes`` per sample, stay within TILE_BYTES (one sample at
     least), as equal as can be: no tile is a small GEMM next to a big one."""
-    k = max(1, -(-n // max(1, TILE_BYTES // sample_bytes)))
-    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
+    return even_ranges(n, max(1, TILE_BYTES // sample_bytes))
 
 
 def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
@@ -276,15 +275,17 @@ def maxpool2d(x, kernel: int = 3, stride: int = 2, pad: int = 1) -> Tensor:
     """Max over each kernel x kernel window of x (N,C,H,W), padded with
     -inf; a tie goes to the first tap.
 
-    The forward is a running ``np.maximum`` over the kernel*kernel strided
-    tap planes of the padded input: no window copy and no index. The
-    closure keeps nothing beyond its parent and output. Backward pads the
-    input again and recomputes each output's first maximal tap, from the
-    last tap down to the first, by comparing each plane with the output.
-    It then adds each tap's share of the gradient into that tap's plane of
-    the padded dx, last tap first: an input position receives its
-    contributions in ascending output order, the order of an ``np.add.at``
-    scatter, so the sums are the same to the bit.
+    No padded copy of the input is made: each tap is taken only over the
+    output rows and columns whose window keeps that tap inside the input,
+    and the -inf border it would read elsewhere never changes a maximum.
+    The forward is a running ``np.maximum`` of ``y``, which starts at -inf,
+    with those strided tap planes: no window copy and no index. The
+    closure keeps nothing beyond its parent and output. Backward recomputes
+    each output's first maximal tap, from the last tap down to the first,
+    by comparing each plane with the output. It then adds each tap's share
+    of the gradient into that tap's plane of dx, last tap first: an input
+    position receives its contributions in ascending output order, the
+    order of an ``np.add.at`` scatter, so the sums are the same to the bit.
     """
     x = as_tensor(x)
     if x.data.ndim != 4:
@@ -296,32 +297,34 @@ def maxpool2d(x, kernel: int = 3, stride: int = 2, pad: int = 1) -> Tensor:
         raise PipelineError(f"maxpool2d output would be empty for input {x.data.shape}, "
                             f"kernel {kernel}, stride {stride}, pad {pad}")
 
-    def taps(a: np.ndarray) -> list[np.ndarray]:
-        """The strided (N,C,Ho,Wo) plane of padded ``a`` that each tap reads."""
-        return [a[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-                for i, j in np.ndindex(kernel, kernel)]
+    def span(i: int, size: int, out_size: int) -> tuple[slice, slice]:
+        """(outputs, inputs) along one axis where tap offset ``i`` reads the input."""
+        lo = max(0, -(-(pad - i) // stride))
+        hi = min(out_size, (size - 1 + pad - i) // stride + 1)
+        return slice(lo, hi), slice(lo * stride + i - pad, (hi - 1) * stride + i - pad + 1, stride)
 
-    def input_taps() -> list[np.ndarray]:
-        return taps(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                           constant_values=-np.inf) if pad else x.data)
+    # (tap index, output window, input plane) of every tap that reads the input
+    taps = []
+    for k, (i, j) in enumerate(np.ndindex(kernel, kernel)):
+        (oy, iy), (ox, ix) = span(i, h, ho), span(j, w, wo)
+        if oy.start < oy.stop and ox.start < ox.stop:
+            taps.append((k, (..., oy, ox), (..., iy, ix)))
 
-    planes = input_taps()
-    y = np.array(planes[0], order="C")
-    for plane in planes[1:]:
-        np.maximum(y, plane, out=y)
+    y = np.full((n, c, ho, wo), -np.inf)
+    for _, yw, xw in taps:
+        np.maximum(y[yw], x.data[xw], out=y[yw])
     out = Tensor(y, x.requires_grad, (x,))
 
     def backward():
-        planes = input_taps()
-        last = len(planes) - 1
+        last = kernel * kernel - 1
         arg = np.full(out.data.shape, last, dtype=np.int8 if last <= 127 else np.int64)
-        for k in reversed(range(last)):
-            np.copyto(arg, k, where=planes[k] == out.data)
-        del planes
-        dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-        for k, plane in reversed(list(enumerate(taps(dxp)))):
-            plane += np.where(arg == k, out.grad, 0.0)
-        x.accumulate(dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp)
+        for k, yw, xw in reversed(taps):
+            if k < last:
+                np.copyto(arg[yw], k, where=x.data[xw] == out.data[yw])
+        dx = np.zeros(x.data.shape)
+        for k, yw, xw in reversed(taps):
+            dx[xw] += np.where(arg[yw] == k, out.grad[yw], 0.0)
+        x.accumulate(dx)
 
     out._backward = backward
     return out

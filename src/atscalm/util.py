@@ -1,5 +1,6 @@
 """Shared plumbing: keyed counter-based RNG, deterministic file writers,
-the ordered parallel map, and the dataclass-from-JSON constructor."""
+even range splits, the ordered parallel map, and the dataclass-from-JSON
+constructor."""
 
 from __future__ import annotations
 
@@ -140,6 +141,13 @@ def json_sanitize(obj):
         x = float(obj)
         return x if np.isfinite(x) else None
     return obj
+
+
+def even_ranges(n: int, most: int) -> list[tuple[int, int]]:
+    """The fewest ranges [a, b) of at most ``most`` items covering ``n``
+    items, as equal as can be: no range is a small one next to big ones."""
+    k = max(1, -(-n // most))
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
 def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:

@@ -1,7 +1,10 @@
-"""Reference front end: the loop phase vocoder and the 65536-block resampler.
+"""Reference front end: the loop phase vocoder, the whole-array phase
+vocoder and the 65536-block resampler.
 
 These are the straightforward forms the vectorized code in
-`atscalm.augment` and `atscalm.audio_io` replaced. The two-sided vocoder
+`atscalm.augment` and `atscalm.audio_io` replaced. The whole-array
+vocoder is the vectorized one as it was before it streamed its output
+frames in blocks; the streamed one must equal it bit for bit. The two-sided vocoder
 runs its own full-length FFT STFT and synthesizes from all win bins, so it
 checks the one-sided pipeline end to end. The one-sided loops below take
 the same spectra as the vectorized code. The overlap-add loop must agree
@@ -16,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from atscalm import dsp
+from atscalm.augment import VOCODER_HOP, VOCODER_WIN
 from atscalm.audio_io import _RESAMPLE_HALF, _RESAMPLE_PHASES, _resample_kernel_table
 
 
@@ -122,6 +126,68 @@ def phase_vocoder(x: np.ndarray, rate_factor: float, win: int = 1024, hop: int =
     out = vocoder_spectra_loop(spec, rate_factor, win, hop)
     y = ola_loop(np.fft.ifft(out, axis=0).real.T[:, :win], win, hop)
     y = y[int(round(pad / rate_factor)):]
+    if y.size >= target_len:
+        return y[:target_len]
+    return np.concatenate([y, np.zeros(target_len - y.size)])
+
+
+def whole_istft_ola(spec: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """The overlap-add of all frames at once."""
+    w = dsp.hann(win)
+    n_frames = spec.shape[0]
+    n_blocks = -(-win // hop)
+    span = n_blocks * hop
+    frames = np.zeros((n_frames, span))
+    frames[:, :win] = np.fft.irfft(spec, n=win, axis=1) * w
+    wsq = np.zeros(span)
+    wsq[:win] = w * w
+    frames = frames.reshape(n_frames, n_blocks, hop)
+    wsq = wsq.reshape(n_blocks, hop)
+    out = np.zeros((n_frames + n_blocks - 1, hop))
+    norm = np.zeros((n_frames + n_blocks - 1, hop))
+    for j in range(n_blocks - 1, -1, -1):
+        out[j : j + n_frames] += frames[:, j]
+        norm[j : j + n_frames] += wsq[j]
+    out_len = (n_frames - 1) * hop + win
+    return out.reshape(-1)[:out_len] / np.maximum(norm.reshape(-1)[:out_len], 1e-8)
+
+
+def whole_vocoder_spectra(spec: np.ndarray, rate_factor: float) -> np.ndarray:
+    """The synthesis spectra of all output frames at once. The advance is
+    written ``unit[1:] * unit[:-1].conj()``: numpy's temporary elision
+    evaluates it as ``conj(unit[:-1]) * unit[1:]`` once the temporary
+    reaches 256 KiB (clips of 8,192 samples and more), and as written below
+    that."""
+    n_frames, n_bins = spec.shape
+    steps = np.arange(0.0, n_frames - 1, rate_factor)
+    i0 = np.floor(steps).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n_frames - 1)
+    frac = (steps - i0)[:, None]
+    mags = np.abs(spec)
+    unit = np.ones(spec.shape, dtype=np.complex128)
+    np.divide(spec, mags, out=unit, where=mags > 0)
+    advance = unit[1:] * unit[:-1].conj()
+    out = np.empty((steps.size, n_bins), dtype=np.complex128)
+    out[:1] = unit[:1]
+    out[1:] = advance[i0[:-1]]
+    np.multiply.accumulate(out, axis=0, out=out)
+    out *= (1.0 - frac) * mags[i0] + frac * mags[i1]
+    return out
+
+
+def whole_phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
+    """The one-sided vocoder on the whole padded signal's STFT at once."""
+    win, hop = VOCODER_WIN, VOCODER_HOP
+    x = np.asarray(x, dtype=np.float64)
+    target_len = int(round(x.size / rate_factor))
+    if rate_factor == 1.0:
+        return x.copy()[:target_len]
+    pad = win // 2
+    xp = np.pad(x, pad, mode="reflect")
+    grid = dsp.stft(xp, win, hop, n_fft=win)
+    y = whole_istft_ola(whole_vocoder_spectra(grid.spec.T, rate_factor), win, hop)
+    start = int(round(pad / rate_factor))
+    y = y[start:]
     if y.size >= target_len:
         return y[:target_len]
     return np.concatenate([y, np.zeros(target_len - y.size)])

@@ -12,6 +12,7 @@ import frontend_oracle
 from atscalm import audio_io as aio
 from atscalm.util import PipelineError, keyed_rng
 from atscalm.validation import peak_frequency
+from memtrace import traced_peak
 
 
 def write_pcm16(path, samples_int16, rate=16000, channels=1):
@@ -252,6 +253,16 @@ class TestResample:
         want = frontend_oracle.resample_signal(x, src, dst)
         assert got.size == want.size
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("semitones", [1.5, -1.5])
+    def test_positions_made_per_block(self, semitones):
+        # a minute of audio: beyond the padded input and the output, only
+        # block-sized temporaries (and the kernel table, when first built);
+        # positions for the whole output would be five output-sized arrays
+        x = keyed_rng("rs-memory", semitones).normal(0, 0.3, 960000)
+        src = 16000 * 2 ** (semitones / 12)
+        out, peak, _ = traced_peak(lambda: aio.resample_signal(x, src, 16000))
+        assert peak <= x.nbytes + out.nbytes + 3e6, f"peaked at {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("cutoff", [0.8, 0.9, 0.95, 1.0])
     def test_kernel_table_equals_direct_formula(self, cutoff):

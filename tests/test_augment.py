@@ -6,8 +6,9 @@ from atscalm import audio_io as aio
 from atscalm import augment as aug
 from atscalm import dsp
 from atscalm.features import TimeFreqGrid
-from atscalm.util import PipelineError, keyed_rng
+from atscalm.util import PipelineError, even_ranges, keyed_rng
 from atscalm.validation import peak_frequency
+from memtrace import traced_peak
 
 
 def tone_clip(f_hz, duration=2.0, rate=16000, amp=0.5):
@@ -139,14 +140,93 @@ class TestVocoderOracle:
         clip = tone_clip(440)
         clip.samples += keyed_rng("pv-pipe", 0).normal(0, 0.05, clip.samples.size)
         cfg = aug.AugmentConfig(seed=4)
-        got = aug.augment_pipeline(clip, cfg)
+        got = list(aug.augment_pipeline(clip, cfg))
         monkeypatch.setattr(aug, "phase_vocoder", frontend_oracle.phase_vocoder)
         monkeypatch.setattr(aug, "resample_signal", frontend_oracle.resample_signal)
-        want = aug.augment_pipeline(clip, cfg)
+        want = list(aug.augment_pipeline(clip, cfg))
         peak = np.max(np.abs(clip.samples))
         for a, b in zip(got, want):
             assert a.samples.size == b.samples.size
             assert np.max(np.abs(a.samples - b.samples)) <= 1e-6 * peak
+
+
+STREAM_RATES = [0.71, 0.8, 2 ** (-1.7 / 12), 1.25, 1.4]
+
+
+def clip_with_frames(rate, fits):
+    """The shortest noise clip of at least 8,192 samples (off the hop grid)
+    whose vocoder output-frame count at ``rate`` satisfies ``fits``."""
+    for m in range(32, 4096):
+        frames = np.arange(0.0, m, rate).size
+        if fits(frames):
+            n = 8192 if m == 32 else m * aug.VOCODER_HOP + 100
+            return keyed_rng("pv-stream", m, rate).normal(0, 0.3, n), frames
+    raise AssertionError("no clip length fits")
+
+
+class TestStreamedVocoder:
+    """The block-streamed vocoder against the whole-array one it replaced."""
+
+    CASES = {
+        "one-block": lambda f: f <= aug.BLOCK_FRAMES,
+        "exact-multiple": lambda f: f >= 2 * aug.BLOCK_FRAMES and f % aug.BLOCK_FRAMES == 0,
+        "many-uneven": lambda f: f > 5 * aug.BLOCK_FRAMES and f % aug.BLOCK_FRAMES not in (0, 1),
+    }
+
+    @pytest.mark.parametrize("rate", STREAM_RATES)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_whole_array_vocoder(self, case, rate):
+        x, frames = clip_with_frames(rate, self.CASES[case])
+        blocks = even_ranges(frames, aug.BLOCK_FRAMES)
+        assert len(blocks) == (1 if case == "one-block" else -(-frames // aug.BLOCK_FRAMES))
+        got = aug.phase_vocoder(x, rate)
+        assert got.tobytes() == frontend_oracle.whole_phase_vocoder(x, rate).tobytes()
+
+    @pytest.mark.parametrize("block_frames", [5, 6, 7, 16])
+    @pytest.mark.parametrize("rate", [0.8, 1.25])
+    def test_small_blocks_bit_identical(self, monkeypatch, block_frames, rate):
+        # blocks of three and four frames: a carried block's running product
+        # then runs on four and five rows, the first block's on three and four;
+        # on exactly two rows np.multiply.accumulate takes another loop
+        monkeypatch.setattr(aug, "BLOCK_FRAMES", block_frames)
+        x = keyed_rng("pv-small-blocks", block_frames).normal(0, 0.3, 12000)
+        blocks = even_ranges(np.arange(0.0, 12000 // aug.VOCODER_HOP, rate).size, block_frames)
+        assert len(blocks) >= 3 and min(b - a for a, b in blocks) >= 3
+        got = aug.phase_vocoder(x, rate)
+        assert got.tobytes() == frontend_oracle.whole_phase_vocoder(x, rate).tobytes()
+
+    @pytest.mark.parametrize("rate", [0.8, 1.25])
+    def test_short_clip_follows_explicit_operand_order(self, rate):
+        # below 8,192 samples numpy does not elide the whole-array advance's
+        # temporary, so the old code rounded it the other way; the streamed
+        # vocoder equals the whole-array kernels, which spell the order out
+        win, hop = aug.VOCODER_WIN, aug.VOCODER_HOP
+        x = keyed_rng("pv-short", rate).normal(0, 0.3, 8191)
+        grid = dsp.stft(np.pad(x, win // 2, mode="reflect"), win, hop, n_fft=win)
+        y = aug._istft_ola(aug._vocoder_spectra(grid.spec.T, rate), win, hop)
+        start = int(round(win // 2 / rate))
+        got = aug.phase_vocoder(x, rate)
+        want = np.zeros(got.size)
+        want[: y.size - start] = y[start : start + got.size]
+        assert got.tobytes() == want.tobytes()
+        old = frontend_oracle.whole_phase_vocoder(x, rate)
+        assert not np.array_equal(got, old)
+        assert np.max(np.abs(got - old)) <= 1e-14 * np.max(np.abs(old))
+
+    def test_one_variant_of_a_minute_peaks_below_8x_the_clip(self):
+        clip = tone_clip(440, duration=60.0)
+        clip.samples += keyed_rng("pv-minute", 0).normal(0, 0.05, clip.samples.size)
+        cfg = aug.AugmentConfig()
+        for k in range(3):
+            _, peak, _ = traced_peak(lambda: aug.make_variant(clip, cfg, keyed_rng("minute", k)))
+            assert peak <= 8 * clip.samples.nbytes, f"variant {k} peaked at {peak / clip.samples.nbytes:.1f}x"
+
+    def test_noise_is_the_only_array_made(self):
+        clip = tone_clip(440, duration=10.0)
+        out, peak, _ = traced_peak(lambda: aug.add_gaussian_noise(clip, 0.1, keyed_rng("n", 3)))
+        assert peak <= 1.5 * clip.samples.nbytes   # noise plus clip as two arrays is 2x
+        want = clip.samples + keyed_rng("n", 3).normal(0.0, 0.1, clip.samples.size)
+        assert out.samples.tobytes() == want.tobytes()
 
 
 class TestPitchShift:
@@ -239,7 +319,7 @@ class TestPipeline:
     def test_five_distinct_variants(self):
         clip = tone_clip(440)
         cfg = aug.AugmentConfig(seed=2)
-        variants = aug.augment_pipeline(clip, cfg)
+        variants = list(aug.augment_pipeline(clip, cfg))
         assert len(variants) == 5
         assert all(v.rate == clip.rate for v in variants)
         for i in range(5):
@@ -252,7 +332,7 @@ class TestPipeline:
         clip = tone_clip(440)
         cfg = aug.AugmentConfig(noise_sigma_rel=0.0, stretch_range=(1.0, 1.0),
                                 pitch_range_semitones=0.0, seed=2)
-        variants = aug.augment_pipeline(clip, cfg)
+        variants = list(aug.augment_pipeline(clip, cfg))
         assert len(variants) == 5
         for v in variants:
             assert np.array_equal(v.samples, clip.samples)
@@ -260,8 +340,8 @@ class TestPipeline:
     def test_pure_function_of_seed_and_id(self):
         clip = tone_clip(440)
         cfg = aug.AugmentConfig(seed=9)
-        a = aug.augment_pipeline(clip, cfg)
-        b = aug.augment_pipeline(clip, cfg)
+        a = list(aug.augment_pipeline(clip, cfg))
+        b = list(aug.augment_pipeline(clip, cfg))
         for va, vb in zip(a, b):
             assert va.id == vb.id
             assert np.array_equal(va.samples, vb.samples)

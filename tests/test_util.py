@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from atscalm.util import read_csv, write_csv
+from atscalm.util import even_ranges, read_csv, write_csv
 
 # Cells mix letters with the characters RFC 4180 quoting exists for, and a
 # lone '\r', which the csv reader ends a record at.
@@ -15,3 +15,14 @@ def test_write_then_read_returns_the_same_cells(tmp_path_factory, table):
     header, *rows = table
     write_csv(path, header, rows)
     assert read_csv(path) == (header, rows)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 500), st.integers(1, 70))
+def test_even_ranges_are_the_fewest_and_differ_by_one_at_most(n, most):
+    ranges = even_ranges(n, most)
+    assert ranges[0][0] == 0 and ranges[-1][1] == n
+    assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
+    sizes = [b - a for a, b in ranges]
+    assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+    assert len(ranges) == max(1, -(-n // most))
