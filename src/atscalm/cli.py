@@ -110,8 +110,8 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
             os.path.join(manifest.root, entry.path), aug_dir).replace(os.sep, "/")
         entries = [ManifestEntry(rel_orig, entry.label, clip.duration_s, clip.rate)]
         written = []
-        for var in aug_mod.augment_pipeline(clip, cfg.augment):
-            rel = f"{os.path.splitext(entry.path)[0]}.aug{var.id.rsplit('aug', 1)[1]}.wav"
+        for k, var in enumerate(aug_mod.augment_pipeline(clip, cfg.augment)):
+            rel = f"{os.path.splitext(entry.path)[0]}.aug{k}.wav"
             full = os.path.join(aug_dir, rel)
             ensure_dir(os.path.dirname(full))
             save_wav(var, full)

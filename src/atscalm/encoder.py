@@ -7,6 +7,10 @@ independently augmented views of the same clip with a plain mean squared
 distance loss. A view is drawn from a center crop of the clip that is just
 long enough to keep ``frames`` mel frames at the largest stretch rate, so
 a long clip costs a view no more than a short one.
+
+A batch of B clips is one (2B, ...) array in the SimCLR layout, view-0 rows
+then view-1 rows in the same clip order. `contrastive_loss` scores the whole
+(2B, D) embedding batch as one graph node, in training and in validation.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 from . import augment, features
 from .audio_io import AudioClip, ClassLabel, CorpusManifest
 from .nn import Adam, Tensor, load_model, no_grad, save_model, seeded_init
-from .nn.ops import (batchnorm2d, conv2d, global_avg_pool, linear, maxpool2d, mul, scale,
-                     split, ssum, sub)
+from .nn.ops import batchnorm2d, conv2d, global_avg_pool, linear, maxpool2d
+from .nn.tensor import as_tensor
 from .util import PipelineError, keyed_rng, parallel_map
 
 log = logging.getLogger(__name__)
@@ -157,12 +161,29 @@ def count_flops(model: AcousticEncoder, input_hw: tuple[int, int]) -> int:
     return int(total + 2 * model.proj_w.data.size)
 
 
-def contrastive_loss(p1: Tensor, p2: Tensor) -> Tensor:
-    """Mean over the batch of the squared distance between paired embeddings."""
-    if p1.data.shape != p2.data.shape:
-        raise PipelineError(f"contrastive batch shapes differ: {p1.data.shape} vs {p2.data.shape}")
-    d = sub(p1, p2)
-    return scale(ssum(mul(d, d)), 1.0 / p1.data.shape[0])
+def contrastive_loss(emb) -> Tensor:
+    """Mean over the B pairs of a (2B, D) batch of the squared distance
+    between their two views. Backward writes (s*d) + (s*d), with d the pair
+    differences and s = 1/B, into the view-0 rows and its negation into the
+    view-1 rows, as a composed sub, mul, sum and scale graph would."""
+    emb = as_tensor(emb)
+    e = emb.data
+    if e.ndim != 2 or e.shape[0] == 0 or e.shape[0] % 2:
+        raise PipelineError(f"contrastive batch must be (2B, D), got {e.shape}")
+    b = e.shape[0] // 2
+    s = 1.0 / b
+    d = e[:b] - e[b:]
+    out = Tensor(np.sum(d * d) * s, emb.requires_grad, (emb,))
+
+    def backward():
+        g = np.empty_like(e)
+        np.multiply(d, out.grad * s, out=g[:b])
+        g[:b] += g[:b]
+        np.negative(g[:b], out=g[b:])
+        emb.accumulate(g)
+
+    out._backward = backward
+    return out
 
 
 def mean_cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -212,7 +233,7 @@ def shortest_view_frames(frames: int, params: features.FeatureParams, stretch_ma
 
 
 def _augmented_view(clip: AudioClip, aug_cfg: augment.AugmentConfig,
-                    feat_params: features.FeatureParams | None, enc_cfg: EncoderConfig,
+                    feat_params: features.FeatureParams, enc_cfg: EncoderConfig,
                     seed, epoch: int, view: int) -> np.ndarray:
     """One training view: crop the clip, draw a variant, log-mel, mask, fit to ``frames``.
 
@@ -222,37 +243,39 @@ def _augmented_view(clip: AudioClip, aug_cfg: augment.AugmentConfig,
     `prepare_input` crops it, never pads it. A clip no longer than the
     window is used whole. The noise sigma follows the cropped samples' peak.
     """
-    params = feat_params or features.FeatureParams()
-    window = _view_window(enc_cfg.frames, params, aug_cfg.stretch_range[1])
+    window = _view_window(enc_cfg.frames, feat_params, aug_cfg.stretch_range[1])
     if clip.samples.size > window:
         start = (clip.samples.size - window) // 2
         clip = AudioClip(clip.samples[start : start + window], clip.rate, clip.label, clip.id)
     rng = keyed_rng(seed, "enc-view", clip.id, epoch, view)
     var = augment.make_variant(clip, aug_cfg, rng)
-    grid = features.mel_spectrogram(var, params)
+    grid = features.mel_spectrogram(var, feat_params)
     grid = augment.spec_mask(grid, aug_cfg.freq_mask_max, aug_cfg.time_mask_max,
                              keyed_rng(seed, "enc-mask", clip.id, epoch, view))
     return prepare_input(grid, enc_cfg.frames)
+
+
+def _pair_views(clips, aug_cfg, feat_params, enc_cfg, seed, epoch) -> list[np.ndarray]:
+    """View 0 of every clip, then view 1 of every clip: the (2B, ...) layout."""
+    return [_augmented_view(c, aug_cfg, feat_params, enc_cfg, seed, epoch, view)
+            for view in (0, 1) for c in clips]
 
 
 def _pair_metrics(model: AcousticEncoder, clips, aug_cfg, feat_params, seed, epoch, tag):
     """Eval-mode loss and cosine similarity over fresh positive pairs."""
     if not clips:
         return 0.0, 1.0
-    v1 = [_augmented_view(c, aug_cfg, feat_params, model.cfg, (seed, tag), epoch, 0) for c in clips]
-    v2 = [_augmented_view(c, aug_cfg, feat_params, model.cfg, (seed, tag), epoch, 1) for c in clips]
-    p1 = model.embed(v1)
-    p2 = model.embed(v2)
-    loss = float(np.mean(np.sum((p1 - p2) ** 2, axis=1)))
+    views = _pair_views(clips, aug_cfg, feat_params, model.cfg, (seed, tag), epoch)
+    p1 = model.embed(views[: len(clips)])
+    p2 = model.embed(views[len(clips) :])
+    loss = contrastive_loss(np.concatenate([p1, p2])).item()
     return loss, mean_cosine_similarity(p1, p2)
 
 
 def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
-                  aug_cfg: augment.AugmentConfig,
-                  feat_params: features.FeatureParams | None = None,
-                  epochs: int = 30, lr: float = 1e-3, seed: int = 0,
-                  batch_pairs: int = 8, val_fraction: float = 0.25,
-                  target_rate: int | None = 16000) -> tuple[AcousticEncoder, list[dict]]:
+                  aug_cfg: augment.AugmentConfig, feat_params: features.FeatureParams, *,
+                  epochs: int, lr: float, seed: int, batch_pairs: int, val_fraction: float,
+                  target_rate: int | None) -> tuple[AcousticEncoder, list[dict]]:
     """Positive-pair contrastive training; deterministic for a fixed seed.
 
     Returns the trained model and a history with one row per epoch:
@@ -283,16 +306,14 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
         emb_var = np.nan
         for start in range(0, len(perm), batch_pairs):
             batch = [train_clips[i] for i in perm[start : start + batch_pairs]]
-            views = [_augmented_view(c, aug_cfg, feat_params, cfg, seed, epoch, 0) for c in batch]
-            views += [_augmented_view(c, aug_cfg, feat_params, cfg, seed, epoch, 1) for c in batch]
+            views = _pair_views(batch, aug_cfg, feat_params, cfg, seed, epoch)
             x = Tensor(np.stack(views)[:, None, :, :])
             emb = model.forward(x, train=True)
-            p1, p2 = split(emb, [len(batch), len(batch)], axis=0)
-            loss = contrastive_loss(p1, p2)
+            loss = contrastive_loss(emb)
             loss.backward()
             opt.step()
             losses.append(loss.item())
-            cossims.append(mean_cosine_similarity(p1.data, p2.data))
+            cossims.append(mean_cosine_similarity(emb.data[: len(batch)], emb.data[len(batch) :]))
             emb_var = float(np.mean(np.var(emb.data, axis=0)))
         if emb_var < COLLAPSE_VARIANCE_FLOOR and not warned:
             log.warning("embedding batch variance %.3g below %.1g at epoch %d: "

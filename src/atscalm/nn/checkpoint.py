@@ -5,10 +5,10 @@ registration order: ``params``, the trainable set, and ``buffers``, the
 non-trainable state. Its state is ``params`` then ``buffers``. `save_model`
 writes it under a header holding ``kind`` and ``config``; `load_model`
 checks both before restoring any tensor, and builds the model without
-initialising it, so the loaded state is the only copy. `count_parameters`
-counts ``params`` only. The file is a JSON header, then named
-little-endian float64 payloads; both save and load move each tensor
-between its own array and the file, so neither holds the state twice.
+initialising it, so the loaded state is the only copy. The file is a
+JSON header, then named little-endian float64 payloads; both save and
+load move each tensor between its own array and the file, so neither
+holds the state twice.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ def load_state(model, arrays: dict[str, np.ndarray]) -> None:
             raise PipelineError(f"checkpoint tensor {name} missing or wrong shape")
     for name, t in tensors.items():
         t.data = arrays[name]
-
-
-def count_parameters(model) -> int:
-    return int(sum(p.data.size for p in model.params.values()))
 
 
 def save_model(model, path: str, kind: str, **meta) -> None:

@@ -1,7 +1,9 @@
-"""Differentiable operator set: elementwise, matmul, row gather, conv2d,
-pooling, batchnorm with a fused residual add and relu, dropout, softmax
+"""The differentiable ops the two models use: broadcasting add, relu,
+matmul and linear, concat, row gather, conv2d, maxpool2d, global average
+pooling, batchnorm with a fused residual add and relu, dropout and softmax
 cross-entropy. Each op returns a new Tensor whose closure accumulates
-gradients into its parents.
+gradients into its parents. Losses that a model owns, such as the
+encoder's `contrastive_loss`, live beside that model as one fused node.
 
 A closure keeps only what its backward cannot rebuild from the arrays the
 graph already holds. conv2d, maxpool2d and batchnorm2d keep nothing beyond
@@ -10,7 +12,7 @@ its first-maximum tap index, batchnorm2d its normalized input, and the
 relu that batchnorm applies reads its mask off the output. No op makes a
 temporary of kh*kw times an activation's size: conv2d builds its columns
 in sample tiles of at most TILE_BYTES, and maxpool2d takes a running
-maximum over strided views of its padded input.
+maximum over strided views of its input.
 """
 
 from __future__ import annotations
@@ -38,41 +40,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b, rg = _binary(a, b)
-    out = Tensor(a.data - b.data, rg, (a, b))
-
-    def backward():
-        a.accumulate(unbroadcast(out.grad, a.data.shape))
-        b.accumulate(unbroadcast(-out.grad, b.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b, rg = _binary(a, b)
-    out = Tensor(a.data * b.data, rg, (a, b))
-
-    def backward():
-        a.accumulate(unbroadcast(out.grad * b.data, a.data.shape))
-        b.accumulate(unbroadcast(out.grad * a.data, b.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def scale(a, s: float) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data * s, a.requires_grad, (a,))
-
-    def backward():
-        a.accumulate(out.grad * s)
-
-    out._backward = backward
-    return out
-
-
 def matmul(a, b) -> Tensor:
     a, b, rg = _binary(a, b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -82,17 +49,6 @@ def matmul(a, b) -> Tensor:
     def backward():
         a.accumulate(out.grad @ b.data.T)
         b.accumulate(a.data.T @ out.grad)
-
-    out._backward = backward
-    return out
-
-
-def ssum(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.sum(a.data), a.requires_grad, (a,))
-
-    def backward():
-        a.accumulate(np.full_like(a.data, out.grad))
 
     out._backward = backward
     return out
@@ -148,29 +104,6 @@ def gather(a, index) -> Tensor:
 
     out._backward = backward
     return out
-
-
-def split(a, sizes, axis: int = 0) -> list[Tensor]:
-    a = as_tensor(a)
-    if sum(sizes) != a.data.shape[axis]:
-        raise PipelineError(f"split sizes {sizes} do not cover axis {axis} of {a.data.shape}")
-    outs = []
-    offset = 0
-    for n in sizes:
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = slice(offset, offset + n)
-        sl = tuple(sl)
-        piece = Tensor(a.data[sl].copy(), a.requires_grad, (a,))
-
-        def backward(piece=piece, sl=sl):
-            g = np.zeros_like(a.data)
-            g[sl] = piece.grad
-            a.accumulate(g)
-
-        piece._backward = backward
-        outs.append(piece)
-        offset += n
-    return outs
 
 
 # Bytes of im2col columns built at once. Below glibc's 32 MiB mmap ceiling,

@@ -90,8 +90,8 @@ def kl_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
 
 
-def tsne(x: np.ndarray, perplexity: float = 10.0, lr: float = 100.0,
-         iters: int = 500, seed: int = 0) -> tuple[np.ndarray, list[float]]:
+def tsne(x: np.ndarray, *, perplexity: float, lr: float, iters: int,
+         seed: int) -> tuple[np.ndarray, list[float]]:
     """Gradient descent with momentum on the KL objective from a seeded
     N(0, 1e-4^2) start; returns (Y, KL history).
 

@@ -1,7 +1,10 @@
 """Central finite-difference gradient verification.
 
 The callable must rebuild its graph from the given parameter tensors on
-every invocation and be deterministic (fix any dropout rng inside it).
+every invocation and be deterministic (fix any dropout rng inside it). Its
+output may have any shape: the check reduces it to the scalar
+``sum(out * r)`` with a fixed cotangent ``r``, keyed by the output's shape,
+and seeds backward with ``r``.
 """
 
 from __future__ import annotations
@@ -9,15 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from atscalm.nn import Tensor
+from atscalm.util import keyed_rng
 
 
 def grad_check(f, params: list[Tensor], eps: float = 1e-5) -> float:
     """Max over all elements of |analytic - numeric| / max(1, |a|, |n|)."""
     for p in params:
         p.grad = None
-    loss = f()
-    assert np.isfinite(loss.data), "non-finite loss in grad_check"
-    loss.backward()
+    out = f()
+    assert np.all(np.isfinite(out.data)), "non-finite output in grad_check"
+    r = keyed_rng("grad_check", out.data.shape).normal(0, 1, out.data.shape)
+    out.backward(r)
     analytic = []
     for p in params:
         if p.grad is None:
@@ -33,9 +38,9 @@ def grad_check(f, params: list[Tensor], eps: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            hi = float(f().data)
+            hi = float(np.sum(f().data * r))
             flat[i] = orig - eps
-            lo = float(f().data)
+            lo = float(np.sum(f().data * r))
             flat[i] = orig
             numeric = (hi - lo) / (2.0 * eps)
             err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]), abs(numeric))

@@ -1,9 +1,10 @@
-"""Reference LSTM composed from the primitive ops.
+"""Reference LSTM composed from primitive ops.
 
 Gradients through time come from the generic reverse-mode machinery, so
 this is the oracle the fused `atscalm.nn.lstm_final` is checked against.
-The sigmoid and tanh ops exist only for it; the fused op applies the same
-`_sigmoid` and `np.tanh` to its gates directly.
+The ops that only this reference cell needs live here, not in
+`atscalm.nn.ops`: ``mul``, ``split``, ``sigmoid`` and ``tanh``. The fused
+op applies the same `_sigmoid` and `np.tanh` to its gates directly.
 """
 
 from __future__ import annotations
@@ -11,8 +12,46 @@ from __future__ import annotations
 import numpy as np
 
 from atscalm.nn import LstmWeights, Tensor
-from atscalm.nn.ops import _sigmoid, add, concat, matmul, mul, split
-from atscalm.nn.tensor import as_tensor
+from atscalm.nn.ops import _sigmoid, add, concat, matmul
+from atscalm.nn.tensor import as_tensor, unbroadcast
+from atscalm.util import PipelineError
+
+
+def mul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad, (a, b))
+
+    def backward():
+        a.accumulate(unbroadcast(out.grad * b.data, a.data.shape))
+        b.accumulate(unbroadcast(out.grad * a.data, b.data.shape))
+
+    out._backward = backward
+    return out
+
+
+def split(a, sizes, axis: int = 0) -> list[Tensor]:
+    """Pieces of ``a`` along ``axis``; each piece's backward adds its
+    gradient into a fresh zero array of ``a``'s shape."""
+    a = as_tensor(a)
+    if sum(sizes) != a.data.shape[axis]:
+        raise PipelineError(f"split sizes {sizes} do not cover axis {axis} of {a.data.shape}")
+    outs = []
+    offset = 0
+    for n in sizes:
+        sl = [slice(None)] * a.data.ndim
+        sl[axis] = slice(offset, offset + n)
+        sl = tuple(sl)
+        piece = Tensor(a.data[sl].copy(), a.requires_grad, (a,))
+
+        def backward(piece=piece, sl=sl):
+            g = np.zeros_like(a.data)
+            g[sl] = piece.grad
+            a.accumulate(g)
+
+        piece._backward = backward
+        outs.append(piece)
+        offset += n
+    return outs
 
 
 def sigmoid(a) -> Tensor:

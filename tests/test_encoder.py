@@ -9,15 +9,21 @@ from atscalm import augment
 from atscalm import encoder as encoder_mod
 from atscalm.augment import VOCODER_WIN, AugmentConfig
 from atscalm.config import config_from_dict
-from atscalm.encoder import (AcousticEncoder, EncoderConfig, _augmented_view, contrastive_loss,
-                             count_flops, embed_corpus, load_encoder, mean_cosine_similarity,
-                             prepare_input, save_encoder, shortest_view_frames, train_encoder)
+from atscalm.encoder import (AcousticEncoder, EncoderConfig, _augmented_view, _pair_metrics,
+                             contrastive_loss, count_flops, embed_corpus, load_encoder,
+                             mean_cosine_similarity, prepare_input, save_encoder,
+                             shortest_view_frames, train_encoder)
 from atscalm.features import FeatureParams, TimeFreqGrid, mel_spectrogram
-from atscalm.nn import Adam, Tensor, count_parameters
-from atscalm.nn.ops import conv2d, split
+from atscalm.nn import Adam, Tensor
+from atscalm.nn.ops import conv2d
 from atscalm.util import PipelineError, keyed_rng
+from gradcheck import grad_check
 from memtrace import traced_peak
 from tiny_chain import DURATION_S, TINY_CONFIG
+
+
+def count_parameters(model) -> int:
+    return sum(p.data.size for p in model.params.values())
 
 
 def layer_count_oracle(widths, blocks, proj_dim):
@@ -103,27 +109,49 @@ class TestFlops:
                 + model.params["stem.bn.beta"].data.size) == 128
 
 
+def pair_batch(key, b=4, dim=6):
+    """(2B, D): B view-0 rows, then B view-1 rows."""
+    return keyed_rng("cl", key).normal(0, 1, (2 * b, dim))
+
+
 class TestContrastiveLoss:
     def test_identical_batches_zero(self):
-        p = Tensor(keyed_rng("cl", 0).normal(0, 1, (4, 8)))
-        assert contrastive_loss(p, Tensor(p.data.copy())).item() == 0.0
+        p = keyed_rng("cl", 0).normal(0, 1, (4, 8))
+        assert contrastive_loss(Tensor(np.concatenate([p, p]))).item() == 0.0
 
     def test_hand_value(self):
-        p1 = Tensor(np.array([[1.0, 0.0]]))
-        p2 = Tensor(np.array([[0.0, 1.0]]))
-        assert contrastive_loss(p1, p2).item() == pytest.approx(2.0)
+        pair = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert contrastive_loss(pair).item() == pytest.approx(2.0)
 
     def test_symmetry(self):
-        a = Tensor(keyed_rng("cl", 1).normal(0, 1, (3, 5)))
-        b = Tensor(keyed_rng("cl", 2).normal(0, 1, (3, 5)))
-        assert contrastive_loss(a, b).item() == pytest.approx(contrastive_loss(b, a).item())
+        e = pair_batch(1, 3, 5)
+        swapped = np.concatenate([e[3:], e[:3]])
+        assert contrastive_loss(e).item() == pytest.approx(contrastive_loss(swapped).item())
 
     def test_nonnegative_and_zero_iff_equal(self):
-        a = Tensor(keyed_rng("cl", 3).normal(0, 1, (4, 6)))
-        b = Tensor(a.data + 1e-7)
-        loss = contrastive_loss(a, b).item()
+        a = keyed_rng("cl", 3).normal(0, 1, (4, 6))
+        loss = contrastive_loss(np.concatenate([a, a + 1e-7])).item()
         assert loss > 0
-        assert contrastive_loss(a, Tensor(a.data.copy())).item() <= 1e-12
+        assert contrastive_loss(np.concatenate([a, a.copy()])).item() <= 1e-12
+
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    def test_gradient_is_the_closed_form_bit_for_bit(self, b):
+        """[2*(s*d); -2*(s*d)] with d the pair differences and s = 1/B."""
+        e = pair_batch(("grad", b), b, 7)
+        emb = Tensor(e, requires_grad=True)
+        contrastive_loss(emb).backward()
+        sd = (1.0 / b) * (e[:b] - e[b:])
+        want = np.concatenate([2.0 * sd, -2.0 * sd])
+        assert emb.grad.tobytes() == want.tobytes()
+
+    def test_grad_check(self):
+        emb = Tensor(pair_batch(4, 3, 4), requires_grad=True)
+        assert grad_check(lambda: contrastive_loss(emb), [emb]) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(3, 4), (0, 4), (6,), (2, 2, 2)])
+    def test_odd_or_not_2d_batch_named(self, shape):
+        with pytest.raises(PipelineError, match=r"contrastive batch must be \(2B, D\)"):
+            contrastive_loss(np.zeros(shape))
 
     def test_one_adam_step_decreases_pair_loss(self):
         # frozen-stats forward: batch-2 train-mode batchnorm has knife-edge
@@ -132,17 +160,11 @@ class TestContrastiveLoss:
         for seed in range(20):
             model = AcousticEncoder(cfg, seed=seed)
             x = Tensor(keyed_rng("pair", seed).normal(0, 1, (2, 1, 8, 8)))
-
-            def pair_loss():
-                emb = model.forward(x, train=False)
-                p1, p2 = split(emb, [1, 1], axis=0)
-                return contrastive_loss(p1, p2)
-
-            before = pair_loss()
+            before = contrastive_loss(model.forward(x, train=False))
             opt = Adam(model.params, lr=1e-3)
             before.backward()
             opt.step()
-            after = pair_loss()
+            after = contrastive_loss(model.forward(x, train=False))
             assert after.item() < before.item(), f"seed {seed}"
 
 
@@ -156,11 +178,7 @@ class TestTrainStepMemory:
         model = AcousticEncoder(EncoderConfig(), seed=0)
         x = Tensor(keyed_rng("step", 0).normal(0, 1, (2, 1, 64, 256)))
 
-        def step():
-            p1, p2 = split(model.forward(x, train=True), [1, 1], axis=0)
-            contrastive_loss(p1, p2).backward()
-
-        _, peak, _ = traced_peak(step)
+        _, peak, _ = traced_peak(lambda: contrastive_loss(model.forward(x, train=True)).backward())
         grads = sum(p.grad.nbytes for p in model.params.values())
         assert peak <= grads + 70e6, f"peak {peak / 1e6:.1f} MB, gradients {grads / 1e6:.1f} MB"
 
@@ -276,6 +294,8 @@ class TestTrainEmbed:
         root = tmp_path_factory.mktemp("enc-corpus")
         return aio.synth_corpus(str(root), aio.SynthConfig(n_per_class=2, duration_s=1.0, seed=4))
 
+    DATA_KW = {"val_fraction": 0.25, "target_rate": 16000}
+
     def _cfg(self):
         return EncoderConfig(width_scale=1 / 16, proj_dim=8, frames=32)
 
@@ -289,22 +309,22 @@ class TestTrainEmbed:
 
     def test_lr_zero_leaves_parameters(self, corpus):
         model, _ = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
-                                 epochs=2, lr=0.0, seed=4, batch_pairs=3)
+                                 epochs=2, lr=0.0, seed=4, batch_pairs=3, **self.DATA_KW)
         fresh = AcousticEncoder(self._cfg(), seed=4)
         for name in fresh.params:
             assert np.array_equal(model.params[name].data, fresh.params[name].data)
 
     def test_same_seed_identical_history(self, corpus):
         _, h1 = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
-                              epochs=2, lr=1e-3, seed=4, batch_pairs=3)
+                              epochs=2, lr=1e-3, seed=4, batch_pairs=3, **self.DATA_KW)
         _, h2 = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
-                              epochs=2, lr=1e-3, seed=4, batch_pairs=3)
+                              epochs=2, lr=1e-3, seed=4, batch_pairs=3, **self.DATA_KW)
         assert h1 == h2
 
     def test_logs_one_line_per_epoch(self, corpus, caplog):
         with caplog.at_level(logging.INFO, logger="atscalm.encoder"):
             _, history = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
-                                       epochs=2, lr=1e-3, seed=4, batch_pairs=3)
+                                       epochs=2, lr=1e-3, seed=4, batch_pairs=3, **self.DATA_KW)
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "atscalm.encoder" and r.levelno == logging.INFO]
         assert len(lines) == 2
@@ -313,7 +333,7 @@ class TestTrainEmbed:
 
     def test_embed_corpus_shapes_and_determinism(self, corpus, tmp_path):
         model, _ = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
-                                 epochs=1, lr=1e-3, seed=4, batch_pairs=3)
+                                 epochs=1, lr=1e-3, seed=4, batch_pairs=3, **self.DATA_KW)
         embs = embed_corpus(model, corpus, self._feat())
         assert len(embs) == len(corpus.entries)
         assert all(e.vec.shape == (8,) for e in embs)
@@ -327,11 +347,24 @@ class TestTrainEmbed:
         for e1, e2 in zip(embs, embs2):
             assert np.array_equal(e1.vec, e2.vec)
 
+    def test_val_loss_is_contrastive_loss_of_the_pair_batch(self, corpus):
+        cfg, aug, feat = self._cfg(), self._aug(), self._feat()
+        model = AcousticEncoder(cfg, seed=2)
+        clips = [corpus.load_clip(e, target_rate=16000) for e in corpus.entries[:4]]
+        loss, cos = _pair_metrics(model, clips, aug, feat, 5, 1, "val")
+        p1, p2 = (model.embed([_augmented_view(c, aug, feat, cfg, (5, "val"), 1, view)
+                               for c in clips]) for view in (0, 1))
+        assert loss == contrastive_loss(np.concatenate([p1, p2])).item()
+        assert cos == mean_cosine_similarity(p1, p2)
+        # the per-pair mean it replaced differs by summation order only
+        want = float(np.mean(np.sum((p1 - p2) ** 2, axis=1)))
+        assert loss == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_needs_two_clips(self):
         man = aio.CorpusManifest(entries=[])
         with pytest.raises(PipelineError):
             train_encoder(man, self._cfg(), self._aug(), self._feat(), epochs=1,
-                          lr=1e-3, seed=0)
+                          lr=1e-3, seed=0, batch_pairs=8, **self.DATA_KW)
 
 
 class TestCosine:
