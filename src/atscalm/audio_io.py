@@ -1,8 +1,9 @@
 """Audio corpus I/O: WAV codec, manifests, resampling, synthetic corpora.
 
 WAV support is deliberately narrow: PCM 16-bit or IEEE float 32-bit input,
-1-2 channels; output is always 16-bit PCM mono. The canonical internal rate
-is 16 kHz and downstream modules assume clips were resampled on ingest.
+1-2 channels; output is always 16-bit PCM mono. Every stage loads a clip
+at the run's ``rate`` (`CorpusManifest.load_clip` resamples on ingest), so
+downstream modules see one rate per run.
 """
 
 from __future__ import annotations
@@ -178,11 +179,11 @@ class CorpusManifest:
     def counts(self) -> dict[ClassLabel, int]:
         return {lab: sum(e.label == lab for e in self.entries) for lab in LABELS}
 
-    def load_clip(self, entry: ManifestEntry, target_rate: int | None = None) -> AudioClip:
+    def load_clip(self, entry: ManifestEntry, *, target_rate: int) -> AudioClip:
         clip = load_wav(os.path.join(self.root, entry.path))
         clip.label = entry.label
         clip.id = entry.clip_id
-        if target_rate is not None and clip.rate != target_rate:
+        if clip.rate != target_rate:
             clip = resample(clip, target_rate)
         return clip
 
@@ -195,8 +196,7 @@ def _entry_for(root: str, rel_path: str, label: ClassLabel) -> ManifestEntry:
     return ManifestEntry(rel_path, label, size // (n_ch * bits // 8) / rate, rate)
 
 
-def build_manifest(root: str,
-                   class_dir_map: dict[ClassLabel, str] = DEFAULT_CLASS_DIRS) -> CorpusManifest:
+def build_manifest(root: str, class_dir_map: dict[ClassLabel, str]) -> CorpusManifest:
     """Scan ``root`` for per-class subdirectories of WAV files.
 
     Entries are sorted lexicographically by relative path so the manifest is
@@ -368,6 +368,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
 # lower clamp of the synthetic envelope, keeping the analytic envelope well defined
 ENVELOPE_FLOOR = 0.1
+# largest |snr_db|: 10 ** (snr_db / 10) stays a finite, nonzero float64
+SNR_DB_LIMIT = 300.0
 
 
 @dataclass
@@ -382,10 +384,12 @@ class SynthConfig:
             raise PipelineError("n_per_class must be >= 1")
         if self.duration_s <= 0:
             raise PipelineError("duration_s must be > 0")
+        if self.snr_db is not None and not abs(self.snr_db) <= SNR_DB_LIMIT:
+            raise PipelineError(f"snr_db must be within [-{SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}] dB, "
+                                f"got {self.snr_db}")
 
 
-def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig,
-                 rate: int = CANONICAL_RATE) -> np.ndarray:
+def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig, rate: int) -> np.ndarray:
     """One synthetic clip: slowly modulated tone at the class frequency.
 
     The envelope is 0.5 plus up to three sinusoids below 2 Hz, clamped to
@@ -411,9 +415,8 @@ def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig,
     return x
 
 
-def synth_corpus(out_dir: str, cfg: SynthConfig,
-                 class_dir_map: dict[ClassLabel, str] = DEFAULT_CLASS_DIRS,
-                 rate: int = CANONICAL_RATE) -> CorpusManifest:
+def synth_corpus(out_dir: str, cfg: SynthConfig, class_dir_map: dict[ClassLabel, str],
+                 rate: int) -> CorpusManifest:
     """Generate a labeled synthetic corpus on disk plus its manifest.
 
     Pure function of the config: the same seed yields bit-identical WAV

@@ -9,7 +9,7 @@ samples it reads, extends the running product of unit phasors from the
 previous block's last frame (the carry row), synthesizes by ``irfft`` and
 overlap-adds into the one output buffer in ascending frame order. Memory
 beyond the clip and the output stays bounded however long the clip is,
-and the output equals a whole-array pass bit for bit.
+and the output equals one block spanning every frame bit for bit.
 The pipeline derives every random draw from a counter-based RNG keyed by
 (seed, clip id, variant index), so augmented corpora are reproducible and
 order-independent; it yields the variants one at a time.
@@ -36,6 +36,9 @@ VOCODER_HOP = 256
 # block has three frames or more. Chosen by the measured time and peak RSS of
 # the augment and train-encoder stages; see CHANGES.md.
 BLOCK_FRAMES = 64
+# Widest pitch draw, in semitones: a shift up by k makes the vocoder's output
+# 2^(k/12) times as long as the stretched clip, so one octave at most doubles it.
+PITCH_RANGE_LIMIT = 12.0
 
 
 @dataclass
@@ -52,8 +55,9 @@ class AugmentConfig:
         a, b = self.stretch_range
         if not (0 < a <= b):
             raise PipelineError(f"invalid stretch range {self.stretch_range}")
-        if self.pitch_range_semitones < 0:
-            raise PipelineError("pitch range must be >= 0")
+        if not 0 <= self.pitch_range_semitones <= PITCH_RANGE_LIMIT:
+            raise PipelineError(f"pitch_range_semitones must be in [0, {PITCH_RANGE_LIMIT:g}], "
+                                f"got {self.pitch_range_semitones}")
         if self.freq_mask_max < 0 or self.time_mask_max < 0:
             raise PipelineError("mask maxima must be >= 0")
         if self.variants_per_clip < 1:
@@ -79,7 +83,7 @@ def add_gaussian_noise(clip: AudioClip, sigma: float, rng: np.random.Generator) 
 
 
 def _istft_ola(spec: np.ndarray, win: int, hop: int,
-               out: np.ndarray | None = None, first: int = 0) -> np.ndarray | None:
+               out: np.ndarray, first: int) -> np.ndarray | None:
     """Overlap-add inverse with synthesis windowing and COLA normalization.
 
     ``spec`` holds one one-sided spectrum per row, (frames, win//2 + 1).
@@ -89,19 +93,17 @@ def _istft_ola(spec: np.ndarray, win: int, hop: int,
     output sample sums its frames in ascending frame order, as a
     frame-by-frame loop would.
 
-    Called on whole spectra, it returns the signal. ``phase_vocoder`` calls
-    it once per block of frames, in ascending frame order: ``out`` is the
-    (frames + ceil(win/hop) - 1, hop) sum buffer of the whole signal, and
-    the rows of ``spec`` are its frames ``first``, ``first`` + 1, ... Each
-    call adds its frames into ``out`` and returns None, except the one that
-    adds the last frame: it divides by the window-square sum of the whole
-    signal and returns the signal.
+    ``phase_vocoder`` calls it once per block of frames, in ascending frame
+    order: ``out`` is the zeroed (frames + ceil(win/hop) - 1, hop) sum
+    buffer of the whole signal, and the rows of ``spec`` are its frames
+    ``first``, ``first`` + 1, ... Each call adds its frames into ``out`` and
+    returns None, except the one that adds the last frame: it divides by
+    the window-square sum of the whole signal and returns the signal. All
+    frames at once are one such block, with ``first`` 0.
     """
     w = dsp.hann(win)
     n_frames = spec.shape[0]
     n_blocks = -(-win // hop)
-    if out is None:
-        out = np.zeros((n_frames + n_blocks - 1, hop))
     total = out.shape[0] - n_blocks + 1
     span = n_blocks * hop
     frames = np.zeros((n_frames, span))
@@ -124,15 +126,14 @@ def _istft_ola(spec: np.ndarray, win: int, hop: int,
     return out.reshape(-1)[:out_len] / norm.reshape(-1)[:out_len]
 
 
-def _vocoder_spectra(spec: np.ndarray, rate_factor: float,
-                     steps: np.ndarray | None = None, carry: list | None = None) -> np.ndarray:
+def _vocoder_spectra(spec: np.ndarray, steps: np.ndarray, carry: list) -> np.ndarray:
     """Synthesis spectra of the phase vocoder, one row per output frame.
 
     ``spec`` is the one-sided analysis STFT, one row per frame. Output frame
-    k reads analysis position s_k = k * rate_factor: its magnitude is
-    interpolated between frames floor(s_k) and the next one, and its phase
-    is the first frame's phase advanced by the per-bin phase advance of
-    each step before it.
+    k reads analysis position s_k = ``steps[k]``, counted from the first row
+    of ``spec``: its magnitude is interpolated between frames floor(s_k) and
+    the next one, and its phase is the first frame's phase advanced by the
+    per-bin phase advance of each step before it.
 
     Phases are carried as unit phasors u = spec / |spec|, never as angles.
     The angle form's advance from frame i to i + 1, the expected advance
@@ -150,20 +151,17 @@ def _vocoder_spectra(spec: np.ndarray, rate_factor: float,
     reached 256 KiB (clips of 8,192 samples and more); written out, it
     holds for every clip length and every block size.
 
-    Called on whole spectra, the positions are all of
-    arange(0, frames - 1, rate_factor). ``phase_vocoder`` calls it once
-    per block of output frames, on the analysis frames the block reads:
-    ``steps`` then holds the positions, counted from the first row of
-    ``spec``, and ``carry`` is a list holding the running phasor of the
-    frame before the block, empty before the first block. That phasor is
-    row 0 of the block's running product and is left out of the result,
-    and the list then holds the phasor of the block's last frame. Blocks
-    have at least three frames (see BLOCK_FRAMES): ``np.multiply.accumulate``
-    takes another loop on exactly two rows, which rounds differently.
+    ``phase_vocoder`` calls it once per block of output frames, on the
+    analysis frames the block reads. ``carry`` is a list holding the
+    running phasor of the frame before the block, empty before the first
+    block. That phasor is row 0 of the block's running product and is left
+    out of the result, and the list then holds the phasor of the block's
+    last frame. All output frames at once are one block, with ``steps``
+    arange(0, frames - 1, rate) and ``carry`` empty. Blocks have at least
+    three frames (see BLOCK_FRAMES): ``np.multiply.accumulate`` takes
+    another loop on exactly two rows, which rounds differently.
     """
     n_frames, n_bins = spec.shape
-    if steps is None:
-        steps = np.arange(0.0, n_frames - 1, rate_factor)
     i0 = np.floor(steps).astype(np.int64)
     # arange may round its last position up to n_frames - 1 itself
     i1 = np.minimum(i0 + 1, n_frames - 1)
@@ -176,12 +174,15 @@ def _vocoder_spectra(spec: np.ndarray, rate_factor: float,
     out[0] = carry[0] if carry else unit[i0[0]]
     out[1:] = advance[i0[:-1]]
     np.multiply.accumulate(out, axis=0, out=out)
-    head = 0
-    if carry is not None:
-        head = len(carry)
-        carry[:] = [out[-1].copy()]
+    head = len(carry)
+    carry[:] = [out[-1].copy()]
     out *= (1.0 - frac) * mags[i0] + frac * mags[i1]
     return out[head:]
+
+
+def _fit(y: np.ndarray, n: int) -> np.ndarray:
+    """``y`` cut or zero-padded to ``n`` samples."""
+    return y[:n] if y.size >= n else np.concatenate([y, np.zeros(n - y.size)])
 
 
 def _reflected(x: np.ndarray, start: int, stop: int, pad: int) -> np.ndarray:
@@ -208,7 +209,7 @@ def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
     phasor as the carry row (see ``_vocoder_spectra``), and overlap-adds
     them into the sum buffer. FFTs are row-independent and each output
     sample still sums its frames in ascending order, so the result is the
-    one of a whole-array pass bit for bit.
+    one of a single block spanning every frame bit for bit.
     """
     if rate_factor <= 0:
         raise PipelineError("stretch rate must be > 0")
@@ -229,16 +230,12 @@ def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
         k = a - 1 if a else 0    # a carried block starts at the previous block's last frame
         lo, hi = i0[k], min(i0[b - 1] + 1, n_frames - 1)
         grid = dsp.stft(_reflected(x, lo * hop, hi * hop + win, pad), win, hop, n_fft=win)
-        y = _istft_ola(_vocoder_spectra(grid.spec.T, rate_factor, steps[k:b] - lo, carry),
+        y = _istft_ola(_vocoder_spectra(grid.spec.T, steps[k:b] - lo, carry),
                        win, hop, ola, a)
-    start = int(round(pad / rate_factor))
-    y = y[start:]
-    if y.size >= target_len:
-        return y[:target_len]
-    return np.concatenate([y, np.zeros(target_len - y.size)])
+    return _fit(y[int(round(pad / rate_factor)):], target_len)
 
 
-def pitch_shift(clip: AudioClip, semitones: float, stretch: float = 1.0) -> AudioClip:
+def pitch_shift(clip: AudioClip, semitones: float, stretch: float) -> AudioClip:
     """Scale all frequencies by f = 2^(semitones/12) and speed the clip up by
     ``stretch``, in one vocoder pass; the output has round(N / stretch) samples.
 
@@ -252,12 +249,8 @@ def pitch_shift(clip: AudioClip, semitones: float, stretch: float = 1.0) -> Audi
     factor = 2.0 ** (semitones / 12.0)
     y = resample_signal(phase_vocoder(clip.samples, stretch / factor),
                         clip.rate * factor, clip.rate)
-    n = int(round(clip.samples.size / stretch))
-    if y.size >= n:
-        y = y[:n]
-    else:
-        y = np.concatenate([y, np.zeros(n - y.size)])
-    return AudioClip(y, clip.rate, clip.label, clip.id)
+    return AudioClip(_fit(y, int(round(clip.samples.size / stretch))),
+                     clip.rate, clip.label, clip.id)
 
 
 def spec_mask(grid: TimeFreqGrid, f_max: int, t_max: int,

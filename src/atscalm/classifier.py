@@ -75,7 +75,7 @@ class BiLstmClassifier:
         z = (x - self.norm_mean.data) / self.norm_std.data
         return np.ascontiguousarray(z.T)[:, :, None]
 
-    def forward(self, x: np.ndarray, train: bool = False,
+    def forward(self, x: np.ndarray, train: bool,
                 rng: np.random.Generator | None = None,
                 rows: np.ndarray | None = None) -> Tensor:
         """Logits for the rows of ``x``, or, given ``rows``, for ``x[rows]``:

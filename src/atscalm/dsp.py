@@ -1,8 +1,8 @@
 """Deterministic spectral primitives.
 
 One-sided real FFT at a given transform size, un-normalized DCT-II basis,
-analytic-signal envelope, one-sided STFT, the Hann window, and the Mel
-filterbank.
+analytic envelope from the one-sided spectrum, one-sided STFT, the Hann
+window, and the Mel filterbank. Every transform size is the caller's.
 Everything here is pure and reentrant; a built filterbank is immutable and
 can be shared.
 """
@@ -40,26 +40,25 @@ def fft(x, n_fft: int) -> np.ndarray:
     return np.fft.rfft(x, n=n_fft)
 
 
-def dct2_matrix(m: int, n_out: int | None = None) -> np.ndarray:
-    """Basis matrix for the un-normalized DCT-II.
+def dct2_matrix(m: int, n_out: int) -> np.ndarray:
+    """The first ``n_out`` rows of the un-normalized DCT-II basis.
 
     Row n holds cos(pi/M * (m + 0.5) * n); no orthonormalization factors, so
     a constant input c maps to coefficient 0 = M*c and zeros elsewhere.
     """
     if m < 1:
         raise PipelineError("dct2 needs length >= 1")
-    if n_out is None:
-        n_out = m
     ks = np.arange(n_out)[:, None]
     ms = np.arange(m)[None, :] + 0.5
     return np.cos(np.pi / m * ks * ms)
 
 
-def analytic_signal(x) -> np.ndarray:
-    """Analytic signal via the frequency-domain method at native length.
+def analytic_envelope(x) -> np.ndarray:
+    """Instantaneous amplitude |x + i h|, h the Hilbert transform of x.
 
-    Zeroes negative frequencies, doubles positive ones, keeps DC (and the
-    Nyquist bin for even lengths) untouched.
+    The analytic signal's spectrum is the one-sided one with bins 1 ..
+    ceil(n/2) - 1 doubled, DC and an even length's Nyquist bin kept, and
+    the negative bins zero: ``ifft`` at length n zero-fills those.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size < 8:
@@ -67,20 +66,9 @@ def analytic_signal(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise PipelineError("analytic signal input contains non-finite values")
     n = x.size
-    spec = np.fft.fft(x)
-    h = np.zeros(n)
-    if n % 2 == 0:
-        h[0] = h[n // 2] = 1.0
-        h[1 : n // 2] = 2.0
-    else:
-        h[0] = 1.0
-        h[1 : (n + 1) // 2] = 2.0
-    return np.fft.ifft(spec * h)
-
-
-def analytic_envelope(x) -> np.ndarray:
-    """Instantaneous amplitude sqrt(x^2 + h^2), h the quadrature component."""
-    return np.abs(analytic_signal(x))
+    spec = np.fft.rfft(x)
+    spec[1 : (n + 1) // 2] *= 2.0
+    return np.abs(np.fft.ifft(spec, n=n))
 
 
 def hann(n: int) -> np.ndarray:
@@ -106,21 +94,18 @@ class StftGrid:
         return self.spec.shape[1]
 
 
-def stft(x, win_len: int, hop: int, n_fft: int | None = None) -> StftGrid:
+def stft(x, win_len: int, hop: int, n_fft: int) -> StftGrid:
     """Short-time Fourier transform.
 
     Frame count is 1 + floor((N - win_len)/hop); each frame is Hann-windowed
-    then transformed with a real FFT at ``n_fft`` (default: next power of
-    two >= win_len), keeping the n_fft//2 + 1 non-negative frequency bins.
-    No normalization is applied.
+    then transformed with a real FFT at ``n_fft`` >= win_len, keeping the
+    n_fft//2 + 1 non-negative frequency bins. No normalization is applied.
     """
     x = np.asarray(x, dtype=np.float64)
     if hop < 1:
         raise PipelineError("hop must be >= 1")
     if x.size < win_len:
         raise PipelineError(f"signal of {x.size} samples is shorter than one window ({win_len})")
-    if n_fft is None:
-        n_fft = next_pow2(win_len)
     if n_fft < win_len:
         raise PipelineError("n_fft must be >= win_len")
     frames = 1 + (x.size - win_len) // hop

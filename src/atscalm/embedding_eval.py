@@ -65,11 +65,11 @@ def class_geometry(embeddings: list[Embedding]) -> ClassGeometry:
     )
 
 
-def separability(geom: ClassGeometry, eps: float = SEP_EPS) -> dict[tuple[str, str], float]:
-    """S_ij = sqrt(inter_sq) / (sqrt(intra_i) + sqrt(intra_j) + eps)."""
+def separability(geom: ClassGeometry) -> dict[tuple[str, str], float]:
+    """S_ij = sqrt(inter_sq) / (sqrt(intra_i) + sqrt(intra_j) + SEP_EPS)."""
     out = {}
     for (a, b), d_sq in geom.inter_sq.items():
-        denom = np.sqrt(geom.intra_sq_mean[a]) + np.sqrt(geom.intra_sq_mean[b]) + eps
+        denom = np.sqrt(geom.intra_sq_mean[a]) + np.sqrt(geom.intra_sq_mean[b]) + SEP_EPS
         out[(a, b)] = float(np.sqrt(d_sq) / denom)
     return out
 

@@ -45,6 +45,8 @@ class EncoderConfig:
     def __post_init__(self):
         if len(self.widths) != len(self.blocks):
             raise PipelineError("widths and blocks must have equal length")
+        if not self.widths:
+            raise PipelineError("widths and blocks must name at least one stage")
         if any(w <= 0 for w in self.widths) or any(b < 1 for b in self.blocks):
             raise PipelineError("widths and blocks must be positive")
         if list(self.widths) != sorted(self.widths):
@@ -121,7 +123,7 @@ class AcousticEncoder:
         var = self.buffers[f"{name}.running_var"] = Tensor(np.ones(c))
         return gamma, beta, mean, var
 
-    def forward(self, x: Tensor, train: bool = False) -> Tensor:
+    def forward(self, x: Tensor, train: bool) -> Tensor:
         """(N, 1, n_mels, frames) -> (N, proj_dim)."""
         if x.data.ndim != 4 or x.data.shape[1] != 1:
             raise PipelineError(f"encoder expects (N,1,mels,frames), got {x.data.shape}")
@@ -275,7 +277,7 @@ def _pair_metrics(model: AcousticEncoder, clips, aug_cfg, feat_params, seed, epo
 def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
                   aug_cfg: augment.AugmentConfig, feat_params: features.FeatureParams, *,
                   epochs: int, lr: float, seed: int, batch_pairs: int, val_fraction: float,
-                  target_rate: int | None) -> tuple[AcousticEncoder, list[dict]]:
+                  target_rate: int) -> tuple[AcousticEncoder, list[dict]]:
     """Positive-pair contrastive training; deterministic for a fixed seed.
 
     Returns the trained model and a history with one row per epoch:
@@ -344,8 +346,8 @@ def load_encoder(path: str) -> tuple[AcousticEncoder, dict]:
 
 
 def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest,
-                 feat_params: features.FeatureParams | None = None,
-                 target_rate: int | None = 16000, jobs: int = 1) -> list[Embedding]:
+                 feat_params: features.FeatureParams, *, target_rate: int,
+                 jobs: int) -> list[Embedding]:
     """Eval-mode embedding of every manifest entry, in manifest order."""
 
     def work(entry):

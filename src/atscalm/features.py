@@ -68,24 +68,15 @@ class TimeFreqGrid:
 _filterbank = functools.lru_cache(maxsize=None)(dsp.build_mel_filterbank)
 
 
-def power_spectrogram(clip: AudioClip, params: FeatureParams) -> TimeFreqGrid:
-    grid = dsp.stft(clip.samples, params.win, params.hop, n_fft=params.n_fft)
-    return TimeFreqGrid(grid.spec.real ** 2 + grid.spec.imag ** 2)
-
-
-def mel_spectrogram(clip: AudioClip, params: FeatureParams | None = None) -> TimeFreqGrid:
+def mel_spectrogram(clip: AudioClip, params: FeatureParams) -> TimeFreqGrid:
     """log(mel-filterbank @ |STFT|^2 + eps), shape (n_mels, frames)."""
-    if params is None:
-        params = FeatureParams()
-    power = power_spectrogram(clip, params)
+    spec = dsp.stft(clip.samples, params.win, params.hop, n_fft=params.n_fft).spec
     fb = _filterbank(params.n_mels, params.n_fft, clip.rate, params.f_lo, params.f_hi)
-    return TimeFreqGrid(np.log(fb.weights @ power.values + params.log_eps))
+    return TimeFreqGrid(np.log(fb.weights @ (spec.real ** 2 + spec.imag ** 2) + params.log_eps))
 
 
-def mfcc13(clip: AudioClip, params: FeatureParams | None = None) -> np.ndarray:
+def mfcc13(clip: AudioClip, params: FeatureParams) -> np.ndarray:
     """Frame-averaged DCT-II of the log-mel columns, coefficients 0..12."""
-    if params is None:
-        params = FeatureParams()
     logmel = mel_spectrogram(clip, params)
     basis = dsp.dct2_matrix(params.n_mels, N_MFCC)
     return np.mean(basis @ logmel.values, axis=1)
@@ -127,10 +118,8 @@ def wavelet_stats(clip: AudioClip) -> np.ndarray:
     return out
 
 
-def extract_features(clip: AudioClip, params: FeatureParams | None = None) -> np.ndarray:
+def extract_features(clip: AudioClip, params: FeatureParams) -> np.ndarray:
     """The full 25-vector in the FEATURE_NAMES order."""
-    if params is None:
-        params = FeatureParams()
     return np.concatenate([mfcc13(clip, params), [zcr(clip), rms(clip)], wavelet_stats(clip)])
 
 

@@ -72,7 +72,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors, axis: int) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     rg = any(t.requires_grad for t in tensors)
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), rg, tuple(tensors))
@@ -129,7 +129,7 @@ def _tiles(n: int, sample_bytes: int) -> list[tuple[int, int]]:
     return even_ranges(n, max(1, TILE_BYTES // sample_bytes))
 
 
-def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x, w, stride: int, pad: int) -> Tensor:
     """2-d cross-correlation without bias: x (N,C,H,W), w (O,C,kh,kw).
 
     Each pass is a GEMM against im2col columns, (C*kh*kw, samples*Ho*Wo),
@@ -204,7 +204,7 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     return out
 
 
-def maxpool2d(x, kernel: int = 3, stride: int = 2, pad: int = 1) -> Tensor:
+def maxpool2d(x, kernel: int, stride: int, pad: int) -> Tensor:
     """Max over each kernel x kernel window of x (N,C,H,W), padded with
     -inf; a tie goes to the first tap.
 
@@ -359,7 +359,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
     return out
 
 
-def dropout(x, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(x, p: float, train: bool, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: train-mode expectation equals the input."""
     if not (0.0 <= p < 1.0):
         raise PipelineError(f"dropout p must be in [0, 1), got {p}")
@@ -414,7 +414,6 @@ def softmax_crossentropy(logits, targets) -> tuple[Tensor, np.ndarray]:
     return out, probs
 
 
-def linear(x, w, b=None) -> Tensor:
+def linear(x, w, b) -> Tensor:
     """x (N,D) @ w (D,K) + b."""
-    y = matmul(x, w)
-    return add(y, b) if b is not None else y
+    return add(matmul(x, w), b)

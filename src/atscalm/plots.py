@@ -11,6 +11,7 @@ from .util import PipelineError
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 56
+OVERLAY_SAMPLES = 2000   # leading samples a waveform overlay draws
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 CLASS_COLORS = {
@@ -114,9 +115,9 @@ def scatter_chart(points: list[tuple[float, float, str]], title: str) -> str:
 
 
 def validation_overlay(raw: np.ndarray, theoretical: np.ndarray, rate: float,
-                       title: str, max_samples: int = 2000) -> tuple[str, str]:
+                       title: str) -> tuple[str, str]:
     """(waveform SVG, spectrum SVG): recorded vs theoretical overlays."""
-    n = min(raw.size, max_samples)
+    n = min(raw.size, OVERLAY_SAMPLES)
     t = np.arange(n) / rate
     wave_svg = line_chart(
         {"recorded": (t, raw[:n]), "theoretical": (t, theoretical[:n])},

@@ -13,6 +13,8 @@ import numpy as np
 from .util import PipelineError, keyed_rng
 
 _P_FLOOR = 1e-12
+# each point's bisection stops this many nats from its target entropy, or after this many steps
+_ENTROPY_TOL, _BISECT_STEPS = 1e-5, 64
 # momentum 0.5 for the first 250 iterations, 0.8 after
 _MOMENTUM_EARLY, _MOMENTUM_LATE, _MOMENTUM_SWITCH = 0.5, 0.8, 250
 
@@ -36,12 +38,11 @@ def _row_affinity(dists: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     return p, h
 
 
-def perplexity_affinities(x: np.ndarray, perplexity: float,
-                          tol: float = 1e-5, max_iter: int = 64) -> np.ndarray:
+def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized joint affinities P with per-point entropy log(perplexity).
 
     The precision of each point's Gaussian is found by bisection on the
-    entropy, to ``tol`` nats.
+    entropy, to _ENTROPY_TOL nats.
     """
     n = x.shape[0]
     if n < 5:
@@ -55,9 +56,9 @@ def perplexity_affinities(x: np.ndarray, perplexity: float,
         dists = np.delete(sq[i], i)
         beta, lo, hi = 1.0, 0.0, np.inf
         p = np.zeros_like(dists)
-        for _ in range(max_iter):
+        for _ in range(_BISECT_STEPS):
             p, h = _row_affinity(dists, beta)
-            if abs(h - target) < tol:
+            if abs(h - target) < _ENTROPY_TOL:
                 break
             if h > target:
                 lo = beta

@@ -150,7 +150,7 @@ def even_ranges(n: int, most: int) -> list[tuple[int, int]]:
     return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
-def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
+def parallel_map(fn: Callable, items: Iterable, jobs: int) -> list:
     """``[fn(x) for x in items]`` on up to ``jobs`` threads, in input order."""
     if jobs <= 1:
         return [fn(x) for x in items]

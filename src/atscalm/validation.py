@@ -51,16 +51,12 @@ def reconstruct_theoretical(clip: AudioClip, env: np.ndarray, f_c_hz: float) -> 
     return env * np.cos(2.0 * np.pi * f_c_hz * t)
 
 
-def _interior(x: np.ndarray, trim: float = EDGE_TRIM) -> np.ndarray:
-    k = int(np.floor(trim * x.size))
-    return x[k : x.size - k] if x.size - 2 * k >= 1 else x
-
-
-def envelope_stats(clip: AudioClip, env: np.ndarray,
-                   trim: float = EDGE_TRIM) -> tuple[float, float, float]:
+def envelope_stats(clip: AudioClip, env: np.ndarray) -> tuple[float, float, float]:
     """(env_mean, env_std, energy): stats of the clip's analytic envelope
-    ``env`` over the trimmed interior, energy = sum(x^2) over the full clip."""
-    env = _interior(env, trim)
+    ``env`` with EDGE_TRIM of it cut off each end, energy = sum(x^2) over the full clip."""
+    k = int(np.floor(EDGE_TRIM * env.size))
+    if env.size - 2 * k >= 1:
+        env = env[k : env.size - k]
     energy = float(np.sum(clip.samples ** 2))
     return float(np.mean(env)), float(np.std(env)), energy
 
@@ -91,30 +87,24 @@ def validate_clip(clip: AudioClip, f_c_hz: float) -> ValidationRecord:
     )
 
 
-def validate_corpus(manifest: CorpusManifest,
-                    target_rate: int | None = None,
-                    jobs: int = 1) -> dict:
+def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) -> dict:
     """Per-clip records against each clip's class tone, plus per-class aggregates.
 
-    Aggregation is the mean of the per-clip values; the class spectral peak
-    comes from the class-mean magnitude spectrum at a shared FFT size.
+    Every clip is loaded at ``target_rate``. Aggregation is the mean of the
+    per-clip values; the class spectral peak comes from the class-mean
+    magnitude spectrum at a shared FFT size.
     Empty classes are reported, not fatal. Results reduce in manifest order
     regardless of ``jobs``.
     """
     if not manifest.entries:
         raise PipelineError("cannot validate an empty manifest")
 
-    max_len = 0
-    clips: list[AudioClip] = []
-    for entry in manifest.entries:
-        clip = manifest.load_clip(entry, target_rate=target_rate)
-        clips.append(clip)
-        max_len = max(max_len, clip.samples.size)
-    n_fft = dsp.next_pow2(max_len)
+    clips = [manifest.load_clip(e, target_rate=target_rate) for e in manifest.entries]
+    n_fft = dsp.next_pow2(max(clip.samples.size for clip in clips))
 
     def work(clip: AudioClip):
         rec = validate_clip(clip, CLASS_TONE_HZ[clip.label])
-        return rec, np.abs(dsp.fft(clip.samples, n_fft)), clip.rate
+        return rec, np.abs(dsp.fft(clip.samples, n_fft))
 
     results = parallel_map(work, clips, jobs)
 
@@ -127,7 +117,6 @@ def validate_corpus(manifest: CorpusManifest,
             continue
         recs = [per_clip[i] for i in idx]
         mean_mag = np.mean([results[i][1] for i in idx], axis=0)
-        rate = results[idx[0]][2]
         peak_bin = 1 + int(np.argmax(mean_mag[1:]))
         per_class[label.value] = {
             "n": len(recs),
@@ -135,7 +124,7 @@ def validate_corpus(manifest: CorpusManifest,
             "env_mean": float(np.mean([r.env_mean for r in recs])),
             "env_std": float(np.mean([r.env_std for r in recs])),
             "energy_mean": float(np.mean([r.energy for r in recs])),
-            "peak_hz": float(peak_bin * rate / n_fft),
+            "peak_hz": float(peak_bin * target_rate / n_fft),
         }
     return {
         "per_clip": [vars(r) for r in per_clip],

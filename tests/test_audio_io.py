@@ -157,21 +157,21 @@ class TestManifest:
 
     def test_three_dirs_one_each(self, tmp_path):
         self._mk_corpus(str(tmp_path))
-        man = aio.build_manifest(str(tmp_path))
+        man = aio.build_manifest(str(tmp_path), aio.DEFAULT_CLASS_DIRS)
         assert len(man.entries) == 3
         assert all(v == 1 for v in man.counts.values())
 
     def test_sorted_and_deterministic(self, tmp_path):
         self._mk_corpus(str(tmp_path), per_class=3)
-        man1 = aio.build_manifest(str(tmp_path))
-        man2 = aio.build_manifest(str(tmp_path))
+        man1 = aio.build_manifest(str(tmp_path), aio.DEFAULT_CLASS_DIRS)
+        man2 = aio.build_manifest(str(tmp_path), aio.DEFAULT_CLASS_DIRS)
         paths = [e.path for e in man1.entries]
         assert paths == sorted(paths)
         assert paths == [e.path for e in man2.entries]
 
     def test_duplicate_filenames_distinct(self, tmp_path):
         self._mk_corpus(str(tmp_path))
-        man = aio.build_manifest(str(tmp_path))
+        man = aio.build_manifest(str(tmp_path), aio.DEFAULT_CLASS_DIRS)
         ids = {e.clip_id for e in man.entries}
         assert len(ids) == 3  # directory prefixes disambiguate clip_0.wav
 
@@ -179,7 +179,7 @@ class TestManifest:
         self._mk_corpus(str(tmp_path))
         os.makedirs(tmp_path / "Extra")
         write_pcm16(tmp_path / "Extra" / "x.wav", np.full(100, 5))
-        man = aio.build_manifest(str(tmp_path))
+        man = aio.build_manifest(str(tmp_path), aio.DEFAULT_CLASS_DIRS)
         assert len(man.entries) == 3
 
     def test_partial_class_map(self, tmp_path):
@@ -191,24 +191,24 @@ class TestManifest:
         for sub in aio.DEFAULT_CLASS_DIRS.values():
             os.makedirs(tmp_path / sub)
         with pytest.raises(PipelineError):
-            aio.build_manifest(str(tmp_path))
+            aio.build_manifest(str(tmp_path), aio.DEFAULT_CLASS_DIRS)
 
     def test_zero_rate_header_named(self, tmp_path):
         self._mk_corpus(str(tmp_path))
         write_riff(tmp_path / "Music" / "clip_0.wav", bytes(3200), 1, 1, 16, rate=0)
         with pytest.raises(PipelineError, match="clip_0.wav: cannot determine duration"):
-            aio.build_manifest(str(tmp_path))
+            aio.build_manifest(str(tmp_path), aio.DEFAULT_CLASS_DIRS)
 
     def test_header_faults_named_by_probe(self, tmp_path):
         self._mk_corpus(str(tmp_path))
         bad = tmp_path / "Music" / "clip_0.wav"
         bad.write_bytes(bad.read_bytes()[:30])   # cut inside the fmt chunk
         with pytest.raises(PipelineError, match="clip_0.wav"):
-            aio.build_manifest(str(tmp_path))
+            aio.build_manifest(str(tmp_path), aio.DEFAULT_CLASS_DIRS)
 
     def test_counts_derived_and_checked_on_load(self, tmp_path):
         self._mk_corpus(str(tmp_path), per_class=2)
-        man = aio.build_manifest(str(tmp_path))
+        man = aio.build_manifest(str(tmp_path), aio.DEFAULT_CLASS_DIRS)
         assert man.counts == {lab: 2 for lab in aio.LABELS}
         path = tmp_path / "manifest.json"
         aio.save_manifest(man, str(path))
@@ -220,13 +220,13 @@ class TestManifest:
 
     def test_save_load_roundtrip(self, tmp_path):
         self._mk_corpus(str(tmp_path), per_class=2)
-        man = aio.build_manifest(str(tmp_path))
+        man = aio.build_manifest(str(tmp_path), aio.DEFAULT_CLASS_DIRS)
         path = tmp_path / "manifest.json"
         aio.save_manifest(man, str(path))
         back = aio.load_manifest(str(path))
         assert [e.path for e in back.entries] == [e.path for e in man.entries]
         assert back.counts == man.counts
-        clip = back.load_clip(back.entries[0])
+        clip = back.load_clip(back.entries[0], target_rate=16000)
         assert clip.samples.size == 1600
 
 
@@ -318,8 +318,10 @@ class TestResample:
 class TestSynthCorpus:
     def test_same_seed_bit_identical(self, tmp_path):
         cfg = aio.SynthConfig(n_per_class=1, duration_s=1.0, seed=11)
-        man1 = aio.synth_corpus(str(tmp_path / "a"), cfg)
-        man2 = aio.synth_corpus(str(tmp_path / "b"), cfg)
+        man1 = aio.synth_corpus(str(tmp_path / "a"), cfg, aio.DEFAULT_CLASS_DIRS,
+                                aio.CANONICAL_RATE)
+        man2 = aio.synth_corpus(str(tmp_path / "b"), cfg, aio.DEFAULT_CLASS_DIRS,
+                                aio.CANONICAL_RATE)
         for e1, e2 in zip(man1.entries, man2.entries):
             x1 = aio.load_wav(os.path.join(man1.root, e1.path)).samples
             x2 = aio.load_wav(os.path.join(man2.root, e2.path)).samples
@@ -327,9 +329,9 @@ class TestSynthCorpus:
 
     def test_class_tones_dominate(self, tmp_path):
         cfg = aio.SynthConfig(n_per_class=1, duration_s=2.0, seed=5)
-        man = aio.synth_corpus(str(tmp_path), cfg)
+        man = aio.synth_corpus(str(tmp_path), cfg, aio.DEFAULT_CLASS_DIRS, aio.CANONICAL_RATE)
         for entry in man.entries:
-            clip = man.load_clip(entry)
+            clip = man.load_clip(entry, target_rate=aio.CANONICAL_RATE)
             peak = peak_frequency(clip.samples, clip.rate)
             assert abs(peak - aio.CLASS_TONE_HZ[entry.label]) < 1.0
 
@@ -338,7 +340,7 @@ class TestSynthCorpus:
 
         cfg = aio.SynthConfig(n_per_class=1, duration_s=2.0, seed=3)
         label = aio.ClassLabel.SPIRITUAL_MEDITATION
-        x = aio.synth_signal(label, 0, cfg)
+        x = aio.synth_signal(label, 0, cfg, aio.CANONICAL_RATE)
         # rebuild the true envelope with the same keyed draws
         rng = keyed_rng(cfg.seed, "synth", label.value, 0)
         n = x.size
@@ -360,7 +362,7 @@ class TestSynthCorpus:
     def test_envelope_floor_respected(self):
         cfg = aio.SynthConfig(n_per_class=1, duration_s=1.0, seed=9)
         for label in aio.LABELS:
-            x = aio.synth_signal(label, 0, cfg)
+            x = aio.synth_signal(label, 0, cfg, aio.CANONICAL_RATE)
             from atscalm import dsp
 
             env = dsp.analytic_envelope(x)

@@ -16,6 +16,17 @@ def tone_clip(f_hz, duration=2.0, rate=16000, amp=0.5):
     return aio.AudioClip(amp * np.cos(2 * np.pi * f_hz * t), rate, aio.ClassLabel.MUSIC, "tone")
 
 
+def one_block_spectra(spec, rate):
+    """The vocoder's synthesis spectra of every output frame as one block."""
+    return aug._vocoder_spectra(spec, np.arange(0.0, spec.shape[0] - 1, rate), [])
+
+
+def one_block_ola(spectra, win, hop):
+    """The overlap-add of every frame as one block, into a fresh sum buffer."""
+    out = np.zeros((spectra.shape[0] + -(-win // hop) - 1, hop))
+    return aug._istft_ola(spectra, win, hop, out, 0)
+
+
 class TestNoise:
     def test_sigma_zero_identity(self):
         clip = tone_clip(440)
@@ -87,12 +98,12 @@ class TestVocoderOracle:
         # here, so it carries eps * 4.7e4 ~ 1e-11 of rounding; 1e-9 bounds it
         x = keyed_rng("pv-oracle", win).normal(0, 0.3, 12000)
         grid = dsp.stft(np.pad(x, win // 2, mode="reflect"), win, hop, n_fft=win)
-        spectra = aug._vocoder_spectra(grid.spec.T, rate)
+        spectra = one_block_spectra(grid.spec.T, rate)
         loop = frontend_oracle.vocoder_spectra_loop(grid.spec, rate, win, hop)
         assert spectra.shape == loop.T.shape
         assert np.max(np.abs(spectra - loop.T)) <= 1e-9 * np.max(np.abs(loop))
         frames = np.fft.irfft(spectra, n=win, axis=1)
-        assert np.array_equal(aug._istft_ola(spectra, win, hop),
+        assert np.array_equal(one_block_ola(spectra, win, hop),
                               frontend_oracle.ola_loop(frames, win, hop))
 
     @pytest.mark.parametrize("rate", [0.742, 0.896, 1.403])
@@ -103,7 +114,7 @@ class TestVocoderOracle:
         clip.samples += keyed_rng("pv-exact", 0).normal(0, 0.05, clip.samples.size)
         win, hop = aug.VOCODER_WIN, aug.VOCODER_HOP
         grid = dsp.stft(np.pad(clip.samples, win // 2, mode="reflect"), win, hop, n_fft=win)
-        got = aug._vocoder_spectra(grid.spec.T, rate)
+        got = one_block_spectra(grid.spec.T, rate)
         ref = frontend_oracle.vocoder_spectra_wrapped_loop(grid.spec, rate).T
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -116,7 +127,7 @@ class TestVocoderOracle:
         x[6000:9000] = keyed_rng("pv-silence", 0).normal(0, 0.3, 3000)
         grid = dsp.stft(np.pad(x, win // 2, mode="reflect"), win, hop, n_fft=win)
         assert np.sum(np.all(grid.spec == 0, axis=0)) >= 20   # whole frames of exact zeros
-        got = aug._vocoder_spectra(grid.spec.T, rate)
+        got = one_block_spectra(grid.spec.T, rate)
         loop = frontend_oracle.vocoder_spectra_loop(grid.spec, rate, win, hop).T
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - loop)) <= 1e-9 * np.max(np.abs(loop))
@@ -128,7 +139,7 @@ class TestVocoderOracle:
         spec = np.fft.rfft(keyed_rng("pv-edge", 0).normal(0, 1, (22, 64)), axis=1)
         steps = np.arange(0.0, 21, 0.7)
         assert steps[-1] == 21.0
-        got = aug._vocoder_spectra(spec, 0.7)
+        got = one_block_spectra(spec, 0.7)
         ref = frontend_oracle.vocoder_spectra_wrapped_loop(spec.T, 0.7).T
         assert got.shape == (steps.size, 33)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -203,7 +214,7 @@ class TestStreamedVocoder:
         win, hop = aug.VOCODER_WIN, aug.VOCODER_HOP
         x = keyed_rng("pv-short", rate).normal(0, 0.3, 8191)
         grid = dsp.stft(np.pad(x, win // 2, mode="reflect"), win, hop, n_fft=win)
-        y = aug._istft_ola(aug._vocoder_spectra(grid.spec.T, rate), win, hop)
+        y = one_block_ola(one_block_spectra(grid.spec.T, rate), win, hop)
         start = int(round(win // 2 / rate))
         got = aug.phase_vocoder(x, rate)
         want = np.zeros(got.size)
@@ -232,21 +243,21 @@ class TestStreamedVocoder:
 class TestPitchShift:
     def test_zero_shift(self):
         clip = tone_clip(440)
-        out = aug.pitch_shift(clip, 0.0)
+        out = aug.pitch_shift(clip, 0.0, 1.0)
         assert np.array_equal(out.samples, clip.samples)
         assert abs(peak_frequency(out.samples, 16000) - 440.0) < 1.0
 
     def test_octave_up(self):
-        out = aug.pitch_shift(tone_clip(440), 12.0)
+        out = aug.pitch_shift(tone_clip(440), 12.0, 1.0)
         assert abs(peak_frequency(out.samples, 16000) - 880.0) < 1.0
 
     def test_octave_down(self):
-        out = aug.pitch_shift(tone_clip(880), -12.0)
+        out = aug.pitch_shift(tone_clip(880), -12.0, 1.0)
         assert abs(peak_frequency(out.samples, 16000) - 440.0) < 1.0
 
     def test_duration_preserved(self):
         clip = tone_clip(440)
-        out = aug.pitch_shift(clip, 3.0)
+        out = aug.pitch_shift(clip, 3.0, 1.0)
         assert out.samples.size == clip.samples.size
         assert out.rate == clip.rate
 

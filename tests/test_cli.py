@@ -239,6 +239,21 @@ BAD_INPUT = {
     "int-beyond-float-cam.lr": ({"c.json": '{"cam": {"lr": 1%s}}' % ("0" * 400)},
                                 ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
                                 "config key cam.lr must be finite, got 1000"),
+    # Values the schema's types take but the stage cannot run: no stage, a
+    # noise power past the float range, a vocoder output 2^(200/12) times the
+    # clip. Each names a missing input, so the stage never runs on them.
+    "empty-encoder.widths": ({"c.json": '{"encoder": {"widths": [], "blocks": []}}'},
+                             ["--config", "{d}/c.json", "train-encoder", "{d}/missing.json"], 2,
+                             "config encoder: widths and blocks must name at least one stage"),
+    **{f"snr-{value}-synth.snr_db": ({"c.json": json.dumps({"synth": {"snr_db": value}})},
+                                     ["--config", "{d}/c.json", "validate", "{d}/missing.json"], 2,
+                                     f"config synth: snr_db must be within [-300, 300] dB, "
+                                     f"got {value}")
+       for value in (1e6, -1e6)},
+    "pitch-200-augment.pitch_range_semitones": (
+        {"c.json": '{"augment": {"pitch_range_semitones": 200}}'},
+        ["--config", "{d}/c.json", "augment", "{d}/missing.json"], 2,
+        "config augment: pitch_range_semitones must be in [0, 12], got 200"),
 }
 
 

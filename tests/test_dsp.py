@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from atscalm import dsp
 from atscalm.util import PipelineError, keyed_rng
+from memtrace import traced_peak
 
 
 def direct_dft(x):
@@ -67,7 +68,7 @@ class TestMagnitude:
 
 
 def dct2(x):
-    return dsp.dct2_matrix(len(x)) @ np.asarray(x, dtype=np.float64)
+    return dsp.dct2_matrix(len(x), len(x)) @ np.asarray(x, dtype=np.float64)
 
 
 def direct_dct2(x):
@@ -138,6 +139,13 @@ class TestAnalyticEnvelope:
         with pytest.raises(PipelineError):
             dsp.analytic_envelope(np.ones(4))
 
+    def test_minute_clip_peaks_at_4x_its_bytes(self):
+        # the one-sided bins (1x), ifft's complex result (2x) and the envelope (1x)
+        x = keyed_rng("env-peak", 0).normal(0, 1, 60 * 16000)
+        env, peak, _ = traced_peak(lambda: dsp.analytic_envelope(x))
+        assert peak <= 4.5 * x.nbytes, f"peaked at {peak / x.nbytes:.2f}x"
+        assert env.shape == x.shape and env.dtype == np.float64
+
     @pytest.mark.parametrize("n", [64, 255, 1000, 4097])
     def test_matches_scipy_hilbert(self, n):
         signal = pytest.importorskip("scipy.signal")
@@ -147,19 +155,19 @@ class TestAnalyticEnvelope:
 
 class TestStft:
     def test_frame_count(self):
-        grid = dsp.stft(np.zeros(16000), 400, 160)
+        grid = dsp.stft(np.zeros(16000), 400, 160, n_fft=512)
         assert grid.n_frames == 98
 
     def test_hann_dc(self):
         # the periodic Hann window of length n sums to n/2
-        grid = dsp.stft(np.ones(1024), 128, 64)
+        grid = dsp.stft(np.ones(1024), 128, 64, n_fft=128)
         mags = np.abs(grid.spec[0])
         assert np.allclose(mags, 64.0, atol=1e-9)
 
     def test_parseval_per_frame(self):
         x = keyed_rng("stft", 2).normal(0, 1, 2000)
         win_len, hop = 256, 100
-        grid = dsp.stft(x, win_len, hop)
+        grid = dsp.stft(x, win_len, hop, n_fft=win_len)
         assert grid.spec.shape == (grid.n_fft // 2 + 1, grid.n_frames)
         w = dsp.hann(win_len)
         # one-sided bins: DC and Nyquist once, every other bin for itself and its mirror
@@ -176,7 +184,7 @@ class TestStft:
         # the inverted frames returns every sample two frames cover
         x = keyed_rng("stft-tile", 3).normal(0, 1, 1024)
         win, hop = 128, 64
-        grid = dsp.stft(x, win, hop)
+        grid = dsp.stft(x, win, hop, n_fft=win)
         rec = np.zeros(x.size)
         for m in range(grid.n_frames):
             rec[m * hop : m * hop + win] += np.fft.irfft(grid.spec[:, m], n=grid.n_fft)[:win]
@@ -184,7 +192,7 @@ class TestStft:
 
     def test_short_signal_rejected(self):
         with pytest.raises(PipelineError):
-            dsp.stft(np.zeros(100), 256, 64)
+            dsp.stft(np.zeros(100), 256, 64, n_fft=256)
 
 
 class TestMel:

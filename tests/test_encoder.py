@@ -99,7 +99,7 @@ class TestFlops:
             return y
 
         monkeypatch.setattr(encoder_mod, "conv2d", counted)
-        model.forward(Tensor(np.zeros((1, 1) + hw)))
+        model.forward(Tensor(np.zeros((1, 1) + hw)), train=False)
         assert count_flops(model, hw) == sum(traced) + 2 * model.proj_w.data.size
 
     def test_stem_weight_size(self):
@@ -292,7 +292,8 @@ class TestTrainEmbed:
     @classmethod
     def corpus(cls, tmp_path_factory):
         root = tmp_path_factory.mktemp("enc-corpus")
-        return aio.synth_corpus(str(root), aio.SynthConfig(n_per_class=2, duration_s=1.0, seed=4))
+        return aio.synth_corpus(str(root), aio.SynthConfig(n_per_class=2, duration_s=1.0, seed=4),
+                                aio.DEFAULT_CLASS_DIRS, 16000)
 
     DATA_KW = {"val_fraction": 0.25, "target_rate": 16000}
 
@@ -334,16 +335,16 @@ class TestTrainEmbed:
     def test_embed_corpus_shapes_and_determinism(self, corpus, tmp_path):
         model, _ = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
                                  epochs=1, lr=1e-3, seed=4, batch_pairs=3, **self.DATA_KW)
-        embs = embed_corpus(model, corpus, self._feat())
+        embs = embed_corpus(model, corpus, self._feat(), target_rate=16000, jobs=1)
         assert len(embs) == len(corpus.entries)
         assert all(e.vec.shape == (8,) for e in embs)
-        again = embed_corpus(model, corpus, self._feat())
+        again = embed_corpus(model, corpus, self._feat(), target_rate=16000, jobs=1)
         for e1, e2 in zip(embs, again):
             assert np.array_equal(e1.vec, e2.vec)
         path = str(tmp_path / "enc.ckpt")
         save_encoder(model, path, self._feat())
         back, meta = load_encoder(path)
-        embs2 = embed_corpus(back, corpus, self._feat())
+        embs2 = embed_corpus(back, corpus, self._feat(), target_rate=16000, jobs=1)
         for e1, e2 in zip(embs, embs2):
             assert np.array_equal(e1.vec, e2.vec)
 

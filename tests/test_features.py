@@ -17,7 +17,7 @@ def tone_clip(f_hz, duration=1.0, rate=16000, amp=1.0):
 
 class TestMelSpectrogram:
     def test_default_shape(self):
-        grid = features.mel_spectrogram(tone_clip(1000.0))
+        grid = features.mel_spectrogram(tone_clip(1000.0), features.FeatureParams())
         assert grid.values.shape == (64, 98)
 
     def test_silence_floor(self):
@@ -74,7 +74,7 @@ class TestMfcc:
         assert np.max(np.abs(got[1:])) < 1e-9
 
     def test_length_13(self):
-        assert features.mfcc13(tone_clip(440.0)).shape == (13,)
+        assert features.mfcc13(tone_clip(440.0), features.FeatureParams()).shape == (13,)
 
     def test_white_noise_vs_two_loop_oracle(self):
         x = keyed_rng("mfcc", 0).normal(0, 0.3, 4000)
@@ -165,10 +165,10 @@ class TestWaveletStats:
 
 class TestExtractFeatures:
     def test_length_25(self):
-        assert features.extract_features(tone_clip(300.0)).shape == (25,)
+        assert features.extract_features(tone_clip(300.0), features.FeatureParams()).shape == (25,)
 
     def test_silence_slots(self):
-        vec = features.extract_features(clip_of(np.zeros(16000)))
+        vec = features.extract_features(clip_of(np.zeros(16000)), features.FeatureParams())
         assert vec[13] == 0.0          # zcr
         assert vec[14] == 0.0          # rms
         assert np.all(vec[15:] == 0.0)  # wavelet stats
@@ -185,8 +185,8 @@ class TestExtractFeatures:
     def test_scale_behavior(self):
         clip = tone_clip(440.0, amp=0.3)
         scaled = clip_of(2.0 * clip.samples)
-        v1 = features.extract_features(clip)
-        v2 = features.extract_features(scaled)
+        v1 = features.extract_features(clip, features.FeatureParams())
+        v2 = features.extract_features(scaled, features.FeatureParams())
         assert v2[14] == pytest.approx(2.0 * v1[14])   # rms covariant
         assert v2[13] == pytest.approx(v1[13])         # zcr invariant
 

@@ -67,7 +67,7 @@ class TestWavFuzz:
             path = os.path.join(root, "Music", "clip_000.wav")
             with open(path, "wb") as fh:
                 fh.write(blob)
-            for call in (lambda: aio.load_wav(path), lambda: aio.build_manifest(root)):
+            for call in (lambda: aio.load_wav(path), lambda: aio.build_manifest(root, aio.DEFAULT_CLASS_DIRS)):
                 try:
                     call()
                 except PipelineError:

@@ -1,11 +1,20 @@
-"""No module-level function or class of ``atscalm`` exists for tests alone.
+"""No module-level function or class of ``atscalm`` exists for tests alone,
+and no keyword default does either.
 
-Every one must be used somewhere in ``src/atscalm`` or ``perfbench``: named
-in the module that defines it or in a module that imports it, or reached
-as an attribute of a name imported from atscalm (``encoder.count_flops``,
-``ops.conv2d``). An import, a re-export or an ``__all__`` entry is not a
-use, and neither is an attribute of any other object: neither the string
-method ``"a,b".split`` nor ``np.split`` keeps a ``split`` alive.
+Every function or class must be used somewhere in ``src/atscalm`` or
+``perfbench``: named in the module that defines it or in a module that
+imports it, or reached as an attribute of a name imported from atscalm
+(``encoder.count_flops``, ``ops.conv2d``). An import, a re-export or an
+``__all__`` entry is not a use, and neither is an attribute of any other
+object: neither the string method ``"a,b".split`` nor ``np.split`` keeps a
+``split`` alive.
+
+Every keyword default of a function or method in ``src/atscalm``, dunder
+methods aside, must be left out by some call there or in ``perfbench``;
+otherwise the value comes from the caller and the default is a second
+source of it. A call is matched to a function by its bare or attribute
+name alone, and a call with ``*args`` or ``**kwargs`` counts as leaving
+anything out.
 """
 
 import ast
@@ -51,6 +60,66 @@ def test_every_module_level_name_has_a_use_outside_tests():
     assert not unused, "defined in src/atscalm but used only by tests:\n" + "\n".join(unused)
 
 
+def _defaults(tree: ast.Module) -> list[tuple[str, str, int | None, int]]:
+    """(function name, parameter, index among a call's positional arguments
+    or None if keyword-only, line) of every keyword default in ``tree``,
+    dunder methods aside. A method's ``self`` takes no call argument."""
+    found = []
+
+    def visit(node, in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, True)
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, in_class)
+                continue
+            visit(child, False)
+            if child.name.startswith("__") and child.name.endswith("__"):
+                continue
+            a = child.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            positional = (a.posonlyargs + a.args)[1 if in_class and not static else 0:]
+            first = len(positional) - len(a.defaults)
+            found.extend((child.name, arg.arg, first + i, child.lineno)
+                         for i, arg in enumerate(positional[first:]))
+            found.extend((child.name, arg.arg, None, child.lineno)
+                         for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None)
+
+    visit(tree, False)
+    return found
+
+
+def _leaves_out(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` may leave ``param`` (at positional ``index``) to its default."""
+    unpacked = any(isinstance(a, ast.Starred) for a in call.args)
+    if unpacked or any(k.arg is None for k in call.keywords):
+        return True
+    if any(k.arg == param for k in call.keywords):
+        return False
+    return index is None or index >= len(call.args)
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, ast.Call]]:
+    """(bare or attribute name called, call) of every call in ``tree``."""
+    return [(node.func.id if isinstance(node.func, ast.Name) else node.func.attr, node)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))]
+
+
+def test_every_keyword_default_is_left_out_by_a_call_outside_tests():
+    sources = sorted(PACKAGE.rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sources + sorted((ROOT / "perfbench").rglob("*.py"))}
+    calls = [c for tree in trees.values() for c in _calls(tree)]
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}({param})"
+              for path in sources for name, param, index, line in _defaults(trees[path])
+              if not any(called == name and _leaves_out(call, param, index)
+                         for called, call in calls)]
+    assert not unused, "keyword defaults that only tests leave out:\n" + "\n".join(unused)
+
+
 def test_what_counts_as_a_use():
     names, imports, attrs = _uses(ast.parse(
         "import numpy as np\nfrom atscalm.nn import ops\nfrom .nn import lstm, mul\n"
@@ -58,3 +127,20 @@ def test_what_counts_as_a_use():
     assert imports == {"ops", "lstm", "mul"}
     assert attrs == {"conv2d"}                   # not split, scale or concat
     assert "lstm" in names and "mul" not in names
+
+
+def test_what_a_default_needs():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2): pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0): pass\n"
+        "    def m(self, y=3, z=4): pass\n"
+        "    @staticmethod\n"
+        "    def s(y=5): pass\n")
+    assert _defaults(tree) == [("f", "b", 1, 1), ("f", "c", None, 1), ("m", "y", 0, 4),
+                               ("m", "z", 1, 4), ("s", "y", 0, 6)]   # not __init__
+    (_, f_call), (_, m_call), (_, star), (_, kwargs) = _calls(ast.parse(
+        "f(0, 1)\nobj.m(y=3)\nf(*args)\nf(0, **kw)\n"))
+    assert not _leaves_out(f_call, "b", 1) and _leaves_out(f_call, "c", None)
+    assert not _leaves_out(m_call, "y", 0) and _leaves_out(m_call, "z", 1)
+    assert _leaves_out(star, "b", 1) and _leaves_out(kwargs, "c", None)

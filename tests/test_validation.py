@@ -82,14 +82,16 @@ class TestEnvelopeStats:
 
 class TestValidateCorpus:
     def test_synth_matched_models(self, tmp_path):
-        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=1))
-        report = val.validate_corpus(man)
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=1),
+                               aio.DEFAULT_CLASS_DIRS, 16000)
+        report = val.validate_corpus(man, target_rate=16000, jobs=1)
         for agg in report["per_class"].values():
             assert agg["rmse_mean"] < 0.02
 
     def test_single_clip_aggregate_equals_record(self, tmp_path):
-        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1, seed=2))
-        report = val.validate_corpus(man)
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1, seed=2),
+                               aio.DEFAULT_CLASS_DIRS, 16000)
+        report = val.validate_corpus(man, target_rate=16000, jobs=1)
         by_id = {r["clip_id"]: r for r in report["per_clip"]}
         for entry in man.entries:
             agg = report["per_class"][entry.label.value]
@@ -101,10 +103,11 @@ class TestValidateCorpus:
     def test_empty_manifest_rejected(self):
         man = aio.CorpusManifest(entries=[])
         with pytest.raises(PipelineError):
-            val.validate_corpus(man)
+            val.validate_corpus(man, target_rate=16000, jobs=1)
 
     def test_one_envelope_per_clip(self, tmp_path, monkeypatch):
-        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=4))
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=4),
+                               aio.DEFAULT_CLASS_DIRS, 16000)
         calls = []
         envelope = dsp.analytic_envelope
 
@@ -113,13 +116,14 @@ class TestValidateCorpus:
             return envelope(x)
 
         monkeypatch.setattr(dsp, "analytic_envelope", counted)
-        val.validate_corpus(man)
+        val.validate_corpus(man, target_rate=16000, jobs=1)
         assert len(calls) == len(man.entries)
 
     def test_jobs_order_independent(self, tmp_path):
-        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=3))
-        r1 = val.validate_corpus(man, jobs=1)
-        r2 = val.validate_corpus(man, jobs=4)
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=3),
+                               aio.DEFAULT_CLASS_DIRS, 16000)
+        r1 = val.validate_corpus(man, target_rate=16000, jobs=1)
+        r2 = val.validate_corpus(man, target_rate=16000, jobs=4)
         assert r1 == r2
 
 
