@@ -4,6 +4,13 @@ WAV support is deliberately narrow: PCM 16-bit or IEEE float 32-bit input,
 1-2 channels; output is always 16-bit PCM mono. Every stage loads a clip
 at the run's ``rate`` (`CorpusManifest.load_clip` resamples on ingest), so
 downstream modules see one rate per run.
+
+Resampling (`resample_signal`, which every pitch shift ends in) applies a
+64-tap Kaiser(beta=8) windowed sinc in Farrow form: per cutoff, a cached
+(64, 10) table holds each tap's weight as a degree-9 polynomial in the
+output's fractional position, within 2.4e-9 of the exact kernel. An output
+then costs 64 gathered inputs, one row of a (block, 64) x (64, 10) GEMM
+and a 9-step Horner evaluation.
 """
 
 from __future__ import annotations
@@ -187,13 +194,26 @@ class CorpusManifest:
             clip = resample(clip, target_rate)
         return clip
 
+    def clip_length(self, entry: ManifestEntry, *, target_rate: int) -> int:
+        """Samples `load_clip` returns for ``entry``, from its WAV header alone."""
+        n, rate = _wav_frames(os.path.join(self.root, entry.path))
+        return n if rate == target_rate else resampled_length(n, rate, target_rate)
+
+
+def _wav_frames(path: str) -> tuple[int, int]:
+    """(frames, rate) of a WAV file from its header; no sample byte is read."""
+    try:
+        with open(path, "rb") as fh:
+            _, n_ch, rate, bits, _, size = _read_header(fh, path)
+    except OSError as exc:
+        raise PipelineError(f"cannot read {path}: {exc}") from exc
+    return size // (n_ch * bits // 8), rate
+
 
 def _entry_for(root: str, rel_path: str, label: ClassLabel) -> ManifestEntry:
     # header-only probe; full decode happens on demand via load_clip
-    full = os.path.join(root, rel_path)
-    with open(full, "rb") as fh:
-        _, n_ch, rate, bits, _, size = _read_header(fh, full)
-    return ManifestEntry(rel_path, label, size // (n_ch * bits // 8) / rate, rate)
+    n, rate = _wav_frames(os.path.join(root, rel_path))
+    return ManifestEntry(rel_path, label, n / rate, rate)
 
 
 def build_manifest(root: str, class_dir_map: dict[ClassLabel, str]) -> CorpusManifest:
@@ -280,55 +300,65 @@ def load_manifest(path: str) -> CorpusManifest:
 
 _RESAMPLE_HALF = 32      # 64 taps
 _RESAMPLE_BETA = 8.0
-_RESAMPLE_PHASES = 512   # kernel table resolution per unit tap offset
+_RESAMPLE_DEGREE = 9     # Farrow polynomial degree in the fractional position
 _RESAMPLE_BLOCK = 1024   # outputs per tap block: (1024, 64) float64 is 512 KiB
 
 
-@functools.cache
-def _resample_window() -> tuple[np.ndarray, np.ndarray]:
-    """(u, window): the kernel table's tap offsets and its Kaiser window.
+def resampled_length(n: int, src_rate: float, dst_rate: float) -> int:
+    """Samples `resample_signal` makes from ``n`` at ``src_rate``: round(n * dst/src)."""
+    return int(round(n * (dst_rate / src_rate)))
 
-    Neither depends on the cutoff, so they are built once, on first use
-    rather than at import (``np.i0`` over the table is most of a table's
-    cost).
+
+@functools.cache
+def _farrow_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, window, fit) at the Farrow fit's nodes, for every cutoff.
+
+    The nodes are the degree + 1 Chebyshev points phi_i of [0, 1]. ``u``
+    holds tap k's offset phi_i + 31 - k from output to input, ``window``
+    the Kaiser window there, and ``fit`` the inverse Vandermonde matrix
+    that turns values at the nodes into monomial coefficients in phi.
+    None depends on the cutoff, so they are built once, on first use
+    rather than at import.
     """
-    half = _RESAMPLE_HALF
-    fracs = np.arange(_RESAMPLE_PHASES + 1) / _RESAMPLE_PHASES
-    ks = np.arange(2 * half)
-    u = fracs[:, None] + (half - 1) - ks[None, :]
-    t = u / half
-    win = np.where(
-        np.abs(t) <= 1.0,
-        np.i0(_RESAMPLE_BETA * np.sqrt(np.maximum(0.0, 1.0 - t * t))) / np.i0(_RESAMPLE_BETA),
-        0.0,
-    )
-    return u, win
+    m = _RESAMPLE_DEGREE + 1
+    phi = (1.0 - np.cos(np.pi * (np.arange(m) + 0.5) / m)) / 2.0
+    u = phi[:, None] + (_RESAMPLE_HALF - 1) - np.arange(2 * _RESAMPLE_HALF)[None, :]
+    t = u / _RESAMPLE_HALF
+    win = np.i0(_RESAMPLE_BETA * np.sqrt(1.0 - t * t)) / np.i0(_RESAMPLE_BETA)
+    fit = np.linalg.inv(phi[:, None] ** np.arange(m)[None, :])
+    return u, win, fit
 
 
 @functools.lru_cache(maxsize=8)
-def _resample_kernel_table(cutoff: float) -> np.ndarray:
-    """(phases+1, 64) table of the Kaiser-windowed sinc at fractional offsets.
+def _farrow_table(cutoff: float) -> np.ndarray:
+    """(64, degree + 1) table of the kernel's Farrow coefficients.
 
-    Row p holds the 64 tap weights for fractional position p/phases; rows
-    are linearly interpolated at lookup time (error ~1e-6 of peak). Each
-    pitch shift down draws a new cutoff, so the cache is bounded: a table
-    takes under a ms to build, against tens of ms for the resample using it.
+    Row k holds the coefficients, lowest power first, of the degree-9
+    polynomial in phi in [0, 1) that interpolates tap k's weight
+    h(phi + 31 - k), h(u) = cutoff * sinc(cutoff * u) * kaiser(u / 32), at
+    the Chebyshev nodes. On a dense phi grid it is within 2.4e-9 of h at
+    every cutoff in [0.36, 1], and the 64 taps' errors sum to at most
+    3.8e-8 (at cutoff 1). Each pitch shift up draws a new cutoff, so the
+    cache is bounded: a table takes well under a ms to fit.
     """
-    u, win = _resample_window()
-    return cutoff * np.sinc(cutoff * u) * win
+    u, win, fit = _farrow_basis()
+    return (fit @ (cutoff * np.sinc(cutoff * u) * win)).T.copy()
 
 
 def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarray:
     """Band-limited resampling: 64-tap Kaiser(beta=8) windowed sinc.
 
-    Cutoff sits at min(src, dst)/2. Output length is round(N * dst/src).
-    Outputs are made _RESAMPLE_BLOCK at a time: a block computes its own
-    positions and kernel-table coordinates, then reads each output's 64
-    input samples as one row of a sliding window view, so no temporary
-    grows with the signal and the per-block ones stay cache-sized. Each
-    output takes the dot products of its inputs with the two kernel-table
-    rows around its fractional position and interpolates between them,
-    which equals applying the interpolated kernel without building it.
+    Cutoff sits at min(src, dst)/2. Output length is `resampled_length`.
+    The kernel is evaluated in Farrow form (C. W. Farrow, ISCAS 1988): each
+    tap's weight is a degree-9 polynomial in the output's fractional
+    position phi (`_farrow_table`), so an output is the Horner evaluation
+    in phi of its 64 inputs' products with the table's columns. Outputs
+    are made _RESAMPLE_BLOCK at a time: a block computes its own positions,
+    gathers each output's 64 inputs as one row of a sliding window view,
+    multiplies the (block, 64) rows by the table in one GEMM and runs
+    Horner over the (block, 10) result. No temporary grows with the
+    signal, and the per-block ones stay cache-sized. Against the exact
+    windowed sinc the output is within 6.6e-9 * max|x| on random signals.
     """
     x = np.asarray(x, dtype=np.float64)
     if not src_rate > 0:
@@ -338,10 +368,9 @@ def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarr
     if src_rate == dst_rate:
         return x.copy()
     ratio = dst_rate / src_rate
-    n_out = int(round(x.size * ratio))
-    cutoff = min(1.0, ratio)  # normalized to source Nyquist
+    n_out = resampled_length(x.size, src_rate, dst_rate)
     half = _RESAMPLE_HALF
-    table = _resample_kernel_table(cutoff)
+    table = _farrow_table(min(1.0, ratio))  # cutoff normalized to source Nyquist
     xp = np.concatenate([np.zeros(half), x, np.zeros(half + 1)])
     # taps[b] = xp[b + 1 : b + 65], the inputs of an output whose position
     # floors to b (shifted by the zero-pad margin)
@@ -351,13 +380,14 @@ def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarr
         e = min(s + _RESAMPLE_BLOCK, n_out)
         pos = np.arange(s, e) / ratio
         base = np.floor(pos).astype(np.int64)
-        fi = (pos - base) * _RESAMPLE_PHASES
-        fi0 = np.floor(fi).astype(np.int64)
-        w = fi - fi0
-        rows = taps[base]
-        lo = np.einsum("ij,ij->i", table[fi0], rows)
-        hi = np.einsum("ij,ij->i", table[fi0 + 1], rows)
-        out[s:e] = lo * (1.0 - w) + hi * w
+        phi = pos - base
+        terms = (taps[base] @ table).T
+        acc = out[s:e]
+        np.multiply(terms[-1], phi, out=acc)
+        for j in range(_RESAMPLE_DEGREE - 1, 0, -1):
+            acc += terms[j]
+            acc *= phi
+        acc += terms[0]
     return out
 
 

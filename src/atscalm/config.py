@@ -63,12 +63,14 @@ class RunConfig:
 
     def __post_init__(self):
         self.class_dir_map()
-        least = shortest_view_frames(self.encoder.frames, self.features,
-                                     self.augment.stretch_range[1])
-        if least < self.augment.time_mask_max:
+        # a view's time mask is drawn over its kept frames: ``frames`` of
+        # them, since even the shortest view of a long clip is cropped
+        frames = self.encoder.frames
+        if frames < self.augment.time_mask_max:
+            least = shortest_view_frames(frames, self.features, self.augment.stretch_range[1])
             raise PipelineError(
-                f"encoder.frames {self.encoder.frames}: the shortest training view has "
-                f"{least} mel frames, fewer than augment.time_mask_max "
+                f"encoder.frames {frames}: the shortest training view has {least} mel "
+                f"frames and keeps {frames}, fewer than augment.time_mask_max "
                 f"({self.augment.time_mask_max})")
 
     def class_dir_map(self) -> dict[ClassLabel, str]:

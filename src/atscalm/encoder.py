@@ -237,13 +237,17 @@ def shortest_view_frames(frames: int, params: features.FeatureParams, stretch_ma
 def _augmented_view(clip: AudioClip, aug_cfg: augment.AugmentConfig,
                     feat_params: features.FeatureParams, enc_cfg: EncoderConfig,
                     seed, epoch: int, view: int) -> np.ndarray:
-    """One training view: crop the clip, draw a variant, log-mel, mask, fit to ``frames``.
+    """One training view: crop the clip, draw a variant, log-mel, then cut
+    the grid to ``frames``, mask it, and pad it.
 
     The clip is first center-cropped to `_view_window` samples. A stretch by
     r shortens the signal by 1/r and a pitch shift keeps its length, so at
     every drawn rate the variant still spans at least ``frames`` frames and
     `prepare_input` crops it, never pads it. A clip no longer than the
     window is used whole. The noise sigma follows the cropped samples' peak.
+    The mask is drawn over the grid the model sees: a grid longer than
+    ``frames`` is center-cropped first, so the time mask always lands
+    inside the kept frames; a shorter one is masked, then padded.
     """
     window = _view_window(enc_cfg.frames, feat_params, aug_cfg.stretch_range[1])
     if clip.samples.size > window:
@@ -252,9 +256,12 @@ def _augmented_view(clip: AudioClip, aug_cfg: augment.AugmentConfig,
     rng = keyed_rng(seed, "enc-view", clip.id, epoch, view)
     var = augment.make_variant(clip, aug_cfg, rng)
     grid = features.mel_spectrogram(var, feat_params)
-    grid = augment.spec_mask(grid, aug_cfg.freq_mask_max, aug_cfg.time_mask_max,
-                             keyed_rng(seed, "enc-mask", clip.id, epoch, view))
-    return prepare_input(grid, enc_cfg.frames)
+    mask = (aug_cfg.freq_mask_max, aug_cfg.time_mask_max,
+            keyed_rng(seed, "enc-mask", clip.id, epoch, view))
+    if grid.n_frames < enc_cfg.frames:
+        return prepare_input(augment.spec_mask(grid, *mask), enc_cfg.frames)
+    kept = features.TimeFreqGrid(prepare_input(grid, enc_cfg.frames))
+    return augment.spec_mask(kept, *mask).values
 
 
 def _pair_views(clips, aug_cfg, feat_params, enc_cfg, seed, epoch) -> list[np.ndarray]:

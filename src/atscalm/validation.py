@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .audio_io import CLASS_TONE_HZ, LABELS, AudioClip, CorpusManifest
+from .audio_io import CLASS_TONE_HZ, LABELS, AudioClip, ClassLabel, CorpusManifest
 from .util import PipelineError, parallel_map, write_csv, write_json
 
 EDGE_TRIM = 0.05
@@ -92,31 +92,42 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
 
     Every clip is loaded at ``target_rate``. Aggregation is the mean of the
     per-clip values; the class spectral peak comes from the class-mean
-    magnitude spectrum at a shared FFT size.
-    Empty classes are reported, not fatal. Results reduce in manifest order
-    regardless of ``jobs``.
+    magnitude spectrum at a shared FFT size, which the WAV headers give.
+    Empty classes are reported, not fatal. Clips are loaded inside the
+    per-clip work, ``jobs`` at a time, and each class's spectrum is a
+    running sum in manifest order, so memory follows the clip, not the
+    corpus, and results do not depend on ``jobs``.
     """
     if not manifest.entries:
         raise PipelineError("cannot validate an empty manifest")
 
-    clips = [manifest.load_clip(e, target_rate=target_rate) for e in manifest.entries]
-    n_fft = dsp.next_pow2(max(clip.samples.size for clip in clips))
+    n_fft = dsp.next_pow2(max(manifest.clip_length(e, target_rate=target_rate)
+                              for e in manifest.entries))
 
-    def work(clip: AudioClip):
+    def work(entry):
+        clip = manifest.load_clip(entry, target_rate=target_rate)
         rec = validate_clip(clip, CLASS_TONE_HZ[clip.label])
         return rec, np.abs(dsp.fft(clip.samples, n_fft))
 
-    results = parallel_map(work, clips, jobs)
+    per_clip = []
+    mag_sums: dict[ClassLabel, np.ndarray] = {}
+    step = max(1, jobs)
+    for s in range(0, len(manifest.entries), step):
+        entries = manifest.entries[s : s + step]
+        for entry, (rec, mag) in zip(entries, parallel_map(work, entries, jobs)):
+            per_clip.append(rec)
+            if entry.label in mag_sums:
+                mag_sums[entry.label] += mag
+            else:
+                mag_sums[entry.label] = mag
 
-    per_clip = [r[0] for r in results]
     per_class: dict[str, dict] = {}
     for label in LABELS:
-        idx = [i for i, e in enumerate(manifest.entries) if e.label == label]
-        if not idx:
+        recs = [r for r, e in zip(per_clip, manifest.entries) if e.label == label]
+        if not recs:
             per_class[label.value] = {"n": 0}
             continue
-        recs = [per_clip[i] for i in idx]
-        mean_mag = np.mean([results[i][1] for i in idx], axis=0)
+        mean_mag = mag_sums[label] / len(recs)
         peak_bin = 1 + int(np.argmax(mean_mag[1:]))
         per_class[label.value] = {
             "n": len(recs),

@@ -1,5 +1,5 @@
 """Reference front end: the loop phase vocoder, the whole-array phase
-vocoder and the 65536-block resampler.
+vocoder and the direct-formula resampler.
 
 These are the straightforward forms the vectorized code in
 `atscalm.augment` and `atscalm.audio_io` replaced. The whole-array
@@ -11,7 +11,9 @@ the same spectra as the vectorized code. The overlap-add loop must agree
 with it bit for bit. The angle-form spectra loop accumulates phases as
 angles and takes cos/sin of them, so it carries that rounding (about
 eps * max|phase|); the wrapped loop keeps every angle in [-pi, pi] and is
-the accurate reference.
+the accurate reference. The resampler evaluates the windowed sinc itself
+at each output's exact tap offsets; the Farrow polynomials in `audio_io`
+approximate it.
 """
 
 from __future__ import annotations
@@ -19,33 +21,41 @@ from __future__ import annotations
 import numpy as np
 
 from atscalm import dsp
+from atscalm.audio_io import _RESAMPLE_BETA, _RESAMPLE_HALF
 from atscalm.augment import VOCODER_HOP, VOCODER_WIN
-from atscalm.audio_io import _RESAMPLE_HALF, _RESAMPLE_PHASES, _resample_kernel_table
+
+
+def resample_kernel(u: np.ndarray, cutoff: float) -> np.ndarray:
+    """The resampler's kernel at tap offsets ``u`` (input samples):
+    cutoff * sinc(cutoff * u) * kaiser(u / 32), zero beyond 32."""
+    t = u / _RESAMPLE_HALF
+    win = np.where(np.abs(t) <= 1.0,
+                   np.i0(_RESAMPLE_BETA * np.sqrt(np.maximum(0.0, 1.0 - t * t)))
+                   / np.i0(_RESAMPLE_BETA), 0.0)
+    return cutoff * np.sinc(cutoff * u) * win
 
 
 def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarray:
-    """64-tap windowed-sinc resampler gathering (65536, 64) tap blocks."""
+    """64-tap windowed-sinc resampler: each output weighs its 64 inputs by
+    the kernel at their exact offsets from its position."""
     x = np.asarray(x, dtype=np.float64)
     if src_rate == dst_rate:
         return x.copy()
     ratio = dst_rate / src_rate
     n_out = int(round(x.size * ratio))
     half = _RESAMPLE_HALF
-    table = _resample_kernel_table(min(1.0, ratio))
-    out = np.empty(n_out)
     ks = np.arange(2 * half)
     xp = np.concatenate([np.zeros(half), x, np.zeros(half + 1)])
-    for start in range(0, n_out, 65536):
-        idx = np.arange(start, min(start + 65536, n_out))
+    out = np.empty(n_out)
+    for start in range(0, n_out, 8192):
+        idx = np.arange(start, min(start + 8192, n_out))
         pos = idx / ratio
         base = np.floor(pos).astype(np.int64)
-        frac = pos - base
-        fi = frac * _RESAMPLE_PHASES
-        fi0 = np.floor(fi).astype(np.int64)
-        w = (fi - fi0)[:, None]
-        kern = table[fi0] * (1.0 - w) + table[fi0 + 1] * w
-        tap_idx = base[:, None] + 1 + ks[None, :]
-        out[idx] = np.sum(kern * xp[tap_idx], axis=1)
+        # input xp[base + 1 + k] sits at x index base - 31 + k, so its
+        # offset from the output is pos - base + 31 - k
+        u = (pos - base)[:, None] + (half - 1) - ks[None, :]
+        out[idx] = np.sum(resample_kernel(u, min(1.0, ratio)) * xp[base[:, None] + 1 + ks],
+                          axis=1)
     return out
 
 

@@ -206,14 +206,14 @@ BAD_INPUT = {
     "negative-encoder.frames": ({"c.json": '{"encoder": {"frames": -3}}'},
                                 ["--config", "{d}/c.json", "train-encoder", "{d}"], 2,
                                 "config encoder: frames must be >= 1, got -3"),
-    # At frames 8 the shortest view has fewer mel frames than the 20 that the
-    # default time mask may blank. The config is rejected before any input
-    # is read: the manifest named does not exist.
+    # At frames 8 a view keeps fewer mel frames than the 20 that the default
+    # time mask may blank. The config is rejected before any input is read:
+    # the manifest named does not exist.
     "encoder-frames-below-time-mask": (
         {"c.json": '{"encoder": {"frames": 8, "width_scale": 0.125}}'},
         ["--config", "{d}/c.json", "train-encoder", "{d}/missing.json", "--epochs", "1"], 2,
-        "config document: encoder.frames 8: the shortest training view has 18 mel frames, "
-        "fewer than augment.time_mask_max (20)"),
+        "config document: encoder.frames 8: the shortest training view has 18 mel frames "
+        "and keeps 8, fewer than augment.time_mask_max (20)"),
     # A 0.15-s clip is shorter than the crop window, so its views are too,
     # whatever frames is; the error names both sizes.
     "encoder-clip-below-time-mask": (

@@ -41,9 +41,13 @@ def test_every_section_checked(doc, named):
 
 
 def test_shortest_view_as_long_as_the_time_mask_passes():
-    assert config_from_dict({"encoder": {"frames": 10}}).encoder.frames == 10
-    cfg = config_from_dict({"encoder": {"frames": 64}, "augment": {"time_mask_max": 74}})
-    assert cfg.augment.time_mask_max == 74
+    # the mask is drawn over the kept frames, so frames itself must cover it
+    assert config_from_dict({"encoder": {"frames": 20}}).encoder.frames == 20
+    cfg = config_from_dict({"encoder": {"frames": 64}, "augment": {"time_mask_max": 64}})
+    assert cfg.augment.time_mask_max == 64
+    with pytest.raises(ConfigError, match="the shortest training view has 74 mel frames "
+                                          "and keeps 64, fewer than augment.time_mask_max"):
+        config_from_dict({"encoder": {"frames": 64}, "augment": {"time_mask_max": 65}})
 
 
 def test_override_seed_reaches_every_seeded_section():

@@ -269,13 +269,32 @@ class TestAugmentedView:
         clip, aug, params = self._clip(self.WINDOW - 3000), AugmentConfig(), FeatureParams()
         rng = keyed_rng(7, "enc-view", clip.id, 1, 0)
         grid = mel_spectrogram(augment.make_variant(clip, aug, rng), params)
-        grid = augment.spec_mask(grid, aug.freq_mask_max, aug.time_mask_max,
-                                 keyed_rng(7, "enc-mask", clip.id, 1, 0))
-        want = prepare_input(grid, self.FRAMES)
+        assert grid.n_frames == 69
+        # cut to the kept frames first, then mask
+        grid = TimeFreqGrid(prepare_input(grid, self.FRAMES))
+        want = augment.spec_mask(grid, aug.freq_mask_max, aug.time_mask_max,
+                                 keyed_rng(7, "enc-mask", clip.id, 1, 0)).values
         seen = self._record(monkeypatch)
         got = _augmented_view(clip, aug, params, EncoderConfig(frames=self.FRAMES), 7, 1, 0)
         assert seen["samples"] == [clip.samples.size]
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [WINDOW + 1, 32000])
+    def test_long_clip_mask_drawn_over_kept_frames(self, monkeypatch, n):
+        aug = AugmentConfig(time_mask_max=self.FRAMES)
+        masked = []
+        spec_mask = augment.spec_mask
+
+        def record(grid, f_max, t_max, rng):
+            masked.append(grid.n_frames)
+            return spec_mask(grid, f_max, t_max, rng)
+
+        monkeypatch.setattr(augment, "spec_mask", record)
+        for view in range(4):
+            got = _augmented_view(self._clip(n), aug, FeatureParams(),
+                                  EncoderConfig(frames=self.FRAMES), 0, 0, view)
+            assert got.shape[1] == self.FRAMES
+        assert masked == [self.FRAMES] * 4
 
     def test_tiny_chain_takes_the_crop_path(self, monkeypatch):
         """So the chain's rerun and --jobs tests cover the crop."""

@@ -6,6 +6,7 @@ from atscalm import audio_io as aio
 from atscalm import dsp
 from atscalm import validation as val
 from atscalm.util import PipelineError, keyed_rng
+from memtrace import traced_peak
 
 
 def tone_clip(f_hz, duration=2.0, rate=16000, amp=1.0, label=None):
@@ -125,6 +126,24 @@ class TestValidateCorpus:
         r1 = val.validate_corpus(man, target_rate=16000, jobs=1)
         r2 = val.validate_corpus(man, target_rate=16000, jobs=4)
         assert r1 == r2
+
+    def test_memory_follows_the_clip_not_the_corpus(self, tmp_path):
+        peaks = []
+        for n in (2, 8):  # 6 and 24 clips
+            man = aio.synth_corpus(str(tmp_path / str(n)),
+                                   aio.SynthConfig(n_per_class=n, duration_s=2.0, seed=5),
+                                   aio.DEFAULT_CLASS_DIRS, 16000)
+            _, peak, _ = traced_peak(lambda: val.validate_corpus(man, target_rate=16000, jobs=1))
+            peaks.append(peak)
+        assert peaks[1] <= 1.5 * peaks[0], f"peaked at {peaks[0]} and {peaks[1]} bytes"
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050])
+    def test_fft_size_from_headers_matches_loaded_clips(self, tmp_path, rate):
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1, duration_s=0.7),
+                               aio.DEFAULT_CLASS_DIRS, 16000)
+        for entry in man.entries:
+            clip = man.load_clip(entry, target_rate=rate)
+            assert man.clip_length(entry, target_rate=rate) == clip.samples.size
 
 
 class TestScaleInvariance:
