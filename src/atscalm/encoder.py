@@ -315,8 +315,9 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
         emb_var = np.nan
         for start in range(0, len(perm), batch_pairs):
             batch = [train_clips[i] for i in perm[start : start + batch_pairs]]
-            views = _pair_views(batch, aug_cfg, feat_params, cfg, seed, epoch)
-            x = Tensor(np.stack(views)[:, None, :, :])
+            # the views are not kept past the stack: the step holds the batch once
+            x = Tensor(np.stack(_pair_views(batch, aug_cfg, feat_params, cfg, seed, epoch))
+                       [:, None, :, :])
             emb = model.forward(x, train=True)
             loss = contrastive_loss(emb)
             loss.backward()

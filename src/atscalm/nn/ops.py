@@ -295,7 +295,10 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
     Backward recomputes ``xhat`` from ``x``, which the graph holds as a
     parent, with the forward's expression, and takes the relu mask from the
     output (``out > 0`` exactly where its input was). The results are the
-    ones of ``relu(add(batchnorm2d(...), skip))`` bit for bit.
+    ones of ``relu(add(batchnorm2d(...), skip))`` bit for bit. It holds at
+    most three arrays of the input's size: once masked, the output's
+    gradient is released, and dx is written into the buffer of the
+    ``g * xhat`` product after its channel sums are taken.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4 or gamma.data.shape != (x.data.shape[1],):
@@ -333,11 +336,15 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
     out = Tensor(y, any(p.requires_grad for p in parents), parents)
 
     def backward():
-        g = out.grad * (out.data > 0.0) if relu else out.grad   # subgradient 0 at the kink
+        g = out.grad
+        if relu:
+            g = g * (out.data > 0.0)   # subgradient 0 at the kink
+            out.grad = None            # not read again: free it before xhat is made
         if skip is not None:
             skip.accumulate(g)
         xhat = (x.data - mu) * inv
-        gx_sum, g_sum = (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        gx = g * xhat
+        gx_sum, g_sum = gx.sum(axis=axes), g.sum(axis=axes)
         gamma.accumulate(gx_sum)
         beta.accumulate(g_sum)
         if not x.requires_grad:
@@ -347,7 +354,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
             # The sums were handed on as gradients, so divide into new arrays:
             # equal to gx.mean(axes) and g.mean(axes) bit for bit.
             mean_gx = (gx_sum / count)[None, :, None, None]
-            dx = g - (g_sum / count)[None, :, None, None]
+            dx = np.subtract(g, (g_sum / count)[None, :, None, None], out=gx)
             xhat *= mean_gx
             dx -= xhat
             dx *= gi
