@@ -8,15 +8,16 @@ from ..util import PipelineError
 from .tensor import Tensor
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-CHUNK = 32768   # elements per pass: the two scratch arrays are 256 KiB each
+CHUNK = 32768   # elements per pass: the scratch arrays and moment pieces are 256 KiB each
 
 
 class Adam:
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        # each parameter's moments, as the CHUNK-element pieces a step walks
+        self.m: dict[str, list[np.ndarray]] = {}
+        self.v: dict[str, list[np.ndarray]] = {}
         self.step_count = 0
 
     def step(self):
@@ -24,9 +25,12 @@ class Adam:
 
         Each parameter is walked in ``CHUNK``-element pieces through two
         chunk-sized scratch arrays, and ``m``, ``v`` and ``p.data`` are
-        updated in place, so each array keeps its identity and a step
-        allocates no array of a parameter's size beyond ``m`` and ``v`` on
-        the first step. Every operation is the one of the textbook form
+        updated in place, so each array keeps its identity. The moments are
+        held as one array per piece, made on the first step: no step
+        allocates more than a piece at a time, so the first one needs no
+        free block of a parameter's size (the encoder's largest is 18.9 MB)
+        and fills the space the freed gradients leave. Every operation is
+        the one of the textbook form
         ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``, in the same order, so
         the results are bit-identical to it. The step consumes the
         gradients: each ``p.grad`` is None once its parameter is updated.
@@ -39,14 +43,14 @@ class Adam:
         for name, p in self.params.items():
             if not p.data.flags.c_contiguous:
                 raise PipelineError(f"Adam parameter {name} is not a contiguous array")
+            pf = p.data.reshape(-1)
+            starts = range(0, pf.size, CHUNK)
             if name not in self.m:
-                self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            pf, mf, vf = (arr.reshape(-1) for arr in (p.data, self.m[name], self.v[name]))
+                self.m[name] = [np.zeros(min(CHUNK, pf.size - lo)) for lo in starts]
+                self.v[name] = [np.zeros(min(CHUNK, pf.size - lo)) for lo in starts]
             gf = None if p.grad is None else p.grad.reshape(-1)
-            for lo in range(0, pf.size, CHUNK):
+            for lo, m, v in zip(starts, self.m[name], self.v[name]):
                 piece = slice(lo, lo + CHUNK)
-                m, v = mf[piece], vf[piece]
                 ac, bc = a[: m.size], b[: m.size]
                 g = zeros[: m.size] if gf is None else gf[piece]
                 np.multiply(g, 1.0 - BETA1, out=ac)  # m = BETA1 * m + (1 - BETA1) * g
