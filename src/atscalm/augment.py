@@ -241,11 +241,8 @@ def pitch_shift(clip: AudioClip, semitones: float, stretch: float) -> AudioClip:
 
     The vocoder changes the length by f / stretch (pitch untouched), and
     resampling from rate * f back to rate scales the length by 1/f and
-    multiplies every frequency by f. At 0 semitones the vocoder alone
-    stretches the clip.
+    multiplies every frequency by f.
     """
-    if semitones == 0.0:
-        return AudioClip(phase_vocoder(clip.samples, stretch), clip.rate, clip.label, clip.id)
     factor = 2.0 ** (semitones / 12.0)
     y = resample_signal(phase_vocoder(clip.samples, stretch / factor),
                         clip.rate * factor, clip.rate)

@@ -90,12 +90,11 @@ class BiLstmClassifier:
         h = dropout(h, self.cfg.dropout, train, rng)
         return linear(h, p["fc2.w"], p["fc2.b"])
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return softmax(self.forward(x, train=False).data)
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(x), axis=1)
+        """Eval-mode class indices: the argmax of the softmax probabilities."""
+        with no_grad():
+            return np.argmax(softmax(self.forward(x, train=False).data), axis=1)
+
 
 def class_weights(counts: dict[ClassLabel, int]) -> dict[ClassLabel, float]:
     """weight_i = total / count_i."""
@@ -116,22 +115,9 @@ def weighted_sampler(labels: list[ClassLabel], weights: dict[ClassLabel, float],
     return keyed_rng("sampler", seed).choice(len(labels), size=n_draws, replace=True, p=p)
 
 
-@dataclass
-class EvalReport:
-    confusion: np.ndarray                 # rows = true, cols = predicted
-    per_class: dict[str, dict[str, float]]
-    overall_accuracy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "confusion": self.confusion.astype(int).tolist(),
-            "confusion_labels": [lab.value for lab in LABELS],
-            "per_class": self.per_class,
-            "overall_accuracy": self.overall_accuracy,
-        }
-
-
-def eval_report_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> EvalReport:
+def eval_report_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
+    """The evaluation document: the confusion matrix (rows = true, columns =
+    predicted, both in LABELS order), per-class metrics and overall accuracy."""
     k = len(LABELS)
     confusion = np.zeros((k, k), dtype=np.int64)
     for t, p in zip(y_true, y_pred):
@@ -154,7 +140,12 @@ def eval_report_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Eval
             "support": int(tp + fn),
         }
     overall = float(np.trace(confusion) / n) if n else 0.0
-    return EvalReport(confusion=confusion, per_class=per_class, overall_accuracy=overall)
+    return {
+        "confusion": confusion.tolist(),
+        "confusion_labels": [lab.value for lab in LABELS],
+        "per_class": per_class,
+        "overall_accuracy": overall,
+    }
 
 
 def _rows_to_arrays(rows) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -182,7 +173,7 @@ def stratified_split(labels: np.ndarray, val_fraction: float, seed) -> tuple[np.
     return np.array(sorted(train)), np.array(sorted(test))
 
 
-def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], EvalReport, dict]:
+def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], dict, dict]:
     """Train on a stratified split of feature rows (id, label, vec25).
 
     Each batch draws ``cfg.batch`` rows with replacement. The BiLSTM runs
@@ -193,7 +184,8 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], EvalR
     History rows: epoch, loss (mean over the epoch's batches), train-set
     accuracy; they hold no wall-clock value, so a fixed seed reproduces them
     exactly. Each epoch's elapsed time goes to the INFO log line instead.
-    The returned report is on the held-out split.
+    The returned report is `eval_report_from_predictions`'s document on the
+    held-out split.
     """
     ids, labels, x = _rows_to_arrays(rows)
     train_idx, test_idx = stratified_split(labels, cfg.val_fraction, cfg.seed)
@@ -242,8 +234,9 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], EvalR
     return model, history, report, split_info
 
 
-def evaluate(model: BiLstmClassifier, rows) -> EvalReport:
-    """Eval-mode metrics over the given feature rows."""
+def evaluate(model: BiLstmClassifier, rows) -> dict:
+    """Eval-mode metrics over the given feature rows, as
+    `eval_report_from_predictions`'s document."""
     _, labels, x = _rows_to_arrays(rows)
     return eval_report_from_predictions(labels, model.predict(x))
 

@@ -216,8 +216,8 @@ def cmd_train_cam(args, cfg: RunConfig, out: str) -> list[str]:
     cam_mod.save_cam(model, ckpt, split_info)
     hist_path = _write_history(os.path.join(out, "cam_history.csv"), history)
     report_path = os.path.join(out, "cam_heldout_eval.json")
-    write_json(report_path, json_sanitize(report.to_dict()))
-    log.info("held-out accuracy %.4f", report.overall_accuracy)
+    write_json(report_path, json_sanitize(report))
+    log.info("held-out accuracy %.4f", report["overall_accuracy"])
     return [ckpt, hist_path, report_path]
 
 
@@ -233,11 +233,11 @@ def cmd_evaluate(args, cfg: RunConfig, out: str) -> list[str]:
             raise PipelineError(f"no feature rows match the stored {args.split} split")
     report = cam_mod.evaluate(model, rows)
     json_path = os.path.join(out, "evaluation.json")
-    write_json(json_path, json_sanitize(report.to_dict()))
+    write_json(json_path, json_sanitize(report))
     conf_path = os.path.join(out, "confusion.csv")
     write_csv(conf_path, ["true\\pred"] + [lab.value for lab in LABELS],
-              [[lab.value] + report.confusion[i].tolist() for i, lab in enumerate(LABELS)])
-    log.info("overall accuracy %.4f on %d rows", report.overall_accuracy, len(rows))
+              [[lab.value] + row for lab, row in zip(LABELS, report["confusion"])])
+    log.info("overall accuracy %.4f on %d rows", report["overall_accuracy"], len(rows))
     return [json_path, conf_path]
 
 
@@ -252,10 +252,10 @@ def cmd_calmness(args, cfg: RunConfig, out: str) -> list[str]:
     report = stats.calmness_report(groups, list(features.FEATURE_NAMES))
     json_path = os.path.join(out, "calmness.json")
     csv_path = os.path.join(out, "calmness.csv")
-    stats.write_calmness_json(report, json_path)
+    write_json(json_path, json_sanitize(report))
     stats.write_calmness_csv(report, csv_path)
     log.info("calmest class by majority vote: %s (tally %s)",
-             report.calmest_overall, report.tally)
+             report["vote"]["calmest_overall"], report["vote"]["tally"])
     return [json_path, csv_path]
 
 

@@ -367,18 +367,13 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
 
 
 def dropout(x, p: float, train: bool, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: train-mode expectation equals the input."""
+    """Inverted dropout: train-mode expectation equals the input. Dropping
+    nothing (eval mode, or p = 0) returns the input itself."""
     if not (0.0 <= p < 1.0):
         raise PipelineError(f"dropout p must be in [0, 1), got {p}")
     x = as_tensor(x)
     if not train or p == 0.0:
-        out = Tensor(x.data.copy(), x.requires_grad, (x,))
-
-        def backward():
-            x.accumulate(out.grad)
-
-        out._backward = backward
-        return out
+        return x
     if rng is None:
         raise PipelineError("train-mode dropout needs an explicit rng")
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)

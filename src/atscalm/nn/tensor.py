@@ -56,18 +56,6 @@ class Tensor:
         # would only keep its inputs alive.
         self._bw = fn if self.requires_grad else None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 

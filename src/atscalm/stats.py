@@ -2,8 +2,9 @@
 
 One-way ANOVA, Welch two-sample t-tests with Satterthwaite degrees of
 freedom, their p-values as upper tails of a continued-fraction regularized
-incomplete beta, the lowest-mean "calmest class" rule, and the per-feature
-report with a majority-vote verdict.
+incomplete beta, the lowest-mean "calmest class" rule, and
+`calmness_report`, which returns the calmness document as it is written
+to calmness.json: one summary per feature and a majority-vote verdict.
 
 Conventions: sample variance (1/(n-1)) in every test statistic; pairwise
 tests are always computed, with the ANOVA p < 0.05 gate affecting only the
@@ -14,12 +15,11 @@ are flagged and broken toward NormalSilence, the baseline condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import LABELS, ClassLabel
-from .util import PipelineError, json_sanitize, write_csv, write_json
+from .audio_io import ClassLabel
+from .util import PipelineError, write_csv
 
 ALPHA = 0.05
 
@@ -32,39 +32,29 @@ PAIRS = (("SM", "M"), ("SM", "NS"), ("M", "NS"))
 
 _BETACF_MAX_ITER = 300
 _BETACF_TOL = 1e-12
+_BETACF_TINY = 1e-300
+
+
+def _clamp(v: float) -> float:
+    """Lentz's guard: a value that would divide by (near) zero becomes tiny."""
+    return _BETACF_TINY if abs(v) < _BETACF_TINY else v
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
+    """Continued fraction for the incomplete beta (modified Lentz); each
+    iteration takes the even and then the odd coefficient."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / _clamp(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _clamp(1.0 + aa * d)
+            c = _clamp(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_TOL:
             return h
     raise PipelineError(f"incomplete beta did not converge after {_BETACF_MAX_ITER} iterations "
@@ -140,17 +130,21 @@ def welch_t(a, b) -> tuple[float, float, float]:
     return float(t_stat), float(df), float(p)
 
 
+def _pick(scores: dict[str, float], best: float) -> tuple[str, bool]:
+    """The code whose score is ``best``; a tie is flagged and resolved toward NS."""
+    winners = [c for c in ("SM", "NS", "M") if scores[c] == best]
+    if len(winners) == 1:
+        return winners[0], False
+    return ("NS" if "NS" in winners else winners[0]), True
+
+
 def calmest_per_feature(means: dict[str, float]) -> tuple[str, bool]:
     """Code of the lowest mean; ties are flagged and resolved toward NS."""
     if set(means) != {"SM", "NS", "M"}:
         raise PipelineError(f"means must be keyed by SM/NS/M, got {sorted(means)}")
     if not all(np.isfinite(v) for v in means.values()):
         raise PipelineError("means must be finite")
-    low = min(means.values())
-    winners = [c for c in ("SM", "NS", "M") if means[c] == low]
-    if len(winners) == 1:
-        return winners[0], False
-    return ("NS" if "NS" in winners else winners[0]), True
+    return _pick(means, min(means.values()))
 
 
 def majority_vote(labels: list[str]) -> tuple[dict[str, int], str, bool]:
@@ -162,34 +156,8 @@ def majority_vote(labels: list[str]) -> tuple[dict[str, int], str, bool]:
         if lab not in tally:
             raise PipelineError(f"unknown class code {lab!r}")
         tally[lab] += 1
-    top = max(tally.values())
-    winners = [c for c in ("SM", "NS", "M") if tally[c] == top]
-    if len(winners) == 1:
-        return tally, winners[0], False
-    return tally, ("NS" if "NS" in winners else winners[0]), True
-
-
-@dataclass
-class FeatureGroupSummary:
-    feature: str
-    means: dict[str, float]
-    variances: dict[str, float]
-    ns: dict[str, int]
-    anova_f: float | None
-    anova_p: float | None
-    pairwise: dict[tuple[str, str], tuple[float, float, float]]  # (t, df, p)
-    comparison: str
-    calmest: str
-    calmest_tie: bool
-    result: str
-
-
-@dataclass
-class CalmnessReport:
-    rows: list[FeatureGroupSummary]
-    tally: dict[str, int]
-    calmest_overall: str
-    vote_tie: bool
+    winner, tie = _pick(tally, max(tally.values()))
+    return tally, winner, tie
 
 
 def _comparison_string(means: dict[str, float]) -> str:
@@ -199,19 +167,19 @@ def _comparison_string(means: dict[str, float]) -> str:
     return f"SM {op(means['SM'], means['NS'])} NS {op(means['NS'], means['M'])} M"
 
 
-def _result_string(anova_p: float | None, pairwise) -> str:
+def _result_string(anova_p: float | None, pairwise: dict[str, dict]) -> str:
     if anova_p is None:
         return "degenerate"
     if anova_p >= ALPHA:
         return "No diff"
-    sig = [f"{a} vs {b} diff" for (a, b), (_, _, p) in pairwise.items()
-           if p is not None and p < ALPHA]
+    sig = [f"{key.replace('_', ' ')} diff" for key, test in pairwise.items()
+           if test["p"] is not None and test["p"] < ALPHA]
     return ", ".join(sig) if sig else "No diff"
 
 
-def calmness_report(groups: dict[ClassLabel, np.ndarray],
-                    feature_names: list[str]) -> CalmnessReport:
-    """Per-feature summaries over per-class feature matrices (n_i x n_features).
+def calmness_report(groups: dict[ClassLabel, np.ndarray], feature_names: list[str]) -> dict:
+    """The calmness document over per-class feature matrices (n_i x n_features):
+    ``{"features": [one summary per feature], "vote": {...}}``.
 
     Degenerate features (zero variance everywhere) keep their means and
     calmest label but carry null test statistics.
@@ -227,8 +195,6 @@ def calmness_report(groups: dict[ClassLabel, np.ndarray],
     for j, name in enumerate(feature_names):
         cols = {CODES[lab]: groups[lab][:, j] for lab in ORDER}
         means = {c: float(v.mean()) for c, v in cols.items()}
-        variances = {c: float(v.var(ddof=1)) for c, v in cols.items()}
-        ns = {c: int(v.size) for c, v in cols.items()}
         try:
             anova_f, anova_p = anova_oneway([cols["SM"], cols["NS"], cols["M"]])
         except PipelineError:
@@ -236,76 +202,42 @@ def calmness_report(groups: dict[ClassLabel, np.ndarray],
         pairwise = {}
         for a, b in PAIRS:
             try:
-                pairwise[(a, b)] = welch_t(cols[a], cols[b])
+                t, df, p = welch_t(cols[a], cols[b])
             except PipelineError:
-                pairwise[(a, b)] = (None, None, None)
+                t = df = p = None
+            pairwise[f"{a}_vs_{b}"] = {"t": t, "df": df, "p": p}
         calmest, tie = calmest_per_feature(means)
-        rows.append(FeatureGroupSummary(
-            feature=name,
-            means=means,
-            variances=variances,
-            ns=ns,
-            anova_f=anova_f,
-            anova_p=anova_p,
-            pairwise=pairwise,
-            comparison=_comparison_string(means),
-            calmest=calmest,
-            calmest_tie=tie,
-            result=_result_string(anova_p, pairwise),
-        ))
-    tally, winner, vote_tie = majority_vote([r.calmest for r in rows])
-    return CalmnessReport(rows=rows, tally=tally, calmest_overall=winner, vote_tie=vote_tie)
-
-
-def report_to_dict(report: CalmnessReport) -> dict:
-    return {
-        "features": [
-            {
-                "feature": r.feature,
-                "means": r.means,
-                "variances": r.variances,
-                "n": r.ns,
-                "anova_f": r.anova_f,
-                "anova_p": r.anova_p,
-                "pairwise": {
-                    f"{a}_vs_{b}": {"t": t, "df": df, "p": p}
-                    for (a, b), (t, df, p) in r.pairwise.items()
-                },
-                "comparison": r.comparison,
-                "calmest": r.calmest,
-                "calmest_tie": r.calmest_tie,
-                "result": r.result,
-            }
-            for r in report.rows
-        ],
-        "vote": {
-            "tally": report.tally,
-            "calmest_overall": report.calmest_overall,
-            "tie": report.vote_tie,
-        },
-    }
+        rows.append({
+            "feature": name,
+            "means": means,
+            "variances": {c: float(v.var(ddof=1)) for c, v in cols.items()},
+            "n": {c: int(v.size) for c, v in cols.items()},
+            "anova_f": anova_f,
+            "anova_p": anova_p,
+            "pairwise": pairwise,
+            "comparison": _comparison_string(means),
+            "calmest": calmest,
+            "calmest_tie": tie,
+            "result": _result_string(anova_p, pairwise),
+        })
+    tally, winner, tie = majority_vote([r["calmest"] for r in rows])
+    return {"features": rows, "vote": {"tally": tally, "calmest_overall": winner, "tie": tie}}
 
 
 CSV_HEADER = ["feature", "mean_SM", "mean_NS", "mean_M", "comparison", "calmest",
               "anova_p", "p_SM_M", "p_SM_NS", "p_M_NS", "result"]
 
 
-def write_calmness_csv(report: CalmnessReport, path: str) -> None:
+def write_calmness_csv(report: dict, path: str) -> None:
+    """One row per feature of the calmness document, in CSV_HEADER's columns."""
     def cell(v):
         return "" if v is None else v
 
     rows = []
-    for r in report.rows:
-        rows.append([
-            r.feature, r.means["SM"], r.means["NS"], r.means["M"], r.comparison,
-            r.calmest, cell(r.anova_p),
-            cell(r.pairwise[("SM", "M")][2]),
-            cell(r.pairwise[("SM", "NS")][2]),
-            cell(r.pairwise[("M", "NS")][2]),
-            r.result,
-        ])
+    for r in report["features"]:
+        means = r["means"]
+        rows.append([r["feature"], means["SM"], means["NS"], means["M"], r["comparison"],
+                     r["calmest"], cell(r["anova_p"])]
+                    + [cell(r["pairwise"][f"{a}_vs_{b}"]["p"]) for a, b in PAIRS]
+                    + [r["result"]])
     write_csv(path, CSV_HEADER, rows)
-
-
-def write_calmness_json(report: CalmnessReport, path: str) -> None:
-    write_json(path, json_sanitize(report_to_dict(report)))

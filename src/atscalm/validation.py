@@ -2,14 +2,13 @@
 
 For each clip: extract the analytic envelope, rebuild the signal as
 envelope * cos(2*pi*f_c*t) at the class tone frequency f_c of
-CLASS_TONE_HZ, and score the match with RMSE. Envelope mean/std (edge-trimmed), total energy, and the
-spectral peak round out the record; per-class aggregates mirror the
-per-clip fields.
+CLASS_TONE_HZ, and score the match with RMSE. Envelope mean/std
+(edge-trimmed), total energy, and the spectral peak round out the record,
+a dict keyed as the validation.json document names it; per-class
+aggregates mirror the per-clip fields.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +17,6 @@ from .audio_io import CLASS_TONE_HZ, LABELS, AudioClip, ClassLabel, CorpusManife
 from .util import PipelineError, parallel_map, write_csv, write_json
 
 EDGE_TRIM = 0.05
-
-
-@dataclass
-class ValidationRecord:
-    clip_id: str
-    rmse: float
-    env_mean: float
-    env_std: float
-    energy: float
-    peak_hz: float
 
 
 def rmse(x, y) -> float:
@@ -55,46 +44,47 @@ def envelope_stats(clip: AudioClip, env: np.ndarray) -> tuple[float, float, floa
     """(env_mean, env_std, energy): stats of the clip's analytic envelope
     ``env`` with EDGE_TRIM of it cut off each end, energy = sum(x^2) over the full clip."""
     k = int(np.floor(EDGE_TRIM * env.size))
-    if env.size - 2 * k >= 1:
-        env = env[k : env.size - k]
+    env = env[k : env.size - k]
     energy = float(np.sum(clip.samples ** 2))
     return float(np.mean(env)), float(np.std(env)), energy
 
 
-def peak_frequency(x: np.ndarray, rate: float) -> float:
-    """Frequency of the largest non-DC magnitude bin, the signal zero-padded
-    to the next power of two."""
-    n_fft = dsp.next_pow2(np.size(x))
-    mag = np.abs(dsp.fft(x, n_fft))
+def peak_hz(mag: np.ndarray, rate: float, n_fft: int) -> float:
+    """Frequency of the largest non-DC bin of a one-sided magnitude spectrum
+    taken at ``n_fft`` points."""
     if mag.size < 2:
         return 0.0
     return float((1 + int(np.argmax(mag[1:]))) * rate / n_fft)
 
 
-def validate_clip(clip: AudioClip, f_c_hz: float) -> ValidationRecord:
-    """One record; the analytic envelope (a full-length FFT pair) is computed
-    once and feeds both the reconstruction and the envelope stats."""
+def validate_clip(clip: AudioClip, f_c_hz: float, mag: np.ndarray, n_fft: int) -> dict:
+    """One record; ``mag`` is the clip's magnitude spectrum at ``n_fft``
+    points. The analytic envelope (a full-length FFT pair) is computed once
+    and feeds both the reconstruction and the envelope stats."""
     env = dsp.analytic_envelope(clip.samples)
     theo = reconstruct_theoretical(clip, env, f_c_hz)
     env_mean, env_std, energy = envelope_stats(clip, env)
-    return ValidationRecord(
-        clip_id=clip.id,
-        rmse=rmse(clip.samples, theo),
-        env_mean=env_mean,
-        env_std=env_std,
-        energy=energy,
-        peak_hz=peak_frequency(clip.samples, clip.rate),
-    )
+    return {
+        "clip_id": clip.id,
+        "rmse": rmse(clip.samples, theo),
+        "env_mean": env_mean,
+        "env_std": env_std,
+        "energy": energy,
+        "peak_hz": peak_hz(mag, clip.rate, n_fft),
+    }
 
 
 def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) -> dict:
-    """Per-clip records against each clip's class tone, plus per-class aggregates.
+    """The validation document: per-clip records against each clip's class
+    tone, plus per-class aggregates.
 
-    Every clip is loaded at ``target_rate``. Aggregation is the mean of the
-    per-clip values; the class spectral peak comes from the class-mean
-    magnitude spectrum at a shared FFT size, which the WAV headers give.
-    Empty classes are reported, not fatal. Clips are loaded inside the
-    per-clip work, ``jobs`` at a time, and each class's spectrum is a
+    Every clip is loaded at ``target_rate`` and takes one FFT, at the size
+    the WAV headers give for the longest clip. That spectrum gives both the
+    clip's peak and its share of the class-mean magnitude spectrum, whose
+    peak is the class's, so every peak sits on the same grid of
+    ``target_rate / n_fft`` Hz. Aggregation is the mean of the per-clip
+    values. Empty classes are reported, not fatal. Clips are loaded inside
+    the per-clip work, ``jobs`` at a time, and each class's spectrum is a
     running sum in manifest order, so memory follows the clip, not the
     corpus, and results do not depend on ``jobs``.
     """
@@ -106,8 +96,8 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
 
     def work(entry):
         clip = manifest.load_clip(entry, target_rate=target_rate)
-        rec = validate_clip(clip, CLASS_TONE_HZ[clip.label])
-        return rec, np.abs(dsp.fft(clip.samples, n_fft))
+        mag = np.abs(dsp.fft(clip.samples, n_fft))
+        return validate_clip(clip, CLASS_TONE_HZ[clip.label], mag, n_fft), mag
 
     per_clip = []
     mag_sums: dict[ClassLabel, np.ndarray] = {}
@@ -127,20 +117,15 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
         if not recs:
             per_class[label.value] = {"n": 0}
             continue
-        mean_mag = mag_sums[label] / len(recs)
-        peak_bin = 1 + int(np.argmax(mean_mag[1:]))
         per_class[label.value] = {
             "n": len(recs),
-            "rmse_mean": float(np.mean([r.rmse for r in recs])),
-            "env_mean": float(np.mean([r.env_mean for r in recs])),
-            "env_std": float(np.mean([r.env_std for r in recs])),
-            "energy_mean": float(np.mean([r.energy for r in recs])),
-            "peak_hz": float(peak_bin * target_rate / n_fft),
+            "rmse_mean": float(np.mean([r["rmse"] for r in recs])),
+            "env_mean": float(np.mean([r["env_mean"] for r in recs])),
+            "env_std": float(np.mean([r["env_std"] for r in recs])),
+            "energy_mean": float(np.mean([r["energy"] for r in recs])),
+            "peak_hz": peak_hz(mag_sums[label] / len(recs), target_rate, n_fft),
         }
-    return {
-        "per_clip": [vars(r) for r in per_clip],
-        "per_class": per_class,
-    }
+    return {"per_clip": per_clip, "per_class": per_class}
 
 
 def write_validation_report(report: dict, json_path: str, csv_path: str) -> None:

@@ -13,7 +13,8 @@ angles and takes cos/sin of them, so it carries that rounding (about
 eps * max|phase|); the wrapped loop keeps every angle in [-pi, pi] and is
 the accurate reference. The resampler evaluates the windowed sinc itself
 at each output's exact tap offsets; the Farrow polynomials in `audio_io`
-approximate it.
+approximate it. `peak_frequency` reads a signal's spectral peak the way
+`validation` does, for tests that check where a tone landed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ import numpy as np
 from atscalm import dsp
 from atscalm.audio_io import _RESAMPLE_BETA, _RESAMPLE_HALF
 from atscalm.augment import VOCODER_HOP, VOCODER_WIN
+from atscalm.validation import peak_hz
+
+
+def peak_frequency(x: np.ndarray, rate: float) -> float:
+    """Frequency of the largest non-DC bin of ``x`` zero-padded to the next
+    power of two."""
+    n_fft = dsp.next_pow2(np.size(x))
+    return peak_hz(np.abs(dsp.fft(x, n_fft)), rate, n_fft)
 
 
 def resample_kernel(u: np.ndarray, cutoff: float) -> np.ndarray:

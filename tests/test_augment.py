@@ -7,7 +7,6 @@ from atscalm import augment as aug
 from atscalm import dsp
 from atscalm.features import TimeFreqGrid
 from atscalm.util import PipelineError, even_ranges, keyed_rng
-from atscalm.validation import peak_frequency
 from memtrace import traced_peak
 
 
@@ -68,7 +67,7 @@ class TestTimeStretch:
     def test_tone_preserved_under_stretch(self):
         clip = tone_clip(440)
         out = aug.pitch_shift(clip, 0.0, 0.8)
-        assert abs(peak_frequency(out.samples, 16000) - 440.0) < 1.0
+        assert abs(frontend_oracle.peak_frequency(out.samples, 16000) - 440.0) < 1.0
         assert out.rate == clip.rate
 
     def test_reciprocal_roundtrip_correlation(self):
@@ -245,15 +244,21 @@ class TestPitchShift:
         clip = tone_clip(440)
         out = aug.pitch_shift(clip, 0.0, 1.0)
         assert np.array_equal(out.samples, clip.samples)
-        assert abs(peak_frequency(out.samples, 16000) - 440.0) < 1.0
+        assert abs(frontend_oracle.peak_frequency(out.samples, 16000) - 440.0) < 1.0
+
+    @pytest.mark.parametrize("stretch", [0.8, 0.93, 1.0, 1.07, 1.25])
+    def test_zero_semitones_is_the_vocoder_alone(self, stretch):
+        clip = aio.AudioClip(keyed_rng("zero-shift", 0).normal(0, 0.3, 16000), 16000)
+        want = aug.phase_vocoder(clip.samples, stretch)
+        assert aug.pitch_shift(clip, 0.0, stretch).samples.tobytes() == want.tobytes()
 
     def test_octave_up(self):
         out = aug.pitch_shift(tone_clip(440), 12.0, 1.0)
-        assert abs(peak_frequency(out.samples, 16000) - 880.0) < 1.0
+        assert abs(frontend_oracle.peak_frequency(out.samples, 16000) - 880.0) < 1.0
 
     def test_octave_down(self):
         out = aug.pitch_shift(tone_clip(880), -12.0, 1.0)
-        assert abs(peak_frequency(out.samples, 16000) - 440.0) < 1.0
+        assert abs(frontend_oracle.peak_frequency(out.samples, 16000) - 440.0) < 1.0
 
     def test_duration_preserved(self):
         clip = tone_clip(440)
@@ -267,7 +272,7 @@ class TestPitchShift:
         out = aug.pitch_shift(clip, semitones, stretch)
         assert out.samples.size == round(clip.samples.size / stretch)
         want = 440.0 * 2 ** (semitones / 12)
-        assert abs(peak_frequency(out.samples, 16000) - want) < 1.0
+        assert abs(frontend_oracle.peak_frequency(out.samples, 16000) - want) < 1.0
 
     @pytest.mark.parametrize("pitch_range", [2.0, 0.0])
     def test_make_variant_runs_one_vocoder_pass(self, monkeypatch, pitch_range):
@@ -288,7 +293,8 @@ class TestPitchShift:
             before = dict(calls)
             aug.make_variant(tone_clip(440), cfg, keyed_rng("one-pass", k))
             assert calls["phase_vocoder"] - before["phase_vocoder"] == 1
-            assert calls["resample_signal"] - before["resample_signal"] == (pitch_range > 0)
+            # one resample too, an identity copy at 0 semitones
+            assert calls["resample_signal"] - before["resample_signal"] == 1
 
 
 class TestSpecMask:

@@ -10,7 +10,7 @@ from atscalm.classifier import (BiLstmClassifier, CamConfig, class_weights,
                                 eval_report_from_predictions, evaluate, load_cam, save_cam,
                                 stratified_split, train_cam, weighted_sampler)
 from atscalm.nn import Adam
-from atscalm.nn.ops import softmax_crossentropy
+from atscalm.nn.ops import softmax, softmax_crossentropy
 from atscalm.util import PipelineError, keyed_rng
 from memtrace import traced_peak
 
@@ -62,8 +62,8 @@ def full_batch_reference(rows, cfg: CamConfig):
             losses.append(loss.item())
         history.append({"loss": float(np.mean(losses)),
                         "acc": float(np.mean(model.predict(x_train) == y_train))})
-    confusion = eval_report_from_predictions(labels[test_idx], model.predict(x[test_idx])).confusion
-    return history, confusion
+    report = eval_report_from_predictions(labels[test_idx], model.predict(x[test_idx]))
+    return history, report["confusion"]
 
 
 DESK_CFG = CamConfig(hidden=16, fc_dim=8, batch=16, lr=0.02, epochs=12, seed=3)
@@ -114,14 +114,16 @@ class TestModel:
     def test_output_is_distribution(self):
         model = BiLstmClassifier(CamConfig(hidden=8, fc_dim=4, seed=1))
         x = keyed_rng("m", 0).normal(0, 1, (6, 25))
-        p = model.predict_proba(x)
+        p = softmax(model.forward(x, train=False).data)
         assert p.shape == (6, 3)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-9
+        assert np.array_equal(model.predict(x), np.argmax(p, axis=1))
 
     def test_eval_deterministic(self):
         model = BiLstmClassifier(CamConfig(hidden=8, fc_dim=4, seed=1))
         x = keyed_rng("m", 1).normal(0, 1, (4, 25))
-        assert np.array_equal(model.predict_proba(x), model.predict_proba(x))
+        assert np.array_equal(model.forward(x, train=False).data,
+                              model.forward(x, train=False).data)
 
     def test_param_count_sequence(self):
         cfg = CamConfig()
@@ -156,7 +158,7 @@ class TestTraining:
         rows = gaussian_rows(20, sigma=0.3, seed=1)
         cfg = CamConfig(hidden=24, fc_dim=12, batch=24, lr=0.02, epochs=40, seed=5)
         _, history, report, _ = train_cam(rows, cfg)
-        assert report.overall_accuracy >= 0.95
+        assert report["overall_accuracy"] >= 0.95
 
     def test_loss_decreases_first_5_epochs(self):
         rows = gaussian_rows(20, sigma=0.3, seed=2)
@@ -181,7 +183,7 @@ class TestTraining:
         _, h2, r2, _ = train_cam(rows, cfg)
         assert [(h["epoch"], h["loss"], h["acc"]) for h in h1] == \
                [(h["epoch"], h["loss"], h["acc"]) for h in h2]
-        assert np.array_equal(r1.confusion, r2.confusion)
+        assert np.array_equal(r1["confusion"], r2["confusion"])
 
     def test_history_matches_composed_lstm(self, monkeypatch):
         rows = gaussian_rows(10, seed=6)
@@ -192,7 +194,7 @@ class TestTraining:
         for a, b in zip(fused, composed):
             assert a["loss"] == pytest.approx(b["loss"], rel=1e-9, abs=0)
             assert a["acc"] == b["acc"]
-        assert np.array_equal(fused_report.confusion, composed_report.confusion)
+        assert np.array_equal(fused_report["confusion"], composed_report["confusion"])
 
     @pytest.mark.parametrize("batch", [16, 64])
     def test_matches_full_batch_reference(self, batch):
@@ -203,7 +205,7 @@ class TestTraining:
         for a, b in zip(history, ref_history, strict=True):
             assert a["loss"] == pytest.approx(b["loss"], rel=1e-9, abs=0)
             assert a["acc"] == b["acc"]
-        assert np.array_equal(report.confusion, ref_confusion)
+        assert np.array_equal(report["confusion"], ref_confusion)
 
     def test_default_epoch_runs_the_lstm_per_distinct_row(self):
         # 9 training rows, 512 draws: the BiLSTM's gates and states for the
@@ -229,7 +231,8 @@ class TestTraining:
         save_cam(model, path, split_info)
         back, meta = load_cam(path)
         x = np.stack([r[2] for r in rows])
-        assert np.array_equal(model.predict_proba(x), back.predict_proba(x))
+        assert np.array_equal(model.forward(x, train=False).data,
+                              back.forward(x, train=False).data)
         assert meta["split"]["test_ids"] == split_info["test_ids"]
 
 
@@ -237,27 +240,27 @@ class TestEvalReport:
     def test_perfect_predictions(self):
         y = np.array([0, 1, 2, 0, 1, 2])
         rep = eval_report_from_predictions(y, y.copy())
-        assert rep.overall_accuracy == 1.0
-        assert np.array_equal(np.diag(rep.confusion), [2, 2, 2])
-        for stats in rep.per_class.values():
+        assert rep["overall_accuracy"] == 1.0
+        assert np.array_equal(np.diag(rep["confusion"]), [2, 2, 2])
+        for stats in rep["per_class"].values():
             assert stats["precision"] == stats["recall"] == stats["f1"] == 1.0
 
     def test_all_one_class(self):
         y_true = np.array([0, 1, 2] * 4)
         y_pred = np.zeros(12, dtype=int)
         rep = eval_report_from_predictions(y_true, y_pred)
-        first = rep.per_class[LABELS[0].value]
+        first = rep["per_class"][LABELS[0].value]
         assert first["recall"] == 1.0
         assert first["precision"] == pytest.approx(1 / 3)
-        assert rep.per_class[LABELS[1].value]["recall"] == 0.0
+        assert rep["per_class"][LABELS[1].value]["recall"] == 0.0
 
     def test_hand_confusion(self):
         # confusion [[2,1,0],[0,3,0],[1,0,2]]
         y_true = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
         y_pred = np.array([0, 0, 1, 1, 1, 1, 0, 2, 2])
         rep = eval_report_from_predictions(y_true, y_pred)
-        assert np.array_equal(rep.confusion, [[2, 1, 0], [0, 3, 0], [1, 0, 2]])
-        c0 = rep.per_class[LABELS[0].value]
+        assert np.array_equal(rep["confusion"], [[2, 1, 0], [0, 3, 0], [1, 0, 2]])
+        c0 = rep["per_class"][LABELS[0].value]
         assert c0["precision"] == pytest.approx(2 / 3)
         assert c0["recall"] == pytest.approx(2 / 3)
 

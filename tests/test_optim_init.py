@@ -126,7 +126,7 @@ class TestSeededInit:
             t = seeded_init((64, 32, 3, 3), "kaiming-uniform", 0)
             with pytest.raises(PipelineError):
                 seeded_init((3,), "xavier", 0)
-        assert t.shape == (64, 32, 3, 3) and t.requires_grad
+        assert t.data.shape == (64, 32, 3, 3) and t.requires_grad
         assert t.data.strides == (0, 0, 0, 0) and not t.data.flags.writeable
         after = seeded_init((5, 7), "kaiming-uniform", ("k", 3))
         assert np.array_equal(after.data, seeded_init((5, 7), "kaiming-uniform", ("k", 3)).data)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from atscalm import stats
 from atscalm.audio_io import LABELS, ClassLabel
-from atscalm.util import PipelineError, keyed_rng, read_csv
+from atscalm.util import PipelineError, json_sanitize, keyed_rng, read_csv, read_json, write_json
 
 SM, M, NS = LABELS
 
@@ -244,18 +244,18 @@ class TestCalmnessReport:
     def test_constructed_ground_truth(self):
         groups = self._groups(shift_c=10.0)
         report = stats.calmness_report(groups, [f"f{i}" for i in range(4)])
-        for row in report.rows:
-            assert row.anova_p < 0.001
-            assert row.pairwise[("SM", "NS")][2] > 0.05
-            assert row.calmest != "M"       # M shifted upward everywhere
+        for row in report["features"]:
+            assert row["anova_p"] < 0.001
+            assert row["pairwise"]["SM_vs_NS"]["p"] > 0.05
+            assert row["calmest"] != "M"       # M shifted upward everywhere
 
     def test_single_feature_vote(self):
         groups = {lab: keyed_rng("sf", i).normal(i, 1, (10, 1))
                   for i, lab in enumerate([SM, NS, M])}
         report = stats.calmness_report(groups, ["only"])
-        assert len(report.rows) == 1
-        assert report.calmest_overall == report.rows[0].calmest
-        assert sum(report.tally.values()) == 1
+        assert len(report["features"]) == 1
+        assert report["vote"]["calmest_overall"] == report["features"][0]["calmest"]
+        assert sum(report["vote"]["tally"].values()) == 1
 
     def test_type_i_error_control(self):
         flags = 0
@@ -264,9 +264,9 @@ class TestCalmnessReport:
             rng = keyed_rng("mc", rep)
             groups = {lab: rng.normal(0, 1, (20, 25)) for lab in LABELS}
             report = stats.calmness_report(groups, [f"f{i}" for i in range(25)])
-            flags += sum(1 for r in report.rows if r.anova_p is not None
-                         and r.anova_p < 0.05)
-            total += len(report.rows)
+            flags += sum(1 for r in report["features"] if r["anova_p"] is not None
+                         and r["anova_p"] < 0.05)
+            total += len(report["features"])
         assert flags / total <= 0.15
 
     def test_degenerate_feature_survives(self):
@@ -274,10 +274,10 @@ class TestCalmnessReport:
         for lab in groups:
             groups[lab] = np.concatenate([groups[lab], np.full((groups[lab].shape[0], 1), 5.0)], axis=1)
         report = stats.calmness_report(groups, [f"f{i}" for i in range(5)])
-        degen = report.rows[-1]
-        assert degen.anova_p is None
-        assert degen.result == "degenerate"
-        assert degen.calmest in ("SM", "NS", "M")
+        degen = report["features"][-1]
+        assert degen["anova_p"] is None
+        assert degen["result"] == "degenerate"
+        assert degen["calmest"] in ("SM", "NS", "M")
 
     def test_comparison_strings(self):
         groups = {
@@ -286,8 +286,8 @@ class TestCalmnessReport:
             M: np.tile([3.0, 4.0], (5, 1)) + keyed_rng("c", 2).normal(0, 0.01, (5, 2)),
         }
         report = stats.calmness_report(groups, ["up", "vee"])
-        assert report.rows[0].comparison == "SM < NS < M"
-        assert report.rows[1].comparison == "SM > NS < M"
+        assert report["features"][0]["comparison"] == "SM < NS < M"
+        assert report["features"][1]["comparison"] == "SM > NS < M"
 
     def test_csv_and_json(self, tmp_path):
         groups = self._groups(shift_c=3.0)
@@ -295,21 +295,19 @@ class TestCalmnessReport:
         csv_path = str(tmp_path / "calm.csv")
         json_path = str(tmp_path / "calm.json")
         stats.write_calmness_csv(report, csv_path)
-        stats.write_calmness_json(report, json_path)
+        write_json(json_path, json_sanitize(report))  # as the calmness command writes it
         header = open(csv_path).readline().strip().split(",")
         assert header == stats.CSV_HEADER
-        import json
-
-        data = json.load(open(json_path))
+        data = read_json(json_path)
         assert len(data["features"]) == 4
-        assert data["vote"]["tally"] == report.tally
+        assert data["vote"]["tally"] == report["vote"]["tally"]
 
     def test_csv_rows_keep_header_width_when_result_has_commas(self, tmp_path):
         report = stats.calmness_report(self._groups(shift_c=3.0), [f"f{i}" for i in range(4)])
-        assert all(r.result == "SM vs M diff, M vs NS diff" for r in report.rows)
+        assert all(r["result"] == "SM vs M diff, M vs NS diff" for r in report["features"])
         csv_path = str(tmp_path / "calm.csv")
         stats.write_calmness_csv(report, csv_path)
         header, rows = read_csv(csv_path)
         assert header == stats.CSV_HEADER
         assert [len(row) for row in rows] == [11] * 4
-        assert [row[-1] for row in rows] == [r.result for r in report.rows]
+        assert [row[-1] for row in rows] == [r["result"] for r in report["features"]]

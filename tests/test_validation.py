@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frontend_oracle
 from atscalm import audio_io as aio
 from atscalm import dsp
 from atscalm import validation as val
@@ -54,7 +57,7 @@ class TestReconstruct:
     def test_mismatched_frequency_moves_peak(self):
         clip = tone_clip(25.0)
         theo = val.reconstruct_theoretical(clip, env(clip), 30.0)
-        assert abs(val.peak_frequency(theo, clip.rate) - 30.0) < 1.0
+        assert abs(frontend_oracle.peak_frequency(theo, clip.rate) - 30.0) < 1.0
 
     def test_above_nyquist_rejected(self):
         clip = tone_clip(25.0, duration=0.1)
@@ -119,6 +122,41 @@ class TestValidateCorpus:
         monkeypatch.setattr(dsp, "analytic_envelope", counted)
         val.validate_corpus(man, target_rate=16000, jobs=1)
         assert len(calls) == len(man.entries)
+
+    def test_one_fft_per_clip(self, tmp_path, monkeypatch):
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=4),
+                               aio.DEFAULT_CLASS_DIRS, 16000)
+        calls = []
+        fft = dsp.fft
+
+        def counted(x, n_fft):
+            calls.append(n_fft)
+            return fft(x, n_fft)
+
+        monkeypatch.setattr(dsp, "fft", counted)
+        val.validate_corpus(man, target_rate=16000, jobs=1)
+        assert calls == [dsp.next_pow2(32000)] * len(man.entries)
+
+    def test_mixed_lengths_read_every_peak_on_the_shared_grid(self, tmp_path):
+        # 1.0-s and 0.4-s clips: a short clip alone would pad to 8192 points
+        entries = []
+        for name, duration in (("long", 1.0), ("short", 0.4)):
+            man = aio.synth_corpus(str(tmp_path / name),
+                                   aio.SynthConfig(n_per_class=1, duration_s=duration, seed=6),
+                                   aio.DEFAULT_CLASS_DIRS, 16000)
+            entries += [replace(e, path=f"{name}/{e.path}") for e in man.entries]
+        man = aio.CorpusManifest(entries=entries, root=str(tmp_path))
+        report = val.validate_corpus(man, target_rate=16000, jobs=1)
+        n_fft = 16384
+        by_id = {r["clip_id"]: r for r in report["per_clip"]}
+        for entry in man.entries:
+            samples = man.load_clip(entry, target_rate=16000).samples
+            mag = np.abs(np.fft.rfft(samples, n=n_fft))
+            got = by_id[entry.clip_id]["peak_hz"]
+            assert got == (1 + np.argmax(mag[1:])) * 16000 / n_fft
+            assert (got * n_fft / 16000).is_integer()
+        for agg in report["per_class"].values():
+            assert (agg["peak_hz"] * n_fft / 16000).is_integer()
 
     def test_jobs_order_independent(self, tmp_path):
         man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=3),

@@ -1,8 +1,20 @@
 """All 11 CLI commands on a tiny config: the end-to-end tests run this chain,
-and so does the check that every layer the benchmark traces is still reached."""
+and so does the check that every layer the benchmark traces is still reached.
 
+    python tests/tiny_chain.py OUT
+
+runs the chain into the new directory OUT and prints one ``sha256  relpath``
+line per file it wrote, sorted by path, so two checkouts are compared
+byte for byte with one ``diff`` of their outputs.
+"""
+
+import hashlib
 import json
 import os
+import sys
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from atscalm.cli import main
 
@@ -36,3 +48,22 @@ def run_chain(out, jobs=1):
     ]
     for step in steps:
         assert main(base + step) == 0, step
+
+
+def digests(out):
+    """``sha256  relpath`` for every file under ``out``, sorted by path."""
+    lines = []
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append((os.path.relpath(path, out).replace(os.sep, "/"), digest))
+    return [f"{digest}  {rel}" for rel, digest in sorted(lines)]
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/tiny_chain.py OUT")
+    run_chain(sys.argv[1])
+    print("\n".join(digests(sys.argv[1])))
