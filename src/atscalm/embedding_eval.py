@@ -43,14 +43,23 @@ def geometry_report(embeddings: list[Embedding]) -> dict:
     for a, b in sorted(itertools.combinations(groups, 2)):
         diff = centroids[a] - centroids[b]
         d_sq = float(diff @ diff)
-        inter.append({"pair": [a, b], "distance_sq": d_sq, "distance": float(np.sqrt(d_sq))})
+        inter.append({
+            "pair": [a, b],
+            "distance_sq": d_sq,
+            "distance": float(np.sqrt(d_sq)),
+        })
         denom = np.sqrt(intra_sq[a]) + np.sqrt(intra_sq[b]) + SEP_EPS
         sep.append({"pair": [a, b], "value": float(np.sqrt(d_sq) / denom)})
     return {
         "n_per_class": {lab: g.shape[0] for lab, g in groups.items()},
         "inter_class": inter,
-        "intra_class": {lab: {"mean_distance_sq": v, "rms_distance": float(np.sqrt(v))}
-                        for lab, v in sorted(intra_sq.items())},
+        "intra_class": {
+            lab: {
+                "mean_distance_sq": v,
+                "rms_distance": float(np.sqrt(v)),
+            }
+            for lab, v in sorted(intra_sq.items())
+        },
         "separability": {
             "definition": "toolkit-defined: sqrt(inter_sq)/(sqrt(intra_i)+sqrt(intra_j)+eps)",
             "pairs": sep,

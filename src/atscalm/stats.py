@@ -133,9 +133,7 @@ def welch_t(a, b) -> tuple[float, float, float]:
 def _pick(scores: dict[str, float], best: float) -> tuple[str, bool]:
     """The code whose score is ``best``; a tie is flagged and resolved toward NS."""
     winners = [c for c in ("SM", "NS", "M") if scores[c] == best]
-    if len(winners) == 1:
-        return winners[0], False
-    return ("NS" if "NS" in winners else winners[0]), True
+    return ("NS" if "NS" in winners else winners[0]), len(winners) > 1
 
 
 def calmest_per_feature(means: dict[str, float]) -> tuple[str, bool]:
@@ -221,7 +219,14 @@ def calmness_report(groups: dict[ClassLabel, np.ndarray], feature_names: list[st
             "result": _result_string(anova_p, pairwise),
         })
     tally, winner, tie = majority_vote([r["calmest"] for r in rows])
-    return {"features": rows, "vote": {"tally": tally, "calmest_overall": winner, "tie": tie}}
+    return {
+        "features": rows,
+        "vote": {
+            "tally": tally,
+            "calmest_overall": winner,
+            "tie": tie,
+        },
+    }
 
 
 CSV_HEADER = ["feature", "mean_SM", "mean_NS", "mean_M", "comparison", "calmest",
@@ -229,15 +234,13 @@ CSV_HEADER = ["feature", "mean_SM", "mean_NS", "mean_M", "comparison", "calmest"
 
 
 def write_calmness_csv(report: dict, path: str) -> None:
-    """One row per feature of the calmness document, in CSV_HEADER's columns."""
-    def cell(v):
-        return "" if v is None else v
-
+    """One row per feature of the calmness document, in CSV_HEADER's columns;
+    a null statistic is an empty cell, as `csv` writes None."""
     rows = []
     for r in report["features"]:
         means = r["means"]
         rows.append([r["feature"], means["SM"], means["NS"], means["M"], r["comparison"],
-                     r["calmest"], cell(r["anova_p"])]
-                    + [cell(r["pairwise"][f"{a}_vs_{b}"]["p"]) for a, b in PAIRS]
+                     r["calmest"], r["anova_p"]]
+                    + [r["pairwise"][f"{a}_vs_{b}"]["p"] for a, b in PAIRS]
                     + [r["result"]])
     write_csv(path, CSV_HEADER, rows)

@@ -125,14 +125,15 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
             "energy_mean": float(np.mean([r["energy"] for r in recs])),
             "peak_hz": peak_hz(mag_sums[label] / len(recs), target_rate, n_fft),
         }
-    return {"per_clip": per_clip, "per_class": per_class}
+    return {
+        "per_clip": per_clip,
+        "per_class": per_class,
+    }
 
 
 def write_validation_report(report: dict, json_path: str, csv_path: str) -> None:
+    """The document as JSON, and one CSV row per clip record with a column
+    per key in `validate_clip`'s order; the ``clip_id`` column is headed ``id``."""
     write_json(json_path, report)
-    header = ["id", "rmse", "env_mean", "env_std", "energy", "peak_hz"]
-    rows = [
-        [r["clip_id"], r["rmse"], r["env_mean"], r["env_std"], r["energy"], r["peak_hz"]]
-        for r in report["per_clip"]
-    ]
-    write_csv(csv_path, header, rows)
+    keys = list(report["per_clip"][0])
+    write_csv(csv_path, ["id"] + keys[1:], [[r[k] for k in keys] for r in report["per_clip"]])
