@@ -188,10 +188,10 @@ class CorpusManifest:
 
     def load_clip(self, entry: ManifestEntry, *, target_rate: int) -> AudioClip:
         clip = load_wav(os.path.join(self.root, entry.path))
+        if clip.rate != target_rate:
+            clip = AudioClip(resample_signal(clip.samples, clip.rate, target_rate), target_rate)
         clip.label = entry.label
         clip.id = entry.clip_id
-        if clip.rate != target_rate:
-            clip = resample(clip, target_rate)
         return clip
 
     def clip_length(self, entry: ManifestEntry, *, target_rate: int) -> int:
@@ -389,11 +389,6 @@ def resample_signal(x: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarr
             acc *= phi
         acc += terms[0]
     return out
-
-
-def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    y = resample_signal(clip.samples, clip.rate, target_rate)
-    return AudioClip(y, target_rate, clip.label, clip.id)
 
 
 # lower clamp of the synthetic envelope, keeping the analytic envelope well defined

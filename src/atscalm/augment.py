@@ -82,48 +82,23 @@ def add_gaussian_noise(clip: AudioClip, sigma: float, rng: np.random.Generator) 
     return AudioClip(x, clip.rate, clip.label, clip.id)
 
 
-def _istft_ola(spec: np.ndarray, win: int, hop: int,
-               out: np.ndarray, first: int) -> np.ndarray | None:
-    """Overlap-add inverse with synthesis windowing and COLA normalization.
+def _overlap_add(spec: np.ndarray, out: np.ndarray, first: int) -> None:
+    """Add the synthesis-windowed inverse of each one-sided spectrum in
+    ``spec`` (frames, VOCODER_WIN//2 + 1) into the sum buffer ``out``.
 
-    ``spec`` holds one one-sided spectrum per row, (frames, win//2 + 1).
-    Each frame is cut into ceil(win/hop) hop-long blocks (the last one
-    zero-padded when hop does not divide win), and block j of every frame is
-    added in one strided step. Blocks run from last to first, so every
-    output sample sums its frames in ascending frame order, as a
-    frame-by-frame loop would.
-
-    ``phase_vocoder`` calls it once per block of frames, in ascending frame
-    order: ``out`` is the zeroed (frames + ceil(win/hop) - 1, hop) sum
-    buffer of the whole signal, and the rows of ``spec`` are its frames
-    ``first``, ``first`` + 1, ... Each call adds its frames into ``out`` and
-    returns None, except the one that adds the last frame: it divides by
-    the window-square sum of the whole signal and returns the signal. All
-    frames at once are one such block, with ``first`` 0.
+    ``out`` is the (frames + win/hop - 1, hop) sum buffer of the whole
+    signal, and the rows of ``spec`` are its frames ``first``, ``first`` + 1,
+    ... Each frame is cut into win/hop hop-long blocks, and block j of every
+    frame is added in one strided step. Blocks run from last to first, so
+    when the calls come in ascending frame order every output sample sums
+    its frames in ascending frame order, as a frame-by-frame loop would.
     """
-    w = dsp.hann(win)
+    win, hop = VOCODER_WIN, VOCODER_HOP
     n_frames = spec.shape[0]
-    n_blocks = -(-win // hop)
-    total = out.shape[0] - n_blocks + 1
-    span = n_blocks * hop
-    frames = np.zeros((n_frames, span))
-    frames[:, :win] = np.fft.irfft(spec, n=win, axis=1) * w
-    frames = frames.reshape(n_frames, n_blocks, hop)
-    for j in range(n_blocks - 1, -1, -1):
+    frames = np.fft.irfft(spec, n=win, axis=1) * dsp.hann(win)
+    frames = frames.reshape(n_frames, win // hop, hop)
+    for j in range(win // hop - 1, -1, -1):
         out[first + j : first + n_frames + j] += frames[:, j]
-    if first + n_frames < total:
-        return None
-    wsq = np.zeros(span)
-    wsq[:win] = w * w
-    wsq = wsq.reshape(n_blocks, hop)
-    norm = np.zeros(out.shape)
-    for j in range(n_blocks - 1, -1, -1):
-        norm[j : j + total] += wsq[j]
-    out_len = (total - 1) * hop + win
-    np.maximum(norm, 1e-8, out=norm)
-    # a new array, not ``out`` divided in place: that shifted glibc's heap
-    # layout and cost train-encoder 20 MB of peak RSS (CHANGES.md)
-    return out.reshape(-1)[:out_len] / norm.reshape(-1)[:out_len]
 
 
 def _vocoder_spectra(spec: np.ndarray, steps: np.ndarray, carry: list) -> np.ndarray:
@@ -202,14 +177,16 @@ def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
     trimmed/padded to exactly round(N / rate_factor) samples.
 
     The output frames are synthesized at most BLOCK_FRAMES at a time: apart
-    from the output's sum buffer and the normalized output made from it,
-    nothing grows with the clip. Each block takes ``dsp.stft`` of only the
-    padded samples its analysis frames span (read from ``x`` without a
-    padded copy), forms its spectra with the previous block's last running
-    phasor as the carry row (see ``_vocoder_spectra``), and overlap-adds
-    them into the sum buffer. FFTs are row-independent and each output
-    sample still sums its frames in ascending order, so the result is the
-    one of a single block spanning every frame bit for bit.
+    from the output's sum buffer, its window-square sum and the normalized
+    output made from them, nothing grows with the clip. Each block takes
+    ``dsp.stft`` of only the padded samples its analysis frames span (read
+    from ``x`` without a padded copy), forms its spectra with the previous
+    block's last running phasor as the carry row (see ``_vocoder_spectra``),
+    and overlap-adds them into the sum buffer (``_overlap_add``). After the
+    last block the sum is divided by the window-square sum once. FFTs are
+    row-independent and each output sample still sums its frames in
+    ascending order, so the result is the one of a single block spanning
+    every frame bit for bit.
     """
     if rate_factor <= 0:
         raise PipelineError("stretch rate must be > 0")
@@ -224,14 +201,22 @@ def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
     n_frames = 1 + x.size // hop    # frames of the padded signal, x.size + win samples
     steps = np.arange(0.0, n_frames - 1, rate_factor)
     i0 = np.floor(steps).astype(np.int64)
-    ola = np.zeros((steps.size + -(-win // hop) - 1, hop))
+    n_blocks = win // hop
+    ola = np.zeros((steps.size + n_blocks - 1, hop))
     carry: list = []
     for a, b in even_ranges(steps.size, BLOCK_FRAMES):
         k = a - 1 if a else 0    # a carried block starts at the previous block's last frame
         lo, hi = i0[k], min(i0[b - 1] + 1, n_frames - 1)
         grid = dsp.stft(_reflected(x, lo * hop, hi * hop + win, pad), win, hop, n_fft=win)
-        y = _istft_ola(_vocoder_spectra(grid.spec.T, steps[k:b] - lo, carry),
-                       win, hop, ola, a)
+        _overlap_add(_vocoder_spectra(grid.spec.T, steps[k:b] - lo, carry), ola, a)
+    wsq = (dsp.hann(win) ** 2).reshape(n_blocks, hop)
+    norm = np.zeros(ola.shape)
+    for j in range(n_blocks - 1, -1, -1):
+        norm[j : j + steps.size] += wsq[j]
+    np.maximum(norm, 1e-8, out=norm)
+    # a new array, not ``ola`` divided in place: that shifted glibc's heap
+    # layout and cost train-encoder 20 MB of peak RSS (CHANGES.md)
+    y = (ola / norm).reshape(-1)
     return _fit(y[int(round(pad / rate_factor)):], target_len)
 
 
@@ -277,10 +262,7 @@ def make_variant(clip: AudioClip, cfg: AugmentConfig,
     k = cfg.pitch_range_semitones
     s = float(rng.uniform(-k, k)) if k > 0 else 0.0
     sigma = cfg.noise_sigma_rel * float(np.max(np.abs(clip.samples)))
-    out = add_gaussian_noise(clip, sigma, rng)
-    if r != 1.0 or s != 0.0:
-        out = pitch_shift(out, s, r)
-    return out
+    return pitch_shift(add_gaussian_noise(clip, sigma, rng), s, r)
 
 
 def augment_pipeline(clip: AudioClip, cfg: AugmentConfig) -> Iterator[AudioClip]:
@@ -290,7 +272,4 @@ def augment_pipeline(clip: AudioClip, cfg: AugmentConfig) -> Iterator[AudioClip]
     and drops it holds one variant, not a clip's whole set.
     """
     for k in range(cfg.variants_per_clip):
-        var = make_variant(clip, cfg, keyed_rng(cfg.seed, clip.id, k))
-        var.id = f"{clip.id}.aug{k}"
-        yield var
-        del var   # not alive while the next one is made
+        yield make_variant(clip, cfg, keyed_rng(cfg.seed, clip.id, k))

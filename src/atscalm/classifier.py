@@ -1,8 +1,9 @@
 """BiLSTM affective-state classifier over the 25-dim feature vector.
 
 The BiLSTM walks the feature vector as a length-25 sequence of scalars.
-Class imbalance is handled by weighted random sampling with weights
-total/count_i. A sampled batch repeats rows, and the BiLSTM has no noise
+Class imbalance is handled by weighted random sampling: `balanced_draws`
+weighs each training row by total/count_i of its class i, so every class is
+drawn equally often. A sampled batch repeats rows, and the BiLSTM has no noise
 in it, so training runs it once per distinct drawn row and expands its
 output to the batch before dropout. Inputs are z-scored with statistics
 fitted on the training split and stored in the checkpoint.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import LABELS, ClassLabel, parse_label
+from .audio_io import LABELS, parse_label
 from .features import N_FEATURES
 from .nn import (Adam, Tensor, bilstm_final, init_lstm, load_model, no_grad, save_model,
                  seeded_init)
@@ -96,23 +97,12 @@ class BiLstmClassifier:
             return np.argmax(softmax(self.forward(x, train=False).data), axis=1)
 
 
-def class_weights(counts: dict[ClassLabel, int]) -> dict[ClassLabel, float]:
-    """weight_i = total / count_i."""
-    if any(c < 1 for c in counts.values()):
-        raise PipelineError(f"every class needs at least one sample, got {counts}")
-    total = sum(counts.values())
-    return {lab: total / c for lab, c in counts.items()}
-
-
-def weighted_sampler(labels: list[ClassLabel], weights: dict[ClassLabel, float],
-                     n_draws: int, seed) -> np.ndarray:
-    """Indices drawn with replacement, probability proportional to the
-    sample's class weight."""
-    if n_draws < 1:
-        raise PipelineError("n_draws must be >= 1")
-    w = np.array([weights[lab] for lab in labels], dtype=np.float64)
-    p = w / w.sum()
-    return keyed_rng("sampler", seed).choice(len(labels), size=n_draws, replace=True, p=p)
+def balanced_draws(y: np.ndarray, n_draws: int, seed) -> np.ndarray:
+    """``n_draws`` indices into the class indices ``y``, drawn with
+    replacement; row r is drawn with probability proportional to
+    y.size / count(y[r]), so every class present is drawn equally often."""
+    w = y.size / np.bincount(y)[y]
+    return keyed_rng("sampler", seed).choice(y.size, size=n_draws, replace=True, p=w / w.sum())
 
 
 def eval_report_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
@@ -191,23 +181,17 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], dict,
     train_idx, test_idx = stratified_split(labels, cfg.val_fraction, cfg.seed)
     x_train, y_train = x[train_idx], labels[train_idx]
     x_test, y_test = x[test_idx], labels[test_idx]
-    if len(set(y_train.tolist())) < len(LABELS):
-        raise PipelineError("a class is absent from the training split")
 
     model = BiLstmClassifier(cfg)
     model.norm_mean.data = x_train.mean(axis=0)
     model.norm_std.data = np.maximum(x_train.std(axis=0), 1e-8)
 
-    counts = {LABELS[i]: int(np.sum(y_train == i)) for i in range(len(LABELS))}
-    weights = class_weights(counts)
-    train_labels = [LABELS[i] for i in y_train]
     opt = Adam(model.params, cfg.lr)
     n_batches = max(1, int(np.ceil(len(train_idx) / cfg.batch)))
     history = []
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        draws = weighted_sampler(train_labels, weights, n_batches * cfg.batch,
-                                 (cfg.seed, epoch))
+        draws = balanced_draws(y_train, n_batches * cfg.batch, (cfg.seed, epoch))
         losses = []
         for b in range(n_batches):
             sel = draws[b * cfg.batch : (b + 1) * cfg.batch]

@@ -108,7 +108,7 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
         clip = manifest.load_clip(entry, target_rate=cfg.rate)
         rel_orig = os.path.relpath(
             os.path.join(manifest.root, entry.path), aug_dir).replace(os.sep, "/")
-        entries = [ManifestEntry(rel_orig, entry.label, clip.duration_s, clip.rate)]
+        entries = [ManifestEntry(rel_orig, entry.label, entry.duration_s, entry.rate)]
         written = []
         for k, var in enumerate(aug_mod.augment_pipeline(clip, cfg.augment)):
             rel = f"{os.path.splitext(entry.path)[0]}.aug{k}.wav"
@@ -167,41 +167,37 @@ def cmd_embed(args, cfg: RunConfig, out: str) -> list[str]:
     stored = meta.get("feature_params")
     if stored is not None and stored != asdict(cfg.features):
         raise PipelineError("checkpoint feature params do not match the current config")
-    embs = encoder.embed_corpus(model, manifest, cfg.features,
-                                target_rate=cfg.rate, jobs=args.jobs)
+    x = encoder.embed_corpus(model, manifest, cfg.features,
+                             target_rate=cfg.rate, jobs=args.jobs)
     path = os.path.join(out, "embeddings.csv")
     write_csv(path, ["id", "label"] + [f"e{i}" for i in range(model.cfg.proj_dim)],
-              [[e.clip_id, e.label.value] + [float(v) for v in e.vec] for e in embs])
-    log.info("wrote %d embeddings to %s", len(embs), path)
+              [[e.clip_id, e.label.value] + [float(v) for v in row]
+               for e, row in zip(manifest.entries, x)])
+    log.info("wrote %d embeddings to %s", len(x), path)
     return [path]
 
 
-def _read_embeddings(path: str) -> list[encoder.Embedding]:
-    _, keys, values = read_float_csv(path, ["id", "label"])
-    return [encoder.Embedding(vec=vec, clip_id=cid, label=parse_label(lab))
-            for (cid, lab), vec in zip(keys, values)]
-
-
 def cmd_eval_embeddings(args, cfg: RunConfig, out: str) -> list[str]:
-    embs = _read_embeddings(args.embeddings)
+    _, keys, x = read_float_csv(args.embeddings, ["id", "label"])
+    ids = [cid for cid, _ in keys]
+    labels = [parse_label(lab) for _, lab in keys]
     geo_path = os.path.join(out, "embedding_geometry.json")
-    write_json(geo_path, json_sanitize(embedding_eval.geometry_report(embs)))
+    write_json(geo_path, json_sanitize(embedding_eval.geometry_report(ids, labels, x)))
     produced = [geo_path]
-    if len(embs) >= 5:
-        x = np.stack([e.vec for e in embs])
-        perplexity = min(cfg.tsne.perplexity, (len(embs) - 1) / 3.0)
+    if len(ids) >= 5:
+        perplexity = min(cfg.tsne.perplexity, (len(ids) - 1) / 3.0)
         y, kl_history = tsne.tsne(x, perplexity=perplexity, lr=cfg.tsne.lr,
                                   iters=cfg.tsne.iters, seed=cfg.tsne.seed)
         tsne_path = os.path.join(out, "tsne.csv")
         write_csv(tsne_path, ["id", "label", "x", "y"],
-                  [[e.clip_id, e.label.value, float(px), float(py)]
-                   for e, (px, py) in zip(embs, y)])
+                  [[cid, lab.value, float(px), float(py)]
+                   for cid, lab, (px, py) in zip(ids, labels, y)])
         kl_path = os.path.join(out, "tsne_kl.csv")
         write_csv(kl_path, ["iter", "kl"], list(enumerate(kl_history)))
         produced += [tsne_path, kl_path]
         if args.plot:
             svg = plots.scatter_chart(
-                [(float(px), float(py), e.label.value) for e, (px, py) in zip(embs, y)],
+                [(float(px), float(py), lab.value) for lab, (px, py) in zip(labels, y)],
                 "2-d embedding map")
             produced.append(_write_svg(os.path.join(out, "tsne.svg"), svg))
     else:

@@ -83,10 +83,6 @@ class RunConfig:
                 section.seed = seed
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    return dataclass_from_dict(RunConfig, data)
-
-
 def load_config(path: str | None, overrides: dict, seed: int | None) -> RunConfig:
     """The file at ``path`` (defaults if None), checked as written, then the
     ``{"section.key": value}`` overrides, then ``seed`` on every seeded section."""
@@ -94,11 +90,11 @@ def load_config(path: str | None, overrides: dict, seed: int | None) -> RunConfi
         data = read_json(path) if path else {}
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    config_from_dict(data)
+    dataclass_from_dict(RunConfig, data)
     for key, value in overrides.items():
         section, leaf = key.split(".")
         data.setdefault(section, {})[leaf] = value
-    cfg = config_from_dict(data)
+    cfg = dataclass_from_dict(RunConfig, data)
     if seed is not None:
         cfg.override_seed(seed)
     return cfg

@@ -2,9 +2,9 @@
 
 One-sided real FFT at a given transform size, un-normalized DCT-II basis,
 analytic envelope from the one-sided spectrum, one-sided STFT, the Hann
-window, and the Mel filterbank. Every transform size is the caller's.
-Everything here is pure and reentrant; a built filterbank is immutable and
-can be shared.
+window, and the Mel filterbank weights. Every transform size is the
+caller's. Everything here is pure and reentrant; a built filterbank is a
+read-only array and can be shared.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class StftGrid:
     """
 
     spec: np.ndarray
-    n_fft: int
 
     @property
     def n_frames(self) -> int:
@@ -110,7 +109,7 @@ def stft(x, win_len: int, hop: int, n_fft: int) -> StftGrid:
         raise PipelineError("n_fft must be >= win_len")
     frames = 1 + (x.size - win_len) // hop
     segs = np.lib.stride_tricks.sliding_window_view(x, win_len)[:: hop][:frames]
-    return StftGrid(spec=np.fft.rfft(segs * hann(win_len), n=n_fft, axis=1).T, n_fft=n_fft)
+    return StftGrid(spec=np.fft.rfft(segs * hann(win_len), n=n_fft, axis=1).T)
 
 
 def mel_scale(f):
@@ -128,25 +127,16 @@ def mel_to_hz(m):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular filters over one-sided FFT bins; each row peaks at 1."""
-
-    weights: np.ndarray      # (n_mels, n_fft//2 + 1)
-    edges_hz: np.ndarray     # n_mels + 2 corner frequencies
-    center_hz: np.ndarray    # n_mels peak frequencies
-    n_fft: int
-    rate: float
-
-
 def build_mel_filterbank(n_mels: int, n_fft: int, rate: float,
-                         f_lo: float, f_hi: float) -> MelFilterbank:
-    """Mel filterbank with centers equally spaced on the mel axis.
+                         f_lo: float, f_hi: float) -> np.ndarray:
+    """Mel filterbank weights, (n_mels, n_fft//2 + 1), read-only.
 
-    Triangles are linear in Hz between mel-spaced corner frequencies and are
-    sampled at the one-sided FFT bin frequencies, then each row is rescaled
-    so its sampled peak is exactly 1. A filter whose support contains no
-    FFT bin is reported as infeasible spacing.
+    Filter k is a triangle from corner k through its peak at corner k + 1
+    to corner k + 2, of n_mels + 2 corners equally spaced on the mel axis
+    from f_lo to f_hi. Triangles are linear in Hz between the corners and
+    are sampled at the one-sided FFT bin frequencies, then each row is
+    rescaled so its sampled peak is exactly 1. A filter whose support
+    contains no FFT bin is reported as infeasible spacing.
     """
     if n_mels < 2:
         raise PipelineError("need n_mels >= 2")
@@ -168,10 +158,5 @@ def build_mel_filterbank(n_mels: int, n_fft: int, rate: float,
                 f"infeasible mel spacing: filter {k} ({left:.1f}-{right:.1f} Hz) covers no FFT bin"
             )
         weights[k] = tri / peak
-    return MelFilterbank(
-        weights=weights,
-        edges_hz=edges_hz,
-        center_hz=edges_hz[1:-1].copy(),
-        n_fft=n_fft,
-        rate=float(rate),
-    )
+    weights.flags.writeable = False
+    return weights

@@ -1,4 +1,5 @@
-"""Embedding-space diagnostics: `geometry_report` returns the geometry
+"""Embedding-space diagnostics: `geometry_report` takes the embedding
+matrix with its rows' clip ids and class labels, and returns the geometry
 document as it is written to embedding_geometry.json, with per-class counts,
 inter-class centroid distances, intra-class compactness and a separability
 ratio for every pair of classes present.
@@ -16,26 +17,24 @@ import itertools
 
 import numpy as np
 
-from .audio_io import LABELS
-from .encoder import Embedding
+from .audio_io import LABELS, ClassLabel
 from .util import PipelineError
 
 SEP_EPS = 1e-12
 
 
-def geometry_report(embeddings: list[Embedding]) -> dict:
-    """Centroid distances D = ||c_i - c_j||^2 and intra = mean ||x - c||^2.
+def geometry_report(ids: list[str], labels: list[ClassLabel], x: np.ndarray) -> dict:
+    """Centroid distances D = ||c_i - c_j||^2 and intra = mean ||x - c||^2
+    over the rows of ``x``, row i being clip ``ids[i]`` of class ``labels[i]``.
 
-    Members are sorted by clip id before reduction, so the result is exactly
+    Rows are sorted by clip id before reduction, so the result is exactly
     invariant under permutation of the input order.
     """
-    if not embeddings:
+    if not ids:
         raise PipelineError("no embeddings given")
-    present = [lab for lab in LABELS if any(e.label == lab for e in embeddings)]
-    if not present:
-        raise PipelineError("embeddings carry no known class labels")
-    ordered = sorted(embeddings, key=lambda e: e.clip_id)
-    groups = {lab.value: np.stack([e.vec for e in ordered if e.label == lab]) for lab in present}
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    groups = {lab.value: x[[i for i in order if labels[i] == lab]]
+              for lab in LABELS if lab in labels}
     centroids = {lab: g.mean(axis=0) for lab, g in groups.items()}
     intra_sq = {lab: float(np.mean(np.sum((g - centroids[lab]) ** 2, axis=1)))
                 for lab, g in groups.items()}

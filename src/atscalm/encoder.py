@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import augment, features
-from .audio_io import AudioClip, ClassLabel, CorpusManifest
+from .audio_io import AudioClip, CorpusManifest
 from .nn import Adam, Tensor, load_model, no_grad, save_model, seeded_init
 from .nn.ops import batchnorm2d, conv2d, global_avg_pool, linear, maxpool2d
 from .nn.tensor import as_tensor
@@ -201,22 +201,13 @@ def prepare_input(grid: features.TimeFreqGrid, frames: int) -> np.ndarray:
     """
     values = grid.values
     n = values.shape[1]
-    if n == frames:
-        return values.copy()
-    if n > frames:
+    if n >= frames:
         start = (n - frames) // 2
         return values[:, start : start + frames].copy()
     out = np.full((values.shape[0], frames), values.min())
     start = (frames - n) // 2
     out[:, start : start + n] = values
     return out
-
-
-@dataclass
-class Embedding:
-    vec: np.ndarray
-    clip_id: str
-    label: ClassLabel
 
 
 def _view_window(frames: int, params: features.FeatureParams, stretch_max: float) -> int:
@@ -355,18 +346,17 @@ def load_encoder(path: str) -> tuple[AcousticEncoder, dict]:
 
 def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest,
                  feat_params: features.FeatureParams, *, target_rate: int,
-                 jobs: int) -> list[Embedding]:
-    """Eval-mode embedding of every manifest entry, in manifest order."""
+                 jobs: int) -> np.ndarray:
+    """Eval-mode embeddings, (entries, proj_dim): row i embeds manifest entry
+    i. The model runs on 16 clips at a time."""
 
     def work(entry):
         clip = manifest.load_clip(entry, target_rate=target_rate)
         grid = features.mel_spectrogram(clip, feat_params)
-        return prepare_input(grid, model.cfg.frames), clip.id, clip.label
+        return prepare_input(grid, model.cfg.frames)
 
-    prepared = parallel_map(work, manifest.entries, jobs)
-    out = []
-    for start in range(0, len(prepared), 16):
-        chunk = prepared[start : start + 16]
-        vecs = model.embed([c[0] for c in chunk])
-        out.extend(Embedding(vec=v, clip_id=c[1], label=c[2]) for v, c in zip(vecs, chunk))
+    inputs = parallel_map(work, manifest.entries, jobs)
+    out = np.empty((len(inputs), model.cfg.proj_dim))
+    for start in range(0, len(inputs), 16):
+        out[start : start + 16] = model.embed(inputs[start : start + 16])
     return out

@@ -64,7 +64,7 @@ class TimeFreqGrid:
         return self.values.shape[1]
 
 
-# a built filterbank is immutable, so one per parameter set is shared
+# a built filterbank is read-only, so one per parameter set is shared
 _filterbank = functools.lru_cache(maxsize=None)(dsp.build_mel_filterbank)
 
 
@@ -72,7 +72,7 @@ def mel_spectrogram(clip: AudioClip, params: FeatureParams) -> TimeFreqGrid:
     """log(mel-filterbank @ |STFT|^2 + eps), shape (n_mels, frames)."""
     spec = dsp.stft(clip.samples, params.win, params.hop, n_fft=params.n_fft).spec
     fb = _filterbank(params.n_mels, params.n_fft, clip.rate, params.f_lo, params.f_hi)
-    return TimeFreqGrid(np.log(fb.weights @ (spec.real ** 2 + spec.imag ** 2) + params.log_eps))
+    return TimeFreqGrid(np.log(fb @ (spec.real ** 2 + spec.imag ** 2) + params.log_eps))
 
 
 def mfcc13(clip: AudioClip, params: FeatureParams) -> np.ndarray:

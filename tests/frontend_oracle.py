@@ -7,8 +7,8 @@ vocoder is the vectorized one as it was before it streamed its output
 frames in blocks; the streamed one must equal it bit for bit. The two-sided vocoder
 runs its own full-length FFT STFT and synthesizes from all win bins, so it
 checks the one-sided pipeline end to end. The one-sided loops below take
-the same spectra as the vectorized code. The overlap-add loop must agree
-with it bit for bit. The angle-form spectra loop accumulates phases as
+the same spectra as the vectorized code. The overlap-add sum loop must
+agree with it bit for bit. The angle-form spectra loop accumulates phases as
 angles and takes cos/sin of them, so it carries that rounding (about
 eps * max|phase|); the wrapped loop keeps every angle in [-pi, pi] and is
 the accurate reference. The resampler evaluates the windowed sinc itself
@@ -118,17 +118,20 @@ def vocoder_spectra_wrapped_loop(spec: np.ndarray, rate_factor: float) -> np.nda
     return out
 
 
-def ola_loop(frames: np.ndarray, win: int, hop: int) -> np.ndarray:
-    """Frame-by-frame overlap-add of (frames, win) time-domain frames."""
+def ola_sum_loop(frames: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """Frame-by-frame overlap-add of (frames, win) time-domain frames, each
+    times the Hann synthesis window."""
     w = dsp.hann(win)
-    n_frames = frames.shape[0]
-    out_len = (n_frames - 1) * hop + win
-    out = np.zeros(out_len)
-    norm = np.zeros(out_len)
-    for m in range(n_frames):
+    out = np.zeros((frames.shape[0] - 1) * hop + win)
+    for m in range(frames.shape[0]):
         out[m * hop : m * hop + win] += frames[m] * w
-        norm[m * hop : m * hop + win] += w * w
-    return out / np.maximum(norm, 1e-8)
+    return out
+
+
+def ola_loop(frames: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """`ola_sum_loop` divided by the same sum of the squared window."""
+    norm = ola_sum_loop(np.broadcast_to(dsp.hann(win), frames.shape), win, hop)
+    return ola_sum_loop(frames, win, hop) / np.maximum(norm, 1e-8)
 
 
 def phase_vocoder(x: np.ndarray, rate_factor: float, win: int = 1024, hop: int = 256) -> np.ndarray:

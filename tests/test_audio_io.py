@@ -308,29 +308,30 @@ class TestResample:
         assert len(digests) == 1
 
     def test_identity(self):
-        clip = aio.AudioClip(keyed_rng("rs", 0).normal(0, 0.1, 1000), 16000)
-        out = aio.resample(clip, 16000)
-        assert np.array_equal(out.samples, clip.samples)
+        x = keyed_rng("rs", 0).normal(0, 0.1, 1000)
+        out = aio.resample_signal(x, 16000, 16000)
+        assert np.array_equal(out, x) and not np.shares_memory(out, x)
 
     def test_tone_preserved(self):
         t = np.arange(48000) / 48000.0
-        clip = aio.AudioClip(np.sin(2 * np.pi * 1000 * t), 48000)
-        out = aio.resample(clip, 16000)
-        assert out.rate == 16000
-        peak = frontend_oracle.peak_frequency(out.samples, 16000)
+        out = aio.resample_signal(np.sin(2 * np.pi * 1000 * t), 48000, 16000)
+        peak = frontend_oracle.peak_frequency(out, 16000)
         bin_hz = 16000 / 16384  # 16000 samples pad to the next power of two
         assert abs(peak - 1000.0) <= bin_hz
 
     def test_length_ratio(self):
         n = 32001
-        clip = aio.AudioClip(np.ones(n), 32000)
-        out = aio.resample(clip, 16000)
-        assert abs(out.samples.size - round(n / 2)) <= 1
+        out = aio.resample_signal(np.ones(n), 32000, 16000)
+        assert abs(out.size - round(n / 2)) <= 1
 
-    def test_duration_preserved(self):
-        clip = aio.AudioClip(np.ones(16000), 16000)
-        out = aio.resample(clip, 44100)
-        assert abs(out.duration_s - 1.0) <= 1.0 / 44100
+    def test_duration_preserved(self, tmp_path):
+        # load_clip resamples a clip off the target rate and keeps its label and id
+        os.makedirs(tmp_path / "Music")
+        write_pcm16(tmp_path / "Music" / "a.wav", np.full(16000, 1000))
+        man = aio.build_manifest(str(tmp_path), {aio.ClassLabel.MUSIC: "Music"})
+        out = man.load_clip(man.entries[0], target_rate=44100)
+        assert out.rate == 44100 and abs(out.duration_s - 1.0) <= 1.0 / 44100
+        assert (out.label, out.id) == (aio.ClassLabel.MUSIC, "Music/a")
 
 
 class TestSynthCorpus:

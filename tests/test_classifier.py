@@ -5,16 +5,14 @@ import pytest
 
 import lstm_oracle
 from atscalm import classifier
-from atscalm.audio_io import LABELS, ClassLabel
-from atscalm.classifier import (BiLstmClassifier, CamConfig, class_weights,
+from atscalm.audio_io import LABELS
+from atscalm.classifier import (BiLstmClassifier, CamConfig, balanced_draws,
                                 eval_report_from_predictions, evaluate, load_cam, save_cam,
-                                stratified_split, train_cam, weighted_sampler)
+                                stratified_split, train_cam)
 from atscalm.nn import Adam
 from atscalm.nn.ops import softmax, softmax_crossentropy
 from atscalm.util import PipelineError, keyed_rng
 from memtrace import traced_peak
-
-SM, M, NS = LABELS
 
 
 def cam_parameter_closed_form(cfg: CamConfig) -> int:
@@ -44,13 +42,11 @@ def full_batch_reference(rows, cfg: CamConfig):
     model = BiLstmClassifier(cfg)
     model.norm_mean.data = x_train.mean(axis=0)
     model.norm_std.data = np.maximum(x_train.std(axis=0), 1e-8)
-    weights = class_weights({lab: int(np.sum(y_train == i)) for i, lab in enumerate(LABELS)})
     opt = Adam(model.params, cfg.lr)
     n_batches = -(-len(train_idx) // cfg.batch)
     history = []
     for epoch in range(cfg.epochs):
-        draws = weighted_sampler([LABELS[i] for i in y_train], weights, n_batches * cfg.batch,
-                                 (cfg.seed, epoch))
+        draws = balanced_draws(y_train, n_batches * cfg.batch, (cfg.seed, epoch))
         losses = []
         for b in range(n_batches):
             sel = draws[b * cfg.batch : (b + 1) * cfg.batch]
@@ -69,45 +65,40 @@ def full_batch_reference(rows, cfg: CamConfig):
 DESK_CFG = CamConfig(hidden=16, fc_dim=8, batch=16, lr=0.02, epochs=12, seed=3)
 
 
+def class_shares(counts, n_draws=100_000, seed=1):
+    """Share of each class among `balanced_draws` over rows of the given
+    per-class counts, in LABELS order."""
+    y = np.repeat(np.arange(len(counts)), counts)
+    return np.bincount(y[balanced_draws(y, n_draws, seed)], minlength=len(counts)) / n_draws
+
+
 class TestClassWeights:
+    """Rows weighed by total/count_i of their class draw every class equally often."""
+
     def test_paper_counts(self):
-        w = class_weights({SM: 47, M: 47, NS: 47})
-        assert all(v == pytest.approx(3.0) for v in w.values())
+        assert np.allclose(class_shares([47, 47, 47]), 1 / 3, atol=0.01)
 
     def test_balanced(self):
-        w = class_weights({SM: 10, M: 10, NS: 10})
-        assert all(v == pytest.approx(3.0) for v in w.values())
+        assert np.allclose(class_shares([10, 10, 10]), 1 / 3, atol=0.01)
 
     def test_imbalanced(self):
-        w = class_weights({SM: 90, M: 9, NS: 1})
-        assert w[SM] == pytest.approx(100 / 90)
-        assert w[M] == pytest.approx(100 / 9)
-        assert w[NS] == pytest.approx(100.0)
-
-    def test_empty_class_rejected(self):
-        with pytest.raises(PipelineError):
-            class_weights({SM: 5, M: 0, NS: 5})
+        assert np.allclose(class_shares([90, 9, 1]), 1 / 3, atol=0.01)
 
 
 class TestWeightedSampler:
     def test_single_class(self):
-        idx = weighted_sampler([M] * 7, {M: 1.0}, 100, 0)
-        assert set(idx.tolist()) <= set(range(7))
+        idx = balanced_draws(np.ones(7, dtype=np.int64), 100, 0)
+        assert set(idx.tolist()) == set(range(7))
 
     def test_inverse_frequency_equalizes(self):
-        labels = [SM] * 90 + [M] * 10
-        weights = class_weights({SM: 90, M: 10, NS: 1})
-        weights = {SM: 100 / 90, M: 100 / 10}
-        idx = weighted_sampler(labels, weights, 100_000, 1)
-        frac_m = np.mean([labels[i] is M for i in idx])
-        assert 0.48 <= frac_m <= 0.52
+        assert 0.48 <= class_shares([90, 10])[1] <= 0.52
 
     def test_deterministic(self):
-        labels = [SM] * 5 + [M] * 5 + [NS] * 5
-        w = {SM: 1.0, M: 2.0, NS: 3.0}
-        a = weighted_sampler(labels, w, 50, 9)
-        b = weighted_sampler(labels, w, 50, 9)
+        y = np.repeat([0, 1, 2], [5, 3, 9])
+        a = balanced_draws(y, 50, 9)
+        b = balanced_draws(y, 50, 9)
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, balanced_draws(y, 50, 10))
 
 
 class TestModel:

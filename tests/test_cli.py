@@ -114,6 +114,23 @@ class TestAugment:
         assert "manifest.json" in trees[0]
         assert trees[0] == trees[1]
 
+    def test_originals_listed_at_their_own_rate(self, tmp_path):
+        # a 22,050 Hz corpus augmented at the default 16,000 Hz rate
+        native = tmp_path / "native.json"
+        native.write_text(json.dumps({"rate": 22050}))
+        out = str(tmp_path / "out")
+        assert run(["--out", out, "--config", str(native), "synth", "--n", "1",
+                    "--duration", "1.0"]) == 0
+        corpus = os.path.join(out, "corpus", "manifest.json")
+        assert run(["--out", out, "augment", corpus]) == 0
+        entries = read_json(os.path.join(out, "augmented", "manifest.json"))["entries"]
+        originals = {e["path"]: e for e in entries if ".aug" not in e["path"]}
+        for e in read_json(corpus)["entries"]:
+            path = f"../corpus/{e['path']}"
+            assert originals.pop(path) == dict(e, path=path)
+        assert not originals
+        assert {e["rate"] for e in entries if ".aug" in e["path"]} == {16000}
+
 
 FEATURES_HEADER = ",".join(["id", "label", *FEATURE_NAMES])
 ROW = "a,Music," + ",".join(["0.5"] * len(FEATURE_NAMES))

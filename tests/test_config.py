@@ -3,19 +3,20 @@ from dataclasses import asdict
 
 import pytest
 
-from atscalm.config import RunConfig, config_from_dict
-from atscalm.util import ConfigError, json_sanitize
+from atscalm.config import RunConfig
+from atscalm.util import ConfigError, dataclass_from_dict, json_sanitize
 
 
 def test_json_round_trip_restores_tuples():
     cfg = RunConfig()
-    back = config_from_dict(json.loads(json.dumps(json_sanitize(asdict(cfg)))))
+    back = dataclass_from_dict(RunConfig, json.loads(json.dumps(json_sanitize(asdict(cfg)))))
     assert back == cfg
     assert isinstance(back.encoder.widths, tuple) and isinstance(back.augment.stretch_range, tuple)
 
 
 def test_overrides_keep_other_defaults():
-    cfg = config_from_dict({"cam": {"hidden": 8, "lr": 1}, "synth": {"snr_db": None}})
+    cfg = dataclass_from_dict(RunConfig,
+                              {"cam": {"hidden": 8, "lr": 1}, "synth": {"snr_db": None}})
     assert (cfg.cam.hidden, cfg.cam.lr, cfg.cam.fc_dim) == (8, 1, RunConfig().cam.fc_dim)
 
 
@@ -37,17 +38,19 @@ def test_overrides_keep_other_defaults():
 ])
 def test_every_section_checked(doc, named):
     with pytest.raises(ConfigError, match=named):
-        config_from_dict(doc)
+        dataclass_from_dict(RunConfig, doc)
 
 
 def test_shortest_view_as_long_as_the_time_mask_passes():
     # the mask is drawn over the kept frames, so frames itself must cover it
-    assert config_from_dict({"encoder": {"frames": 20}}).encoder.frames == 20
-    cfg = config_from_dict({"encoder": {"frames": 64}, "augment": {"time_mask_max": 64}})
+    assert dataclass_from_dict(RunConfig, {"encoder": {"frames": 20}}).encoder.frames == 20
+    cfg = dataclass_from_dict(RunConfig,
+                              {"encoder": {"frames": 64}, "augment": {"time_mask_max": 64}})
     assert cfg.augment.time_mask_max == 64
     with pytest.raises(ConfigError, match="the shortest training view has 74 mel frames "
                                           "and keeps 64, fewer than augment.time_mask_max"):
-        config_from_dict({"encoder": {"frames": 64}, "augment": {"time_mask_max": 65}})
+        dataclass_from_dict(RunConfig,
+                            {"encoder": {"frames": 64}, "augment": {"time_mask_max": 65}})
 
 
 def test_override_seed_reaches_every_seeded_section():

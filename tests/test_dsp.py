@@ -168,14 +168,14 @@ class TestStft:
         x = keyed_rng("stft", 2).normal(0, 1, 2000)
         win_len, hop = 256, 100
         grid = dsp.stft(x, win_len, hop, n_fft=win_len)
-        assert grid.spec.shape == (grid.n_fft // 2 + 1, grid.n_frames)
+        assert grid.spec.shape == (win_len // 2 + 1, grid.n_frames)
         w = dsp.hann(win_len)
         # one-sided bins: DC and Nyquist once, every other bin for itself and its mirror
-        weights = np.full(grid.n_fft // 2 + 1, 2.0)
+        weights = np.full(win_len // 2 + 1, 2.0)
         weights[0] = weights[-1] = 1.0
         for m in range(grid.n_frames):
             seg = x[m * hop : m * hop + win_len] * w
-            lhs = np.sum(weights * np.abs(grid.spec[:, m]) ** 2) / grid.n_fft
+            lhs = np.sum(weights * np.abs(grid.spec[:, m]) ** 2) / win_len
             rhs = np.sum(seg**2)
             assert abs(lhs - rhs) / max(rhs, 1e-12) < 1e-6
 
@@ -187,7 +187,7 @@ class TestStft:
         grid = dsp.stft(x, win, hop, n_fft=win)
         rec = np.zeros(x.size)
         for m in range(grid.n_frames):
-            rec[m * hop : m * hop + win] += np.fft.irfft(grid.spec[:, m], n=grid.n_fft)[:win]
+            rec[m * hop : m * hop + win] += np.fft.irfft(grid.spec[:, m], n=win)[:win]
         assert np.max(np.abs(rec[hop:-hop] - x[hop:-hop])) < 1e-9
 
     def test_short_signal_rejected(self):
@@ -211,18 +211,22 @@ class TestMel:
 
     def test_filterbank_rows(self):
         fb = dsp.build_mel_filterbank(64, 512, 16000, 0.0, 8000.0)
-        assert fb.weights.shape == (64, 257)
-        assert np.all(fb.weights >= 0)
-        assert np.allclose(fb.weights.max(axis=1), 1.0)
-        for row in fb.weights:
+        assert fb.shape == (64, 257)
+        assert np.all(fb >= 0)
+        assert np.allclose(fb.max(axis=1), 1.0)
+        for row in fb:
             nz = np.flatnonzero(row > 0)
             assert np.array_equal(nz, np.arange(nz[0], nz[-1] + 1))
+        assert not fb.flags.writeable   # the cached filterbank is shared
 
     def test_centers_increasing_and_equally_spaced(self):
+        # filter k peaks at mel corner k + 1: at the bin nearest it
         fb = dsp.build_mel_filterbank(4, 512, 16000, 0.0, 8000.0)
-        assert np.all(np.diff(fb.center_hz) > 0)
-        mel_centers = dsp.mel_scale(fb.center_hz)
-        gaps = np.diff(mel_centers)
+        centers_hz = dsp.mel_to_hz(np.linspace(0.0, dsp.mel_scale(8000.0), 6))[1:-1]
+        bin_hz = 16000 / 512
+        assert np.all(np.abs(np.argmax(fb, axis=1) * bin_hz - centers_hz) <= bin_hz / 2)
+        assert np.all(np.diff(centers_hz) > 0)
+        gaps = np.diff(dsp.mel_scale(centers_hz))
         assert np.max(np.abs(gaps - gaps[0])) < 1e-9
 
     def test_infeasible_spacing(self):

@@ -8,7 +8,7 @@ from atscalm import audio_io as aio
 from atscalm import augment
 from atscalm import encoder as encoder_mod
 from atscalm.augment import VOCODER_WIN, AugmentConfig
-from atscalm.config import config_from_dict
+from atscalm.config import RunConfig
 from atscalm.encoder import (AcousticEncoder, EncoderConfig, _augmented_view, _pair_metrics,
                              contrastive_loss, count_flops, embed_corpus, load_encoder,
                              mean_cosine_similarity, prepare_input, save_encoder,
@@ -16,7 +16,7 @@ from atscalm.encoder import (AcousticEncoder, EncoderConfig, _augmented_view, _p
 from atscalm.features import FeatureParams, TimeFreqGrid, mel_spectrogram
 from atscalm.nn import Adam, Tensor
 from atscalm.nn.ops import conv2d
-from atscalm.util import PipelineError, keyed_rng
+from atscalm.util import PipelineError, dataclass_from_dict, keyed_rng
 from gradcheck import grad_check
 from memtrace import traced_peak
 from tiny_chain import DURATION_S, TINY_CONFIG
@@ -298,7 +298,7 @@ class TestAugmentedView:
 
     def test_tiny_chain_takes_the_crop_path(self, monkeypatch):
         """So the chain's rerun and --jobs tests cover the crop."""
-        cfg = config_from_dict(TINY_CONFIG)
+        cfg = dataclass_from_dict(RunConfig, TINY_CONFIG)
         clip = self._clip(int(DURATION_S * cfg.rate), cfg.rate)
         seen = self._record(monkeypatch)
         _augmented_view(clip, cfg.augment, cfg.features, cfg.encoder.architecture(), 3, 0, 0)
@@ -354,18 +354,15 @@ class TestTrainEmbed:
     def test_embed_corpus_shapes_and_determinism(self, corpus, tmp_path):
         model, _ = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
                                  epochs=1, lr=1e-3, seed=4, batch_pairs=3, **self.DATA_KW)
-        embs = embed_corpus(model, corpus, self._feat(), target_rate=16000, jobs=1)
-        assert len(embs) == len(corpus.entries)
-        assert all(e.vec.shape == (8,) for e in embs)
-        again = embed_corpus(model, corpus, self._feat(), target_rate=16000, jobs=1)
-        for e1, e2 in zip(embs, again):
-            assert np.array_equal(e1.vec, e2.vec)
+        x = embed_corpus(model, corpus, self._feat(), target_rate=16000, jobs=1)
+        assert x.shape == (len(corpus.entries), 8)
+        assert np.array_equal(x, embed_corpus(model, corpus, self._feat(),
+                                              target_rate=16000, jobs=1))
         path = str(tmp_path / "enc.ckpt")
         save_encoder(model, path, self._feat())
         back, meta = load_encoder(path)
-        embs2 = embed_corpus(back, corpus, self._feat(), target_rate=16000, jobs=1)
-        for e1, e2 in zip(embs, embs2):
-            assert np.array_equal(e1.vec, e2.vec)
+        assert np.array_equal(x, embed_corpus(back, corpus, self._feat(),
+                                              target_rate=16000, jobs=1))
 
     def test_val_loss_is_contrastive_loss_of_the_pair_batch(self, corpus):
         cfg, aug, feat = self._cfg(), self._aug(), self._feat()

@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from atscalm import audio_io as aio
 from atscalm.cli import main
-from atscalm.config import RunConfig, config_from_dict
+from atscalm.config import RunConfig
 from atscalm.nn import load_checkpoint
-from atscalm.util import ConfigError, PipelineError
+from atscalm.util import ConfigError, PipelineError, dataclass_from_dict
 
 FUZZ = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -153,6 +153,6 @@ class TestConfigFuzz:
     @given(_DOCS)
     def test_config_from_dict_raises_only_config_error(self, doc):
         try:
-            assert isinstance(config_from_dict(doc), RunConfig)
+            assert isinstance(dataclass_from_dict(RunConfig, doc), RunConfig)
         except ConfigError:
             pass

@@ -1,5 +1,5 @@
 """No module-level function or class of ``atscalm`` exists for tests alone,
-and no keyword default does either.
+and no class member or keyword default does either.
 
 Every function or class must be used somewhere in ``src/atscalm`` or
 ``perfbench``: named in the module that defines it or in a module that
@@ -8,6 +8,11 @@ imports it, or reached as an attribute of a name imported from atscalm
 ``__all__`` entry is not a use, and neither is an attribute of any other
 object: neither the string method ``"a,b".split`` nor ``np.split`` keeps a
 ``split`` alive.
+
+Every dataclass field, property and method of a class in ``src/atscalm``,
+dunders aside, must be read as an attribute there or in ``perfbench``: an
+``x.name`` that is not assigned to, on any object, since a member is matched
+by its name alone. A constructor keyword ``Cls(name=...)`` is not a read.
 
 Every keyword default of a function or method in ``src/atscalm``, dunder
 methods aside, must be left out by some call there or in ``perfbench``;
@@ -22,6 +27,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "atscalm"
+
+
+def _parsed() -> tuple[list[Path], dict[Path, ast.Module]]:
+    """(the ``src/atscalm`` files, the parsed tree of each of them and of each
+    ``perfbench`` file)."""
+    sources = sorted(PACKAGE.rglob("*.py"))
+    return sources, {path: ast.parse(path.read_text(encoding="utf-8"))
+                     for path in sources + sorted((ROOT / "perfbench").rglob("*.py"))}
 
 
 def _uses(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
@@ -47,9 +60,7 @@ def _uses(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
 
 
 def test_every_module_level_name_has_a_use_outside_tests():
-    sources = sorted(PACKAGE.rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sources + sorted((ROOT / "perfbench").rglob("*.py"))}
+    sources, trees = _parsed()
     uses = {path: _uses(tree) for path, tree in trees.items()}
     attrs = set().union(*(a for _, _, a in uses.values()))
     unused = [f"{path.relative_to(ROOT)}: {node.name}"
@@ -58,6 +69,33 @@ def test_every_module_level_name_has_a_use_outside_tests():
               and not any(node.name in names and (where == path or node.name in imports)
                           for where, (names, imports, _) in uses.items())]
     assert not unused, "defined in src/atscalm but used only by tests:\n" + "\n".join(unused)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, member) of every annotated class attribute (a dataclass
+    field), property and method in ``tree``, dunders aside."""
+    return [(node.name, item.target.id if isinstance(item, ast.AnnAssign) else item.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            or isinstance(item, ast.FunctionDef) and not _is_dunder(item.name)]
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    """Names read as ``x.name`` in ``tree``: not assigned or deleted."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_class_member_is_read_outside_tests():
+    sources, trees = _parsed()
+    reads = set().union(*(_attribute_reads(tree) for tree in trees.values()))
+    unread = [f"{path.relative_to(ROOT)}: {cls}.{name}"
+              for path in sources for cls, name in _members(trees[path]) if name not in reads]
+    assert not unread, "class members that only tests read:\n" + "\n".join(unread)
 
 
 def _defaults(tree: ast.Module) -> list[tuple[str, str, int | None, int]]:
@@ -75,7 +113,7 @@ def _defaults(tree: ast.Module) -> list[tuple[str, str, int | None, int]]:
                 visit(child, in_class)
                 continue
             visit(child, False)
-            if child.name.startswith("__") and child.name.endswith("__"):
+            if _is_dunder(child.name):
                 continue
             a = child.args
             static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
@@ -109,9 +147,7 @@ def _calls(tree: ast.Module) -> list[tuple[str, ast.Call]]:
 
 
 def test_every_keyword_default_is_left_out_by_a_call_outside_tests():
-    sources = sorted(PACKAGE.rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sources + sorted((ROOT / "perfbench").rglob("*.py"))}
+    sources, trees = _parsed()
     calls = [c for tree in trees.values() for c in _calls(tree)]
     unused = [f"{path.relative_to(ROOT)}:{line} {name}({param})"
               for path in sources for name, param, index, line in _defaults(trees[path])
@@ -144,3 +180,18 @@ def test_what_a_default_needs():
     assert not _leaves_out(f_call, "b", 1) and _leaves_out(f_call, "c", None)
     assert not _leaves_out(m_call, "y", 0) and _leaves_out(m_call, "z", 1)
     assert _leaves_out(star, "b", 1) and _leaves_out(kwargs, "c", None)
+
+
+def test_what_counts_as_a_member_read():
+    tree = ast.parse(
+        "@dataclass\n"
+        "class K:\n"
+        "    a: int\n"
+        "    b = 0\n"
+        "    def __init__(self): pass\n"
+        "    @property\n"
+        "    def c(self): pass\n"
+        "    def d(self): pass\n")
+    assert _members(tree) == [("K", "a"), ("K", "c"), ("K", "d")]   # not b or __init__
+    reads = _attribute_reads(ast.parse("k = K(a=1)\nk.c = 2\ndel k.d\nk.e += 1\nprint(k.f.g)\n"))
+    assert reads == {"f", "g"}
