@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .audio_io import AudioClip, ClassLabel, CorpusManifest
+from .audio_io import ClassLabel, CorpusManifest
 from .util import PipelineError
 
-__all__ = ["AudioClip", "ClassLabel", "CorpusManifest", "PipelineError", "__version__"]
+__all__ = ["ClassLabel", "CorpusManifest", "PipelineError", "__version__"]

@@ -1,9 +1,10 @@
 """Audio corpus I/O: WAV codec, manifests, resampling, synthetic corpora.
 
 WAV support is deliberately narrow: PCM 16-bit or IEEE float 32-bit input,
-1-2 channels; output is always 16-bit PCM mono. Every stage loads a clip
-at the run's ``rate`` (`CorpusManifest.load_clip` resamples on ingest), so
-downstream modules see one rate per run.
+1-2 channels; output is always 16-bit PCM mono. A clip is its samples
+array: every stage loads it at the run's ``rate`` (`CorpusManifest.load_clip`
+resamples on ingest), and functions downstream take that rate as an
+argument. `manifest_of` builds every manifest from its files' WAV headers.
 
 Resampling (`resample_signal`, which every pitch shift ends in) applies a
 64-tap Kaiser(beta=8) windowed sinc in Farrow form: per cutoff, a cached
@@ -62,27 +63,6 @@ def parse_label(name: str) -> ClassLabel:
         raise PipelineError(f"unknown class label {name!r}") from None
 
 
-@dataclass
-class AudioClip:
-    samples: np.ndarray
-    rate: int
-    label: ClassLabel | None = None
-    id: str = ""
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.rate <= 0:
-            raise PipelineError(f"clip rate must be positive, got {self.rate}")
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise PipelineError("clip must hold a non-empty 1-d sample sequence")
-        if not np.all(np.isfinite(self.samples)):
-            raise PipelineError(f"clip {self.id!r} contains non-finite samples")
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.rate
-
-
 def _read_header(fh, path: str) -> tuple[int, int, int, int, int, int]:
     """Walk the RIFF chunks of an open WAV file up to its ``fmt `` and ``data``.
 
@@ -132,8 +112,9 @@ def _read_header(fh, path: str) -> tuple[int, int, int, int, int, int]:
     return audio_format, n_ch, rate, bits, *data
 
 
-def load_wav(path: str) -> AudioClip:
-    """Read a RIFF/WAVE file (PCM16 or float32, mono/stereo) as mono float."""
+def load_wav(path: str) -> tuple[np.ndarray, int]:
+    """Read a RIFF/WAVE file (PCM16 or float32, mono/stereo) as (mono float
+    samples, rate). A float file holding a NaN or infinity is rejected."""
     try:
         with open(path, "rb") as fh:
             audio_format, n_ch, rate, _bits, offset, size = _read_header(fh, path)
@@ -145,21 +126,22 @@ def load_wav(path: str) -> AudioClip:
         raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     else:
         raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(raw)):
+            raise PipelineError(f"{path}: non-finite sample (NaN or infinity)")
     if n_ch == 2:
         raw = raw.reshape(-1, 2).mean(axis=1)
-    stem = os.path.splitext(os.path.basename(path))[0]
-    return AudioClip(samples=raw, rate=rate, id=stem)
+    return raw, rate
 
 
-def save_wav(clip: AudioClip, path: str) -> None:
+def save_wav(x: np.ndarray, rate: int, path: str) -> None:
     """Write mono 16-bit PCM; values are clamped to [-1, 1] first."""
-    x = np.clip(clip.samples, -1.0, 1.0)
+    x = np.clip(x, -1.0, 1.0)
     quant = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
     try:
         with wave.open(path, "wb") as wav:
             wav.setnchannels(1)
             wav.setsampwidth(2)
-            wav.setframerate(clip.rate)
+            wav.setframerate(rate)
             wav.writeframes(quant.tobytes())
     except OSError as exc:
         raise PipelineError(f"cannot write {path}: {exc}") from exc
@@ -186,13 +168,9 @@ class CorpusManifest:
     def counts(self) -> dict[ClassLabel, int]:
         return {lab: sum(e.label == lab for e in self.entries) for lab in LABELS}
 
-    def load_clip(self, entry: ManifestEntry, *, target_rate: int) -> AudioClip:
-        clip = load_wav(os.path.join(self.root, entry.path))
-        if clip.rate != target_rate:
-            clip = AudioClip(resample_signal(clip.samples, clip.rate, target_rate), target_rate)
-        clip.label = entry.label
-        clip.id = entry.clip_id
-        return clip
+    def load_clip(self, entry: ManifestEntry, *, target_rate: int) -> np.ndarray:
+        x, rate = load_wav(os.path.join(self.root, entry.path))
+        return x if rate == target_rate else resample_signal(x, rate, target_rate)
 
     def clip_length(self, entry: ManifestEntry, *, target_rate: int) -> int:
         """Samples `load_clip` returns for ``entry``, from its WAV header alone."""
@@ -210,10 +188,16 @@ def _wav_frames(path: str) -> tuple[int, int]:
     return size // (n_ch * bits // 8), rate
 
 
-def _entry_for(root: str, rel_path: str, label: ClassLabel) -> ManifestEntry:
-    # header-only probe; full decode happens on demand via load_clip
-    n, rate = _wav_frames(os.path.join(root, rel_path))
-    return ManifestEntry(rel_path, label, n / rate, rate)
+def manifest_of(root: str, files: list[tuple[str, ClassLabel]]) -> CorpusManifest:
+    """The manifest of ``files``, (path relative to ``root``, label) pairs,
+    sorted by path. Each entry's duration and rate come from a header-only
+    probe of its file; the samples are decoded on demand by `load_clip`."""
+    entries = []
+    for rel_path, label in files:
+        n, rate = _wav_frames(os.path.join(root, rel_path))
+        entries.append(ManifestEntry(rel_path, label, n / rate, rate))
+    entries.sort(key=lambda e: e.path)
+    return CorpusManifest(entries=entries, root=root)
 
 
 def build_manifest(root: str, class_dir_map: dict[ClassLabel, str]) -> CorpusManifest:
@@ -229,7 +213,7 @@ def build_manifest(root: str, class_dir_map: dict[ClassLabel, str]) -> CorpusMan
     for d in class_dir_map.values():
         if not os.path.isdir(os.path.join(root, d)):
             raise PipelineError(f"mapped class directory {d!r} missing under {root!r}")
-    entries: list[ManifestEntry] = []
+    files = []
     for sub in sorted(os.listdir(root)):
         full = os.path.join(root, sub)
         if not os.path.isdir(full):
@@ -241,11 +225,10 @@ def build_manifest(root: str, class_dir_map: dict[ClassLabel, str]) -> CorpusMan
         for name in sorted(os.listdir(full)):
             if not name.lower().endswith(".wav"):
                 continue
-            entries.append(_entry_for(root, os.path.join(sub, name), label))
-    if not entries:
+            files.append((os.path.join(sub, name), label))
+    if not files:
         raise PipelineError(f"empty corpus under {root!r}")
-    entries.sort(key=lambda e: e.path)
-    return CorpusManifest(entries=entries, root=root)
+    return manifest_of(root, files)
 
 
 def save_manifest(manifest: CorpusManifest, path: str) -> None:
@@ -453,16 +436,16 @@ def synth_corpus(out_dir: str, cfg: SynthConfig, class_dir_map: dict[ClassLabel,
         raise PipelineError(f"class_dirs names no directory for {', '.join(unmapped)}; "
                             "synth writes every class")
     os.makedirs(out_dir, exist_ok=True)
-    entries: list[ManifestEntry] = []
+    files = []
     for label in LABELS:
         sub = class_dir_map[label]
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
         for i in range(cfg.n_per_class):
+            # x stays bound: freed inline before the next clip, glibc trims and refaults the heap
             x = synth_signal(label, i, cfg, rate)
             rel = os.path.join(sub, f"clip_{i:03d}.wav")
-            save_wav(AudioClip(x, rate, label), os.path.join(out_dir, rel))
-            entries.append(ManifestEntry(rel, label, len(x) / rate, rate))
-    entries.sort(key=lambda e: e.path)
-    manifest = CorpusManifest(entries=entries, root=out_dir)
+            save_wav(x, rate, os.path.join(out_dir, rel))
+            files.append((rel, label))
+    manifest = manifest_of(out_dir, files)
     save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest

@@ -2,7 +2,7 @@
 
 Three transforms: additive Gaussian noise, a combined time stretch and
 pitch shift (one phase-vocoder pass, then one resample), and spectrogram
-frequency/time masking.
+frequency/time masking, each on a plain array: samples or (bins, frames).
 The vocoder works on the one-sided STFT and streams its output frames in
 blocks of at most BLOCK_FRAMES: each block takes the STFT of only the
 samples it reads, extends the running product of unit phasors from the
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .audio_io import AudioClip, resample_signal
-from .features import TimeFreqGrid
+from .audio_io import resample_signal
 from .util import PipelineError, even_ranges, keyed_rng
 
 # The vocoder window must cover at least one period of the lowest tone of
@@ -66,7 +65,7 @@ class AugmentConfig:
             raise PipelineError("noise sigma must be >= 0")
 
 
-def add_gaussian_noise(clip: AudioClip, sigma: float, rng: np.random.Generator) -> AudioClip:
+def add_gaussian_noise(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """x' = x + N(0, sigma^2), element-wise i.i.d.
 
     The clip is added into the drawn noise, so the result is the one array
@@ -75,11 +74,10 @@ def add_gaussian_noise(clip: AudioClip, sigma: float, rng: np.random.Generator) 
     if sigma < 0:
         raise PipelineError("sigma must be >= 0")
     if sigma == 0:
-        x = clip.samples.copy()      # the result must not alias the input
-    else:
-        x = rng.normal(0.0, sigma, clip.samples.size)
-        x += clip.samples
-    return AudioClip(x, clip.rate, clip.label, clip.id)
+        return x.copy()      # the result must not alias the input
+    y = rng.normal(0.0, sigma, x.size)
+    y += x
+    return y
 
 
 def _overlap_add(spec: np.ndarray, out: np.ndarray, first: int) -> None:
@@ -208,7 +206,7 @@ def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
         k = a - 1 if a else 0    # a carried block starts at the previous block's last frame
         lo, hi = i0[k], min(i0[b - 1] + 1, n_frames - 1)
         grid = dsp.stft(_reflected(x, lo * hop, hi * hop + win, pad), win, hop, n_fft=win)
-        _overlap_add(_vocoder_spectra(grid.spec.T, steps[k:b] - lo, carry), ola, a)
+        _overlap_add(_vocoder_spectra(grid.values.T, steps[k:b] - lo, carry), ola, a)
     wsq = (dsp.hann(win) ** 2).reshape(n_blocks, hop)
     norm = np.zeros(ola.shape)
     for j in range(n_blocks - 1, -1, -1):
@@ -220,7 +218,7 @@ def phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
     return _fit(y[int(round(pad / rate_factor)):], target_len)
 
 
-def pitch_shift(clip: AudioClip, semitones: float, stretch: float) -> AudioClip:
+def pitch_shift(x: np.ndarray, rate: int, semitones: float, stretch: float) -> np.ndarray:
     """Scale all frequencies by f = 2^(semitones/12) and speed the clip up by
     ``stretch``, in one vocoder pass; the output has round(N / stretch) samples.
 
@@ -229,47 +227,48 @@ def pitch_shift(clip: AudioClip, semitones: float, stretch: float) -> AudioClip:
     multiplies every frequency by f.
     """
     factor = 2.0 ** (semitones / 12.0)
-    y = resample_signal(phase_vocoder(clip.samples, stretch / factor),
-                        clip.rate * factor, clip.rate)
-    return AudioClip(_fit(y, int(round(clip.samples.size / stretch))),
-                     clip.rate, clip.label, clip.id)
+    y = resample_signal(phase_vocoder(x, stretch / factor), rate * factor, rate)
+    return _fit(y, int(round(x.size / stretch)))
 
 
-def spec_mask(grid: TimeFreqGrid, f_max: int, t_max: int,
-              rng: np.random.Generator) -> TimeFreqGrid:
+def spec_mask(values: np.ndarray, f_max: int, t_max: int,
+              rng: np.random.Generator) -> np.ndarray:
     """Blank one frequency band (width U{0..f_max}) and one time span
-    (width U{0..t_max}) to the grid's floor value."""
-    if f_max > grid.n_bins or t_max > grid.n_frames:
+    (width U{0..t_max}) of a (bins, frames) spectrogram to its floor value,
+    in a copy."""
+    n_bins, n_frames = values.shape
+    if f_max > n_bins or t_max > n_frames:
         raise PipelineError(f"mask maxima ({f_max} bins, {t_max} frames) exceed the grid shape "
-                            f"({grid.n_bins} bins, {grid.n_frames} frames)")
-    values = grid.values.copy()
+                            f"({n_bins} bins, {n_frames} frames)")
+    values = values.copy()
     floor = float(values.min())
     fw = int(rng.integers(0, f_max + 1)) if f_max > 0 else 0
-    f0 = int(rng.integers(0, grid.n_bins - fw + 1)) if fw > 0 else 0
+    f0 = int(rng.integers(0, n_bins - fw + 1)) if fw > 0 else 0
     tw = int(rng.integers(0, t_max + 1)) if t_max > 0 else 0
-    t0 = int(rng.integers(0, grid.n_frames - tw + 1)) if tw > 0 else 0
+    t0 = int(rng.integers(0, n_frames - tw + 1)) if tw > 0 else 0
     if fw > 0:
         values[f0 : f0 + fw, :] = floor
     if tw > 0:
         values[:, t0 : t0 + tw] = floor
-    return TimeFreqGrid(values)
+    return values
 
 
-def make_variant(clip: AudioClip, cfg: AugmentConfig,
-                 rng: np.random.Generator) -> AudioClip:
+def make_variant(x: np.ndarray, rate: int, cfg: AugmentConfig,
+                 rng: np.random.Generator) -> np.ndarray:
     """One noise + stretch + pitch draw. Masking happens later, on spectrograms."""
     r = float(rng.uniform(*cfg.stretch_range))
     k = cfg.pitch_range_semitones
     s = float(rng.uniform(-k, k)) if k > 0 else 0.0
-    sigma = cfg.noise_sigma_rel * float(np.max(np.abs(clip.samples)))
-    return pitch_shift(add_gaussian_noise(clip, sigma, rng), s, r)
+    sigma = cfg.noise_sigma_rel * float(np.max(np.abs(x)))
+    return pitch_shift(add_gaussian_noise(x, sigma, rng), rate, s, r)
 
 
-def augment_pipeline(clip: AudioClip, cfg: AugmentConfig) -> Iterator[AudioClip]:
-    """``variants_per_clip`` independent variants, deterministic per (cfg.seed, clip.id).
+def augment_pipeline(x: np.ndarray, rate: int, clip_id: str,
+                     cfg: AugmentConfig) -> Iterator[np.ndarray]:
+    """``variants_per_clip`` independent variants, deterministic per (cfg.seed, clip_id).
 
     They are yielded one at a time, so a caller that writes each one out
     and drops it holds one variant, not a clip's whole set.
     """
     for k in range(cfg.variants_per_clip):
-        yield make_variant(clip, cfg, keyed_rng(cfg.seed, clip.id, k))
+        yield make_variant(x, rate, cfg, keyed_rng(cfg.seed, clip_id, k))

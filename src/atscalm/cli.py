@@ -40,9 +40,8 @@ import numpy as np
 from . import augment as aug_mod
 from . import classifier as cam_mod
 from . import dsp, embedding_eval, encoder, features, plots, stats, tsne, validation
-from .audio_io import (CLASS_TONE_HZ, LABELS, CorpusManifest, ManifestEntry,
-                       build_manifest, load_manifest, parse_label, save_manifest,
-                       save_wav, synth_corpus)
+from .audio_io import (CLASS_TONE_HZ, LABELS, CorpusManifest, build_manifest, load_manifest,
+                       manifest_of, parse_label, save_manifest, save_wav, synth_corpus)
 from .config import RunConfig, load_config
 from .util import (ConfigError, PipelineError, ensure_dir, json_sanitize,
                    parallel_map, read_float_csv, read_json, write_csv, write_json)
@@ -88,11 +87,10 @@ def cmd_validate(args, cfg: RunConfig, out: str) -> list[str]:
             entry = next((e for e in manifest.entries if e.label == label), None)
             if entry is None:
                 continue
-            clip = manifest.load_clip(entry, target_rate=cfg.rate)
+            x = manifest.load_clip(entry, target_rate=cfg.rate)
             theo = validation.reconstruct_theoretical(
-                clip, dsp.analytic_envelope(clip.samples), CLASS_TONE_HZ[label])
-            wave_svg, spec_svg = plots.validation_overlay(
-                clip.samples, theo, clip.rate, label.value)
+                dsp.analytic_envelope(x), cfg.rate, CLASS_TONE_HZ[label])
+            wave_svg, spec_svg = plots.validation_overlay(x, theo, cfg.rate, label.value)
             for suffix, svg in (("wave", wave_svg), ("spectrum", spec_svg)):
                 produced.append(_write_svg(
                     os.path.join(out, f"validation_{label.value}_{suffix}.svg"), svg))
@@ -105,40 +103,33 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
     aug_dir = ensure_dir(os.path.join(out, "augmented"))
 
     def work(entry):
-        clip = manifest.load_clip(entry, target_rate=cfg.rate)
-        rel_orig = os.path.relpath(
-            os.path.join(manifest.root, entry.path), aug_dir).replace(os.sep, "/")
-        entries = [ManifestEntry(rel_orig, entry.label, entry.duration_s, entry.rate)]
+        x = manifest.load_clip(entry, target_rate=cfg.rate)
         written = []
-        for k, var in enumerate(aug_mod.augment_pipeline(clip, cfg.augment)):
+        for k, var in enumerate(aug_mod.augment_pipeline(x, cfg.rate, entry.clip_id, cfg.augment)):
             rel = f"{os.path.splitext(entry.path)[0]}.aug{k}.wav"
             full = os.path.join(aug_dir, rel)
             ensure_dir(os.path.dirname(full))
-            save_wav(var, full)
-            entries.append(ManifestEntry(
-                rel.replace(os.sep, "/"), entry.label, var.duration_s, var.rate))
-            written.append(full)
+            save_wav(var, cfg.rate, full)
+            written.append((rel, entry.label))
             del var   # not alive while the next variant is made
-        return entries, written
+        return written
 
-    results = parallel_map(work, manifest.entries, args.jobs)
-    entries = sorted((e for clip_entries, _ in results for e in clip_entries),
-                     key=lambda e: e.path)
-    produced = [path for _, written in results for path in written]
-    aug_manifest = CorpusManifest(entries=entries, root=aug_dir)
+    variants = [f for written in parallel_map(work, manifest.entries, args.jobs) for f in written]
+    originals = [(os.path.relpath(os.path.join(manifest.root, e.path), aug_dir), e.label)
+                 for e in manifest.entries]
     man_path = os.path.join(aug_dir, "manifest.json")
-    save_manifest(aug_manifest, man_path)
-    produced.append(man_path)
-    log.info("wrote %d augmented files under %s", len(produced) - 1, aug_dir)
-    return produced
+    save_manifest(manifest_of(aug_dir, originals + variants), man_path)
+    log.info("wrote %d augmented files under %s", len(variants), aug_dir)
+    return [os.path.join(aug_dir, rel) for rel, _ in variants] + [man_path]
 
 
 def cmd_features(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
 
     def work(entry):
-        clip = manifest.load_clip(entry, target_rate=cfg.rate)
-        return clip.id, entry.label.value, features.extract_features(clip, cfg.features)
+        x = manifest.load_clip(entry, target_rate=cfg.rate)
+        vec = features.extract_features(x, cfg.rate, cfg.features)
+        return entry.clip_id, entry.label.value, vec
 
     rows = parallel_map(work, manifest.entries, args.jobs)
     path = os.path.join(out, "features.csv")

@@ -62,6 +62,8 @@ class RunConfig:
     tsne: TsneSection = field(default_factory=TsneSection)
 
     def __post_init__(self):
+        if self.rate < 1:
+            raise PipelineError(f"rate must be >= 1, got {self.rate}")
         self.class_dir_map()
         # a view's time mask is drawn over its kept frames: ``frames`` of
         # them, since even the shortest view of a long clip is cropped

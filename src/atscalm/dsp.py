@@ -1,8 +1,8 @@
 """Deterministic spectral primitives.
 
 One-sided real FFT at a given transform size, un-normalized DCT-II basis,
-analytic envelope from the one-sided spectrum, one-sided STFT, the Hann
-window, and the Mel filterbank weights. Every transform size is the
+analytic envelope from the one-sided spectrum, one-sided STFT as a `Grid`,
+the Hann window, and the Mel filterbank weights. Every transform size is the
 caller's. Everything here is pure and reentrant; a built filterbank is a
 read-only array and can be shared.
 """
@@ -77,28 +77,27 @@ def hann(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StftGrid:
-    """Complex STFT frames, one-sided: (n_fft//2 + 1 bins) x (frames).
+class Grid:
+    """A (bins x frames) time-frequency grid: `stft`'s complex frames or a
+    log-mel spectrogram."""
 
-    ``spec`` is the transpose of the frame-major ``rfft`` result, so
-    ``spec.T`` is C-contiguous with one row per frame. Bin k sits at
-    k * rate / n_fft; the negative frequencies of a real signal are the
-    conjugates of these and are not stored.
-    """
-
-    spec: np.ndarray
+    values: np.ndarray
 
     @property
     def n_frames(self) -> int:
-        return self.spec.shape[1]
+        return self.values.shape[1]
 
 
-def stft(x, win_len: int, hop: int, n_fft: int) -> StftGrid:
-    """Short-time Fourier transform.
+def stft(x, win_len: int, hop: int, n_fft: int) -> Grid:
+    """Short-time Fourier transform, one-sided: (n_fft//2 + 1 bins) x (frames).
 
     Frame count is 1 + floor((N - win_len)/hop); each frame is Hann-windowed
     then transformed with a real FFT at ``n_fft`` >= win_len, keeping the
     n_fft//2 + 1 non-negative frequency bins. No normalization is applied.
+    The values are the transpose of the frame-major ``rfft`` result, so
+    ``values.T`` is C-contiguous with one row per frame. Bin k sits at
+    k * rate / n_fft; the negative frequencies of a real signal are the
+    conjugates of these and are not stored.
     """
     x = np.asarray(x, dtype=np.float64)
     if hop < 1:
@@ -109,7 +108,7 @@ def stft(x, win_len: int, hop: int, n_fft: int) -> StftGrid:
         raise PipelineError("n_fft must be >= win_len")
     frames = 1 + (x.size - win_len) // hop
     segs = np.lib.stride_tricks.sliding_window_view(x, win_len)[:: hop][:frames]
-    return StftGrid(spec=np.fft.rfft(segs * hann(win_len), n=n_fft, axis=1).T)
+    return Grid(np.fft.rfft(segs * hann(win_len), n=n_fft, axis=1).T)
 
 
 def mel_scale(f):

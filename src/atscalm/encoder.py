@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import augment, features
-from .audio_io import AudioClip, CorpusManifest
+from . import augment, dsp, features
+from .audio_io import CorpusManifest
 from .nn import Adam, Tensor, load_model, no_grad, save_model, seeded_init
 from .nn.ops import batchnorm2d, conv2d, global_avg_pool, linear, maxpool2d
 from .nn.tensor import as_tensor
@@ -194,7 +194,7 @@ def mean_cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(num / den))
 
 
-def prepare_input(grid: features.TimeFreqGrid, frames: int) -> np.ndarray:
+def prepare_input(grid: dsp.Grid, frames: int) -> np.ndarray:
     """Center-crop or pad a log-mel grid to a fixed frame count.
 
     Padding uses the grid minimum, the log-domain floor.
@@ -225,7 +225,7 @@ def shortest_view_frames(frames: int, params: features.FeatureParams, stretch_ma
     return 1 + (n - params.win) // params.hop
 
 
-def _augmented_view(clip: AudioClip, aug_cfg: augment.AugmentConfig,
+def _augmented_view(clip_id: str, x: np.ndarray, rate: int, aug_cfg: augment.AugmentConfig,
                     feat_params: features.FeatureParams, enc_cfg: EncoderConfig,
                     seed, epoch: int, view: int) -> np.ndarray:
     """One training view: crop the clip, draw a variant, log-mel, then cut
@@ -241,31 +241,30 @@ def _augmented_view(clip: AudioClip, aug_cfg: augment.AugmentConfig,
     inside the kept frames; a shorter one is masked, then padded.
     """
     window = _view_window(enc_cfg.frames, feat_params, aug_cfg.stretch_range[1])
-    if clip.samples.size > window:
-        start = (clip.samples.size - window) // 2
-        clip = AudioClip(clip.samples[start : start + window], clip.rate, clip.label, clip.id)
-    rng = keyed_rng(seed, "enc-view", clip.id, epoch, view)
-    var = augment.make_variant(clip, aug_cfg, rng)
-    grid = features.mel_spectrogram(var, feat_params)
+    if x.size > window:
+        start = (x.size - window) // 2
+        x = x[start : start + window]
+    rng = keyed_rng(seed, "enc-view", clip_id, epoch, view)
+    var = augment.make_variant(x, rate, aug_cfg, rng)
+    grid = features.mel_spectrogram(var, rate, feat_params)
     mask = (aug_cfg.freq_mask_max, aug_cfg.time_mask_max,
-            keyed_rng(seed, "enc-mask", clip.id, epoch, view))
+            keyed_rng(seed, "enc-mask", clip_id, epoch, view))
     if grid.n_frames < enc_cfg.frames:
-        return prepare_input(augment.spec_mask(grid, *mask), enc_cfg.frames)
-    kept = features.TimeFreqGrid(prepare_input(grid, enc_cfg.frames))
-    return augment.spec_mask(kept, *mask).values
+        return prepare_input(dsp.Grid(augment.spec_mask(grid.values, *mask)), enc_cfg.frames)
+    return augment.spec_mask(prepare_input(grid, enc_cfg.frames), *mask)
 
 
-def _pair_views(clips, aug_cfg, feat_params, enc_cfg, seed, epoch) -> list[np.ndarray]:
-    """View 0 of every clip, then view 1 of every clip: the (2B, ...) layout."""
-    return [_augmented_view(c, aug_cfg, feat_params, enc_cfg, seed, epoch, view)
-            for view in (0, 1) for c in clips]
+def _pair_views(clips, rate, aug_cfg, feat_params, enc_cfg, seed, epoch) -> list[np.ndarray]:
+    """View 0 of every (id, samples) clip, then view 1 of each: the (2B, ...) layout."""
+    return [_augmented_view(cid, x, rate, aug_cfg, feat_params, enc_cfg, seed, epoch, view)
+            for view in (0, 1) for cid, x in clips]
 
 
-def _pair_metrics(model: AcousticEncoder, clips, aug_cfg, feat_params, seed, epoch, tag):
+def _pair_metrics(model: AcousticEncoder, clips, rate, aug_cfg, feat_params, seed, epoch, tag):
     """Eval-mode loss and cosine similarity over fresh positive pairs."""
     if not clips:
         return 0.0, 1.0
-    views = _pair_views(clips, aug_cfg, feat_params, model.cfg, (seed, tag), epoch)
+    views = _pair_views(clips, rate, aug_cfg, feat_params, model.cfg, (seed, tag), epoch)
     p1 = model.embed(views[: len(clips)])
     p2 = model.embed(views[len(clips) :])
     loss = contrastive_loss(np.concatenate([p1, p2])).item()
@@ -286,7 +285,8 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
     """
     if len(manifest.entries) < 2:
         raise PipelineError("encoder training needs at least 2 clips")
-    clips = [manifest.load_clip(e, target_rate=target_rate) for e in manifest.entries]
+    clips = [(e.clip_id, manifest.load_clip(e, target_rate=target_rate))
+             for e in manifest.entries]
     order = keyed_rng(seed, "split").permutation(len(clips))
     n_val = max(1, int(round(val_fraction * len(clips)))) if val_fraction > 0 else 0
     val_clips = [clips[i] for i in order[:n_val]]
@@ -307,8 +307,8 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
         for start in range(0, len(perm), batch_pairs):
             batch = [train_clips[i] for i in perm[start : start + batch_pairs]]
             # the views are not kept past the stack: the step holds the batch once
-            x = Tensor(np.stack(_pair_views(batch, aug_cfg, feat_params, cfg, seed, epoch))
-                       [:, None, :, :])
+            x = Tensor(np.stack(_pair_views(batch, target_rate, aug_cfg, feat_params, cfg,
+                                            seed, epoch))[:, None, :, :])
             emb = model.forward(x, train=True)
             loss = contrastive_loss(emb)
             loss.backward()
@@ -320,7 +320,7 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
             log.warning("embedding batch variance %.3g below %.1g at epoch %d: "
                         "possible representation collapse", emb_var, COLLAPSE_VARIANCE_FLOOR, epoch)
             warned = True
-        val_loss, val_cos = _pair_metrics(model, val_clips, aug_cfg,
+        val_loss, val_cos = _pair_metrics(model, val_clips, target_rate, aug_cfg,
                                           feat_params, seed, epoch, "val")
         history.append({
             "epoch": epoch + 1,
@@ -351,8 +351,8 @@ def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest,
     i. The model runs on 16 clips at a time."""
 
     def work(entry):
-        clip = manifest.load_clip(entry, target_rate=target_rate)
-        grid = features.mel_spectrogram(clip, feat_params)
+        x = manifest.load_clip(entry, target_rate=target_rate)
+        grid = features.mel_spectrogram(x, target_rate, feat_params)
         return prepare_input(grid, model.cfg.frames)
 
     inputs = parallel_map(work, manifest.entries, jobs)

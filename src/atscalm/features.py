@@ -2,6 +2,7 @@
 
 The feature order is fixed and shared with the classifier and the group
 statistics: [mfcc_0..mfcc_12, zcr, rms, w1_mu, w1_sd, ..., w5_mu, w5_sd].
+Functions take a clip's samples array, plus its ``rate`` for the mel scale.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .audio_io import AudioClip
 from .util import PipelineError, read_float_csv, write_csv
 
 N_MFCC = 13
@@ -40,58 +40,37 @@ class FeatureParams:
     def __post_init__(self):
         if self.win < 1 or self.hop < 1:
             raise PipelineError(f"win and hop must be >= 1, got win {self.win}, hop {self.hop}")
-
-
-@dataclass
-class TimeFreqGrid:
-    """Real-valued (bins x frames) grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise PipelineError("grid must be 2-d (bins x frames)")
-        if not np.all(np.isfinite(self.values)):
-            raise PipelineError("grid contains non-finite values")
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
+        if not self.log_eps > 0:
+            raise PipelineError(f"log_eps must be > 0, got {self.log_eps}")
 
 
 # a built filterbank is read-only, so one per parameter set is shared
 _filterbank = functools.lru_cache(maxsize=None)(dsp.build_mel_filterbank)
 
 
-def mel_spectrogram(clip: AudioClip, params: FeatureParams) -> TimeFreqGrid:
+def mel_spectrogram(x: np.ndarray, rate: int, params: FeatureParams) -> dsp.Grid:
     """log(mel-filterbank @ |STFT|^2 + eps), shape (n_mels, frames)."""
-    spec = dsp.stft(clip.samples, params.win, params.hop, n_fft=params.n_fft).spec
-    fb = _filterbank(params.n_mels, params.n_fft, clip.rate, params.f_lo, params.f_hi)
-    return TimeFreqGrid(np.log(fb @ (spec.real ** 2 + spec.imag ** 2) + params.log_eps))
+    spec = dsp.stft(x, params.win, params.hop, n_fft=params.n_fft).values
+    fb = _filterbank(params.n_mels, params.n_fft, rate, params.f_lo, params.f_hi)
+    return dsp.Grid(np.log(fb @ (spec.real ** 2 + spec.imag ** 2) + params.log_eps))
 
 
-def mfcc13(clip: AudioClip, params: FeatureParams) -> np.ndarray:
+def mfcc13(x: np.ndarray, rate: int, params: FeatureParams) -> np.ndarray:
     """Frame-averaged DCT-II of the log-mel columns, coefficients 0..12."""
-    logmel = mel_spectrogram(clip, params)
+    logmel = mel_spectrogram(x, rate, params)
     basis = dsp.dct2_matrix(params.n_mels, N_MFCC)
     return np.mean(basis @ logmel.values, axis=1)
 
 
-def zcr(clip: AudioClip) -> float:
+def zcr(x: np.ndarray) -> float:
     """Fraction of adjacent sample pairs with strictly negative product."""
-    x = clip.samples
     if x.size < 2:
         raise PipelineError("zcr needs at least 2 samples")
     return float(np.count_nonzero(x[1:] * x[:-1] < 0.0) / (x.size - 1))
 
 
-def rms(clip: AudioClip) -> float:
-    return float(np.sqrt(np.mean(clip.samples ** 2)))
+def rms(x: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(x ** 2)))
 
 
 def _haar_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,10 +82,10 @@ def _haar_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return approx, detail
 
 
-def wavelet_stats(clip: AudioClip) -> np.ndarray:
+def wavelet_stats(x: np.ndarray) -> np.ndarray:
     """[mean_1, std_1, ..., mean_L, std_L] (population std) of the detail
     coefficients d_1..d_L of an L = WAVELET_LEVELS level Haar transform."""
-    approx = clip.samples
+    approx = x
     if approx.size < 2 ** WAVELET_LEVELS:
         raise PipelineError(f"need at least 2^{WAVELET_LEVELS} samples for a "
                             f"{WAVELET_LEVELS}-level transform")
@@ -118,9 +97,9 @@ def wavelet_stats(clip: AudioClip) -> np.ndarray:
     return out
 
 
-def extract_features(clip: AudioClip, params: FeatureParams) -> np.ndarray:
+def extract_features(x: np.ndarray, rate: int, params: FeatureParams) -> np.ndarray:
     """The full 25-vector in the FEATURE_NAMES order."""
-    return np.concatenate([mfcc13(clip, params), [zcr(clip), rms(clip)], wavelet_stats(clip)])
+    return np.concatenate([mfcc13(x, rate, params), [zcr(x), rms(x)], wavelet_stats(x)])
 
 
 def write_features_csv(path: str, rows: list[tuple[str, str, np.ndarray]]) -> None:

@@ -1,11 +1,11 @@
 """Corpus validation against per-class theoretical tone models.
 
-For each clip: extract the analytic envelope, rebuild the signal as
-envelope * cos(2*pi*f_c*t) at the class tone frequency f_c of
-CLASS_TONE_HZ, and score the match with RMSE. Envelope mean/std
-(edge-trimmed), total energy, and the spectral peak round out the record,
-a dict keyed as the validation.json document names it; per-class
-aggregates mirror the per-clip fields.
+For each clip, a samples array at the run's ``rate``: extract the analytic
+envelope, rebuild the signal as envelope * cos(2*pi*f_c*t) at the class
+tone frequency f_c of CLASS_TONE_HZ, and score the match with RMSE.
+Envelope mean/std (edge-trimmed), total energy, and the spectral peak round
+out the record, a dict keyed as the validation.json document names it;
+per-class aggregates mirror the per-clip fields.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsp
-from .audio_io import CLASS_TONE_HZ, LABELS, AudioClip, ClassLabel, CorpusManifest
+from .audio_io import CLASS_TONE_HZ, LABELS, ClassLabel, CorpusManifest
 from .util import PipelineError, parallel_map, write_csv, write_json
 
 EDGE_TRIM = 0.05
@@ -30,22 +30,22 @@ def rmse(x, y) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
-def reconstruct_theoretical(clip: AudioClip, env: np.ndarray, f_c_hz: float) -> np.ndarray:
-    """The clip's analytic envelope ``env`` times a zero-phase cosine at ``f_c_hz``."""
-    if f_c_hz >= clip.rate / 2:
+def reconstruct_theoretical(env: np.ndarray, rate: int, f_c_hz: float) -> np.ndarray:
+    """A clip's analytic envelope ``env`` times a zero-phase cosine at ``f_c_hz``."""
+    if f_c_hz >= rate / 2:
         raise PipelineError(
-            f"f_c {f_c_hz} Hz is not below Nyquist for rate {clip.rate}"
+            f"f_c {f_c_hz} Hz is not below Nyquist for rate {rate}"
         )
-    t = np.arange(clip.samples.size) / clip.rate
+    t = np.arange(env.size) / rate
     return env * np.cos(2.0 * np.pi * f_c_hz * t)
 
 
-def envelope_stats(clip: AudioClip, env: np.ndarray) -> tuple[float, float, float]:
+def envelope_stats(x: np.ndarray, env: np.ndarray) -> tuple[float, float, float]:
     """(env_mean, env_std, energy): stats of the clip's analytic envelope
     ``env`` with EDGE_TRIM of it cut off each end, energy = sum(x^2) over the full clip."""
     k = int(np.floor(EDGE_TRIM * env.size))
     env = env[k : env.size - k]
-    energy = float(np.sum(clip.samples ** 2))
+    energy = float(np.sum(x ** 2))
     return float(np.mean(env)), float(np.std(env)), energy
 
 
@@ -57,20 +57,21 @@ def peak_hz(mag: np.ndarray, rate: float, n_fft: int) -> float:
     return float((1 + int(np.argmax(mag[1:]))) * rate / n_fft)
 
 
-def validate_clip(clip: AudioClip, f_c_hz: float, mag: np.ndarray, n_fft: int) -> dict:
+def validate_clip(clip_id: str, x: np.ndarray, rate: int, f_c_hz: float,
+                  mag: np.ndarray, n_fft: int) -> dict:
     """One record; ``mag`` is the clip's magnitude spectrum at ``n_fft``
     points. The analytic envelope (a full-length FFT pair) is computed once
     and feeds both the reconstruction and the envelope stats."""
-    env = dsp.analytic_envelope(clip.samples)
-    theo = reconstruct_theoretical(clip, env, f_c_hz)
-    env_mean, env_std, energy = envelope_stats(clip, env)
+    env = dsp.analytic_envelope(x)
+    theo = reconstruct_theoretical(env, rate, f_c_hz)
+    env_mean, env_std, energy = envelope_stats(x, env)
     return {
-        "clip_id": clip.id,
-        "rmse": rmse(clip.samples, theo),
+        "clip_id": clip_id,
+        "rmse": rmse(x, theo),
         "env_mean": env_mean,
         "env_std": env_std,
         "energy": energy,
-        "peak_hz": peak_hz(mag, clip.rate, n_fft),
+        "peak_hz": peak_hz(mag, rate, n_fft),
     }
 
 
@@ -95,9 +96,10 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
                               for e in manifest.entries))
 
     def work(entry):
-        clip = manifest.load_clip(entry, target_rate=target_rate)
-        mag = np.abs(dsp.fft(clip.samples, n_fft))
-        return validate_clip(clip, CLASS_TONE_HZ[clip.label], mag, n_fft), mag
+        x = manifest.load_clip(entry, target_rate=target_rate)
+        mag = np.abs(dsp.fft(x, n_fft))
+        return validate_clip(entry.clip_id, x, target_rate, CLASS_TONE_HZ[entry.label],
+                             mag, n_fft), mag
 
     per_clip = []
     mag_sums: dict[ClassLabel, np.ndarray] = {}

@@ -207,7 +207,7 @@ def whole_phase_vocoder(x: np.ndarray, rate_factor: float) -> np.ndarray:
     pad = win // 2
     xp = np.pad(x, pad, mode="reflect")
     grid = dsp.stft(xp, win, hop, n_fft=win)
-    y = whole_istft_ola(whole_vocoder_spectra(grid.spec.T, rate_factor), win, hop)
+    y = whole_istft_ola(whole_vocoder_spectra(grid.values.T, rate_factor), win, hop)
     start = int(round(pad / rate_factor))
     y = y[start:]
     if y.size >= target_len:

@@ -43,8 +43,8 @@ class TestLoadWav:
     def test_scaling_identity(self, tmp_path):
         path = tmp_path / "half.wav"
         write_pcm16(path, np.full(100, 16384))
-        clip = aio.load_wav(str(path))
-        assert np.max(np.abs(clip.samples - 0.5)) <= 1.0 / 32768
+        x, _ = aio.load_wav(str(path))
+        assert np.max(np.abs(x - 0.5)) <= 1.0 / 32768
 
     def test_stereo_symmetric_average(self, tmp_path):
         path = tmp_path / "stereo.wav"
@@ -52,32 +52,39 @@ class TestLoadWav:
         frames[:, 0] = 16384
         frames[:, 1] = -16384
         write_pcm16(path, frames.reshape(-1), channels=2)
-        clip = aio.load_wav(str(path))
-        assert np.max(np.abs(clip.samples)) == 0.0
+        x, _ = aio.load_wav(str(path))
+        assert np.max(np.abs(x)) == 0.0
 
     def test_float32_input(self, tmp_path):
         path = tmp_path / "f32.wav"
         x = keyed_rng("f32", 0).uniform(-1, 1, 64).astype(np.float32)
         write_float32(path, x)
-        clip = aio.load_wav(str(path))
-        assert np.allclose(clip.samples, x, atol=1e-7)
-        assert clip.rate == 16000
+        back, rate = aio.load_wav(str(path))
+        assert np.allclose(back, x, atol=1e-7)
+        assert rate == 16000
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float32_non_finite_named(self, tmp_path, bad):
+        path = tmp_path / "f32.wav"
+        write_float32(path, [0.5, bad, -0.5])
+        with pytest.raises(PipelineError, match="f32.wav: non-finite sample"):
+            aio.load_wav(str(path))
 
     def test_roundtrip_quantization_bound(self, tmp_path):
         path = tmp_path / "rt.wav"
         x = keyed_rng("rt", 1).uniform(-1, 1, 500)
-        aio.save_wav(aio.AudioClip(x, 16000), str(path))
-        back = aio.load_wav(str(path)).samples
+        aio.save_wav(x, 16000, str(path))
+        back, _ = aio.load_wav(str(path))
         assert np.max(np.abs(back - x)) <= 2.0**-15
 
     def test_double_roundtrip_idempotent(self, tmp_path):
         p1, p2 = tmp_path / "a.wav", tmp_path / "b.wav"
         x = keyed_rng("rt2", 2).uniform(-1, 1, 300)
-        aio.save_wav(aio.AudioClip(x, 16000), str(p1))
-        once = aio.load_wav(str(p1))
-        aio.save_wav(once, str(p2))
-        twice = aio.load_wav(str(p2))
-        assert np.array_equal(once.samples, twice.samples)
+        aio.save_wav(x, 16000, str(p1))
+        once, rate = aio.load_wav(str(p1))
+        aio.save_wav(once, rate, str(p2))
+        twice, _ = aio.load_wav(str(p2))
+        assert np.array_equal(once, twice)
 
     def test_missing_file(self):
         with pytest.raises(PipelineError):
@@ -136,12 +143,13 @@ class TestLoadWav:
 class TestSaveWav:
     def test_zero_clip(self, tmp_path):
         path = tmp_path / "z.wav"
-        aio.save_wav(aio.AudioClip(np.zeros(50), 16000), str(path))
-        assert np.all(aio.load_wav(str(path)).samples == 0)
+        aio.save_wav(np.zeros(50), 16000, str(path))
+        x, _ = aio.load_wav(str(path))
+        assert np.all(x == 0)
 
     def test_clamp_rule(self, tmp_path):
         path = tmp_path / "c.wav"
-        aio.save_wav(aio.AudioClip(np.array([2.0, -3.0]), 16000), str(path))
+        aio.save_wav(np.array([2.0, -3.0]), 16000, str(path))
         with wave.open(str(path)) as fh:
             raw = np.frombuffer(fh.readframes(2), dtype="<i2")
         assert raw[0] == 32767 and raw[1] == -32768
@@ -225,8 +233,7 @@ class TestManifest:
         back = aio.load_manifest(str(path))
         assert [e.path for e in back.entries] == [e.path for e in man.entries]
         assert back.counts == man.counts
-        clip = back.load_clip(back.entries[0], target_rate=16000)
-        assert clip.samples.size == 1600
+        assert back.load_clip(back.entries[0], target_rate=16000).size == 1600
 
 
 class TestResample:
@@ -325,13 +332,15 @@ class TestResample:
         assert abs(out.size - round(n / 2)) <= 1
 
     def test_duration_preserved(self, tmp_path):
-        # load_clip resamples a clip off the target rate and keeps its label and id
+        # load_clip resamples a clip off the target rate; the entry keeps its label and id
         os.makedirs(tmp_path / "Music")
         write_pcm16(tmp_path / "Music" / "a.wav", np.full(16000, 1000))
         man = aio.build_manifest(str(tmp_path), {aio.ClassLabel.MUSIC: "Music"})
-        out = man.load_clip(man.entries[0], target_rate=44100)
-        assert out.rate == 44100 and abs(out.duration_s - 1.0) <= 1.0 / 44100
-        assert (out.label, out.id) == (aio.ClassLabel.MUSIC, "Music/a")
+        entry = man.entries[0]
+        assert (entry.duration_s, entry.rate) == (1.0, 16000)
+        out = man.load_clip(entry, target_rate=44100)
+        assert abs(out.size / 44100 - 1.0) <= 1.0 / 44100
+        assert (entry.label, entry.clip_id) == (aio.ClassLabel.MUSIC, "Music/a")
 
 
 class TestSynthCorpus:
@@ -342,16 +351,16 @@ class TestSynthCorpus:
         man2 = aio.synth_corpus(str(tmp_path / "b"), cfg, aio.DEFAULT_CLASS_DIRS,
                                 aio.CANONICAL_RATE)
         for e1, e2 in zip(man1.entries, man2.entries):
-            x1 = aio.load_wav(os.path.join(man1.root, e1.path)).samples
-            x2 = aio.load_wav(os.path.join(man2.root, e2.path)).samples
+            x1, _ = aio.load_wav(os.path.join(man1.root, e1.path))
+            x2, _ = aio.load_wav(os.path.join(man2.root, e2.path))
             assert np.array_equal(x1, x2)
 
     def test_class_tones_dominate(self, tmp_path):
         cfg = aio.SynthConfig(n_per_class=1, duration_s=2.0, seed=5)
         man = aio.synth_corpus(str(tmp_path), cfg, aio.DEFAULT_CLASS_DIRS, aio.CANONICAL_RATE)
         for entry in man.entries:
-            clip = man.load_clip(entry, target_rate=aio.CANONICAL_RATE)
-            peak = frontend_oracle.peak_frequency(clip.samples, clip.rate)
+            x = man.load_clip(entry, target_rate=aio.CANONICAL_RATE)
+            peak = frontend_oracle.peak_frequency(x, aio.CANONICAL_RATE)
             assert abs(peak - aio.CLASS_TONE_HZ[entry.label]) < 1.0
 
     def test_envelope_recovery(self):

@@ -2,7 +2,7 @@ import io
 import json
 import logging
 import os
-import shutil
+import struct
 import subprocess
 import sys
 import wave
@@ -131,6 +131,21 @@ class TestAugment:
         assert not originals
         assert {e["rate"] for e in entries if ".aug" in e["path"]} == {16000}
 
+    def test_originals_listed_from_their_headers(self, tmp_path):
+        # the input manifest misstates both clips' duration and rate
+        doc = json.loads(TWO_CLIPS["m.json"])
+        for e in doc["entries"]:
+            e.update(duration_s=9.0, rate=44100)
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        for name in ("a.wav", "b.wav"):
+            (tmp_path / name).write_bytes(TWO_CLIPS[name])
+        out = str(tmp_path / "out")
+        assert run(["--out", out, "augment", str(tmp_path / "m.json")]) == 0
+        entries = read_json(os.path.join(out, "augmented", "manifest.json"))["entries"]
+        assert [(e["path"], e["duration_s"], e["rate"]) for e in entries
+                if ".aug" not in e["path"]] == [("../../a.wav", 0.15, 16000),
+                                                ("../../b.wav", 0.15, 16000)]
+
 
 FEATURES_HEADER = ",".join(["id", "label", *FEATURE_NAMES])
 ROW = "a,Music," + ",".join(["0.5"] * len(FEATURE_NAMES))
@@ -160,11 +175,29 @@ def _tone_wav(seconds=1.0, rate=16000):
     return buf.getvalue()
 
 
+def _float32_wav(x, rate=16000):
+    """A mono IEEE float 32-bit WAV (format 3) of ``x``, as bytes."""
+    data = np.asarray(x, dtype="<f4").tobytes()
+    return (b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVEfmt "
+            + struct.pack("<IHHIIHH", 16, 3, 1, rate, 4 * rate, 4, 32)
+            + b"data" + struct.pack("<I", len(data)) + data)
+
+
 TWO_CLIPS = {"m.json": json.dumps({"entries": [{"path": f"{c}.wav", "label": "Music",
                                                 "duration_s": 0.15, "rate": 16000}
                                                for c in "ab"],
                                    "counts": {"Music": 2}}),
              "a.wav": _tone_wav(0.15), "b.wav": _tone_wav(0.15)}
+
+# Leaves no stage checks before it runs on them: a rate below 1 makes no
+# clip, and a log_eps <= 0 turns a silent mel band's log into -inf or NaN.
+BOUNDED_LEAVES = {
+    "rate-0": ('{"rate": 0}', "config document: rate must be >= 1, got 0"),
+    "rate-negative": ('{"rate": -16000}', "config document: rate must be >= 1, got -16000"),
+    "log_eps-0": ('{"features": {"log_eps": 0.0}}', "config features: log_eps must be > 0, got 0.0"),
+    "log_eps-negative": ('{"features": {"log_eps": -1.0}}',
+                         "config features: log_eps must be > 0, got -1.0"),
+}
 
 # (files to write, command, exit code, message); {d} is the directory they are in.
 BAD_INPUT = {
@@ -267,6 +300,15 @@ BAD_INPUT = {
                                      f"config synth: snr_db must be within [-300, 300] dB, "
                                      f"got {value}")
        for value in (1e6, -1e6)},
+    **{f"{name}-{command}": ({**TWO_CLIPS, "c.json": doc},
+                             ["--config", "{d}/c.json", command, *argv], 2, message)
+       for name, (doc, message) in BOUNDED_LEAVES.items()
+       for command, argv in (("synth", ["--n", "1"]), ("validate", ["{d}/m.json"]),
+                             ("features", ["{d}/m.json"]))},
+    **{f"float32-{value}-sample": (
+        {**TWO_CLIPS, "a.wav": _float32_wav([0.5, float(value), -0.5] * 800)},
+        ["features", "{d}/m.json"], 1, "a.wav: non-finite sample")
+       for value in ("nan", "inf", "-inf")},
     "pitch-200-augment.pitch_range_semitones": (
         {"c.json": '{"augment": {"pitch_range_semitones": 200}}'},
         ["--config", "{d}/c.json", "augment", "{d}/missing.json"], 2,
@@ -363,15 +405,13 @@ class TestBadInput:
         assert "Traceback" not in capsys.readouterr().err
 
 
-def _artifacts(out, commands=None):
-    """{path: bytes} of every file artifacts.json lists for ``commands``."""
-    index = read_json(os.path.join(out, "artifacts.json"))
+def _artifacts(out):
+    """{path: bytes} of every file artifacts.json lists."""
     files = {}
-    for command, paths in index.items():
-        if commands is None or command in commands:
-            for p in paths:
-                with open(os.path.join(out, p), "rb") as fh:
-                    files[p] = fh.read()
+    for paths in read_json(os.path.join(out, "artifacts.json")).values():
+        for p in paths:
+            with open(os.path.join(out, p), "rb") as fh:
+                files[p] = fh.read()
     return files
 
 
@@ -390,21 +430,12 @@ class TestEndToEnd:
         assert _artifacts(again) == _artifacts(tiny_run)
 
     def test_jobs_2_matches_jobs_1(self, tiny_run, tmp_path):
+        # all 11 commands, each artifact byte for byte
         out = str(tmp_path / "c")
-        base = ["--seed", "3", "--jobs", "2", "--out", out]
-        # the augmented manifest lists the originals relative to itself, so
-        # the corpus sits where the chain's does
-        corpus = os.path.join(out, "corpus")
-        shutil.copytree(os.path.join(tiny_run, "corpus"), corpus)
-        assert run(base + ["validate", corpus, "--plot"]) == 0
-        assert run(base + ["augment", os.path.join(corpus, "manifest.json")]) == 0
-        assert run(base + ["features", os.path.join(corpus, "manifest.json")]) == 0
-        assert run(base + ["embed", corpus, "--checkpoint",
-                           os.path.join(tiny_run, "encoder.ckpt")]) == 0
-        commands = ("validate", "augment", "features", "embed")
-        got = _artifacts(out, commands)
-        assert len(got) == 10 + 31   # augment: 6 clips x 5 variants and the manifest
-        assert got == _artifacts(tiny_run, commands)
+        run_chain(out, jobs=2)
+        got = _artifacts(out)
+        assert len(read_json(os.path.join(out, "artifacts.json"))) == 11
+        assert got == _artifacts(tiny_run)
 
     def test_artifacts_index_lists_every_written_file(self, tiny_run):
         listed = {p for paths in read_json(os.path.join(tiny_run, "artifacts.json")).values()

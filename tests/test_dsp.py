@@ -161,21 +161,21 @@ class TestStft:
     def test_hann_dc(self):
         # the periodic Hann window of length n sums to n/2
         grid = dsp.stft(np.ones(1024), 128, 64, n_fft=128)
-        mags = np.abs(grid.spec[0])
+        mags = np.abs(grid.values[0])
         assert np.allclose(mags, 64.0, atol=1e-9)
 
     def test_parseval_per_frame(self):
         x = keyed_rng("stft", 2).normal(0, 1, 2000)
         win_len, hop = 256, 100
         grid = dsp.stft(x, win_len, hop, n_fft=win_len)
-        assert grid.spec.shape == (win_len // 2 + 1, grid.n_frames)
+        assert grid.values.shape == (win_len // 2 + 1, grid.n_frames)
         w = dsp.hann(win_len)
         # one-sided bins: DC and Nyquist once, every other bin for itself and its mirror
         weights = np.full(win_len // 2 + 1, 2.0)
         weights[0] = weights[-1] = 1.0
         for m in range(grid.n_frames):
             seg = x[m * hop : m * hop + win_len] * w
-            lhs = np.sum(weights * np.abs(grid.spec[:, m]) ** 2) / win_len
+            lhs = np.sum(weights * np.abs(grid.values[:, m]) ** 2) / win_len
             rhs = np.sum(seg**2)
             assert abs(lhs - rhs) / max(rhs, 1e-12) < 1e-6
 
@@ -187,7 +187,7 @@ class TestStft:
         grid = dsp.stft(x, win, hop, n_fft=win)
         rec = np.zeros(x.size)
         for m in range(grid.n_frames):
-            rec[m * hop : m * hop + win] += np.fft.irfft(grid.spec[:, m], n=win)[:win]
+            rec[m * hop : m * hop + win] += np.fft.irfft(grid.values[:, m], n=win)[:win]
         assert np.max(np.abs(rec[hop:-hop] - x[hop:-hop])) < 1e-9
 
     def test_short_signal_rejected(self):

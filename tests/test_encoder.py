@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from atscalm import audio_io as aio
-from atscalm import augment
+from atscalm import augment, dsp
 from atscalm import encoder as encoder_mod
 from atscalm.augment import VOCODER_WIN, AugmentConfig
 from atscalm.config import RunConfig
@@ -13,7 +13,7 @@ from atscalm.encoder import (AcousticEncoder, EncoderConfig, _augmented_view, _p
                              contrastive_loss, count_flops, embed_corpus, load_encoder,
                              mean_cosine_similarity, prepare_input, save_encoder,
                              shortest_view_frames, train_encoder)
-from atscalm.features import FeatureParams, TimeFreqGrid, mel_spectrogram
+from atscalm.features import FeatureParams, mel_spectrogram
 from atscalm.nn import Adam, Tensor
 from atscalm.nn.ops import conv2d
 from atscalm.util import PipelineError, dataclass_from_dict, keyed_rng
@@ -196,8 +196,7 @@ class TestTrainStepMemory:
 
 class TestPrepareInput:
     def _grid(self, frames):
-        vals = keyed_rng("grid", frames).normal(0, 1, (8, frames))
-        return TimeFreqGrid(vals)
+        return dsp.Grid(keyed_rng("grid", frames).normal(0, 1, (8, frames)))
 
     def test_exact(self):
         g = self._grid(16)
@@ -228,8 +227,7 @@ class TestAugmentedView:
     @staticmethod
     def _clip(n, rate=16000):
         t = np.arange(n) / rate
-        x = np.sin(2 * np.pi * 220.0 * t) + 0.1 * keyed_rng("view", n).normal(0, 1, n)
-        return aio.AudioClip(x, rate, aio.ClassLabel.MUSIC, f"c{n}")
+        return np.sin(2 * np.pi * 220.0 * t) + 0.1 * keyed_rng("view", n).normal(0, 1, n)
 
     @staticmethod
     def _record(monkeypatch):
@@ -238,9 +236,9 @@ class TestAugmentedView:
         seen = {"samples": [], "frames": []}
         make_variant, prepare = augment.make_variant, encoder_mod.prepare_input
 
-        def variant(clip, cfg, rng):
-            seen["samples"].append(clip.samples.size)
-            return make_variant(clip, cfg, rng)
+        def variant(x, rate, cfg, rng):
+            seen["samples"].append(x.size)
+            return make_variant(x, rate, cfg, rng)
 
         def prep(grid, frames):
             seen["frames"].append(grid.n_frames)
@@ -254,29 +252,30 @@ class TestAugmentedView:
     def test_long_clip_keeps_frames_at_largest_stretch_and_pitch(self, monkeypatch, n):
         aug = AugmentConfig(stretch_range=(1.25, 1.25), pitch_range_semitones=2.0)
         shift = augment.pitch_shift
-        monkeypatch.setattr(augment, "pitch_shift", lambda clip, s, stretch=1.0:
-                            shift(clip, math.copysign(2.0, s), stretch))
+        monkeypatch.setattr(augment, "pitch_shift", lambda x, rate, s, stretch:
+                            shift(x, rate, math.copysign(2.0, s), stretch))
         seen = self._record(monkeypatch)
         for view in range(4):
-            _augmented_view(self._clip(n), aug, FeatureParams(), EncoderConfig(frames=self.FRAMES),
-                            0, 0, view)
+            _augmented_view("c", self._clip(n), 16000, aug, FeatureParams(),
+                            EncoderConfig(frames=self.FRAMES), 0, 0, view)
         assert seen["samples"] == [self.WINDOW] * 4
         assert min(seen["frames"]) >= self.FRAMES      # prepare_input never pads
         # every view is stretched by the largest rate: the config check's count
         assert seen["frames"] == [shortest_view_frames(self.FRAMES, FeatureParams(), 1.25)] * 4
 
     def test_short_clip_view_is_uncropped(self, monkeypatch):
-        clip, aug, params = self._clip(self.WINDOW - 3000), AugmentConfig(), FeatureParams()
-        rng = keyed_rng(7, "enc-view", clip.id, 1, 0)
-        grid = mel_spectrogram(augment.make_variant(clip, aug, rng), params)
+        x, aug, params = self._clip(self.WINDOW - 3000), AugmentConfig(), FeatureParams()
+        cid = f"c{x.size}"
+        rng = keyed_rng(7, "enc-view", cid, 1, 0)
+        grid = mel_spectrogram(augment.make_variant(x, 16000, aug, rng), 16000, params)
         assert grid.n_frames == 69
         # cut to the kept frames first, then mask
-        grid = TimeFreqGrid(prepare_input(grid, self.FRAMES))
-        want = augment.spec_mask(grid, aug.freq_mask_max, aug.time_mask_max,
-                                 keyed_rng(7, "enc-mask", clip.id, 1, 0)).values
+        want = augment.spec_mask(prepare_input(grid, self.FRAMES), aug.freq_mask_max,
+                                 aug.time_mask_max, keyed_rng(7, "enc-mask", cid, 1, 0))
         seen = self._record(monkeypatch)
-        got = _augmented_view(clip, aug, params, EncoderConfig(frames=self.FRAMES), 7, 1, 0)
-        assert seen["samples"] == [clip.samples.size]
+        got = _augmented_view(cid, x, 16000, aug, params, EncoderConfig(frames=self.FRAMES),
+                              7, 1, 0)
+        assert seen["samples"] == [x.size]
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [WINDOW + 1, 32000])
@@ -285,13 +284,13 @@ class TestAugmentedView:
         masked = []
         spec_mask = augment.spec_mask
 
-        def record(grid, f_max, t_max, rng):
-            masked.append(grid.n_frames)
-            return spec_mask(grid, f_max, t_max, rng)
+        def record(values, f_max, t_max, rng):
+            masked.append(values.shape[1])
+            return spec_mask(values, f_max, t_max, rng)
 
         monkeypatch.setattr(augment, "spec_mask", record)
         for view in range(4):
-            got = _augmented_view(self._clip(n), aug, FeatureParams(),
+            got = _augmented_view("c", self._clip(n), 16000, aug, FeatureParams(),
                                   EncoderConfig(frames=self.FRAMES), 0, 0, view)
             assert got.shape[1] == self.FRAMES
         assert masked == [self.FRAMES] * 4
@@ -299,10 +298,11 @@ class TestAugmentedView:
     def test_tiny_chain_takes_the_crop_path(self, monkeypatch):
         """So the chain's rerun and --jobs tests cover the crop."""
         cfg = dataclass_from_dict(RunConfig, TINY_CONFIG)
-        clip = self._clip(int(DURATION_S * cfg.rate), cfg.rate)
+        x = self._clip(int(DURATION_S * cfg.rate), cfg.rate)
         seen = self._record(monkeypatch)
-        _augmented_view(clip, cfg.augment, cfg.features, cfg.encoder.architecture(), 3, 0, 0)
-        assert seen["samples"][0] < clip.samples.size
+        _augmented_view("c", x, cfg.rate, cfg.augment, cfg.features, cfg.encoder.architecture(),
+                        3, 0, 0)
+        assert seen["samples"][0] < x.size
         assert seen["frames"][0] >= cfg.encoder.frames
 
 
@@ -367,10 +367,10 @@ class TestTrainEmbed:
     def test_val_loss_is_contrastive_loss_of_the_pair_batch(self, corpus):
         cfg, aug, feat = self._cfg(), self._aug(), self._feat()
         model = AcousticEncoder(cfg, seed=2)
-        clips = [corpus.load_clip(e, target_rate=16000) for e in corpus.entries[:4]]
-        loss, cos = _pair_metrics(model, clips, aug, feat, 5, 1, "val")
-        p1, p2 = (model.embed([_augmented_view(c, aug, feat, cfg, (5, "val"), 1, view)
-                               for c in clips]) for view in (0, 1))
+        clips = [(e.clip_id, corpus.load_clip(e, target_rate=16000)) for e in corpus.entries[:4]]
+        loss, cos = _pair_metrics(model, clips, 16000, aug, feat, 5, 1, "val")
+        p1, p2 = (model.embed([_augmented_view(cid, x, 16000, aug, feat, cfg, (5, "val"), 1, view)
+                               for cid, x in clips]) for view in (0, 1))
         assert loss == contrastive_loss(np.concatenate([p1, p2])).item()
         assert cos == mean_cosine_similarity(p1, p2)
         # the per-pair mean it replaced differs by summation order only

@@ -8,10 +8,12 @@ and never escapes as an exception, so no traceback is printed.
 
 import os
 import shutil
+import struct
 import tempfile
 import typing
 from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from atscalm.cli import main
 from atscalm.config import RunConfig
 from atscalm.nn import load_checkpoint
 from atscalm.util import ConfigError, PipelineError, dataclass_from_dict
+from test_audio_io import write_float32
 
 FUZZ = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -56,22 +59,36 @@ def _read(path):
         return fh.read()
 
 
+NON_FINITE = [struct.pack("<f", v) for v in (float("nan"), float("inf"), float("-inf"))]
+
+
 class TestWavFuzz:
     @FUZZ
     @given(st.data())
     def test_load_and_probe_raise_only_pipeline_error(self, tiny, data):
+        # the clip is PCM16 or float32 (format 3), and a float32 clip may get a
+        # NaN or infinity in one sample; a load that succeeds returns finite samples
         corpus = os.path.join(tiny, "corpus")
-        blob = _mutated(data, _read(os.path.join(corpus, "Music", "clip_000.wav")), 48)
         with tempfile.TemporaryDirectory() as root:
             shutil.copytree(corpus, root, dirs_exist_ok=True)
             path = os.path.join(root, "Music", "clip_000.wav")
+            float32 = data.draw(st.booleans())
+            if float32:
+                write_float32(path, aio.load_wav(path)[0])
+            blob = bytearray(_read(path))
+            if float32 and data.draw(st.booleans()):
+                at = 44 + 4 * data.draw(st.integers(0, (len(blob) - 44) // 4 - 1))
+                blob[at : at + 4] = data.draw(st.sampled_from(NON_FINITE))
             with open(path, "wb") as fh:
-                fh.write(blob)
-            for call in (lambda: aio.load_wav(path), lambda: aio.build_manifest(root, aio.DEFAULT_CLASS_DIRS)):
-                try:
-                    call()
-                except PipelineError:
-                    pass
+                fh.write(_mutated(data, bytes(blob), 48))
+            try:
+                assert np.all(np.isfinite(aio.load_wav(path)[0]))
+            except PipelineError:
+                pass
+            try:
+                aio.build_manifest(root, aio.DEFAULT_CLASS_DIRS)
+            except PipelineError:
+                pass
 
     @settings(FUZZ, max_examples=20)
     @given(st.data())

@@ -12,13 +12,16 @@ from atscalm.util import PipelineError, keyed_rng
 from memtrace import traced_peak
 
 
-def tone_clip(f_hz, duration=2.0, rate=16000, amp=1.0, label=None):
-    t = np.arange(int(duration * rate)) / rate
-    return aio.AudioClip(amp * np.cos(2 * np.pi * f_hz * t), rate, label, f"tone{f_hz}")
+RATE = 16000
 
 
-def env(clip):
-    return dsp.analytic_envelope(clip.samples)
+def tone_clip(f_hz, duration=2.0, amp=1.0):
+    t = np.arange(int(duration * RATE)) / RATE
+    return amp * np.cos(2 * np.pi * f_hz * t)
+
+
+def env(x):
+    return dsp.analytic_envelope(x)
 
 
 class TestRmse:
@@ -44,25 +47,25 @@ class TestRmse:
 class TestReconstruct:
     def test_matched_tone(self):
         clip = tone_clip(25.0)
-        theo = val.reconstruct_theoretical(clip, env(clip), 25.0)
-        k = int(0.05 * clip.samples.size)
-        err = np.sqrt(np.mean((theo[k:-k] - clip.samples[k:-k]) ** 2))
+        theo = val.reconstruct_theoretical(env(clip), RATE, 25.0)
+        k = int(0.05 * clip.size)
+        err = np.sqrt(np.mean((theo[k:-k] - clip[k:-k]) ** 2))
         assert err < 1e-2
 
     def test_zero_clip_fails_nonempty_but_reconstruction_zero(self):
-        clip = aio.AudioClip(np.zeros(4096), 16000)
-        theo = val.reconstruct_theoretical(clip, env(clip), 25.0)
+        clip = np.zeros(4096)
+        theo = val.reconstruct_theoretical(env(clip), RATE, 25.0)
         assert np.all(theo == 0)
 
     def test_mismatched_frequency_moves_peak(self):
         clip = tone_clip(25.0)
-        theo = val.reconstruct_theoretical(clip, env(clip), 30.0)
-        assert abs(frontend_oracle.peak_frequency(theo, clip.rate) - 30.0) < 1.0
+        theo = val.reconstruct_theoretical(env(clip), RATE, 30.0)
+        assert abs(frontend_oracle.peak_frequency(theo, RATE) - 30.0) < 1.0
 
     def test_above_nyquist_rejected(self):
         clip = tone_clip(25.0, duration=0.1)
         with pytest.raises(PipelineError):
-            val.reconstruct_theoretical(clip, env(clip), 9000.0)
+            val.reconstruct_theoretical(env(clip), RATE, 9000.0)
 
 
 class TestEnvelopeStats:
@@ -74,7 +77,7 @@ class TestEnvelopeStats:
         assert energy == pytest.approx(8000.0, rel=1e-3)
 
     def test_zero_clip(self):
-        clip = aio.AudioClip(np.zeros(1000), 16000)
+        clip = np.zeros(1000)
         mean, std, energy = val.envelope_stats(clip, env(clip))
         assert (mean, std, energy) == (0.0, 0.0, 0.0)
 
@@ -150,7 +153,7 @@ class TestValidateCorpus:
         n_fft = 16384
         by_id = {r["clip_id"]: r for r in report["per_clip"]}
         for entry in man.entries:
-            samples = man.load_clip(entry, target_rate=16000).samples
+            samples = man.load_clip(entry, target_rate=16000)
             mag = np.abs(np.fft.rfft(samples, n=n_fft))
             got = by_id[entry.clip_id]["peak_hz"]
             assert got == (1 + np.argmax(mag[1:])) * 16000 / n_fft
@@ -180,15 +183,15 @@ class TestValidateCorpus:
         man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1, duration_s=0.7),
                                aio.DEFAULT_CLASS_DIRS, 16000)
         for entry in man.entries:
-            clip = man.load_clip(entry, target_rate=rate)
-            assert man.clip_length(entry, target_rate=rate) == clip.samples.size
+            x = man.load_clip(entry, target_rate=rate)
+            assert man.clip_length(entry, target_rate=rate) == x.size
 
 
 class TestScaleInvariance:
     def test_rmse_scales_linearly_with_amplitude(self):
         clip = tone_clip(25.0, amp=0.4)
-        base = val.rmse(clip.samples, val.reconstruct_theoretical(clip, env(clip), 25.0))
+        base = val.rmse(clip, val.reconstruct_theoretical(env(clip), RATE, 25.0))
         alpha = 2.5
-        scaled = aio.AudioClip(alpha * clip.samples, clip.rate)
-        got = val.rmse(scaled.samples, val.reconstruct_theoretical(scaled, env(scaled), 25.0))
+        scaled = alpha * clip
+        got = val.rmse(scaled, val.reconstruct_theoretical(env(scaled), RATE, 25.0))
         assert got == pytest.approx(alpha * base, abs=1e-9)
