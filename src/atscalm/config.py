@@ -64,6 +64,11 @@ class RunConfig:
     def __post_init__(self):
         if self.rate < 1:
             raise PipelineError(f"rate must be >= 1, got {self.rate}")
+        # `synth_signal` makes this many samples; a clip of none cannot be written
+        samples = round(self.synth.duration_s * self.rate)
+        if samples < 1:
+            raise PipelineError(f"synth.duration_s {self.synth.duration_s} makes {samples} "
+                                f"samples at rate {self.rate}; a clip needs at least 1")
         self.class_dir_map()
         # a view's time mask is drawn over its kept frames: ``frames`` of
         # them, since even the shortest view of a long clip is cropped

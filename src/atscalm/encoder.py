@@ -11,6 +11,14 @@ a long clip costs a view no more than a short one.
 A batch of B clips is one (2B, ...) array in the SimCLR layout, view-0 rows
 then view-1 rows in the same clip order. `contrastive_loss` scores the whole
 (2B, D) embedding batch as one graph node, in training and in validation.
+
+The encoder computes in float32: its parameters are the float32 rounding of
+the seeded float64 draws, and training and `AcousticEncoder.embed` hand it
+float32 views, so its activations, gradients and Adam moments are float32
+too (Micikevicius et al. 2018, arXiv:1710.03740). Batchnorm's running
+statistics stay float64, `contrastive_loss` sums over a float64 copy of
+the embedding batch, and `embed` returns float64 embeddings. The
+checkpoint stores each tensor in its own dtype.
 """
 
 from __future__ import annotations
@@ -109,16 +117,20 @@ class AcousticEncoder:
                 self.blocks.append(_Block(self, f"stage{si}.block{bi}", c_in, c_out, stride, seed))
                 c_in = c_out
         self.proj_w = self._param("proj.w", (c_in, cfg.proj_dim), seed, fan_in=c_in)
-        self.proj_b = self.params["proj.b"] = Tensor(np.zeros(cfg.proj_dim), requires_grad=True)
+        self.proj_b = self.params["proj.b"] = Tensor(np.zeros(cfg.proj_dim, np.float32),
+                                                     requires_grad=True)
 
     def _param(self, name: str, shape, seed, fan_in=None) -> Tensor:
+        """A seeded draw rounded to float32; a `no_init` placeholder stays zero-byte."""
         t = self.params[name] = seeded_init(shape, "kaiming-uniform", (seed, name), fan_in=fan_in)
+        t.data = t.data.astype(np.float32, copy=False)
         return t
 
     def _bn(self, name: str, c: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """(gamma, beta, running mean, running var), the trailing arguments of batchnorm2d."""
-        gamma = self.params[f"{name}.gamma"] = Tensor(np.ones(c), requires_grad=True)
-        beta = self.params[f"{name}.beta"] = Tensor(np.zeros(c), requires_grad=True)
+        """(gamma, beta, running mean, running var), the trailing arguments of
+        batchnorm2d: float32 parameters, float64 statistics."""
+        gamma = self.params[f"{name}.gamma"] = Tensor(np.ones(c, np.float32), requires_grad=True)
+        beta = self.params[f"{name}.beta"] = Tensor(np.zeros(c, np.float32), requires_grad=True)
         mean = self.buffers[f"{name}.running_mean"] = Tensor(np.zeros(c))
         var = self.buffers[f"{name}.running_var"] = Tensor(np.ones(c))
         return gamma, beta, mean, var
@@ -135,9 +147,10 @@ class AcousticEncoder:
         return linear(z, self.proj_w, self.proj_b)
 
     def embed(self, grids: list[np.ndarray]) -> np.ndarray:
-        x = Tensor(np.stack(grids)[:, None, :, :])
+        """Eval-mode float64 embeddings of float32 copies of ``grids``."""
+        x = Tensor(np.stack(grids, dtype=np.float32)[:, None, :, :])
         with no_grad():
-            return self.forward(x, train=False).data
+            return self.forward(x, train=False).data.astype(np.float64)
 
 def count_flops(model: AcousticEncoder, input_hw: tuple[int, int]) -> int:
     """2*MACs for conv and linear layers at an (n_mels, frames) input, per sample.
@@ -167,9 +180,12 @@ def contrastive_loss(emb) -> Tensor:
     """Mean over the B pairs of a (2B, D) batch of the squared distance
     between their two views. Backward writes (s*d) + (s*d), with d the pair
     differences and s = 1/B, into the view-0 rows and its negation into the
-    view-1 rows, as a composed sub, mul, sum and scale graph would."""
+    view-1 rows, as a composed sub, mul, sum and scale graph would.
+
+    Both run on a float64 copy of a float32 batch, so the loss is a float64
+    sum; ``emb`` takes the gradient in its own dtype."""
     emb = as_tensor(emb)
-    e = emb.data
+    e = emb.data.astype(np.float64, copy=False)
     if e.ndim != 2 or e.shape[0] == 0 or e.shape[0] % 2:
         raise PipelineError(f"contrastive batch must be (2B, D), got {e.shape}")
     b = e.shape[0] // 2
@@ -218,6 +234,15 @@ def _view_window(frames: int, params: features.FeatureParams, stretch_max: float
     return math.ceil(span * stretch_max) + 2 * augment.VOCODER_WIN
 
 
+def _center_crop(x: np.ndarray, n: int) -> np.ndarray:
+    """A copy of the ``n`` centre samples of ``x``, or ``x`` itself when it
+    is no longer than that."""
+    if x.size <= n:
+        return x
+    start = (x.size - n) // 2
+    return x[start : start + n].copy()
+
+
 def shortest_view_frames(frames: int, params: features.FeatureParams, stretch_max: float) -> int:
     """Mel frames of the shortest view a clip longer than `_view_window` gives:
     a stretch by ``stretch_max`` leaves round(window / stretch_max) samples."""
@@ -231,7 +256,8 @@ def _augmented_view(clip_id: str, x: np.ndarray, rate: int, aug_cfg: augment.Aug
     """One training view: crop the clip, draw a variant, log-mel, then cut
     the grid to ``frames``, mask it, and pad it.
 
-    The clip is first center-cropped to `_view_window` samples. A stretch by
+    The clip is first center-cropped to `_view_window` samples, which
+    `train_encoder` has already done when it loaded it. A stretch by
     r shortens the signal by 1/r and a pitch shift keeps its length, so at
     every drawn rate the variant still spans at least ``frames`` frames and
     `prepare_input` crops it, never pads it. A clip no longer than the
@@ -240,10 +266,7 @@ def _augmented_view(clip_id: str, x: np.ndarray, rate: int, aug_cfg: augment.Aug
     ``frames`` is center-cropped first, so the time mask always lands
     inside the kept frames; a shorter one is masked, then padded.
     """
-    window = _view_window(enc_cfg.frames, feat_params, aug_cfg.stretch_range[1])
-    if x.size > window:
-        start = (x.size - window) // 2
-        x = x[start : start + window]
+    x = _center_crop(x, _view_window(enc_cfg.frames, feat_params, aug_cfg.stretch_range[1]))
     rng = keyed_rng(seed, "enc-view", clip_id, epoch, view)
     var = augment.make_variant(x, rate, aug_cfg, rng)
     grid = features.mel_spectrogram(var, rate, feat_params)
@@ -285,7 +308,9 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
     """
     if len(manifest.entries) < 2:
         raise PipelineError("encoder training needs at least 2 clips")
-    clips = [(e.clip_id, manifest.load_clip(e, target_rate=target_rate))
+    # every view reads only its clip's centre window, so only that is held
+    window = _view_window(cfg.frames, feat_params, aug_cfg.stretch_range[1])
+    clips = [(e.clip_id, _center_crop(manifest.load_clip(e, target_rate=target_rate), window))
              for e in manifest.entries]
     order = keyed_rng(seed, "split").permutation(len(clips))
     n_val = max(1, int(round(val_fraction * len(clips)))) if val_fraction > 0 else 0
@@ -308,14 +333,15 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
             batch = [train_clips[i] for i in perm[start : start + batch_pairs]]
             # the views are not kept past the stack: the step holds the batch once
             x = Tensor(np.stack(_pair_views(batch, target_rate, aug_cfg, feat_params, cfg,
-                                            seed, epoch))[:, None, :, :])
+                                            seed, epoch), dtype=np.float32)[:, None, :, :])
             emb = model.forward(x, train=True)
             loss = contrastive_loss(emb)
             loss.backward()
             opt.step()
             losses.append(loss.item())
-            cossims.append(mean_cosine_similarity(emb.data[: len(batch)], emb.data[len(batch) :]))
-            emb_var = float(np.mean(np.var(emb.data, axis=0)))
+            e = emb.data.astype(np.float64)
+            cossims.append(mean_cosine_similarity(e[: len(batch)], e[len(batch) :]))
+            emb_var = float(np.mean(np.var(e, axis=0)))
         if emb_var < COLLAPSE_VARIANCE_FLOOR and not warned:
             log.warning("embedding batch variance %.3g below %.1g at epoch %d: "
                         "possible representation collapse", emb_var, COLLAPSE_VARIANCE_FLOOR, epoch)
@@ -344,6 +370,26 @@ def load_encoder(path: str) -> tuple[AcousticEncoder, dict]:
     return load_model(path, "encoder", EncoderConfig, AcousticEncoder)
 
 
+def embed_input(x: np.ndarray, rate: int, params: features.FeatureParams,
+                frames: int) -> np.ndarray:
+    """``prepare_input(mel_spectrogram(x), frames)``, from the samples of
+    the kept frames alone.
+
+    The STFT is uncentred, so frame i reads samples [i*hop, i*hop + win).
+    A clip of at least ``frames`` frames is cut to the samples of the
+    centre ``frames`` that `prepare_input` keeps, so a long clip costs no
+    more than a short one. Every STFT frame is the same; the filterbank
+    product is a GEMM of another width, which a BLAS may round differently
+    in a few columns, by at most an ulp. A shorter clip is padded with the
+    minimum of its whole grid, so it is taken whole.
+    """
+    n_frames = 1 + (x.size - params.win) // params.hop
+    if n_frames >= frames:
+        start = (n_frames - frames) // 2 * params.hop
+        x = x[start : start + (frames - 1) * params.hop + params.win]
+    return prepare_input(features.mel_spectrogram(x, rate, params), frames)
+
+
 def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest,
                  feat_params: features.FeatureParams, *, target_rate: int,
                  jobs: int) -> np.ndarray:
@@ -352,8 +398,7 @@ def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest,
 
     def work(entry):
         x = manifest.load_clip(entry, target_rate=target_rate)
-        grid = features.mel_spectrogram(x, target_rate, feat_params)
-        return prepare_input(grid, model.cfg.frames)
+        return embed_input(x, target_rate, feat_params, model.cfg.frames)
 
     inputs = parallel_map(work, manifest.entries, jobs)
     out = np.empty((len(inputs), model.cfg.proj_dim))

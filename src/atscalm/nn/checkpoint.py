@@ -6,9 +6,11 @@ non-trainable state. Its state is ``params`` then ``buffers``. `save_model`
 writes it under a header holding ``kind`` and ``config``; `load_model`
 checks both before restoring any tensor, and builds the model without
 initialising it, so the loaded state is the only copy. The file is a
-JSON header, then named little-endian float64 payloads; both save and
-load move each tensor between its own array and the file, so neither
-holds the state twice.
+JSON header, then named little-endian payloads, each in its tensor's own
+dtype: ``<f4`` for a float32 array, ``<f8`` for any other, as the index
+records per tensor. Both save and load move each tensor between its own
+array and the file, so neither holds the state twice, and a float32
+tensor is neither widened on save nor on load.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from ..util import PipelineError, dataclass_from_dict
 from .init import no_init
 
 MAGIC = b"ATSNN001"
+STORED_DTYPES = ("<f4", "<f8")
 
 
 def state_arrays(model) -> dict[str, np.ndarray]:
@@ -67,16 +70,18 @@ def load_model(path: str, kind: str, config_cls, build):
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Write ``tensors`` under a header holding ``meta``.
 
-    The index is computed from each array's byte count, then each array is
-    written straight from its own memory. A C-contiguous little-endian
-    float64 array, as every model tensor is, is not copied, so saving a
-    model holds no second state.
+    A float32 array of either byte order is stored as ``<f4``, any other as
+    ``<f8``. The index is computed from each array's byte count, then each
+    array is written straight from its own memory. A C-contiguous
+    little-endian float32 or float64 array, as every model tensor is, is not
+    copied, so saving a model holds no second state.
     """
-    arrays = {name: np.ascontiguousarray(arr, dtype="<f8") for name, arr in tensors.items()}
+    arrays = {name: np.ascontiguousarray(arr, dtype=_stored_dtype(arr))
+              for name, arr in tensors.items()}
     index = []
     offset = 0
     for name, arr in arrays.items():
-        index.append({"name": name, "dtype": "<f8", "shape": list(arr.shape),
+        index.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
                       "offset": offset, "nbytes": arr.nbytes})
         offset += arr.nbytes
     header = json.dumps({"meta": meta, "tensors": index},
@@ -92,11 +97,11 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], meta: dict) -> No
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read a file written by save_checkpoint.
 
-    The magic, the header length and JSON, and each tensor's dtype, shape
-    and byte range are checked against the file before any array is built;
-    a file that fails a check raises PipelineError naming it. Each tensor
-    is read straight from the file into its own array, so the payload is
-    held once.
+    The magic, the header length and JSON, and each tensor's dtype (one of
+    STORED_DTYPES), shape and byte range are checked against the file
+    before any array is built; a file that fails a check raises
+    PipelineError naming it. Each tensor is read straight from the file
+    into its own array of its stored dtype, so the payload is held once.
     """
     try:
         with open(path, "rb") as fh:
@@ -124,20 +129,25 @@ def _read_checkpoint(fh, path: str, size: int) -> tuple[dict[str, np.ndarray], d
         raise PipelineError(f"{path}: checkpoint meta is not an object")
     payload = size - start - hlen
     for name, dtype, shape, offset, nbytes in specs:
-        if not (isinstance(name, str) and dtype == "<f8" and isinstance(shape, list)
+        if not (isinstance(name, str) and dtype in STORED_DTYPES and isinstance(shape, list)
                 and all(_is_count(v) for v in (offset, nbytes, *shape))):
             raise PipelineError(f"{path}: malformed index entry for tensor {name!r}")
-        if nbytes != 8 * math.prod(shape) or offset + nbytes > payload:
+        if nbytes != np.dtype(dtype).itemsize * math.prod(shape) or offset + nbytes > payload:
             raise PipelineError(f"{path}: tensor {name!r} of shape {shape} claims bytes "
                                 f"{offset}..{offset + nbytes} of a {payload}-byte payload")
     tensors = {}
-    for name, _, shape, offset, nbytes in specs:
-        arr = np.empty(shape, dtype="<f8")
+    for name, dtype, shape, offset, nbytes in specs:
+        arr = np.empty(shape, dtype=dtype)
         fh.seek(start + hlen + offset)
         if fh.readinto(arr) != nbytes:
             raise PipelineError(f"{path}: tensor {name!r} was cut short while reading")
         tensors[name] = arr
     return tensors, meta
+
+
+def _stored_dtype(arr: np.ndarray) -> str:
+    a = np.asarray(arr)
+    return "<f4" if a.dtype.kind == "f" and a.dtype.itemsize == 4 else "<f8"
 
 
 def _is_count(v) -> bool:

@@ -17,7 +17,8 @@ _init_mode = threading.local()
 def no_init():
     """Draw nothing in this thread: `seeded_init` returns a read-only
     zero-byte placeholder of the right shape, for a model whose state is
-    about to be replaced, as `load_model` does."""
+    about to be replaced, as `load_model` does. The placeholder is float32,
+    so a model that rounds its draws to float32 keeps it zero-byte."""
     prev = getattr(_init_mode, "enabled", True)
     _init_mode.enabled = False
     try:
@@ -46,6 +47,6 @@ def seeded_init(shape, scheme: str, seed, fan_in: int | None = None,
     else:
         raise PipelineError(f"unknown init scheme {scheme!r}")
     if not getattr(_init_mode, "enabled", True):
-        return Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
+        return Tensor(np.broadcast_to(np.float32(0.0), shape), requires_grad=True)
     return Tensor(keyed_rng("init", scheme, seed, shape).uniform(-bound, bound, shape),
                   requires_grad=True)

@@ -5,6 +5,11 @@ cross-entropy. Each op returns a new Tensor whose closure accumulates
 gradients into its parents. Losses that a model owns, such as the
 encoder's `contrastive_loss`, live beside that model as one fused node.
 
+Every array an op makes follows its inputs' dtype: float32 inputs give
+float32 outputs, gradients and scratch, and float64 inputs float64 ones.
+Batchnorm's running statistics stay float64 and are cast to the input's
+dtype where eval mode applies them.
+
 A closure keeps only what its backward cannot rebuild from the arrays the
 graph already holds. conv2d, maxpool2d and batchnorm2d keep nothing beyond
 their parents and output: conv2d rebuilds its im2col columns, maxpool2d
@@ -158,8 +163,9 @@ def conv2d(x, w, stride: int, pad: int) -> Tensor:
         raise PipelineError(f"conv2d output would be empty for input {x.data.shape}, kernel {w.data.shape}")
     m = ho * wo
     wf = w.data.reshape(o, -1)
-    tiles = _tiles(n, wf.shape[1] * m * 8)
-    y = np.empty((o, n * m))
+    dtype = np.result_type(x.data, w.data)
+    tiles = _tiles(n, wf.shape[1] * m * dtype.itemsize)
+    y = np.empty((o, n * m), dtype)
     for a, b in tiles:
         np.matmul(wf, _columns(x.data[a:b], kh, kw, stride, pad, pad), out=y[:, a * m : b * m])
     out = Tensor(y.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), x.requires_grad or w.requires_grad,
@@ -184,13 +190,13 @@ def conv2d(x, w, stride: int, pad: int) -> Tensor:
         # below that.
         if stride == 1 and pad < min(kh, kw) and 4 * c <= n * h * wd:
             wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            dx = np.empty((c, n * h * wd))
-            for a, b in _tiles(n, wt.shape[1] * h * wd * 8):
+            dx = np.empty((c, n * h * wd), dtype)
+            for a, b in _tiles(n, wt.shape[1] * h * wd * dtype.itemsize):
                 np.matmul(wt, _columns(out.grad[a:b], kh, kw, 1, kh - 1 - pad, kw - 1 - pad),
                           out=dx[:, a * h * wd : b * h * wd])
             dx = dx.reshape(c, n, h, wd)
         else:
-            dxp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad))
+            dxp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad), dtype)
             for a, b in tiles:
                 dcols = (wf.T @ grad_tile(a, b)).reshape(c, kh, kw, b - a, ho, wo)
                 for i, j in np.ndindex(kh, kw):
@@ -243,7 +249,7 @@ def maxpool2d(x, kernel: int, stride: int, pad: int) -> Tensor:
         if oy.start < oy.stop and ox.start < ox.stop:
             taps.append((k, (..., oy, ox), (..., iy, ix)))
 
-    y = np.full((n, c, ho, wo), -np.inf)
+    y = np.full((n, c, ho, wo), -np.inf, x.data.dtype)
     for _, yw, xw in taps:
         np.maximum(y[yw], x.data[xw], out=y[yw])
     out = Tensor(y, x.requires_grad, (x,))
@@ -254,7 +260,7 @@ def maxpool2d(x, kernel: int, stride: int, pad: int) -> Tensor:
         for k, yw, xw in reversed(taps):
             if k < last:
                 np.copyto(arg[yw], k, where=x.data[xw] == out.data[yw])
-        dx = np.zeros(x.data.shape)
+        dx = np.zeros(x.data.shape, x.data.dtype)
         for k, yw, xw in reversed(taps):
             dx[xw] += np.where(arg[yw] == k, out.grad[yw], 0.0)
         x.accumulate(dx)
@@ -287,7 +293,9 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
     """Channel-wise normalization over (N,H,W); biased batch variance.
 
     Train mode normalizes with the batch statistics and updates the
-    ``running_mean`` and ``running_var`` buffers; eval mode applies them.
+    ``running_mean`` and ``running_var`` buffers, which keep their own
+    dtype; eval mode applies them cast to the input's dtype, so a float32
+    input is not normalized in float64.
     When asked, ``skip`` is added to ``gamma * xhat + beta`` and a relu is
     applied in place, so a residual tail (batchnorm, add, relu) is one graph
     node that holds one array, its output, and keeps no ``xhat``.
@@ -319,7 +327,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
         running_mean.data = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mu
         running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * var
     else:
-        mu, var = running_mean.data, running_var.data
+        mu = running_mean.data.astype(x.data.dtype, copy=False)
+        var = running_var.data.astype(x.data.dtype, copy=False)
         d = x.data - mu[None, :, None, None]
     mu = mu[None, :, None, None]
     inv = (1.0 / np.sqrt(var + BN_EPS))[None, :, None, None]

@@ -1,4 +1,9 @@
-"""Minimal dense tensor with reverse-mode differentiation (float64).
+"""Minimal dense tensor with reverse-mode differentiation.
+
+A tensor holds a float32 array as float32 and any other value as float64,
+and its gradient is held in the same dtype as its data. The ops follow
+their inputs' dtype, so a model that hands them float32 arrays computes in
+float32 and everything else stays float64.
 
 ``backward`` releases the graph as it goes: once an interior node has
 passed its gradient on, its gradient, closure and parent links are
@@ -38,7 +43,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, parents=()):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         if parents and not grad_enabled():
             requires_grad, parents = False, ()
         self.requires_grad = bool(requires_grad)
@@ -60,15 +66,16 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g: np.ndarray):
-        """Add ``g`` to ``.grad``. A first gradient is stored as is, not
-        copied: no op writes into a gradient array, neither into ``.grad``
-        (a sum makes a new one) nor into an array it has passed here."""
+        """Add ``g`` to ``.grad``, in this tensor's dtype. A first gradient of
+        that dtype is stored as is, not copied: no op writes into a gradient
+        array, neither into ``.grad`` (a sum makes a new one) nor into an
+        array it has passed here."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.asarray(g, dtype=np.float64)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
-            self.grad = self.grad + g
+            self.grad = np.add(self.grad, g, dtype=self.data.dtype)
 
     def backward(self, grad=None):
         """Reverse accumulation from this node; visits each node once and
@@ -92,7 +99,7 @@ class Tensor:
                     stack.append((p, False))
         if grad is None:
             grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=np.float64)
+        self.grad = np.asarray(grad, dtype=self.data.dtype)
         while topo:
             node = topo.pop()
             if node._backward is None:

@@ -273,6 +273,11 @@ BAD_INPUT = {
     "flag-synth-n-zero": ({}, ["synth", "--n", "0"], 2, "config synth: n_per_class must be >= 1"),
     "flag-synth-duration-zero": ({}, ["synth", "--duration", "0"], 2,
                                  "config synth: duration_s must be > 0"),
+    # positive, but round(duration_s * rate) is 0: no sample to write
+    "flag-synth-duration-below-one-sample": (
+        {}, ["synth", "--n", "1", "--duration", "0.00001"], 2,
+        "config document: synth.duration_s 1e-05 makes 0 samples at rate 16000; "
+        "a clip needs at least 1"),
     "flag-train-encoder-epochs-zero": ({}, ["train-encoder", "{d}", "--epochs", "0"], 2,
                                        "config encoder: epochs must be >= 1"),
     "flag-train-cam-epochs-zero": ({}, ["train-cam", "{d}/f.csv", "--epochs", "0"], 2,
@@ -393,6 +398,29 @@ class TestBadInput:
         assert code == 1
         assert message in caplog.text
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dtype", [">f4", "<f2", "<i8"])
+    def test_checkpoint_dtype_other_than_f4_or_f8_exits_1(self, tiny_run, tmp_path, caplog,
+                                                         capsys, dtype):
+        """Only ``<f4`` and ``<f8`` payloads are read: another dtype in the
+        index is named, not reinterpreted."""
+        with open(os.path.join(tiny_run, "encoder.ckpt"), "rb") as fh:
+            blob = fh.read()
+        assert b'"dtype":"<f4"' in blob and b'"dtype":"<f8"' in blob
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob.replace(b'"dtype":"<f4"', f'"dtype":"{dtype}"'.encode(), 1))
+        code = run(["--out", str(tmp_path / "out"), "embed", os.path.join(tiny_run, "corpus"),
+                    "--checkpoint", str(bad)])
+        assert code == 1
+        assert "bad.ckpt: malformed index entry for tensor 'stem.conv'" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sub_sample_duration_writes_nothing(self, tmp_path):
+        """A duration that rounds to no sample is rejected before any file,
+        or the output directory, is made."""
+        assert run(["--out", str(tmp_path / "out"), "synth", "--n", "1",
+                    "--duration", "0.00001"]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_memory_error_exits_1_on_one_line(self, tmp_path, monkeypatch, caplog, capsys):
         def exhausted(args, cfg, out):

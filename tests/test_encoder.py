@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,11 +13,12 @@ from atscalm import encoder as encoder_mod
 from atscalm.augment import VOCODER_WIN, AugmentConfig
 from atscalm.config import RunConfig
 from atscalm.encoder import (AcousticEncoder, EncoderConfig, _augmented_view, _pair_metrics,
-                             contrastive_loss, count_flops, embed_corpus, load_encoder,
-                             mean_cosine_similarity, prepare_input, save_encoder,
-                             shortest_view_frames, train_encoder)
+                             _view_window, contrastive_loss, count_flops, embed_corpus,
+                             embed_input, load_encoder, mean_cosine_similarity, prepare_input,
+                             save_encoder, shortest_view_frames, train_encoder)
 from atscalm.features import FeatureParams, mel_spectrogram
-from atscalm.nn import Adam, Tensor
+from atscalm.nn import Adam, Tensor, seeded_init
+from atscalm.nn.checkpoint import state_arrays
 from atscalm.nn.ops import conv2d
 from atscalm.util import PipelineError, dataclass_from_dict, keyed_rng
 from gradcheck import grad_check
@@ -168,6 +172,49 @@ class TestContrastiveLoss:
             assert after.item() < before.item(), f"seed {seed}"
 
 
+class TestFloat32:
+    """The encoder's float32 compute against float64 compute at the same
+    (float32-rounded) weights."""
+
+    @pytest.mark.parametrize("cfg", [EncoderConfig(width_scale=0.125, frames=128),
+                                     EncoderConfig()], ids=["narrow", "default"])
+    def test_embeddings_and_gradients_match_float64(self, cfg):
+        """The embeddings agree to 1e-5 of their largest value and every
+        parameter gradient to 1e-2 in relative L2 norm, except ``proj.b``'s:
+        a shared bias cancels in each pair difference, so its exact
+        gradient is 0 and both runs leave only rounding there."""
+        model = AcousticEncoder(cfg, seed=3)
+        wide = AcousticEncoder(cfg, seed=3)
+        for p in wide.params.values():
+            p.data = p.data.astype(np.float64)
+        x = keyed_rng("f32", 0).normal(-4.0, 3.0, (4, 1, 64, cfg.frames))
+        runs = []
+        for m, dtype in ((model, np.float32), (wide, np.float64)):
+            emb = m.forward(Tensor(x.astype(dtype)), train=True)
+            contrastive_loss(emb).backward()
+            assert {p.grad.dtype for p in m.params.values()} == {np.dtype(dtype)}
+            runs.append((emb.data.astype(np.float64),
+                         {n: p.grad.astype(np.float64) for n, p in m.params.items()},
+                         m.embed(list(x[:, 0]))))
+        (e32, g32, eval32), (e64, g64, eval64) = runs
+        assert np.max(np.abs(e32 - e64)) <= 1e-5 * np.max(np.abs(e64))
+        assert eval32.dtype == np.float64
+        assert np.max(np.abs(eval32 - eval64)) <= 1e-5 * np.max(np.abs(eval64))
+        for name in g64:
+            if name != "proj.b":
+                rel = np.linalg.norm(g32[name] - g64[name]) / np.linalg.norm(g64[name])
+                assert rel <= 1e-2, f"{name}: relative L2 error {rel:.3g}"
+        scale = np.linalg.norm(g64["proj.w"])
+        assert np.linalg.norm(g32["proj.b"]) <= 1e-6 * scale
+
+    def test_parameters_are_float32_roundings_of_the_draws(self):
+        model = AcousticEncoder(EncoderConfig(width_scale=1 / 16, proj_dim=8), seed=5)
+        draw = seeded_init(model.stem_w.data.shape, "kaiming-uniform", (5, "stem.conv"))
+        assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float32)}
+        assert {b.data.dtype for b in model.buffers.values()} == {np.dtype(np.float64)}
+        assert np.array_equal(model.stem_w.data, draw.data.astype(np.float32))
+
+
 class TestTrainStepMemory:
     def test_full_width_step_holds_no_columns(self):
         """A default-width forward and backward on one pair of 64x256 views
@@ -213,6 +260,54 @@ class TestPrepareInput:
         assert out.shape == (8, 16)
         assert np.all(out[:, :3] == g.values.min())
         assert np.array_equal(out[:, 3:13], g.values)
+
+
+class TestEmbedInput:
+    """`embed_input` mels only the samples of the kept frames, and gives the
+    grid of the whole clip's mel, cropped or padded."""
+
+    @staticmethod
+    def _clip(n, rate=16000):
+        return (np.sin(2 * np.pi * 220.0 * np.arange(n) / rate)
+                + 0.1 * keyed_rng("embed-input", n).normal(0, 1, n))
+
+    @pytest.mark.parametrize("seconds,frames", [(30.0, 256), (10.0, 256), (1.0, 64),
+                                                (1.0, 256), (0.05, 8)],
+                             ids=["30s", "10s", "1s", "1s-padded", "short-padded"])
+    def test_equals_prepare_input_of_the_whole_clip(self, seconds, frames):
+        """Bit for bit on a long clip and on the tiny chain's, and on clips
+        shorter than ``frames``, which are taken whole."""
+        rate, params = 16000, FeatureParams()
+        x = self._clip(int(seconds * rate), rate)
+        got = embed_input(x, rate, params, frames)
+        assert np.array_equal(got, prepare_input(mel_spectrogram(x, rate, params), frames))
+        assert got.shape == (params.n_mels, frames)
+
+    @pytest.mark.parametrize("frames", [64, 255, 256])
+    def test_within_an_ulp_at_every_length(self, frames):
+        """The filterbank product is a GEMM, and a BLAS may round a column
+        differently when the product has another width: OpenBLAS does for a
+        clip with 2 to 7 frames more than ``frames``, and for a width that
+        is not a multiple of 8. Those columns differ by at most an ulp."""
+        rate, params = 16000, FeatureParams()
+        for n_frames in range(frames, frames + 12):
+            x = self._clip((n_frames - 1) * params.hop + params.win + n_frames % 7, rate)
+            want = prepare_input(mel_spectrogram(x, rate, params), frames)
+            got = embed_input(x, rate, params, frames)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), n_frames
+
+    def test_long_clip_mels_only_the_kept_frames(self, monkeypatch):
+        seen = []
+        mel = encoder_mod.features.mel_spectrogram
+
+        def record(x, rate, params):
+            seen.append(x.size)
+            return mel(x, rate, params)
+
+        monkeypatch.setattr(encoder_mod.features, "mel_spectrogram", record)
+        params = FeatureParams()
+        embed_input(np.ones(16000 * 30), 16000, params, 256)
+        assert seen == [255 * params.hop + params.win]
 
 
 class TestAugmentedView:
@@ -376,6 +471,65 @@ class TestTrainEmbed:
         # the per-pair mean it replaced differs by summation order only
         want = float(np.mean(np.sum((p1 - p2) ** 2, axis=1)))
         assert loss == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_training_holds_each_clip_as_its_view_window(self, tmp_path, monkeypatch):
+        """Clips longer than the view window reach the views as copies of
+        their centre window, not as views into the whole clip."""
+        corpus = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1, duration_s=3.0,
+                                                                 seed=4),
+                                  aio.DEFAULT_CLASS_DIRS, 16000)
+        cfg, aug, feat = self._cfg(), self._aug(), self._feat()
+        window = _view_window(cfg.frames, feat, aug.stretch_range[1])
+        seen = []
+        view = encoder_mod._augmented_view
+
+        def record(clip_id, x, *rest):
+            seen.append((x.size, x.base is None))
+            return view(clip_id, x, *rest)
+
+        monkeypatch.setattr(encoder_mod, "_augmented_view", record)
+        train_encoder(corpus, cfg, aug, feat, epochs=1, lr=1e-3, seed=4, batch_pairs=3,
+                      **self.DATA_KW)
+        assert window < 3 * 16000
+        assert seen and set(seen) == {(window, True)}
+
+    def test_float64_checkpoint_loads_and_embeds(self, corpus, tmp_path):
+        """A checkpoint with every tensor stored as ``<f8`` loads each one as
+        float64 and embeds as the float64 model does."""
+        model = AcousticEncoder(self._cfg(), seed=4)
+        for p in model.params.values():
+            p.data = p.data.astype(np.float64)
+        path = str(tmp_path / "f8.ckpt")
+        save_encoder(model, path, self._feat())
+        with open(path, "rb") as fh:
+            assert b'"<f4"' not in fh.read()
+        back, _ = load_encoder(path)
+        assert {a.dtype for a in state_arrays(back).values()} == {np.dtype(np.float64)}
+        x = embed_corpus(back, corpus, self._feat(), target_rate=16000, jobs=1)
+        assert x.dtype == np.float64 and np.all(np.isfinite(x))
+        assert np.array_equal(x, embed_corpus(model, corpus, self._feat(),
+                                              target_rate=16000, jobs=1))
+
+    def test_checkpoint_independent_of_blas_threads(self, tmp_path):
+        """`train-encoder` on a narrow config writes the same checkpoint
+        bytes at 1 and at 2 OpenBLAS threads: no float32 GEMM result may
+        depend on how OpenBLAS splits it."""
+        corpus = tmp_path / "corpus"
+        aio.synth_corpus(str(corpus), aio.SynthConfig(n_per_class=2, duration_s=1.0, seed=2),
+                         aio.DEFAULT_CLASS_DIRS, 16000)
+        config = tmp_path / "narrow.json"
+        config.write_text('{"encoder": {"width_scale": 0.125, "frames": 64, "epochs": 2}}')
+        blobs = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-c", "import sys; from atscalm.cli import main; "
+                            "sys.exit(main(sys.argv[1:]))", "--config", str(config),
+                            "--seed", "2", "--out", str(out), "train-encoder", str(corpus)],
+                           env=env, check=True, capture_output=True)
+            blobs.add((out / "encoder.ckpt").read_bytes())
+        assert len(blobs) == 1
 
     def test_needs_two_clips(self):
         man = aio.CorpusManifest(entries=[])

@@ -20,7 +20,10 @@ from hypothesis import given, settings, strategies as st
 from atscalm import audio_io as aio
 from atscalm.cli import main
 from atscalm.config import RunConfig
+from atscalm.encoder import AcousticEncoder, EncoderConfig, save_encoder
+from atscalm.features import FeatureParams
 from atscalm.nn import load_checkpoint
+from atscalm.nn.checkpoint import MAGIC
 from atscalm.util import ConfigError, PipelineError, dataclass_from_dict
 from test_audio_io import write_float32
 
@@ -29,7 +32,9 @@ FUZZ = settings(max_examples=40, derandomize=True, deadline=None)
 
 @pytest.fixture(scope="module")
 def tiny(tmp_path_factory):
-    """A 3-clip corpus of 0.05 s clips, its features and a small CAM checkpoint."""
+    """A 3-clip corpus of 0.05 s clips, its features, a small CAM checkpoint
+    and a small encoder checkpoint, whose parameters are ``<f4`` entries and
+    whose batchnorm statistics are ``<f8`` ones."""
     out = str(tmp_path_factory.mktemp("fuzz"))
     cfg = os.path.join(out, "cfg.json")
     with open(cfg, "w") as fh:
@@ -39,6 +44,8 @@ def tiny(tmp_path_factory):
     corpus = os.path.join(out, "corpus")
     assert main(base + ["features", os.path.join(corpus, "manifest.json")]) == 0
     assert main(base + ["train-cam", os.path.join(out, "features.csv")]) == 0
+    save_encoder(AcousticEncoder(EncoderConfig(width_scale=1 / 16, proj_dim=8, frames=8), seed=2),
+                 os.path.join(out, "encoder.ckpt"), FeatureParams())
     return out
 
 
@@ -57,6 +64,22 @@ def _mutated(data, blob: bytes, head: int) -> bytes:
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _header_end(blob: bytes) -> int:
+    return len(MAGIC) + 4 + struct.unpack_from("<I", blob, len(MAGIC))[0]
+
+
+def _load_mutated(data, blob: bytes, head: int) -> None:
+    """load_checkpoint on a mutated copy of ``blob`` raises PipelineError or nothing."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "m.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(_mutated(data, blob, head))
+        try:
+            load_checkpoint(path)
+        except PipelineError:
+            pass
 
 
 NON_FINITE = [struct.pack("<f", v) for v in (float("nan"), float("inf"), float("-inf"))]
@@ -109,14 +132,19 @@ class TestCheckpointFuzz:
     @given(st.data())
     def test_load_raises_only_pipeline_error(self, tiny, data):
         blob = _read(os.path.join(tiny, "cam.ckpt"))
-        with tempfile.TemporaryDirectory() as root:
-            path = os.path.join(root, "cam.ckpt")
-            with open(path, "wb") as fh:
-                fh.write(_mutated(data, blob, len(blob) - 8 * 300))
-            try:
-                load_checkpoint(path)
-            except PipelineError:
-                pass
+        _load_mutated(data, blob, len(blob) - 8 * 300)
+
+    def test_encoder_checkpoint_mixes_f4_and_f8(self, tiny):
+        blob = _read(os.path.join(tiny, "encoder.ckpt"))
+        assert b'"dtype":"<f4"' in blob and b'"dtype":"<f8"' in blob
+
+    @FUZZ
+    @given(st.data())
+    def test_encoder_load_raises_only_pipeline_error(self, tiny, data):
+        """Mutations land in the header half of the time: its ``<f4`` and
+        ``<f8`` dtypes, shapes and byte ranges."""
+        blob = _read(os.path.join(tiny, "encoder.ckpt"))
+        _load_mutated(data, blob, _header_end(blob))
 
     @settings(FUZZ, max_examples=20)
     @given(st.data())
@@ -129,6 +157,18 @@ class TestCheckpointFuzz:
             code = main(["--out", os.path.join(root, "out"), "evaluate",
                          os.path.join(tiny, "features.csv"), "--checkpoint", path,
                          "--split", "test"])
+        assert code in (0, 1, 2)
+
+    @settings(FUZZ, max_examples=20)
+    @given(st.data())
+    def test_embed_exit_code(self, tiny, data):
+        blob = _read(os.path.join(tiny, "encoder.ckpt"))
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "encoder.ckpt")
+            with open(path, "wb") as fh:
+                fh.write(_mutated(data, blob, _header_end(blob)))
+            code = main(["--out", os.path.join(root, "out"), "embed",
+                         os.path.join(tiny, "corpus"), "--checkpoint", path])
         assert code in (0, 1, 2)
 
 

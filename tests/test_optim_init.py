@@ -81,6 +81,27 @@ class TestAdam:
         for name, p in params.items():
             assert p.data.tobytes() == want[name].tobytes(), name
 
+    def test_float32_parameter_updated_in_float32(self):
+        """A float32 parameter beside a float64 one: each keeps its dtype and
+        its moments take it, and each matches the textbook form taken in
+        its own dtype, bit for bit."""
+        rng = keyed_rng("adam", "f32")
+        start = {"w": rng.normal(0, 1, (3, CHUNK + 5)).astype(np.float32),
+                 "b": rng.normal(0, 1, (7,))}
+        params = {name: Tensor(d.copy(), requires_grad=True) for name, d in start.items()}
+        grads = [{name: (rng.normal(0, 1, d.shape) * 10.0 ** rng.uniform(-6, 3, d.shape))
+                  .astype(d.dtype) for name, d in start.items()} for _ in range(3)]
+        opt = Adam(params, lr=3e-3)
+        for step in grads:
+            for name, p in params.items():
+                p.grad = step[name]
+            opt.step()
+        want = adam_steps(start, grads, lr=3e-3)
+        for name, p in params.items():
+            assert p.data.dtype == start[name].dtype, name
+            assert {m.dtype for m in opt.m[name] + opt.v[name]} == {start[name].dtype}, name
+            assert p.data.tobytes() == want[name].tobytes(), name
+
     def test_step_consumes_gradients_in_chunk_sized_scratch(self):
         """One first step over the default encoder's parameters leaves every
         ``.grad`` None, and it never holds more than ``m`` and ``v`` plus
@@ -159,17 +180,19 @@ class TestCheckpoint:
     def test_bytes_are_the_concatenated_payloads(self, tmp_path):
         """The file is MAGIC, the header length, the header and each tensor's
         ``tobytes()`` in order, also for inputs that must be converted: a
-        transposed view, float32, big-endian and a 0-d scalar."""
+        transposed view, big-endian and a 0-d scalar. A float32 array is
+        stored as ``<f4``, every other one as ``<f8``."""
         rng = keyed_rng("ckpt", 1)
         tensors = {"t": rng.normal(0, 1, (4, 6)).T, "f32": np.arange(5, dtype=np.float32),
                    "be": np.arange(3.0).astype(">f8"), "scalar": np.array(2.5)}
+        stored = {"t": "<f8", "f32": "<f4", "be": "<f8", "scalar": "<f8"}
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), tensors, {"x": 1})
         index, blobs, offset = [], [], 0
         for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr, dtype="<f8")
+            arr = np.ascontiguousarray(arr, dtype=stored[name])
             blobs.append(arr.tobytes())
-            index.append({"name": name, "dtype": "<f8", "shape": list(arr.shape),
+            index.append({"name": name, "dtype": stored[name], "shape": list(arr.shape),
                           "offset": offset, "nbytes": len(blobs[-1])})
             offset += len(blobs[-1])
         header = json.dumps({"meta": {"x": 1}, "tensors": index},

@@ -460,6 +460,16 @@ class TestReuseAccumulation:
         assert np.array_equal(g, np.ones(3))
         assert np.array_equal(t.grad, np.full(3, 2.0))
 
+    def test_gradient_kept_in_the_tensor_dtype(self):
+        """A float32 tensor keeps float32 gradients, also when they arrive
+        as float64 and when a second one is added."""
+        t = Tensor(np.ones(3, np.float32), requires_grad=True)
+        t.accumulate(np.full(3, 0.1))
+        assert t.grad.dtype == np.float32
+        t.accumulate(np.full(3, 0.2))
+        assert t.grad.dtype == np.float32
+        assert np.array_equal(t.grad, np.full(3, np.float32(0.1) + np.float32(0.2)))
+
     def test_split_does_not_write_into_a_stored_gradient(self):
         x = Tensor(np.arange(4.0), requires_grad=True)
         held = np.ones(4)
@@ -469,6 +479,63 @@ class TestReuseAccumulation:
         b.backward(np.full(2, 5.0))
         assert np.array_equal(held, np.ones(4))
         assert np.array_equal(x.grad, [4.0, 4.0, 6.0, 6.0])
+
+
+class TestDtypeFollowsInput:
+    """Each op returns its output, and passes its gradients, in its inputs'
+    dtype: float32 inputs are not widened in a forward or a backward, and
+    float64 ones are not narrowed. The output's gradient is handed in as
+    float64, as the encoder's float64 loss hands it on."""
+
+    DTYPES = [np.float32, np.float64]
+
+    @staticmethod
+    def _leaves(dtype, *arrays):
+        return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+
+    @staticmethod
+    def _check(out, leaves, dtype):
+        out.backward(rand(out.data.shape, "dtype-g"))
+        assert out.data.dtype == dtype
+        for t in leaves:
+            assert t.grad.dtype == dtype
+
+    # "3x3/1" takes dx by the flipped kernel, the other three by the tap scatter
+    @pytest.mark.parametrize("kind", ["3x3/1", "3x3/1-deep", "3x3/2", "stem"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_conv2d(self, dtype, kind):
+        xs, ws, stride, pad = TestConv2d.ENCODER_CONVS[kind]
+        x, w = self._leaves(dtype, rand(xs, 70), rand(ws, 71))
+        self._check(ops.conv2d(x, w, stride=stride, pad=pad), [x, w], dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_maxpool2d(self, dtype):
+        (x,) = self._leaves(dtype, rand((2, 3, 7, 9), 72))
+        self._check(ops.maxpool2d(x, 3, 2, 1), [x], dtype)
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+    @pytest.mark.parametrize("skip", [False, True], ids=["no-skip", "skip"])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_batchnorm2d(self, dtype, train, skip, relu):
+        """The running statistics stay float64 whatever the input."""
+        leaves = self._leaves(dtype, rand((3, 4, 5, 6), 73), 1.0 + 0.1 * rand((4,), 74),
+                              rand((4,), 75), *([rand((3, 4, 5, 6), 76)] if skip else []))
+        mean, var = Tensor(0.1 * rand((4,), 77)), Tensor(np.full(4, 1.5))
+        out = ops.batchnorm2d(*leaves[:3], mean, var, train,
+                              skip=leaves[3] if skip else None, relu=relu)
+        self._check(out, leaves, dtype)
+        assert mean.data.dtype == var.data.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_global_avg_pool(self, dtype):
+        (x,) = self._leaves(dtype, rand((2, 3, 4, 5), 78))
+        self._check(ops.global_avg_pool(x), [x], dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_linear(self, dtype):
+        leaves = self._leaves(dtype, rand((4, 6), 79), rand((6, 3), 80), rand((3,), 81))
+        self._check(ops.linear(*leaves), leaves, dtype)
 
 
 class TestNoGrad:
