@@ -48,6 +48,10 @@ class CamConfig:
         for key in ("epochs", "batch"):
             if getattr(self, key) < 1:
                 raise PipelineError(f"{key} must be >= 1")
+        if self.lr < 0:
+            raise PipelineError(f"lr must be >= 0, got {self.lr}")
+        if not (0.0 < self.val_fraction < 1.0):
+            raise PipelineError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
 
 class BiLstmClassifier:

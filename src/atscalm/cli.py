@@ -7,7 +7,9 @@ same schema), then ``--seed``. It creates the one output directory
 out)``. A command reads its inputs, never mutates them, and returns the
 files it wrote; `main` lists them under the command's name in
 ``artifacts.json``. ``report --print-default-config`` is answered before
-all this and creates nothing.
+all this and creates nothing. A stage gets its config section whole and
+reads its own leaves. `report` draws every chart that can be drawn from an
+artifact; only ``validate --plot`` draws its own, as its overlays need the audio.
 
 With a fixed ``--seed`` and ``--jobs 1`` the pipeline is a pure function
 of its inputs: rerunning a command reproduces its artifacts byte for
@@ -29,7 +31,6 @@ config schema rejects. Either error is logged as one named line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -43,8 +44,8 @@ from . import dsp, embedding_eval, encoder, features, plots, stats, tsne, valida
 from .audio_io import (CLASS_TONE_HZ, LABELS, CorpusManifest, build_manifest, load_manifest,
                        manifest_of, parse_label, save_manifest, save_wav, synth_corpus)
 from .config import RunConfig, load_config
-from .util import (ConfigError, PipelineError, ensure_dir, json_sanitize,
-                   parallel_map, read_float_csv, read_json, write_csv, write_json)
+from .util import (ConfigError, PipelineError, ensure_dir, json_text, parallel_map,
+                   read_float_csv, read_json, write_csv, write_json)
 
 log = logging.getLogger("atscalm")
 
@@ -140,11 +141,8 @@ def cmd_features(args, cfg: RunConfig, out: str) -> list[str]:
 
 def cmd_train_encoder(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
-    model, history = encoder.train_encoder(
-        manifest, cfg.encoder.architecture(), cfg.augment, cfg.features,
-        epochs=cfg.encoder.epochs, lr=cfg.encoder.lr,
-        seed=cfg.encoder.seed, batch_pairs=cfg.encoder.batch_pairs,
-        val_fraction=cfg.encoder.val_fraction, target_rate=cfg.rate)
+    model, history = encoder.train_encoder(manifest, cfg.encoder, cfg.augment, cfg.features,
+                                           target_rate=cfg.rate)
     ckpt = os.path.join(out, "encoder.ckpt")
     encoder.save_encoder(model, ckpt, cfg.features)
     hist_path = _write_history(os.path.join(out, "encoder_history.csv"), history)
@@ -173,12 +171,10 @@ def cmd_eval_embeddings(args, cfg: RunConfig, out: str) -> list[str]:
     ids = [cid for cid, _ in keys]
     labels = [parse_label(lab) for _, lab in keys]
     geo_path = os.path.join(out, "embedding_geometry.json")
-    write_json(geo_path, json_sanitize(embedding_eval.geometry_report(ids, labels, x)))
+    write_json(geo_path, embedding_eval.geometry_report(ids, labels, x))
     produced = [geo_path]
     if len(ids) >= 5:
-        perplexity = min(cfg.tsne.perplexity, (len(ids) - 1) / 3.0)
-        y, kl_history = tsne.tsne(x, perplexity=perplexity, lr=cfg.tsne.lr,
-                                  iters=cfg.tsne.iters, seed=cfg.tsne.seed)
+        y, kl_history = tsne.tsne(x, cfg.tsne)
         tsne_path = os.path.join(out, "tsne.csv")
         write_csv(tsne_path, ["id", "label", "x", "y"],
                   [[cid, lab.value, float(px), float(py)]
@@ -186,11 +182,6 @@ def cmd_eval_embeddings(args, cfg: RunConfig, out: str) -> list[str]:
         kl_path = os.path.join(out, "tsne_kl.csv")
         write_csv(kl_path, ["iter", "kl"], list(enumerate(kl_history)))
         produced += [tsne_path, kl_path]
-        if args.plot:
-            svg = plots.scatter_chart(
-                [(float(px), float(py), lab.value) for lab, (px, py) in zip(labels, y)],
-                "2-d embedding map")
-            produced.append(_write_svg(os.path.join(out, "tsne.svg"), svg))
     else:
         log.warning("fewer than 5 embeddings: skipping the 2-d projection")
     return produced
@@ -203,7 +194,7 @@ def cmd_train_cam(args, cfg: RunConfig, out: str) -> list[str]:
     cam_mod.save_cam(model, ckpt, split_info)
     hist_path = _write_history(os.path.join(out, "cam_history.csv"), history)
     report_path = os.path.join(out, "cam_heldout_eval.json")
-    write_json(report_path, json_sanitize(report))
+    write_json(report_path, report)
     log.info("held-out accuracy %.4f", report["overall_accuracy"])
     return [ckpt, hist_path, report_path]
 
@@ -220,7 +211,7 @@ def cmd_evaluate(args, cfg: RunConfig, out: str) -> list[str]:
             raise PipelineError(f"no feature rows match the stored {args.split} split")
     report = cam_mod.evaluate(model, rows)
     json_path = os.path.join(out, "evaluation.json")
-    write_json(json_path, json_sanitize(report))
+    write_json(json_path, report)
     conf_path = os.path.join(out, "confusion.csv")
     write_csv(conf_path, ["true\\pred"] + [lab.value for lab in LABELS],
               [[lab.value] + row for lab, row in zip(LABELS, report["confusion"])])
@@ -230,16 +221,13 @@ def cmd_evaluate(args, cfg: RunConfig, out: str) -> list[str]:
 
 def cmd_calmness(args, cfg: RunConfig, out: str) -> list[str]:
     rows = features.read_features_csv(args.features)
-    groups = {}
-    for lab in LABELS:
-        mat = [vec for _, name, vec in rows if name == lab.value]
-        if len(mat) < 2:
-            raise PipelineError(f"class {lab.value} has {len(mat)} feature rows; need >= 2")
-        groups[lab] = np.stack(mat)
+    # (n, 25) even at n = 0, so `calmness_report` holds the one class-size check
+    groups = {lab: np.array([vec for _, name, vec in rows if name == lab.value])
+              .reshape(-1, features.N_FEATURES) for lab in LABELS}
     report = stats.calmness_report(groups, list(features.FEATURE_NAMES))
     json_path = os.path.join(out, "calmness.json")
     csv_path = os.path.join(out, "calmness.csv")
-    write_json(json_path, json_sanitize(report))
+    write_json(json_path, report)
     stats.write_calmness_csv(report, csv_path)
     log.info("calmest class by majority vote: %s (tally %s)",
              report["vote"]["calmest_overall"], report["vote"]["tally"])
@@ -318,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-embeddings", help="class geometry + 2-d projection")
     p.add_argument("embeddings", help="embeddings.csv from the embed command")
-    p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_eval_embeddings)
 
     p = sub.add_parser("train-cam", help="train the BiLSTM classifier on features")
@@ -351,7 +338,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     if args.command == "report" and args.print_default_config:
-        print(json.dumps(json_sanitize(asdict(RunConfig())), sort_keys=True, indent=2))
+        print(json_text(asdict(RunConfig())))
         return 0
     try:
         overrides = {key: value for key, value in vars(args).items() if "." in key}

@@ -1,12 +1,14 @@
 """Run configuration: one JSON document covering every pipeline stage.
 
-`RunConfig()` is the complete documented default; a config file may
-override any subset of keys. Unknown keys and mistyped or out-of-range
-values are rejected by dotted key path so typos fail loudly. `load_config`
-resolves a run's config in one order: the defaults, then the file (checked
-as written), then the command's flag overrides (``section.key`` paths,
-checked by the same schema), then the seed. Each seeded section carries
-its own ``seed``; `override_seed` (the CLI's ``--seed``) sets all of them.
+This module holds the run-level schema only; each section is defined by
+the stage module that reads it. `RunConfig()` is the complete documented
+default; a config file may override any subset of keys. Unknown keys and
+mistyped or out-of-range values are rejected by dotted key path so typos
+fail loudly. `load_config` resolves a run's config in one order: the
+defaults, then the file (checked as written), then the command's flag
+overrides (``section.key`` paths, checked by the same schema), then the
+seed. Each seeded section carries its own ``seed``; `override_seed` (the
+CLI's ``--seed``) sets all of them.
 """
 
 from __future__ import annotations
@@ -16,37 +18,10 @@ from dataclasses import dataclass, field, fields
 from .audio_io import CANONICAL_RATE, DEFAULT_CLASS_DIRS, ClassLabel, SynthConfig, parse_label
 from .augment import AugmentConfig
 from .classifier import CamConfig
-from .encoder import EncoderConfig, shortest_view_frames
+from .encoder import EncoderSection, shortest_view_frames
 from .features import FeatureParams
+from .tsne import TsneSection
 from .util import ConfigError, PipelineError, dataclass_from_dict, read_json
-
-
-@dataclass
-class EncoderSection(EncoderConfig):
-    """The encoder architecture plus its training schedule."""
-
-    epochs: int = 30
-    lr: float = 3e-3
-    batch_pairs: int = 8
-    val_fraction: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        for key in ("epochs", "batch_pairs"):
-            if getattr(self, key) < 1:
-                raise PipelineError(f"{key} must be >= 1")
-
-    def architecture(self) -> EncoderConfig:
-        return EncoderConfig(**{f.name: getattr(self, f.name) for f in fields(EncoderConfig)})
-
-
-@dataclass
-class TsneSection:
-    perplexity: float = 10.0
-    lr: float = 100.0
-    iters: int = 300
-    seed: int = 0
 
 
 @dataclass

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,30 @@ class EncoderConfig:
 
     def scaled_widths(self) -> tuple[int, ...]:
         return tuple(max(1, int(round(w * self.width_scale))) for w in self.widths)
+
+
+@dataclass
+class EncoderSection(EncoderConfig):
+    """The architecture plus its training schedule; a checkpoint holds the first only."""
+
+    epochs: int = 30
+    lr: float = 3e-3
+    batch_pairs: int = 8
+    val_fraction: float = 0.25
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        for key in ("epochs", "batch_pairs"):
+            if getattr(self, key) < 1:
+                raise PipelineError(f"{key} must be >= 1")
+        if self.lr < 0:
+            raise PipelineError(f"lr must be >= 0, got {self.lr}")
+        if not (0.0 <= self.val_fraction < 1.0):
+            raise PipelineError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+
+    def architecture(self) -> EncoderConfig:
+        return EncoderConfig(**{f.name: getattr(self, f.name) for f in fields(EncoderConfig)})
 
 
 class _Block:
@@ -294,11 +318,11 @@ def _pair_metrics(model: AcousticEncoder, clips, rate, aug_cfg, feat_params, see
     return loss, mean_cosine_similarity(p1, p2)
 
 
-def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
+def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
                   aug_cfg: augment.AugmentConfig, feat_params: features.FeatureParams, *,
-                  epochs: int, lr: float, seed: int, batch_pairs: int, val_fraction: float,
                   target_rate: int) -> tuple[AcousticEncoder, list[dict]]:
-    """Positive-pair contrastive training; deterministic for a fixed seed.
+    """Positive-pair contrastive training of ``cfg.architecture()`` on the
+    schedule the rest of the section sets; deterministic for ``cfg.seed``.
 
     Returns the trained model and a history with one row per epoch:
     train/val loss, train/val positive-pair cosine similarity, and the
@@ -306,34 +330,35 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
     holds no wall-clock value; each epoch's elapsed time goes to the INFO
     log line instead.
     """
-    if len(manifest.entries) < 2:
+    n = len(manifest.entries)
+    if n < 2:
         raise PipelineError("encoder training needs at least 2 clips")
+    order = keyed_rng(cfg.seed, "split").permutation(n)
+    n_val = max(1, int(round(cfg.val_fraction * n))) if cfg.val_fraction > 0 else 0
+    if n_val == n:
+        raise PipelineError("validation split leaves no training clips")
     # every view reads only its clip's centre window, so only that is held
     window = _view_window(cfg.frames, feat_params, aug_cfg.stretch_range[1])
     clips = [(e.clip_id, _center_crop(manifest.load_clip(e, target_rate=target_rate), window))
              for e in manifest.entries]
-    order = keyed_rng(seed, "split").permutation(len(clips))
-    n_val = max(1, int(round(val_fraction * len(clips)))) if val_fraction > 0 else 0
     val_clips = [clips[i] for i in order[:n_val]]
     train_clips = [clips[i] for i in order[n_val:]]
-    if not train_clips:
-        raise PipelineError("validation split leaves no training clips")
 
-    model = AcousticEncoder(cfg, seed)
-    opt = Adam(model.params, lr)
+    model = AcousticEncoder(cfg.architecture(), cfg.seed)
+    opt = Adam(model.params, cfg.lr)
     history = []
     warned = False
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        perm = keyed_rng(seed, "order", epoch).permutation(len(train_clips))
+        perm = keyed_rng(cfg.seed, "order", epoch).permutation(len(train_clips))
         losses = []
         cossims = []
         emb_var = np.nan
-        for start in range(0, len(perm), batch_pairs):
-            batch = [train_clips[i] for i in perm[start : start + batch_pairs]]
+        for start in range(0, len(perm), cfg.batch_pairs):
+            batch = [train_clips[i] for i in perm[start : start + cfg.batch_pairs]]
             # the views are not kept past the stack: the step holds the batch once
             x = Tensor(np.stack(_pair_views(batch, target_rate, aug_cfg, feat_params, cfg,
-                                            seed, epoch), dtype=np.float32)[:, None, :, :])
+                                            cfg.seed, epoch), dtype=np.float32)[:, None, :, :])
             emb = model.forward(x, train=True)
             loss = contrastive_loss(emb)
             loss.backward()
@@ -347,7 +372,7 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
                         "possible representation collapse", emb_var, COLLAPSE_VARIANCE_FLOOR, epoch)
             warned = True
         val_loss, val_cos = _pair_metrics(model, val_clips, target_rate, aug_cfg,
-                                          feat_params, seed, epoch, "val")
+                                          feat_params, cfg.seed, epoch, "val")
         history.append({
             "epoch": epoch + 1,
             "train_loss": float(np.mean(losses)),
@@ -357,7 +382,7 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderConfig,
             "emb_variance": emb_var,
         })
         log.info("encoder epoch %d/%d: train loss %.6g, val loss %.6g, emb variance %.3g (%.2f s)",
-                 epoch + 1, epochs, history[-1]["train_loss"], val_loss, emb_var,
+                 epoch + 1, cfg.epochs, history[-1]["train_loss"], val_loss, emb_var,
                  time.perf_counter() - tic)
     return model, history
 

@@ -188,7 +188,7 @@ def calmness_report(groups: dict[ClassLabel, np.ndarray], feature_names: list[st
         if groups[lab].ndim != 2 or groups[lab].shape[1] != len(feature_names):
             raise PipelineError(f"group {lab.value} must be (n, {len(feature_names)})")
         if groups[lab].shape[0] < 2:
-            raise PipelineError(f"class {lab.value} needs >= 2 samples")
+            raise PipelineError(f"class {lab.value} needs >= 2 rows, got {groups[lab].shape[0]}")
     rows = []
     for j, name in enumerate(feature_names):
         cols = {CODES[lab]: groups[lab][:, j] for lab in ORDER}

@@ -3,10 +3,14 @@
 Gaussian input affinities are symmetrized to a joint distribution; the
 low-dimensional kernel is Student-t with one degree of freedom. The KL
 objective and its analytic gradient are exposed separately so they can be
-verified against finite differences.
+verified against finite differences. `tsne` caps the perplexity at
+(n - 1) / 3 for n points, the bound of the reference Barnes-Hut code, so a
+small set runs at the largest perplexity it supports instead of failing.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +21,22 @@ _P_FLOOR = 1e-12
 _ENTROPY_TOL, _BISECT_STEPS = 1e-5, 64
 # momentum 0.5 for the first 250 iterations, 0.8 after
 _MOMENTUM_EARLY, _MOMENTUM_LATE, _MOMENTUM_SWITCH = 0.5, 0.8, 250
+
+
+@dataclass
+class TsneSection:
+    perplexity: float = 10.0
+    lr: float = 100.0
+    iters: int = 300
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.perplexity < 1:
+            raise PipelineError(f"perplexity must be >= 1, got {self.perplexity}")
+        if self.lr < 0:
+            raise PipelineError(f"lr must be >= 0, got {self.lr}")
+        if self.iters < 0:
+            raise PipelineError(f"iters must be >= 0, got {self.iters}")
 
 
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
@@ -91,24 +111,22 @@ def kl_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
 
 
-def tsne(x: np.ndarray, *, perplexity: float, lr: float, iters: int,
-         seed: int) -> tuple[np.ndarray, list[float]]:
+def tsne(x: np.ndarray, cfg: TsneSection) -> tuple[np.ndarray, list[float]]:
     """Gradient descent with momentum on the KL objective from a seeded
-    N(0, 1e-4^2) start; returns (Y, KL history).
-
-    The history holds the cost at every iteration including the initial
-    configuration.
+    N(0, 1e-4^2) start, at perplexity min(cfg.perplexity, (n - 1) / 3) for
+    the n rows of ``x``; returns (Y, KL history). The history holds the cost
+    at every iteration including the initial configuration.
     """
     x = np.asarray(x, dtype=np.float64)
-    p = perplexity_affinities(x, perplexity)
     n = x.shape[0]
-    y = keyed_rng("tsne", seed).normal(0.0, 1e-4, (n, 2))
+    p = perplexity_affinities(x, min(cfg.perplexity, (n - 1) / 3.0))
+    y = keyed_rng("tsne", cfg.seed).normal(0.0, 1e-4, (n, 2))
     vel = np.zeros_like(y)
     history = [kl_divergence(p, y)]
-    for it in range(iters):
+    for it in range(cfg.iters):
         g = kl_grad(p, y)
         mom = _MOMENTUM_EARLY if it < _MOMENTUM_SWITCH else _MOMENTUM_LATE
-        vel = mom * vel - lr * g
+        vel = mom * vel - cfg.lr * g
         y = y + vel
         y = y - y.mean(axis=0)
         cost = kl_divergence(p, y)

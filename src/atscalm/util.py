@@ -44,11 +44,16 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
+def json_text(obj) -> str:
+    """The JSON form of every document written or printed: `json_sanitize(obj)`
+    (NaN as null, numpy values and tuples as Python ones), sorted, 2-space indent."""
+    return json.dumps(json_sanitize(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
 def write_json(path: str, obj) -> None:
-    """Write JSON with sorted keys, 2-space indent, LF endings."""
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    """Write `json_text(obj)` and a final LF, with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(json_text(obj))
         fh.write("\n")
 
 

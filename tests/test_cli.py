@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import logging
@@ -149,6 +150,8 @@ class TestAugment:
 
 FEATURES_HEADER = ",".join(["id", "label", *FEATURE_NAMES])
 ROW = "a,Music," + ",".join(["0.5"] * len(FEATURE_NAMES))
+# two rows each of the classes `calmness` checks before Music
+CALM_ROWS = [ROW.replace("Music", lab) for lab in ("SpiritualMeditation", "NormalSilence")] * 2
 
 # Keys the config schema rejects; `validation` is no section at all, so its
 # case below names the section.
@@ -162,6 +165,17 @@ REMOVED_KEYS = [("features", "n_mfcc", 13), ("features", "wavelet_levels", 5),
 ZERO_KEYS = [("encoder", "epochs", ">= 1"), ("encoder", "batch_pairs", ">= 1"),
              ("encoder", "frames", ">= 1"),
              ("cam", "epochs", ">= 1"), ("cam", "batch", ">= 1"), ("synth", "duration_s", "> 0")]
+
+# (section, key, value, the command that reads it, bound). A negative lr
+# trains uphill; the others failed only once the stage ran, or never.
+SECTION_BOUNDS = [("cam", "lr", -1, "train-cam", "must be >= 0, got -1"),
+                  ("cam", "val_fraction", 0, "train-cam", "must be in (0, 1), got 0"),
+                  ("cam", "val_fraction", -1, "train-cam", "must be in (0, 1), got -1"),
+                  ("encoder", "lr", -1, "train-encoder", "must be >= 0, got -1"),
+                  ("encoder", "val_fraction", 2, "train-encoder", "must be in [0, 1), got 2"),
+                  ("tsne", "lr", -100, "eval-embeddings", "must be >= 0, got -100"),
+                  ("tsne", "iters", -5, "eval-embeddings", "must be >= 0, got -5"),
+                  ("tsne", "perplexity", 0.5, "eval-embeddings", "must be >= 1, got 0.5")]
 
 def _tone_wav(seconds=1.0, rate=16000):
     """A mono 16-bit WAV of a 440 Hz tone, as bytes."""
@@ -270,6 +284,12 @@ BAD_INPUT = {
         {**TWO_CLIPS, "c.json": '{"encoder": {"frames": 32, "width_scale": 0.125}}'},
         ["--config", "{d}/c.json", "train-encoder", "{d}/m.json", "--epochs", "1"], 1,
         "mask maxima (8 bins, 20 frames) exceed the grid shape (64 bins, 13 frames)"),
+    # The split needs only the clip count, so it fails before a clip is read:
+    # neither WAV file exists.
+    "encoder-split-leaves-no-training-clips": (
+        {"m.json": TWO_CLIPS["m.json"], "c.json": '{"encoder": {"val_fraction": 0.9}}'},
+        ["--config", "{d}/c.json", "train-encoder", "{d}/m.json"], 1,
+        "validation split leaves no training clips"),
     "flag-synth-n-zero": ({}, ["synth", "--n", "0"], 2, "config synth: n_per_class must be >= 1"),
     "flag-synth-duration-zero": ({}, ["synth", "--duration", "0"], 2,
                                  "config synth: duration_s must be > 0"),
@@ -314,6 +334,15 @@ BAD_INPUT = {
         {**TWO_CLIPS, "a.wav": _float32_wav([0.5, float(value), -0.5] * 800)},
         ["features", "{d}/m.json"], 1, "a.wav: non-finite sample")
        for value in ("nan", "inf", "-inf")},
+    # Each names a missing input: the schema rejects the value before the stage reads it.
+    **{f"bound-{section}.{key}-{value}": ({"c.json": json.dumps({section: {key: value}})},
+                                         ["--config", "{d}/c.json", command, "{d}/missing"], 2,
+                                         f"config {section}: {key} {bound}")
+       for section, key, value, command, bound in SECTION_BOUNDS},
+    **{f"calmness-music-{n}-rows": (
+        {"f.csv": "\n".join([FEATURES_HEADER, *CALM_ROWS] + [ROW] * n)},
+        ["calmness", "{d}/f.csv"], 1, f"class Music needs >= 2 rows, got {n}")
+       for n in (0, 1)},
     "pitch-200-augment.pitch_range_semitones": (
         {"c.json": '{"augment": {"pitch_range_semitones": 200}}'},
         ["--config", "{d}/c.json", "augment", "{d}/missing.json"], 2,
@@ -482,11 +511,33 @@ class TestEndToEnd:
             assert lines[0] == header
             assert len(lines) == 1 + 2   # the tiny config trains 2 epochs
 
+    def test_tsne_chart_drawn_by_report_only(self, tiny_run, tmp_path):
+        index = read_json(os.path.join(tiny_run, "artifacts.json"))
+        assert [command for command, paths in index.items() if "tsne.svg" in paths] == ["report"]
+        with pytest.raises(SystemExit) as exc:
+            run(["--out", str(tmp_path / "out"), "eval-embeddings",
+                 os.path.join(tiny_run, "embeddings.csv"), "--plot"])
+        assert exc.value.code == 2
+
     def test_evaluate_reproduces_heldout_report(self, tiny_run):
         with open(os.path.join(tiny_run, "evaluation.json"), "rb") as fh:
             evaluated = fh.read()
         with open(os.path.join(tiny_run, "cam_heldout_eval.json"), "rb") as fh:
             assert fh.read() == evaluated
+
+
+def test_no_command_reads_a_section_leaf():
+    """A command hands a stage its config section whole: no ``cmd_*`` reads
+    a ``cfg.<section>.<leaf>``."""
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    reads = [f"{fn.name}: cfg.{node.value.attr}.{node.attr}"
+             for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+             and isinstance(node.value.value, ast.Name) and node.value.value.id == "cfg"]
+    assert not reads, "\n".join(reads)
 
 
 class TestTrainCam:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from atscalm import augment, dsp
 from atscalm import encoder as encoder_mod
 from atscalm.augment import VOCODER_WIN, AugmentConfig
 from atscalm.config import RunConfig
-from atscalm.encoder import (AcousticEncoder, EncoderConfig, _augmented_view, _pair_metrics,
-                             _view_window, contrastive_loss, count_flops, embed_corpus,
-                             embed_input, load_encoder, mean_cosine_similarity, prepare_input,
-                             save_encoder, shortest_view_frames, train_encoder)
+from atscalm.encoder import (AcousticEncoder, EncoderConfig, EncoderSection, _augmented_view,
+                             _pair_metrics, _view_window, contrastive_loss, count_flops,
+                             embed_corpus, embed_input, load_encoder, mean_cosine_similarity,
+                             prepare_input, save_encoder, shortest_view_frames, train_encoder)
 from atscalm.features import FeatureParams, mel_spectrogram
 from atscalm.nn import Adam, Tensor, seeded_init
 from atscalm.nn.checkpoint import state_arrays
@@ -409,10 +410,14 @@ class TestTrainEmbed:
         return aio.synth_corpus(str(root), aio.SynthConfig(n_per_class=2, duration_s=1.0, seed=4),
                                 aio.DEFAULT_CLASS_DIRS, 16000)
 
-    DATA_KW = {"val_fraction": 0.25, "target_rate": 16000}
+    DATA_KW = {"target_rate": 16000}
 
     def _cfg(self):
         return EncoderConfig(width_scale=1 / 16, proj_dim=8, frames=32)
+
+    def _section(self, **schedule):
+        """`_cfg`'s architecture with the given training schedule."""
+        return EncoderSection(**asdict(self._cfg()), val_fraction=0.25, **schedule)
 
     def _feat(self):
         return FeatureParams(n_mels=16)
@@ -423,23 +428,24 @@ class TestTrainEmbed:
                              time_mask_max=4, seed=4)
 
     def test_lr_zero_leaves_parameters(self, corpus):
-        model, _ = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
-                                 epochs=2, lr=0.0, seed=4, batch_pairs=3, **self.DATA_KW)
+        model, _ = train_encoder(corpus, self._section(epochs=2, lr=0.0, seed=4, batch_pairs=3),
+                                 self._aug(), self._feat(), **self.DATA_KW)
         fresh = AcousticEncoder(self._cfg(), seed=4)
         for name in fresh.params:
             assert np.array_equal(model.params[name].data, fresh.params[name].data)
 
     def test_same_seed_identical_history(self, corpus):
-        _, h1 = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
-                              epochs=2, lr=1e-3, seed=4, batch_pairs=3, **self.DATA_KW)
-        _, h2 = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
-                              epochs=2, lr=1e-3, seed=4, batch_pairs=3, **self.DATA_KW)
+        _, h1 = train_encoder(corpus, self._section(epochs=2, lr=1e-3, seed=4, batch_pairs=3),
+                              self._aug(), self._feat(), **self.DATA_KW)
+        _, h2 = train_encoder(corpus, self._section(epochs=2, lr=1e-3, seed=4, batch_pairs=3),
+                              self._aug(), self._feat(), **self.DATA_KW)
         assert h1 == h2
 
     def test_logs_one_line_per_epoch(self, corpus, caplog):
         with caplog.at_level(logging.INFO, logger="atscalm.encoder"):
-            _, history = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
-                                       epochs=2, lr=1e-3, seed=4, batch_pairs=3, **self.DATA_KW)
+            _, history = train_encoder(corpus,
+                                       self._section(epochs=2, lr=1e-3, seed=4, batch_pairs=3),
+                                       self._aug(), self._feat(), **self.DATA_KW)
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "atscalm.encoder" and r.levelno == logging.INFO]
         assert len(lines) == 2
@@ -447,8 +453,8 @@ class TestTrainEmbed:
         assert f"{history[-1]['train_loss']:.6g}" in lines[-1]
 
     def test_embed_corpus_shapes_and_determinism(self, corpus, tmp_path):
-        model, _ = train_encoder(corpus, self._cfg(), self._aug(), self._feat(),
-                                 epochs=1, lr=1e-3, seed=4, batch_pairs=3, **self.DATA_KW)
+        model, _ = train_encoder(corpus, self._section(epochs=1, lr=1e-3, seed=4, batch_pairs=3),
+                                 self._aug(), self._feat(), **self.DATA_KW)
         x = embed_corpus(model, corpus, self._feat(), target_rate=16000, jobs=1)
         assert x.shape == (len(corpus.entries), 8)
         assert np.array_equal(x, embed_corpus(model, corpus, self._feat(),
@@ -488,7 +494,7 @@ class TestTrainEmbed:
             return view(clip_id, x, *rest)
 
         monkeypatch.setattr(encoder_mod, "_augmented_view", record)
-        train_encoder(corpus, cfg, aug, feat, epochs=1, lr=1e-3, seed=4, batch_pairs=3,
+        train_encoder(corpus, self._section(epochs=1, lr=1e-3, seed=4, batch_pairs=3), aug, feat,
                       **self.DATA_KW)
         assert window < 3 * 16000
         assert seen and set(seen) == {(window, True)}
@@ -534,8 +540,8 @@ class TestTrainEmbed:
     def test_needs_two_clips(self):
         man = aio.CorpusManifest(entries=[])
         with pytest.raises(PipelineError):
-            train_encoder(man, self._cfg(), self._aug(), self._feat(), epochs=1,
-                          lr=1e-3, seed=0, batch_pairs=8, **self.DATA_KW)
+            train_encoder(man, self._section(epochs=1, lr=1e-3, seed=0, batch_pairs=8),
+                          self._aug(), self._feat(), **self.DATA_KW)
 
 
 class TestCosine:

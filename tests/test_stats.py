@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from atscalm import stats
 from atscalm.audio_io import LABELS, ClassLabel
-from atscalm.util import PipelineError, json_sanitize, keyed_rng, read_csv, read_json, write_json
+from atscalm.util import PipelineError, keyed_rng, read_csv, read_json, write_json
 
 SM, M, NS = LABELS
 
@@ -295,7 +295,7 @@ class TestCalmnessReport:
         csv_path = str(tmp_path / "calm.csv")
         json_path = str(tmp_path / "calm.json")
         stats.write_calmness_csv(report, csv_path)
-        write_json(json_path, json_sanitize(report))  # as the calmness command writes it
+        write_json(json_path, report)  # as the calmness command writes it
         header = open(csv_path).readline().strip().split(",")
         assert header == stats.CSV_HEADER
         data = read_json(json_path)

@@ -1,6 +1,7 @@
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from atscalm.util import even_ranges, read_csv, write_csv
+from atscalm.util import even_ranges, read_csv, read_json, write_csv, write_json
 
 # Cells mix letters with the characters RFC 4180 quoting exists for, and a
 # lone '\r', which the csv reader ends a record at.
@@ -26,3 +27,11 @@ def test_even_ranges_are_the_fewest_and_differ_by_one_at_most(n, most):
     sizes = [b - a for a, b in ranges]
     assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
     assert len(ranges) == max(1, -(-n // most))
+
+
+def test_write_json_writes_nan_null_numpy_ints_and_tuples_as_json(tmp_path):
+    path = str(tmp_path / "d.json")
+    write_json(path, {"a": float("nan"), "b": np.int64(3), "c": (1, 2.5)})
+    doc = read_json(path)
+    assert doc == {"a": None, "b": 3, "c": [1, 2.5]}
+    assert type(doc["b"]) is int

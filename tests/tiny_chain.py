@@ -40,7 +40,7 @@ def run_chain(out, jobs=1):
         ["calmness", feats],
         ["train-encoder", corpus],
         ["embed", corpus, "--checkpoint", os.path.join(out, "encoder.ckpt")],
-        ["eval-embeddings", os.path.join(out, "embeddings.csv"), "--plot"],
+        ["eval-embeddings", os.path.join(out, "embeddings.csv")],
         ["train-cam", feats],
         ["evaluate", feats, "--checkpoint", os.path.join(out, "cam.ckpt"), "--split", "test"],
         ["report", "--plot-history", os.path.join(out, "cam_history.csv"),
