@@ -167,7 +167,7 @@ def stratified_split(labels: np.ndarray, val_fraction: float, seed) -> tuple[np.
     return np.array(sorted(train)), np.array(sorted(test))
 
 
-def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], dict, dict]:
+def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], dict]:
     """Train on a stratified split of feature rows (id, label, vec25).
 
     Each batch draws ``cfg.batch`` rows with replacement. The BiLSTM runs
@@ -178,13 +178,12 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], dict,
     History rows: epoch, loss (mean over the epoch's batches), train-set
     accuracy; they hold no wall-clock value, so a fixed seed reproduces them
     exactly. Each epoch's elapsed time goes to the INFO log line instead.
-    The returned report is `eval_report_from_predictions`'s document on the
-    held-out split.
+    The split info lists the ``train_ids`` and ``test_ids``; `evaluate` on the
+    ``test_ids`` rows gives the held-out report.
     """
     ids, labels, x = _rows_to_arrays(rows)
     train_idx, test_idx = stratified_split(labels, cfg.val_fraction, cfg.seed)
     x_train, y_train = x[train_idx], labels[train_idx]
-    x_test, y_test = x[test_idx], labels[test_idx]
 
     model = BiLstmClassifier(cfg)
     model.norm_mean.data = x_train.mean(axis=0)
@@ -214,12 +213,11 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], dict,
         })
         log.info("cam epoch %d/%d: loss %.6g, train acc %.4f (%.2f s)",
                  epoch + 1, cfg.epochs, history[-1]["loss"], acc, time.perf_counter() - tic)
-    report = eval_report_from_predictions(y_test, model.predict(x_test))
     split_info = {
         "train_ids": [ids[i] for i in train_idx],
         "test_ids": [ids[i] for i in test_idx],
     }
-    return model, history, report, split_info
+    return model, history, split_info
 
 
 def evaluate(model: BiLstmClassifier, rows) -> dict:

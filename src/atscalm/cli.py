@@ -11,6 +11,10 @@ all this and creates nothing. A stage gets its config section whole and
 reads its own leaves. `report` draws every chart that can be drawn from an
 artifact; only ``validate --plot`` draws its own, as its overlays need the audio.
 
+Each analysis document is written once, as JSON. ``train-cam``'s
+``cam_heldout_eval.json`` is built as ``evaluate --split test`` builds its
+``evaluation.json``, by `_split_rows` and `classifier.evaluate`.
+
 With a fixed ``--seed`` and ``--jobs 1`` the pipeline is a pure function
 of its inputs: rerunning a command reproduces its artifacts byte for
 byte. Wall-clock times go to the log, never into artifacts. The promise
@@ -80,9 +84,8 @@ def cmd_validate(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     report = validation.validate_corpus(manifest, target_rate=cfg.rate, jobs=args.jobs)
     json_path = os.path.join(out, "validation.json")
-    csv_path = os.path.join(out, "validation.csv")
-    validation.write_validation_report(report, json_path, csv_path)
-    produced = [json_path, csv_path]
+    write_json(json_path, report)
+    produced = [json_path]
     if args.plot:
         for label in LABELS:
             entry = next((e for e in manifest.entries if e.label == label), None)
@@ -146,7 +149,8 @@ def cmd_train_encoder(args, cfg: RunConfig, out: str) -> list[str]:
     ckpt = os.path.join(out, "encoder.ckpt")
     encoder.save_encoder(model, ckpt, cfg.features)
     hist_path = _write_history(os.path.join(out, "encoder_history.csv"), history)
-    log.info("final val cosine similarity %.4f", history[-1]["val_cossim"])
+    side = "val" if "val_cossim" in history[-1] else "train"
+    log.info("final %s cosine similarity %.4f", side, history[-1][f"{side}_cossim"])
     return [ckpt, hist_path]
 
 
@@ -187,12 +191,28 @@ def cmd_eval_embeddings(args, cfg: RunConfig, out: str) -> list[str]:
     return produced
 
 
+def _split_rows(rows, split_info, split: str, source: str) -> list:
+    """The feature rows whose ids ``split_info`` (a checkpoint's ``split``
+    header) lists under ``<split>_ids``, in file order."""
+    ids = split_info.get(f"{split}_ids", []) if isinstance(split_info, dict) else None
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+        raise PipelineError(f"{source}: the split header is not an object of id lists")
+    if not ids:
+        raise PipelineError(f"{source}: checkpoint carries no {split} split ids")
+    wanted = set(ids)
+    rows = [r for r in rows if r[0] in wanted]
+    if not rows:
+        raise PipelineError(f"no feature rows match the stored {split} split")
+    return rows
+
+
 def cmd_train_cam(args, cfg: RunConfig, out: str) -> list[str]:
     rows = features.read_features_csv(args.features)
-    model, history, report, split_info = cam_mod.train_cam(rows, cfg.cam)
+    model, history, split_info = cam_mod.train_cam(rows, cfg.cam)
     ckpt = os.path.join(out, "cam.ckpt")
     cam_mod.save_cam(model, ckpt, split_info)
     hist_path = _write_history(os.path.join(out, "cam_history.csv"), history)
+    report = cam_mod.evaluate(model, _split_rows(rows, split_info, "test", ckpt))
     report_path = os.path.join(out, "cam_heldout_eval.json")
     write_json(report_path, report)
     log.info("held-out accuracy %.4f", report["overall_accuracy"])
@@ -203,20 +223,12 @@ def cmd_evaluate(args, cfg: RunConfig, out: str) -> list[str]:
     rows = features.read_features_csv(args.features)
     model, meta = cam_mod.load_cam(args.checkpoint)
     if args.split != "all":
-        wanted = set(meta.get("split", {}).get(f"{args.split}_ids", []))
-        if not wanted:
-            raise PipelineError(f"checkpoint carries no {args.split} split ids")
-        rows = [r for r in rows if r[0] in wanted]
-        if not rows:
-            raise PipelineError(f"no feature rows match the stored {args.split} split")
+        rows = _split_rows(rows, meta.get("split", {}), args.split, args.checkpoint)
     report = cam_mod.evaluate(model, rows)
     json_path = os.path.join(out, "evaluation.json")
     write_json(json_path, report)
-    conf_path = os.path.join(out, "confusion.csv")
-    write_csv(conf_path, ["true\\pred"] + [lab.value for lab in LABELS],
-              [[lab.value] + row for lab, row in zip(LABELS, report["confusion"])])
     log.info("overall accuracy %.4f on %d rows", report["overall_accuracy"], len(rows))
-    return [json_path, conf_path]
+    return [json_path]
 
 
 def cmd_calmness(args, cfg: RunConfig, out: str) -> list[str]:
@@ -226,12 +238,10 @@ def cmd_calmness(args, cfg: RunConfig, out: str) -> list[str]:
               .reshape(-1, features.N_FEATURES) for lab in LABELS}
     report = stats.calmness_report(groups, list(features.FEATURE_NAMES))
     json_path = os.path.join(out, "calmness.json")
-    csv_path = os.path.join(out, "calmness.csv")
     write_json(json_path, report)
-    stats.write_calmness_csv(report, csv_path)
     log.info("calmest class by majority vote: %s (tally %s)",
              report["vote"]["calmest_overall"], report["vote"]["tally"])
-    return [json_path, csv_path]
+    return [json_path]
 
 
 def cmd_report(args, cfg: RunConfig, out: str) -> list[str]:
@@ -254,6 +264,17 @@ def cmd_report(args, cfg: RunConfig, out: str) -> list[str]:
         path = os.path.join(out, os.path.splitext(os.path.basename(args.plot_tsne))[0] + ".svg")
         produced.append(_write_svg(path, svg))
     return produced
+
+
+def _read_index(path: str) -> dict:
+    """The artifact index at ``path``; {} before a command has written one."""
+    try:
+        index = read_json(path) if os.path.exists(path) else {}
+    except ValueError:
+        index = None
+    if not isinstance(index, dict):
+        raise PipelineError(f"{path}: not a JSON object mapping commands to files")
+    return index
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,9 +365,9 @@ def main(argv=None) -> int:
         overrides = {key: value for key, value in vars(args).items() if "." in key}
         cfg = load_config(args.config, overrides, args.seed)
         out = ensure_dir(args.out or os.environ.get("SMSAT_OUT") or "out")
-        paths = args.func(args, cfg, out)
         index_path = os.path.join(out, "artifacts.json")
-        index = read_json(index_path) if os.path.exists(index_path) else {}
+        index = _read_index(index_path)
+        paths = args.func(args, cfg, out)
         index[args.command] = sorted(os.path.relpath(p, out).replace(os.sep, "/") for p in paths)
         write_json(index_path, index)
         return 0

@@ -309,8 +309,6 @@ def _pair_views(clips, rate, aug_cfg, feat_params, enc_cfg, seed, epoch) -> list
 
 def _pair_metrics(model: AcousticEncoder, clips, rate, aug_cfg, feat_params, seed, epoch, tag):
     """Eval-mode loss and cosine similarity over fresh positive pairs."""
-    if not clips:
-        return 0.0, 1.0
     views = _pair_views(clips, rate, aug_cfg, feat_params, model.cfg, (seed, tag), epoch)
     p1 = model.embed(views[: len(clips)])
     p2 = model.embed(views[len(clips) :])
@@ -326,9 +324,10 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
 
     Returns the trained model and a history with one row per epoch:
     train/val loss, train/val positive-pair cosine similarity, and the
-    last train-batch embedding variance (collapse monitor). The history
-    holds no wall-clock value; each epoch's elapsed time goes to the INFO
-    log line instead.
+    last train-batch embedding variance (collapse monitor). At
+    ``cfg.val_fraction`` 0 no clip is held out and no row has a val key. The
+    history holds no wall-clock value; each epoch's elapsed time goes to the
+    INFO log line instead.
     """
     n = len(manifest.entries)
     if n < 2:
@@ -371,18 +370,20 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
             log.warning("embedding batch variance %.3g below %.1g at epoch %d: "
                         "possible representation collapse", emb_var, COLLAPSE_VARIANCE_FLOOR, epoch)
             warned = True
-        val_loss, val_cos = _pair_metrics(model, val_clips, target_rate, aug_cfg,
-                                          feat_params, cfg.seed, epoch, "val")
-        history.append({
+        val_loss, val_cos = (_pair_metrics(model, val_clips, target_rate, aug_cfg, feat_params,
+                                           cfg.seed, epoch, "val") if val_clips else (None, None))
+        row = {
             "epoch": epoch + 1,
             "train_loss": float(np.mean(losses)),
             "val_loss": val_loss,
             "train_cossim": float(np.mean(cossims)),
             "val_cossim": val_cos,
             "emb_variance": emb_var,
-        })
-        log.info("encoder epoch %d/%d: train loss %.6g, val loss %.6g, emb variance %.3g (%.2f s)",
-                 epoch + 1, cfg.epochs, history[-1]["train_loss"], val_loss, emb_var,
+        }
+        history.append({k: v for k, v in row.items() if v is not None})
+        val_text = f", val loss {val_loss:.6g}" if val_clips else ""
+        log.info("encoder epoch %d/%d: train loss %.6g%s, emb variance %.3g (%.2f s)",
+                 epoch + 1, cfg.epochs, row["train_loss"], val_text, emb_var,
                  time.perf_counter() - tic)
     return model, history
 

@@ -8,7 +8,7 @@ to calmness.json: one summary per feature and a majority-vote verdict.
 
 Conventions: sample variance (1/(n-1)) in every test statistic; pairwise
 tests are always computed, with the ANOVA p < 0.05 gate affecting only the
-wording of the "result" column; ties in the calmest rule and in the vote
+wording of the "result" field; ties in the calmest rule and in the vote
 are flagged and broken toward NormalSilence, the baseline condition.
 """
 
@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .audio_io import ClassLabel
-from .util import PipelineError, write_csv
+from .util import PipelineError
 
 ALPHA = 0.05
 
@@ -228,19 +228,3 @@ def calmness_report(groups: dict[ClassLabel, np.ndarray], feature_names: list[st
         },
     }
 
-
-CSV_HEADER = ["feature", "mean_SM", "mean_NS", "mean_M", "comparison", "calmest",
-              "anova_p", "p_SM_M", "p_SM_NS", "p_M_NS", "result"]
-
-
-def write_calmness_csv(report: dict, path: str) -> None:
-    """One row per feature of the calmness document, in CSV_HEADER's columns;
-    a null statistic is an empty cell, as `csv` writes None."""
-    rows = []
-    for r in report["features"]:
-        means = r["means"]
-        rows.append([r["feature"], means["SM"], means["NS"], means["M"], r["comparison"],
-                     r["calmest"], r["anova_p"]]
-                    + [r["pairwise"][f"{a}_vs_{b}"]["p"] for a, b in PAIRS]
-                    + [r["result"]])
-    write_csv(path, CSV_HEADER, rows)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dsp
 from .audio_io import CLASS_TONE_HZ, LABELS, ClassLabel, CorpusManifest
-from .util import PipelineError, parallel_map, write_csv, write_json
+from .util import PipelineError, parallel_map
 
 EDGE_TRIM = 0.05
 
@@ -132,10 +132,3 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
         "per_class": per_class,
     }
 
-
-def write_validation_report(report: dict, json_path: str, csv_path: str) -> None:
-    """The document as JSON, and one CSV row per clip record with a column
-    per key in `validate_clip`'s order; the ``clip_id`` column is headed ``id``."""
-    write_json(json_path, report)
-    keys = list(report["per_clip"][0])
-    write_csv(csv_path, ["id"] + keys[1:], [[r[k] for k in keys] for r in report["per_clip"]])

@@ -33,6 +33,12 @@ def gaussian_rows(n_per_class=20, sigma=0.3, seed=0):
     return rows
 
 
+def heldout_report(model, rows, split_info) -> dict:
+    """`evaluate` on the held-out rows, as `train-cam` builds its report."""
+    test_ids = set(split_info["test_ids"])
+    return evaluate(model, [r for r in rows if r[0] in test_ids])
+
+
 def full_batch_reference(rows, cfg: CamConfig):
     """`train_cam`'s loop with the BiLSTM run on every drawn row, repeats
     included: (history, held-out confusion)."""
@@ -148,19 +154,19 @@ class TestTraining:
     def test_separable_gaussians_reach_095(self):
         rows = gaussian_rows(20, sigma=0.3, seed=1)
         cfg = CamConfig(hidden=24, fc_dim=12, batch=24, lr=0.02, epochs=40, seed=5)
-        _, history, report, _ = train_cam(rows, cfg)
-        assert report["overall_accuracy"] >= 0.95
+        model, _, split_info = train_cam(rows, cfg)
+        assert heldout_report(model, rows, split_info)["overall_accuracy"] >= 0.95
 
     def test_loss_decreases_first_5_epochs(self):
         rows = gaussian_rows(20, sigma=0.3, seed=2)
-        _, history, _, _ = train_cam(rows, DESK_CFG)
+        _, history, _ = train_cam(rows, DESK_CFG)
         losses = [h["loss"] for h in history[:5]]
         assert all(losses[i + 1] < losses[i] for i in range(4))
 
     def test_lr_zero_accuracy_static(self):
         rows = gaussian_rows(10, seed=3)
         cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.0, epochs=3, seed=7)
-        model, history, _, _ = train_cam(rows, cfg)
+        model, history, _ = train_cam(rows, cfg)
         accs = [h["acc"] for h in history]
         assert max(accs) - min(accs) <= 0.02
         fresh = BiLstmClassifier(cfg)
@@ -170,18 +176,21 @@ class TestTraining:
     def test_same_seed_identical_history(self):
         rows = gaussian_rows(8, seed=4)
         cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.01, epochs=3, seed=11)
-        _, h1, r1, _ = train_cam(rows, cfg)
-        _, h2, r2, _ = train_cam(rows, cfg)
+        m1, h1, s1 = train_cam(rows, cfg)
+        m2, h2, s2 = train_cam(rows, cfg)
         assert [(h["epoch"], h["loss"], h["acc"]) for h in h1] == \
                [(h["epoch"], h["loss"], h["acc"]) for h in h2]
-        assert np.array_equal(r1["confusion"], r2["confusion"])
+        assert np.array_equal(heldout_report(m1, rows, s1)["confusion"],
+                              heldout_report(m2, rows, s2)["confusion"])
 
     def test_history_matches_composed_lstm(self, monkeypatch):
         rows = gaussian_rows(10, seed=6)
         cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.02, epochs=6, seed=2)
-        _, fused, fused_report, _ = train_cam(rows, cfg)
+        fused_model, fused, split_info = train_cam(rows, cfg)
+        fused_report = heldout_report(fused_model, rows, split_info)
         monkeypatch.setattr(classifier, "bilstm_final", lstm_oracle.bilstm_final)
-        _, composed, composed_report, _ = train_cam(rows, cfg)
+        composed_model, composed, split_info = train_cam(rows, cfg)
+        composed_report = heldout_report(composed_model, rows, split_info)
         for a, b in zip(fused, composed):
             assert a["loss"] == pytest.approx(b["loss"], rel=1e-9, abs=0)
             assert a["acc"] == b["acc"]
@@ -191,7 +200,8 @@ class TestTraining:
     def test_matches_full_batch_reference(self, batch):
         rows = gaussian_rows(10, sigma=1.0, seed=8)
         cfg = CamConfig(hidden=8, fc_dim=4, batch=batch, lr=0.02, epochs=8, seed=4)
-        _, history, report, _ = train_cam(rows, cfg)
+        model, history, split_info = train_cam(rows, cfg)
+        report = heldout_report(model, rows, split_info)
         ref_history, ref_confusion = full_batch_reference(rows, cfg)
         for a, b in zip(history, ref_history, strict=True):
             assert a["loss"] == pytest.approx(b["loss"], rel=1e-9, abs=0)
@@ -208,7 +218,7 @@ class TestTraining:
     def test_logs_one_line_per_epoch(self, caplog):
         cfg = CamConfig(hidden=4, fc_dim=4, batch=16, epochs=3, seed=1)
         with caplog.at_level(logging.INFO, logger="atscalm.classifier"):
-            _, history, _, _ = train_cam(gaussian_rows(6, seed=7), cfg)
+            _, history, _ = train_cam(gaussian_rows(6, seed=7), cfg)
         lines = [r.getMessage() for r in caplog.records if r.name == "atscalm.classifier"]
         assert len(lines) == 3
         assert lines[-1].startswith("cam epoch 3/3:")
@@ -217,7 +227,7 @@ class TestTraining:
     def test_checkpoint_roundtrip(self, tmp_path):
         rows = gaussian_rows(8, seed=5)
         cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.01, epochs=2, seed=1)
-        model, _, _, split_info = train_cam(rows, cfg)
+        model, _, split_info = train_cam(rows, cfg)
         path = str(tmp_path / "cam.ckpt")
         save_cam(model, path, split_info)
         back, meta = load_cam(path)

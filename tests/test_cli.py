@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from atscalm import cli
-from atscalm.classifier import load_cam
+from atscalm.classifier import load_cam, save_cam
 from atscalm.cli import main
 from atscalm.config import RunConfig
 from atscalm.features import FEATURE_NAMES, read_features_csv
@@ -343,6 +343,10 @@ BAD_INPUT = {
         {"f.csv": "\n".join([FEATURES_HEADER, *CALM_ROWS] + [ROW] * n)},
         ["calmness", "{d}/f.csv"], 1, f"class Music needs >= 2 rows, got {n}")
        for n in (0, 1)},
+    # The index is read before the command runs, so the command writes nothing.
+    **{f"artifacts-index-{name}": ({"out/artifacts.json": doc}, ["synth", "--n", "1"], 1,
+                                   "artifacts.json: not a JSON object mapping commands to files")
+       for name, doc in (("not-json", "not json"), ("list", "[]"))},
     "pitch-200-augment.pitch_range_semitones": (
         {"c.json": '{"augment": {"pitch_range_semitones": 200}}'},
         ["--config", "{d}/c.json", "augment", "{d}/missing.json"], 2,
@@ -395,11 +399,31 @@ class TestBadInput:
         for name, content in files.items():
             if isinstance(content, str):
                 content = content.encode()
+            (tmp_path / name).parent.mkdir(exist_ok=True)
             (tmp_path / name).write_bytes(content)
         d = str(tmp_path)
         args = ["--out", os.path.join(d, "out")] + [a.replace("{d}", d) for a in argv]
         assert run(args) == code
         assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_corrupt_artifacts_index_stops_before_the_command(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "artifacts.json").write_text("[]")
+        assert run(["--out", str(out), "synth", "--n", "1"]) == 1
+        assert os.listdir(out) == ["artifacts.json"]
+
+    @pytest.mark.parametrize("split", [[], {"test_ids": 5}], ids=["list", "ids-not-a-list"])
+    def test_split_header_not_id_lists_evaluate_exits_1(self, tiny_run, tmp_path, caplog,
+                                                        capsys, split):
+        model, _ = load_cam(os.path.join(tiny_run, "cam.ckpt"))
+        bad = str(tmp_path / "bad.ckpt")
+        save_cam(model, bad, split)
+        code = run(["--out", str(tmp_path / "out"), "evaluate",
+                    os.path.join(tiny_run, "features.csv"), "--checkpoint", bad, "--split", "test"])
+        assert code == 1
+        assert f"{bad}: the split header is not an object of id lists" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("cut", [lambda b: b[:10], lambda b: b[:-100]],
@@ -479,6 +503,26 @@ def tiny_run(tmp_path_factory):
     return out
 
 
+# What each command of `tiny_chain.run_chain` lists in artifacts.json.
+_CLIPS = [f"{d}/clip_00{i}" for d in ("Music", "Normal", "Spiritual") for i in (0, 1)]
+TINY_CHAIN_ARTIFACTS = {
+    "augment": [f"augmented/{c}.aug{k}.wav" for c in _CLIPS for k in range(5)]
+    + ["augmented/manifest.json"],
+    "calmness": ["calmness.json"],
+    "embed": ["embeddings.csv"],
+    "eval-embeddings": ["embedding_geometry.json", "tsne.csv", "tsne_kl.csv"],
+    "evaluate": ["evaluation.json"],
+    "features": ["features.csv"],
+    "report": ["cam_history.svg", "tsne.svg"],
+    "synth": [f"corpus/{c}.wav" for c in _CLIPS] + ["corpus/manifest.json"],
+    "train-cam": ["cam.ckpt", "cam_heldout_eval.json", "cam_history.csv"],
+    "train-encoder": ["encoder.ckpt", "encoder_history.csv"],
+    "validate": ["validation.json"] + [f"validation_{lab}_{kind}.svg"
+                                       for lab in ("Music", "NormalSilence", "SpiritualMeditation")
+                                       for kind in ("spectrum", "wave")],
+}
+
+
 class TestEndToEnd:
     def test_rerun_byte_identical(self, tiny_run, tmp_path):
         assert len(read_json(os.path.join(tiny_run, "artifacts.json"))) == 11
@@ -501,6 +545,10 @@ class TestEndToEnd:
                    for root, _, names in os.walk(tiny_run) for name in names}
         assert written - listed == {"artifacts.json", "tiny.json"}
         assert listed <= written
+
+    def test_artifacts_index_pins_each_command_files(self, tiny_run):
+        """Each document is written in one form: a new file shows up here."""
+        assert read_json(os.path.join(tiny_run, "artifacts.json")) == TINY_CHAIN_ARTIFACTS
 
     def test_histories_hold_every_trainer_key(self, tiny_run):
         for name, header in (("encoder_history.csv", "epoch,train_loss,val_loss,train_cossim,"
@@ -538,6 +586,31 @@ def test_no_command_reads_a_section_leaf():
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
              and isinstance(node.value.value, ast.Name) and node.value.value.id == "cfg"]
     assert not reads, "\n".join(reads)
+
+
+class TestTrainEncoder:
+    def test_no_validation_clip_writes_no_val_figure(self, tmp_path, caplog):
+        """At ``val_fraction`` 0 the history has no val columns, the log names
+        no val figure, and `report` still draws the history."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"encoder": {"val_fraction": 0, "width_scale": 0.125, "frames": 64}}')
+        out = str(tmp_path / "out")
+        base = ["--config", str(cfg), "--seed", "2", "--out", out]
+        assert run(base + ["synth", "--n", "2", "--duration", "1.0"]) == 0
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            assert run(base + ["train-encoder", os.path.join(out, "corpus"),
+                               "--epochs", "2"]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        hist = os.path.join(out, "encoder_history.csv")
+        with open(hist, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "epoch,train_loss,train_cossim,emb_variance"
+        assert len(lines) == 1 + 2
+        assert not [m for m in messages if "val" in m]
+        assert messages[-1].startswith("final train cosine similarity")
+        assert run(base + ["report", "--plot-history", hist]) == 0
+        assert os.path.getsize(os.path.join(out, "encoder_history.svg")) > 0
 
 
 class TestTrainCam:
