@@ -384,7 +384,6 @@ SNR_DB_LIMIT = 300.0
 class SynthConfig:
     n_per_class: int = 8
     duration_s: float = 2.0
-    seed: int = 0
     snr_db: float | None = None   # None = noise-free
 
     def __post_init__(self):
@@ -397,13 +396,14 @@ class SynthConfig:
                                 f"got {self.snr_db}")
 
 
-def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig, rate: int) -> np.ndarray:
+def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig, rate: int,
+                 seed: int) -> np.ndarray:
     """One synthetic clip: slowly modulated tone at the class frequency.
 
     The envelope is 0.5 plus up to three sinusoids below 2 Hz, clamped to
     ENVELOPE_FLOOR; the carrier starts at phase 0.
     """
-    rng = keyed_rng(cfg.seed, "synth", label.value, index)
+    rng = keyed_rng(seed, "synth", label.value, index)
     n = int(round(cfg.duration_s * rate))
     t = np.arange(n) / rate
     n_comp = int(rng.integers(1, 4))
@@ -424,10 +424,10 @@ def synth_signal(label: ClassLabel, index: int, cfg: SynthConfig, rate: int) -> 
 
 
 def synth_corpus(out_dir: str, cfg: SynthConfig, class_dir_map: dict[ClassLabel, str],
-                 rate: int) -> CorpusManifest:
+                 rate: int, seed: int) -> CorpusManifest:
     """Generate a labeled synthetic corpus on disk plus its manifest.
 
-    Pure function of the config: the same seed yields bit-identical WAV
+    Pure function of the config and ``seed``: the same pair yields bit-identical WAV
     files and manifest. ``class_dir_map`` must name a directory for every
     class.
     """
@@ -442,7 +442,7 @@ def synth_corpus(out_dir: str, cfg: SynthConfig, class_dir_map: dict[ClassLabel,
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
         for i in range(cfg.n_per_class):
             # x stays bound: freed inline before the next clip, glibc trims and refaults the heap
-            x = synth_signal(label, i, cfg, rate)
+            x = synth_signal(label, i, cfg, rate, seed)
             rel = os.path.join(sub, f"clip_{i:03d}.wav")
             save_wav(x, rate, os.path.join(out_dir, rel))
             files.append((rel, label))

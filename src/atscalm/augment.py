@@ -48,7 +48,6 @@ class AugmentConfig:
     freq_mask_max: int = 8              # mel bins
     time_mask_max: int = 20             # frames
     variants_per_clip: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         a, b = self.stretch_range
@@ -264,11 +263,11 @@ def make_variant(x: np.ndarray, rate: int, cfg: AugmentConfig,
 
 
 def augment_pipeline(x: np.ndarray, rate: int, clip_id: str,
-                     cfg: AugmentConfig) -> Iterator[np.ndarray]:
-    """``variants_per_clip`` independent variants, deterministic per (cfg.seed, clip_id).
+                     cfg: AugmentConfig, seed: int) -> Iterator[np.ndarray]:
+    """``variants_per_clip`` independent variants, deterministic per (seed, clip_id).
 
     They are yielded one at a time, so a caller that writes each one out
     and drops it holds one variant, not a clip's whole set.
     """
     for k in range(cfg.variants_per_clip):
-        yield make_variant(x, rate, cfg, keyed_rng(cfg.seed, clip_id, k))
+        yield make_variant(x, rate, cfg, keyed_rng(seed, clip_id, k))

@@ -37,7 +37,6 @@ class CamConfig:
     lr: float = 0.005
     epochs: int = 350
     batch: int = 512
-    seed: int = 0
     val_fraction: float = 0.2
 
     def __post_init__(self):
@@ -58,17 +57,17 @@ class BiLstmClassifier:
     """A model under the `atscalm.nn.checkpoint` contract: ``params`` and
     ``buffers`` (the input z-score mean and std)."""
 
-    def __init__(self, cfg: CamConfig):
+    def __init__(self, cfg: CamConfig, seed=0):
         self.cfg = cfg
-        self.fwd = init_lstm(1, cfg.hidden, (cfg.seed, "fwd"))
-        self.bwd = init_lstm(1, cfg.hidden, (cfg.seed, "bwd"))
+        self.fwd = init_lstm(1, cfg.hidden, (seed, "fwd"))
+        self.bwd = init_lstm(1, cfg.hidden, (seed, "bwd"))
         self.params: dict[str, Tensor] = {
             f"{d}.{k}": getattr(w, k)
             for d, w in (("fwd", self.fwd), ("bwd", self.bwd)) for k in ("wx", "wh", "b")}
         for name, (n_in, n_out) in (("fc1", (2 * cfg.hidden, cfg.fc_dim)),
                                     ("fc2", (cfg.fc_dim, len(LABELS)))):
             self.params[f"{name}.w"] = seeded_init((n_in, n_out), "kaiming-uniform",
-                                                   (cfg.seed, name), fan_in=n_in)
+                                                   (seed, name), fan_in=n_in)
             self.params[f"{name}.b"] = Tensor(np.zeros(n_out), requires_grad=True)
         self.norm_mean, self.norm_std = Tensor(np.zeros(N_FEATURES)), Tensor(np.ones(N_FEATURES))
         self.buffers: dict[str, Tensor] = {"norm.mean": self.norm_mean, "norm.std": self.norm_std}
@@ -167,7 +166,7 @@ def stratified_split(labels: np.ndarray, val_fraction: float, seed) -> tuple[np.
     return np.array(sorted(train)), np.array(sorted(test))
 
 
-def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], dict]:
+def train_cam(rows, cfg: CamConfig, seed: int) -> tuple[BiLstmClassifier, list[dict], dict]:
     """Train on a stratified split of feature rows (id, label, vec25).
 
     Each batch draws ``cfg.batch`` rows with replacement. The BiLSTM runs
@@ -182,10 +181,10 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], dict]
     ``test_ids`` rows gives the held-out report.
     """
     ids, labels, x = _rows_to_arrays(rows)
-    train_idx, test_idx = stratified_split(labels, cfg.val_fraction, cfg.seed)
+    train_idx, test_idx = stratified_split(labels, cfg.val_fraction, seed)
     x_train, y_train = x[train_idx], labels[train_idx]
 
-    model = BiLstmClassifier(cfg)
+    model = BiLstmClassifier(cfg, seed)
     model.norm_mean.data = x_train.mean(axis=0)
     model.norm_std.data = np.maximum(x_train.std(axis=0), 1e-8)
 
@@ -194,12 +193,12 @@ def train_cam(rows, cfg: CamConfig) -> tuple[BiLstmClassifier, list[dict], dict]
     history = []
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        draws = balanced_draws(y_train, n_batches * cfg.batch, (cfg.seed, epoch))
+        draws = balanced_draws(y_train, n_batches * cfg.batch, (seed, epoch))
         losses = []
         for b in range(n_batches):
             sel = draws[b * cfg.batch : (b + 1) * cfg.batch]
             uniq, inv = np.unique(sel, return_inverse=True)
-            rng = keyed_rng(cfg.seed, "dropout", epoch, b)
+            rng = keyed_rng(seed, "dropout", epoch, b)
             loss, _ = softmax_crossentropy(
                 model.forward(x_train[uniq], train=True, rng=rng, rows=inv), y_train[sel])
             loss.backward()

@@ -2,11 +2,12 @@
 
 `main` is the one runner. It resolves the config once: the ``--config``
 file, then the command's flags (each sets one ``section.key`` through the
-same schema), then ``--seed``. It creates the one output directory
-(``--out``, else $SMSAT_OUT, else ``./out``) and calls ``cmd(args, cfg,
-out)``. A command reads its inputs, never mutates them, and returns the
-files it wrote; `main` lists them under the command's name in
-``artifacts.json``. ``report --print-default-config`` is answered before
+same schema). The seed is no config key: it is ``--seed`` (default 0), and
+each command that draws hands it to its stage. `main` creates the one
+output directory (``--out``, else $SMSAT_OUT, else ``./out``) and calls
+``cmd(args, cfg, out)``. A command reads its inputs, never mutates them,
+and returns the files it wrote; `main` lists them under the command's name
+in ``artifacts.json``. ``report --print-default-config`` is answered before
 all this and creates nothing. A stage gets its config section whole and
 reads its own leaves. `report` draws every chart that can be drawn from an
 artifact; only ``validate --plot`` draws its own, as its overlays need the audio.
@@ -68,7 +69,7 @@ def _write_history(path: str, history: list[dict]) -> str:
 
 def cmd_synth(args, cfg: RunConfig, out: str) -> list[str]:
     corpus_dir = os.path.join(out, "corpus")
-    manifest = synth_corpus(corpus_dir, cfg.synth, cfg.class_dir_map(), cfg.rate)
+    manifest = synth_corpus(corpus_dir, cfg.synth, cfg.class_dir_map(), cfg.rate, args.seed)
     log.info("synthesized %d clips under %s", len(manifest.entries), corpus_dir)
     return [os.path.join(corpus_dir, e.path) for e in manifest.entries] + [
         os.path.join(corpus_dir, "manifest.json")]
@@ -109,7 +110,8 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
     def work(entry):
         x = manifest.load_clip(entry, target_rate=cfg.rate)
         written = []
-        for k, var in enumerate(aug_mod.augment_pipeline(x, cfg.rate, entry.clip_id, cfg.augment)):
+        for k, var in enumerate(aug_mod.augment_pipeline(x, cfg.rate, entry.clip_id,
+                                                         cfg.augment, args.seed)):
             rel = f"{os.path.splitext(entry.path)[0]}.aug{k}.wav"
             full = os.path.join(aug_dir, rel)
             ensure_dir(os.path.dirname(full))
@@ -145,7 +147,7 @@ def cmd_features(args, cfg: RunConfig, out: str) -> list[str]:
 def cmd_train_encoder(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     model, history = encoder.train_encoder(manifest, cfg.encoder, cfg.augment, cfg.features,
-                                           target_rate=cfg.rate)
+                                           args.seed, target_rate=cfg.rate)
     ckpt = os.path.join(out, "encoder.ckpt")
     encoder.save_encoder(model, ckpt, cfg.features)
     hist_path = _write_history(os.path.join(out, "encoder_history.csv"), history)
@@ -178,7 +180,7 @@ def cmd_eval_embeddings(args, cfg: RunConfig, out: str) -> list[str]:
     write_json(geo_path, embedding_eval.geometry_report(ids, labels, x))
     produced = [geo_path]
     if len(ids) >= 5:
-        y, kl_history = tsne.tsne(x, cfg.tsne)
+        y, kl_history = tsne.tsne(x, cfg.tsne, args.seed)
         tsne_path = os.path.join(out, "tsne.csv")
         write_csv(tsne_path, ["id", "label", "x", "y"],
                   [[cid, lab.value, float(px), float(py)]
@@ -208,7 +210,7 @@ def _split_rows(rows, split_info, split: str, source: str) -> list:
 
 def cmd_train_cam(args, cfg: RunConfig, out: str) -> list[str]:
     rows = features.read_features_csv(args.features)
-    model, history, split_info = cam_mod.train_cam(rows, cfg.cam)
+    model, history, split_info = cam_mod.train_cam(rows, cfg.cam, args.seed)
     ckpt = os.path.join(out, "cam.ckpt")
     cam_mod.save_cam(model, ckpt, split_info)
     hist_path = _write_history(os.path.join(out, "cam_history.csv"), history)
@@ -282,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="atscalm",
         description="Acoustic time-series calmness analysis pipeline")
     parser.add_argument("--config", help="JSON config file (defaults are used otherwise)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override every nested stage seed")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="the run's one seed, handed to every stage that draws")
     parser.add_argument("--jobs", type=int, default=1,
                         help="per-clip parallelism; 1 is the reference mode")
     parser.add_argument("--out", default=None,
@@ -363,7 +365,7 @@ def main(argv=None) -> int:
         return 0
     try:
         overrides = {key: value for key, value in vars(args).items() if "." in key}
-        cfg = load_config(args.config, overrides, args.seed)
+        cfg = load_config(args.config, overrides)
         out = ensure_dir(args.out or os.environ.get("SMSAT_OUT") or "out")
         index_path = os.path.join(out, "artifacts.json")
         index = _read_index(index_path)

@@ -6,14 +6,13 @@ default; a config file may override any subset of keys. Unknown keys and
 mistyped or out-of-range values are rejected by dotted key path so typos
 fail loudly. `load_config` resolves a run's config in one order: the
 defaults, then the file (checked as written), then the command's flag
-overrides (``section.key`` paths, checked by the same schema), then the
-seed. Each seeded section carries its own ``seed``; `override_seed` (the
-CLI's ``--seed``) sets all of them.
+overrides (``section.key`` paths, checked by the same schema). The seed is
+no part of it: the CLI hands ``--seed`` to each seeded stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .audio_io import CANONICAL_RATE, DEFAULT_CLASS_DIRS, ClassLabel, SynthConfig, parse_label
 from .augment import AugmentConfig
@@ -58,16 +57,10 @@ class RunConfig:
     def class_dir_map(self) -> dict[ClassLabel, str]:
         return {parse_label(k): v for k, v in self.class_dirs.items()}
 
-    def override_seed(self, seed: int) -> None:
-        for f in fields(self):
-            section = getattr(self, f.name)
-            if hasattr(section, "seed"):
-                section.seed = seed
 
-
-def load_config(path: str | None, overrides: dict, seed: int | None) -> RunConfig:
+def load_config(path: str | None, overrides: dict) -> RunConfig:
     """The file at ``path`` (defaults if None), checked as written, then the
-    ``{"section.key": value}`` overrides, then ``seed`` on every seeded section."""
+    ``{"section.key": value}`` overrides."""
     try:
         data = read_json(path) if path else {}
     except (OSError, ValueError) as exc:
@@ -76,7 +69,4 @@ def load_config(path: str | None, overrides: dict, seed: int | None) -> RunConfi
     for key, value in overrides.items():
         section, leaf = key.split(".")
         data.setdefault(section, {})[leaf] = value
-    cfg = dataclass_from_dict(RunConfig, data)
-    if seed is not None:
-        cfg.override_seed(seed)
-    return cfg
+    return dataclass_from_dict(RunConfig, data)

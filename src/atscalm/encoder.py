@@ -47,7 +47,6 @@ class EncoderConfig:
     widths: tuple[int, ...] = (64, 128, 256, 512)
     blocks: tuple[int, ...] = (2, 2, 2, 2)
     proj_dim: int = 128
-    width_scale: float = 1.0
     frames: int = 256
 
     def __post_init__(self):
@@ -64,9 +63,6 @@ class EncoderConfig:
         if self.frames < 1:
             raise PipelineError(f"frames must be >= 1, got {self.frames}")
 
-    def scaled_widths(self) -> tuple[int, ...]:
-        return tuple(max(1, int(round(w * self.width_scale))) for w in self.widths)
-
 
 @dataclass
 class EncoderSection(EncoderConfig):
@@ -76,7 +72,6 @@ class EncoderSection(EncoderConfig):
     lr: float = 3e-3
     batch_pairs: int = 8
     val_fraction: float = 0.25
-    seed: int = 0
 
     def __post_init__(self):
         super().__post_init__()
@@ -130,12 +125,11 @@ class AcousticEncoder:
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
         self.buffers: dict[str, Tensor] = {}
-        widths = cfg.scaled_widths()
-        self.stem_w = self._param("stem.conv", (widths[0], 1, 7, 7), seed)
-        self.stem_bn = self._bn("stem.bn", widths[0])
+        self.stem_w = self._param("stem.conv", (cfg.widths[0], 1, 7, 7), seed)
+        self.stem_bn = self._bn("stem.bn", cfg.widths[0])
         self.blocks: list[_Block] = []
-        c_in = widths[0]
-        for si, (c_out, n_blocks) in enumerate(zip(widths, cfg.blocks)):
+        c_in = cfg.widths[0]
+        for si, (c_out, n_blocks) in enumerate(zip(cfg.widths, cfg.blocks)):
             for bi in range(n_blocks):
                 stride = 2 if (si > 0 and bi == 0) else 1
                 self.blocks.append(_Block(self, f"stage{si}.block{bi}", c_in, c_out, stride, seed))
@@ -317,10 +311,10 @@ def _pair_metrics(model: AcousticEncoder, clips, rate, aug_cfg, feat_params, see
 
 
 def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
-                  aug_cfg: augment.AugmentConfig, feat_params: features.FeatureParams, *,
-                  target_rate: int) -> tuple[AcousticEncoder, list[dict]]:
+                  aug_cfg: augment.AugmentConfig, feat_params: features.FeatureParams,
+                  seed: int, *, target_rate: int) -> tuple[AcousticEncoder, list[dict]]:
     """Positive-pair contrastive training of ``cfg.architecture()`` on the
-    schedule the rest of the section sets; deterministic for ``cfg.seed``.
+    schedule the rest of the section sets; deterministic for ``seed``.
 
     Returns the trained model and a history with one row per epoch:
     train/val loss, train/val positive-pair cosine similarity, and the
@@ -332,7 +326,7 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
     n = len(manifest.entries)
     if n < 2:
         raise PipelineError("encoder training needs at least 2 clips")
-    order = keyed_rng(cfg.seed, "split").permutation(n)
+    order = keyed_rng(seed, "split").permutation(n)
     n_val = max(1, int(round(cfg.val_fraction * n))) if cfg.val_fraction > 0 else 0
     if n_val == n:
         raise PipelineError("validation split leaves no training clips")
@@ -343,13 +337,13 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
     val_clips = [clips[i] for i in order[:n_val]]
     train_clips = [clips[i] for i in order[n_val:]]
 
-    model = AcousticEncoder(cfg.architecture(), cfg.seed)
+    model = AcousticEncoder(cfg.architecture(), seed)
     opt = Adam(model.params, cfg.lr)
     history = []
     warned = False
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        perm = keyed_rng(cfg.seed, "order", epoch).permutation(len(train_clips))
+        perm = keyed_rng(seed, "order", epoch).permutation(len(train_clips))
         losses = []
         cossims = []
         emb_var = np.nan
@@ -357,7 +351,7 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
             batch = [train_clips[i] for i in perm[start : start + cfg.batch_pairs]]
             # the views are not kept past the stack: the step holds the batch once
             x = Tensor(np.stack(_pair_views(batch, target_rate, aug_cfg, feat_params, cfg,
-                                            cfg.seed, epoch), dtype=np.float32)[:, None, :, :])
+                                            seed, epoch), dtype=np.float32)[:, None, :, :])
             emb = model.forward(x, train=True)
             loss = contrastive_loss(emb)
             loss.backward()
@@ -371,7 +365,7 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
                         "possible representation collapse", emb_var, COLLAPSE_VARIANCE_FLOOR, epoch)
             warned = True
         val_loss, val_cos = (_pair_metrics(model, val_clips, target_rate, aug_cfg, feat_params,
-                                           cfg.seed, epoch, "val") if val_clips else (None, None))
+                                           seed, epoch, "val") if val_clips else (None, None))
         row = {
             "epoch": epoch + 1,
             "train_loss": float(np.mean(losses)),

@@ -28,7 +28,6 @@ class TsneSection:
     perplexity: float = 10.0
     lr: float = 100.0
     iters: int = 300
-    seed: int = 0
 
     def __post_init__(self):
         if self.perplexity < 1:
@@ -111,7 +110,7 @@ def kl_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
 
 
-def tsne(x: np.ndarray, cfg: TsneSection) -> tuple[np.ndarray, list[float]]:
+def tsne(x: np.ndarray, cfg: TsneSection, seed: int) -> tuple[np.ndarray, list[float]]:
     """Gradient descent with momentum on the KL objective from a seeded
     N(0, 1e-4^2) start, at perplexity min(cfg.perplexity, (n - 1) / 3) for
     the n rows of ``x``; returns (Y, KL history). The history holds the cost
@@ -120,7 +119,7 @@ def tsne(x: np.ndarray, cfg: TsneSection) -> tuple[np.ndarray, list[float]]:
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     p = perplexity_affinities(x, min(cfg.perplexity, (n - 1) / 3.0))
-    y = keyed_rng("tsne", cfg.seed).normal(0.0, 1e-4, (n, 2))
+    y = keyed_rng("tsne", seed).normal(0.0, 1e-4, (n, 2))
     vel = np.zeros_like(y)
     history = [kl_divergence(p, y)]
     for it in range(cfg.iters):

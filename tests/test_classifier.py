@@ -39,25 +39,25 @@ def heldout_report(model, rows, split_info) -> dict:
     return evaluate(model, [r for r in rows if r[0] in test_ids])
 
 
-def full_batch_reference(rows, cfg: CamConfig):
+def full_batch_reference(rows, cfg: CamConfig, seed: int):
     """`train_cam`'s loop with the BiLSTM run on every drawn row, repeats
     included: (history, held-out confusion)."""
     _, labels, x = classifier._rows_to_arrays(rows)
-    train_idx, test_idx = stratified_split(labels, cfg.val_fraction, cfg.seed)
+    train_idx, test_idx = stratified_split(labels, cfg.val_fraction, seed)
     x_train, y_train = x[train_idx], labels[train_idx]
-    model = BiLstmClassifier(cfg)
+    model = BiLstmClassifier(cfg, seed)
     model.norm_mean.data = x_train.mean(axis=0)
     model.norm_std.data = np.maximum(x_train.std(axis=0), 1e-8)
     opt = Adam(model.params, cfg.lr)
     n_batches = -(-len(train_idx) // cfg.batch)
     history = []
     for epoch in range(cfg.epochs):
-        draws = balanced_draws(y_train, n_batches * cfg.batch, (cfg.seed, epoch))
+        draws = balanced_draws(y_train, n_batches * cfg.batch, (seed, epoch))
         losses = []
         for b in range(n_batches):
             sel = draws[b * cfg.batch : (b + 1) * cfg.batch]
             logits = model.forward(x_train[sel], train=True,
-                                   rng=keyed_rng(cfg.seed, "dropout", epoch, b))
+                                   rng=keyed_rng(seed, "dropout", epoch, b))
             loss, _ = softmax_crossentropy(logits, y_train[sel])
             loss.backward()
             opt.step()
@@ -68,7 +68,7 @@ def full_batch_reference(rows, cfg: CamConfig):
     return history, report["confusion"]
 
 
-DESK_CFG = CamConfig(hidden=16, fc_dim=8, batch=16, lr=0.02, epochs=12, seed=3)
+DESK_CFG = CamConfig(hidden=16, fc_dim=8, batch=16, lr=0.02, epochs=12)
 
 
 def class_shares(counts, n_draws=100_000, seed=1):
@@ -109,7 +109,7 @@ class TestWeightedSampler:
 
 class TestModel:
     def test_output_is_distribution(self):
-        model = BiLstmClassifier(CamConfig(hidden=8, fc_dim=4, seed=1))
+        model = BiLstmClassifier(CamConfig(hidden=8, fc_dim=4), seed=1)
         x = keyed_rng("m", 0).normal(0, 1, (6, 25))
         p = softmax(model.forward(x, train=False).data)
         assert p.shape == (6, 3)
@@ -117,7 +117,7 @@ class TestModel:
         assert np.array_equal(model.predict(x), np.argmax(p, axis=1))
 
     def test_eval_deterministic(self):
-        model = BiLstmClassifier(CamConfig(hidden=8, fc_dim=4, seed=1))
+        model = BiLstmClassifier(CamConfig(hidden=8, fc_dim=4), seed=1)
         x = keyed_rng("m", 1).normal(0, 1, (4, 25))
         assert np.array_equal(model.forward(x, train=False).data,
                               model.forward(x, train=False).data)
@@ -153,31 +153,31 @@ class TestSplit:
 class TestTraining:
     def test_separable_gaussians_reach_095(self):
         rows = gaussian_rows(20, sigma=0.3, seed=1)
-        cfg = CamConfig(hidden=24, fc_dim=12, batch=24, lr=0.02, epochs=40, seed=5)
-        model, _, split_info = train_cam(rows, cfg)
+        cfg = CamConfig(hidden=24, fc_dim=12, batch=24, lr=0.02, epochs=40)
+        model, _, split_info = train_cam(rows, cfg, seed=5)
         assert heldout_report(model, rows, split_info)["overall_accuracy"] >= 0.95
 
     def test_loss_decreases_first_5_epochs(self):
         rows = gaussian_rows(20, sigma=0.3, seed=2)
-        _, history, _ = train_cam(rows, DESK_CFG)
+        _, history, _ = train_cam(rows, DESK_CFG, seed=3)
         losses = [h["loss"] for h in history[:5]]
         assert all(losses[i + 1] < losses[i] for i in range(4))
 
     def test_lr_zero_accuracy_static(self):
         rows = gaussian_rows(10, seed=3)
-        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.0, epochs=3, seed=7)
-        model, history, _ = train_cam(rows, cfg)
+        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.0, epochs=3)
+        model, history, _ = train_cam(rows, cfg, seed=7)
         accs = [h["acc"] for h in history]
         assert max(accs) - min(accs) <= 0.02
-        fresh = BiLstmClassifier(cfg)
+        fresh = BiLstmClassifier(cfg, seed=7)
         for name, p in fresh.params.items():
             assert np.array_equal(model.params[name].data, p.data)
 
     def test_same_seed_identical_history(self):
         rows = gaussian_rows(8, seed=4)
-        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.01, epochs=3, seed=11)
-        m1, h1, s1 = train_cam(rows, cfg)
-        m2, h2, s2 = train_cam(rows, cfg)
+        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.01, epochs=3)
+        m1, h1, s1 = train_cam(rows, cfg, seed=11)
+        m2, h2, s2 = train_cam(rows, cfg, seed=11)
         assert [(h["epoch"], h["loss"], h["acc"]) for h in h1] == \
                [(h["epoch"], h["loss"], h["acc"]) for h in h2]
         assert np.array_equal(heldout_report(m1, rows, s1)["confusion"],
@@ -185,11 +185,11 @@ class TestTraining:
 
     def test_history_matches_composed_lstm(self, monkeypatch):
         rows = gaussian_rows(10, seed=6)
-        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.02, epochs=6, seed=2)
-        fused_model, fused, split_info = train_cam(rows, cfg)
+        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.02, epochs=6)
+        fused_model, fused, split_info = train_cam(rows, cfg, seed=2)
         fused_report = heldout_report(fused_model, rows, split_info)
         monkeypatch.setattr(classifier, "bilstm_final", lstm_oracle.bilstm_final)
-        composed_model, composed, split_info = train_cam(rows, cfg)
+        composed_model, composed, split_info = train_cam(rows, cfg, seed=2)
         composed_report = heldout_report(composed_model, rows, split_info)
         for a, b in zip(fused, composed):
             assert a["loss"] == pytest.approx(b["loss"], rel=1e-9, abs=0)
@@ -199,10 +199,10 @@ class TestTraining:
     @pytest.mark.parametrize("batch", [16, 64])
     def test_matches_full_batch_reference(self, batch):
         rows = gaussian_rows(10, sigma=1.0, seed=8)
-        cfg = CamConfig(hidden=8, fc_dim=4, batch=batch, lr=0.02, epochs=8, seed=4)
-        model, history, split_info = train_cam(rows, cfg)
+        cfg = CamConfig(hidden=8, fc_dim=4, batch=batch, lr=0.02, epochs=8)
+        model, history, split_info = train_cam(rows, cfg, seed=4)
         report = heldout_report(model, rows, split_info)
-        ref_history, ref_confusion = full_batch_reference(rows, cfg)
+        ref_history, ref_confusion = full_batch_reference(rows, cfg, seed=4)
         for a, b in zip(history, ref_history, strict=True):
             assert a["loss"] == pytest.approx(b["loss"], rel=1e-9, abs=0)
             assert a["acc"] == b["acc"]
@@ -212,13 +212,13 @@ class TestTraining:
         # 9 training rows, 512 draws: the BiLSTM's gates and states for the
         # whole batch alone would be about 300 MB.
         rows = gaussian_rows(4, seed=9)
-        _, peak, _ = traced_peak(lambda: train_cam(rows, CamConfig(epochs=1)))
+        _, peak, _ = traced_peak(lambda: train_cam(rows, CamConfig(epochs=1), seed=0))
         assert peak <= 64e6
 
     def test_logs_one_line_per_epoch(self, caplog):
-        cfg = CamConfig(hidden=4, fc_dim=4, batch=16, epochs=3, seed=1)
+        cfg = CamConfig(hidden=4, fc_dim=4, batch=16, epochs=3)
         with caplog.at_level(logging.INFO, logger="atscalm.classifier"):
-            _, history, _ = train_cam(gaussian_rows(6, seed=7), cfg)
+            _, history, _ = train_cam(gaussian_rows(6, seed=7), cfg, seed=1)
         lines = [r.getMessage() for r in caplog.records if r.name == "atscalm.classifier"]
         assert len(lines) == 3
         assert lines[-1].startswith("cam epoch 3/3:")
@@ -226,8 +226,8 @@ class TestTraining:
 
     def test_checkpoint_roundtrip(self, tmp_path):
         rows = gaussian_rows(8, seed=5)
-        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.01, epochs=2, seed=1)
-        model, _, split_info = train_cam(rows, cfg)
+        cfg = CamConfig(hidden=8, fc_dim=4, batch=16, lr=0.01, epochs=2)
+        model, _, split_info = train_cam(rows, cfg, seed=1)
         path = str(tmp_path / "cam.ckpt")
         save_cam(model, path, split_info)
         back, meta = load_cam(path)

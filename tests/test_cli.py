@@ -274,14 +274,14 @@ BAD_INPUT = {
     # time mask may blank. The config is rejected before any input is read:
     # the manifest named does not exist.
     "encoder-frames-below-time-mask": (
-        {"c.json": '{"encoder": {"frames": 8, "width_scale": 0.125}}'},
+        {"c.json": '{"encoder": {"frames": 8, "widths": [8, 16, 32, 64]}}'},
         ["--config", "{d}/c.json", "train-encoder", "{d}/missing.json", "--epochs", "1"], 2,
         "config document: encoder.frames 8: the shortest training view has 18 mel frames "
         "and keeps 8, fewer than augment.time_mask_max (20)"),
     # A 0.15-s clip is shorter than the crop window, so its views are too,
     # whatever frames is; the error names both sizes.
     "encoder-clip-below-time-mask": (
-        {**TWO_CLIPS, "c.json": '{"encoder": {"frames": 32, "width_scale": 0.125}}'},
+        {**TWO_CLIPS, "c.json": '{"encoder": {"frames": 32, "widths": [8, 16, 32, 64]}}'},
         ["--config", "{d}/c.json", "train-encoder", "{d}/m.json", "--epochs", "1"], 1,
         "mask maxima (8 bins, 20 frames) exceed the grid shape (64 bins, 13 frames)"),
     # The split needs only the clip count, so it fails before a clip is read:
@@ -593,7 +593,7 @@ class TestTrainEncoder:
         """At ``val_fraction`` 0 the history has no val columns, the log names
         no val figure, and `report` still draws the history."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"encoder": {"val_fraction": 0, "width_scale": 0.125, "frames": 64}}')
+        cfg.write_text('{"encoder": {"val_fraction": 0, "widths": [8, 16, 32, 64], "frames": 64}}')
         out = str(tmp_path / "out")
         base = ["--config", str(cfg), "--seed", "2", "--out", out]
         assert run(base + ["synth", "--n", "2", "--duration", "1.0"]) == 0

@@ -51,9 +51,3 @@ def test_shortest_view_as_long_as_the_time_mask_passes():
                                           "and keeps 64, fewer than augment.time_mask_max"):
         dataclass_from_dict(RunConfig,
                             {"encoder": {"frames": 64}, "augment": {"time_mask_max": 65}})
-
-
-def test_override_seed_reaches_every_seeded_section():
-    cfg = RunConfig()
-    cfg.override_seed(9)
-    assert {s.seed for s in (cfg.synth, cfg.augment, cfg.encoder, cfg.cam, cfg.tsne)} == {9}

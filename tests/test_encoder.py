@@ -53,10 +53,10 @@ class TestParameterCount:
         assert count_parameters(model) == 11_235_904
 
     def test_width_scaled_matches_oracle(self):
-        cfg = EncoderConfig(width_scale=1 / 8)
+        cfg = EncoderConfig(widths=(8, 16, 32, 64))
         model = AcousticEncoder(cfg, seed=0)
         assert count_parameters(model) == layer_count_oracle(
-            cfg.scaled_widths(), cfg.blocks, cfg.proj_dim)
+            cfg.widths, cfg.blocks, cfg.proj_dim)
 
     def test_backbone_plus_head_decomposition(self):
         model = AcousticEncoder(EncoderConfig(), seed=0)
@@ -65,8 +65,8 @@ class TestParameterCount:
         assert count_parameters(model) - head == 11_170_240
 
     def test_same_seed_identical_init(self):
-        a = AcousticEncoder(EncoderConfig(width_scale=1 / 8), seed=5)
-        b = AcousticEncoder(EncoderConfig(width_scale=1 / 8), seed=5)
+        a = AcousticEncoder(EncoderConfig(widths=(8, 16, 32, 64)), seed=5)
+        b = AcousticEncoder(EncoderConfig(widths=(8, 16, 32, 64)), seed=5)
         for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
 
@@ -89,7 +89,7 @@ class TestFlops:
 
     @pytest.mark.parametrize("cfg,hw", [
         (EncoderConfig(), (64, 64)),
-        (EncoderConfig(width_scale=0.125), (40, 101)),
+        (EncoderConfig(widths=(8, 16, 32, 64)), (40, 101)),
         (EncoderConfig(widths=(8, 8, 16), blocks=(1, 3, 2), proj_dim=4), (64, 256)),
     ], ids=["default", "width-0.125", "widths-8-8-16"])
     def test_matches_traced_forward(self, monkeypatch, cfg, hw):
@@ -161,7 +161,7 @@ class TestContrastiveLoss:
     def test_one_adam_step_decreases_pair_loss(self):
         # frozen-stats forward: batch-2 train-mode batchnorm has knife-edge
         # curvature that defeats any fixed step size
-        cfg = EncoderConfig(width_scale=1 / 16, proj_dim=4, frames=8)
+        cfg = EncoderConfig(widths=(4, 8, 16, 32), proj_dim=4, frames=8)
         for seed in range(20):
             model = AcousticEncoder(cfg, seed=seed)
             x = Tensor(keyed_rng("pair", seed).normal(0, 1, (2, 1, 8, 8)))
@@ -177,7 +177,7 @@ class TestFloat32:
     """The encoder's float32 compute against float64 compute at the same
     (float32-rounded) weights."""
 
-    @pytest.mark.parametrize("cfg", [EncoderConfig(width_scale=0.125, frames=128),
+    @pytest.mark.parametrize("cfg", [EncoderConfig(widths=(8, 16, 32, 64), frames=128),
                                      EncoderConfig()], ids=["narrow", "default"])
     def test_embeddings_and_gradients_match_float64(self, cfg):
         """The embeddings agree to 1e-5 of their largest value and every
@@ -209,7 +209,7 @@ class TestFloat32:
         assert np.linalg.norm(g32["proj.b"]) <= 1e-6 * scale
 
     def test_parameters_are_float32_roundings_of_the_draws(self):
-        model = AcousticEncoder(EncoderConfig(width_scale=1 / 16, proj_dim=8), seed=5)
+        model = AcousticEncoder(EncoderConfig(widths=(4, 8, 16, 32), proj_dim=8), seed=5)
         draw = seeded_init(model.stem_w.data.shape, "kaiming-uniform", (5, "stem.conv"))
         assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float32)}
         assert {b.data.dtype for b in model.buffers.values()} == {np.dtype(np.float64)}
@@ -407,13 +407,13 @@ class TestTrainEmbed:
     @classmethod
     def corpus(cls, tmp_path_factory):
         root = tmp_path_factory.mktemp("enc-corpus")
-        return aio.synth_corpus(str(root), aio.SynthConfig(n_per_class=2, duration_s=1.0, seed=4),
-                                aio.DEFAULT_CLASS_DIRS, 16000)
+        return aio.synth_corpus(str(root), aio.SynthConfig(n_per_class=2, duration_s=1.0),
+                                aio.DEFAULT_CLASS_DIRS, 16000, seed=4)
 
     DATA_KW = {"target_rate": 16000}
 
     def _cfg(self):
-        return EncoderConfig(width_scale=1 / 16, proj_dim=8, frames=32)
+        return EncoderConfig(widths=(4, 8, 16, 32), proj_dim=8, frames=32)
 
     def _section(self, **schedule):
         """`_cfg`'s architecture with the given training schedule."""
@@ -425,27 +425,27 @@ class TestTrainEmbed:
     def _aug(self):
         return AugmentConfig(noise_sigma_rel=0.005, stretch_range=(0.95, 1.05),
                              pitch_range_semitones=0.25, freq_mask_max=2,
-                             time_mask_max=4, seed=4)
+                             time_mask_max=4)
 
     def test_lr_zero_leaves_parameters(self, corpus):
-        model, _ = train_encoder(corpus, self._section(epochs=2, lr=0.0, seed=4, batch_pairs=3),
-                                 self._aug(), self._feat(), **self.DATA_KW)
+        model, _ = train_encoder(corpus, self._section(epochs=2, lr=0.0, batch_pairs=3),
+                                 self._aug(), self._feat(), seed=4, **self.DATA_KW)
         fresh = AcousticEncoder(self._cfg(), seed=4)
         for name in fresh.params:
             assert np.array_equal(model.params[name].data, fresh.params[name].data)
 
     def test_same_seed_identical_history(self, corpus):
-        _, h1 = train_encoder(corpus, self._section(epochs=2, lr=1e-3, seed=4, batch_pairs=3),
-                              self._aug(), self._feat(), **self.DATA_KW)
-        _, h2 = train_encoder(corpus, self._section(epochs=2, lr=1e-3, seed=4, batch_pairs=3),
-                              self._aug(), self._feat(), **self.DATA_KW)
+        _, h1 = train_encoder(corpus, self._section(epochs=2, lr=1e-3, batch_pairs=3),
+                              self._aug(), self._feat(), seed=4, **self.DATA_KW)
+        _, h2 = train_encoder(corpus, self._section(epochs=2, lr=1e-3, batch_pairs=3),
+                              self._aug(), self._feat(), seed=4, **self.DATA_KW)
         assert h1 == h2
 
     def test_logs_one_line_per_epoch(self, corpus, caplog):
         with caplog.at_level(logging.INFO, logger="atscalm.encoder"):
             _, history = train_encoder(corpus,
-                                       self._section(epochs=2, lr=1e-3, seed=4, batch_pairs=3),
-                                       self._aug(), self._feat(), **self.DATA_KW)
+                                       self._section(epochs=2, lr=1e-3, batch_pairs=3),
+                                       self._aug(), self._feat(), seed=4, **self.DATA_KW)
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "atscalm.encoder" and r.levelno == logging.INFO]
         assert len(lines) == 2
@@ -453,8 +453,8 @@ class TestTrainEmbed:
         assert f"{history[-1]['train_loss']:.6g}" in lines[-1]
 
     def test_embed_corpus_shapes_and_determinism(self, corpus, tmp_path):
-        model, _ = train_encoder(corpus, self._section(epochs=1, lr=1e-3, seed=4, batch_pairs=3),
-                                 self._aug(), self._feat(), **self.DATA_KW)
+        model, _ = train_encoder(corpus, self._section(epochs=1, lr=1e-3, batch_pairs=3),
+                                 self._aug(), self._feat(), seed=4, **self.DATA_KW)
         x = embed_corpus(model, corpus, self._feat(), target_rate=16000, jobs=1)
         assert x.shape == (len(corpus.entries), 8)
         assert np.array_equal(x, embed_corpus(model, corpus, self._feat(),
@@ -481,9 +481,8 @@ class TestTrainEmbed:
     def test_training_holds_each_clip_as_its_view_window(self, tmp_path, monkeypatch):
         """Clips longer than the view window reach the views as copies of
         their centre window, not as views into the whole clip."""
-        corpus = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1, duration_s=3.0,
-                                                                 seed=4),
-                                  aio.DEFAULT_CLASS_DIRS, 16000)
+        corpus = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1, duration_s=3.0),
+                                  aio.DEFAULT_CLASS_DIRS, 16000, seed=4)
         cfg, aug, feat = self._cfg(), self._aug(), self._feat()
         window = _view_window(cfg.frames, feat, aug.stretch_range[1])
         seen = []
@@ -494,8 +493,8 @@ class TestTrainEmbed:
             return view(clip_id, x, *rest)
 
         monkeypatch.setattr(encoder_mod, "_augmented_view", record)
-        train_encoder(corpus, self._section(epochs=1, lr=1e-3, seed=4, batch_pairs=3), aug, feat,
-                      **self.DATA_KW)
+        train_encoder(corpus, self._section(epochs=1, lr=1e-3, batch_pairs=3), aug, feat,
+                      seed=4, **self.DATA_KW)
         assert window < 3 * 16000
         assert seen and set(seen) == {(window, True)}
 
@@ -521,10 +520,10 @@ class TestTrainEmbed:
         bytes at 1 and at 2 OpenBLAS threads: no float32 GEMM result may
         depend on how OpenBLAS splits it."""
         corpus = tmp_path / "corpus"
-        aio.synth_corpus(str(corpus), aio.SynthConfig(n_per_class=2, duration_s=1.0, seed=2),
-                         aio.DEFAULT_CLASS_DIRS, 16000)
+        aio.synth_corpus(str(corpus), aio.SynthConfig(n_per_class=2, duration_s=1.0),
+                         aio.DEFAULT_CLASS_DIRS, 16000, seed=2)
         config = tmp_path / "narrow.json"
-        config.write_text('{"encoder": {"width_scale": 0.125, "frames": 64, "epochs": 2}}')
+        config.write_text('{"encoder": {"widths": [8, 16, 32, 64], "frames": 64, "epochs": 2}}')
         blobs = set()
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"
@@ -540,8 +539,8 @@ class TestTrainEmbed:
     def test_needs_two_clips(self):
         man = aio.CorpusManifest(entries=[])
         with pytest.raises(PipelineError):
-            train_encoder(man, self._section(epochs=1, lr=1e-3, seed=0, batch_pairs=8),
-                          self._aug(), self._feat(), **self.DATA_KW)
+            train_encoder(man, self._section(epochs=1, lr=1e-3, batch_pairs=8),
+                          self._aug(), self._feat(), seed=0, **self.DATA_KW)
 
 
 class TestCosine:

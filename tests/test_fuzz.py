@@ -44,8 +44,9 @@ def tiny(tmp_path_factory):
     corpus = os.path.join(out, "corpus")
     assert main(base + ["features", os.path.join(corpus, "manifest.json")]) == 0
     assert main(base + ["train-cam", os.path.join(out, "features.csv")]) == 0
-    save_encoder(AcousticEncoder(EncoderConfig(width_scale=1 / 16, proj_dim=8, frames=8), seed=2),
-                 os.path.join(out, "encoder.ckpt"), FeatureParams())
+    narrow = EncoderConfig(widths=(4, 8, 16, 32), proj_dim=8, frames=8)
+    save_encoder(AcousticEncoder(narrow, seed=2), os.path.join(out, "encoder.ckpt"),
+                 FeatureParams())
     return out
 
 

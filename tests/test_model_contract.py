@@ -17,9 +17,9 @@ from atscalm.util import PipelineError, keyed_rng
 from memtrace import traced_peak
 
 MODELS = {
-    "encoder": (lambda: AcousticEncoder(EncoderConfig(width_scale=1 / 16, proj_dim=8), seed=1),
+    "encoder": (lambda: AcousticEncoder(EncoderConfig(widths=(4, 8, 16, 32), proj_dim=8), seed=1),
                 lambda model, path: save_encoder(model, path, FeatureParams()), load_encoder),
-    "cam": (lambda: BiLstmClassifier(CamConfig(hidden=4, fc_dim=4, seed=1)),
+    "cam": (lambda: BiLstmClassifier(CamConfig(hidden=4, fc_dim=4), seed=1),
             lambda model, path: save_cam(model, path, {"train_ids": ["a"], "test_ids": ["b"]}),
             load_cam),
 }
@@ -143,7 +143,7 @@ def test_load_model_names_a_truncated_or_misshapen_checkpoint(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(PipelineError, match="m.ckpt: tensor .* claims bytes"):
         load(str(path))
-    wider = AcousticEncoder(EncoderConfig(width_scale=1 / 8, proj_dim=8), seed=1)
+    wider = AcousticEncoder(EncoderConfig(widths=(8, 16, 32, 64), proj_dim=8), seed=1)
     save_checkpoint(str(path), state_arrays(wider),
                     {"kind": "encoder", "config": asdict(model.cfg)})
     with pytest.raises(PipelineError, match="checkpoint tensor stem.conv missing or wrong shape"):

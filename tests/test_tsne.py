@@ -70,7 +70,7 @@ class TestDescent:
         centers = np.array([[0, 0, 0, 0], [10.0, 0, 0, 0], [0, 10.0, 0, 0]])
         pts = np.vstack([c + rng.normal(0, 0.01, (12, 4)) for c in centers])
         labels = np.repeat([0, 1, 2], 12)
-        y, hist = tsne.tsne(pts, tsne.TsneSection(perplexity=8, lr=50, iters=250, seed=1))
+        y, hist = tsne.tsne(pts, tsne.TsneSection(perplexity=8, lr=50, iters=250), seed=1)
         assert np.all(np.isfinite(hist))
         assert hist[-1] <= hist[0]
         cents = np.stack([y[labels == k].mean(axis=0) for k in range(3)])
@@ -79,8 +79,8 @@ class TestDescent:
 
     def test_history_length_and_determinism(self):
         x = keyed_rng("det", 4).normal(0, 1, (15, 4))
-        y1, h1 = tsne.tsne(x, tsne.TsneSection(perplexity=5, lr=20, iters=50, seed=7))
-        y2, h2 = tsne.tsne(x, tsne.TsneSection(perplexity=5, lr=20, iters=50, seed=7))
+        y1, h1 = tsne.tsne(x, tsne.TsneSection(perplexity=5, lr=20, iters=50), seed=7)
+        y2, h2 = tsne.tsne(x, tsne.TsneSection(perplexity=5, lr=20, iters=50), seed=7)
         assert len(h1) == 51
         assert np.array_equal(y1, y2)
         assert h1 == h2

@@ -89,15 +89,15 @@ class TestEnvelopeStats:
 
 class TestValidateCorpus:
     def test_synth_matched_models(self, tmp_path):
-        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=1),
-                               aio.DEFAULT_CLASS_DIRS, 16000)
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2),
+                               aio.DEFAULT_CLASS_DIRS, 16000, seed=1)
         report = val.validate_corpus(man, target_rate=16000, jobs=1)
         for agg in report["per_class"].values():
             assert agg["rmse_mean"] < 0.02
 
     def test_single_clip_aggregate_equals_record(self, tmp_path):
-        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1, seed=2),
-                               aio.DEFAULT_CLASS_DIRS, 16000)
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1),
+                               aio.DEFAULT_CLASS_DIRS, 16000, seed=2)
         report = val.validate_corpus(man, target_rate=16000, jobs=1)
         by_id = {r["clip_id"]: r for r in report["per_clip"]}
         for entry in man.entries:
@@ -113,8 +113,8 @@ class TestValidateCorpus:
             val.validate_corpus(man, target_rate=16000, jobs=1)
 
     def test_one_envelope_per_clip(self, tmp_path, monkeypatch):
-        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=4),
-                               aio.DEFAULT_CLASS_DIRS, 16000)
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2),
+                               aio.DEFAULT_CLASS_DIRS, 16000, seed=4)
         calls = []
         envelope = dsp.analytic_envelope
 
@@ -127,8 +127,8 @@ class TestValidateCorpus:
         assert len(calls) == len(man.entries)
 
     def test_one_fft_per_clip(self, tmp_path, monkeypatch):
-        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=4),
-                               aio.DEFAULT_CLASS_DIRS, 16000)
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2),
+                               aio.DEFAULT_CLASS_DIRS, 16000, seed=4)
         calls = []
         fft = dsp.fft
 
@@ -145,8 +145,8 @@ class TestValidateCorpus:
         entries = []
         for name, duration in (("long", 1.0), ("short", 0.4)):
             man = aio.synth_corpus(str(tmp_path / name),
-                                   aio.SynthConfig(n_per_class=1, duration_s=duration, seed=6),
-                                   aio.DEFAULT_CLASS_DIRS, 16000)
+                                   aio.SynthConfig(n_per_class=1, duration_s=duration),
+                                   aio.DEFAULT_CLASS_DIRS, 16000, seed=6)
             entries += [replace(e, path=f"{name}/{e.path}") for e in man.entries]
         man = aio.CorpusManifest(entries=entries, root=str(tmp_path))
         report = val.validate_corpus(man, target_rate=16000, jobs=1)
@@ -162,8 +162,8 @@ class TestValidateCorpus:
             assert (agg["peak_hz"] * n_fft / 16000).is_integer()
 
     def test_jobs_order_independent(self, tmp_path):
-        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, seed=3),
-                               aio.DEFAULT_CLASS_DIRS, 16000)
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2),
+                               aio.DEFAULT_CLASS_DIRS, 16000, seed=3)
         r1 = val.validate_corpus(man, target_rate=16000, jobs=1)
         r2 = val.validate_corpus(man, target_rate=16000, jobs=4)
         assert r1 == r2
@@ -172,8 +172,8 @@ class TestValidateCorpus:
         peaks = []
         for n in (2, 8):  # 6 and 24 clips
             man = aio.synth_corpus(str(tmp_path / str(n)),
-                                   aio.SynthConfig(n_per_class=n, duration_s=2.0, seed=5),
-                                   aio.DEFAULT_CLASS_DIRS, 16000)
+                                   aio.SynthConfig(n_per_class=n, duration_s=2.0),
+                                   aio.DEFAULT_CLASS_DIRS, 16000, seed=5)
             _, peak, _ = traced_peak(lambda: val.validate_corpus(man, target_rate=16000, jobs=1))
             peaks.append(peak)
         assert peaks[1] <= 1.5 * peaks[0], f"peaked at {peaks[0]} and {peaks[1]} bytes"
@@ -181,7 +181,7 @@ class TestValidateCorpus:
     @pytest.mark.parametrize("rate", [8000, 16000, 22050])
     def test_fft_size_from_headers_matches_loaded_clips(self, tmp_path, rate):
         man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1, duration_s=0.7),
-                               aio.DEFAULT_CLASS_DIRS, 16000)
+                               aio.DEFAULT_CLASS_DIRS, 16000, seed=0)
         for entry in man.entries:
             x = man.load_clip(entry, target_rate=rate)
             assert man.clip_length(entry, target_rate=rate) == x.size

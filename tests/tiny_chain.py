@@ -19,7 +19,7 @@ if __name__ == "__main__":
 from atscalm.cli import main
 
 DURATION_S = 1.0
-TINY_CONFIG = {"encoder": {"width_scale": 0.125, "epochs": 2, "frames": 64},
+TINY_CONFIG = {"encoder": {"widths": [8, 16, 32, 64], "epochs": 2, "frames": 64},
                "cam": {"hidden": 16, "epochs": 2}}
 
 
