@@ -279,6 +279,17 @@ def _read_index(path: str) -> dict:
     return index
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker count, so an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atscalm",
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (defaults are used otherwise)")
     parser.add_argument("--seed", type=int, default=0,
                         help="the run's one seed, handed to every stage that draws")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_jobs, default=1,
                         help="per-clip parallelism; 1 is the reference mode")
     parser.add_argument("--out", default=None,
                         help="output directory (default $SMSAT_OUT or ./out)")

@@ -38,6 +38,9 @@ class RunConfig:
     def __post_init__(self):
         if self.rate < 1:
             raise PipelineError(f"rate must be >= 1, got {self.rate}")
+        if self.features.f_hi > self.rate / 2:
+            raise PipelineError(f"features.f_hi {self.features.f_hi} is above rate / 2 "
+                                f"({self.rate / 2:g})")
         # `synth_signal` makes this many samples; a clip of none cannot be written
         samples = round(self.synth.duration_s * self.rate)
         if samples < 1:

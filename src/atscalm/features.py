@@ -40,6 +40,12 @@ class FeatureParams:
     def __post_init__(self):
         if self.win < 1 or self.hop < 1:
             raise PipelineError(f"win and hop must be >= 1, got win {self.win}, hop {self.hop}")
+        if self.n_fft < self.win:
+            raise PipelineError(f"n_fft must be >= win ({self.win}), got {self.n_fft}")
+        if self.n_mels < 2:
+            raise PipelineError(f"n_mels must be >= 2, got {self.n_mels}")
+        if not 0 <= self.f_lo < self.f_hi:
+            raise PipelineError(f"f_lo must be >= 0 and below f_hi ({self.f_hi}), got {self.f_lo}")
         if not self.log_eps > 0:
             raise PipelineError(f"log_eps must be > 0, got {self.log_eps}")
 

@@ -1,18 +1,22 @@
 """The benchmark's contract with ``src/``: every layer perfbench traces is still
-reached by the CLI, and ``count_flops`` still equals the conv FLOPs computed
-from traced shapes plus the projection head.
+reached by the CLI, ``count_flops`` still equals the conv FLOPs computed
+from traced shapes plus the projection head, and the trained stages at the
+shipped defaults pass perfbench's output checks.
 
-A refactor that renames or unbinds a traced function, or changes the encoder
-without changing ``count_flops``, breaks perfbench without failing any other
-test. The tracer patches the package in place, so the chain runs in a
-subprocess.
+A refactor that renames or unbinds a traced function, changes the encoder
+without changing ``count_flops``, or changes what a checkpoint's config holds
+breaks perfbench without failing any other test. The tracer patches the
+package in place, so the traced chain runs in a subprocess.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import textwrap
+
+from atscalm.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,3 +46,25 @@ def test_traced_layers_reached_and_flops_explained(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["missing"] == []
     assert result["unexplained_flops"] == 0
+
+
+def test_shipped_defaults_pass_the_benchmark_checks(tmp_path):
+    """perfbench's checks compare each checkpoint's config with the shipped
+    `EncoderConfig()` and `CamConfig()`; one epoch of each trainer at every
+    other default, and each checkpoint's reader, passes them."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", os.path.join(ROOT, "perfbench", "checks.py"))
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    out = str(tmp_path)
+    corpus, feats = os.path.join(out, "corpus"), os.path.join(out, "features.csv")
+    for step in (["synth", "--n", "2", "--duration", "1"],
+                 ["features", corpus],
+                 ["train-encoder", corpus, "--epochs", "1"],
+                 ["embed", corpus, "--checkpoint", os.path.join(out, "encoder.ckpt")],
+                 ["train-cam", feats, "--epochs", "1"],
+                 ["evaluate", feats, "--checkpoint", os.path.join(out, "cam.ckpt"),
+                  "--split", "test"]):
+        assert main(["--out", out] + step) == 0, step
+    stages = ("train-encoder", "embed", "train-cam", "evaluate")
+    assert {c: checks.check_stage(c, out, 6) for c in stages} == {c: [] for c in stages}

@@ -17,8 +17,9 @@ from atscalm.classifier import load_cam, save_cam
 from atscalm.cli import main
 from atscalm.config import RunConfig
 from atscalm.features import FEATURE_NAMES, read_features_csv
+from atscalm.nn.checkpoint import MAGIC
 from atscalm.util import json_sanitize, read_json
-from tiny_chain import run_chain
+from tiny_chain import chain_steps, run_chain
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -159,7 +160,9 @@ REMOVED_KEYS = [("features", "n_mfcc", 13), ("features", "wavelet_levels", 5),
                 ("features", "wavelet", "haar"), ("features", "window_name", "hann"),
                 ("cam", "input_dim", 25), ("cam", "n_classes", 3), ("cam", "mode", "sequence"),
                 ("encoder", "uniformity_weight", 0.0), ("augment", "noise_sigma_abs", None),
-                ("augment", "vocoder_win", 1024), ("augment", "vocoder_hop", 256)]
+                ("augment", "vocoder_win", 1024), ("augment", "vocoder_hop", 256),
+                ("synth", "seed", 1), ("augment", "seed", 1), ("encoder", "seed", 1),
+                ("cam", "seed", 1), ("tsne", "seed", 1), ("encoder", "width_scale", 0.125)]
 
 # Counts the schema bounds; a 0 there used to train nothing or end in a traceback.
 ZERO_KEYS = [("encoder", "epochs", ">= 1"), ("encoder", "batch_pairs", ">= 1"),
@@ -175,7 +178,13 @@ SECTION_BOUNDS = [("cam", "lr", -1, "train-cam", "must be >= 0, got -1"),
                   ("encoder", "val_fraction", 2, "train-encoder", "must be in [0, 1), got 2"),
                   ("tsne", "lr", -100, "eval-embeddings", "must be >= 0, got -100"),
                   ("tsne", "iters", -5, "eval-embeddings", "must be >= 0, got -5"),
-                  ("tsne", "perplexity", 0.5, "eval-embeddings", "must be >= 1, got 0.5")]
+                  ("tsne", "perplexity", 0.5, "eval-embeddings", "must be >= 1, got 0.5"),
+                  ("features", "n_fft", 256, "features", "must be >= win (400), got 256"),
+                  ("features", "n_mels", 1, "features", "must be >= 2, got 1"),
+                  ("features", "f_lo", -1.0, "features",
+                   "must be >= 0 and below f_hi (8000.0), got -1.0"),
+                  ("features", "f_lo", 8000.0, "features",
+                   "must be >= 0 and below f_hi (8000.0), got 8000.0")]
 
 def _tone_wav(seconds=1.0, rate=16000):
     """A mono 16-bit WAV of a 440 Hz tone, as bytes."""
@@ -339,6 +348,11 @@ BAD_INPUT = {
                                          ["--config", "{d}/c.json", command, "{d}/missing"], 2,
                                          f"config {section}: {key} {bound}")
        for section, key, value, command, bound in SECTION_BOUNDS},
+    # the mel filterbank's top edge is bounded by the run's rate, not by its section
+    "bound-features.f_hi-above-rate-half": (
+        {"c.json": '{"features": {"f_hi": 9000.0}}'},
+        ["--config", "{d}/c.json", "features", "{d}/missing"], 2,
+        "config document: features.f_hi 9000.0 is above rate / 2 (8000)"),
     **{f"calmness-music-{n}-rows": (
         {"f.csv": "\n".join([FEATURES_HEADER, *CALM_ROWS] + [ROW] * n)},
         ["calmness", "{d}/f.csv"], 1, f"class Music needs >= 2 rows, got {n}")
@@ -347,6 +361,10 @@ BAD_INPUT = {
     **{f"artifacts-index-{name}": ({"out/artifacts.json": doc}, ["synth", "--n", "1"], 1,
                                    "artifacts.json: not a JSON object mapping commands to files")
        for name, doc in (("not-json", "not json"), ("list", "[]"))},
+    # argparse rejects the flag before the config or any input is read
+    **{f"jobs-{value}": ({}, ["--jobs", value, "validate", "{d}/missing.json"], 2,
+                         f"argument --jobs: must be an integer >= 1, got '{value}'")
+       for value in ("0", "-3")},
     "pitch-200-augment.pitch_range_semitones": (
         {"c.json": '{"augment": {"pitch_range_semitones": 200}}'},
         ["--config", "{d}/c.json", "augment", "{d}/missing.json"], 2,
@@ -403,9 +421,14 @@ class TestBadInput:
             (tmp_path / name).write_bytes(content)
         d = str(tmp_path)
         args = ["--out", os.path.join(d, "out")] + [a.replace("{d}", d) for a in argv]
-        assert run(args) == code
-        assert message in caplog.text
-        assert "Traceback" not in capsys.readouterr().err
+        try:
+            got, said = run(args), caplog.text
+        except SystemExit as exc:   # argparse prints a flag's usage error on stderr
+            got, said = exc.code, None
+        err = capsys.readouterr().err
+        assert got == code
+        assert message in (err if said is None else said)
+        assert "Traceback" not in err
 
     def test_corrupt_artifacts_index_stops_before_the_command(self, tmp_path):
         out = tmp_path / "out"
@@ -450,6 +473,31 @@ class TestBadInput:
         code = run(["--out", str(tmp_path / "out")] + [a.replace("{run}", tiny_run) for a in argv])
         assert code == 1
         assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,key,value,argv", [
+        ("cam.ckpt", "seed", 3, ["evaluate", "{run}/features.csv", "--checkpoint", "{bad}"]),
+        ("encoder.ckpt", "width_scale", 0.125,
+         ["embed", "{run}/corpus", "--checkpoint", "{bad}"]),
+    ], ids=["cam-seed", "encoder-width_scale"])
+    def test_checkpoint_config_with_a_removed_key_exits_2(self, tiny_run, tmp_path, caplog,
+                                                           capsys, name, key, value, argv):
+        """A checkpoint whose header config still holds a removed key is
+        named and refused; it must be retrained."""
+        with open(os.path.join(tiny_run, name), "rb") as fh:
+            blob = fh.read()
+        start = len(MAGIC) + 4
+        end = start + struct.unpack_from("<I", blob, len(MAGIC))[0]
+        header = json.loads(blob[start:end])
+        header["meta"]["config"][key] = value
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        bad = str(tmp_path / name)
+        with open(bad, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<I", len(text)) + text + blob[end:])
+        code = run(["--out", str(tmp_path / "out")]
+                   + [a.replace("{run}", tiny_run).replace("{bad}", bad) for a in argv])
+        assert code == 2
+        assert f"unknown config key {bad} config.{key}" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("dtype", [">f4", "<f2", "<i8"])
@@ -521,6 +569,9 @@ TINY_CHAIN_ARTIFACTS = {
                                        for lab in ("Music", "NormalSilence", "SpiritualMeditation")
                                        for kind in ("spectrum", "wave")],
 }
+# The commands that draw, and the files they write that hold no draw.
+DRAWING = {"synth", "augment", "train-encoder", "eval-embeddings", "train-cam"}
+UNDRAWN = {"corpus/manifest.json", "embedding_geometry.json"}
 
 
 class TestEndToEnd:
@@ -529,6 +580,20 @@ class TestEndToEnd:
         again = str(tmp_path / "b")
         run_chain(again)
         assert _artifacts(again) == _artifacts(tiny_run)
+
+    @pytest.mark.parametrize("command", list(TINY_CHAIN_ARTIFACTS))
+    def test_seed_changes_exactly_the_drawn_files(self, tiny_run, tmp_path, command):
+        """Rerun at ``--seed 4`` on the seed-3 chain's inputs, a command
+        that draws writes other bytes in every file it draws, and every
+        command writes the same bytes in each file it does not draw."""
+        step = next(s for s in chain_steps(tiny_run) if s[0] == command)
+        out = str(tmp_path / "out")
+        assert run(["--config", os.path.join(tiny_run, "tiny.json"), "--seed", "4",
+                    "--out", out] + step) == 0
+        now, before = _artifacts(out), _artifacts(tiny_run)
+        changed = [p for p in TINY_CHAIN_ARTIFACTS[command] if now[p] != before[p]]
+        drawn = [p for p in TINY_CHAIN_ARTIFACTS[command] if p not in UNDRAWN]
+        assert changed == (drawn if command in DRAWING else [])
 
     def test_jobs_2_matches_jobs_1(self, tiny_run, tmp_path):
         # all 11 commands, each artifact byte for byte

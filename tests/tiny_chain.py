@@ -23,16 +23,11 @@ TINY_CONFIG = {"encoder": {"widths": [8, 16, 32, 64], "epochs": 2, "frames": 64}
                "cam": {"hidden": 16, "epochs": 2}}
 
 
-def run_chain(out, jobs=1):
-    """All 11 commands on a tiny synthetic corpus, in dependency order."""
-    os.makedirs(out)
-    cfg = os.path.join(out, "tiny.json")
-    with open(cfg, "w") as fh:
-        json.dump(TINY_CONFIG, fh)
-    base = ["--config", cfg, "--seed", "3", "--jobs", str(jobs), "--out", out]
+def chain_steps(out):
+    """The 11 commands in dependency order, each reading its inputs under ``out``."""
     corpus = os.path.join(out, "corpus")
     feats = os.path.join(out, "features.csv")
-    steps = [
+    return [
         ["synth", "--n", "2", "--duration", str(DURATION_S)],
         ["validate", corpus, "--plot"],
         ["augment", os.path.join(corpus, "manifest.json")],
@@ -46,7 +41,16 @@ def run_chain(out, jobs=1):
         ["report", "--plot-history", os.path.join(out, "cam_history.csv"),
          "--plot-tsne", os.path.join(out, "tsne.csv")],
     ]
-    for step in steps:
+
+
+def run_chain(out, jobs=1):
+    """All 11 commands on a tiny synthetic corpus, at seed 3."""
+    os.makedirs(out)
+    cfg = os.path.join(out, "tiny.json")
+    with open(cfg, "w") as fh:
+        json.dump(TINY_CONFIG, fh)
+    base = ["--config", cfg, "--seed", "3", "--jobs", str(jobs), "--out", out]
+    for step in chain_steps(out):
         assert main(base + step) == 0, step
 
 
