@@ -97,6 +97,14 @@ class TestZcr:
         assert brute == 100
         assert features.zcr(x) == pytest.approx(100 / 15999)
 
+    @pytest.mark.parametrize("f_hz", [20.0, 25.0, 50.0])
+    def test_crossings_on_zero_samples_give_the_tone_rate(self, f_hz):
+        """A 16-bit tone whose every crossing is a sample of exactly 0, over
+        one second plus the closing sample: 2 f crossings in RATE pairs."""
+        x = np.round(np.sin(2 * np.pi * f_hz * np.arange(RATE + 1) / RATE) * 16384) / 32768
+        assert np.count_nonzero(x == 0) == 2 * f_hz + 1
+        assert features.zcr(x) == 2 * f_hz / RATE
+
     def test_bounds(self):
         x = keyed_rng("zcr", 1).normal(0, 1, 500)
         assert 0.0 <= features.zcr(x) <= 1.0
