@@ -427,9 +427,9 @@ def synth_corpus(out_dir: str, cfg: SynthConfig, class_dir_map: dict[ClassLabel,
                  rate: int, seed: int) -> CorpusManifest:
     """Generate a labeled synthetic corpus on disk plus its manifest.
 
-    Pure function of the config and ``seed``: the same pair yields bit-identical WAV
-    files and manifest. ``class_dir_map`` must name a directory for every
-    class.
+    Pure function of the config and ``seed``: the same pair yields
+    bit-identical WAV files and manifest. ``class_dir_map`` must name a
+    directory for every class.
     """
     unmapped = [lab.value for lab in LABELS if lab not in class_dir_map]
     if unmapped:

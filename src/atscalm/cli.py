@@ -281,13 +281,9 @@ def _read_index(path: str) -> dict:
 
 def _jobs(text: str) -> int:
     """``--jobs``: a worker count, so an integer >= 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
+    if not (text.isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return jobs
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

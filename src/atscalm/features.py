@@ -69,9 +69,9 @@ def mfcc13(x: np.ndarray, rate: int, params: FeatureParams) -> np.ndarray:
 
 
 def zcr(x: np.ndarray) -> float:
-    """Fraction of adjacent sample pairs on opposite sides of zero, 0 counted
-    as positive: a crossing that lands on a sample of exactly 0, as every
-    crossing of a tone on the sample grid does once quantized, counts once."""
+    """Fraction of adjacent sample pairs on opposite sides of zero, with 0
+    counted as positive, so a crossing that lands on a sample of exactly 0
+    counts once."""
     if x.size < 2:
         raise PipelineError("zcr needs at least 2 samples")
     return float(np.count_nonzero((x[1:] >= 0.0) != (x[:-1] >= 0.0)) / (x.size - 1))
