@@ -199,7 +199,7 @@ def train_cam(rows, cfg: CamConfig, seed: int) -> tuple[BiLstmClassifier, list[d
             sel = draws[b * cfg.batch : (b + 1) * cfg.batch]
             uniq, inv = np.unique(sel, return_inverse=True)
             rng = keyed_rng(seed, "dropout", epoch, b)
-            loss, _ = softmax_crossentropy(
+            loss = softmax_crossentropy(
                 model.forward(x_train[uniq], train=True, rng=rng, rows=inv), y_train[sel])
             loss.backward()
             opt.step()

@@ -34,7 +34,6 @@ from . import augment, dsp, features
 from .audio_io import CorpusManifest
 from .nn import Adam, Tensor, load_model, no_grad, save_model, seeded_init
 from .nn.ops import batchnorm2d, conv2d, global_avg_pool, linear, maxpool2d
-from .nn.tensor import as_tensor
 from .util import PipelineError, keyed_rng, parallel_map
 
 log = logging.getLogger(__name__)
@@ -194,7 +193,7 @@ def count_flops(model: AcousticEncoder, input_hw: tuple[int, int]) -> int:
     return int(total + 2 * model.proj_w.data.size)
 
 
-def contrastive_loss(emb) -> Tensor:
+def contrastive_loss(emb: Tensor) -> Tensor:
     """Mean over the B pairs of a (2B, D) batch of the squared distance
     between their two views. Backward writes (s*d) + (s*d), with d the pair
     differences and s = 1/B, into the view-0 rows and its negation into the
@@ -202,7 +201,6 @@ def contrastive_loss(emb) -> Tensor:
 
     Both run on a float64 copy of a float32 batch, so the loss is a float64
     sum; ``emb`` takes the gradient in its own dtype."""
-    emb = as_tensor(emb)
     e = emb.data.astype(np.float64, copy=False)
     if e.ndim != 2 or e.shape[0] == 0 or e.shape[0] % 2:
         raise PipelineError(f"contrastive batch must be (2B, D), got {e.shape}")
@@ -306,7 +304,7 @@ def _pair_metrics(model: AcousticEncoder, clips, rate, aug_cfg, feat_params, see
     views = _pair_views(clips, rate, aug_cfg, feat_params, model.cfg, (seed, tag), epoch)
     p1 = model.embed(views[: len(clips)])
     p2 = model.embed(views[len(clips) :])
-    loss = contrastive_loss(np.concatenate([p1, p2])).item()
+    loss = contrastive_loss(Tensor(np.concatenate([p1, p2]))).item()
     return loss, mean_cosine_similarity(p1, p2)
 
 

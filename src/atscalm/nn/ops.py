@@ -1,9 +1,10 @@
-"""The differentiable ops the two models use: broadcasting add, relu,
-matmul and linear, concat, row gather, conv2d, maxpool2d, global average
-pooling, batchnorm with a fused residual add and relu, dropout and softmax
-cross-entropy. Each op returns a new Tensor whose closure accumulates
-gradients into its parents. Losses that a model owns, such as the
-encoder's `contrastive_loss`, live beside that model as one fused node.
+"""The differentiable ops the two models use: relu, concat, row gather,
+conv2d, maxpool2d, global average pooling, batchnorm with a fused residual
+add and relu, dropout, softmax cross-entropy and linear (matmul plus bias).
+Each op takes Tensors, never converts a plain array, and returns one new
+Tensor, one graph node, whose closure accumulates gradients into its
+parents. Losses that a model owns, such as the encoder's
+`contrastive_loss`, live beside that model as one fused node.
 
 Every array an op makes follows its inputs' dtype: float32 inputs give
 float32 outputs, gradients and scratch, and float64 inputs float64 ones.
@@ -25,42 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..util import PipelineError, even_ranges
-from .tensor import Tensor, as_tensor, unbroadcast
+from .tensor import Tensor
 
 
-def _binary(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return a, b, a.requires_grad or b.requires_grad
-
-
-def add(a, b) -> Tensor:
-    a, b, rg = _binary(a, b)
-    out = Tensor(a.data + b.data, rg, (a, b))
-
-    def backward():
-        a.accumulate(unbroadcast(out.grad, a.data.shape))
-        b.accumulate(unbroadcast(out.grad, b.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    a, b, rg = _binary(a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise PipelineError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, rg, (a, b))
-
-    def backward():
-        a.accumulate(out.grad @ b.data.T)
-        b.accumulate(a.data.T @ out.grad)
-
-    out._backward = backward
-    return out
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
+def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0), a.requires_grad, (a,))
 
     def backward():
@@ -77,8 +46,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def concat(tensors, axis: int) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+def concat(tensors: list[Tensor], axis: int) -> Tensor:
     rg = any(t.requires_grad for t in tensors)
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), rg, tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
@@ -95,11 +63,10 @@ def concat(tensors, axis: int) -> Tensor:
     return out
 
 
-def gather(a, index) -> Tensor:
+def gather(a: Tensor, index) -> Tensor:
     """Rows ``a[index]`` of a 2-d ``a``; a row may be taken many times or
     never. Backward scatter-adds each output row's gradient into its source
     row."""
-    a = as_tensor(a)
     out = Tensor(a.data[index], a.requires_grad, (a,))
 
     def backward():
@@ -134,7 +101,7 @@ def _tiles(n: int, sample_bytes: int) -> list[tuple[int, int]]:
     return even_ranges(n, max(1, TILE_BYTES // sample_bytes))
 
 
-def conv2d(x, w, stride: int, pad: int) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, stride: int, pad: int) -> Tensor:
     """2-d cross-correlation without bias: x (N,C,H,W), w (O,C,kh,kw).
 
     Each pass is a GEMM against im2col columns, (C*kh*kw, samples*Ho*Wo),
@@ -152,7 +119,6 @@ def conv2d(x, w, stride: int, pad: int) -> Tensor:
     with no scatter. Otherwise each tile of the gradient is multiplied by
     the kernel and added into the padded dx tap by tap.
     """
-    x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
         raise PipelineError(f"conv2d shape mismatch: x {x.data.shape}, w {w.data.shape}")
     n, c, h, wd = x.data.shape
@@ -210,7 +176,7 @@ def conv2d(x, w, stride: int, pad: int) -> Tensor:
     return out
 
 
-def maxpool2d(x, kernel: int, stride: int, pad: int) -> Tensor:
+def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     """Max over each kernel x kernel window of x (N,C,H,W), padded with
     -inf; a tie goes to the first tap.
 
@@ -226,7 +192,6 @@ def maxpool2d(x, kernel: int, stride: int, pad: int) -> Tensor:
     position receives its contributions in ascending output order, the
     order of an ``np.add.at`` scatter, so the sums are the same to the bit.
     """
-    x = as_tensor(x)
     if x.data.ndim != 4:
         raise PipelineError(f"maxpool2d expects NCHW, got {x.data.shape}")
     n, c, h, w = x.data.shape
@@ -269,9 +234,8 @@ def maxpool2d(x, kernel: int, stride: int, pad: int) -> Tensor:
     return out
 
 
-def global_avg_pool(x) -> Tensor:
+def global_avg_pool(x: Tensor) -> Tensor:
     """(N,C,H,W) -> (N,C) spatial mean."""
-    x = as_tensor(x)
     if x.data.ndim != 4:
         raise PipelineError(f"global_avg_pool expects NCHW, got {x.data.shape}")
     n, c, h, w = x.data.shape
@@ -288,8 +252,9 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
-                skip=None, relu: bool = False) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
+                running_var: Tensor, train: bool, skip: Tensor | None = None,
+                relu: bool = False) -> Tensor:
     """Channel-wise normalization over (N,H,W); biased batch variance.
 
     Train mode normalizes with the batch statistics and updates the
@@ -308,12 +273,10 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
     gradient is released, and dx is written into the buffer of the
     ``g * xhat`` product after its channel sums are taken.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4 or gamma.data.shape != (x.data.shape[1],):
         raise PipelineError(f"batchnorm2d shape mismatch: x {x.data.shape}, gamma {gamma.data.shape}")
     parents = (x, gamma, beta)
     if skip is not None:
-        skip = as_tensor(skip)
         if skip.data.shape != x.data.shape:
             raise PipelineError(f"batchnorm2d skip {skip.data.shape} does not match "
                                 f"x {x.data.shape}")
@@ -375,12 +338,11 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, train: bool,
     return out
 
 
-def dropout(x, p: float, train: bool, rng: np.random.Generator | None) -> Tensor:
+def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: train-mode expectation equals the input. Dropping
     nothing (eval mode, or p = 0) returns the input itself."""
     if not (0.0 <= p < 1.0):
         raise PipelineError(f"dropout p must be in [0, 1), got {p}")
-    x = as_tensor(x)
     if not train or p == 0.0:
         return x
     if rng is None:
@@ -401,12 +363,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_crossentropy(logits, targets) -> tuple[Tensor, np.ndarray]:
-    """Mean cross-entropy over the batch; returns (loss, probabilities).
+def softmax_crossentropy(logits: Tensor, targets) -> Tensor:
+    """Mean cross-entropy over the batch.
 
     ``targets`` is an int vector of class indices, shape (N,).
     """
-    logits = as_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
         raise PipelineError(f"softmax_crossentropy shapes: logits {logits.data.shape}, targets {targets.shape}")
@@ -422,9 +383,25 @@ def softmax_crossentropy(logits, targets) -> tuple[Tensor, np.ndarray]:
         logits.accumulate(out.grad * d / n)
 
     out._backward = backward
-    return out, probs
+    return out
 
 
-def linear(x, w, b) -> Tensor:
-    """x (N,D) @ w (D,K) + b."""
-    return add(matmul(x, w), b)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x (N,D) @ w (D,K) + b (K,) as one node. The forward adds the bias to
+    the product, and backward hands on ``g @ w.T``, ``x.T @ g`` and the
+    column sums of ``g``: the results of a matmul node under a broadcasting
+    add node, bit for bit."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise PipelineError(f"linear shape mismatch: x {x.data.shape}, w {w.data.shape}, "
+                            f"b {b.data.shape}")
+    out = Tensor(x.data @ w.data + b.data, x.requires_grad or w.requires_grad or b.requires_grad,
+                 (x, w, b))
+
+    def backward():
+        x.accumulate(out.grad @ w.data.T)
+        w.accumulate(x.data.T @ out.grad)
+        b.accumulate(out.grad.sum(axis=0))
+
+    out._backward = backward
+    return out

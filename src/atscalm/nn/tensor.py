@@ -1,9 +1,10 @@
 """Minimal dense tensor with reverse-mode differentiation.
 
 A tensor holds a float32 array as float32 and any other value as float64,
-and its gradient is held in the same dtype as its data. The ops follow
-their inputs' dtype, so a model that hands them float32 arrays computes in
-float32 and everything else stays float64.
+and its gradient is held in the same dtype as its data. The ops in
+`atscalm.nn.ops` take Tensors only: a caller wraps a plain array in
+`Tensor` once. They follow their inputs' dtype, so a model that hands them
+float32 tensors computes in float32 and everything else stays float64.
 
 ``backward`` releases the graph as it goes: once an interior node has
 passed its gradient on, its gradient, closure and parent links are
@@ -111,19 +112,3 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back to ``shape`` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g

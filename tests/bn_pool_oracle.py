@@ -1,11 +1,12 @@
 """Reference batchnorm, residual tail and max-pool backward.
 
 `batchnorm2d_reference` is the plain batchnorm whose closure keeps
-``xhat``; `residual_tail_reference` composes it with `ops.add` and
-`ops.relu` as separate graph nodes. The fused `atscalm.nn.ops.batchnorm2d`
-is checked against the composition bit for bit. `maxpool2d_reference`
-takes each window's maximum with ``np.argmax`` over a copy of every
-window, and `maxpool2d_grad_reference` scatters the pooled gradient with
+``xhat``; `residual_tail_reference` composes it with `lstm_oracle.add`
+and `ops.relu` as separate graph nodes. The fused
+`atscalm.nn.ops.batchnorm2d` is checked against the composition bit for
+bit. `maxpool2d_reference` takes each window's maximum with
+``np.argmax`` over a copy of every window, and
+`maxpool2d_grad_reference` scatters the pooled gradient with
 ``np.add.at`` over full index arrays: the formulas that the running
 maximum and the tap loop of `ops.maxpool2d` replace.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from atscalm.nn import Tensor, ops
+from lstm_oracle import add
 
 
 def batchnorm2d_reference(x, gamma, beta, running_mean, running_var, train: bool) -> Tensor:
@@ -55,7 +57,7 @@ def residual_tail_reference(x, gamma, beta, running_mean, running_var, train: bo
     """``relu(add(batchnorm2d(...), skip))``, each part its own node."""
     y = batchnorm2d_reference(x, gamma, beta, running_mean, running_var, train)
     if skip is not None:
-        y = ops.add(y, skip)
+        y = add(y, skip)
     return ops.relu(y) if relu else y
 
 

@@ -2,9 +2,13 @@
 
 Gradients through time come from the generic reverse-mode machinery, so
 this is the oracle the fused `atscalm.nn.lstm_final` is checked against.
-The ops that only this reference cell needs live here, not in
-`atscalm.nn.ops`: ``mul``, ``split``, ``sigmoid`` and ``tanh``. The fused
-op applies the same `_sigmoid` and `np.tanh` to its gates directly.
+The primitive ops that only the references need live here, not in
+`atscalm.nn.ops`: ``add``, ``matmul``, ``mul``, ``split``, ``sigmoid``
+and ``tanh``, with ``unbroadcast`` for the broadcasting ones and
+``as_tensor``, which lets them take plain arrays too. The fused LSTM
+applies the same `_sigmoid` and `np.tanh` to its gates directly;
+`add(matmul(x, w), b)` is the reference for the fused `ops.linear`, and
+`bn_pool_oracle.residual_tail_reference` adds its skip with `add`.
 """
 
 from __future__ import annotations
@@ -12,9 +16,51 @@ from __future__ import annotations
 import numpy as np
 
 from atscalm.nn import LstmWeights, Tensor
-from atscalm.nn.ops import _sigmoid, add, concat, matmul
-from atscalm.nn.tensor import as_tensor, unbroadcast
+from atscalm.nn.ops import _sigmoid, concat
 from atscalm.util import PipelineError
+
+
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce a gradient back to ``shape`` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad, (a, b))
+
+    def backward():
+        a.accumulate(unbroadcast(out.grad, a.data.shape))
+        b.accumulate(unbroadcast(out.grad, b.data.shape))
+
+    out._backward = backward
+    return out
+
+
+def matmul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise PipelineError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad, (a, b))
+
+    def backward():
+        a.accumulate(out.grad @ b.data.T)
+        b.accumulate(a.data.T @ out.grad)
+
+    out._backward = backward
+    return out
 
 
 def mul(a, b) -> Tensor:

@@ -58,7 +58,7 @@ def full_batch_reference(rows, cfg: CamConfig, seed: int):
             sel = draws[b * cfg.batch : (b + 1) * cfg.batch]
             logits = model.forward(x_train[sel], train=True,
                                    rng=keyed_rng(seed, "dropout", epoch, b))
-            loss, _ = softmax_crossentropy(logits, y_train[sel])
+            loss = softmax_crossentropy(logits, y_train[sel])
             loss.backward()
             opt.step()
             losses.append(loss.item())

@@ -131,13 +131,14 @@ class TestContrastiveLoss:
     def test_symmetry(self):
         e = pair_batch(1, 3, 5)
         swapped = np.concatenate([e[3:], e[:3]])
-        assert contrastive_loss(e).item() == pytest.approx(contrastive_loss(swapped).item())
+        assert contrastive_loss(Tensor(e)).item() == pytest.approx(
+            contrastive_loss(Tensor(swapped)).item())
 
     def test_nonnegative_and_zero_iff_equal(self):
         a = keyed_rng("cl", 3).normal(0, 1, (4, 6))
-        loss = contrastive_loss(np.concatenate([a, a + 1e-7])).item()
+        loss = contrastive_loss(Tensor(np.concatenate([a, a + 1e-7]))).item()
         assert loss > 0
-        assert contrastive_loss(np.concatenate([a, a.copy()])).item() <= 1e-12
+        assert contrastive_loss(Tensor(np.concatenate([a, a.copy()]))).item() <= 1e-12
 
     @pytest.mark.parametrize("b", [1, 3, 8])
     def test_gradient_is_the_closed_form_bit_for_bit(self, b):
@@ -156,7 +157,7 @@ class TestContrastiveLoss:
     @pytest.mark.parametrize("shape", [(3, 4), (0, 4), (6,), (2, 2, 2)])
     def test_odd_or_not_2d_batch_named(self, shape):
         with pytest.raises(PipelineError, match=r"contrastive batch must be \(2B, D\)"):
-            contrastive_loss(np.zeros(shape))
+            contrastive_loss(Tensor(np.zeros(shape)))
 
     def test_one_adam_step_decreases_pair_loss(self):
         # frozen-stats forward: batch-2 train-mode batchnorm has knife-edge
@@ -472,7 +473,7 @@ class TestTrainEmbed:
         loss, cos = _pair_metrics(model, clips, 16000, aug, feat, 5, 1, "val")
         p1, p2 = (model.embed([_augmented_view(cid, x, 16000, aug, feat, cfg, (5, "val"), 1, view)
                                for cid, x in clips]) for view in (0, 1))
-        assert loss == contrastive_loss(np.concatenate([p1, p2])).item()
+        assert loss == contrastive_loss(Tensor(np.concatenate([p1, p2]))).item()
         assert cos == mean_cosine_similarity(p1, p2)
         # the per-pair mean it replaced differs by summation order only
         want = float(np.mean(np.sum((p1 - p2) ** 2, axis=1)))

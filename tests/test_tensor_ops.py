@@ -12,7 +12,7 @@ from bn_pool_oracle import (maxpool2d_grad_reference, maxpool2d_reference,
                             residual_tail_reference)
 from conv_oracle import conv2d_reference
 from gradcheck import grad_check
-from lstm_oracle import mul, sigmoid, split, tanh
+from lstm_oracle import add, matmul, mul, sigmoid, split, tanh
 from memtrace import traced_peak
 
 
@@ -28,7 +28,7 @@ class TestElementwise:
     def test_add_broadcast_backward(self):
         a = Tensor(rand((3, 4), 1), requires_grad=True)
         b = Tensor(rand((4,), 2), requires_grad=True)
-        err = grad_check(lambda: ops.add(a, b), [a, b])
+        err = grad_check(lambda: add(a, b), [a, b])
         assert err < 1e-8
 
     def test_sigmoid_tanh_grads(self):
@@ -53,21 +53,42 @@ class TestElementwise:
         assert grad_check(lambda: ops.relu(x), [x]) < 1e-6
 
 
-class TestMatmul:
-    def test_forward(self):
-        a, b = rand((4, 3), 8), rand((3, 5), 9)
-        out = ops.matmul(Tensor(a), Tensor(b))
-        assert np.allclose(out.data, a @ b)
+class TestLinear:
+    """The fused node against the composed ``add(matmul(x, w), b)``."""
+
+    @staticmethod
+    def _leaves(dtype=np.float64):
+        return [Tensor(rand(shape, key).astype(dtype), requires_grad=True)
+                for shape, key in (((7, 5), 8), ((5, 3), 9), ((3,), 10))]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_add_of_matmul(self, dtype):
+        g = rand((7, 3), 11)
+        results = []
+        for op in (ops.linear, lambda x, w, b: add(matmul(x, w), b)):
+            leaves = self._leaves(dtype)
+            out = op(*leaves)
+            out.backward(g)
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_node_over_its_inputs(self):
+        x, w, b = self._leaves()
+        assert ops.linear(x, w, b)._parents == (x, w, b)
 
     def test_grad(self):
-        a = Tensor(rand((4, 3), 10), requires_grad=True)
-        b = Tensor(rand((3, 5), 11), requires_grad=True)
-        assert grad_check(lambda: ops.matmul(a, b), [a, b]) < 1e-6
+        leaves = self._leaves()
+        assert grad_check(lambda: ops.linear(*leaves), leaves) < 1e-8
 
-    def test_shape_mismatch(self):
-        with pytest.raises(PipelineError) as exc:
-            ops.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
-        assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
+    @pytest.mark.parametrize("xs,ws,bs", [((2, 3), (4, 2), (2,)), ((3,), (3, 2), (2,)),
+                                          ((2, 3), (3, 2), (1, 2)), ((2, 3), (3, 2), (3,))],
+                             ids=["x-w", "x-not-2d", "b-2d", "b-not-k"])
+    def test_shape_mismatch_named(self, xs, ws, bs):
+        with pytest.raises(PipelineError,
+                           match=re.escape(f"linear shape mismatch: x {xs}, w {ws}, b {bs}")):
+            ops.linear(Tensor(np.ones(xs)), Tensor(np.ones(ws)), Tensor(np.ones(bs)))
 
 
 class TestConv2d:
@@ -87,7 +108,7 @@ class TestConv2d:
         x = Tensor(rand((2, 2, 5, 6), 13), requires_grad=True)
         w = Tensor(rand((3, 2, 3, 3), 14), requires_grad=True)
         b = Tensor(rand((3, 1, 1), 15), requires_grad=True)
-        err = grad_check(lambda: ops.add(ops.conv2d(x, w, stride=2, pad=1), b), [x, w, b])
+        err = grad_check(lambda: add(ops.conv2d(x, w, stride=2, pad=1), b), [x, w, b])
         assert err < 1e-6
 
     def test_channel_mismatch(self):
@@ -119,7 +140,8 @@ class TestConv2d:
         xs, ws, stride, pad = self.ENCODER_CONVS[kind]
         x = Tensor(rand(xs, 40), requires_grad=True)
         w = Tensor(rand(ws, 41), requires_grad=True)
-        g = rand(ops.conv2d(x.data, w.data, stride=stride, pad=pad).data.shape, 42)
+        shape = ops.conv2d(Tensor(x.data), Tensor(w.data), stride=stride, pad=pad).data.shape
+        g = rand(shape, 42)
         y = self._run(x, w, g, stride, pad)
         for got, want in zip((y.data, x.grad, w.grad), conv2d_reference(x.data, w.data, g, stride, pad)):
             assert got.shape == want.shape
@@ -152,8 +174,9 @@ class TestConv2d:
         x = rand((8, 64, 16, 64), 51)
         w = rand((64, 64, 3, 3), 52)
         assert len(ops._tiles(8, 64 * 9 * 16 * 64 * 8)) == 3
-        got = ops.conv2d(x, w, stride=1, pad=1).data
-        want = np.concatenate([ops.conv2d(x[i : i + 1], w, stride=1, pad=1).data for i in range(8)])
+        got = ops.conv2d(Tensor(x), Tensor(w), stride=1, pad=1).data
+        want = np.concatenate([ops.conv2d(Tensor(x[i : i + 1]), Tensor(w), stride=1, pad=1).data
+                               for i in range(8)])
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_stage0_peak_below_one_column_matrix(self):
@@ -395,9 +418,9 @@ class TestSoftmaxCrossEntropy:
 
     def test_one_hot_perfect_prediction(self):
         logits = Tensor(np.array([[100.0, 0.0, 0.0]]))
-        loss, probs = ops.softmax_crossentropy(logits, np.array([0]))
+        loss = ops.softmax_crossentropy(logits, np.array([0]))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
-        assert probs[0, 0] == pytest.approx(1.0)
+        assert ops.softmax(logits.data)[0, 0] == pytest.approx(1.0)
 
     def test_shift_invariance(self):
         logits = rand((4, 3), 30)
@@ -408,7 +431,7 @@ class TestSoftmaxCrossEntropy:
     def test_grad(self):
         logits = Tensor(rand((6, 4), 31), requires_grad=True)
         targets = np.array([0, 1, 2, 3, 0, 1])
-        assert grad_check(lambda: ops.softmax_crossentropy(logits, targets)[0], [logits]) < 1e-7
+        assert grad_check(lambda: ops.softmax_crossentropy(logits, targets), [logits]) < 1e-7
 
 
 class TestConcatSplit:
@@ -446,7 +469,7 @@ class TestConcatSplit:
 class TestReuseAccumulation:
     def test_tensor_used_twice_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
-        out = ops.add(mul(x, x), x)   # x^2 + x -> d/dx = 2x + 1
+        out = add(mul(x, x), x)   # x^2 + x -> d/dx = 2x + 1
         out.backward()
         assert x.grad[0] == pytest.approx(7.0)
 
@@ -577,7 +600,7 @@ class TestGraphRelease:
     def test_interior_grads_dropped_leaf_grads_kept(self):
         x = Tensor(rand((2, 2), 42), requires_grad=True)
         mid = ops.relu(x)
-        loss = ops.add(mid, 1.0)
+        loss = add(mid, 1.0)
         loss.backward()
         assert mid.grad is None and mid._parents == () and mid._backward is None
         assert np.array_equal(x.grad, (x.data > 0).astype(float))
