@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import LABELS, parse_label
+from .audio_io import LABELS
 from .features import N_FEATURES
 from .nn import (Adam, Tensor, bilstm_final, init_lstm, load_model, no_grad, save_model,
                  seeded_init)
@@ -143,11 +143,8 @@ def eval_report_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> dict
 
 def _rows_to_arrays(rows) -> tuple[list[str], np.ndarray, np.ndarray]:
     ids = [r[0] for r in rows]
-    labels = np.array([LABEL_INDEX[parse_label(r[1])] for r in rows], dtype=np.int64)
-    x = np.stack([r[2] for r in rows])
-    if x.shape[1] != N_FEATURES:
-        raise PipelineError(f"feature dimension {x.shape[1]} != {N_FEATURES}")
-    return ids, labels, x
+    labels = np.array([LABEL_INDEX[r[1]] for r in rows], dtype=np.int64)
+    return ids, labels, np.stack([r[2] for r in rows])
 
 
 def stratified_split(labels: np.ndarray, val_fraction: float, seed) -> tuple[np.ndarray, np.ndarray]:

@@ -159,9 +159,9 @@ def cmd_train_encoder(args, cfg: RunConfig, out: str) -> list[str]:
 def cmd_embed(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     model, meta = encoder.load_encoder(args.checkpoint)
-    stored = meta.get("feature_params")
-    if stored is not None and stored != asdict(cfg.features):
-        raise PipelineError("checkpoint feature params do not match the current config")
+    if meta.get("feature_params") != asdict(cfg.features):   # a missing entry matches nothing
+        raise PipelineError(f"{args.checkpoint}: checkpoint feature params do not match "
+                            f"the current config")
     x = encoder.embed_corpus(model, manifest, cfg.features,
                              target_rate=cfg.rate, jobs=args.jobs)
     path = os.path.join(out, "embeddings.csv")
@@ -236,7 +236,7 @@ def cmd_evaluate(args, cfg: RunConfig, out: str) -> list[str]:
 def cmd_calmness(args, cfg: RunConfig, out: str) -> list[str]:
     rows = features.read_features_csv(args.features)
     # (n, 25) even at n = 0, so `calmness_report` holds the one class-size check
-    groups = {lab: np.array([vec for _, name, vec in rows if name == lab.value])
+    groups = {lab: np.array([vec for _, label, vec in rows if label is lab])
               .reshape(-1, features.N_FEATURES) for lab in LABELS}
     report = stats.calmness_report(groups, list(features.FEATURE_NAMES))
     json_path = os.path.join(out, "calmness.json")

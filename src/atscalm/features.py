@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
+from .audio_io import ClassLabel, parse_label
 from .util import PipelineError, read_float_csv, write_csv
 
 N_MFCC = 13
@@ -116,8 +117,19 @@ def write_features_csv(path: str, rows: list[tuple[str, str, np.ndarray]]) -> No
     write_csv(path, header, [[cid, lab] + [float(v) for v in vec] for cid, lab, vec in rows])
 
 
-def read_features_csv(path: str) -> list[tuple[str, str, np.ndarray]]:
+def read_features_csv(path: str) -> list[tuple[str, ClassLabel, np.ndarray]]:
+    """Rows of (clip_id, label, 25-vector). A table without rows, or a row
+    whose label is no class, raises PipelineError naming the file (and the
+    row's id)."""
     header, keys, values = read_float_csv(path, ["id", "label"])
     if header[2:] != list(FEATURE_NAMES):
         raise PipelineError(f"unexpected features header in {path}: {header[:4]}...")
-    return [(cid, lab, vec) for (cid, lab), vec in zip(keys, values)]
+    if not keys:
+        raise PipelineError(f"{path}: no feature rows")
+    rows = []
+    for (cid, lab), vec in zip(keys, values):
+        try:
+            rows.append((cid, parse_label(lab), vec))
+        except PipelineError as exc:
+            raise PipelineError(f"{path}: row {cid!r}: {exc}") from None
+    return rows

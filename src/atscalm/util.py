@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import types
@@ -103,11 +104,12 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
 
 def read_float_csv(path: str, keys: Sequence[str]) -> tuple[list[str], list[list[str]], np.ndarray]:
     """A CSV whose header starts with the ``keys`` columns and whose other
-    cells are numbers: (header, key cells per row, (rows, other columns) floats).
+    cells are finite numbers: (header, key cells per row, (rows, other
+    columns) floats).
 
     A header without the key columns, a row whose width differs from the
-    header, or a cell that is not a number raises PipelineError naming the
-    file, line and column.
+    header, or a cell that is not a finite number (``nan``, ``inf`` and
+    ``1e999`` are not) raises PipelineError naming the file, line and column.
     """
     (_, header), *body = _csv_lines(path)
     n_keys = len(keys)
@@ -120,10 +122,12 @@ def read_float_csv(path: str, keys: Sequence[str]) -> tuple[list[str], list[list
                                 f"the header has {len(header)}")
         for j in range(n_keys, len(header)):
             try:
-                values[i, j - n_keys] = float(cells[j])
+                values[i, j - n_keys] = v = float(cells[j])
             except ValueError:
+                v = math.nan
+            if not math.isfinite(v):
                 raise PipelineError(f"{path} line {line}, column {header[j]}: "
-                                    f"{cells[j]!r} is not a number") from None
+                                    f"{cells[j]!r} is not a finite number")
     return header, [cells[:n_keys] for _, cells in body], values
 
 

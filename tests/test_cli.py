@@ -153,6 +153,27 @@ FEATURES_HEADER = ",".join(["id", "label", *FEATURE_NAMES])
 ROW = "a,Music," + ",".join(["0.5"] * len(FEATURE_NAMES))
 # two rows each of the classes `calmness` checks before Music
 CALM_ROWS = [ROW.replace("Music", lab) for lab in ("SpiritualMeditation", "NormalSilence")] * 2
+# Each command that reads a table of numbers, on a table with a cell that
+# parses as a float but is not finite: (files, argv, message).
+NOT_FINITE_TABLE = "\n".join([FEATURES_HEADER, *CALM_ROWS, ROW.replace("0.5", "{}", 1)])
+NOT_FINITE = {
+    "train-cam": ({"f.csv": NOT_FINITE_TABLE.format("nan")}, ["train-cam", "{d}/f.csv"],
+                  "f.csv line 6, column mfcc_0: 'nan' is not a finite number"),
+    "evaluate": ({"f.csv": NOT_FINITE_TABLE.format("inf")},
+                 ["evaluate", "{d}/f.csv", "--checkpoint", "{d}/missing.ckpt"],
+                 "f.csv line 6, column mfcc_0: 'inf' is not a finite number"),
+    "calmness": ({"f.csv": NOT_FINITE_TABLE.format("1e999")}, ["calmness", "{d}/f.csv"],
+                 "f.csv line 6, column mfcc_0: '1e999' is not a finite number"),
+    "eval-embeddings": ({"e.csv": "id,label,e0\na,Music,1\nb,Music,nan\n"},
+                        ["eval-embeddings", "{d}/e.csv"],
+                        "e.csv line 3, column e0: 'nan' is not a finite number"),
+    "report-plot-tsne": ({"t.csv": "id,label,x,y\na,Music,-inf,1\n"},
+                         ["report", "--plot-tsne", "{d}/t.csv"],
+                         "t.csv line 2, column x: '-inf' is not a finite number"),
+    "report-plot-history": ({"h.csv": "epoch,loss\n1,0.5\n2,nan\n"},
+                            ["report", "--plot-history", "{d}/h.csv"],
+                            "h.csv line 3, column loss: 'nan' is not a finite number"),
+}
 
 # Keys the config schema rejects; `validation` is no section at all, so its
 # case below names the section.
@@ -260,6 +281,18 @@ BAD_INPUT = {
                           "e.csv: header must start with id,label"),
     "tsne-no-y-column": ({"t.csv": "id,label,x\na,Music,1\n"}, ["report", "--plot-tsne", "{d}/t.csv"],
                          1, "t.csv: expected x and y columns"),
+    **{f"not-finite-{command}": (files, argv, 1, message)
+       for command, (files, argv, message) in NOT_FINITE.items()},
+    **{f"label-not-a-class-{command}": (
+        {"f.csv": "\n".join([FEATURES_HEADER, *CALM_ROWS, ROW.replace("a,Music", "b,Jazz")])},
+        [command, "{d}/f.csv", *argv], 1, "f.csv: row 'b': unknown class label 'Jazz'")
+       for command, argv in (("calmness", []), ("train-cam", []),
+                             ("evaluate", ["--checkpoint", "{d}/missing.ckpt"]))},
+    # a header and no row; train-cam and evaluate used to end in a traceback
+    **{f"no-rows-{command}": ({"f.csv": FEATURES_HEADER + "\n"}, [command, "{d}/f.csv", *argv], 1,
+                             "f.csv: no feature rows")
+       for command, argv in (("calmness", []), ("train-cam", []),
+                             ("evaluate", ["--checkpoint", "{d}/missing.ckpt"]))},
     "history-not-a-number": ({"h.csv": "epoch,loss\n1,0.5\n2,nope\n"},
                              ["report", "--plot-history", "{d}/h.csv"], 1,
                              "h.csv line 3, column loss: 'nope'"),
@@ -484,20 +517,29 @@ class TestBadInput:
                                                            capsys, name, key, value, argv):
         """A checkpoint whose header config still holds a removed key is
         named and refused; it must be retrained."""
-        with open(os.path.join(tiny_run, name), "rb") as fh:
-            blob = fh.read()
-        start = len(MAGIC) + 4
-        end = start + struct.unpack_from("<I", blob, len(MAGIC))[0]
-        header = json.loads(blob[start:end])
-        header["meta"]["config"][key] = value
-        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         bad = str(tmp_path / name)
-        with open(bad, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<I", len(text)) + text + blob[end:])
+        _rewrite_header(os.path.join(tiny_run, name), bad,
+                        lambda header: header["meta"]["config"].update({key: value}))
         code = run(["--out", str(tmp_path / "out")]
                    + [a.replace("{run}", tiny_run).replace("{bad}", bad) for a in argv])
         assert code == 2
         assert f"unknown config key {bad} config.{key}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [{}, {"features": {"n_mels": 32}}],
+                             ids=["default", "n_mels-32"])
+    def test_encoder_checkpoint_without_feature_params_exits_1(self, tiny_run, tmp_path,
+                                                               caplog, capsys, config):
+        """``embed`` compares the front end a checkpoint was trained with to
+        the config's; a checkpoint that does not record it matches none."""
+        bad = str(tmp_path / "encoder.ckpt")
+        _rewrite_header(os.path.join(tiny_run, "encoder.ckpt"), bad,
+                        lambda header: header["meta"].pop("feature_params"))
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code = run(["--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"),
+                    "embed", os.path.join(tiny_run, "corpus"), "--checkpoint", bad])
+        assert code == 1
+        assert f"{bad}: checkpoint feature params do not match the current config" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("dtype", [">f4", "<f2", "<i8"])
@@ -532,6 +574,20 @@ class TestBadInput:
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == ["MemoryError: Unable to allocate 7.28 TiB for an array"]
         assert "Traceback" not in capsys.readouterr().err
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy the checkpoint ``src`` to ``dst`` with ``edit`` applied to its
+    JSON header in place."""
+    with open(src, "rb") as fh:
+        blob = fh.read()
+    start = len(MAGIC) + 4
+    end = start + struct.unpack_from("<I", blob, len(MAGIC))[0]
+    header = json.loads(blob[start:end])
+    edit(header)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    with open(dst, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", len(text)) + text + blob[end:])
 
 
 def _artifacts(out):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from atscalm import dsp, features
+from atscalm.audio_io import ClassLabel
 from atscalm.util import PipelineError, keyed_rng
 
 
@@ -204,6 +205,7 @@ class TestFeaturesCsv:
         features.write_features_csv(path, rows)
         back = features.read_features_csv(path)
         assert [r[0] for r in back] == ["a", "b"]
+        assert back[0][1] is ClassLabel.MUSIC and back[1][1] is ClassLabel.NORMAL_SILENCE
         assert np.array_equal(back[0][2], rows[0][2])
         assert np.array_equal(back[1][2], rows[1][2])
 
