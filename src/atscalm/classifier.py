@@ -7,6 +7,13 @@ drawn equally often. A sampled batch repeats rows, and the BiLSTM has no noise
 in it, so training runs it once per distinct drawn row and expands its
 output to the batch before dropout. Inputs are z-scored with statistics
 fitted on the training split and stored in the checkpoint.
+
+The CAM computes in float32, as the encoder does: its parameters are the
+float32 rounding of the seeded float64 draws, and `_steps` hands the
+BiLSTM the rows z-scored in float64 and rounded to the parameters' dtype,
+so the LSTM states and gates, the head, the gradients and the Adam moments
+are float32. The z-score buffers stay float64, and so does the loss. A
+checkpoint whose tensors are all float64 loads as is and runs in float64.
 """
 
 from __future__ import annotations
@@ -69,15 +76,18 @@ class BiLstmClassifier:
             self.params[f"{name}.w"] = seeded_init((n_in, n_out), "kaiming-uniform",
                                                    (seed, name), fan_in=n_in)
             self.params[f"{name}.b"] = Tensor(np.zeros(n_out), requires_grad=True)
+        for t in self.params.values():   # a `no_init` placeholder stays zero-byte
+            t.data = t.data.astype(np.float32, copy=False)
         self.norm_mean, self.norm_std = Tensor(np.zeros(N_FEATURES)), Tensor(np.ones(N_FEATURES))
         self.buffers: dict[str, Tensor] = {"norm.mean": self.norm_mean, "norm.std": self.norm_std}
 
     def _steps(self, x: np.ndarray) -> np.ndarray:
-        """The z-scored rows as a (25, N, 1) sequence of scalar steps."""
+        """The rows, z-scored in float64, as a (25, N, 1) sequence of scalar
+        steps in the parameters' dtype."""
         if x.ndim != 2 or x.shape[1] != N_FEATURES:
             raise PipelineError(f"expected (N, {N_FEATURES}) features, got {x.shape}")
         z = (x - self.norm_mean.data) / self.norm_std.data
-        return np.ascontiguousarray(z.T)[:, :, None]
+        return np.ascontiguousarray(z.T, dtype=self.fwd.wh.data.dtype)[:, :, None]
 
     def forward(self, x: np.ndarray, train: bool,
                 rng: np.random.Generator | None = None,

@@ -18,7 +18,8 @@ def no_init():
     """Draw nothing in this thread: `seeded_init` returns a read-only
     zero-byte placeholder of the right shape, for a model whose state is
     about to be replaced, as `load_model` does. The placeholder is float32,
-    so a model that rounds its draws to float32 keeps it zero-byte."""
+    so the encoder and the CAM, which round their draws to float32, keep it
+    zero-byte."""
     prev = getattr(_init_mode, "enabled", True)
     _init_mode.enabled = False
     try:

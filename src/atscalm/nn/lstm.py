@@ -7,7 +7,10 @@ backward is hand-written backpropagation through time; each weight
 gradient is one matmul or sum over all T·B rows. The forward adds
 ``(x@wx + h@wh) + b`` in the same order, and with the same sigmoid, as a
 cell composed from the primitive ops, so its output matches that cell bit
-for bit.
+for bit. It computes in its weights' dtype: h, c and the gates are held in
+the dtype of ``wh``, so float32 weights and steps run in float32, and
+float64 ones in float64. `init_lstm` draws float64 weights; a model that
+computes in float32 rounds them.
 
 Gate layout in the fused weight matrices is (input, forget, candidate,
 output) along the last axis.
@@ -66,10 +69,11 @@ def lstm_final(xs: np.ndarray, w: LstmWeights, reverse: bool = False) -> Tensor:
     params = (w.wx, w.wh, w.b)
     need_grad = grad_enabled() and any(p.requires_grad for p in params)
     x = np.ascontiguousarray(xs[::-1] if reverse else xs)
-    h = np.zeros((n_steps + 1, batch, hid))
-    c = np.zeros((n_steps + 1, batch, hid))
+    dtype = w.wh.data.dtype
+    h = np.zeros((n_steps + 1, batch, hid), dtype)
+    c = np.zeros((n_steps + 1, batch, hid), dtype)
     # Activated gates per step, kept for backward; one reused slot otherwise.
-    gates = np.empty((n_steps if need_grad else 1, batch, 4 * hid))
+    gates = np.empty((n_steps if need_grad else 1, batch, 4 * hid), dtype)
     for t in range(n_steps):
         z = (x[t] @ w.wx.data + h[t] @ w.wh.data) + w.b.data
         a = gates[t % len(gates)]

@@ -9,7 +9,10 @@ parents. Losses that a model owns, such as the encoder's
 Every array an op makes follows its inputs' dtype: float32 inputs give
 float32 outputs, gradients and scratch, and float64 inputs float64 ones.
 Batchnorm's running statistics stay float64 and are cast to the input's
-dtype where eval mode applies them.
+dtype where eval mode applies them. Dropout draws its mask as float64 and
+casts it, so both dtypes drop the same units. The one float64 output is
+the loss of `softmax_crossentropy`, which takes its softmax on a float64
+copy of the logits and hands their gradient back in their own dtype.
 
 A closure keeps only what its backward cannot rebuild from the arrays the
 graph already holds. conv2d, maxpool2d and batchnorm2d keep nothing beyond
@@ -347,7 +350,7 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) -
         return x
     if rng is None:
         raise PipelineError("train-mode dropout needs an explicit rng")
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    mask = ((rng.random(x.data.shape) >= p) / (1.0 - p)).astype(x.data.dtype, copy=False)
     out = Tensor(x.data * mask, x.requires_grad, (x,))
 
     def backward():
@@ -366,12 +369,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_crossentropy(logits: Tensor, targets) -> Tensor:
     """Mean cross-entropy over the batch.
 
-    ``targets`` is an int vector of class indices, shape (N,).
+    ``targets`` is an int vector of class indices, shape (N,). The softmax
+    is taken on a float64 copy of the logits, so a float32 probability
+    that underflows to 0 gives no infinite loss; the loss is float64, and
+    ``logits`` takes the gradient in its own dtype.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
         raise PipelineError(f"softmax_crossentropy shapes: logits {logits.data.shape}, targets {targets.shape}")
-    probs = softmax(logits.data)
+    probs = softmax(logits.data.astype(np.float64, copy=False))
     n = logits.data.shape[0]
     picked = np.clip(probs[np.arange(n), targets], 1e-300, None)
     loss_val = -np.mean(np.log(picked))

@@ -17,6 +17,7 @@ import sys
 import textwrap
 
 from atscalm.cli import main
+from atscalm.nn import load_checkpoint
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,7 +52,9 @@ def test_traced_layers_reached_and_flops_explained(tmp_path):
 def test_shipped_defaults_pass_the_benchmark_checks(tmp_path):
     """perfbench's checks compare each checkpoint's config with the shipped
     `EncoderConfig()` and `CamConfig()`; one epoch of each trainer at every
-    other default, and each checkpoint's reader, passes them."""
+    other default, and each checkpoint's reader, passes them. The shipped
+    cam.ckpt stores its 10 parameters as ``<f4`` and its z-score buffers
+    as ``<f8``."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_checks", os.path.join(ROOT, "perfbench", "checks.py"))
     checks = importlib.util.module_from_spec(spec)
@@ -68,3 +71,8 @@ def test_shipped_defaults_pass_the_benchmark_checks(tmp_path):
         assert main(["--out", out] + step) == 0, step
     stages = ("train-encoder", "embed", "train-cam", "evaluate")
     assert {c: checks.check_stage(c, out, 6) for c in stages} == {c: [] for c in stages}
+    arrays, _ = load_checkpoint(os.path.join(out, "cam.ckpt"))
+    layout = {name: a.dtype.str for name, a in arrays.items()}
+    params = [f"{d}.{k}" for d in ("fwd", "bwd") for k in ("wx", "wh", "b")] + \
+        [f"{fc}.{k}" for fc in ("fc1", "fc2") for k in ("w", "b")]
+    assert layout == {**dict.fromkeys(params, "<f4"), "norm.mean": "<f8", "norm.std": "<f8"}

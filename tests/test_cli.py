@@ -12,12 +12,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from atscalm import cli
+import lstm_oracle
+from atscalm import classifier, cli
 from atscalm.classifier import load_cam, save_cam
 from atscalm.cli import main
 from atscalm.config import RunConfig
 from atscalm.features import FEATURE_NAMES, read_features_csv
-from atscalm.nn.checkpoint import MAGIC
+from atscalm.nn.checkpoint import MAGIC, state_arrays
 from atscalm.util import json_sanitize, read_json
 from tiny_chain import chain_steps, run_chain
 
@@ -752,6 +753,35 @@ class TestTrainCam:
         assert hist[0].splitlines()[0] == b"epoch,loss,acc"
         assert len(hist[0].splitlines()) == 3
         assert hist[0] == hist[1]
+
+    def test_float64_checkpoint_loads_and_evaluates_in_float64(self, tiny_run, tmp_path,
+                                                                monkeypatch):
+        """A cam.ckpt with every tensor stored as ``<f8``, the layout of a CAM
+        trained in float64, loads each tensor as float64, and `evaluate` runs
+        it in float64: it writes the evaluation.json that the LSTM composed
+        from primitive float64 ops gives."""
+        model, meta = load_cam(os.path.join(tiny_run, "cam.ckpt"))
+        for p in model.params.values():
+            p.data = p.data.astype(np.float64)
+        path = str(tmp_path / "f8.ckpt")
+        save_cam(model, path, meta["split"])
+        with open(path, "rb") as fh:
+            assert b'"<f4"' not in fh.read()
+        back, _ = load_cam(path)
+        assert {a.dtype for a in state_arrays(back).values()} == {np.dtype(np.float64)}
+        feats = os.path.join(tiny_run, "features.csv")
+        x = np.stack([vec for _, _, vec in read_features_csv(feats)])
+        assert back.forward(x, train=False).data.dtype == np.float64
+        docs = []
+        for name in ("fused", "composed"):
+            if name == "composed":
+                monkeypatch.setattr(classifier, "bilstm_final", lstm_oracle.bilstm_final)
+            out = str(tmp_path / name)
+            assert run(["--out", out, "evaluate", feats, "--checkpoint", path,
+                        "--split", "test"]) == 0
+            with open(os.path.join(out, "evaluation.json"), "rb") as fh:
+                docs.append(fh.read())
+        assert docs[0] == docs[1]
 
 
 class TestReport:

@@ -87,6 +87,36 @@ class TestFusedAgainstOracle:
         assert np.array_equal(h.data, lstm_run(xs, w)[0].data)
 
 
+class TestFloat32:
+    """`lstm_final` computes in its weights' dtype. At float32 weights and
+    steps it matches the float64 run at the same values: the final h to
+    F32_H_ABS, each weight gradient to F32_GRAD_REL of that gradient's
+    largest float64 entry (about 25x and 10x the largest errors seen on the
+    CAM's shapes)."""
+
+    F32_H_ABS = 1e-6
+    F32_GRAD_REL = 1e-5
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("hidden,batch", [(16, 7), (256, 9)])
+    def test_matches_float64_at_the_same_weights(self, hidden, batch, reverse):
+        w = init_lstm(1, hidden, seed=("f32", hidden))
+        arrays = [p.data.astype(np.float32) for p in (w.wx, w.wh, w.b)]
+        xs = steps(25, batch, 1).astype(np.float32)
+        r = keyed_rng("f32-r", batch).normal(0, 1, (batch, hidden))
+        runs = {}
+        for dtype in (np.float32, np.float64):
+            wd = LstmWeights(*(Tensor(a.astype(dtype), requires_grad=True) for a in arrays))
+            h = lstm_final(xs.astype(dtype), wd, reverse)
+            h.backward(r)
+            runs[dtype] = h.data, [p.grad for p in (wd.wx, wd.wh, wd.b)]
+        (h32, g32), (h64, g64) = runs[np.float32], runs[np.float64]
+        assert h32.dtype == np.float32 and all(g.dtype == np.float32 for g in g32)
+        assert np.max(np.abs(h32 - h64)) <= self.F32_H_ABS
+        for a, b in zip(g32, g64):
+            assert np.max(np.abs(a - b)) <= self.F32_GRAD_REL * np.max(np.abs(b))
+
+
 class TestParamCount:
     def test_formula(self):
         assert lstm_param_count(25, 256) == 4 * ((25 + 256 + 1) * 256)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from atscalm.nn import Tensor, no_grad, ops
+from atscalm.nn import LstmWeights, Tensor, bilstm_final, lstm_final, no_grad, ops
 from atscalm.util import PipelineError, keyed_rng
 from bn_pool_oracle import (maxpool2d_grad_reference, maxpool2d_reference,
                             residual_tail_reference)
@@ -410,6 +410,13 @@ class TestDropout:
         x = Tensor(rand((6, 6), 27), requires_grad=True)
         assert grad_check(lambda: ops.dropout(x, 0.4, True, keyed_rng("dm", 3)), [x]) < 1e-8
 
+    def test_float32_mask_is_the_float64_mask_rounded(self):
+        """The same draws at either dtype: only the mask's dtype follows x."""
+        masks = [ops.dropout(Tensor(np.ones((40, 30), dtype)), 0.3, True, keyed_rng("dm", 4)).data
+                 for dtype in (np.float32, np.float64)]
+        assert masks[0].dtype == np.float32
+        assert np.array_equal(masks[0], masks[1].astype(np.float32))
+
 
 class TestSoftmaxCrossEntropy:
     def test_softmax_rows_sum_to_one(self):
@@ -432,6 +439,18 @@ class TestSoftmaxCrossEntropy:
         logits = Tensor(rand((6, 4), 31), requires_grad=True)
         targets = np.array([0, 1, 2, 3, 0, 1])
         assert grad_check(lambda: ops.softmax_crossentropy(logits, targets), [logits]) < 1e-7
+
+    def test_float32_target_far_below_the_max_gives_the_float64_loss(self):
+        """exp(-120) is 0 in float32: the softmax runs on a float64 copy."""
+        logits = np.array([[0.0, -120.0, 0.0], [0.0, 0.0, 0.0]])
+        want = ops.softmax_crossentropy(Tensor(logits), [1, 0]).item()
+        assert want == pytest.approx(60.896, abs=1e-3)
+        x = Tensor(logits.astype(np.float32), requires_grad=True)
+        with np.errstate(all="raise"):
+            loss = ops.softmax_crossentropy(x, [1, 0])
+            loss.backward()
+        assert loss.item() == want
+        assert x.grad.dtype == np.float32 and np.all(np.isfinite(x.grad))
 
 
 class TestConcatSplit:
@@ -508,7 +527,8 @@ class TestDtypeFollowsInput:
     """Each op returns its output, and passes its gradients, in its inputs'
     dtype: float32 inputs are not widened in a forward or a backward, and
     float64 ones are not narrowed. The output's gradient is handed in as
-    float64, as the encoder's float64 loss hands it on."""
+    float64, as the models' float64 losses hand it on; the loss of
+    `softmax_crossentropy` is itself float64."""
 
     DTYPES = [np.float32, np.float64]
 
@@ -559,6 +579,38 @@ class TestDtypeFollowsInput:
     def test_linear(self, dtype):
         leaves = self._leaves(dtype, rand((4, 6), 79), rand((6, 3), 80), rand((3,), 81))
         self._check(ops.linear(*leaves), leaves, dtype)
+
+    def _lstm_leaves(self, dtype, key):
+        """wx, wh and b of a 2-input, 3-unit LSTM direction."""
+        return self._leaves(dtype, rand((2, 12), key), rand((3, 12), key + 1),
+                            rand((1, 12), key + 2))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_lstm_final(self, dtype, reverse):
+        leaves = self._lstm_leaves(dtype, 82)
+        xs = rand((4, 5, 2), 85).astype(dtype)
+        self._check(lstm_final(xs, LstmWeights(*leaves), reverse), leaves, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_bilstm_final(self, dtype):
+        leaves = self._lstm_leaves(dtype, 86) + self._lstm_leaves(dtype, 89)
+        xs = rand((4, 5, 2), 92).astype(dtype)
+        out = bilstm_final(xs, LstmWeights(*leaves[:3]), LstmWeights(*leaves[3:]))
+        self._check(out, leaves, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_dropout_train(self, dtype):
+        (x,) = self._leaves(dtype, rand((4, 3), 93))
+        self._check(ops.dropout(x, 0.3, True, keyed_rng("dtype-drop", 0)), [x], dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax_crossentropy(self, dtype):
+        """The one exception: the loss is float64 whatever the logits."""
+        (logits,) = self._leaves(dtype, rand((5, 3), 94))
+        loss = ops.softmax_crossentropy(logits, [0, 1, 2, 1, 0])
+        loss.backward()
+        assert loss.data.dtype == np.float64 and logits.grad.dtype == dtype
 
 
 class TestNoGrad:
