@@ -73,6 +73,6 @@ def test_shipped_defaults_pass_the_benchmark_checks(tmp_path):
     assert {c: checks.check_stage(c, out, 6) for c in stages} == {c: [] for c in stages}
     arrays, _ = load_checkpoint(os.path.join(out, "cam.ckpt"))
     layout = {name: a.dtype.str for name, a in arrays.items()}
-    params = [f"{d}.{k}" for d in ("fwd", "bwd") for k in ("wx", "wh", "b")] + \
-        [f"{fc}.{k}" for fc in ("fc1", "fc2") for k in ("w", "b")]
+    params = ([f"{d}.{k}" for d in ("fwd", "bwd") for k in ("wx", "wh", "b")]
+              + [f"{fc}.{k}" for fc in ("fc1", "fc2") for k in ("w", "b")])
     assert layout == {**dict.fromkeys(params, "<f4"), "norm.mean": "<f8", "norm.std": "<f8"}

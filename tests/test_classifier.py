@@ -71,8 +71,10 @@ def full_batch_reference(rows, cfg: CamConfig, seed: int):
 
 DESK_CFG = CamConfig(hidden=16, fc_dim=8, batch=16, lr=0.02, epochs=12)
 
-# Epoch losses of two CAM runs that differ only in float32 summation order,
-# or in float32 against float64 arithmetic, agree to this relative bound.
+# The float32 CAM's epoch losses against a reference that sums in another
+# order (the full-batch loop) or partly in float64 (the composed LSTM, whose
+# zero state is float64) agree to this relative bound; acc and the held-out
+# confusion agree exactly. The largest difference seen was 4.3e-8.
 F32_LOSS_REL = 1e-6
 
 

@@ -772,16 +772,16 @@ class TestTrainCam:
         feats = os.path.join(tiny_run, "features.csv")
         x = np.stack([vec for _, _, vec in read_features_csv(feats)])
         assert back.forward(x, train=False).data.dtype == np.float64
-        docs = []
-        for name in ("fused", "composed"):
-            if name == "composed":
-                monkeypatch.setattr(classifier, "bilstm_final", lstm_oracle.bilstm_final)
-            out = str(tmp_path / name)
+
+        def evaluation(out):
             assert run(["--out", out, "evaluate", feats, "--checkpoint", path,
                         "--split", "test"]) == 0
             with open(os.path.join(out, "evaluation.json"), "rb") as fh:
-                docs.append(fh.read())
-        assert docs[0] == docs[1]
+                return fh.read()
+
+        fused = evaluation(str(tmp_path / "fused"))
+        monkeypatch.setattr(classifier, "bilstm_final", lstm_oracle.bilstm_final)
+        assert evaluation(str(tmp_path / "composed")) == fused
 
 
 class TestReport:
