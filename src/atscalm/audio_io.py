@@ -16,6 +16,7 @@ and a 9-step Horner evaluation.
 
 from __future__ import annotations
 
+import concurrent.futures
 import enum
 import functools
 import logging
@@ -171,6 +172,28 @@ class CorpusManifest:
     def load_clip(self, entry: ManifestEntry, *, target_rate: int) -> np.ndarray:
         x, rate = load_wav(os.path.join(self.root, entry.path))
         return x if rate == target_rate else resample_signal(x, rate, target_rate)
+
+    def map_clips(self, fn, *, target_rate: int, jobs: int):
+        """``fn(entry, samples)`` for each entry in order, its clip loaded at ``target_rate``:
+        ``jobs`` clips in flight, one per thread (at 1, on the caller's). A PipelineError
+        from ``fn`` is raised again with the clip's path in front."""
+
+        def work(entry):
+            x = self.load_clip(entry, target_rate=target_rate)   # a load error names the file
+            try:
+                return fn(entry, x)
+            except PipelineError as exc:
+                raise type(exc)(f"{entry.path}: {exc}") from None
+
+        if jobs <= 1:
+            yield from map(work, self.entries)
+            return
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            in_flight = [pool.submit(work, e) for e in self.entries[:jobs]]
+            for entry in self.entries[jobs:]:
+                yield in_flight.pop(0).result()
+                in_flight.append(pool.submit(work, entry))
+            yield from (future.result() for future in in_flight)
 
     def clip_length(self, entry: ManifestEntry, *, target_rate: int) -> int:
         """Samples `load_clip` returns for ``entry``, from its WAV header alone."""

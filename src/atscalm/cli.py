@@ -51,8 +51,8 @@ from . import dsp, embedding_eval, encoder, features, plots, stats, tsne, valida
 from .audio_io import (CLASS_TONE_HZ, LABELS, CorpusManifest, build_manifest, load_manifest,
                        manifest_of, parse_label, save_manifest, save_wav, synth_corpus)
 from .config import RunConfig, load_config
-from .util import (ConfigError, PipelineError, ensure_dir, json_text, parallel_map,
-                   read_float_csv, read_json, write_csv, write_json)
+from .util import (ConfigError, PipelineError, ensure_dir, json_text, read_float_csv,
+                   read_json, write_csv, write_json)
 
 log = logging.getLogger("atscalm")
 
@@ -109,8 +109,7 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     aug_dir = ensure_dir(os.path.join(out, "augmented"))
 
-    def work(entry):
-        x = manifest.load_clip(entry, target_rate=cfg.rate)
+    def work(entry, x):
         written = []
         for k, var in enumerate(aug_mod.augment_pipeline(x, cfg.rate, entry.clip_id,
                                                          cfg.augment, args.seed)):
@@ -122,7 +121,7 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
             del var   # not alive while the next variant is made
         return written
 
-    variants = [f for written in parallel_map(work, manifest.entries, args.jobs) for f in written]
+    variants = [f for w in manifest.map_clips(work, target_rate=cfg.rate, jobs=args.jobs) for f in w]
     originals = [(os.path.relpath(os.path.join(manifest.root, e.path), aug_dir), e.label)
                  for e in manifest.entries]
     man_path = os.path.join(aug_dir, "manifest.json")
@@ -134,12 +133,9 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
 def cmd_features(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
 
-    def work(entry):
-        x = manifest.load_clip(entry, target_rate=cfg.rate)
-        vec = features.extract_features(x, cfg.rate, cfg.features)
-        return entry.clip_id, entry.label.value, vec
-
-    rows = parallel_map(work, manifest.entries, args.jobs)
+    rows = list(manifest.map_clips(lambda e, x: (
+        e.clip_id, e.label.value, features.extract_features(x, cfg.rate, cfg.features)),
+        target_rate=cfg.rate, jobs=args.jobs))
     path = os.path.join(out, "features.csv")
     features.write_features_csv(path, rows)
     log.info("wrote %d feature rows to %s", len(rows), path)

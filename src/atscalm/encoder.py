@@ -34,7 +34,7 @@ from . import augment, dsp, features
 from .audio_io import CorpusManifest
 from .nn import Adam, Tensor, load_model, no_grad, save_model, seeded_init
 from .nn.ops import batchnorm2d, conv2d, global_avg_pool, linear, maxpool2d
-from .util import PipelineError, keyed_rng, parallel_map
+from .util import PipelineError, keyed_rng
 
 log = logging.getLogger(__name__)
 
@@ -413,12 +413,9 @@ def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest,
                  jobs: int) -> np.ndarray:
     """Eval-mode embeddings, (entries, proj_dim): row i embeds manifest entry
     i. The model runs on 16 clips at a time."""
-
-    def work(entry):
-        x = manifest.load_clip(entry, target_rate=target_rate)
-        return embed_input(x, target_rate, feat_params, model.cfg.frames)
-
-    inputs = parallel_map(work, manifest.entries, jobs)
+    inputs = list(manifest.map_clips(
+        lambda entry, x: embed_input(x, target_rate, feat_params, model.cfg.frames),
+        target_rate=target_rate, jobs=jobs))
     out = np.empty((len(inputs), model.cfg.proj_dim))
     for start in range(0, len(inputs), 16):
         out[start : start + 16] = model.embed(inputs[start : start + 16])

@@ -1,10 +1,8 @@
 """Shared plumbing: keyed counter-based RNG, deterministic file writers,
-even range splits, the ordered parallel map, and the dataclass-from-JSON
-constructor."""
+even range splits, and the dataclass-from-JSON constructor."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -14,7 +12,7 @@ import os
 import sys
 import types
 import typing
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -157,14 +155,6 @@ def even_ranges(n: int, most: int) -> list[tuple[int, int]]:
     items, as equal as can be: no range is a small one next to big ones."""
     k = max(1, -(-n // most))
     return [(i * n // k, (i + 1) * n // k) for i in range(k)]
-
-
-def parallel_map(fn: Callable, items: Iterable, jobs: int) -> list:
-    """``[fn(x) for x in items]`` on up to ``jobs`` threads, in input order."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def dataclass_from_dict(cls, data, path: str = ""):

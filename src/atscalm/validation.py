@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsp
-from .audio_io import CLASS_TONE_HZ, LABELS, ClassLabel, CorpusManifest
-from .util import PipelineError, parallel_map
+from .audio_io import CLASS_TONE_HZ, LABELS, CorpusManifest
+from .util import PipelineError
 
 EDGE_TRIM = 0.05
 
@@ -84,10 +84,10 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
     clip's peak and its share of the class-mean magnitude spectrum, whose
     peak is the class's, so every peak sits on the same grid of
     ``target_rate / n_fft`` Hz. Aggregation is the mean of the per-clip
-    values. Empty classes are reported, not fatal. Clips are loaded inside
-    the per-clip work, ``jobs`` at a time, and each class's spectrum is a
-    running sum in manifest order, so memory follows the clip, not the
-    corpus, and results do not depend on ``jobs``.
+    values. Empty classes are reported, not fatal. The clips come from
+    `CorpusManifest.map_clips`, and each class's spectrum is a running sum
+    in manifest order, so memory follows the clip, not the corpus, and
+    results do not depend on ``jobs``.
     """
     if not manifest.entries:
         raise PipelineError("cannot validate an empty manifest")
@@ -95,23 +95,17 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
     n_fft = dsp.next_pow2(max(manifest.clip_length(e, target_rate=target_rate)
                               for e in manifest.entries))
 
-    def work(entry):
-        x = manifest.load_clip(entry, target_rate=target_rate)
+    def work(entry, x):
         mag = np.abs(dsp.fft(x, n_fft))
         return validate_clip(entry.clip_id, x, target_rate, CLASS_TONE_HZ[entry.label],
                              mag, n_fft), mag
 
     per_clip = []
-    mag_sums: dict[ClassLabel, np.ndarray] = {}
-    step = max(1, jobs)
-    for s in range(0, len(manifest.entries), step):
-        entries = manifest.entries[s : s + step]
-        for entry, (rec, mag) in zip(entries, parallel_map(work, entries, jobs)):
-            per_clip.append(rec)
-            if entry.label in mag_sums:
-                mag_sums[entry.label] += mag
-            else:
-                mag_sums[entry.label] = mag
+    mag_sums = dict.fromkeys(LABELS, 0.0)   # the first += makes a class's array
+    for entry, (rec, mag) in zip(manifest.entries, manifest.map_clips(
+            work, target_rate=target_rate, jobs=jobs)):
+        per_clip.append(rec)
+        mag_sums[entry.label] += mag
 
     per_class: dict[str, dict] = {}
     for label in LABELS:
