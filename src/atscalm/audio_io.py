@@ -2,9 +2,11 @@
 
 WAV support is deliberately narrow: PCM 16-bit or IEEE float 32-bit input,
 1-2 channels; output is always 16-bit PCM mono. A clip is its samples
-array: every stage loads it at the run's ``rate`` (`CorpusManifest.load_clip`
-resamples on ingest), and functions downstream take that rate as an
-argument. `manifest_of` builds every manifest from its files' WAV headers.
+array at the run's ``rate`` (`CorpusManifest.load_clip` resamples on
+ingest), and functions downstream take that rate as an argument. The
+manifest walks its own clips: `CorpusManifest.map_clips` is the one loop of
+every per-clip stage, and it names the clip whose work fails. `manifest_of`
+builds every manifest from its files' WAV headers.
 
 Resampling (`resample_signal`, which every pitch shift ends in) applies a
 64-tap Kaiser(beta=8) windowed sinc in Farrow form: per cutoff, a cached

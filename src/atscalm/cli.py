@@ -33,6 +33,9 @@ doubled) and LF line ends; the CSV readers take the same dialect.
 Exit codes: 0 success, 1 domain error (bad input data, I/O, an allocation
 that does not fit), 2 usage or config error, including a flag value the
 config schema rejects. Either error is logged as one named line on stderr.
+A failure in one clip's work names the clip: by its manifest path in
+``validate``, ``augment``, ``features`` and ``embed``, and by its id in
+``train-encoder``.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
             del var   # not alive while the next variant is made
         return written
 
-    variants = [f for w in manifest.map_clips(work, target_rate=cfg.rate, jobs=args.jobs) for f in w]
+    variants = [f for written in manifest.map_clips(work, target_rate=cfg.rate, jobs=args.jobs)
+                for f in written]
     originals = [(os.path.relpath(os.path.join(manifest.root, e.path), aug_dir), e.label)
                  for e in manifest.entries]
     man_path = os.path.join(aug_dir, "manifest.json")

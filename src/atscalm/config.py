@@ -12,6 +12,7 @@ no part of it: the CLI hands ``--seed`` to each seeded stage.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .audio_io import CANONICAL_RATE, DEFAULT_CLASS_DIRS, ClassLabel, SynthConfig, parse_label
@@ -47,6 +48,11 @@ class RunConfig:
             raise PipelineError(f"synth.duration_s {self.synth.duration_s} makes {samples} "
                                 f"samples at rate {self.rate}; a clip needs at least 1")
         self.class_dir_map()
+        named: dict[str, str] = {}
+        for label, d in self.class_dirs.items():
+            other = named.setdefault(os.path.normpath(d), label)
+            if other != label:
+                raise PipelineError(f"class_dirs maps {other} and {label} to one directory, {d!r}")
         # a view's time mask is drawn over its kept frames: ``frames`` of
         # them, since even the shortest view of a long clip is cropped
         frames = self.encoder.frames

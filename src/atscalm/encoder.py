@@ -280,17 +280,21 @@ def _augmented_view(clip_id: str, x: np.ndarray, rate: int, aug_cfg: augment.Aug
     window is used whole. The noise sigma follows the cropped samples' peak.
     The mask is drawn over the grid the model sees: a grid longer than
     ``frames`` is center-cropped first, so the time mask always lands
-    inside the kept frames; a shorter one is masked, then padded.
+    inside the kept frames; a shorter one is masked, then padded. A
+    PipelineError is raised again with ``clip_id`` in front.
     """
     x = _center_crop(x, _view_window(enc_cfg.frames, feat_params, aug_cfg.stretch_range[1]))
     rng = keyed_rng(seed, "enc-view", clip_id, epoch, view)
-    var = augment.make_variant(x, rate, aug_cfg, rng)
-    grid = features.mel_spectrogram(var, rate, feat_params)
     mask = (aug_cfg.freq_mask_max, aug_cfg.time_mask_max,
             keyed_rng(seed, "enc-mask", clip_id, epoch, view))
-    if grid.n_frames < enc_cfg.frames:
-        return prepare_input(dsp.Grid(augment.spec_mask(grid.values, *mask)), enc_cfg.frames)
-    return augment.spec_mask(prepare_input(grid, enc_cfg.frames), *mask)
+    try:
+        var = augment.make_variant(x, rate, aug_cfg, rng)
+        grid = features.mel_spectrogram(var, rate, feat_params)
+        if grid.n_frames < enc_cfg.frames:
+            return prepare_input(dsp.Grid(augment.spec_mask(grid.values, *mask)), enc_cfg.frames)
+        return augment.spec_mask(prepare_input(grid, enc_cfg.frames), *mask)
+    except PipelineError as exc:
+        raise type(exc)(f"{clip_id}: {exc}") from None
 
 
 def _pair_views(clips, rate, aug_cfg, feat_params, enc_cfg, seed, epoch) -> list[np.ndarray]:

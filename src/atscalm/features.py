@@ -118,18 +118,20 @@ def write_features_csv(path: str, rows: list[tuple[str, str, np.ndarray]]) -> No
 
 
 def read_features_csv(path: str) -> list[tuple[str, ClassLabel, np.ndarray]]:
-    """Rows of (clip_id, label, 25-vector). A table without rows, or a row
-    whose label is no class, raises PipelineError naming the file (and the
-    row's id)."""
+    """Rows of (clip_id, label, 25-vector). A table without rows, a row
+    whose label is no class, or an id on two rows raises PipelineError
+    naming the file (and the row's id)."""
     header, keys, values = read_float_csv(path, ["id", "label"])
     if header[2:] != list(FEATURE_NAMES):
         raise PipelineError(f"unexpected features header in {path}: {header[:4]}...")
     if not keys:
         raise PipelineError(f"{path}: no feature rows")
-    rows = []
+    rows = {}
     for (cid, lab), vec in zip(keys, values):
+        if cid in rows:
+            raise PipelineError(f"{path}: id {cid!r} is on more than one row")
         try:
-            rows.append((cid, parse_label(lab), vec))
+            rows[cid] = (cid, parse_label(lab), vec)
         except PipelineError as exc:
             raise PipelineError(f"{path}: row {cid!r}: {exc}") from None
-    return rows
+    return list(rows.values())

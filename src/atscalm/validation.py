@@ -97,15 +97,14 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
 
     def work(entry, x):
         mag = np.abs(dsp.fft(x, n_fft))
-        return validate_clip(entry.clip_id, x, target_rate, CLASS_TONE_HZ[entry.label],
-                             mag, n_fft), mag
+        return entry.label, validate_clip(entry.clip_id, x, target_rate,
+                                          CLASS_TONE_HZ[entry.label], mag, n_fft), mag
 
     per_clip = []
     mag_sums = dict.fromkeys(LABELS, 0.0)   # the first += makes a class's array
-    for entry, (rec, mag) in zip(manifest.entries, manifest.map_clips(
-            work, target_rate=target_rate, jobs=jobs)):
+    for label, rec, mag in manifest.map_clips(work, target_rate=target_rate, jobs=jobs):
         per_clip.append(rec)
-        mag_sums[entry.label] += mag
+        mag_sums[label] += mag
 
     per_class: dict[str, dict] = {}
     for label in LABELS:

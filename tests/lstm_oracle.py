@@ -1,7 +1,7 @@
 """Reference LSTM composed from primitive ops.
 
 Gradients through time come from the generic reverse-mode machinery, so
-this is the oracle the fused `atscalm.nn.lstm_final` is checked against.
+this is the oracle the fused `atscalm.nn.lstm.lstm_final` is checked against.
 The primitive ops that only the references need live here, not in
 `atscalm.nn.ops`: ``add``, ``matmul``, ``mul``, ``split``, ``sigmoid``
 and ``tanh``, with ``unbroadcast`` for the broadcasting ones and
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from atscalm.nn import LstmWeights, Tensor
+from atscalm.nn import Tensor
+from atscalm.nn.lstm import LstmWeights
 from atscalm.nn.ops import _sigmoid, concat
 from atscalm.util import PipelineError
 

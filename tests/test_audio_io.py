@@ -3,6 +3,8 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 import wave
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 import frontend_oracle
 from atscalm import audio_io as aio
-from atscalm.util import PipelineError, keyed_rng
+from atscalm.util import ConfigError, PipelineError, keyed_rng
 from memtrace import traced_peak
 
 
@@ -234,6 +236,86 @@ class TestManifest:
         assert [e.path for e in back.entries] == [e.path for e in man.entries]
         assert back.counts == man.counts
         assert back.load_clip(back.entries[0], target_rate=16000).size == 1600
+
+
+def music_corpus(root, sizes):
+    """A manifest of one Music clip per size, in samples at 16 kHz, in order."""
+    os.makedirs(root / "Music")
+    for i, n in enumerate(sizes):
+        write_pcm16(root / "Music" / f"c{i}.wav", np.full(n, 100 * (i + 1)))
+    return aio.build_manifest(str(root), {aio.ClassLabel.MUSIC: "Music"})
+
+
+class TestMapClips:
+    SIZES = [900, 100, 700, 300, 500, 200, 800]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_entries_come_back_in_order(self, tmp_path, jobs):
+        man = music_corpus(tmp_path, self.SIZES)
+
+        def fn(entry, x):
+            time.sleep(x.size / 1e5)   # the longer clip finishes later
+            return entry.path, x.size, float(x[0])
+
+        got = list(man.map_clips(fn, target_rate=16000, jobs=jobs))
+        assert got == [(os.path.join("Music", f"c{i}.wav"), n, 100 * (i + 1) / 32768)
+                       for i, n in enumerate(self.SIZES)]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_at_most_jobs_clips_loaded_at_once(self, tmp_path, jobs):
+        man = music_corpus(tmp_path, self.SIZES)
+        load, lock = man.load_clip, threading.Lock()
+        live, peak = [0], [0]
+
+        def counted_load(entry, *, target_rate):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            time.sleep(0.005)
+            return load(entry, target_rate=target_rate)
+
+        def fn(entry, x):
+            time.sleep(0.01)
+            with lock:
+                live[0] -= 1   # the clip's work is done
+            return x.size
+
+        man.load_clip = counted_load
+        assert list(man.map_clips(fn, target_rate=16000, jobs=jobs)) == self.SIZES
+        assert 1 <= peak[0] <= jobs and live[0] == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fn_thread(self, tmp_path, jobs):
+        man = music_corpus(tmp_path, self.SIZES[:3])
+        threads = set(man.map_clips(lambda e, x: threading.get_ident(), target_rate=16000,
+                                    jobs=jobs))
+        caller = threading.get_ident()
+        assert threads == {caller} if jobs == 1 else caller not in threads
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("error", [PipelineError, ConfigError])
+    def test_fn_error_names_the_clip_once(self, tmp_path, jobs, error):
+        man = music_corpus(tmp_path, self.SIZES)
+
+        def fn(entry, x):
+            if entry.path.endswith("c3.wav"):
+                raise error(f"signal of {x.size} samples is too short")
+            return x.size
+
+        with pytest.raises(error) as info:
+            list(man.map_clips(fn, target_rate=16000, jobs=jobs))
+        path = os.path.join("Music", "c3.wav")
+        assert str(info.value) == f"{path}: signal of 300 samples is too short"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_load_error_keeps_its_one_name(self, tmp_path, jobs):
+        man = music_corpus(tmp_path, self.SIZES)
+        bad = tmp_path / "Music" / "c2.wav"
+        bad.write_bytes(bad.read_bytes()[:30])   # cut inside the fmt chunk
+        with pytest.raises(PipelineError, match="runs past the end") as info:
+            list(man.map_clips(lambda e, x: x.size, target_rate=16000, jobs=jobs))
+        assert str(info.value).startswith(f"{bad}: ")
+        assert str(info.value).count("c2.wav") == 1
 
 
 class TestResample:

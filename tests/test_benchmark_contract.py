@@ -17,7 +17,7 @@ import sys
 import textwrap
 
 from atscalm.cli import main
-from atscalm.nn import load_checkpoint
+from atscalm.nn.checkpoint import load_checkpoint
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

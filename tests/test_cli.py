@@ -152,8 +152,9 @@ class TestAugment:
 
 FEATURES_HEADER = ",".join(["id", "label", *FEATURE_NAMES])
 ROW = "a,Music," + ",".join(["0.5"] * len(FEATURE_NAMES))
-# two rows each of the classes `calmness` checks before Music
-CALM_ROWS = [ROW.replace("Music", lab) for lab in ("SpiritualMeditation", "NormalSilence")] * 2
+# two rows each of the classes `calmness` checks before Music, ids c0 to c3
+CALM_ROWS = [ROW.replace("a,Music", f"c{i},{lab}")
+             for i, lab in enumerate(("SpiritualMeditation", "NormalSilence") * 2)]
 # Each command that reads a table of numbers, on a table with a cell that
 # parses as a float but is not finite: (files, argv, message).
 NOT_FINITE_TABLE = "\n".join([FEATURES_HEADER, *CALM_ROWS, ROW.replace("0.5", "{}", 1)])
@@ -261,6 +262,9 @@ BAD_INPUT = {
         {"m.json": '{"entries": [{"path": "x.wav", "label": "Music", "duration_s": 1.0, '
                    '"rate": "16000"}], "counts": {"Music": 1}}'},
         ["validate", "{d}/m.json"], 1, "m.json: entry 0 has no valid 'rate'"),
+    "class-dirs-shared": ({"c.json": '{"class_dirs": {"Music": "X", "NormalSilence": "./X"}}'},
+                          ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
+                          "class_dirs maps Music and NormalSilence to one directory, './X'"),
     "class-dirs-partial": ({"c.json": '{"class_dirs": {"Music": "M"}}'},
                            ["--config", "{d}/c.json", "synth", "--n", "1"], 1,
                            "class_dirs names no directory for SpiritualMeditation, NormalSilence"),
@@ -287,6 +291,13 @@ BAD_INPUT = {
     **{f"label-not-a-class-{command}": (
         {"f.csv": "\n".join([FEATURES_HEADER, *CALM_ROWS, ROW.replace("a,Music", "b,Jazz")])},
         [command, "{d}/f.csv", *argv], 1, "f.csv: row 'b': unknown class label 'Jazz'")
+       for command, argv in (("calmness", []), ("train-cam", []),
+                             ("evaluate", ["--checkpoint", "{d}/missing.ckpt"]))},
+    # train-cam used to put both rows of a repeated id in the held-out report
+    **{f"features-repeated-id-{command}": (
+        {"f.csv": "\n".join([FEATURES_HEADER, *CALM_ROWS, ROW,
+                             ROW.replace("Music", "NormalSilence")])},
+        [command, "{d}/f.csv", *argv], 1, "f.csv: id 'a' is on more than one row")
        for command, argv in (("calmness", []), ("train-cam", []),
                              ("evaluate", ["--checkpoint", "{d}/missing.ckpt"]))},
     # a header and no row; train-cam and evaluate used to end in a traceback
@@ -406,7 +417,41 @@ BAD_INPUT = {
 }
 
 
+# Each per-clip stage on a corpus whose Music/clip_000.wav holds too few
+# samples for it: (samples, extra arguments, the one error logged). The clip
+# is named by its manifest path, and by its id in train-encoder.
+SHORT_CLIP = {
+    "validate": (5, [], "Music/clip_000.wav: analytic signal needs length >= 8, got 5"),
+    "augment": (300, [], "Music/clip_000.wav: clip of 300 samples is shorter than one vocoder "
+                         "window (1024)"),
+    "features": (300, [], "Music/clip_000.wav: signal of 300 samples is shorter than one "
+                          "window (400)"),
+    "embed": (300, ["--checkpoint", "{run}/encoder.ckpt"],
+              "Music/clip_000.wav: signal of 300 samples is shorter than one window (400)"),
+    "train-encoder": (300, [], "Music/clip_000: clip of 300 samples is shorter than one "
+                               "vocoder window (1024)"),
+}
+
+
 class TestBadInput:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("command", list(SHORT_CLIP))
+    def test_short_clip_named_once(self, tiny_run, tmp_path, caplog, capsys, command, jobs):
+        n, argv, message = SHORT_CLIP[command]
+        out = str(tmp_path / "out")
+        run(["--out", out, "--seed", "1", "synth", "--n", "1", "--duration", "1.0"])
+        corpus = os.path.join(out, "corpus")
+        with wave.open(os.path.join(corpus, "Music", "clip_000.wav"), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(np.full(n, 1000, dtype="<i2").tobytes())
+        code = run(["--config", os.path.join(tiny_run, "tiny.json"), "--jobs", str(jobs),
+                    "--out", out, command, corpus] + [a.replace("{run}", tiny_run) for a in argv])
+        assert code == 1
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [message]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_partial_frame_wav_validate_exits_1(self, tmp_path, caplog, capsys):
         out = str(tmp_path / "out")
         run(["--out", out, "--seed", "1", "synth", "--n", "1", "--duration", "1.0"])

@@ -27,6 +27,8 @@ def test_overrides_keep_other_defaults():
     ({"augment": {"stretch_range": [1.0]}}, "config key augment.stretch_range must be"),
     ({"cam": {"dropout": 1.0}}, "config cam: dropout must be in"),
     ({"class_dirs": {"Silence": "x"}}, "unknown class label 'Silence'"),
+    ({"class_dirs": {"Music": "X", "NormalSilence": "X/", "SpiritualMeditation": "S"}},
+     "config document: class_dirs maps Music and NormalSilence to one directory, 'X/'"),
     ({"synth": {"n_per_class": True}}, "config key synth.n_per_class must be int"),
     ({"rate": True}, "config key rate must be int"),
     ({"features": []}, "config features must be an object"),

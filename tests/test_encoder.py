@@ -392,6 +392,15 @@ class TestAugmentedView:
             assert got.shape[1] == self.FRAMES
         assert masked == [self.FRAMES] * 4
 
+    @pytest.mark.parametrize("n,message", [
+        (300, r"Music/c1: clip of 300 samples is shorter than one vocoder window \(1024\)"),
+        (1500, r"Music/c1: mask maxima \(8 bins, 20 frames\) exceed the grid shape"),
+    ])
+    def test_view_failure_names_the_clip(self, n, message):
+        with pytest.raises(PipelineError, match=f"^{message}"):
+            _augmented_view("Music/c1", self._clip(n), 16000, AugmentConfig(), FeatureParams(),
+                            EncoderConfig(frames=self.FRAMES), 0, 0, 0)
+
     def test_tiny_chain_takes_the_crop_path(self, monkeypatch):
         """So the chain's rerun and --jobs tests cover the crop."""
         cfg = dataclass_from_dict(RunConfig, TINY_CONFIG)

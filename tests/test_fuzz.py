@@ -22,8 +22,7 @@ from atscalm.cli import main
 from atscalm.config import RunConfig
 from atscalm.encoder import AcousticEncoder, EncoderConfig, save_encoder
 from atscalm.features import FeatureParams
-from atscalm.nn import load_checkpoint
-from atscalm.nn.checkpoint import MAGIC
+from atscalm.nn.checkpoint import MAGIC, load_checkpoint
 from atscalm.util import ConfigError, PipelineError, dataclass_from_dict
 from test_audio_io import write_float32
 

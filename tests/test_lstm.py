@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from atscalm.nn import LstmWeights, Tensor, bilstm_final, init_lstm, lstm_final, no_grad
+from atscalm.nn import Tensor, bilstm_final, init_lstm, no_grad
+from atscalm.nn.lstm import LstmWeights, lstm_final
 from atscalm.util import PipelineError, keyed_rng
 from gradcheck import grad_check
 from lstm_oracle import lstm_cell, lstm_param_count, lstm_run

@@ -11,8 +11,7 @@ import pytest
 from atscalm.classifier import BiLstmClassifier, CamConfig, load_cam, save_cam
 from atscalm.encoder import AcousticEncoder, EncoderConfig, load_encoder, save_encoder
 from atscalm.features import FeatureParams
-from atscalm.nn import load_checkpoint, save_checkpoint
-from atscalm.nn.checkpoint import load_state, state_arrays
+from atscalm.nn.checkpoint import load_checkpoint, load_state, save_checkpoint, state_arrays
 from atscalm.util import PipelineError, keyed_rng
 from memtrace import traced_peak
 

@@ -6,8 +6,8 @@ import pytest
 
 from adam_oracle import adam_steps
 from atscalm.encoder import AcousticEncoder, EncoderConfig
-from atscalm.nn import Adam, Tensor, load_checkpoint, save_checkpoint, seeded_init
-from atscalm.nn.checkpoint import MAGIC
+from atscalm.nn import Adam, Tensor, seeded_init
+from atscalm.nn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from atscalm.nn.init import no_init
 from atscalm.nn.optim import CHUNK
 from atscalm.util import PipelineError, keyed_rng

@@ -20,6 +20,11 @@ otherwise the value comes from the caller and the default is a second
 source of it. A call is matched to a function by its bare or attribute
 name alone, and a call with ``*args`` or ``**kwargs`` counts as leaving
 anything out.
+
+Every name a package ``__init__`` imports from its submodules must be
+imported through that package (``from atscalm.nn import Adam``, or its
+relative form) by some other module in ``src/atscalm`` or ``perfbench``;
+otherwise the re-export is a second path to the name that only tests take.
 """
 
 import ast
@@ -195,3 +200,51 @@ def test_what_counts_as_a_member_read():
     assert _members(tree) == [("K", "a"), ("K", "c"), ("K", "d")]   # not b or __init__
     reads = _attribute_reads(ast.parse("k = K(a=1)\nk.c = 2\ndel k.d\nk.e += 1\nprint(k.f.g)\n"))
     assert reads == {"f", "g"}
+
+
+def _module_name(path: Path) -> str:
+    """Dotted name of a ``src/atscalm`` or ``perfbench`` file; a package's
+    ``__init__`` is named as the package."""
+    parts = list(path.relative_to(PACKAGE.parent if PACKAGE in path.parents else ROOT)
+                 .with_suffix("").parts)
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports_from(tree: ast.Module, name: str, is_package: bool) -> list[tuple[str, str]]:
+    """(absolute module, name bound) of every ``from ... import`` in module
+    ``name``; a relative import is resolved against the module's package."""
+    package = (name if is_package else name.rpartition(".")[0]).split(".")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = [node.module] if node.module else []
+            if node.level:
+                parts = package[: len(package) - node.level + 1] + parts
+            found.extend((".".join(parts), a.asname or a.name) for a in node.names)
+    return found
+
+
+def test_every_package_reexport_is_imported_through_the_package():
+    sources, trees = _parsed()
+    imports = {path: _imports_from(tree, _module_name(path), path.name == "__init__.py")
+               for path, tree in trees.items()}
+    unused = []
+    for init in (p for p in sources if p.name == "__init__.py"):
+        package = _module_name(init)
+        taken = {bound for path, found in imports.items() if path != init
+                 for module, bound in found if module == package}
+        unused += [f"{init.relative_to(ROOT)}: {bound}" for module, bound in imports[init]
+                   if (module + ".").startswith(package + ".") and bound not in taken]
+    assert not unused, "re-exports no module imports through the package:\n" + "\n".join(unused)
+
+
+def test_what_a_package_import_is():
+    tree = ast.parse("from . import ops\nfrom .lstm import lstm_final as lf\n"
+                     "from ..util import keyed_rng\nfrom atscalm.nn import Adam\n")
+    assert _imports_from(tree, "atscalm.nn", True) == [
+        ("atscalm.nn", "ops"), ("atscalm.nn.lstm", "lf"), ("atscalm.util", "keyed_rng"),
+        ("atscalm.nn", "Adam")]
+    assert _imports_from(tree, "atscalm.nn.optim", False)[:2] == [
+        ("atscalm.nn", "ops"), ("atscalm.nn.lstm", "lf")]
+    assert _module_name(PACKAGE / "nn" / "__init__.py") == "atscalm.nn"
+    assert _module_name(ROOT / "perfbench" / "tracer.py") == "perfbench.tracer"

@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from atscalm.nn import LstmWeights, Tensor, bilstm_final, lstm_final, no_grad, ops
+from atscalm.nn import Tensor, bilstm_final, no_grad, ops
+from atscalm.nn.lstm import LstmWeights, lstm_final
 from atscalm.util import PipelineError, keyed_rng
 from bn_pool_oracle import (maxpool2d_grad_reference, maxpool2d_reference,
                             residual_tail_reference)
