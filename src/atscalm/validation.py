@@ -100,11 +100,10 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
         return entry.label, validate_clip(entry.clip_id, x, target_rate,
                                           CLASS_TONE_HZ[entry.label], mag, n_fft), mag
 
-    per_clip = []
-    mag_sums = dict.fromkeys(LABELS, 0.0)   # the first += makes a class's array
+    per_clip, mag_sums = [], {}
     for label, rec, mag in manifest.map_clips(work, target_rate=target_rate, jobs=jobs):
         per_clip.append(rec)
-        mag_sums[label] += mag
+        mag_sums[label] = np.add(mag_sums.get(label, 0.0), mag, out=mag)   # into mag: no third array
 
     per_class: dict[str, dict] = {}
     for label in LABELS:

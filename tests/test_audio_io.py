@@ -290,7 +290,7 @@ class TestMapClips:
         threads = set(man.map_clips(lambda e, x: threading.get_ident(), target_rate=16000,
                                     jobs=jobs))
         caller = threading.get_ident()
-        assert threads == {caller} if jobs == 1 else caller not in threads
+        assert (threads == {caller}) if jobs == 1 else (caller not in threads)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("error", [PipelineError, ConfigError])
