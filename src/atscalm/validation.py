@@ -103,7 +103,7 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
     per_clip, mag_sums = [], {}
     for label, rec, mag in manifest.map_clips(work, target_rate=target_rate, jobs=jobs):
         per_clip.append(rec)
-        mag_sums[label] = np.add(mag_sums.get(label, 0.0), mag, out=mag)   # into mag: no third array
+        mag_sums[label] = np.add(mag_sums.get(label, 0.0), mag, out=mag)   # no third array
 
     per_class: dict[str, dict] = {}
     for label in LABELS:
