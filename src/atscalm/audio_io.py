@@ -154,8 +154,12 @@ def save_wav(x: np.ndarray, rate: int, path: str) -> None:
 class ManifestEntry:
     path: str            # relative to the manifest location
     label: ClassLabel
-    duration_s: float
+    frames: int          # samples per channel, from the WAV header
     rate: int
+
+    @property
+    def duration_s(self) -> float:
+        return self.frames / self.rate
 
     @property
     def clip_id(self) -> str:
@@ -198,9 +202,10 @@ class CorpusManifest:
             yield from (future.result() for future in in_flight)
 
     def clip_length(self, entry: ManifestEntry, *, target_rate: int) -> int:
-        """Samples `load_clip` returns for ``entry``, from its WAV header alone."""
-        n, rate = _wav_frames(os.path.join(self.root, entry.path))
-        return n if rate == target_rate else resampled_length(n, rate, target_rate)
+        """Samples `load_clip` returns for ``entry``, from the entry alone."""
+        if entry.rate == target_rate:
+            return entry.frames
+        return resampled_length(entry.frames, entry.rate, target_rate)
 
 
 def _wav_frames(path: str) -> tuple[int, int]:
@@ -215,13 +220,13 @@ def _wav_frames(path: str) -> tuple[int, int]:
 
 def manifest_of(root: str, files: list[tuple[str, ClassLabel]]) -> CorpusManifest:
     """The manifest of ``files``, (path relative to ``root``, label) pairs,
-    sorted by path. Each entry's duration and rate come from a header-only
-    probe of its file; the samples are decoded on demand by `load_clip`."""
-    entries = []
-    for rel_path, label in files:
-        n, rate = _wav_frames(os.path.join(root, rel_path))
-        entries.append(ManifestEntry(rel_path, label, n / rate, rate))
-    entries.sort(key=lambda e: e.path)
+    sorted by path; an empty list is rejected. Each entry's frames and rate
+    come from a header-only probe of its file; the samples are decoded on
+    demand by `load_clip`."""
+    if not files:
+        raise PipelineError(f"empty corpus under {root!r}")
+    entries = sorted((ManifestEntry(rel_path, label, *_wav_frames(os.path.join(root, rel_path)))
+                      for rel_path, label in files), key=lambda e: e.path)
     return CorpusManifest(entries=entries, root=root)
 
 
@@ -251,8 +256,6 @@ def build_manifest(root: str, class_dir_map: dict[ClassLabel, str]) -> CorpusMan
             if not name.lower().endswith(".wav"):
                 continue
             files.append((os.path.join(sub, name), label))
-    if not files:
-        raise PipelineError(f"empty corpus under {root!r}")
     return manifest_of(root, files)
 
 
@@ -275,18 +278,18 @@ def save_manifest(manifest: CorpusManifest, path: str) -> None:
 _ENTRY_TYPES = {"path": str, "label": str, "duration_s": (int, float), "rate": int}
 
 
-def _manifest_entry(i: int, item) -> ManifestEntry:
+def _manifest_file(i: int, item) -> tuple[str, ClassLabel]:
     for key, tp in _ENTRY_TYPES.items():
         value = item.get(key) if isinstance(item, dict) else None
         if not isinstance(value, tp) or isinstance(value, bool):
             raise PipelineError(f"entry {i} has no valid {key!r}: {item!r}")
-    return ManifestEntry(item["path"], parse_label(item["label"]),
-                         float(item["duration_s"]), item["rate"])
+    return item["path"], parse_label(item["label"])
 
 
 def load_manifest(path: str) -> CorpusManifest:
-    """Read a manifest written by save_manifest; a malformed document raises
-    PipelineError naming the file."""
+    """Read a manifest written by save_manifest, its entries rebuilt by
+    `manifest_of` from the WAV headers, in path order; a malformed document
+    or header raises PipelineError naming the manifest."""
     try:
         obj = read_json(path)
     except ValueError as exc:
@@ -296,11 +299,11 @@ def load_manifest(path: str) -> CorpusManifest:
         raise PipelineError(f"{path}: a manifest is an object with an 'entries' list "
                             "and a 'counts' object")
     try:
-        entries = [_manifest_entry(i, item) for i, item in enumerate(obj["entries"])]
+        files = [_manifest_file(i, item) for i, item in enumerate(obj["entries"])]
         stored = {parse_label(k): v for k, v in obj["counts"].items()}
+        manifest = manifest_of(os.path.dirname(os.path.abspath(path)), files)
     except PipelineError as exc:
         raise PipelineError(f"{path}: {exc}") from None
-    manifest = CorpusManifest(entries=entries, root=os.path.dirname(os.path.abspath(path)))
     if any(stored.get(lab, 0) != n for lab, n in manifest.counts.items()):
         raise PipelineError(f"{path}: stored class counts do not match the entries")
     return manifest

@@ -34,8 +34,10 @@ Exit codes: 0 success, 1 domain error (bad input data, I/O, an allocation
 that does not fit), 2 usage or config error, including a flag value the
 config schema rejects. Either error is logged as one named line on stderr.
 A failure in one clip's work names the clip: by its manifest path in
-``validate``, ``augment``, ``features`` and ``embed``, and by its id in
-``train-encoder``.
+``validate``, ``augment``, ``features`` and ``embed``, and when
+``train-encoder`` loads it; by its id in a ``train-encoder`` view. A clip
+that a manifest lists without a valid WAV header fails when the manifest
+loads, named after the manifest and the clip.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def cmd_features(args, cfg: RunConfig, out: str) -> list[str]:
 def cmd_train_encoder(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     model, history = encoder.train_encoder(manifest, cfg.encoder, cfg.augment, cfg.features,
-                                           args.seed, target_rate=cfg.rate)
+                                           args.seed, target_rate=cfg.rate, jobs=args.jobs)
     ckpt = os.path.join(out, "encoder.ckpt")
     encoder.save_encoder(model, ckpt, cfg.features)
     hist_path = _write_history(os.path.join(out, "encoder_history.csv"), history)

@@ -23,6 +23,7 @@ checkpoint stores each tensor in its own dtype.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -314,7 +315,8 @@ def _pair_metrics(model: AcousticEncoder, clips, rate, aug_cfg, feat_params, see
 
 def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
                   aug_cfg: augment.AugmentConfig, feat_params: features.FeatureParams,
-                  seed: int, *, target_rate: int) -> tuple[AcousticEncoder, list[dict]]:
+                  seed: int, *, target_rate: int,
+                  jobs: int) -> tuple[AcousticEncoder, list[dict]]:
     """Positive-pair contrastive training of ``cfg.architecture()`` on the
     schedule the rest of the section sets; deterministic for ``seed``.
 
@@ -334,8 +336,8 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
         raise PipelineError("validation split leaves no training clips")
     # every view reads only its clip's centre window, so only that is held
     window = _view_window(cfg.frames, feat_params, aug_cfg.stretch_range[1])
-    clips = [(e.clip_id, _center_crop(manifest.load_clip(e, target_rate=target_rate), window))
-             for e in manifest.entries]
+    clips = list(manifest.map_clips(lambda e, x: (e.clip_id, _center_crop(x, window)),
+                                    target_rate=target_rate, jobs=jobs))
     val_clips = [clips[i] for i in order[:n_val]]
     train_clips = [clips[i] for i in order[n_val:]]
 
@@ -416,11 +418,12 @@ def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest,
                  feat_params: features.FeatureParams, *, target_rate: int,
                  jobs: int) -> np.ndarray:
     """Eval-mode embeddings, (entries, proj_dim): row i embeds manifest entry
-    i. The model runs on 16 clips at a time."""
-    inputs = list(manifest.map_clips(
+    i. The model runs on 16 clips at a time, each batch as soon as the walk
+    has made its inputs, so no more than 16 are held."""
+    inputs = manifest.map_clips(
         lambda entry, x: embed_input(x, target_rate, feat_params, model.cfg.frames),
-        target_rate=target_rate, jobs=jobs))
-    out = np.empty((len(inputs), model.cfg.proj_dim))
-    for start in range(0, len(inputs), 16):
-        out[start : start + 16] = model.embed(inputs[start : start + 16])
+        target_rate=target_rate, jobs=jobs)
+    out = np.empty((len(manifest.entries), model.cfg.proj_dim))
+    for start in range(0, len(out), 16):
+        out[start : start + 16] = model.embed(list(itertools.islice(inputs, 16)))
     return out

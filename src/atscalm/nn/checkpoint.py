@@ -101,7 +101,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     STORED_DTYPES), shape and byte range are checked against the file
     before any array is built; a file that fails a check raises
     PipelineError naming it. Each tensor is read straight from the file
-    into its own array of its stored dtype, so the payload is held once.
+    into its own array of its stored dtype, so the payload is held once,
+    and a tensor holding a NaN or infinity is rejected by name.
     """
     try:
         with open(path, "rb") as fh:
@@ -141,6 +142,8 @@ def _read_checkpoint(fh, path: str, size: int) -> tuple[dict[str, np.ndarray], d
         fh.seek(start + hlen + offset)
         if fh.readinto(arr) != nbytes:
             raise PipelineError(f"{path}: tensor {name!r} was cut short while reading")
+        if not np.isfinite(arr).all():
+            raise PipelineError(f"{path}: tensor {name!r} holds a non-finite value")
         tensors[name] = arr
     return tensors, meta
 

@@ -80,14 +80,14 @@ def validate_corpus(manifest: CorpusManifest, *, target_rate: int, jobs: int) ->
     tone, plus per-class aggregates.
 
     Every clip is loaded at ``target_rate`` and takes one FFT, at the size
-    the WAV headers give for the longest clip. That spectrum gives both the
-    clip's peak and its share of the class-mean magnitude spectrum, whose
-    peak is the class's, so every peak sits on the same grid of
-    ``target_rate / n_fft`` Hz. Aggregation is the mean of the per-clip
-    values. Empty classes are reported, not fatal. The clips come from
-    `CorpusManifest.map_clips`, and each class's spectrum is a running sum
-    in manifest order, so memory follows the clip, not the corpus, and
-    results do not depend on ``jobs``.
+    the manifest's entries give for the longest clip, so each WAV header is
+    read once, by the load. That spectrum gives both the clip's peak and
+    its share of the class-mean magnitude spectrum, whose peak is the
+    class's, so every peak sits on the same grid of ``target_rate / n_fft``
+    Hz. Aggregation is the mean of the per-clip values. Empty classes are
+    reported, not fatal. The clips come from `CorpusManifest.map_clips`,
+    and each class's spectrum is a running sum in manifest order, so memory
+    follows the clip, not the corpus, and results do not depend on ``jobs``.
     """
     if not manifest.entries:
         raise PipelineError("cannot validate an empty manifest")

@@ -18,7 +18,7 @@ from atscalm.classifier import load_cam, save_cam
 from atscalm.cli import main
 from atscalm.config import RunConfig
 from atscalm.features import FEATURE_NAMES, read_features_csv
-from atscalm.nn.checkpoint import MAGIC, state_arrays
+from atscalm.nn.checkpoint import MAGIC, load_checkpoint, save_checkpoint, state_arrays
 from atscalm.util import json_sanitize, read_json
 from tiny_chain import chain_steps, run_chain
 
@@ -258,6 +258,15 @@ BAD_INPUT = {
     "manifest-entry-no-label": ({"m.json": '{"entries": [{"path": "x.wav"}], "counts": {}}'},
                                 ["validate", "{d}/m.json"], 1,
                                 "m.json: entry 0 has no valid 'label'"),
+    # these three used to write an empty table, manifest or embedding file
+    **{f"manifest-empty-{command}": ({"m.json": '{"entries": [], "counts": {}}'},
+                                     [command, "{d}/m.json", *argv], 1,
+                                     "m.json: empty corpus under")
+       for command, argv in (("features", []), ("augment", []),
+                             ("embed", ["--checkpoint", "{d}/missing.ckpt"]))},
+    # every listed clip's header is read when the manifest loads
+    "manifest-wav-missing": ({"m.json": TWO_CLIPS["m.json"]}, ["features", "{d}/m.json"], 1,
+                             "m.json: cannot read"),
     "manifest-entry-rate-string": (
         {"m.json": '{"entries": [{"path": "x.wav", "label": "Music", "duration_s": 1.0, '
                    '"rate": "16000"}], "counts": {"Music": 1}}'},
@@ -338,10 +347,10 @@ BAD_INPUT = {
         {**TWO_CLIPS, "c.json": '{"encoder": {"frames": 32, "widths": [8, 16, 32, 64]}}'},
         ["--config", "{d}/c.json", "train-encoder", "{d}/m.json", "--epochs", "1"], 1,
         "mask maxima (8 bins, 20 frames) exceed the grid shape (64 bins, 13 frames)"),
-    # The split needs only the clip count, so it fails before a clip is read:
-    # neither WAV file exists.
+    # The split needs only the clip count, so it fails before a clip's
+    # samples are read; the manifest's load reads the two WAV headers.
     "encoder-split-leaves-no-training-clips": (
-        {"m.json": TWO_CLIPS["m.json"], "c.json": '{"encoder": {"val_fraction": 0.9}}'},
+        {**TWO_CLIPS, "c.json": '{"encoder": {"val_fraction": 0.9}}'},
         ["--config", "{d}/c.json", "train-encoder", "{d}/m.json"], 1,
         "validation split leaves no training clips"),
     "flag-synth-n-zero": ({}, ["synth", "--n", "0"], 2, "config synth: n_per_class must be >= 1"),
@@ -602,6 +611,25 @@ class TestBadInput:
                     "--checkpoint", str(bad)])
         assert code == 1
         assert "bad.ckpt: malformed index entry for tensor 'stem.conv'" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,argv", [
+        ("encoder.ckpt", ["embed", "{run}/corpus", "--checkpoint", "{bad}"]),
+        ("cam.ckpt", ["evaluate", "{run}/features.csv", "--checkpoint", "{bad}"]),
+    ], ids=["embed", "evaluate"])
+    def test_non_finite_checkpoint_tensor_exits_1(self, tiny_run, tmp_path, caplog, capsys,
+                                                  name, argv):
+        """One NaN in a stored tensor is named, not run: ``embed`` used to
+        write NaN rows and ``evaluate`` to report chance accuracy."""
+        arrays, meta = load_checkpoint(os.path.join(tiny_run, name))
+        first = next(iter(arrays))
+        arrays[first].flat[0] = np.nan
+        bad = str(tmp_path / name)
+        save_checkpoint(bad, arrays, meta)
+        code = run(["--out", str(tmp_path / "out")]
+                   + [a.replace("{run}", tiny_run).replace("{bad}", bad) for a in argv])
+        assert code == 1
+        assert f"{bad}: tensor {first!r} holds a non-finite value" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
     def test_sub_sample_duration_writes_nothing(self, tmp_path):

@@ -420,7 +420,7 @@ class TestTrainEmbed:
         return aio.synth_corpus(str(root), aio.SynthConfig(n_per_class=2, duration_s=1.0),
                                 aio.DEFAULT_CLASS_DIRS, 16000, seed=4)
 
-    DATA_KW = {"target_rate": 16000}
+    DATA_KW = {"target_rate": 16000, "jobs": 1}
 
     def _cfg(self):
         return EncoderConfig(widths=(4, 8, 16, 32), proj_dim=8, frames=32)
@@ -474,6 +474,22 @@ class TestTrainEmbed:
         back, meta = load_encoder(path)
         assert np.array_equal(x, embed_corpus(back, corpus, self._feat(),
                                               target_rate=16000, jobs=1))
+
+    def test_embed_memory_follows_the_batch_not_the_corpus(self, tmp_path):
+        """Each batch of 16 is embedded as the walk makes it, so 96 clips
+        peak no higher than 24 do, under 1.2x; holding every input until
+        the walk ends peaked at 1.42x."""
+        model = AcousticEncoder(EncoderConfig(widths=(4, 8, 16, 32), proj_dim=8, frames=64),
+                                seed=0)
+        mans = [aio.synth_corpus(str(tmp_path / str(n)),
+                                 aio.SynthConfig(n_per_class=n, duration_s=0.5),
+                                 aio.DEFAULT_CLASS_DIRS, 16000, seed=5)
+                for n in (8, 32)]  # 24 and 96 clips
+        for jobs in (1, 2):
+            peaks = [traced_peak(lambda: embed_corpus(model, man, FeatureParams(),
+                                                      target_rate=16000, jobs=jobs))[1]
+                     for man in mans]
+            assert peaks[1] <= 1.2 * peaks[0], f"jobs {jobs}: peaked at {peaks} bytes"
 
     def test_val_loss_is_contrastive_loss_of_the_pair_batch(self, corpus):
         cfg, aug, feat = self._cfg(), self._aug(), self._feat()

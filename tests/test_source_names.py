@@ -25,6 +25,9 @@ Every name a package ``__init__`` imports from its submodules must be
 imported through that package (``from atscalm.nn import Adam``, or its
 relative form) by some other module in ``src/atscalm`` or ``perfbench``;
 otherwise the re-export is a second path to the name that only tests take.
+
+A manifest has one constructor: ``ManifestEntry(`` and ``CorpusManifest(``
+are called in ``src/atscalm`` only inside ``audio_io.manifest_of``.
 """
 
 import ast
@@ -249,3 +252,39 @@ def test_what_a_package_import_is():
         "atscalm.nn", "atscalm.nn.lstm", "atscalm.util", "atscalm.nn"]
     assert _module_name(PACKAGE / "nn" / "__init__.py") == "atscalm.nn"
     assert _module_name(ROOT / "perfbench" / "tracer.py") == "perfbench.tracer"
+
+
+def _calls_of(tree: ast.Module, names: set[str]) -> list[tuple[str, str, int]]:
+    """(name called, innermost enclosing function or ``<module>``, line) of
+    every call in ``tree`` to a bare or attribute name in ``names``."""
+    found = []
+
+    def visit(node, where: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.append((name, where, child.lineno))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_manifests_are_built_only_by_manifest_of():
+    """`manifest_of` is the one constructor of a manifest and its entries,
+    so every entry's frames and rate come from its WAV header."""
+    sources, trees = _parsed()
+    elsewhere = [f"{path.relative_to(ROOT)}:{line} {name}( in {where}"
+                 for path in sources
+                 for name, where, line in _calls_of(trees[path],
+                                                    {"ManifestEntry", "CorpusManifest"})
+                 if not (path.name == "audio_io.py" and where == "manifest_of")]
+    assert not elsewhere, "manifests built outside manifest_of:\n" + "\n".join(elsewhere)
+
+
+def test_what_a_call_site_is():
+    tree = ast.parse("x = K()\ndef f():\n    def g():\n        return m.K(1)\n    return K\n"
+                     "class C:\n    def h(self):\n        return [K() for _ in ()]\n")
+    assert _calls_of(tree, {"K"}) == [("K", "<module>", 1), ("K", "g", 4), ("K", "h", 8)]

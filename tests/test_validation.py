@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +178,22 @@ class TestValidateCorpus:
             peaks = [traced_peak(lambda: val.validate_corpus(man, target_rate=16000,
                                                              jobs=jobs))[1] for man in mans]
             assert peaks[1] <= 1.5 * peaks[0], f"jobs {jobs}: peaked at {peaks} bytes"
+
+    def test_one_header_read_per_clip(self, tmp_path, monkeypatch):
+        """The FFT size comes from the manifest's entries, so each WAV header
+        is parsed once, when its clip is loaded."""
+        man = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=2, duration_s=0.5),
+                               aio.DEFAULT_CLASS_DIRS, 16000, seed=1)
+        paths = []
+        read_header = aio._read_header
+
+        def counted(fh, path):
+            paths.append(path)
+            return read_header(fh, path)
+
+        monkeypatch.setattr(aio, "_read_header", counted)
+        val.validate_corpus(man, target_rate=16000, jobs=1)
+        assert sorted(paths) == sorted(os.path.join(man.root, e.path) for e in man.entries)
 
     @pytest.mark.parametrize("rate", [8000, 16000, 22050])
     def test_fft_size_from_headers_matches_loaded_clips(self, tmp_path, rate):
