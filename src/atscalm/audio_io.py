@@ -124,7 +124,7 @@ def load_wav(path: str) -> tuple[np.ndarray, int]:
             fh.seek(offset)
             data = fh.read(size)
     except OSError as exc:
-        raise PipelineError(f"cannot read {path}: {exc}") from exc
+        raise PipelineError(f"cannot read {path}: {exc.strerror}") from exc
     if audio_format == 1:
         raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     else:
@@ -147,7 +147,7 @@ def save_wav(x: np.ndarray, rate: int, path: str) -> None:
             wav.setframerate(rate)
             wav.writeframes(quant.tobytes())
     except OSError as exc:
-        raise PipelineError(f"cannot write {path}: {exc}") from exc
+        raise PipelineError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 @dataclass(frozen=True)
@@ -214,17 +214,20 @@ def _wav_frames(path: str) -> tuple[int, int]:
         with open(path, "rb") as fh:
             _, n_ch, rate, bits, _, size = _read_header(fh, path)
     except OSError as exc:
-        raise PipelineError(f"cannot read {path}: {exc}") from exc
+        raise PipelineError(f"cannot read {path}: {exc.strerror}") from exc
     return size // (n_ch * bits // 8), rate
 
 
 def manifest_of(root: str, files: list[tuple[str, ClassLabel]]) -> CorpusManifest:
-    """The manifest of ``files``, (path relative to ``root``, label) pairs,
-    sorted by path; an empty list is rejected. Each entry's frames and rate
-    come from a header-only probe of its file; the samples are decoded on
-    demand by `load_clip`."""
+    """The manifest of ``files``, (path relative to ``root``, label) pairs, sorted
+    by path; an empty list, or a path listed twice after `os.path.normpath`, is
+    rejected. Each entry's frames and rate come from a header-only probe of its
+    file; the samples are decoded on demand by `load_clip`."""
     if not files:
         raise PipelineError(f"empty corpus under {root!r}")
+    paths = sorted(os.path.normpath(rel_path) for rel_path, _ in files)
+    if twice := [a for a, b in zip(paths, paths[1:]) if a == b]:
+        raise PipelineError(f"{twice[0]} is listed more than once")
     entries = sorted((ManifestEntry(rel_path, label, *_wav_frames(os.path.join(root, rel_path)))
                       for rel_path, label in files), key=lambda e: e.path)
     return CorpusManifest(entries=entries, root=root)

@@ -75,9 +75,7 @@ class BiLstmClassifier:
                                     ("fc2", (cfg.fc_dim, len(LABELS)))):
             self.params[f"{name}.w"] = seeded_init((n_in, n_out), "kaiming-uniform",
                                                    (seed, name), fan_in=n_in)
-            self.params[f"{name}.b"] = Tensor(np.zeros(n_out), requires_grad=True)
-        for t in self.params.values():   # a `no_init` placeholder stays zero-byte
-            t.data = t.data.astype(np.float32, copy=False)
+            self.params[f"{name}.b"] = Tensor(np.zeros(n_out, np.float32), requires_grad=True)
         self.norm_mean, self.norm_std = Tensor(np.zeros(N_FEATURES)), Tensor(np.ones(N_FEATURES))
         self.buffers: dict[str, Tensor] = {"norm.mean": self.norm_mean, "norm.std": self.norm_std}
 

@@ -183,7 +183,7 @@ def cmd_eval_embeddings(args, cfg: RunConfig, out: str) -> list[str]:
     geo_path = os.path.join(out, "embedding_geometry.json")
     write_json(geo_path, embedding_eval.geometry_report(ids, labels, x))
     produced = [geo_path]
-    if len(ids) >= 5:
+    if len(ids) >= tsne.MIN_POINTS:
         y, kl_history = tsne.tsne(x, cfg.tsne, args.seed)
         tsne_path = os.path.join(out, "tsne.csv")
         write_csv(tsne_path, ["id", "label", "x", "y"],
@@ -193,7 +193,7 @@ def cmd_eval_embeddings(args, cfg: RunConfig, out: str) -> list[str]:
         write_csv(kl_path, ["iter", "kl"], list(enumerate(kl_history)))
         produced += [tsne_path, kl_path]
     else:
-        log.warning("fewer than 5 embeddings: skipping the 2-d projection")
+        log.warning("fewer than %d embeddings: skipping the 2-d projection", tsne.MIN_POINTS)
     return produced
 
 

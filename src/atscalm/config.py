@@ -72,7 +72,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     ``{"section.key": value}`` overrides."""
     try:
         data = read_json(path) if path else {}
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     dataclass_from_dict(RunConfig, data)
     for key, value in overrides.items():

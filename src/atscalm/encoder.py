@@ -139,9 +139,7 @@ class AcousticEncoder:
                                                      requires_grad=True)
 
     def _param(self, name: str, shape, seed, fan_in=None) -> Tensor:
-        """A seeded draw rounded to float32; a `no_init` placeholder stays zero-byte."""
         t = self.params[name] = seeded_init(shape, "kaiming-uniform", (seed, name), fan_in=fan_in)
-        t.data = t.data.astype(np.float32, copy=False)
         return t
 
     def _bn(self, name: str, c: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:

@@ -108,7 +108,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         with open(path, "rb") as fh:
             return _read_checkpoint(fh, path, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
-        raise PipelineError(f"cannot read {path}: {exc}") from exc
+        raise PipelineError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _read_checkpoint(fh, path: str, size: int) -> tuple[dict[str, np.ndarray], dict]:

@@ -17,9 +17,7 @@ _init_mode = threading.local()
 def no_init():
     """Draw nothing in this thread: `seeded_init` returns a read-only
     zero-byte placeholder of the right shape, for a model whose state is
-    about to be replaced, as `load_model` does. The placeholder is float32,
-    so the encoder and the CAM, which round their draws to float32, keep it
-    zero-byte."""
+    about to be replaced, as `load_model` does."""
     prev = getattr(_init_mode, "enabled", True)
     _init_mode.enabled = False
     try:
@@ -30,7 +28,7 @@ def no_init():
 
 def seeded_init(shape, scheme: str, seed, fan_in: int | None = None,
                 r: float | None = None) -> Tensor:
-    """A trainable tensor, deterministic per (shape, scheme, seed).
+    """The trainable float32 rounding of a float64 draw keyed by (shape, scheme, seed).
 
     - "kaiming-uniform": U(-b, b) with b = sqrt(6 / fan_in), the uniform
       distribution whose std matches sqrt(2 / fan_in).
@@ -49,5 +47,5 @@ def seeded_init(shape, scheme: str, seed, fan_in: int | None = None,
         raise PipelineError(f"unknown init scheme {scheme!r}")
     if not getattr(_init_mode, "enabled", True):
         return Tensor(np.broadcast_to(np.float32(0.0), shape), requires_grad=True)
-    return Tensor(keyed_rng("init", scheme, seed, shape).uniform(-bound, bound, shape),
-                  requires_grad=True)
+    draw = keyed_rng("init", scheme, seed, shape).uniform(-bound, bound, shape)
+    return Tensor(draw.astype(np.float32), requires_grad=True)

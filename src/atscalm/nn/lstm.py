@@ -9,8 +9,7 @@ gradient is one matmul or sum over all T·B rows. The forward adds
 cell composed from the primitive ops, so its output matches that cell bit
 for bit. It computes in its weights' dtype: h, c and the gates are held in
 the dtype of ``wh``, so float32 weights and steps run in float32, and
-float64 ones in float64. `init_lstm` draws float64 weights; a model that
-computes in float32 rounds them.
+float64 ones in float64.
 
 Gate layout in the fused weight matrices is (input, forget, candidate,
 output) along the last axis.
@@ -49,7 +48,7 @@ def init_lstm(input_dim: int, hidden: int, seed) -> LstmWeights:
     r = 1.0 / np.sqrt(hidden)
     wx = seeded_init((input_dim, 4 * hidden), "uniform", (seed, "wx"), r=r)
     wh = seeded_init((hidden, 4 * hidden), "uniform", (seed, "wh"), r=r)
-    b = np.zeros((1, 4 * hidden))
+    b = np.zeros((1, 4 * hidden), np.float32)
     b[0, hidden : 2 * hidden] = 1.0
     return LstmWeights(wx=wx, wh=wh, b=Tensor(b, requires_grad=True))
 

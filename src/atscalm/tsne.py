@@ -16,6 +16,7 @@ import numpy as np
 
 from .util import PipelineError, keyed_rng
 
+MIN_POINTS = 5           # the fewest points `perplexity_affinities` takes
 _P_FLOOR = 1e-12
 # each point's bisection stops this many nats from its target entropy, or after this many steps
 _ENTROPY_TOL, _BISECT_STEPS = 1e-5, 64
@@ -64,8 +65,8 @@ def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     entropy, to _ENTROPY_TOL nats.
     """
     n = x.shape[0]
-    if n < 5:
-        raise PipelineError("t-SNE needs at least 5 points")
+    if n < MIN_POINTS:
+        raise PipelineError(f"t-SNE needs at least {MIN_POINTS} points")
     if not (1.0 <= perplexity < n):
         raise PipelineError(f"perplexity must be in [1, n), got {perplexity} for n={n}")
     sq = pairwise_sq_dists(x)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lstm_oracle
-from atscalm import classifier, cli
+from atscalm import classifier, cli, tsne
 from atscalm.classifier import load_cam, save_cam
 from atscalm.cli import main
 from atscalm.config import RunConfig
@@ -266,7 +266,17 @@ BAD_INPUT = {
                              ("embed", ["--checkpoint", "{d}/missing.ckpt"]))},
     # every listed clip's header is read when the manifest loads
     "manifest-wav-missing": ({"m.json": TWO_CLIPS["m.json"]}, ["features", "{d}/m.json"], 1,
-                             "m.json: cannot read"),
+                             "m.json: cannot read {d}/a.wav: No such file or directory"),
+    # features used to write two rows of one id, one per label
+    **{f"manifest-path-listed-twice-{name}": (
+        {"m.json": json.dumps({"entries": [{"path": p, "label": lab, "duration_s": 0.15,
+                                            "rate": 16000}
+                                           for p, lab in (("a.wav", "Music"),
+                                                          (again, "NormalSilence"))],
+                               "counts": {"Music": 1, "NormalSilence": 1}}),
+         "a.wav": _tone_wav(0.15)},
+        ["features", "{d}/m.json"], 1, "m.json: a.wav is listed more than once")
+       for name, again in (("as-written", "a.wav"), ("after-normpath", "./a.wav"))},
     "manifest-entry-rate-string": (
         {"m.json": '{"entries": [{"path": "x.wav", "label": "Music", "duration_s": 1.0, '
                    '"rate": "16000"}], "counts": {"Music": 1}}'},
@@ -324,6 +334,8 @@ BAD_INPUT = {
     "removed-validation.phase_search": ({"c.json": '{"validation": {"phase_search": false}}'},
                                         ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
                                         "unknown config key validation"),
+    "config-missing": ({}, ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
+                       "cannot read config {d}/c.json: No such file or directory"),
     "removed-seed": ({"c.json": '{"seed": 1}'}, ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
                      "unknown config key seed"),
     **{f"zero-{section}.{key}": ({"c.json": json.dumps({section: {key: 0}})},
@@ -515,8 +527,13 @@ class TestBadInput:
             got, said = exc.code, None
         err = capsys.readouterr().err
         assert got == code
-        assert message in (err if said is None else said)
+        assert message.replace("{d}", d) in (err if said is None else said)
         assert "Traceback" not in err
+
+    def test_missing_wav_named_once(self, tmp_path, caplog):
+        (tmp_path / "m.json").write_text(TWO_CLIPS["m.json"])
+        assert run(["--out", str(tmp_path / "out"), "features", str(tmp_path / "m.json")]) == 1
+        assert caplog.text.count(str(tmp_path / "a.wav")) == 1
 
     def test_corrupt_artifacts_index_stops_before_the_command(self, tmp_path):
         out = tmp_path / "out"
@@ -761,6 +778,16 @@ class TestEndToEnd:
             run(["--out", str(tmp_path / "out"), "eval-embeddings",
                  os.path.join(tiny_run, "embeddings.csv"), "--plot"])
         assert exc.value.code == 2
+
+    def test_eval_embeddings_below_the_tsne_minimum_skips_the_projection(self, tmp_path, caplog):
+        n = tsne.MIN_POINTS - 1
+        (tmp_path / "e.csv").write_text("id,label,e0,e1\n" + "".join(
+            f"c{i},{('Music', 'NormalSilence')[i % 2]},{i},{i * i}\n" for i in range(n)))
+        out = tmp_path / "out"
+        assert run(["--out", str(out), "eval-embeddings", str(tmp_path / "e.csv")]) == 0
+        assert sorted(os.listdir(out)) == ["artifacts.json", "embedding_geometry.json"]
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+            f"fewer than {tsne.MIN_POINTS} embeddings: skipping the 2-d projection"]
 
     def test_evaluate_reproduces_heldout_report(self, tiny_run):
         with open(os.path.join(tiny_run, "evaluation.json"), "rb") as fh:

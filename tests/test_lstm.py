@@ -16,6 +16,14 @@ def zero_weights(d, h):
     )
 
 
+def init_lstm64(input_dim, hidden, seed):
+    """`init_lstm`'s float32 weights cast to float64, for the float64
+    gradcheck and the oracle comparisons."""
+    w = init_lstm(input_dim, hidden, seed)
+    return LstmWeights(*(Tensor(p.data.astype(np.float64), requires_grad=True)
+                         for p in (w.wx, w.wh, w.b)))
+
+
 def steps(n_steps, batch, dim, key="x"):
     return np.stack([keyed_rng(key, t).normal(0, 1, (batch, dim)) for t in range(n_steps)])
 
@@ -47,7 +55,7 @@ class TestLstmCell:
             lstm_final(np.ones((2, 3)), w)
 
     def test_bptt_gradcheck_3_steps(self):
-        w = init_lstm(3, 4, seed=("bptt", 0))
+        w = init_lstm64(3, 4, seed=("bptt", 0))
         xs = steps(3, 2, 3)
         assert grad_check(lambda: lstm_final(xs, w), [w.wx, w.wh, w.b]) < 1e-5
 
@@ -58,14 +66,14 @@ class TestFusedAgainstOracle:
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("n_steps,dim", [(6, 2), (1, 25)])
     def test_gradcheck(self, reverse, n_steps, dim):
-        w = init_lstm(dim, 3, seed=("gc", n_steps, reverse))
+        w = init_lstm64(dim, 3, seed=("gc", n_steps, reverse))
         xs = steps(n_steps, 2, dim)
         assert grad_check(lambda: lstm_final(xs, w, reverse), [w.wx, w.wh, w.b]) < 1e-5
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("n_steps,dim", [(25, 1), (1, 25), (4, 3)])
     def test_forward_bit_identical_and_grads_agree(self, reverse, n_steps, dim):
-        w = init_lstm(dim, 16, seed=("or", n_steps, reverse))
+        w = init_lstm64(dim, 16, seed=("or", n_steps, reverse))
         xs = steps(n_steps, 7, dim)
         r = keyed_rng("r", 2).normal(0, 1, (7, 16))
         grads = []
@@ -80,7 +88,7 @@ class TestFusedAgainstOracle:
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_no_grad_builds_no_node(self):
-        w = init_lstm(2, 5, seed=("ng", 0))
+        w = init_lstm64(2, 5, seed=("ng", 0))
         xs = steps(4, 3, 2)
         with no_grad():
             h = lstm_final(xs, w)
@@ -102,7 +110,7 @@ class TestFloat32:
     @pytest.mark.parametrize("hidden,batch", [(16, 7), (256, 9)])
     def test_matches_float64_at_the_same_weights(self, hidden, batch, reverse):
         w = init_lstm(1, hidden, seed=("f32", hidden))
-        arrays = [p.data.astype(np.float32) for p in (w.wx, w.wh, w.b)]
+        arrays = [p.data for p in (w.wx, w.wh, w.b)]
         xs = steps(25, batch, 1).astype(np.float32)
         r = keyed_rng("f32-r", batch).normal(0, 1, (batch, hidden))
         runs = {}
@@ -137,6 +145,15 @@ class TestBiLstm:
         out_rev_swapped = bilstm_final(xs[::-1], bwd, fwd).data
         swapped = np.concatenate([out_rev_swapped[:, 3:], out_rev_swapped[:, :3]], axis=1)
         assert np.max(np.abs(out - swapped)) < 1e-9
+
+    def test_init_is_float32_rounding_of_the_float64_draw(self):
+        w = init_lstm(4, 6, seed=("s", 3))
+        r = 1.0 / np.sqrt(6)
+        for name, shape in (("wx", (4, 24)), ("wh", (6, 24))):
+            draw = keyed_rng("init", "uniform", (("s", 3), name), shape).uniform(-r, r, shape)
+            got = getattr(w, name).data
+            assert got.dtype == np.float32 and got.tobytes() == draw.astype(np.float32).tobytes()
+        assert w.b.data.dtype == np.float32
 
     def test_deterministic_init(self):
         a = init_lstm(4, 6, seed=("s", 2))

@@ -134,6 +134,15 @@ class TestSeededInit:
         measured = t.data.std()
         assert 0.8 * target <= measured <= 1.2 * target
 
+    @pytest.mark.parametrize("scheme,bound", [("kaiming-uniform", np.sqrt(6.0 / 21)),
+                                              ("uniform", 0.3)])
+    def test_float32_rounding_of_the_float64_draw(self, scheme, bound):
+        shape = (4, 7, 3)
+        t = seeded_init(shape, scheme, ("k", 5), r=0.3)
+        draw = keyed_rng("init", scheme, ("k", 5), shape).uniform(-bound, bound, shape)
+        assert t.data.dtype == np.float32
+        assert t.data.tobytes() == draw.astype(np.float32).tobytes()
+
     def test_uniform_range(self):
         t = seeded_init((10000,), "uniform", 1, r=0.1)
         assert np.all(np.abs(t.data) <= 0.1)

@@ -26,6 +26,9 @@ imported through that package (``from atscalm.nn import Adam``, or its
 relative form) by some other module in ``src/atscalm`` or ``perfbench``;
 otherwise the re-export is a second path to the name that only tests take.
 
+A model's weights are rounded to float32 in one place: ``astype(np.float32``
+appears in ``src/atscalm`` only in ``nn/init.py``.
+
 A manifest has one constructor: ``ManifestEntry(`` and ``CorpusManifest(``
 are called in ``src/atscalm`` only inside ``audio_io.manifest_of``.
 """
@@ -282,6 +285,16 @@ def test_manifests_are_built_only_by_manifest_of():
                                                     {"ManifestEntry", "CorpusManifest"})
                  if not (path.name == "audio_io.py" and where == "manifest_of")]
     assert not elsewhere, "manifests built outside manifest_of:\n" + "\n".join(elsewhere)
+
+
+def test_only_nn_init_rounds_to_float32():
+    """`seeded_init` rounds every seeded draw, so no model rounds its own weights."""
+    sources, _ = _parsed()
+    elsewhere = [f"{path.relative_to(ROOT)}:{n}" for path in sources
+                 if path != PACKAGE / "nn" / "init.py"
+                 for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if "astype(np.float32" in line]
+    assert not elsewhere, "float32 roundings outside nn/init.py:\n" + "\n".join(elsewhere)
 
 
 def test_what_a_call_site_is():
