@@ -219,17 +219,17 @@ def _wav_frames(path: str) -> tuple[int, int]:
 
 
 def manifest_of(root: str, files: list[tuple[str, ClassLabel]]) -> CorpusManifest:
-    """The manifest of ``files``, (path relative to ``root``, label) pairs, sorted
-    by path; an empty list, or a path listed twice after `os.path.normpath`, is
-    rejected. Each entry's frames and rate come from a header-only probe of its
-    file; the samples are decoded on demand by `load_clip`."""
+    """The manifest of ``files``, (path relative to ``root``, label) pairs, each
+    path kept and sorted after `os.path.normpath` (``./a.wav`` is clip ``a``); an
+    empty list, or a path listed twice, is rejected. Each entry's frames and rate
+    come from a header-only probe of its file; `load_clip` decodes the samples."""
     if not files:
         raise PipelineError(f"empty corpus under {root!r}")
-    paths = sorted(os.path.normpath(rel_path) for rel_path, _ in files)
-    if twice := [a for a, b in zip(paths, paths[1:]) if a == b]:
+    files = sorted((os.path.normpath(rel_path), label) for rel_path, label in files)
+    if twice := [a for (a, _), (b, _) in zip(files, files[1:]) if a == b]:
         raise PipelineError(f"{twice[0]} is listed more than once")
-    entries = sorted((ManifestEntry(rel_path, label, *_wav_frames(os.path.join(root, rel_path)))
-                      for rel_path, label in files), key=lambda e: e.path)
+    entries = [ManifestEntry(rel_path, label, *_wav_frames(os.path.join(root, rel_path)))
+               for rel_path, label in files]
     return CorpusManifest(entries=entries, root=root)
 
 
@@ -263,19 +263,11 @@ def build_manifest(root: str, class_dir_map: dict[ClassLabel, str]) -> CorpusMan
 
 
 def save_manifest(manifest: CorpusManifest, path: str) -> None:
-    obj = {
-        "entries": [
-            {
-                "path": e.path.replace(os.sep, "/"),
-                "label": e.label.value,
-                "duration_s": e.duration_s,
-                "rate": e.rate,
-            }
-            for e in manifest.entries
-        ],
+    write_json(path, {
+        "entries": [{"path": e.path.replace(os.sep, "/"), "label": e.label.value,
+                     "duration_s": e.duration_s, "rate": e.rate} for e in manifest.entries],
         "counts": {lab.value: n for lab, n in manifest.counts.items()},
-    }
-    write_json(path, obj)
+    })
 
 
 _ENTRY_TYPES = {"path": str, "label": str, "duration_s": (int, float), "rate": int}

@@ -19,6 +19,7 @@ checkpoint whose tensors are all float64 loads as is and runs in float64.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -179,6 +180,7 @@ def train_cam(rows, cfg: CamConfig, seed: int) -> tuple[BiLstmClassifier, list[d
     rows before dropout; duplicates would give it identical outputs, so
     this changes the gradients only by summation order.
 
+    A non-finite batch loss raises PipelineError naming the epoch and batch.
     History rows: epoch, loss (mean over the epoch's batches), train-set
     accuracy; they hold no wall-clock value, so a fixed seed reproduces them
     exactly. Each epoch's elapsed time goes to the INFO log line instead.
@@ -206,9 +208,12 @@ def train_cam(rows, cfg: CamConfig, seed: int) -> tuple[BiLstmClassifier, list[d
             rng = keyed_rng(seed, "dropout", epoch, b)
             loss = softmax_crossentropy(
                 model.forward(x_train[uniq], train=True, rng=rng, rows=inv), y_train[sel])
+            losses.append(loss.item())
+            if not math.isfinite(losses[-1]):
+                raise PipelineError(f"cam training diverged: loss {losses[-1]} at epoch "
+                                    f"{epoch + 1}, batch {b + 1}")
             loss.backward()
             opt.step()
-            losses.append(loss.item())
         acc = float(np.mean(model.predict(x_train) == y_train))
         history.append({
             "epoch": epoch + 1,

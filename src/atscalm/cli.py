@@ -9,8 +9,11 @@ output directory (``--out``, else $SMSAT_OUT, else ``./out``) and calls
 and returns the files it wrote; `main` lists them under the command's name
 in ``artifacts.json``. ``report --print-default-config`` is answered before
 all this and creates nothing. A stage gets its config section whole and
-reads its own leaves. `report` draws every chart that can be drawn from an
-artifact; only ``validate --plot`` draws its own, as its overlays need the audio.
+reads its own leaves. The log-mel front end is no config section: it is
+fixed in `features`, an encoder checkpoint records it, and ``embed``
+refuses a checkpoint that records another. `report` draws every chart
+that can be drawn from an artifact; only ``validate --plot`` draws its
+own, as its overlays need the audio.
 
 Each analysis document is written once, as JSON. ``train-cam``'s
 ``cam_heldout_eval.json`` is built as ``evaluate --split test`` builds its
@@ -47,6 +50,7 @@ import logging
 import os
 import sys
 from dataclasses import asdict
+from pathlib import PurePath
 
 import numpy as np
 
@@ -115,10 +119,13 @@ def cmd_augment(args, cfg: RunConfig, out: str) -> list[str]:
     aug_dir = ensure_dir(os.path.join(out, "augmented"))
 
     def work(entry, x):
+        # without its anchor and '..' parts, the entry's path stays under aug_dir
+        path = PurePath(os.path.splitext(entry.path)[0])
+        stem = os.path.join(*[p for p in path.parts if p not in (path.anchor, os.pardir)])
         written = []
         for k, var in enumerate(aug_mod.augment_pipeline(x, cfg.rate, entry.clip_id,
                                                          cfg.augment, args.seed)):
-            rel = f"{os.path.splitext(entry.path)[0]}.aug{k}.wav"
+            rel = f"{stem}.aug{k}.wav"
             full = os.path.join(aug_dir, rel)
             ensure_dir(os.path.dirname(full))
             save_wav(var, cfg.rate, full)
@@ -140,7 +147,7 @@ def cmd_features(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
 
     rows = list(manifest.map_clips(lambda e, x: (
-        e.clip_id, e.label.value, features.extract_features(x, cfg.rate, cfg.features)),
+        e.clip_id, e.label.value, features.extract_features(x, cfg.rate)),
         target_rate=cfg.rate, jobs=args.jobs))
     path = os.path.join(out, "features.csv")
     features.write_features_csv(path, rows)
@@ -150,10 +157,10 @@ def cmd_features(args, cfg: RunConfig, out: str) -> list[str]:
 
 def cmd_train_encoder(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
-    model, history = encoder.train_encoder(manifest, cfg.encoder, cfg.augment, cfg.features,
-                                           args.seed, target_rate=cfg.rate, jobs=args.jobs)
+    model, history = encoder.train_encoder(manifest, cfg.encoder, cfg.augment, args.seed,
+                                           target_rate=cfg.rate, jobs=args.jobs)
     ckpt = os.path.join(out, "encoder.ckpt")
-    encoder.save_encoder(model, ckpt, cfg.features)
+    encoder.save_encoder(model, ckpt)
     hist_path = _write_history(os.path.join(out, "encoder_history.csv"), history)
     side = "val" if "val_cossim" in history[-1] else "train"
     log.info("final %s cosine similarity %.4f", side, history[-1][f"{side}_cossim"])
@@ -163,11 +170,10 @@ def cmd_train_encoder(args, cfg: RunConfig, out: str) -> list[str]:
 def cmd_embed(args, cfg: RunConfig, out: str) -> list[str]:
     manifest = _load_corpus(args, cfg)
     model, meta = encoder.load_encoder(args.checkpoint)
-    if meta.get("feature_params") != asdict(cfg.features):   # a missing entry matches nothing
+    if meta.get("feature_params") != features.FRONT_END:   # a missing entry matches nothing
         raise PipelineError(f"{args.checkpoint}: checkpoint feature params do not match "
-                            f"the current config")
-    x = encoder.embed_corpus(model, manifest, cfg.features,
-                             target_rate=cfg.rate, jobs=args.jobs)
+                            f"the log-mel front end")
+    x = encoder.embed_corpus(model, manifest, target_rate=cfg.rate, jobs=args.jobs)
     path = os.path.join(out, "embeddings.csv")
     write_csv(path, ["id", "label"] + [f"e{i}" for i in range(model.cfg.proj_dim)],
               [[e.clip_id, e.label.value] + [float(v) for v in row]

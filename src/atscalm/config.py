@@ -7,7 +7,9 @@ mistyped or out-of-range values are rejected by dotted key path so typos
 fail loudly. `load_config` resolves a run's config in one order: the
 defaults, then the file (checked as written), then the command's flag
 overrides (``section.key`` paths, checked by the same schema). The seed is
-no part of it: the CLI hands ``--seed`` to each seeded stage.
+no part of it: the CLI hands ``--seed`` to each seeded stage. Neither is
+the log-mel front end, which `features` fixes; ``rate`` is checked by
+building its filterbank at that rate.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .audio_io import CANONICAL_RATE, DEFAULT_CLASS_DIRS, ClassLabel, SynthConfi
 from .augment import AugmentConfig
 from .classifier import CamConfig
 from .encoder import EncoderSection, shortest_view_frames
-from .features import FeatureParams
+from .features import mel_filterbank
 from .tsne import TsneSection
 from .util import ConfigError, PipelineError, dataclass_from_dict, read_json
 
@@ -30,18 +32,13 @@ class RunConfig:
     class_dirs: dict[str, str] = field(
         default_factory=lambda: {lab.value: d for lab, d in DEFAULT_CLASS_DIRS.items()})
     synth: SynthConfig = field(default_factory=SynthConfig)
-    features: FeatureParams = field(default_factory=FeatureParams)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     encoder: EncoderSection = field(default_factory=EncoderSection)
     cam: CamConfig = field(default_factory=CamConfig)
     tsne: TsneSection = field(default_factory=TsneSection)
 
     def __post_init__(self):
-        if self.rate < 1:
-            raise PipelineError(f"rate must be >= 1, got {self.rate}")
-        if self.features.f_hi > self.rate / 2:
-            raise PipelineError(f"features.f_hi {self.features.f_hi} is above rate / 2 "
-                                f"({self.rate / 2:g})")
+        mel_filterbank(self.rate)   # the one rate check: the fixed front end takes 16-28.9 kHz
         # `synth_signal` makes this many samples; a clip of none cannot be written
         samples = round(self.synth.duration_s * self.rate)
         if samples < 1:
@@ -57,7 +54,7 @@ class RunConfig:
         # them, since even the shortest view of a long clip is cropped
         frames = self.encoder.frames
         if frames < self.augment.time_mask_max:
-            least = shortest_view_frames(frames, self.features, self.augment.stretch_range[1])
+            least = shortest_view_frames(frames, self.augment.stretch_range[1])
             raise PipelineError(
                 f"encoder.frames {frames}: the shortest training view has {least} mel "
                 f"frames and keeps {frames}, fewer than augment.time_mask_max "

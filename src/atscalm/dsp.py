@@ -100,12 +100,8 @@ def stft(x, win_len: int, hop: int, n_fft: int) -> Grid:
     conjugates of these and are not stored.
     """
     x = np.asarray(x, dtype=np.float64)
-    if hop < 1:
-        raise PipelineError("hop must be >= 1")
     if x.size < win_len:
         raise PipelineError(f"signal of {x.size} samples is shorter than one window ({win_len})")
-    if n_fft < win_len:
-        raise PipelineError("n_fft must be >= win_len")
     frames = 1 + (x.size - win_len) // hop
     segs = np.lib.stride_tricks.sliding_window_view(x, win_len)[:: hop][:frames]
     return Grid(np.fft.rfft(segs * hann(win_len), n=n_fft, axis=1).T)
@@ -137,8 +133,6 @@ def build_mel_filterbank(n_mels: int, n_fft: int, rate: float,
     rescaled so its sampled peak is exactly 1. A filter whose support
     contains no FFT bin is reported as infeasible spacing.
     """
-    if n_mels < 2:
-        raise PipelineError("need n_mels >= 2")
     if not (0.0 <= f_lo < f_hi <= rate / 2.0):
         raise PipelineError(f"need 0 <= f_lo < f_hi <= rate/2, got ({f_lo}, {f_hi}) at {rate} Hz")
     edges_mel = np.linspace(mel_scale(f_lo), mel_scale(f_hi), n_mels + 2)
@@ -154,8 +148,8 @@ def build_mel_filterbank(n_mels: int, n_fft: int, rate: float,
         peak = tri.max()
         if peak <= 0.0:
             raise PipelineError(
-                f"infeasible mel spacing: filter {k} ({left:.1f}-{right:.1f} Hz) covers no FFT bin"
-            )
+                f"infeasible mel spacing: filter {k} ({left:.1f}-{right:.1f} Hz) covers no "
+                f"FFT bin at {rate} Hz")
         weights[k] = tri / peak
     weights.flags.writeable = False
     return weights

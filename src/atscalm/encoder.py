@@ -27,7 +27,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -241,11 +241,11 @@ def prepare_input(grid: dsp.Grid, frames: int) -> np.ndarray:
     return out
 
 
-def _view_window(frames: int, params: features.FeatureParams, stretch_max: float) -> int:
+def _view_window(frames: int, stretch_max: float) -> int:
     """Samples a training view's clip is center-cropped to: the span of
     ``frames`` mel frames, ((frames - 1) * hop + win), times the largest
     stretch rate, plus two vocoder windows of margin for the vocoder's edges."""
-    span = (frames - 1) * params.hop + params.win
+    span = (frames - 1) * features.HOP + features.WIN
     return math.ceil(span * stretch_max) + 2 * augment.VOCODER_WIN
 
 
@@ -258,16 +258,15 @@ def _center_crop(x: np.ndarray, n: int) -> np.ndarray:
     return x[start : start + n].copy()
 
 
-def shortest_view_frames(frames: int, params: features.FeatureParams, stretch_max: float) -> int:
+def shortest_view_frames(frames: int, stretch_max: float) -> int:
     """Mel frames of the shortest view a clip longer than `_view_window` gives:
     a stretch by ``stretch_max`` leaves round(window / stretch_max) samples."""
-    n = int(round(_view_window(frames, params, stretch_max) / stretch_max))
-    return 1 + (n - params.win) // params.hop
+    n = int(round(_view_window(frames, stretch_max) / stretch_max))
+    return 1 + (n - features.WIN) // features.HOP
 
 
 def _augmented_view(clip_id: str, x: np.ndarray, rate: int, aug_cfg: augment.AugmentConfig,
-                    feat_params: features.FeatureParams, enc_cfg: EncoderConfig,
-                    seed, epoch: int, view: int) -> np.ndarray:
+                    enc_cfg: EncoderConfig, seed, epoch: int, view: int) -> np.ndarray:
     """One training view: crop the clip, draw a variant, log-mel, then cut
     the grid to ``frames``, mask it, and pad it.
 
@@ -282,13 +281,13 @@ def _augmented_view(clip_id: str, x: np.ndarray, rate: int, aug_cfg: augment.Aug
     inside the kept frames; a shorter one is masked, then padded. A
     PipelineError is raised again with ``clip_id`` in front.
     """
-    x = _center_crop(x, _view_window(enc_cfg.frames, feat_params, aug_cfg.stretch_range[1]))
+    x = _center_crop(x, _view_window(enc_cfg.frames, aug_cfg.stretch_range[1]))
     rng = keyed_rng(seed, "enc-view", clip_id, epoch, view)
     mask = (aug_cfg.freq_mask_max, aug_cfg.time_mask_max,
             keyed_rng(seed, "enc-mask", clip_id, epoch, view))
     try:
         var = augment.make_variant(x, rate, aug_cfg, rng)
-        grid = features.mel_spectrogram(var, rate, feat_params)
+        grid = features.mel_spectrogram(var, rate)
         if grid.n_frames < enc_cfg.frames:
             return prepare_input(dsp.Grid(augment.spec_mask(grid.values, *mask)), enc_cfg.frames)
         return augment.spec_mask(prepare_input(grid, enc_cfg.frames), *mask)
@@ -296,15 +295,15 @@ def _augmented_view(clip_id: str, x: np.ndarray, rate: int, aug_cfg: augment.Aug
         raise type(exc)(f"{clip_id}: {exc}") from None
 
 
-def _pair_views(clips, rate, aug_cfg, feat_params, enc_cfg, seed, epoch) -> list[np.ndarray]:
+def _pair_views(clips, rate, aug_cfg, enc_cfg, seed, epoch) -> list[np.ndarray]:
     """View 0 of every (id, samples) clip, then view 1 of each: the (2B, ...) layout."""
-    return [_augmented_view(cid, x, rate, aug_cfg, feat_params, enc_cfg, seed, epoch, view)
+    return [_augmented_view(cid, x, rate, aug_cfg, enc_cfg, seed, epoch, view)
             for view in (0, 1) for cid, x in clips]
 
 
-def _pair_metrics(model: AcousticEncoder, clips, rate, aug_cfg, feat_params, seed, epoch, tag):
+def _pair_metrics(model: AcousticEncoder, clips, rate, aug_cfg, seed, epoch, tag):
     """Eval-mode loss and cosine similarity over fresh positive pairs."""
-    views = _pair_views(clips, rate, aug_cfg, feat_params, model.cfg, (seed, tag), epoch)
+    views = _pair_views(clips, rate, aug_cfg, model.cfg, (seed, tag), epoch)
     p1 = model.embed(views[: len(clips)])
     p2 = model.embed(views[len(clips) :])
     loss = contrastive_loss(Tensor(np.concatenate([p1, p2]))).item()
@@ -312,15 +311,15 @@ def _pair_metrics(model: AcousticEncoder, clips, rate, aug_cfg, feat_params, see
 
 
 def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
-                  aug_cfg: augment.AugmentConfig, feat_params: features.FeatureParams,
-                  seed: int, *, target_rate: int,
+                  aug_cfg: augment.AugmentConfig, seed: int, *, target_rate: int,
                   jobs: int) -> tuple[AcousticEncoder, list[dict]]:
     """Positive-pair contrastive training of ``cfg.architecture()`` on the
     schedule the rest of the section sets; deterministic for ``seed``.
 
     Returns the trained model and a history with one row per epoch:
     train/val loss, train/val positive-pair cosine similarity, and the
-    last train-batch embedding variance (collapse monitor). At
+    last train-batch embedding variance (collapse monitor). A non-finite
+    batch or validation loss raises PipelineError naming the epoch. At
     ``cfg.val_fraction`` 0 no clip is held out and no row has a val key. The
     history holds no wall-clock value; each epoch's elapsed time goes to the
     INFO log line instead.
@@ -333,7 +332,7 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
     if n_val == n:
         raise PipelineError("validation split leaves no training clips")
     # every view reads only its clip's centre window, so only that is held
-    window = _view_window(cfg.frames, feat_params, aug_cfg.stretch_range[1])
+    window = _view_window(cfg.frames, aug_cfg.stretch_range[1])
     clips = list(manifest.map_clips(lambda e, x: (e.clip_id, _center_crop(x, window)),
                                     target_rate=target_rate, jobs=jobs))
     val_clips = [clips[i] for i in order[:n_val]]
@@ -352,13 +351,16 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
         for start in range(0, len(perm), cfg.batch_pairs):
             batch = [train_clips[i] for i in perm[start : start + cfg.batch_pairs]]
             # the views are not kept past the stack: the step holds the batch once
-            x = Tensor(np.stack(_pair_views(batch, target_rate, aug_cfg, feat_params, cfg,
-                                            seed, epoch), dtype=np.float32)[:, None, :, :])
+            x = Tensor(np.stack(_pair_views(batch, target_rate, aug_cfg, cfg, seed, epoch),
+                                dtype=np.float32)[:, None, :, :])
             emb = model.forward(x, train=True)
             loss = contrastive_loss(emb)
+            losses.append(loss.item())
+            if not math.isfinite(losses[-1]):
+                raise PipelineError(f"encoder training diverged: loss {losses[-1]} at epoch "
+                                    f"{epoch + 1}, batch {start // cfg.batch_pairs + 1}")
             loss.backward()
             opt.step()
-            losses.append(loss.item())
             e = emb.data.astype(np.float64)
             cossims.append(mean_cosine_similarity(e[: len(batch)], e[len(batch) :]))
             emb_var = float(np.mean(np.var(e, axis=0)))
@@ -366,8 +368,11 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
             log.warning("embedding batch variance %.3g below %.1g at epoch %d: "
                         "possible representation collapse", emb_var, COLLAPSE_VARIANCE_FLOOR, epoch)
             warned = True
-        val_loss, val_cos = (_pair_metrics(model, val_clips, target_rate, aug_cfg, feat_params,
-                                           seed, epoch, "val") if val_clips else (None, None))
+        val_loss, val_cos = (_pair_metrics(model, val_clips, target_rate, aug_cfg, seed, epoch,
+                                           "val") if val_clips else (None, None))
+        if val_clips and not math.isfinite(val_loss):
+            raise PipelineError(f"encoder training diverged: validation loss {val_loss} "
+                                f"at epoch {epoch + 1}")
         row = {
             "epoch": epoch + 1,
             "train_loss": float(np.mean(losses)),
@@ -384,16 +389,15 @@ def train_encoder(manifest: CorpusManifest, cfg: EncoderSection,
     return model, history
 
 
-def save_encoder(model: AcousticEncoder, path: str, feat_params: features.FeatureParams) -> None:
-    save_model(model, path, "encoder", feature_params=asdict(feat_params))
+def save_encoder(model: AcousticEncoder, path: str) -> None:
+    save_model(model, path, "encoder", feature_params=features.FRONT_END)
 
 
 def load_encoder(path: str) -> tuple[AcousticEncoder, dict]:
     return load_model(path, "encoder", EncoderConfig, AcousticEncoder)
 
 
-def embed_input(x: np.ndarray, rate: int, params: features.FeatureParams,
-                frames: int) -> np.ndarray:
+def embed_input(x: np.ndarray, rate: int, frames: int) -> np.ndarray:
     """``prepare_input(mel_spectrogram(x), frames)``, from the samples of
     the kept frames alone.
 
@@ -405,21 +409,20 @@ def embed_input(x: np.ndarray, rate: int, params: features.FeatureParams,
     in a few columns, by at most an ulp. A shorter clip is padded with the
     minimum of its whole grid, so it is taken whole.
     """
-    n_frames = 1 + (x.size - params.win) // params.hop
+    n_frames = 1 + (x.size - features.WIN) // features.HOP
     if n_frames >= frames:
-        start = (n_frames - frames) // 2 * params.hop
-        x = x[start : start + (frames - 1) * params.hop + params.win]
-    return prepare_input(features.mel_spectrogram(x, rate, params), frames)
+        start = (n_frames - frames) // 2 * features.HOP
+        x = x[start : start + (frames - 1) * features.HOP + features.WIN]
+    return prepare_input(features.mel_spectrogram(x, rate), frames)
 
 
-def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest,
-                 feat_params: features.FeatureParams, *, target_rate: int,
+def embed_corpus(model: AcousticEncoder, manifest: CorpusManifest, *, target_rate: int,
                  jobs: int) -> np.ndarray:
     """Eval-mode embeddings, (entries, proj_dim): row i embeds manifest entry
     i. The model runs on 16 clips at a time, each batch as soon as the walk
     has made its inputs, so no more than 16 are held."""
     inputs = manifest.map_clips(
-        lambda entry, x: embed_input(x, target_rate, feat_params, model.cfg.frames),
+        lambda entry, x: embed_input(x, target_rate, model.cfg.frames),
         target_rate=target_rate, jobs=jobs)
     out = np.empty((len(manifest.entries), model.cfg.proj_dim))
     for start in range(0, len(out), 16):

@@ -3,12 +3,17 @@
 The feature order is fixed and shared with the classifier and the group
 statistics: [mfcc_0..mfcc_12, zcr, rms, w1_mu, w1_sd, ..., w5_mu, w5_sd].
 Functions take a clip's samples array, plus its ``rate`` for the mel scale.
+
+The log-mel front end is fixed in module constants, not configured: the
+CAM's MFCCs and the encoder's input grid both read it, so a change to it would
+change every feature table and encoder checkpoint, and no run ever chose
+another. An encoder checkpoint records it (`FRONT_END`). Clips are resampled
+to the run's ``rate`` on ingest, so a 44.1 kHz recording gets it too.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,45 +33,36 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
 N_FEATURES = len(FEATURE_NAMES)  # 25
 
 
-@dataclass
-class FeatureParams:
-    n_fft: int = 512
-    win: int = 400
-    hop: int = 160
-    n_mels: int = 64
-    f_lo: float = 0.0
-    f_hi: float = 8000.0
-    log_eps: float = 1e-10
+# 25-ms Hann windows every 10 ms at 16 kHz, 64 mel bands from 0 to 8 kHz
+N_FFT = 512
+WIN = 400
+HOP = 160
+N_MELS = 64
+F_LO = 0.0
+F_HI = 8000.0
+LOG_EPS = 1e-10
 
-    def __post_init__(self):
-        if self.win < 1 or self.hop < 1:
-            raise PipelineError(f"win and hop must be >= 1, got win {self.win}, hop {self.hop}")
-        if self.n_fft < self.win:
-            raise PipelineError(f"n_fft must be >= win ({self.win}), got {self.n_fft}")
-        if self.n_mels < 2:
-            raise PipelineError(f"n_mels must be >= 2, got {self.n_mels}")
-        if not 0 <= self.f_lo < self.f_hi:
-            raise PipelineError(f"f_lo must be >= 0 and below f_hi ({self.f_hi}), got {self.f_lo}")
-        if not self.log_eps > 0:
-            raise PipelineError(f"log_eps must be > 0, got {self.log_eps}")
+FRONT_END = {"n_fft": N_FFT, "win": WIN, "hop": HOP, "n_mels": N_MELS,
+             "f_lo": F_LO, "f_hi": F_HI, "log_eps": LOG_EPS}
 
 
-# a built filterbank is read-only, so one per parameter set is shared
-_filterbank = functools.lru_cache(maxsize=None)(dsp.build_mel_filterbank)
+@functools.lru_cache(maxsize=None)
+def mel_filterbank(rate: int) -> np.ndarray:
+    """The read-only filterbank at ``rate``, built once. Only 16,000 to 28,895 Hz
+    work: below, F_HI is above rate / 2; above, filter 0 covers no FFT bin."""
+    return dsp.build_mel_filterbank(N_MELS, N_FFT, rate, F_LO, F_HI)
 
 
-def mel_spectrogram(x: np.ndarray, rate: int, params: FeatureParams) -> dsp.Grid:
-    """log(mel-filterbank @ |STFT|^2 + eps), shape (n_mels, frames)."""
-    spec = dsp.stft(x, params.win, params.hop, n_fft=params.n_fft).values
-    fb = _filterbank(params.n_mels, params.n_fft, rate, params.f_lo, params.f_hi)
-    return dsp.Grid(np.log(fb @ (spec.real ** 2 + spec.imag ** 2) + params.log_eps))
+def mel_spectrogram(x: np.ndarray, rate: int) -> dsp.Grid:
+    """log(mel-filterbank @ |STFT|^2 + LOG_EPS), shape (N_MELS, frames)."""
+    spec = dsp.stft(x, WIN, HOP, n_fft=N_FFT).values
+    return dsp.Grid(np.log(mel_filterbank(rate) @ (spec.real ** 2 + spec.imag ** 2) + LOG_EPS))
 
 
-def mfcc13(x: np.ndarray, rate: int, params: FeatureParams) -> np.ndarray:
+def mfcc13(x: np.ndarray, rate: int) -> np.ndarray:
     """Frame-averaged DCT-II of the log-mel columns, coefficients 0..12."""
-    logmel = mel_spectrogram(x, rate, params)
-    basis = dsp.dct2_matrix(params.n_mels, N_MFCC)
-    return np.mean(basis @ logmel.values, axis=1)
+    logmel = mel_spectrogram(x, rate)
+    return np.mean(dsp.dct2_matrix(N_MELS, N_MFCC) @ logmel.values, axis=1)
 
 
 def zcr(x: np.ndarray) -> float:
@@ -106,9 +102,9 @@ def wavelet_stats(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def extract_features(x: np.ndarray, rate: int, params: FeatureParams) -> np.ndarray:
+def extract_features(x: np.ndarray, rate: int) -> np.ndarray:
     """The full 25-vector in the FEATURE_NAMES order."""
-    return np.concatenate([mfcc13(x, rate, params), [zcr(x), rms(x)], wavelet_stats(x)])
+    return np.concatenate([mfcc13(x, rate), [zcr(x), rms(x)], wavelet_stats(x)])
 
 
 def write_features_csv(path: str, rows: list[tuple[str, str, np.ndarray]]) -> None:

@@ -74,10 +74,14 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], meta: dict) -> No
     ``<f8``. The index is computed from each array's byte count, then each
     array is written straight from its own memory. A C-contiguous
     little-endian float32 or float64 array, as every model tensor is, is not
-    copied, so saving a model holds no second state.
+    copied, so saving a model holds no second state. A non-finite tensor is
+    rejected by name, as `load_checkpoint` rejects it, before the file is made.
     """
     arrays = {name: np.ascontiguousarray(arr, dtype=_stored_dtype(arr))
               for name, arr in tensors.items()}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise PipelineError(f"{path}: tensor {name!r} holds a non-finite value")
     index = []
     offset = 0
     for name, arr in arrays.items():

@@ -18,7 +18,7 @@ from atscalm.classifier import load_cam, save_cam
 from atscalm.cli import main
 from atscalm.config import RunConfig
 from atscalm.features import FEATURE_NAMES, read_features_csv
-from atscalm.nn.checkpoint import MAGIC, load_checkpoint, save_checkpoint, state_arrays
+from atscalm.nn.checkpoint import MAGIC, load_checkpoint, state_arrays
 from atscalm.util import json_sanitize, read_json
 from tiny_chain import chain_steps, run_chain
 
@@ -67,6 +67,18 @@ class TestFeatures:
     def test_missing_corpus_is_domain_error(self, tmp_path):
         out = str(tmp_path / "out")
         assert run(["--out", out, "features", str(tmp_path / "nope.json")]) == 1
+
+    def test_clip_id_from_the_normalized_path(self, tmp_path):
+        """A manifest listing ``./a.wav`` names the clip ``a``, as ``a.wav`` does."""
+        doc = json.loads(TWO_CLIPS["m.json"])
+        doc["entries"][0]["path"] = "./a.wav"
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        for name in ("a.wav", "b.wav"):
+            (tmp_path / name).write_bytes(TWO_CLIPS[name])
+        out = str(tmp_path / "out")
+        assert run(["--out", out, "features", str(tmp_path / "m.json")]) == 0
+        assert [cid for cid, _, _ in read_features_csv(os.path.join(out, "features.csv"))] == [
+            "a", "b"]
 
 
 def _tree_bytes(root):
@@ -149,6 +161,24 @@ class TestAugment:
                 if ".aug" not in e["path"]] == [("../../a.wav", 0.15, 16000),
                                                 ("../../b.wav", 0.15, 16000)]
 
+    def test_augmenting_an_augmented_manifest_writes_only_under_augmented(self, tmp_path):
+        """Its originals are listed as ``../corpus/...``: their variants go to
+        ``augmented/corpus/...``, and the corpus is not written to."""
+        out = str(tmp_path / "out")
+        assert run(["--out", out, "synth", "--n", "1", "--duration", "0.5"]) == 0
+        corpus, aug_dir = os.path.join(out, "corpus"), os.path.join(out, "augmented")
+        assert run(["--out", out, "augment", os.path.join(corpus, "manifest.json")]) == 0
+        assert run(["--out", out, "augment", os.path.join(aug_dir, "manifest.json")]) == 0
+        assert sum(name.endswith(".wav") for name in _tree_bytes(corpus)) == 3
+        paths = [e["path"] for e in read_json(os.path.join(aug_dir, "manifest.json"))["entries"]]
+        # the corpus's 3 clips, then the 15 first variants and the 90 made from all 18
+        assert [p for p in paths if p.startswith("..")] == [
+            f"../corpus/{d}/clip_000.wav" for d in ("Music", "Normal", "Spiritual")]
+        inside = [p for p in paths if not p.startswith("..")]
+        assert len(inside) == 15 + 18 * 5
+        assert "corpus/Music/clip_000.aug0.wav" in inside
+        assert all(os.path.isfile(os.path.join(aug_dir, p)) for p in inside)
+
 
 FEATURES_HEADER = ",".join(["id", "label", *FEATURE_NAMES])
 ROW = "a,Music," + ",".join(["0.5"] * len(FEATURE_NAMES))
@@ -177,8 +207,8 @@ NOT_FINITE = {
                             "h.csv line 3, column loss: 'nan' is not a finite number"),
 }
 
-# Keys the config schema rejects; `validation` is no section at all, so its
-# case below names the section.
+# Keys the config schema rejects. `features` (the fixed log-mel front end)
+# and `validation` are no sections at all, so their cases name the section.
 REMOVED_KEYS = [("features", "n_mfcc", 13), ("features", "wavelet_levels", 5),
                 ("features", "wavelet", "haar"), ("features", "window_name", "hann"),
                 ("cam", "input_dim", 25), ("cam", "n_classes", 3), ("cam", "mode", "sequence"),
@@ -201,13 +231,7 @@ SECTION_BOUNDS = [("cam", "lr", -1, "train-cam", "must be >= 0, got -1"),
                   ("encoder", "val_fraction", 2, "train-encoder", "must be in [0, 1), got 2"),
                   ("tsne", "lr", -100, "eval-embeddings", "must be >= 0, got -100"),
                   ("tsne", "iters", -5, "eval-embeddings", "must be >= 0, got -5"),
-                  ("tsne", "perplexity", 0.5, "eval-embeddings", "must be >= 1, got 0.5"),
-                  ("features", "n_fft", 256, "features", "must be >= win (400), got 256"),
-                  ("features", "n_mels", 1, "features", "must be >= 2, got 1"),
-                  ("features", "f_lo", -1.0, "features",
-                   "must be >= 0 and below f_hi (8000.0), got -1.0"),
-                  ("features", "f_lo", 8000.0, "features",
-                   "must be >= 0 and below f_hi (8000.0), got 8000.0")]
+                  ("tsne", "perplexity", 0.5, "eval-embeddings", "must be >= 1, got 0.5")]
 
 def _tone_wav(seconds=1.0, rate=16000):
     """A mono 16-bit WAV of a 440 Hz tone, as bytes."""
@@ -235,14 +259,19 @@ TWO_CLIPS = {"m.json": json.dumps({"entries": [{"path": f"{c}.wav", "label": "Mu
                                    "counts": {"Music": 2}}),
              "a.wav": _tone_wav(0.15), "b.wav": _tone_wav(0.15)}
 
-# Leaves no stage checks before it runs on them: a rate below 1 makes no
-# clip, and a log_eps <= 0 turns a silent mel band's log into -inf or NaN.
+# Documents refused at load, before any stage runs on them. Building the mel
+# filterbank is the one rate check: it fails below 16 kHz (F_HI above rate / 2)
+# and from 28,896 Hz up, which only `features` used to find, with exit 1. The
+# front end is fixed, so a document that sets log_eps names its section.
 BOUNDED_LEAVES = {
-    "rate-0": ('{"rate": 0}', "config document: rate must be >= 1, got 0"),
-    "rate-negative": ('{"rate": -16000}', "config document: rate must be >= 1, got -16000"),
-    "log_eps-0": ('{"features": {"log_eps": 0.0}}', "config features: log_eps must be > 0, got 0.0"),
-    "log_eps-negative": ('{"features": {"log_eps": -1.0}}',
-                         "config features: log_eps must be > 0, got -1.0"),
+    "rate-0": ('{"rate": 0}', "config document: need 0 <= f_lo < f_hi <= rate/2, "
+                              "got (0.0, 8000.0) at 0 Hz"),
+    "rate-negative": ('{"rate": -16000}', "config document: need 0 <= f_lo < f_hi <= rate/2, "
+                                          "got (0.0, 8000.0) at -16000 Hz"),
+    "rate-29000": ('{"rate": 29000}', "config document: infeasible mel spacing: filter 0 "
+                                      "(0.0-56.4 Hz) covers no FFT bin at 29000 Hz"),
+    "log_eps-0": ('{"features": {"log_eps": 0.0}}', "unknown config key features"),
+    "log_eps-negative": ('{"features": {"log_eps": -1.0}}', "unknown config key features"),
 }
 
 # (files to write, command, exit code, message); {d} is the directory they are in.
@@ -329,7 +358,8 @@ BAD_INPUT = {
                              "h.csv line 3, column loss: 'nope'"),
     **{f"removed-{section}.{key}": ({"c.json": json.dumps({section: {key: value}})},
                                     ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
-                                    f"unknown config key {section}.{key}")
+                                    f"unknown config key {section}"
+                                    + ("" if section == "features" else f".{key}"))
        for section, key, value in REMOVED_KEYS},
     "removed-validation.phase_search": ({"c.json": '{"validation": {"phase_search": false}}'},
                                         ["--config", "{d}/c.json", "synth", "--n", "1"], 2,
@@ -414,11 +444,11 @@ BAD_INPUT = {
                                          ["--config", "{d}/c.json", command, "{d}/missing"], 2,
                                          f"config {section}: {key} {bound}")
        for section, key, value, command, bound in SECTION_BOUNDS},
-    # the mel filterbank's top edge is bounded by the run's rate, not by its section
+    # the mel filterbank's top edge, features.F_HI, is bounded by the run's rate
     "bound-features.f_hi-above-rate-half": (
-        {"c.json": '{"features": {"f_hi": 9000.0}}'},
+        {"c.json": '{"rate": 12000}'},
         ["--config", "{d}/c.json", "features", "{d}/missing"], 2,
-        "config document: features.f_hi 9000.0 is above rate / 2 (8000)"),
+        "config document: need 0 <= f_lo < f_hi <= rate/2, got (0.0, 8000.0) at 12000 Hz"),
     **{f"calmness-music-{n}-rows": (
         {"f.csv": "\n".join([FEATURES_HEADER, *CALM_ROWS] + [ROW] * n)},
         ["calmness", "{d}/f.csv"], 1, f"class Music needs >= 2 rows, got {n}")
@@ -435,6 +465,19 @@ BAD_INPUT = {
         {"c.json": '{"augment": {"pitch_range_semitones": 200}}'},
         ["--config", "{d}/c.json", "augment", "{d}/missing.json"], 2,
         "config augment: pitch_range_semitones must be in [0, 12], got 200"),
+}
+
+
+# A training run whose loss turns NaN, on the tiny chain's inputs: (config,
+# command, the one error logged). Both used to exit 0 and write a checkpoint.
+DIVERGED = {
+    "train-cam-lr-1e30": ({"cam": {"lr": 1e30, "hidden": 8, "fc_dim": 8, "epochs": 10}},
+                          ["train-cam", "{run}/features.csv"],
+                          "cam training diverged: loss nan at epoch 2, batch 1"),
+    "train-encoder-lr-1e12": ({"encoder": {"lr": 1e12, "widths": [4, 8, 16, 32], "frames": 64,
+                                           "epochs": 3}},
+                              ["train-encoder", "{run}/corpus"],
+                              "encoder training diverged: validation loss nan at epoch 1"),
 }
 
 
@@ -530,6 +573,19 @@ class TestBadInput:
         assert message.replace("{d}", d) in (err if said is None else said)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("config,argv,message", list(DIVERGED.values()), ids=list(DIVERGED))
+    def test_diverged_training_exits_1_without_a_checkpoint(self, tiny_run, tmp_path, caplog,
+                                                            capsys, config, argv, message):
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = run(["--config", str(tmp_path / "c.json"), "--out", str(out)]
+                   + [a.replace("{run}", tiny_run) for a in argv])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [message]
+        assert not [name for name in os.listdir(out) if name.endswith(".ckpt")]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_wav_named_once(self, tmp_path, caplog):
         (tmp_path / "m.json").write_text(TWO_CLIPS["m.json"])
         assert run(["--out", str(tmp_path / "out"), "features", str(tmp_path / "m.json")]) == 1
@@ -598,20 +654,22 @@ class TestBadInput:
         assert f"unknown config key {bad} config.{key}" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [{}, {"features": {"n_mels": 32}}],
+    @pytest.mark.parametrize("edit", [lambda meta: meta.pop("feature_params"),
+                                      lambda meta: meta["feature_params"].update(n_mels=32)],
                              ids=["default", "n_mels-32"])
     def test_encoder_checkpoint_without_feature_params_exits_1(self, tiny_run, tmp_path,
-                                                               caplog, capsys, config):
+                                                               caplog, capsys, edit):
         """``embed`` compares the front end a checkpoint was trained with to
-        the config's; a checkpoint that does not record it matches none."""
+        `features.FRONT_END`; a checkpoint that does not record it matches
+        none, and neither does one trained under an old ``features`` override."""
         bad = str(tmp_path / "encoder.ckpt")
         _rewrite_header(os.path.join(tiny_run, "encoder.ckpt"), bad,
-                        lambda header: header["meta"].pop("feature_params"))
-        (tmp_path / "c.json").write_text(json.dumps(config))
-        code = run(["--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"),
+                        lambda header: edit(header["meta"]))
+        code = run(["--out", str(tmp_path / "out"),
                     "embed", os.path.join(tiny_run, "corpus"), "--checkpoint", bad])
         assert code == 1
-        assert f"{bad}: checkpoint feature params do not match the current config" in caplog.text
+        assert (f"{bad}: checkpoint feature params do not match the log-mel front end"
+                in caplog.text)
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("dtype", [">f4", "<f2", "<i8"])
@@ -638,11 +696,15 @@ class TestBadInput:
                                                   name, argv):
         """One NaN in a stored tensor is named, not run: ``embed`` used to
         write NaN rows and ``evaluate`` to report chance accuracy."""
-        arrays, meta = load_checkpoint(os.path.join(tiny_run, name))
-        first = next(iter(arrays))
-        arrays[first].flat[0] = np.nan
+        arrays, _ = load_checkpoint(os.path.join(tiny_run, name))
+        first = next(iter(arrays))   # its payload comes first, so a NaN there is its entry 0
+        with open(os.path.join(tiny_run, name), "rb") as fh:
+            blob = fh.read()
+        start = len(MAGIC) + 4 + struct.unpack_from("<I", blob, len(MAGIC))[0]
+        nan = np.array(np.nan, arrays[first].dtype).tobytes()
         bad = str(tmp_path / name)
-        save_checkpoint(bad, arrays, meta)
+        with open(bad, "wb") as fh:
+            fh.write(blob[:start] + nan + blob[start + len(nan):])
         code = run(["--out", str(tmp_path / "out")]
                    + [a.replace("{run}", tiny_run).replace("{bad}", bad) for a in argv])
         assert code == 1
@@ -892,6 +954,7 @@ class TestReport:
         assert data["cam"]["lr"] == 0.005
         assert data["encoder"]["widths"] == [64, 128, 256, 512]
         assert data["augment"]["variants_per_clip"] == 5
+        assert "features" not in data   # the log-mel front end is fixed
 
     def test_plot_history(self, tmp_path):
         out = str(tmp_path / "out")

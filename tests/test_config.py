@@ -29,12 +29,12 @@ def test_overrides_keep_other_defaults():
     ({"class_dirs": {"Silence": "x"}}, "unknown class label 'Silence'"),
     ({"synth": {"n_per_class": True}}, "config key synth.n_per_class must be int"),
     ({"rate": True}, "config key rate must be int"),
-    ({"features": []}, "config features must be an object"),
+    ({"features": {}}, "unknown config key features"),
     ([], "config document must be an object"),
     ({"encoder": {"frames": 9}}, "encoder.frames 9: the shortest training view has 19 mel frames"),
     ({"encoder": {"frames": 64}, "augment": {"time_mask_max": 75}},
      "encoder.frames 64: the shortest training view has 74 mel frames"),
-    ({"features": {"hop": 0}}, "config features: win and hop must be >= 1"),
+    ({"rate": 12000}, "document: need 0 <= f_lo < f_hi <= rate/2"),
     ({"class_dirs": {"Music": "X", "NormalSilence": "X/", "SpiritualMeditation": "S"}},
      "config document: class_dirs maps Music and NormalSilence to one directory, 'X/'"),
 ])

@@ -17,7 +17,7 @@ from atscalm.encoder import (AcousticEncoder, EncoderConfig, EncoderSection, _au
                              _pair_metrics, _view_window, contrastive_loss, count_flops,
                              embed_corpus, embed_input, load_encoder, mean_cosine_similarity,
                              prepare_input, save_encoder, shortest_view_frames, train_encoder)
-from atscalm.features import FeatureParams, mel_spectrogram
+from atscalm.features import HOP, N_MELS, WIN, mel_spectrogram
 from atscalm.nn import Adam, Tensor, seeded_init
 from atscalm.nn.checkpoint import state_arrays
 from atscalm.nn.ops import conv2d
@@ -279,11 +279,11 @@ class TestEmbedInput:
     def test_equals_prepare_input_of_the_whole_clip(self, seconds, frames):
         """Bit for bit on a long clip and on the tiny chain's, and on clips
         shorter than ``frames``, which are taken whole."""
-        rate, params = 16000, FeatureParams()
+        rate = 16000
         x = self._clip(int(seconds * rate), rate)
-        got = embed_input(x, rate, params, frames)
-        assert np.array_equal(got, prepare_input(mel_spectrogram(x, rate, params), frames))
-        assert got.shape == (params.n_mels, frames)
+        got = embed_input(x, rate, frames)
+        assert np.array_equal(got, prepare_input(mel_spectrogram(x, rate), frames))
+        assert got.shape == (N_MELS, frames)
 
     @pytest.mark.parametrize("frames", [64, 255, 256])
     def test_within_an_ulp_at_every_length(self, frames):
@@ -291,25 +291,24 @@ class TestEmbedInput:
         differently when the product has another width: OpenBLAS does for a
         clip with 2 to 7 frames more than ``frames``, and for a width that
         is not a multiple of 8. Those columns differ by at most an ulp."""
-        rate, params = 16000, FeatureParams()
+        rate = 16000
         for n_frames in range(frames, frames + 12):
-            x = self._clip((n_frames - 1) * params.hop + params.win + n_frames % 7, rate)
-            want = prepare_input(mel_spectrogram(x, rate, params), frames)
-            got = embed_input(x, rate, params, frames)
+            x = self._clip((n_frames - 1) * HOP + WIN + n_frames % 7, rate)
+            want = prepare_input(mel_spectrogram(x, rate), frames)
+            got = embed_input(x, rate, frames)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), n_frames
 
     def test_long_clip_mels_only_the_kept_frames(self, monkeypatch):
         seen = []
         mel = encoder_mod.features.mel_spectrogram
 
-        def record(x, rate, params):
+        def record(x, rate):
             seen.append(x.size)
-            return mel(x, rate, params)
+            return mel(x, rate)
 
         monkeypatch.setattr(encoder_mod.features, "mel_spectrogram", record)
-        params = FeatureParams()
-        embed_input(np.ones(16000 * 30), 16000, params, 256)
-        assert seen == [255 * params.hop + params.win]
+        embed_input(np.ones(16000 * 30), 16000, 256)
+        assert seen == [255 * HOP + WIN]
 
 
 class TestAugmentedView:
@@ -353,25 +352,24 @@ class TestAugmentedView:
                             shift(x, rate, math.copysign(2.0, s), stretch))
         seen = self._record(monkeypatch)
         for view in range(4):
-            _augmented_view("c", self._clip(n), 16000, aug, FeatureParams(),
-                            EncoderConfig(frames=self.FRAMES), 0, 0, view)
+            _augmented_view("c", self._clip(n), 16000, aug, EncoderConfig(frames=self.FRAMES),
+                            0, 0, view)
         assert seen["samples"] == [self.WINDOW] * 4
         assert min(seen["frames"]) >= self.FRAMES      # prepare_input never pads
         # every view is stretched by the largest rate: the config check's count
-        assert seen["frames"] == [shortest_view_frames(self.FRAMES, FeatureParams(), 1.25)] * 4
+        assert seen["frames"] == [shortest_view_frames(self.FRAMES, 1.25)] * 4
 
     def test_short_clip_view_is_uncropped(self, monkeypatch):
-        x, aug, params = self._clip(self.WINDOW - 3000), AugmentConfig(), FeatureParams()
+        x, aug = self._clip(self.WINDOW - 3000), AugmentConfig()
         cid = f"c{x.size}"
         rng = keyed_rng(7, "enc-view", cid, 1, 0)
-        grid = mel_spectrogram(augment.make_variant(x, 16000, aug, rng), 16000, params)
+        grid = mel_spectrogram(augment.make_variant(x, 16000, aug, rng), 16000)
         assert grid.n_frames == 69
         # cut to the kept frames first, then mask
         want = augment.spec_mask(prepare_input(grid, self.FRAMES), aug.freq_mask_max,
                                  aug.time_mask_max, keyed_rng(7, "enc-mask", cid, 1, 0))
         seen = self._record(monkeypatch)
-        got = _augmented_view(cid, x, 16000, aug, params, EncoderConfig(frames=self.FRAMES),
-                              7, 1, 0)
+        got = _augmented_view(cid, x, 16000, aug, EncoderConfig(frames=self.FRAMES), 7, 1, 0)
         assert seen["samples"] == [x.size]
         assert np.array_equal(got, want)
 
@@ -387,7 +385,7 @@ class TestAugmentedView:
 
         monkeypatch.setattr(augment, "spec_mask", record)
         for view in range(4):
-            got = _augmented_view("c", self._clip(n), 16000, aug, FeatureParams(),
+            got = _augmented_view("c", self._clip(n), 16000, aug,
                                   EncoderConfig(frames=self.FRAMES), 0, 0, view)
             assert got.shape[1] == self.FRAMES
         assert masked == [self.FRAMES] * 4
@@ -398,7 +396,7 @@ class TestAugmentedView:
     ])
     def test_view_failure_names_the_clip(self, n, message):
         with pytest.raises(PipelineError, match=f"^{message}"):
-            _augmented_view("Music/c1", self._clip(n), 16000, AugmentConfig(), FeatureParams(),
+            _augmented_view("Music/c1", self._clip(n), 16000, AugmentConfig(),
                             EncoderConfig(frames=self.FRAMES), 0, 0, 0)
 
     def test_tiny_chain_takes_the_crop_path(self, monkeypatch):
@@ -406,8 +404,7 @@ class TestAugmentedView:
         cfg = dataclass_from_dict(RunConfig, TINY_CONFIG)
         x = self._clip(int(DURATION_S * cfg.rate), cfg.rate)
         seen = self._record(monkeypatch)
-        _augmented_view("c", x, cfg.rate, cfg.augment, cfg.features, cfg.encoder.architecture(),
-                        3, 0, 0)
+        _augmented_view("c", x, cfg.rate, cfg.augment, cfg.encoder.architecture(), 3, 0, 0)
         assert seen["samples"][0] < x.size
         assert seen["frames"][0] >= cfg.encoder.frames
 
@@ -429,9 +426,6 @@ class TestTrainEmbed:
         """`_cfg`'s architecture with the given training schedule."""
         return EncoderSection(**asdict(self._cfg()), val_fraction=0.25, **schedule)
 
-    def _feat(self):
-        return FeatureParams(n_mels=16)
-
     def _aug(self):
         return AugmentConfig(noise_sigma_rel=0.005, stretch_range=(0.95, 1.05),
                              pitch_range_semitones=0.25, freq_mask_max=2,
@@ -439,23 +433,23 @@ class TestTrainEmbed:
 
     def test_lr_zero_leaves_parameters(self, corpus):
         model, _ = train_encoder(corpus, self._section(epochs=2, lr=0.0, batch_pairs=3),
-                                 self._aug(), self._feat(), seed=4, **self.DATA_KW)
+                                 self._aug(), seed=4, **self.DATA_KW)
         fresh = AcousticEncoder(self._cfg(), seed=4)
         for name in fresh.params:
             assert np.array_equal(model.params[name].data, fresh.params[name].data)
 
     def test_same_seed_identical_history(self, corpus):
         _, h1 = train_encoder(corpus, self._section(epochs=2, lr=1e-3, batch_pairs=3),
-                              self._aug(), self._feat(), seed=4, **self.DATA_KW)
+                              self._aug(), seed=4, **self.DATA_KW)
         _, h2 = train_encoder(corpus, self._section(epochs=2, lr=1e-3, batch_pairs=3),
-                              self._aug(), self._feat(), seed=4, **self.DATA_KW)
+                              self._aug(), seed=4, **self.DATA_KW)
         assert h1 == h2
 
     def test_logs_one_line_per_epoch(self, corpus, caplog):
         with caplog.at_level(logging.INFO, logger="atscalm.encoder"):
             _, history = train_encoder(corpus,
                                        self._section(epochs=2, lr=1e-3, batch_pairs=3),
-                                       self._aug(), self._feat(), seed=4, **self.DATA_KW)
+                                       self._aug(), seed=4, **self.DATA_KW)
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "atscalm.encoder" and r.levelno == logging.INFO]
         assert len(lines) == 2
@@ -464,15 +458,15 @@ class TestTrainEmbed:
 
     def test_embed_corpus_shapes_and_determinism(self, corpus, tmp_path):
         model, _ = train_encoder(corpus, self._section(epochs=1, lr=1e-3, batch_pairs=3),
-                                 self._aug(), self._feat(), seed=4, **self.DATA_KW)
-        x = embed_corpus(model, corpus, self._feat(), target_rate=16000, jobs=1)
+                                 self._aug(), seed=4, **self.DATA_KW)
+        x = embed_corpus(model, corpus, target_rate=16000, jobs=1)
         assert x.shape == (len(corpus.entries), 8)
-        assert np.array_equal(x, embed_corpus(model, corpus, self._feat(),
+        assert np.array_equal(x, embed_corpus(model, corpus,
                                               target_rate=16000, jobs=1))
         path = str(tmp_path / "enc.ckpt")
-        save_encoder(model, path, self._feat())
+        save_encoder(model, path)
         back, meta = load_encoder(path)
-        assert np.array_equal(x, embed_corpus(back, corpus, self._feat(),
+        assert np.array_equal(x, embed_corpus(back, corpus,
                                               target_rate=16000, jobs=1))
 
     def test_embed_memory_follows_the_batch_not_the_corpus(self, tmp_path):
@@ -486,17 +480,17 @@ class TestTrainEmbed:
                                  aio.DEFAULT_CLASS_DIRS, 16000, seed=5)
                 for n in (8, 32)]  # 24 and 96 clips
         for jobs in (1, 2):
-            peaks = [traced_peak(lambda: embed_corpus(model, man, FeatureParams(),
+            peaks = [traced_peak(lambda: embed_corpus(model, man,
                                                       target_rate=16000, jobs=jobs))[1]
                      for man in mans]
             assert peaks[1] <= 1.2 * peaks[0], f"jobs {jobs}: peaked at {peaks} bytes"
 
     def test_val_loss_is_contrastive_loss_of_the_pair_batch(self, corpus):
-        cfg, aug, feat = self._cfg(), self._aug(), self._feat()
+        cfg, aug = self._cfg(), self._aug()
         model = AcousticEncoder(cfg, seed=2)
         clips = [(e.clip_id, corpus.load_clip(e, target_rate=16000)) for e in corpus.entries[:4]]
-        loss, cos = _pair_metrics(model, clips, 16000, aug, feat, 5, 1, "val")
-        p1, p2 = (model.embed([_augmented_view(cid, x, 16000, aug, feat, cfg, (5, "val"), 1, view)
+        loss, cos = _pair_metrics(model, clips, 16000, aug, 5, 1, "val")
+        p1, p2 = (model.embed([_augmented_view(cid, x, 16000, aug, cfg, (5, "val"), 1, view)
                                for cid, x in clips]) for view in (0, 1))
         assert loss == contrastive_loss(Tensor(np.concatenate([p1, p2]))).item()
         assert cos == mean_cosine_similarity(p1, p2)
@@ -509,8 +503,8 @@ class TestTrainEmbed:
         their centre window, not as views into the whole clip."""
         corpus = aio.synth_corpus(str(tmp_path), aio.SynthConfig(n_per_class=1, duration_s=3.0),
                                   aio.DEFAULT_CLASS_DIRS, 16000, seed=4)
-        cfg, aug, feat = self._cfg(), self._aug(), self._feat()
-        window = _view_window(cfg.frames, feat, aug.stretch_range[1])
+        cfg, aug = self._cfg(), self._aug()
+        window = _view_window(cfg.frames, aug.stretch_range[1])
         seen = []
         view = encoder_mod._augmented_view
 
@@ -519,8 +513,8 @@ class TestTrainEmbed:
             return view(clip_id, x, *rest)
 
         monkeypatch.setattr(encoder_mod, "_augmented_view", record)
-        train_encoder(corpus, self._section(epochs=1, lr=1e-3, batch_pairs=3), aug, feat,
-                      seed=4, **self.DATA_KW)
+        train_encoder(corpus, self._section(epochs=1, lr=1e-3, batch_pairs=3), aug, seed=4,
+                      **self.DATA_KW)
         assert window < 3 * 16000
         assert seen and set(seen) == {(window, True)}
 
@@ -531,14 +525,14 @@ class TestTrainEmbed:
         for p in model.params.values():
             p.data = p.data.astype(np.float64)
         path = str(tmp_path / "f8.ckpt")
-        save_encoder(model, path, self._feat())
+        save_encoder(model, path)
         with open(path, "rb") as fh:
             assert b'"<f4"' not in fh.read()
         back, _ = load_encoder(path)
         assert {a.dtype for a in state_arrays(back).values()} == {np.dtype(np.float64)}
-        x = embed_corpus(back, corpus, self._feat(), target_rate=16000, jobs=1)
+        x = embed_corpus(back, corpus, target_rate=16000, jobs=1)
         assert x.dtype == np.float64 and np.all(np.isfinite(x))
-        assert np.array_equal(x, embed_corpus(model, corpus, self._feat(),
+        assert np.array_equal(x, embed_corpus(model, corpus,
                                               target_rate=16000, jobs=1))
 
     def test_checkpoint_independent_of_blas_threads(self, tmp_path):
@@ -566,7 +560,7 @@ class TestTrainEmbed:
         man = aio.CorpusManifest(entries=[])
         with pytest.raises(PipelineError):
             train_encoder(man, self._section(epochs=1, lr=1e-3, batch_pairs=8),
-                          self._aug(), self._feat(), seed=0, **self.DATA_KW)
+                          self._aug(), seed=0, **self.DATA_KW)
 
 
 class TestCosine:

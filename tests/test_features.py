@@ -16,70 +16,65 @@ def tone_clip(f_hz, duration=1.0, amp=1.0):
 
 class TestMelSpectrogram:
     def test_default_shape(self):
-        grid = features.mel_spectrogram(tone_clip(1000.0), RATE, features.FeatureParams())
+        grid = features.mel_spectrogram(tone_clip(1000.0), RATE)
         assert grid.values.shape == (64, 98)
 
     def test_silence_floor(self):
-        params = features.FeatureParams()
-        grid = features.mel_spectrogram(np.zeros(16000), RATE, params)
-        assert np.allclose(grid.values, np.log(params.log_eps))
+        grid = features.mel_spectrogram(np.zeros(16000), RATE)
+        assert np.allclose(grid.values, np.log(features.LOG_EPS))
 
     def test_tone_lands_in_nearest_mel_bin(self):
-        params = features.FeatureParams()
-        grid = features.mel_spectrogram(tone_clip(1000.0), RATE, params)
-        edges_mel = np.linspace(dsp.mel_scale(params.f_lo), dsp.mel_scale(params.f_hi),
-                                params.n_mels + 2)
+        grid = features.mel_spectrogram(tone_clip(1000.0), RATE)
+        edges_mel = np.linspace(dsp.mel_scale(features.F_LO), dsp.mel_scale(features.F_HI),
+                                features.N_MELS + 2)
         energy_by_bin = grid.values.mean(axis=1)
         best = int(np.argmax(energy_by_bin))
         nearest = int(np.argmin(np.abs(dsp.mel_to_hz(edges_mel[1:-1]) - 1000.0)))
         assert abs(best - nearest) <= 1
 
     def test_monotone_in_power(self):
-        params = features.FeatureParams()
-        quiet = features.mel_spectrogram(tone_clip(500.0, amp=0.1), RATE, params)
-        loud = features.mel_spectrogram(tone_clip(500.0, amp=0.9), RATE, params)
+        quiet = features.mel_spectrogram(tone_clip(500.0, amp=0.1), RATE)
+        loud = features.mel_spectrogram(tone_clip(500.0, amp=0.9), RATE)
         assert np.all(loud.values >= quiet.values - 1e-9)
 
 
-def mfcc_two_loop_oracle(x, params):
-    """Independent implementation: explicit mel sums and DCT sums."""
-    grid = dsp.stft(x, params.win, params.hop, n_fft=params.n_fft)
-    half = params.n_fft // 2 + 1
+def mfcc_two_loop_oracle(x, n_fft=512, win=400, hop=160, n_mels=64, f_hi=8000.0, eps=1e-10):
+    """Independent implementation: explicit mel sums and DCT sums, at the
+    front end's sizes written out."""
+    grid = dsp.stft(x, win, hop, n_fft=n_fft)
+    half = n_fft // 2 + 1
     assert grid.values.shape[0] == half
     power = np.abs(grid.values) ** 2
-    fb = dsp.build_mel_filterbank(params.n_mels, params.n_fft, RATE,
-                                  params.f_lo, params.f_hi)
+    fb = dsp.build_mel_filterbank(n_mels, n_fft, RATE, 0.0, f_hi)
     out = np.zeros((13, grid.n_frames))
     for frame in range(grid.n_frames):
-        logmel = np.zeros(params.n_mels)
-        for k in range(params.n_mels):
+        logmel = np.zeros(n_mels)
+        for k in range(n_mels):
             acc = 0.0
             for b in range(half):
                 acc += fb[k, b] * power[b, frame]
-            logmel[k] = np.log(acc + params.log_eps)
+            logmel[k] = np.log(acc + eps)
         for n in range(13):
             acc = 0.0
-            for m in range(params.n_mels):
-                acc += logmel[m] * np.cos(np.pi / params.n_mels * (m + 0.5) * n)
+            for m in range(n_mels):
+                acc += logmel[m] * np.cos(np.pi / n_mels * (m + 0.5) * n)
             out[n, frame] = acc
     return out.mean(axis=1)
 
 
 class TestMfcc:
     def test_silence(self):
-        params = features.FeatureParams()
-        got = features.mfcc13(np.zeros(16000), RATE, params)
-        assert got[0] == pytest.approx(params.n_mels * np.log(params.log_eps), rel=1e-9)
+        got = features.mfcc13(np.zeros(16000), RATE)
+        assert got[0] == pytest.approx(64 * np.log(1e-10), rel=1e-9)
         assert np.max(np.abs(got[1:])) < 1e-9
 
     def test_length_13(self):
-        assert features.mfcc13(tone_clip(440.0), RATE, features.FeatureParams()).shape == (13,)
+        assert features.mfcc13(tone_clip(440.0), RATE).shape == (13,)
 
     def test_white_noise_vs_two_loop_oracle(self):
         x = keyed_rng("mfcc", 0).normal(0, 0.3, 4000)
-        params = features.FeatureParams()
-        got = features.mfcc13(x, RATE, params)
-        want = mfcc_two_loop_oracle(x, params)
+        got = features.mfcc13(x, RATE)
+        want = mfcc_two_loop_oracle(x)
         assert np.max(np.abs(got - want)) < 1e-6
 
 
@@ -170,20 +165,19 @@ class TestWaveletStats:
 
 class TestExtractFeatures:
     def test_length_25(self):
-        vec = features.extract_features(tone_clip(300.0), RATE, features.FeatureParams())
+        vec = features.extract_features(tone_clip(300.0), RATE)
         assert vec.shape == (25,)
 
     def test_silence_slots(self):
-        vec = features.extract_features(np.zeros(16000), RATE, features.FeatureParams())
+        vec = features.extract_features(np.zeros(16000), RATE)
         assert vec[13] == 0.0          # zcr
         assert vec[14] == 0.0          # rms
         assert np.all(vec[15:] == 0.0)  # wavelet stats
 
     def test_compositional(self):
         clip = tone_clip(440.0)
-        params = features.FeatureParams()
-        vec = features.extract_features(clip, RATE, params)
-        assert np.array_equal(vec[:13], features.mfcc13(clip, RATE, params))
+        vec = features.extract_features(clip, RATE)
+        assert np.array_equal(vec[:13], features.mfcc13(clip, RATE))
         assert vec[13] == features.zcr(clip)
         assert vec[14] == features.rms(clip)
         assert np.array_equal(vec[15:], features.wavelet_stats(clip))
@@ -191,8 +185,8 @@ class TestExtractFeatures:
     def test_scale_behavior(self):
         clip = tone_clip(440.0, amp=0.3)
         scaled = 2.0 * clip
-        v1 = features.extract_features(clip, RATE, features.FeatureParams())
-        v2 = features.extract_features(scaled, RATE, features.FeatureParams())
+        v1 = features.extract_features(clip, RATE)
+        v2 = features.extract_features(scaled, RATE)
         assert v2[14] == pytest.approx(2.0 * v1[14])   # rms covariant
         assert v2[13] == pytest.approx(v1[13])         # zcr invariant
 

@@ -21,7 +21,6 @@ from atscalm import audio_io as aio
 from atscalm.cli import main
 from atscalm.config import RunConfig
 from atscalm.encoder import AcousticEncoder, EncoderConfig, save_encoder
-from atscalm.features import FeatureParams
 from atscalm.nn.checkpoint import MAGIC, load_checkpoint
 from atscalm.util import ConfigError, PipelineError, dataclass_from_dict
 from test_audio_io import write_float32
@@ -44,8 +43,7 @@ def tiny(tmp_path_factory):
     assert main(base + ["features", os.path.join(corpus, "manifest.json")]) == 0
     assert main(base + ["train-cam", os.path.join(out, "features.csv")]) == 0
     narrow = EncoderConfig(widths=(4, 8, 16, 32), proj_dim=8, frames=8)
-    save_encoder(AcousticEncoder(narrow, seed=2), os.path.join(out, "encoder.ckpt"),
-                 FeatureParams())
+    save_encoder(AcousticEncoder(narrow, seed=2), os.path.join(out, "encoder.ckpt"))
     return out
 
 

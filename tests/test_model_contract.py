@@ -10,14 +10,13 @@ import pytest
 
 from atscalm.classifier import BiLstmClassifier, CamConfig, load_cam, save_cam
 from atscalm.encoder import AcousticEncoder, EncoderConfig, load_encoder, save_encoder
-from atscalm.features import FeatureParams
 from atscalm.nn.checkpoint import load_checkpoint, load_state, save_checkpoint, state_arrays
 from atscalm.util import PipelineError, keyed_rng
 from memtrace import traced_peak
 
 MODELS = {
     "encoder": (lambda: AcousticEncoder(EncoderConfig(widths=(4, 8, 16, 32), proj_dim=8), seed=1),
-                lambda model, path: save_encoder(model, path, FeatureParams()), load_encoder),
+                save_encoder, load_encoder),
     "cam": (lambda: BiLstmClassifier(CamConfig(hidden=4, fc_dim=4), seed=1),
             lambda model, path: save_cam(model, path, {"train_ids": ["a"], "test_ids": ["b"]}),
             load_cam),
@@ -92,7 +91,7 @@ def default_encoder_ckpt(tmp_path_factory):
     (85.8 MiB) of tensors."""
     model = AcousticEncoder(EncoderConfig(), seed=0)
     path = str(tmp_path_factory.mktemp("default") / "enc.ckpt")
-    save_encoder(model, path, FeatureParams())
+    save_encoder(model, path)
     return path, sum(a.nbytes for a in state_arrays(model).values())
 
 
@@ -125,7 +124,7 @@ def test_save_checkpoint_writes_each_tensor_in_place(default_encoder_ckpt, tmp_p
     first, payload = default_encoder_ckpt
     model, _ = load_encoder(first)
     path = tmp_path / "again.ckpt"
-    _, peak, _ = traced_peak(lambda: save_encoder(model, str(path), FeatureParams()))
+    _, peak, _ = traced_peak(lambda: save_encoder(model, str(path)))
     assert peak <= 0.15 * payload, f"peak {peak / 1e6:.1f} MB for a {payload / 1e6:.1f} MB payload"
     assert path.read_bytes() == Path(first).read_bytes()
 

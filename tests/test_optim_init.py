@@ -209,6 +209,14 @@ class TestCheckpoint:
         want = MAGIC + struct.pack("<I", len(header)) + header + b"".join(blobs)
         assert path.read_bytes() == want
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_tensor_refused_before_the_file_is_made(self, tmp_path, bad):
+        path = tmp_path / "m.ckpt"
+        tensors = {"a": np.ones(3), "b": np.array([1.0, bad], dtype=np.float32)}
+        with pytest.raises(PipelineError, match=f"^{path}: tensor 'b' holds a non-finite value"):
+            save_checkpoint(str(path), tensors, {"x": 1})
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMAGIC" + bytes(16))
